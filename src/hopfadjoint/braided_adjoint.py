@@ -6,7 +6,6 @@ matrices (no closed-form shortcuts)."""
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 from .cyclotomic import FieldContext, Scalar
@@ -20,8 +19,8 @@ from .braiding import (
     regular_module,
 )
 from .constructions import TaftModel
-from .adjoint import AdjointAlgebra, _eqv
-from .linalg import Matrix, kernel_basis, kron
+from .adjoint import AdjointAlgebra
+from .linalg import Matrix, kernel_basis, kron, sparse_diff, vec_eq
 from .reports import VerificationReport
 
 
@@ -134,45 +133,6 @@ def half_braiding(had: HAdjoint, x: ModuleRep) -> Matrix:
     return out
 
 
-def _tensor_action_matrix(model: TaftModel, reps: list[ModuleRep], h_index: int) -> Matrix:
-    """Action of one bosonization basis element on a tensor product of
-    modules, by iterated coproduct."""
-    taft = model.taft
-    if len(reps) == 1:
-        return reps[0].action[h_index]
-    ctx = model.ctx
-    dims = [r.dim for r in reps]
-    total = 1
-    for d in dims:
-        total *= d
-    right = _tensor_rep(model, reps[1:])
-    out = Matrix.zero(ctx, total, total)
-    dr = total // dims[0]
-    for h1, h2, c in taft.coalgebra.delta_terms(h_index):
-        m1 = reps[0].action[h1]
-        m2 = right.action[h2]
-        for a in range(dims[0]):
-            for b in range(dims[0]):
-                e1 = m1[a, b]
-                if e1.is_zero():
-                    continue
-                for p in range(dr):
-                    for q in range(dr):
-                        e2 = m2[p, q]
-                        if not e2.is_zero():
-                            row = a * dr + p
-                            col = b * dr + q
-                            out.entries[row * total + col] = out.entries[row * total + col] + c * e1 * e2
-    return out
-
-
-def _tensor_rep(model: TaftModel, reps: list[ModuleRep]) -> ModuleRep:
-    out = reps[0]
-    for r in reps[1:]:
-        out = tensor_module(model.taft, out, r)
-    return out
-
-
 def verify_h_ad(had: HAdjoint, modules: dict[str, ModuleRep],
                 report: VerificationReport | None = None,
                 prefix: str = "braided-adjoint") -> VerificationReport:
@@ -188,100 +148,81 @@ def verify_h_ad(had: HAdjoint, modules: dict[str, ModuleRep],
 
     check_module(had.ht_module, rep, prefix=f"{prefix}/action")
 
+    def gamma_invertible(gamma: Matrix, name: str):
+        if kernel_basis(gamma).dim != 0:
+            yield {"module": name}
+
+    def gamma_equivariant(gamma: Matrix, name: str, x: ModuleRep):
+        src = tensor_module(taft, had.ht_module, x)
+        dst = tensor_module(taft, x, had.ht_module)
+        for u in range(taft.dim):
+            if gamma * src.action[u] != dst.action[u] * gamma:
+                yield {"module": name, "hopf_index": u}
+
+    def gamma_tensor_hexagon():
+        names = sorted(modules)
+        for nx in names:
+            for ny in names:
+                x, y = modules[nx], modules[ny]
+                lhs = half_braiding(had, tensor_module(taft, x, y))
+                gx = half_braiding(had, x)
+                gy = half_braiding(had, y)
+                rhs = kron(Matrix.identity(ctx, x.dim), gy) * kron(gx, Matrix.identity(ctx, y.dim))
+                if lhs != rhs:
+                    yield {"pair": [nx, ny]}
+
+    def double_braiding_trivial():
+        for name, vt in (("trivial", trivial_module(model.t_hopf)),
+                         ("regular", regular_module(model.t_hopf.algebra))):
+            gv = lift_via_pi(model, vt)
+            gamma = half_braiding(had, gv)
+            dv = gv.dim
+            # sigma_{G(V),H_ad}(v x a) = (1 # Rbar1).a x Rbar2.v, then compose
+            comp = Matrix.zero(ctx, n * dv, n * dv)
+            for i2, j2, cr in model.rmatrix.inverse_terms():
+                aact = had.ht_module.action[model.x_index(0, i2)]
+                vact = vt.action[j2]
+                for r1 in range(n):
+                    for c1 in range(n):
+                        e1 = aact[r1, c1]
+                        if e1.is_zero():
+                            continue
+                        for r2 in range(dv):
+                            for c2 in range(dv):
+                                e2 = vact[r2, c2]
+                                if not e2.is_zero():
+                                    row = r1 * dv + r2
+                                    col = c2 * n + c1
+                                    comp.entries[row * (n * dv) + col] = comp.entries[row * (n * dv) + col] + cr * e1 * e2
+            if comp * gamma != Matrix.identity(ctx, n * dv):
+                yield {"module": name}
+
+    def braided_commutative():
+        gamma_self = half_braiding(had, had.ht_module)
+        alg = model.line.algebra
+        for i in range(n):
+            for j in range(n):
+                rhs = [ctx.zero()] * n
+                col = i * n + j
+                for row in range(n * n):
+                    s = gamma_self[row, col]
+                    if s.is_zero():
+                        continue
+                    jj, ii = row // n, row % n
+                    v = alg.mult[jj][ii]
+                    for r in range(n):
+                        if not v[r].is_zero():
+                            rhs[r] = rhs[r] + s * v[r]
+                if not vec_eq(alg.mult[i][j], rhs):
+                    yield {"pair": [i, j]}
+
     for name, x in modules.items():
         gamma = half_braiding(had, x)
-        t0 = time.perf_counter()
-        ok = kernel_basis(gamma).dim == 0
-        rep.add(f"{prefix}/gamma-invertible/{name}", ok, None if ok else {"module": name},
-                (time.perf_counter() - t0) * 1e3)
-
-        t0 = time.perf_counter()
-        bad = None
-        src = _tensor_rep(model, [ModuleRep(taft.algebra, n, had.ht_module.action), x])
-        dst = _tensor_rep(model, [x, ModuleRep(taft.algebra, n, had.ht_module.action)])
-        for u in range(taft.dim):
-            lhs = gamma * src.action[u]
-            rhs = dst.action[u] * gamma
-            if lhs != rhs:
-                bad = {"module": name, "hopf_index": u}
-                break
-        rep.add(f"{prefix}/gamma-equivariant/{name}", bad is None, bad,
-                (time.perf_counter() - t0) * 1e3)
-
-    t0 = time.perf_counter()
-    names = sorted(modules)
-    bad = None
-    for nx in names:
-        for ny in names:
-            x, y = modules[nx], modules[ny]
-            xy = tensor_module(taft, x, y)
-            lhs = half_braiding(had, xy)
-            gx = half_braiding(had, x)
-            gy = half_braiding(had, y)
-            idx = Matrix.identity(ctx, x.dim)
-            idy = Matrix.identity(ctx, y.dim)
-            rhs = kron(idx, gy) * kron(gx, idy)
-            if lhs != rhs:
-                bad = {"pair": [nx, ny]}
-                break
-        if bad:
-            break
-    rep.add(f"{prefix}/gamma-tensor-hexagon", bad is None, bad, (time.perf_counter() - t0) * 1e3)
-
-    t0 = time.perf_counter()
-    bad = None
-    for name, vt in (("trivial", trivial_module(model.t_hopf)),
-                     ("regular", regular_module(model.t_hopf.algebra))):
-        gv = lift_via_pi(model, vt)
-        gamma = half_braiding(had, gv)
-        dv = gv.dim
-        # sigma_{G(V),H_ad}(v x a) = (1 # Rbar1).a x Rbar2.v, then compose
-        comp = Matrix.zero(ctx, n * dv, n * dv)
-        for i2, j2, cr in model.rmatrix.inverse_terms():
-            aact = had.ht_module.action[model.x_index(0, i2)]
-            vact = vt.action[j2]
-            for r1 in range(n):
-                for c1 in range(n):
-                    e1 = aact[r1, c1]
-                    if e1.is_zero():
-                        continue
-                    for r2 in range(dv):
-                        for c2 in range(dv):
-                            e2 = vact[r2, c2]
-                            if not e2.is_zero():
-                                row = r1 * dv + r2
-                                col = c2 * n + c1
-                                comp.entries[row * (n * dv) + col] = comp.entries[row * (n * dv) + col] + cr * e1 * e2
-        total = comp * gamma
-        if total != Matrix.identity(ctx, n * dv):
-            bad = {"module": name}
-            break
-    rep.add(f"{prefix}/double-braiding-trivial", bad is None, bad, (time.perf_counter() - t0) * 1e3)
-
-    t0 = time.perf_counter()
-    had_rep = ModuleRep(taft.algebra, n, had.ht_module.action)
-    gamma_self = half_braiding(had, had_rep)
-    alg = model.line.algebra
-    bad = None
-    for i in range(n):
-        for j in range(n):
-            rhs = [ctx.zero()] * n
-            col = i * n + j
-            for row in range(n * n):
-                s = gamma_self[row, col]
-                if s.is_zero():
-                    continue
-                jj, ii = row // n, row % n
-                v = alg.mult[jj][ii]
-                for r in range(n):
-                    if not v[r].is_zero():
-                        rhs[r] = rhs[r] + s * v[r]
-            if not _eqv(alg.mult[i][j], rhs):
-                bad = {"pair": [i, j]}
-                break
-        if bad:
-            break
-    rep.add(f"{prefix}/braided-commutative", bad is None, bad, (time.perf_counter() - t0) * 1e3)
+        rep.check(f"{prefix}/gamma-invertible/{name}", gamma_invertible(gamma, name))
+        rep.check(f"{prefix}/gamma-equivariant/{name}", gamma_equivariant(gamma, name, x))
+    rep.check(f"{prefix}/gamma-tensor-hexagon", gamma_tensor_hexagon())
+    rep.check(f"{prefix}/double-braiding-trivial", double_braiding_trivial())
+    rep.check(f"{prefix}/braided-commutative", braided_commutative())
     return rep
 
 
@@ -327,56 +268,52 @@ def pi_dinatural_check(had: HAdjoint, x: ModuleRep, v: ModuleRep,
     pi_m = _pi_x(had, x)
     pi_vm = _pi_x(had, vm)
 
-    t0 = time.perf_counter()
-    bad = None
-    for h in range(n):
-        lhs: dict[tuple[int, tuple[int, int, int]], Scalar] = {}
-        for mo in range(dm):
-            for mp in range(dm):
-                e = pi_m[(mo * dm + mp), h]
-                if e.is_zero():
-                    continue
-                for j in range(dv):
-                    lhs[(mo, (j, j, mp))] = e
-
-        rhs: dict[tuple[int, tuple[int, int, int]], Scalar] = {}
-        for ri, rj, cr in model.rmatrix.terms():
-            a_mat = vm.action[model.x_index(0, ri)]
-            b_mat = vm_dual.action[model.x_index(0, ri)]
-            jmat = v_dual_t.action[rj]
-            for w1 in range(dvm):
-                for w2 in range(dvm):
-                    e = pi_vm[(w1 * dvm + w2), h]
+    def wedge_instance():
+        for h in range(n):
+            lhs: dict[tuple[int, tuple[int, int, int]], Scalar] = {}
+            for mo in range(dm):
+                for mp in range(dm):
+                    e = pi_m[(mo * dm + mp), h]
                     if e.is_zero():
                         continue
-                    # A e_w1 decomposed over (va, mo)
-                    for row1 in range(dvm):
-                        e1 = a_mat[row1, w1]
-                        if e1.is_zero():
-                            continue
-                        va, mo = row1 // dm, row1 % dm
-                        # B e^w2 evaluated against e_(v', m')
-                        for row2 in range(dvm):
-                            e2 = b_mat[row2, w2]
-                            if e2.is_zero():
-                                continue
-                            vp, mp = row2 // dm, row2 % dm
-                            for j in range(dv):
-                                ej = jmat[va, j]
-                                if ej.is_zero():
-                                    continue
-                                key = (mo, (j, vp, mp))
-                                add = cr * e * e1 * e2 * ej
-                                rhs[key] = rhs.get(key, z) + add
+                    for j in range(dv):
+                        lhs[(mo, (j, j, mp))] = e
 
-        keys = set(lhs) | set(rhs)
-        for key in keys:
-            if not (lhs.get(key, z) - rhs.get(key, z)).is_zero():
-                bad = {"hopf_basis": h, "coordinate": [key[0], list(key[1])]}
-                break
-        if bad:
-            break
-    rep.add(f"{prefix}/wedge-instance", bad is None, bad, (time.perf_counter() - t0) * 1e3)
+            rhs: dict[tuple[int, tuple[int, int, int]], Scalar] = {}
+            for ri, rj, cr in model.rmatrix.terms():
+                a_mat = vm.action[model.x_index(0, ri)]
+                b_mat = vm_dual.action[model.x_index(0, ri)]
+                jmat = v_dual_t.action[rj]
+                for w1 in range(dvm):
+                    for w2 in range(dvm):
+                        e = pi_vm[(w1 * dvm + w2), h]
+                        if e.is_zero():
+                            continue
+                        # A e_w1 decomposed over (va, mo)
+                        for row1 in range(dvm):
+                            e1 = a_mat[row1, w1]
+                            if e1.is_zero():
+                                continue
+                            va, mo = row1 // dm, row1 % dm
+                            # B e^w2 evaluated against e_(v', m')
+                            for row2 in range(dvm):
+                                e2 = b_mat[row2, w2]
+                                if e2.is_zero():
+                                    continue
+                                vp, mp = row2 // dm, row2 % dm
+                                for j in range(dv):
+                                    ej = jmat[va, j]
+                                    if ej.is_zero():
+                                        continue
+                                    key = (mo, (j, vp, mp))
+                                    add = cr * e * e1 * e2 * ej
+                                    rhs[key] = rhs.get(key, z) + add
+
+            key = sparse_diff(lhs, rhs, ctx)
+            if key is not None:
+                yield {"hopf_basis": h, "coordinate": [key[0], list(key[1])]}
+
+    rep.check(f"{prefix}/wedge-instance", wedge_instance())
     return rep
 
 
@@ -461,55 +398,29 @@ def regular_case_iso(adjoint: AdjointAlgebra, had: HAdjoint,
     rep.add(f"{prefix}/phi-bijective", ok,
             None if ok else {"solution_dim": adjoint.dim, "carrier_dim": n})
 
-    pu = phi.apply(adjoint.unit_coords)
-    ok = _eqv(pu, model.line.algebra.unit)
+    ok = vec_eq(phi.apply(adjoint.unit_coords), model.line.algebra.unit)
     rep.add(f"{prefix}/phi-unit", ok, None if ok else {})
 
-    t0 = time.perf_counter()
-    bad = None
-    for i in range(adjoint.dim):
-        for j in range(adjoint.dim):
-            lhs = phi.apply(adjoint.product[i][j])
-            rhs = model.line.algebra.mult_vec(phi.col(i), phi.col(j))
-            if not _eqv(lhs, rhs):
-                bad = {"pair": [i, j]}
-                break
-        if bad:
-            break
-    rep.add(f"{prefix}/phi-multiplicative", bad is None, bad, (time.perf_counter() - t0) * 1e3)
+    def phi_coaction_intertwines():
+        lhs = Matrix.zero(ctx, taft.dim * n, adjoint.dim)
+        com = adjoint.comodule_rep()
+        for s in range(adjoint.dim):
+            for y, l, c in com.coaction_terms(s):
+                pl = phi.col(l)
+                for r in range(n):
+                    if not pl[r].is_zero():
+                        lhs.entries[(y * n + r) * adjoint.dim + s] = lhs.entries[(y * n + r) * adjoint.dim + s] + c * pl[r]
+        if lhs != displayed_adjoint_coaction(model) * phi:
+            yield {}
 
-    t0 = time.perf_counter()
     disp = displayed_adjoint_action(model)
-    bad = None
-    for u in range(taft.dim):
-        lhs = phi * adjoint.action[u]
-        rhs = disp[u] * phi
-        if lhs != rhs:
-            bad = {"hopf_index": u}
-            break
-    rep.add(f"{prefix}/phi-action-intertwines", bad is None, bad, (time.perf_counter() - t0) * 1e3)
-
-    t0 = time.perf_counter()
-    disp_co = displayed_adjoint_coaction(model)
-    lhs = Matrix.zero(ctx, taft.dim * n, adjoint.dim)
-    com = adjoint.comodule_rep()
-    for s in range(adjoint.dim):
-        for y, l, c in com.coaction_terms(s):
-            pl = phi.col(l)
-            for r in range(n):
-                if not pl[r].is_zero():
-                    lhs.entries[(y * n + r) * adjoint.dim + s] = lhs.entries[(y * n + r) * adjoint.dim + s] + c * pl[r]
-    rhs = disp_co * phi
-    ok = lhs == rhs
-    rep.add(f"{prefix}/phi-coaction-intertwines", ok, None if ok else {},
-            (time.perf_counter() - t0) * 1e3)
-
-    t0 = time.perf_counter()
-    bad = None
-    for u in range(taft.dim):
-        if disp[u] != had.ht_module.action[u]:
-            bad = {"hopf_index": u}
-            break
-    rep.add(f"{prefix}/displayed-matches-built-action", bad is None, bad,
-            (time.perf_counter() - t0) * 1e3)
+    rep.check(f"{prefix}/phi-multiplicative", (
+        {"pair": [i, j]} for i in range(adjoint.dim) for j in range(adjoint.dim)
+        if not vec_eq(phi.apply(adjoint.product[i][j]),
+                      model.line.algebra.mult_vec(phi.col(i), phi.col(j)))))
+    rep.check(f"{prefix}/phi-action-intertwines", (
+        {"hopf_index": u} for u in range(taft.dim) if phi * adjoint.action[u] != disp[u] * phi))
+    rep.check(f"{prefix}/phi-coaction-intertwines", phi_coaction_intertwines())
+    rep.check(f"{prefix}/displayed-matches-built-action", (
+        {"hopf_index": u} for u in range(taft.dim) if disp[u] != had.ht_module.action[u]))
     return rep

@@ -26,6 +26,7 @@ from .constructions import (
     taft_presentation_check,
 )
 from .adjoint import (
+    CONDITIONS,
     ClosureFailure,
     chi0_crosscheck,
     connectedness,
@@ -42,6 +43,12 @@ from .reports import VerificationReport, document, emit_json
 
 BASIS_CONVENTION = ("bosonization x^a # g^b at a*n+b; K(d,xi) h^a w^b at a*n+b; "
                     "tensor legs i*dim_right+j")
+MODULES = ("regular", "trivial")
+
+
+class UsageError(Exception):
+    """Arguments that parse but name no computation; exits 2 like a
+    parse error."""
 
 
 def field_axiom_spotcheck(ctx: FieldContext, seed: int, count: int = 100,
@@ -74,8 +81,30 @@ def field_axiom_spotcheck(ctx: FieldContext, seed: int, count: int = 100,
     return rep
 
 
-def _parse_n_list(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part]
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
+def positive_int_list(text: str) -> list[int]:
+    return [positive_int(part) for part in text.split(",") if part]
+
+
+def rational(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"expected a rational number such as 1/2, got {text!r}") from None
+
+
+def _names(text: str, allowed: tuple[str, ...], what: str) -> list[str]:
+    names = [part.strip().lower() for part in text.split(",") if part.strip()]
+    unknown = sorted(set(names) - set(allowed))
+    if unknown:
+        raise UsageError(f"unknown {what} {', '.join(unknown)} (use {','.join(allowed)})")
+    return names
 
 
 def _suite_hopf(n: int, seed: int, rep: VerificationReport) -> None:
@@ -153,13 +182,16 @@ def cmd_taft(args) -> int:
 
 
 def cmd_adjoint(args) -> int:
-    n, d = args.n, args.d
-    xi = Fraction(args.xi)
-    conditions = {c.strip() for c in args.conditions.split(",") if c.strip()}
+    n, d, xi = args.n, args.d, args.xi
+    conditions = set(_names(args.conditions, CONDITIONS, "conditions"))
+    if n % d:
+        raise UsageError(f"--d {d} does not divide --n {n}")
+    if "ad3" not in conditions and not args.full:
+        raise UsageError("the reduced pipeline needs condition ad3; add it or pass --full")
     model = taft_model(n)
     k = comodule_algebra_K(n, d, xi)
     problem = problem_for(model, k, conditions, rbar=args.rbar)
-    pipeline = "reduced" if args.reduced or not args.full else "full"
+    pipeline = "full" if args.full else "reduced"
     rep = VerificationReport()
     try:
         alg = solve_adjoint(problem, pipeline=pipeline)
@@ -180,17 +212,11 @@ def cmd_adjoint(args) -> int:
 
 def cmd_braided_adjoint(args) -> int:
     n = args.n
+    names = _names(args.modules, MODULES, "modules")
     model = taft_model(n)
     had = build_h_ad(model)
-    names = [m.strip() for m in args.modules.split(",") if m.strip()]
-    mods = {}
-    for name in names:
-        if name == "regular":
-            mods[name] = regular_module(model.taft.algebra)
-        elif name == "trivial":
-            mods[name] = trivial_module(model.taft)
-        else:
-            raise SystemExit(f"unknown module name {name!r} (use regular,trivial)")
+    mods = {name: regular_module(model.taft.algebra) if name == "regular" else trivial_module(model.taft)
+            for name in names}
     rep = VerificationReport()
     verify_h_ad(had, mods, rep)
     for name, x in mods.items():
@@ -205,7 +231,7 @@ def cmd_braided_adjoint(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    ns = _parse_n_list(args.n)
+    ns = args.n
     rep = VerificationReport()
     for n in ns:
         if args.suite in ("hopf", "all"):
@@ -219,8 +245,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_report(args) -> int:
-    with open(args.json, "rb") as fh:
-        data = json.load(fh)
+    try:
+        with open(args.json, "rb") as fh:
+            data = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"cannot read report {args.json}: {exc}") from None
     rep = data.get("report", data)
     claims = rep.get("claims", [])
     n_fail = 0
@@ -244,33 +273,32 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("taft", help="build and verify the bosonization for one n")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=positive_int, required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_taft)
 
     p = sub.add_parser("adjoint", help="solve the invariant-map algebra for K(d, xi)")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--xi", default="0")
+    p.add_argument("--n", type=positive_int, required=True)
+    p.add_argument("--d", type=positive_int, required=True)
+    p.add_argument("--xi", type=rational, default="0")
     p.add_argument("--conditions", default="ad1,ad2,ad3")
-    p.add_argument("--reduced", action="store_true",
-                   help="use the reduced pipeline (default)")
     p.add_argument("--full", action="store_true",
-                   help="use the full Hom-space pipeline")
+                   help="use the full Hom-space pipeline instead of the reduced one")
     p.add_argument("--rbar", action="store_true",
                    help="mirrored R-matrix convention in the comodule condition")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_adjoint)
 
     p = sub.add_parser("braided-adjoint", help="build and verify the braided adjoint algebra")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=positive_int, required=True)
     p.add_argument("--modules", default="regular,trivial")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_braided_adjoint)
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", choices=["hopf", "rmatrix", "adjoint", "all"], required=True)
-    p.add_argument("--n", required=True, help="comma-separated list, e.g. 2,3")
+    p.add_argument("--n", type=positive_int_list, required=True,
+                   help="comma-separated list, e.g. 2,3")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify)
@@ -284,7 +312,10 @@ def build_parser() -> argparse.ArgumentParser:
 def cli_main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except UsageError as exc:
+        parser.error(str(exc))
 
 
 def main() -> None:

@@ -284,10 +284,6 @@ def rational_str(r: Fraction) -> str:
     return f"{r.numerator}/{r.denominator}"
 
 
-def parse_rational(s: str) -> Fraction:
-    return Fraction(s)
-
-
 def scalar_to_strings(s: Scalar) -> list[str]:
     return [rational_str(c) for c in s.coords]
 

@@ -10,19 +10,13 @@ identity, which independently validates every construction.
 
 from __future__ import annotations
 
-import time
-
 from .cyclotomic import FieldContext, Scalar
-from .linalg import Matrix, kernel_basis, solve
+from .linalg import Matrix, kernel_basis, solve, sparse_diff, unit_vector, vec_eq, zeros
 from .reports import VerificationReport
 
 
 class NoAntipodeError(Exception):
     """The convolution system for the antipode is inconsistent."""
-
-
-def _zeros(ctx: FieldContext, n: int) -> list[Scalar]:
-    return [ctx.zero()] * n
 
 
 class FinDimAlgebra:
@@ -44,7 +38,7 @@ class FinDimAlgebra:
         return cached
 
     def mult_vec(self, u: list[Scalar], v: list[Scalar]) -> list[Scalar]:
-        out = _zeros(self.ctx, self.dim)
+        out = zeros(self.ctx, self.dim)
         for i, ui in enumerate(u):
             if ui.is_zero():
                 continue
@@ -57,9 +51,7 @@ class FinDimAlgebra:
         return out
 
     def basis_vec(self, i: int) -> list[Scalar]:
-        v = _zeros(self.ctx, self.dim)
-        v[i] = self.ctx.one()
-        return v
+        return unit_vector(self.ctx, self.dim, i)
 
     def left_mult_matrix(self, u: list[Scalar]) -> Matrix:
         cols = [self.mult_vec(u, self.basis_vec(j)) for j in range(self.dim)]
@@ -182,83 +174,66 @@ class FinDimHopf:
         }
 
 
-def _vec_eq(u: list[Scalar], v: list[Scalar]) -> bool:
-    return all((a - b).is_zero() for a, b in zip(u, v))
-
-
 def check_algebra(a: FinDimAlgebra, report: VerificationReport | None = None, prefix: str = "algebra") -> VerificationReport:
     """Associativity on all basis triples and both unit laws."""
     rep = report if report is not None else VerificationReport()
-    t0 = time.perf_counter()
-    bad = None
-    for i in range(a.dim):
-        ei = a.basis_vec(i)
-        for j in range(a.dim):
-            ij = a.mult[i][j]
-            ej = a.basis_vec(j)
-            for k in range(a.dim):
-                lhs = a.mult_vec(ij, a.basis_vec(k))
-                rhs = a.mult_vec(ei, a.mult[j][k])
-                if not _vec_eq(lhs, rhs):
-                    bad = {"triple": [i, j, k], "residual": [x - y for x, y in zip(lhs, rhs)]}
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    rep.add(f"{prefix}/associativity", bad is None, bad, (time.perf_counter() - t0) * 1e3)
 
-    t0 = time.perf_counter()
-    bad = None
-    for i in range(a.dim):
-        ei = a.basis_vec(i)
-        if not _vec_eq(a.mult_vec(a.unit, ei), ei) or not _vec_eq(a.mult_vec(ei, a.unit), ei):
-            bad = {"index": i}
-            break
-    rep.add(f"{prefix}/unit-laws", bad is None, bad, (time.perf_counter() - t0) * 1e3)
+    def associativity():
+        for i in range(a.dim):
+            ei = a.basis_vec(i)
+            for j in range(a.dim):
+                ij = a.mult[i][j]
+                for k in range(a.dim):
+                    lhs = a.mult_vec(ij, a.basis_vec(k))
+                    rhs = a.mult_vec(ei, a.mult[j][k])
+                    if not vec_eq(lhs, rhs):
+                        yield {"triple": [i, j, k], "residual": [x - y for x, y in zip(lhs, rhs)]}
+
+    def unit_laws():
+        for i in range(a.dim):
+            ei = a.basis_vec(i)
+            if not vec_eq(a.mult_vec(a.unit, ei), ei) or not vec_eq(a.mult_vec(ei, a.unit), ei):
+                yield {"index": i}
+
+    rep.check(f"{prefix}/associativity", associativity())
+    rep.check(f"{prefix}/unit-laws", unit_laws())
     return rep
 
 
 def check_coalgebra(c: FinDimCoalgebra, report: VerificationReport | None = None, prefix: str = "coalgebra") -> VerificationReport:
     """Coassociativity and counit laws on every basis element."""
     rep = report if report is not None else VerificationReport()
-    t0 = time.perf_counter()
-    bad = None
-    for i in range(c.dim):
-        left: dict[tuple[int, int, int], Scalar] = {}
-        for j, k, coeff in c.delta_terms(i):
-            for a, b, d in c.delta_terms(j):
-                key = (a, b, k)
-                left[key] = left.get(key, c.ctx.zero()) + coeff * d
-        right: dict[tuple[int, int, int], Scalar] = {}
-        for j, k, coeff in c.delta_terms(i):
-            for a, b, d in c.delta_terms(k):
-                key = (j, a, b)
-                right[key] = right.get(key, c.ctx.zero()) + coeff * d
-        keys = set(left) | set(right)
-        for key in keys:
-            diff = left.get(key, c.ctx.zero()) - right.get(key, c.ctx.zero())
-            if not diff.is_zero():
-                bad = {"index": i, "tensor_index": list(key)}
-                break
-        if bad:
-            break
-    rep.add(f"{prefix}/coassociativity", bad is None, bad, (time.perf_counter() - t0) * 1e3)
+    z = c.ctx.zero()
 
-    t0 = time.perf_counter()
-    bad = None
-    for i in range(c.dim):
-        lvec = _zeros(c.ctx, c.dim)
-        rvec = _zeros(c.ctx, c.dim)
-        for j, k, coeff in c.delta_terms(i):
-            lvec[k] = lvec[k] + coeff * c.counit[j]
-            rvec[j] = rvec[j] + coeff * c.counit[k]
-        ei = _zeros(c.ctx, c.dim)
-        ei[i] = c.ctx.one()
-        if not _vec_eq(lvec, ei) or not _vec_eq(rvec, ei):
-            bad = {"index": i}
-            break
-    rep.add(f"{prefix}/counit-laws", bad is None, bad, (time.perf_counter() - t0) * 1e3)
+    def coassociativity():
+        for i in range(c.dim):
+            left: dict[tuple[int, int, int], Scalar] = {}
+            for j, k, coeff in c.delta_terms(i):
+                for a, b, d in c.delta_terms(j):
+                    key = (a, b, k)
+                    left[key] = left.get(key, z) + coeff * d
+            right: dict[tuple[int, int, int], Scalar] = {}
+            for j, k, coeff in c.delta_terms(i):
+                for a, b, d in c.delta_terms(k):
+                    key = (j, a, b)
+                    right[key] = right.get(key, z) + coeff * d
+            key = sparse_diff(left, right, c.ctx)
+            if key is not None:
+                yield {"index": i, "tensor_index": list(key)}
+
+    def counit_laws():
+        for i in range(c.dim):
+            lvec = zeros(c.ctx, c.dim)
+            rvec = zeros(c.ctx, c.dim)
+            for j, k, coeff in c.delta_terms(i):
+                lvec[k] = lvec[k] + coeff * c.counit[j]
+                rvec[j] = rvec[j] + coeff * c.counit[k]
+            ei = unit_vector(c.ctx, c.dim, i)
+            if not vec_eq(lvec, ei) or not vec_eq(rvec, ei):
+                yield {"index": i}
+
+    rep.check(f"{prefix}/coassociativity", coassociativity())
+    rep.check(f"{prefix}/counit-laws", counit_laws())
     return rep
 
 
@@ -268,72 +243,55 @@ def check_bialgebra(a: FinDimAlgebra, c: FinDimCoalgebra, report: VerificationRe
     rep = report if report is not None else VerificationReport()
     check_algebra(a, rep, prefix=f"{prefix}/algebra")
     check_coalgebra(c, rep, prefix=f"{prefix}/coalgebra")
+    z = a.ctx.zero()
 
-    t0 = time.perf_counter()
-    bad = None
-    for i in range(a.dim):
-        if bad:
-            break
-        for j in range(a.dim):
-            prod = a.mult[i][j]
-            lhs = c.delta_vec(prod)
-            rhs: dict[tuple[int, int], Scalar] = {}
-            for p, q, cc in c.delta_terms(i):
-                for r, s, dd in c.delta_terms(j):
-                    coeff = cc * dd
-                    for x, m1 in a.mult_sparse(p, r):
-                        for y, m2 in a.mult_sparse(q, s):
-                            key = (x, y)
-                            add = coeff * m1 * m2
-                            rhs[key] = rhs.get(key, a.ctx.zero()) + add
-            keys = set(lhs) | set(rhs)
-            for key in keys:
-                diff = lhs.get(key, a.ctx.zero()) - rhs.get(key, a.ctx.zero())
-                if not diff.is_zero():
-                    bad = {"pair": [i, j], "tensor_index": list(key)}
-                    break
-            if bad:
-                break
-    rep.add(f"{prefix}/comult-multiplicative", bad is None, bad, (time.perf_counter() - t0) * 1e3)
+    def comult_multiplicative():
+        for i in range(a.dim):
+            for j in range(a.dim):
+                lhs = c.delta_vec(a.mult[i][j])
+                rhs: dict[tuple[int, int], Scalar] = {}
+                for p, q, cc in c.delta_terms(i):
+                    for r, s, dd in c.delta_terms(j):
+                        coeff = cc * dd
+                        for x, m1 in a.mult_sparse(p, r):
+                            for y, m2 in a.mult_sparse(q, s):
+                                key = (x, y)
+                                rhs[key] = rhs.get(key, z) + coeff * m1 * m2
+                key = sparse_diff(lhs, rhs, a.ctx)
+                if key is not None:
+                    yield {"pair": [i, j], "tensor_index": list(key)}
 
-    t0 = time.perf_counter()
-    bad = None
-    one_delta = c.delta_vec(a.unit)
-    expect: dict[tuple[int, int], Scalar] = {}
-    for i, ui in enumerate(a.unit):
-        if ui.is_zero():
-            continue
-        for j, uj in enumerate(a.unit):
-            if not uj.is_zero():
-                expect[(i, j)] = ui * uj
-    keys = set(one_delta) | set(expect)
-    for key in keys:
-        if not (one_delta.get(key, a.ctx.zero()) - expect.get(key, a.ctx.zero())).is_zero():
-            bad = {"tensor_index": list(key)}
-            break
-    rep.add(f"{prefix}/comult-unit", bad is None, bad, (time.perf_counter() - t0) * 1e3)
+    def comult_unit():
+        expect: dict[tuple[int, int], Scalar] = {}
+        for i, ui in enumerate(a.unit):
+            if ui.is_zero():
+                continue
+            for j, uj in enumerate(a.unit):
+                if not uj.is_zero():
+                    expect[(i, j)] = ui * uj
+        key = sparse_diff(c.delta_vec(a.unit), expect, a.ctx)
+        if key is not None:
+            yield {"tensor_index": list(key)}
 
-    t0 = time.perf_counter()
-    bad = None
-    for i in range(a.dim):
-        for j in range(a.dim):
-            lhs = c.counit_vec(a.mult[i][j])
-            rhs = c.counit[i] * c.counit[j]
-            if not (lhs - rhs).is_zero():
-                bad = {"pair": [i, j]}
-                break
-        if bad:
-            break
-    if bad is None and not (c.counit_vec(a.unit) - a.ctx.one()).is_zero():
-        bad = {"pair": "unit"}
-    rep.add(f"{prefix}/counit-multiplicative", bad is None, bad, (time.perf_counter() - t0) * 1e3)
+    def counit_multiplicative():
+        for i in range(a.dim):
+            for j in range(a.dim):
+                if not (c.counit_vec(a.mult[i][j]) - c.counit[i] * c.counit[j]).is_zero():
+                    yield {"pair": [i, j]}
+        if not (c.counit_vec(a.unit) - a.ctx.one()).is_zero():
+            yield {"pair": "unit"}
+
+    rep.check(f"{prefix}/comult-multiplicative", comult_multiplicative())
+    rep.check(f"{prefix}/comult-unit", comult_unit())
+    rep.check(f"{prefix}/counit-multiplicative", counit_multiplicative())
     return rep
 
 
-def convolution_identity_holds(a: FinDimAlgebra, c: FinDimCoalgebra, s: Matrix, side: str) -> tuple[bool, dict | None]:
-    """Check m(S x id)Delta = u eps (side="left") or m(id x S)Delta = u eps."""
+def convolution_failures(a: FinDimAlgebra, c: FinDimCoalgebra, s: Matrix, side: str):
+    """Yield a witness at each basis element where m(S x id)Delta = u eps
+    (side="left") or m(id x S)Delta = u eps fails."""
     for i in range(a.dim):
-        acc = _zeros(a.ctx, a.dim)
+        acc = zeros(a.ctx, a.dim)
         for j, k, coeff in c.delta_terms(i):
             if side == "left":
                 sv = [s[l, j] for l in range(a.dim)]
@@ -345,9 +303,8 @@ def convolution_identity_holds(a: FinDimAlgebra, c: FinDimCoalgebra, s: Matrix, 
                 if not term[l].is_zero():
                     acc[l] = acc[l] + coeff * term[l]
         target = [a.unit[l] * c.counit[i] for l in range(a.dim)]
-        if not _vec_eq(acc, target):
-            return False, {"index": i, "side": side}
-    return True, None
+        if not vec_eq(acc, target):
+            yield {"index": i, "side": side}
 
 
 def solve_antipode(a: FinDimAlgebra, c: FinDimCoalgebra) -> Matrix:
@@ -383,8 +340,8 @@ def solve_antipode(a: FinDimAlgebra, c: FinDimCoalgebra) -> Matrix:
         raise NoAntipodeError("antipode is not unique; convolution system is degenerate")
     entries = [x[l * dim + j] for l in range(dim) for j in range(dim)]
     s = Matrix(ctx, dim, dim, entries)
-    ok, witness = convolution_identity_holds(a, c, s, "right")
-    if not ok:
+    witness = next(convolution_failures(a, c, s, "right"), None)
+    if witness is not None:
         raise NoAntipodeError(f"solved antipode fails right convolution identity: {witness}")
     return s
 
@@ -393,9 +350,7 @@ def check_hopf(h: FinDimHopf, report: VerificationReport | None = None, prefix: 
     rep = report if report is not None else VerificationReport()
     check_bialgebra(h.algebra, h.coalgebra, rep, prefix=f"{prefix}/bialgebra")
     for side in ("left", "right"):
-        t0 = time.perf_counter()
-        ok, witness = convolution_identity_holds(h.algebra, h.coalgebra, h.antipode, side)
-        rep.add(f"{prefix}/antipode-{side}", ok, witness, (time.perf_counter() - t0) * 1e3)
+        rep.check(f"{prefix}/antipode-{side}", convolution_failures(h.algebra, h.coalgebra, h.antipode, side))
     return rep
 
 
@@ -412,7 +367,7 @@ def tensor_algebra(a: FinDimAlgebra, b: FinDimAlgebra) -> FinDimAlgebra:
                 for l in range(b.dim):
                     va = a.mult[i][k]
                     vb = b.mult[j][l]
-                    vec = _zeros(ctx, dim)
+                    vec = zeros(ctx, dim)
                     for p, ca in enumerate(va):
                         if ca.is_zero():
                             continue
@@ -420,7 +375,7 @@ def tensor_algebra(a: FinDimAlgebra, b: FinDimAlgebra) -> FinDimAlgebra:
                             if not cb.is_zero():
                                 vec[p * b.dim + q] = ca * cb
                     mult[i * b.dim + j][k * b.dim + l] = vec
-    unit = _zeros(ctx, dim)
+    unit = zeros(ctx, dim)
     for p, ca in enumerate(a.unit):
         if ca.is_zero():
             continue
@@ -437,7 +392,7 @@ def dual_algebra(c: FinDimCoalgebra) -> FinDimAlgebra:
     mult = [[None] * dim for _ in range(dim)]
     for i in range(dim):
         for j in range(dim):
-            vec = _zeros(ctx, dim)
+            vec = zeros(ctx, dim)
             for k in range(dim):
                 vec[k] = c.comult[k][i][j]
             mult[i][j] = vec

@@ -1,13 +1,39 @@
 """Dense exact matrices over cyclotomic scalars.
 
-Row-reduced echelon form, kernels, subspace coordinates and Kronecker
-products; all arithmetic is exact, all outputs deterministic.  The
-Kronecker index convention is (i tensor j) -> i * dim_b + j everywhere.
+The vector helpers shared by every checker, row-reduced echelon form,
+kernels, subspace coordinates and Kronecker products; all arithmetic is
+exact, all outputs deterministic.  The Kronecker index convention is
+(i tensor j) -> i * dim_b + j everywhere.
 """
 
 from __future__ import annotations
 
 from .cyclotomic import FieldContext, Scalar
+
+
+def zeros(ctx: FieldContext, n: int) -> list[Scalar]:
+    return [ctx.zero()] * n
+
+
+def unit_vector(ctx: FieldContext, n: int, i: int) -> list[Scalar]:
+    v = zeros(ctx, n)
+    v[i] = ctx.one()
+    return v
+
+
+def vec_eq(u: list[Scalar], v: list[Scalar]) -> bool:
+    """Dense vectors agree entrywise (over the shorter length)."""
+    return all((a - b).is_zero() for a, b in zip(u, v))
+
+
+def sparse_diff(x: dict, y: dict, ctx: FieldContext):
+    """First key, in the order of set(x) | set(y), at which the sparse
+    vectors x and y differ, or None when they are equal."""
+    z = ctx.zero()
+    for key in set(x) | set(y):
+        if not (x.get(key, z) - y.get(key, z)).is_zero():
+            return key
+    return None
 
 
 class Matrix:

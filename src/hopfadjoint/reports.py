@@ -9,6 +9,7 @@ as "num/den" strings) so identical runs produce identical bytes.
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -37,22 +38,27 @@ class ClaimResult:
 class VerificationReport:
     claims: list[ClaimResult] = field(default_factory=list)
 
+    def _append(self, claim: ClaimResult) -> None:
+        if any(c.claim_id == claim.claim_id for c in self.claims):
+            raise ValueError(f"duplicate claim id {claim.claim_id!r}")
+        self.claims.append(claim)
+
     def add(self, claim_id: str, ok: bool, witness=None, ms: float = 0.0) -> None:
-        if any(c.claim_id == claim_id for c in self.claims):
-            raise ValueError(f"duplicate claim id {claim_id!r}")
         if not ok and witness is None:
             witness = {}
-        self.claims.append(ClaimResult(claim_id, "pass" if ok else "fail", witness, ms))
+        self._append(ClaimResult(claim_id, "pass" if ok else "fail", witness, ms))
 
     def add_skipped(self, claim_id: str, reason: str) -> None:
-        self.claims.append(ClaimResult(claim_id, "skipped", {"reason": reason}))
+        self._append(ClaimResult(claim_id, "skipped", {"reason": reason}))
 
-    def merge(self, other: "VerificationReport", prefix: str = "") -> None:
-        for c in other.claims:
-            cid = f"{prefix}{c.claim_id}" if prefix else c.claim_id
-            if any(x.claim_id == cid for x in self.claims):
-                raise ValueError(f"duplicate claim id {cid!r}")
-            self.claims.append(ClaimResult(cid, c.status, c.witness, c.ms))
+    def check(self, claim_id: str, witnesses) -> None:
+        """Add claim_id, failing with the first item of the lazy iterable
+        witnesses; the claim passes when it yields nothing.  A checker
+        passes a generator that yields at each failing basis tuple, so the
+        search stops at the first one."""
+        t0 = time.perf_counter()
+        witness = next(iter(witnesses), None)
+        self.add(claim_id, witness is None, witness, (time.perf_counter() - t0) * 1e3)
 
     @property
     def ok(self) -> bool:

@@ -1,6 +1,12 @@
 import pytest
 
-from hopfadjoint.braiding import ModuleRep, braiding_inverse, regular_module, trivial_module
+from hopfadjoint.braiding import (
+    ModuleRep,
+    braiding_inverse,
+    regular_module,
+    tensor_module,
+    trivial_module,
+)
 from hopfadjoint.constructions import regular_comodule_algebra, taft_model
 from hopfadjoint.adjoint import problem_for, solve_adjoint
 from hopfadjoint.braided_adjoint import (
@@ -74,9 +80,8 @@ def test_mirrored_half_braiding_fails_at_n3():
                         if not e.is_zero():
                             idx = (x_out * n + h_out) * (n * dx) + col
                             gamma.entries[idx] = gamma.entries[idx] + c * s * e
-    import hopfadjoint.braided_adjoint as ba
-    src = ba._tensor_rep(m, [ModuleRep(m.taft.algebra, n, had.ht_module.action), x])
-    dst = ba._tensor_rep(m, [x, ModuleRep(m.taft.algebra, n, had.ht_module.action)])
+    src = tensor_module(m.taft, had.ht_module, x)
+    dst = tensor_module(m.taft, x, had.ht_module)
     equivariant = all(gamma * src.action[u] == dst.action[u] * gamma
                       for u in range(m.taft.dim))
     assert not equivariant

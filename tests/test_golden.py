@@ -1,0 +1,302 @@
+"""Golden SHA-256 digests of canonical output.
+
+The digests pin the bytes of the canonical JSON that the CLI writes and
+that `emit_json` produces for reports on deliberately corrupted inputs,
+so that refactors of the checkers cannot change a claim id, a status or
+a witness unnoticed.  Passing runs carry no witnesses; the corrupted
+inputs make the checkers report the first failing basis tuple.
+
+Only change a digest when an output is meant to change, and say why in
+the commit message.
+"""
+
+import hashlib
+
+import pytest
+
+from hopfadjoint.adjoint import (
+    AdjointAlgebra,
+    dinaturality_sample,
+    phi_structure_transport,
+    problem_for,
+    solve_adjoint,
+    verify_braided_commutative,
+    verify_center_algebra,
+    verify_conditions_direct,
+    verify_relative_center,
+    verify_yd,
+)
+from hopfadjoint.braided_adjoint import (
+    HAdjoint,
+    build_h_ad,
+    pi_dinatural_check,
+    regular_case_iso,
+    verify_h_ad,
+)
+from hopfadjoint.braiding import (
+    ComoduleAlgebra,
+    ModuleRep,
+    RMatrix,
+    check_comodule_algebra,
+    check_rmatrix,
+    check_yd,
+    regular_module,
+    trivial_module,
+)
+from hopfadjoint.cli import cli_main
+from hopfadjoint.constructions import (
+    BraidedHopf,
+    bosonization,
+    braided_line,
+    check_braided_hopf,
+    check_hopf_morphism,
+    comodule_algebra_K,
+    group_algebra_cn,
+    regular_comodule_algebra,
+    taft_model,
+    taft_presentation_check,
+    trivial_r_matrix,
+)
+from hopfadjoint.hopf import (
+    FinDimAlgebra,
+    FinDimCoalgebra,
+    FinDimHopf,
+    check_bialgebra,
+    check_hopf,
+)
+from hopfadjoint.linalg import Matrix
+from hopfadjoint.reports import emit_json
+
+ADJOINT_N2 = ["adjoint", "--n", "2", "--d", "2", "--xi", "0"]
+
+CLI_DIGESTS = {
+    "taft-n3": (
+        ["taft", "--n", "3"],
+        "34cbf66e5298d5bae5d08ff384d15d071882b0c04fbdf4d9c88f7655e4e7ab2c",
+    ),
+    "adjoint-ad1-ad3": (
+        ADJOINT_N2 + ["--conditions", "ad1,ad3"],
+        "2fbf12cb4f64f2e34c703c7ab5891763c9cb34922feab98eb8af7397fb34accd",
+    ),
+    "adjoint-ad1-ad2-ad3": (
+        ADJOINT_N2 + ["--conditions", "ad1,ad2,ad3"],
+        "0896619e1e54a3d67108e6a891a2dc4b1ea5b8aeaafed2c1490135cc4654f4a7",
+    ),
+    # the full pipeline agrees with the reduced one bit for bit
+    "adjoint-full": (
+        ADJOINT_N2 + ["--full"],
+        "0896619e1e54a3d67108e6a891a2dc4b1ea5b8aeaafed2c1490135cc4654f4a7",
+    ),
+    "adjoint-full-ad1-ad3": (
+        ADJOINT_N2 + ["--conditions", "ad1,ad3", "--full"],
+        "2fbf12cb4f64f2e34c703c7ab5891763c9cb34922feab98eb8af7397fb34accd",
+    ),
+    "braided-adjoint-n2": (
+        ["braided-adjoint", "--n", "2"],
+        "a631034d3b021e2580d4bba126ffe0815f109cf91501fe519f7c961d9a49d59d",
+    ),
+    "verify-all-n1-n2": (
+        ["verify", "--suite", "all", "--n", "1,2"],
+        "8f86b7db7e99c436a1b5feccbb806c9bc4479ffa7966f28e3a40785eee34fe49",
+    ),
+}
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CLI_DIGESTS))
+def test_cli_output_digest(name, tmp_path):
+    argv, expected = CLI_DIGESTS[name]
+    out = tmp_path / "out.json"
+    assert cli_main(argv + ["--out", str(out)]) == 0
+    assert _digest(out.read_bytes()) == expected
+
+
+# -- reports on corrupted inputs ------------------------------------------
+
+
+def yd_with_transposed_action():
+    """The action of x # 1 transposed: not a Yetter-Drinfeld module."""
+    m = taft_model(2)
+    alg = solve_adjoint(problem_for(m, comodule_algebra_K(2, 2, 0), {"ad1", "ad3"}))
+    mutated = list(alg.action)
+    mutated[2] = mutated[2].transpose()
+    return check_yd(m.taft, ModuleRep(m.taft.algebra, alg.dim, mutated), alg.comodule_rep())
+
+
+def comodule_algebra_with_dropped_term():
+    """lambda(w) of K(2, 1) without its g x w term."""
+    k = comodule_algebra_K(2, 2, 1)
+    m = taft_model(2)
+    coact = Matrix(k.algebra.ctx, k.coaction.rows, k.coaction.cols, list(k.coaction.entries))
+    row = m.x_index(0, 1) * k.dim + k.index(0, 1)
+    coact.entries[row * k.dim + k.index(0, 1)] = k.algebra.ctx.zero()
+    return check_comodule_algebra(ComoduleAlgebra(m.taft, k.algebra, coact, name="broken"))
+
+
+def pi_dinatural_with_scrambled_module():
+    """The regular Taft module with the actions of g and x swapped."""
+    m = taft_model(2)
+    x = regular_module(m.taft.algebra)
+    acts = list(x.action)
+    acts[1], acts[2] = acts[2], acts[1]
+    return pi_dinatural_check(build_h_ad(m), ModuleRep(m.taft.algebra, x.dim, acts),
+                              regular_module(m.t_hopf.algebra))
+
+
+def _bosonization_with_trivial_r():
+    t = group_algebra_cn(2)
+    return bosonization(braided_line(2), t, trivial_r_matrix(t))
+
+
+def presentation_with_trivial_r():
+    return taft_presentation_check(_bosonization_with_trivial_r(), 2)
+
+
+def bialgebra_with_trivial_r():
+    b = _bosonization_with_trivial_r()
+    return check_bialgebra(b.algebra, b.coalgebra)
+
+
+def adjoint_structure_with_swapped_action():
+    """The solved module variant over K(2, 0) with the actions of g and
+    x swapped: the Yetter-Drinfeld and centre-algebra suites fail."""
+    m = taft_model(2)
+    alg = solve_adjoint(problem_for(m, comodule_algebra_K(2, 2, 0), {"ad1", "ad3"}))
+    alg.action[1], alg.action[2] = alg.action[2], alg.action[1]
+    rep = verify_yd(alg)
+    verify_center_algebra(alg, rep)
+    verify_braided_commutative(alg, rep)
+    return rep
+
+
+def _reversed(m: Matrix) -> Matrix:
+    return Matrix(m.ctx, m.rows, m.cols, list(reversed(m.entries)))
+
+
+def hopf_with_perturbed_constants():
+    """Taft n = 2 with one product doubled, one coproduct coefficient
+    shifted and one counit value changed."""
+    h = taft_model(2).taft
+    ctx = h.ctx
+    mult = [list(row) for row in h.algebra.mult]
+    mult[1][2] = [c + c for c in mult[1][2]]
+    comult = [[list(row) for row in m] for m in h.coalgebra.comult]
+    comult[3][1][2] = comult[3][1][2] + ctx.one()
+    counit = list(h.coalgebra.counit)
+    counit[2] = ctx.one()
+    return check_hopf(FinDimHopf(FinDimAlgebra(ctx, h.dim, mult, h.algebra.unit),
+                                 FinDimCoalgebra(ctx, h.dim, comult, counit), h.antipode))
+
+
+def rmatrix_one_tensor_g():
+    """R = 1 x g over kC_3: invertible, but not quasitriangular."""
+    t = group_algebra_cn(3)
+    element = [t.ctx.zero()] * 9
+    element[1] = t.ctx.one()
+    return check_rmatrix(RMatrix(t, element))
+
+
+def conditions_against_a_larger_problem():
+    """The module-variant solutions and the whole Hom-space, checked
+    against the fully-constrained conditions."""
+    m = taft_model(2)
+    k = comodule_algebra_K(2, 2, 0)
+    relative = problem_for(m, k, {"ad1", "ad2", "ad3"})
+    module = solve_adjoint(problem_for(m, k, {"ad1", "ad3"}), with_structure=False)
+    rep = verify_conditions_direct(AdjointAlgebra(relative, module.basis))
+    hom = solve_adjoint(problem_for(m, k, set()), pipeline="full", with_structure=False)
+    return verify_conditions_direct(AdjointAlgebra(relative, hom.basis), rep, prefix="hom")
+
+
+def transport_with_scrambled_structure():
+    m = taft_model(2)
+    alg = solve_adjoint(problem_for(m, comodule_algebra_K(2, 2, 0), {"ad1", "ad3"}))
+    alg.action[1], alg.action[2] = alg.action[2], alg.action[1]
+    alg.coaction = _reversed(alg.coaction)
+    alg.product = list(reversed(alg.product))
+    return phi_structure_transport(alg)
+
+
+def relative_center_with_reversed_coaction():
+    m = taft_model(2)
+    alg = solve_adjoint(problem_for(m, regular_comodule_algebra(2), {"ad1", "ad2", "ad3"}))
+    alg.coaction = _reversed(alg.coaction)
+    return verify_relative_center(alg, regular_module(m.t_hopf.algebra))
+
+
+def braided_adjoint_with_swapped_action():
+    """H_ad with the actions of g and x swapped, and a scrambled
+    relative-regular solution compared with it."""
+    m = taft_model(2)
+    had = build_h_ad(m)
+    acts = list(had.ht_module.action)
+    acts[1], acts[2] = acts[2], acts[1]
+    bad = HAdjoint(m, had.rho_ad, ModuleRep(m.taft.algebra, had.dim, acts))
+    rep = verify_h_ad(bad, {"regular": regular_module(m.taft.algebra),
+                            "trivial": trivial_module(m.taft)})
+    alg = solve_adjoint(problem_for(m, regular_comodule_algebra(2), {"ad1", "ad2", "ad3"}))
+    alg.product = list(reversed(alg.product))
+    alg.unit_coords = list(reversed(alg.unit_coords))
+    alg.coaction = _reversed(alg.coaction)
+    return regular_case_iso(alg, bad, rep)
+
+
+def line_and_projection_corrupted():
+    """The braided line at n = 3 with kC_3 acting trivially, and the
+    projection with its entries reversed."""
+    line = braided_line(3)
+    ctx = line.ctx
+    trivial = ModuleRep(line.t_hopf.algebra, 3, [Matrix.identity(ctx, 3)] * 3)
+    rep = check_braided_hopf(BraidedHopf(line.algebra, line.coalgebra, trivial,
+                                         line.braided_antipode, line.t_hopf, line.rmatrix))
+    m = taft_model(3)
+    return check_hopf_morphism(m.taft, m.t_hopf, _reversed(m.pi), rep)
+
+
+def dinaturality_without_comodule_condition():
+    m = taft_model(2)
+    k = comodule_algebra_K(2, 2, 0)
+    return dinaturality_sample(problem_for(m, k, {"ad1", "ad3"}), regular_module(k.algebra),
+                               regular_module(m.t_hopf.algebra))
+
+
+REPORT_DIGESTS = {
+    yd_with_transposed_action:
+        "5ddbbe94a74772d0ffb475e7e34da006926fa0ac4b513e48c7ccfbc7f33344e4",
+    comodule_algebra_with_dropped_term:
+        "3070eca031b151963c0c0df437cebb80fe9ed62f8bb3f7f9ccc94d030189f9a5",
+    pi_dinatural_with_scrambled_module:
+        "94e58174b4de445979b8cfb66a99f6e725dbdaf3cf61e829c2c6fa9688a9ff74",
+    presentation_with_trivial_r:
+        "d8c8ac7a1d10b832852c8f6fc61be43360cb0b27e8a3e23b68cec3ecce480780",
+    bialgebra_with_trivial_r:
+        "dd90fb85c1c4dd2345cc5db29afdcc3b78c739042bc44b516c1f89979173dfa0",
+    adjoint_structure_with_swapped_action:
+        "b1f3b5c870913f2a636f2b0cf30654a56ad277c5d472863a3a866caa1a5cab42",
+    hopf_with_perturbed_constants:
+        "80b57d8c99a6e09b1b8dac3877783735f4b832b9b7b2b80148793dcb509ae2e1",
+    rmatrix_one_tensor_g:
+        "e0b0aab5eb935a52bef3682ab0e98c3da6014afbe4d927c5950d01231421140b",
+    conditions_against_a_larger_problem:
+        "5333cb650b72b65bf67360f05f67b40d072fa3e3d52cff1776a116128bee804f",
+    transport_with_scrambled_structure:
+        "92fb98750d5497b8e7bc1a6c8b8afde49740ee8cea9df152752121dc4364012c",
+    relative_center_with_reversed_coaction:
+        "e82c9c2570984f5592e85a31126b6908a21d2e452a018423586fa38ebf67f422",
+    braided_adjoint_with_swapped_action:
+        "43048a6f6d4bc4f7d8caf30eccf39a9779bc7438ec1850b17684c901145841dc",
+    line_and_projection_corrupted:
+        "d44756ee5140b92665e05f85396e4de24ac41d693cf1e85867ed01d85457425a",
+    dinaturality_without_comodule_condition:
+        "0ee8e76c65a9217fc51d8ee86276833c329ef921b4ae32bb1bc8e9275448f797",
+}
+
+
+@pytest.mark.parametrize("build", list(REPORT_DIGESTS), ids=lambda f: f.__name__)
+def test_corrupted_input_report_digest(build):
+    rep = build()
+    assert not rep.ok
+    assert _digest(emit_json(rep)) == REPORT_DIGESTS[build]

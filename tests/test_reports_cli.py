@@ -48,6 +48,40 @@ def test_report_invariants():
     assert rep2.failures()[0].witness == {}
 
 
+def test_skipped_claims_share_the_duplicate_id_check():
+    rep = VerificationReport()
+    rep.add("one", True)
+    with pytest.raises(ValueError):
+        rep.add_skipped("one", "already checked")
+    rep.add_skipped("two", "not applicable")
+    with pytest.raises(ValueError):
+        rep.add_skipped("two", "not applicable")
+    with pytest.raises(ValueError):
+        rep.check("two", iter(()))
+    assert [c.status for c in rep.claims] == ["pass", "skipped"]
+
+
+def test_check_takes_the_first_witness_and_stops():
+    seen = []
+
+    def witnesses():
+        for i in range(5):
+            seen.append(i)
+            if i >= 2:
+                yield {"index": i}
+
+    rep = VerificationReport()
+    rep.check("search", witnesses())
+    rep.check("empty", iter(()))
+    rep.check("empty-witness", iter([{}]))
+    assert seen == [0, 1, 2]
+    assert [(c.claim_id, c.status, c.witness) for c in rep.claims] == [
+        ("search", "fail", {"index": 2}),
+        ("empty", "pass", None),
+        ("empty-witness", "fail", {}),
+    ]
+
+
 def test_field_spotcheck_deterministic():
     ctx = make_field(3)
     a = field_axiom_spotcheck(ctx, seed=7)
@@ -125,10 +159,45 @@ def test_cli_report_replays_and_sets_exit(tmp_path, capsys):
     assert "synthetic/failure" in out and "witness" in out
 
 
-def test_cli_usage_error_exit_two():
+@pytest.mark.parametrize("argv", [
+    pytest.param(["verify", "--suite", "bogus", "--n", "2"], id="unknown-suite"),
+    pytest.param(["taft", "--n", "0"], id="n-zero"),
+    pytest.param(["adjoint", "--n", "3", "--d", "2"], id="d-not-dividing-n"),
+    pytest.param(["adjoint", "--n", "2", "--d", "0"], id="d-zero"),
+    pytest.param(["adjoint", "--n", "2", "--d", "2", "--conditions", "ad9"], id="unknown-condition"),
+    pytest.param(["adjoint", "--n", "2", "--d", "2", "--conditions", "ad2"], id="reduced-without-ad3"),
+    pytest.param(["adjoint", "--n", "2", "--d", "2", "--xi", "abc"], id="xi-not-rational"),
+    pytest.param(["adjoint", "--n", "2", "--d", "2", "--xi", "1/0"], id="xi-zero-denominator"),
+    pytest.param(["adjoint", "--n", "2", "--d", "2", "--reduced"], id="reduced-flag-removed"),
+    pytest.param(["verify", "--suite", "hopf", "--n", "2,x"], id="n-list-not-integers"),
+    pytest.param(["report", "--json", "/nonexistent/report.json"], id="missing-report"),
+    pytest.param(["braided-adjoint", "--n", "2", "--modules", "bogus"], id="unknown-module"),
+])
+def test_cli_usage_error_exit_two(argv, capsys):
     with pytest.raises(SystemExit) as err:
-        cli_main(["verify", "--suite", "bogus", "--n", "2"])
+        cli_main(argv)
     assert err.value.code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[-1].startswith("hopfadjoint") and "error: " in lines[-1]
+    assert not any("Traceback" in line for line in lines)
+
+
+def test_cli_report_rejects_malformed_json(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    with pytest.raises(SystemExit) as err:
+        cli_main(["report", "--json", str(bad)])
+    assert err.value.code == 2
+
+
+def test_cli_full_pipeline_accepts_conditions_without_ad3(tmp_path):
+    # only the reduced pipeline needs ad3; without it the structure is
+    # not closed, which is a mathematical failure (exit 1), not a usage error
+    out = tmp_path / "adj.json"
+    assert cli_main(["adjoint", "--n", "2", "--d", "2", "--conditions", "ad1",
+                     "--full", "--out", str(out)]) == 1
+    claims = json.loads(out.read_bytes())["report"]["claims"]
+    assert [c["claim_id"] for c in claims if c["status"] == "fail"] == ["solve/closure"]
 
 
 def test_jsonable_rejects_unknown():
