@@ -4,14 +4,15 @@ cut out by the module/comodule/right-multiplicativity conditions, with
 its product, action and coaction, plus every structural verification
 used by the acceptance suite.
 
-Conditions (all imposed over full basis ranges, exactly):
+Conditions (imposed exactly):
   ad1  alpha(k(-1) x, k(0) l) = k alpha(x, l)
   ad2  the map x -> alpha(x, 1) intertwines the R-matrix coaction on
        H#T with the projected coaction on P
   ad3  alpha(x, k) = alpha(x, 1) k
 
-Two pipelines produce bit-identical bases: the full Hom-space kernel
-and a reduced one parametrised by alpha(-, 1).
+Two pipelines produce bit-identical bases: the full Hom-space kernel,
+over all basis tuples, and a reduced one parametrised by alpha(-, 1),
+which imposes ad1 on the generators of K only.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from fractions import Fraction
 
 from .cyclotomic import FieldContext, Scalar, zeta_power
 from .hopf import FinDimHopf
-from .braiding import ComoduleAlgebra, ModuleRep, RMatrix, check_comodule, check_module, check_yd, ComoduleRep
+from .braiding import (ComoduleAlgebra, ComoduleRep, ModuleRep, RMatrix, check_comodule,
+                       check_module, check_yd, lift_via_pi)
 from .constructions import ComoduleAlgebraK, TaftModel, taft_model, comodule_algebra_K
 from .linalg import (
     Matrix,
@@ -215,14 +217,14 @@ def condition_system(p: AdjointProblem) -> Matrix:
     return Matrix.from_rows(ctx, rows)
 
 
-def condition_system_reduced(p: AdjointProblem, generators_only: bool = False) -> Matrix:
+def condition_system_reduced(p: AdjointProblem) -> Matrix:
     """Reduced pipeline: unknowns abar[pp][x] at x*NK + pp, where
     alpha(x, k) = abar(x) k is substituted into the other conditions.
 
-    With generators_only the module condition runs over the algebra
-    generators of K instead of its whole basis; the conditions at
-    products of generators follow by multiplicativity, so the kernel is
-    unchanged (and the exhaustive path re-checks that in tests)."""
+    The module condition runs over the algebra generators of K only:
+    the coaction is an algebra map, so once alpha(x, k) = abar(x) k the
+    condition at a product k1 k2 follows from the conditions at k1 and
+    at k2 (and at k = 1 it is void).  The full pipeline keeps every k."""
     if "ad3" not in p.conditions:
         raise ValueError("reduced pipeline needs the right-multiplicativity condition")
     ctx = p.ctx
@@ -238,12 +240,10 @@ def condition_system_reduced(p: AdjointProblem, generators_only: bool = False) -
     rows: list[list[Scalar]] = []
 
     if "ad1" in p.conditions:
-        k_range = list(K.generators) if generators_only else list(range(NK))
-        left_mats = {k: kalg.left_mult_matrix(kalg.basis_vec(k)) for k in k_range}
         right_mats = [kalg.right_mult_matrix(kalg.basis_vec(k)) for k in range(NK)]
-        for k in k_range:
+        for k in K.generators:
             lam_k = K.coaction_terms(k)
-            lk = left_mats[k]
+            lk = kalg.left_mult_matrix(kalg.basis_vec(k))
             for x in range(NH):
                 coeffs: dict[tuple[int, int, int], Scalar] = {}  # (zz, p_out, p2)
                 for y, k0, c in lam_k:
@@ -519,9 +519,6 @@ class AdjointAlgebra:
     def comodule_rep(self) -> ComoduleRep:
         return ComoduleRep(self.problem.hopf.coalgebra, self.dim, self.coaction)
 
-    def coaction_terms(self, i: int) -> list[tuple[int, int, Scalar]]:
-        return self.comodule_rep().coaction_terms(i)
-
     def product_coords(self, ci: list[Scalar], cj: list[Scalar]) -> list[Scalar]:
         out = [self.ctx.zero()] * self.dim
         for i, a in enumerate(ci):
@@ -549,8 +546,7 @@ class AdjointAlgebra:
 
 
 def solve_adjoint(p: AdjointProblem, pipeline: str = "reduced",
-                  with_structure: bool = True,
-                  generators_only: bool = False) -> AdjointAlgebra:
+                  with_structure: bool = True) -> AdjointAlgebra:
     """Kernel of the active conditions, inflated to full Hom-space
     coordinates and echelonised (so both pipelines agree bit-for-bit),
     then equipped with its verified structure maps."""
@@ -558,7 +554,7 @@ def solve_adjoint(p: AdjointProblem, pipeline: str = "reduced",
     K = p.comod_alg
     NH, NK = p.hopf.dim, K.dim
     if pipeline == "reduced":
-        system = condition_system_reduced(p, generators_only=generators_only)
+        system = condition_system_reduced(p)
         kern = kernel_basis(system)
         flats = []
         for v in kern.vectors:
@@ -771,16 +767,6 @@ def verify_braided_commutative(a: AdjointAlgebra, report: VerificationReport | N
     return rep
 
 
-def g_module_via_pi(p: AdjointProblem, v: ModuleRep) -> ModuleRep:
-    """A base-algebra module viewed as a module over the bosonization
-    through the projection."""
-    mats = []
-    for i in range(p.hopf.dim):
-        col = [p.pi[t, i] for t in range(p.base.dim)]
-        mats.append(v.act_elem(col))
-    return ModuleRep(p.hopf.algebra, v.dim, mats)
-
-
 def verify_relative_center(a: AdjointAlgebra, v: ModuleRep,
                            report: VerificationReport | None = None,
                            prefix: str = "relative-center") -> VerificationReport:
@@ -793,19 +779,10 @@ def verify_relative_center(a: AdjointAlgebra, v: ModuleRep,
     n = a.dim
     dv = v.dim
     z = ctx.zero()
-    gv = g_module_via_pi(p, v)
+    gv = lift_via_pi(p.hopf, p.pi, v)
     com = a.comodule_rep()
-    embed_action: dict[int, Matrix] = {}
-    for t in range(p.base.dim):
-        colv = [p.t_embed[r, t] for r in range(p.hopf.dim)]
-        m = Matrix.zero(ctx, n, n)
-        for y, cy in enumerate(colv):
-            if cy.is_zero():
-                continue
-            for idx, e in enumerate(a.action[y].entries):
-                if not e.is_zero():
-                    m.entries[idx] = m.entries[idx] + cy * e
-        embed_action[t] = m
+    mod = a.module_rep()
+    embed_action = [mod.act_elem(p.t_embed.col(t)) for t in range(p.base.dim)]
 
     rinv = a.problem.rmatrix.inverse_terms()
 
@@ -941,15 +918,7 @@ def phi_structure_transport(a: AdjointAlgebra, report: VerificationReport | None
     def transported(s: int, act: Matrix, comp: int) -> list[Scalar]:
         return component(act.col(s), comp)
 
-    def embedded_action(hvec_ht: list[Scalar]) -> Matrix:
-        mat = Matrix.zero(ctx, a.dim, a.dim)
-        for y, cy in enumerate(hvec_ht):
-            if cy.is_zero():
-                continue
-            for idx, e in enumerate(a.action[y].entries):
-                if not e.is_zero():
-                    mat.entries[idx] = mat.entries[idx] + cy * e
-        return mat
+    embedded_action = a.module_rep().act_elem
 
     def g_shift():
         for r in range(1, m):
@@ -1162,6 +1131,7 @@ def dinaturality_element_check(p: AdjointProblem, elem: AdjointElement,
         return elem.eval_kvec(ctx, x, kalg.unit)
 
     s_t = base.antipode
+    gv = lift_via_pi(p.hopf, p.pi, v)
 
     for h in range(NH):
         for jdual in range(dv):
@@ -1178,12 +1148,7 @@ def dinaturality_element_check(p: AdjointProblem, elem: AdjointElement,
                                 continue
                             lam = K.coaction_vec(pvec)
                             for (y, p0), lc in lam.items():
-                                w1 = [z] * dv
-                                for t, cpi in _pi_terms(p, y):
-                                    col = [v.action[t][r, vv] for r in range(dv)]
-                                    for r in range(dv):
-                                        if not col[r].is_zero():
-                                            w1[r] = w1[r] + cpi * col[r]
+                                w1 = gv.action[y].col(vv)
                                 scol = [s_t[l, i2] for l in range(base.dim)]
                                 w2 = v.act_vec(scol, w1)
                                 s = w2[jdual]

@@ -14,6 +14,7 @@ from .braiding import (
     braiding,
     check_module,
     dual_module,
+    lift_via_pi,
     tensor_module,
     trivial_module,
     regular_module,
@@ -86,16 +87,6 @@ def t_restriction(model: TaftModel, x: ModuleRep) -> ModuleRep:
     """Restrict a bosonization module to the group algebra (t acts as 1#t)."""
     mats = [x.action[model.x_index(0, b)] for b in range(model.n)]
     return ModuleRep(model.t_hopf.algebra, x.dim, mats)
-
-
-def lift_via_pi(model: TaftModel, v: ModuleRep) -> ModuleRep:
-    """A group-algebra module as a bosonization module through the
-    canonical projection."""
-    mats = []
-    for i in range(model.taft.dim):
-        col = [model.pi[t, i] for t in range(model.n)]
-        mats.append(v.act_elem(col))
-    return ModuleRep(model.taft.algebra, v.dim, mats)
 
 
 def half_braiding(had: HAdjoint, x: ModuleRep) -> Matrix:
@@ -174,7 +165,7 @@ def verify_h_ad(had: HAdjoint, modules: dict[str, ModuleRep],
     def double_braiding_trivial():
         for name, vt in (("trivial", trivial_module(model.t_hopf)),
                          ("regular", regular_module(model.t_hopf.algebra))):
-            gv = lift_via_pi(model, vt)
+            gv = lift_via_pi(taft, model.pi, vt)
             gamma = half_braiding(had, gv)
             dv = gv.dim
             # sigma_{G(V),H_ad}(v x a) = (1 # Rbar1).a x Rbar2.v, then compose
@@ -257,7 +248,7 @@ def pi_dinatural_check(had: HAdjoint, x: ModuleRep, v: ModuleRep,
     dv, dm = v.dim, x.dim
     z = ctx.zero()
 
-    gv = lift_via_pi(model, v)
+    gv = lift_via_pi(taft, model.pi, v)
     vm = tensor_module(taft, gv, x)
     dvm = vm.dim
     vm_dual, _, _ = dual_module(taft, vm)

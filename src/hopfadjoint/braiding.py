@@ -63,19 +63,16 @@ class ModuleRep:
         self.action = action
 
     def act_elem(self, u: list[Scalar]) -> Matrix:
+        """Action matrix of the algebra element with coordinates u."""
         ctx = self.host.ctx
-        out = Matrix.zero(ctx, self.dim, self.dim)
+        entries = zeros(ctx, self.dim * self.dim)
         for i, ui in enumerate(u):
             if ui.is_zero():
                 continue
-            m = self.action[i]
-            out = Matrix(
-                ctx,
-                self.dim,
-                self.dim,
-                [o + ui * e for o, e in zip(out.entries, m.entries)],
-            )
-        return out
+            for idx, e in enumerate(self.action[i].entries):
+                if not e.is_zero():
+                    entries[idx] = entries[idx] + ui * e
+        return Matrix(ctx, self.dim, self.dim, entries)
 
     def act_vec(self, u: list[Scalar], v: list[Scalar]) -> list[Scalar]:
         ctx = self.host.ctx
@@ -126,7 +123,9 @@ class YDModule:
 class ComoduleAlgebra:
     """Algebra K with a left coaction into a Hopf algebra H that is an
     algebra morphism K -> H x K.  `generators` lists basis indices that
-    generate K as an algebra; condition assembly may restrict to them."""
+    generate K as an algebra; the reduced condition assembly imposes the
+    module condition on them only.  When none are declared, the whole
+    basis is the generating set, so that condition is never dropped."""
 
     def __init__(self, hopf: FinDimHopf, algebra: FinDimAlgebra, coaction: Matrix,
                  name: str = "K", generators: list[int] | None = None):
@@ -134,7 +133,7 @@ class ComoduleAlgebra:
         self.algebra = algebra
         self.coaction = coaction
         self.name = name
-        self.generators = list(generators) if generators is not None else []
+        self.generators = list(generators) if generators is not None else list(range(algebra.dim))
         self.comodule = ComoduleRep(hopf.coalgebra, algebra.dim, coaction)
 
     @property
@@ -383,6 +382,12 @@ def tensor_module(hopf: FinDimHopf, v: ModuleRep, w: ModuleRep) -> ModuleRep:
                                 entries[row * dim + col] = entries[row * dim + col] + c * x * y
         mats.append(m)
     return ModuleRep(hopf.algebra, dim, mats)
+
+
+def lift_via_pi(hopf: FinDimHopf, pi: Matrix, v: ModuleRep) -> ModuleRep:
+    """A module over the base algebra as a module over `hopf` through
+    the projection pi (column i = image of basis element i)."""
+    return ModuleRep(hopf.algebra, v.dim, [v.act_elem(pi.col(i)) for i in range(hopf.dim)])
 
 
 def trivial_module(hopf: FinDimHopf) -> ModuleRep:

@@ -131,8 +131,9 @@ def _suite_adjoint(n: int, rep: VerificationReport) -> None:
         verify_yd(alg, rep, prefix=f"n{n}/module-variant-K({d},0)/yd")
         verify_center_algebra(alg, rep, prefix=f"n{n}/module-variant-K({d},0)/center")
         verify_braided_commutative(alg, rep, prefix=f"n{n}/module-variant-K({d},0)/braided")
-        rep.add(f"n{n}/module-variant-K({d},0)/connected", connectedness(alg) == 1,
-                {"dim_invariants": connectedness(alg)})
+        dim_inv = connectedness(alg)
+        rep.add(f"n{n}/module-variant-K({d},0)/connected", dim_inv == 1,
+                {"dim_invariants": dim_inv})
     chi0_crosscheck(n, n, 0, rep, prefix=f"n{n}/chi0")
     kreg = regular_comodule_algebra(n)
     alg = solve_adjoint(problem_for(model, kreg, {"ad1", "ad2", "ad3"}))
@@ -143,8 +144,8 @@ def _suite_adjoint(n: int, rep: VerificationReport) -> None:
     verify_braided_commutative(alg, rep, prefix=f"n{n}/relative-regular/braided")
     verify_relative_center(alg, regular_module(model.t_hopf.algebra), rep,
                            prefix=f"n{n}/relative-regular/centralizer")
-    rep.add(f"n{n}/relative-regular/connected", connectedness(alg) == 1,
-            {"dim_invariants": connectedness(alg)})
+    dim_inv = connectedness(alg)
+    rep.add(f"n{n}/relative-regular/connected", dim_inv == 1, {"dim_invariants": dim_inv})
 
 
 def _emit(args, payload: dict, ctx: FieldContext) -> None:
@@ -203,7 +204,8 @@ def cmd_adjoint(args) -> int:
     verify_yd(alg, rep)
     verify_center_algebra(alg, rep)
     verify_braided_commutative(alg, rep)
-    rep.add("solve/connected", connectedness(alg) == 1, {"dim_invariants": connectedness(alg)})
+    dim_inv = connectedness(alg)
+    rep.add("solve/connected", dim_inv == 1, {"dim_invariants": dim_inv})
     if "ad2" in conditions:
         verify_relative_center(alg, regular_module(model.t_hopf.algebra), rep)
     payload = {"dim": alg.dim, "algebra": alg}

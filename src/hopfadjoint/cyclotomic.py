@@ -22,23 +22,6 @@ def _poly_trim(p: list[Fraction]) -> list[Fraction]:
     return p
 
 
-def _poly_div_exact(num: list[Fraction], den: list[Fraction]) -> list[Fraction]:
-    """Quotient of num/den in Q[x]; remainder must vanish."""
-    num = list(num)
-    dd = len(den) - 1
-    lead = den[-1]
-    q = [_ZERO] * (len(num) - dd)
-    for i in range(len(num) - dd - 1, -1, -1):
-        c = num[i + dd] / lead
-        q[i] = c
-        if c != 0:
-            for j, dj in enumerate(den):
-                num[i + j] -= c * dj
-    if any(c != 0 for c in num):
-        raise ArithmeticError("polynomial division left a remainder")
-    return _poly_trim(q)
-
-
 @lru_cache(maxsize=None)
 def _cyclotomic_poly(n: int) -> tuple[Fraction, ...]:
     """Coefficients of Phi_n, constant term first, by dividing x^n - 1
@@ -49,7 +32,9 @@ def _cyclotomic_poly(n: int) -> tuple[Fraction, ...]:
     poly = numerator
     for d in range(1, n):
         if n % d == 0:
-            poly = _poly_div_exact(poly, list(_cyclotomic_poly(d)))
+            poly, rem = _poly_divmod(poly, list(_cyclotomic_poly(d)))
+            if any(rem):
+                raise ArithmeticError("polynomial division left a remainder")
     return tuple(poly)
 
 
@@ -104,9 +89,6 @@ class FieldContext:
 
     def one(self) -> "Scalar":
         return self.from_rational(1)
-
-    def zeta(self, k: int = 1) -> "Scalar":
-        return zeta_power(self, k)
 
 
 @lru_cache(maxsize=None)

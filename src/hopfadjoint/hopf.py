@@ -11,7 +11,7 @@ identity, which independently validates every construction.
 from __future__ import annotations
 
 from .cyclotomic import FieldContext, Scalar
-from .linalg import Matrix, kernel_basis, solve, sparse_diff, unit_vector, vec_eq, zeros
+from .linalg import Matrix, rref, sparse_diff, unit_vector, vec_eq, zeros
 from .reports import VerificationReport
 
 
@@ -311,12 +311,12 @@ def solve_antipode(a: FinDimAlgebra, c: FinDimCoalgebra) -> Matrix:
     """Solve m(S x id)Delta = u eps for the matrix S, verify uniqueness
     and the right-handed identity m(id x S)Delta = u eps.
 
-    Raises NoAntipodeError when the linear system is inconsistent."""
+    Raises NoAntipodeError when the linear system is inconsistent or
+    leaves S undetermined."""
     ctx = a.ctx
     dim = a.dim
-    n_unknowns = dim * dim  # S[l][j] at column index l * dim + j
+    n_unknowns = dim * dim  # S[l][j] at column index l * dim + j; the last column is the rhs
     rows: list[list[Scalar]] = []
-    rhs: list[Scalar] = []
     z = ctx.zero()
     for i in range(dim):
         coeffs: dict[tuple[int, int, int], Scalar] = {}
@@ -326,20 +326,20 @@ def solve_antipode(a: FinDimAlgebra, c: FinDimCoalgebra) -> Matrix:
                     key = (p, l, j)
                     coeffs[key] = coeffs.get(key, z) + coeff * m
         for p in range(dim):
-            row = [z] * n_unknowns
+            row = [z] * n_unknowns + [a.unit[p] * c.counit[i]]
             for (pp, l, j), v in coeffs.items():
                 if pp == p:
                     row[l * dim + j] = v
             rows.append(row)
-            rhs.append(a.unit[p] * c.counit[i])
-    system = Matrix.from_rows(ctx, rows)
-    x = solve(system, rhs)
-    if x is None:
+    # one elimination decides all three: the system is consistent iff the
+    # rhs column is no pivot, the solution unique iff every unknown is a
+    # pivot, and then row u of the reduced matrix ends in unknown u
+    red, pivots = rref(Matrix.from_rows(ctx, rows))
+    if n_unknowns in pivots:
         raise NoAntipodeError("antipode convolution system is inconsistent")
-    if kernel_basis(system).dim != 0:
+    if len(pivots) != n_unknowns:
         raise NoAntipodeError("antipode is not unique; convolution system is degenerate")
-    entries = [x[l * dim + j] for l in range(dim) for j in range(dim)]
-    s = Matrix(ctx, dim, dim, entries)
+    s = Matrix(ctx, dim, dim, [red[u, n_unknowns] for u in range(n_unknowns)])
     witness = next(convolution_failures(a, c, s, "right"), None)
     if witness is not None:
         raise NoAntipodeError(f"solved antipode fails right convolution identity: {witness}")

@@ -293,23 +293,6 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     return Matrix(ctx, rows, cols, out)
 
 
-def solve(a: Matrix, rhs: list[Scalar]) -> list[Scalar] | None:
-    """One particular solution of a x = rhs (free variables set to 0),
-    or None when the system is inconsistent."""
-    if len(rhs) != a.rows:
-        raise ValueError("rhs length mismatch")
-    aug_rows = [a.row(i) + [rhs[i]] for i in range(a.rows)]
-    aug = Matrix.from_rows(a.ctx, aug_rows) if a.rows else Matrix.zero(a.ctx, 0, a.cols + 1)
-    red, pivots = rref(aug)
-    if a.cols in pivots:
-        return None
-    z = a.ctx.zero()
-    x = [z] * a.cols
-    for i, pc in enumerate(pivots):
-        x[pc] = red[i, a.cols]
-    return x
-
-
 def invert(m: Matrix) -> Matrix | None:
     """Inverse of a square matrix, or None if singular."""
     if m.rows != m.cols:

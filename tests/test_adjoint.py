@@ -1,6 +1,6 @@
 import pytest
 
-from hopfadjoint.braiding import ModuleRep, check_yd, regular_module, trivial_module
+from hopfadjoint.braiding import ComoduleAlgebra, ModuleRep, check_yd, regular_module, trivial_module
 from hopfadjoint.constructions import (
     comodule_algebra_K,
     regular_comodule_algebra,
@@ -59,16 +59,26 @@ def test_trivial_k_with_trivial_r_keeps_full_dual():
         assert alg.dim == n * n
 
 
-def test_full_and_reduced_pipelines_agree():
-    m = taft_model(2)
-    k = comodule_algebra_K(2, 2, 0)
-    for conds in ({"ad1", "ad3"}, {"ad1", "ad2", "ad3"}):
-        a = solve_adjoint(problem_for(m, k, conds), pipeline="reduced", with_structure=False)
-        b = solve_adjoint(problem_for(m, k, conds), pipeline="full", with_structure=False)
-        assert a.basis.dim == b.basis.dim
-        assert a.basis.pivots == b.basis.pivots
-        for u, v in zip(a.basis.vectors, b.basis.vectors):
-            assert u == v
+# comodule algebras by name: (n, builder)
+COMODULE_ALGEBRAS = {
+    "K(2,2,0)": (2, lambda: comodule_algebra_K(2, 2, 0)),
+    "K(2,2,1)": (2, lambda: comodule_algebra_K(2, 2, 1)),
+    "K(3,1,1)": (3, lambda: comodule_algebra_K(3, 1, 1)),
+    "K(3,3,0)": (3, lambda: comodule_algebra_K(3, 3, 0)),
+    "regular(2)": (2, lambda: regular_comodule_algebra(2)),
+}
+
+
+@pytest.mark.parametrize("conds", ["ad1,ad3", "ad1,ad2,ad3"])
+@pytest.mark.parametrize("name", ["K(2,2,0)", "K(2,2,1)", "regular(2)", "K(3,1,1)"])
+def test_full_and_reduced_pipelines_agree(name, conds):
+    n, build = COMODULE_ALGEBRAS[name]
+    p = problem_for(taft_model(n), build(), conds.split(","))
+    a = solve_adjoint(p, pipeline="reduced", with_structure=False)
+    b = solve_adjoint(p, pipeline="full", with_structure=False)
+    assert a.basis.dim == b.basis.dim
+    assert a.basis.pivots == b.basis.pivots
+    assert a.basis.vectors == b.basis.vectors
 
 
 def test_reduced_requires_right_multiplicativity():
@@ -290,14 +300,26 @@ def test_problem_rejects_unknown_conditions():
         problem_for(m, comodule_algebra_K(2, 2, 0), {"ad1", "ad9"})
 
 
-def test_generator_fast_path_agrees_with_exhaustive():
-    cases = [(2, comodule_algebra_K(2, 2, 1), {"ad1", "ad3"}),
-             (3, comodule_algebra_K(3, 3, 0), {"ad1", "ad2", "ad3"}),
-             (2, regular_comodule_algebra(2), {"ad1", "ad2", "ad3"})]
-    for n, k, conds in cases:
-        m = taft_model(n)
-        a = solve_adjoint(problem_for(m, k, conds), with_structure=False)
-        b = solve_adjoint(problem_for(m, k, conds), with_structure=False,
-                          generators_only=True)
-        assert a.basis.pivots == b.basis.pivots
-        assert a.basis.vectors == b.basis.vectors
+@pytest.mark.parametrize("name,conds", [("K(2,2,1)", "ad1,ad3"),
+                                        ("K(3,3,0)", "ad1,ad2,ad3"),
+                                        ("regular(2)", "ad1,ad2,ad3")])
+def test_generators_agree_with_exhaustive(name, conds):
+    # the same K with no generators declared imposes ad1 on every basis element
+    n, build = COMODULE_ALGEBRAS[name]
+    m = taft_model(n)
+    k = build()
+    exhaustive = ComoduleAlgebra(k.hopf, k.algebra, k.coaction, name=k.name)
+    p = problem_for(m, k, conds.split(","))
+    q = problem_for(m, exhaustive, conds.split(","))
+    assert condition_system_reduced(p).rows < condition_system_reduced(q).rows
+    a = solve_adjoint(p, with_structure=False)
+    b = solve_adjoint(q, with_structure=False)
+    assert a.basis.pivots == b.basis.pivots
+    assert a.basis.vectors == b.basis.vectors
+
+
+def test_comodule_algebra_without_generators_reports_whole_basis():
+    k = comodule_algebra_K(2, 2, 0)
+    assert k.generators == [k.index(1, 0), k.index(0, 1)]
+    assert ComoduleAlgebra(k.hopf, k.algebra, k.coaction).generators == list(range(k.dim))
+    assert trivial_comodule_algebra(2).generators == [0]

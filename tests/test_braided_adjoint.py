@@ -3,6 +3,7 @@ import pytest
 from hopfadjoint.braiding import (
     ModuleRep,
     braiding_inverse,
+    lift_via_pi,
     regular_module,
     tensor_module,
     trivial_module,
@@ -14,7 +15,6 @@ from hopfadjoint.braided_adjoint import (
     displayed_adjoint_action,
     regular_case_iso,
     half_braiding,
-    lift_via_pi,
     pi_dinatural_check,
     t_restriction,
     verify_h_ad,
@@ -155,7 +155,7 @@ def test_displayed_action_equals_built_action():
 def test_lift_via_pi_gives_trivial_line_action():
     m = taft_model(2)
     v = regular_module(m.t_hopf.algebra)
-    gv = lift_via_pi(m, v)
+    gv = lift_via_pi(m.taft, m.pi, v)
     # x # 1 acts as zero, 1 # g acts as g
     assert gv.action[m.x_index(1, 0)].is_zero()
     assert gv.action[m.x_index(0, 1)] == v.action[1]

@@ -87,7 +87,18 @@ def test_no_antipode_for_idempotent_grouplike():
     mult = [[[o, z], [z, o]], [[z, o], [z, o]]]
     alg = FinDimAlgebra(ctx, 2, mult, [o, z])
     coa = FinDimCoalgebra(ctx, 2, [[[o, z], [z, z]], [[z, z], [z, o]]], [o, o])
-    with pytest.raises(NoAntipodeError):
+    with pytest.raises(NoAntipodeError, match="inconsistent"):
+        solve_antipode(alg, coa)
+
+
+def test_degenerate_convolution_system_has_no_unique_antipode():
+    # Delta(e1) = 0 and eps(e1) = 0 put no condition on S(e1)
+    ctx = make_field(1)
+    z, o = ctx.zero(), ctx.one()
+    mult = [[[o, z], [z, o]], [[z, o], [z, z]]]
+    alg = FinDimAlgebra(ctx, 2, mult, [o, z])
+    coa = FinDimCoalgebra(ctx, 2, [[[o, z], [z, z]], [[z, z], [z, z]]], [o, z])
+    with pytest.raises(NoAntipodeError, match="not unique"):
         solve_antipode(alg, coa)
 
 

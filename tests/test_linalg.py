@@ -10,7 +10,6 @@ from hopfadjoint.linalg import (
     kron,
     rank,
     rref,
-    solve,
 )
 
 CTX = make_field(4)
@@ -93,11 +92,9 @@ def test_kron_diagonal_expansion():
 def test_solve_and_invert():
     m = mat([[2, 1], [1, 1]])
     assert m * invert(m) == Matrix.identity(CTX, 2)
-    x = solve(m, [CTX.one(), CTX.zero()])
-    assert x == [CTX.one(), CTX.from_rational(-1)]
+    assert invert(m).apply([CTX.one(), CTX.zero()]) == [CTX.one(), CTX.from_rational(-1)]
     singular = mat([[1, 2], [2, 4]])
     assert invert(singular) is None
-    assert solve(mat([[1], [1]]), [CTX.one(), CTX.from_rational(2)]) is None
 
 
 def test_subspace_from_spanning_deduplicates():
