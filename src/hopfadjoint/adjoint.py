@@ -12,7 +12,9 @@ Conditions (imposed exactly):
 
 Two pipelines produce bit-identical bases: the full Hom-space kernel,
 over all basis tuples, and a reduced one parametrised by alpha(-, 1),
-which imposes ad1 on the generators of K only.
+which imposes ad1 on the generators of K only.  Both share one
+structure path: the structure maps need ad3, and are computed on
+abar = alpha(-, 1) alone.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from .constructions import ComoduleAlgebraK, TaftModel, taft_model, comodule_alg
 from .linalg import (
     Matrix,
     SubspaceBasis,
-    coords_in_basis,
     kernel_basis,
     rank,
     sparse_diff,
@@ -317,12 +318,6 @@ class AdjointElement:
         cols = [flat[i * NP : (i + 1) * NP] for i in range(NH * NK)]
         return cls(cols, NH, NK)
 
-    def flat(self) -> list[Scalar]:
-        out: list[Scalar] = []
-        for col in self.cols:
-            out.extend(col)
-        return out
-
     def col(self, x: int, k: int) -> list[Scalar]:
         return self.cols[x * self.NK + k]
 
@@ -345,8 +340,14 @@ class AdjointElement:
 
 
 class AdjointAlgebra:
-    """Solution space with product, unit, action and coaction expressed
-    in its echelon basis; every structure map is closure-checked."""
+    """Solution space in the echelon basis of the Hom-space, with
+    product, unit, action and coaction expressed in that basis.
+
+    The structure maps need every basis element to be right-K-linear
+    (ad3): then alpha(x, k) = abar(x) k with abar = alpha(-, 1), so each
+    structure map is computed on abar alone, read off at the Hom-space
+    pivots and closure-checked by a zero residual in abar coordinates
+    (inflation abar -> alpha is injective)."""
 
     def __init__(self, problem: AdjointProblem, basis: SubspaceBasis):
         self.problem = problem
@@ -355,7 +356,8 @@ class AdjointAlgebra:
         self.NH, self.NK = problem.hopf.dim, K.dim
         self.elements = [AdjointElement.from_flat(v, self.NH, self.NK) for v in basis.vectors]
         self.dim = basis.dim
-        self._bar_cache: dict[tuple[int, int], list[Scalar]] = {}
+        self.bars = [[e.eval_kvec(self.ctx, x, K.algebra.unit) for x in range(self.NH)]
+                     for e in self.elements]
         self.product: list[list[list[Scalar]]] | None = None
         self.unit_coords: list[Scalar] | None = None
         self.action: list[Matrix] | None = None
@@ -367,107 +369,49 @@ class AdjointAlgebra:
 
     def bar(self, i: int, x: int) -> list[Scalar]:
         """alpha_i(e_x, 1)."""
-        key = (i, x)
-        v = self._bar_cache.get(key)
-        if v is None:
-            v = self.elements[i].eval_kvec(self.ctx, x, self.problem.comod_alg.algebra.unit)
-            self._bar_cache[key] = v
-        return v
-
-    def element_coords(self, e: AdjointElement) -> list[Scalar] | None:
-        return coords_in_basis(e.flat(), self.basis)
-
-    def product_element(self, a: AdjointElement, b: AdjointElement) -> AdjointElement:
-        """(a.b)(x, k) = a(x1, b(x2, k))."""
-        ctx = self.ctx
-        hopf = self.problem.hopf
-        NK = self.NK
-        cols = [[ctx.zero()] * NK for _ in range(self.NH * NK)]
-        for x in range(self.NH):
-            terms = hopf.coalgebra.delta_terms(x)
-            for k in range(NK):
-                acc = cols[x * NK + k]
-                for x1, x2, c in terms:
-                    w = b.col(x2, k)
-                    v = a.eval_kvec(ctx, x1, w)
-                    for r in range(NK):
-                        if not v[r].is_zero():
-                            acc[r] = acc[r] + c * v[r]
-        return AdjointElement(cols, self.NH, NK)
-
-    def unit_element(self) -> AdjointElement:
-        """u(x, k) = eps(x) k."""
-        ctx = self.ctx
-        NK = self.NK
-        eps = self.problem.hopf.coalgebra.counit
-        cols = []
-        for x in range(self.NH):
-            for k in range(NK):
-                col = [ctx.zero()] * NK
-                col[k] = eps[x]
-                cols.append(col)
-        return AdjointElement(cols, self.NH, NK)
-
-    def action_element(self, h: int, a: AdjointElement) -> AdjointElement:
-        """(h.a)(x, k) = a(xh, k)."""
-        ctx = self.ctx
-        alg = self.problem.hopf.algebra
-        NK = self.NK
-        cols = [[ctx.zero()] * NK for _ in range(self.NH * NK)]
-        for x in range(self.NH):
-            for zz, m in alg.mult_sparse(x, h):
-                for k in range(NK):
-                    src = a.col(zz, k)
-                    acc = cols[x * NK + k]
-                    for r in range(NK):
-                        if not src[r].is_zero():
-                            acc[r] = acc[r] + m * src[r]
-        return AdjointElement(cols, self.NH, NK)
-
-    def coaction_components(self, a: AdjointElement) -> dict[int, AdjointElement]:
-        """delta(a) = sum_y  e_y x component_y, where
-        component_y(x, k) = coefficient of e_y in S(x1) lam(a(x2,1))(-1) x3,
-        paired with lam(a(x2,1))(0) k."""
-        ctx = self.ctx
-        hopf = self.problem.hopf
-        K = self.problem.comod_alg
-        alg = hopf.algebra
-        NK = self.NK
-        z = ctx.zero()
-        comps: dict[int, list[list[Scalar]]] = {}
-        for x in range(self.NH):
-            for x1, x2, x3, c in hopf.coalgebra.delta2_terms(x):
-                v = a.eval_kvec(ctx, x2, K.algebra.unit)
-                if all(e.is_zero() for e in v):
-                    continue
-                lam = K.coaction_vec(v)
-                if not lam:
-                    continue
-                s1 = [hopf.antipode[l, x1] for l in range(self.NH)]
-                for (y0, p0), clam in lam.items():
-                    left = alg.mult_vec(alg.mult_vec(s1, alg.basis_vec(y0)), alg.basis_vec(x3))
-                    for k in range(NK):
-                        rvec = K.algebra.mult_sparse(p0, k)
-                        for y, cy in enumerate(left):
-                            if cy.is_zero():
-                                continue
-                            comp = comps.get(y)
-                            if comp is None:
-                                comp = [[z] * NK for _ in range(self.NH * NK)]
-                                comps[y] = comp
-                            acc = comp[x * NK + k]
-                            coeff = c * clam * cy
-                            for r, m in rvec:
-                                acc[r] = acc[r] + coeff * m
-        return {y: AdjointElement(cols, self.NH, NK) for y, cols in comps.items()}
+        return self.bars[i][x]
 
     # -- structure assembly ------------------------------------------------
 
     def compute_structure(self) -> None:
+        """Product (a.b)bar(x) = sum a(x1) b(x2), unit ubar(x) = eps(x) 1,
+        action (h.a)bar(x) = a(x h) and coaction component_y bar(x) =
+        sum [S(x1) lam(a(x2))(-1) x3]_y lam(a(x2))(0), all on abar."""
+        bad = next(_ad3_residuals(self), None)
+        if bad is not None:
+            raise ClosureFailure("a basis element is not right-K-linear", witness=bad)
         ctx = self.ctx
-        n = self.dim
-        u = self.unit_element()
-        uc = self.element_coords(u)
+        hopf = self.problem.hopf
+        K = self.problem.comod_alg
+        kalg, halg = K.algebra, hopf.algebra
+        NH, NK, n = self.NH, self.NK, self.dim
+        z = ctx.zero()
+        terms = [[[(r, e) for r, e in enumerate(v) if not e.is_zero()] for v in row]
+                 for row in self.bars]
+        pivots = [(pc // (NK * NK), pc // NK % NK, pc % NK) for pc in self.basis.pivots]
+
+        def coords(vbar: list[list[Scalar]]) -> list[Scalar] | None:
+            """Coordinates of the right-K-linear map (x, k) -> vbar[x] k:
+            its values at the pivots, or None when the residual is nonzero."""
+            out = []
+            for x, k, pp in pivots:
+                c = z
+                for r, e in enumerate(vbar[x]):
+                    if not e.is_zero():
+                        c = c + e * kalg.mult[r][k][pp]
+                out.append(c)
+            live = [(c, t) for c, t in zip(out, terms) if not c.is_zero()]
+            for x, v in enumerate(vbar):
+                residual = list(v)
+                for c, t in live:
+                    for r, e in t[x]:
+                        residual[r] = residual[r] - c * e
+                if any(not e.is_zero() for e in residual):
+                    return None
+            return out
+
+        eps = hopf.coalgebra.counit
+        uc = coords([[e * u for u in kalg.unit] for e in eps])
         if uc is None:
             raise ClosureFailure("unit map is not in the solution space",
                                  witness={"map": "x,k -> eps(x) k"})
@@ -476,20 +420,35 @@ class AdjointAlgebra:
         prod: list[list[list[Scalar]]] = [[None] * n for _ in range(n)]
         for i in range(n):
             for j in range(n):
-                e = self.product_element(self.elements[i], self.elements[j])
-                c = self.element_coords(e)
-                if c is None:
+                vbar = []
+                for x in range(NH):
+                    acc = [z] * NK
+                    for x1, x2, c in hopf.coalgebra.delta_terms(x):
+                        for r, a in terms[i][x1]:
+                            for s, b in terms[j][x2]:
+                                cab = c * a * b
+                                for t, m in kalg.mult_sparse(r, s):
+                                    acc[t] = acc[t] + cab * m
+                    vbar.append(acc)
+                cij = coords(vbar)
+                if cij is None:
                     raise ClosureFailure("product left the solution space",
                                          witness={"pair": [i, j]})
-                prod[i][j] = c
+                prod[i][j] = cij
         self.product = prod
 
         action: list[Matrix] = []
-        for h in range(self.NH):
+        for h in range(NH):
             cols = []
             for j in range(n):
-                e = self.action_element(h, self.elements[j])
-                c = self.element_coords(e)
+                vbar = []
+                for x in range(NH):
+                    acc = [z] * NK
+                    for zz, m in halg.mult_sparse(x, h):
+                        for r, e in terms[j][zz]:
+                            acc[r] = acc[r] + m * e
+                    vbar.append(acc)
+                c = coords(vbar)
                 if c is None:
                     raise ClosureFailure("action left the solution space",
                                          witness={"h": h, "basis": j})
@@ -498,11 +457,34 @@ class AdjointAlgebra:
             action.append(Matrix(ctx, n, n, entries))
         self.action = action
 
-        coact = Matrix.zero(ctx, self.NH * n, n)
+        lefts: dict[tuple[int, int, int], list[tuple[int, Scalar]]] = {}  # S(x1) y0 x3
+
+        def left_terms(x1: int, y0: int, x3: int) -> list[tuple[int, Scalar]]:
+            key = (x1, y0, x3)
+            if key not in lefts:
+                acc: dict[int, Scalar] = {}
+                for s, cs in enumerate(hopf.antipode.col(x1)):
+                    if cs.is_zero():
+                        continue
+                    for t, m1 in halg.mult_sparse(s, y0):
+                        for y, m2 in halg.mult_sparse(t, x3):
+                            acc[y] = acc.get(y, z) + cs * m1 * m2
+                lefts[key] = [(y, cy) for y, cy in sorted(acc.items()) if not cy.is_zero()]
+            return lefts[key]
+
+        coact = Matrix.zero(ctx, NH * n, n)
         for j in range(n):
-            comps = self.coaction_components(self.elements[j])
-            for y, e in comps.items():
-                c = self.element_coords(e)
+            comps: dict[int, list[list[Scalar]]] = {}
+            for x in range(NH):
+                for x1, x2, x3, c in hopf.coalgebra.delta2_terms(x):
+                    for (y0, p0), clam in K.coaction_vec(self.bars[j][x2]).items():
+                        for y, cy in left_terms(x1, y0, x3):
+                            comp = comps.get(y)
+                            if comp is None:
+                                comp = comps[y] = [[z] * NK for _ in range(NH)]
+                            comp[x][p0] = comp[x][p0] + c * clam * cy
+            for y, vbar in comps.items():
+                c = coords(vbar)
                 if c is None:
                     raise ClosureFailure("coaction left the solution space",
                                          witness={"basis": j, "hopf_component": y})
@@ -583,6 +565,18 @@ def solve_adjoint(p: AdjointProblem, pipeline: str = "reduced",
 # direct re-verification of the conditions (independent of the kernel solver)
 
 
+def _ad3_residuals(a: AdjointAlgebra):
+    """Basis tuples (x, k) at which a basis element is not right-K-linear,
+    alpha(x, k) != alpha(x, 1) k; the precondition of the structure maps."""
+    kalg = a.problem.comod_alg.algebra
+    for idx, e in enumerate(a.elements):
+        for x in range(a.NH):
+            vbar = a.bar(idx, x)
+            for k in range(a.NK):
+                if not vec_eq(e.col(x, k), kalg.mult_vec(vbar, kalg.basis_vec(k))):
+                    yield {"basis": idx, "tuple": [x, k]}
+
+
 def verify_conditions_direct(a: AdjointAlgebra,
                              report: VerificationReport | None = None,
                              prefix: str = "conditions") -> VerificationReport:
@@ -632,17 +626,10 @@ def verify_conditions_direct(a: AdjointAlgebra,
                 if sparse_diff(lhs, rhs, ctx) is not None:
                     yield {"basis": idx, "x": x}
 
-    def ad3_residuals():
-        for idx, e in enumerate(a.elements):
-            for x in range(NH):
-                vbar = a.bar(idx, x)
-                for k in range(NK):
-                    if not vec_eq(e.col(x, k), kalg.mult_vec(vbar, kalg.basis_vec(k))):
-                        yield {"basis": idx, "tuple": [x, k]}
-
-    for name, residuals in (("ad1", ad1_residuals), ("ad2", ad2_residuals), ("ad3", ad3_residuals)):
+    for name, residuals in (("ad1", ad1_residuals()), ("ad2", ad2_residuals()),
+                            ("ad3", _ad3_residuals(a))):
         if name in p.conditions:
-            rep.check(f"{prefix}/{name}-residual-zero", residuals())
+            rep.check(f"{prefix}/{name}-residual-zero", residuals)
     return rep
 
 
@@ -1027,18 +1014,26 @@ def phi_structure_transport(a: AdjointAlgebra, report: VerificationReport | None
 # isotypic cross-check
 
 
-def _grading_twist(model: TaftModel, K: ComoduleAlgebra) -> Matrix:
+def _grading_twist(model: TaftModel, K: ComoduleAlgebra, shift: int) -> Matrix:
     """Operator multiplying the degree-t component of the projected
-    grading by q^t."""
+    grading by q^t, for the coaction conjugated by g^shift."""
     ctx = model.ctx
+    n = model.n
     NK = K.dim
+    halg = model.taft.algebra
+    gi = halg.basis_vec(model.x_index(0, shift % n))
+    gmi = halg.basis_vec(model.x_index(0, -shift % n))
     tw = Matrix.zero(ctx, NK, NK)
     for k in range(NK):
         for y, k0, c in K.coaction_terms(k):
-            for t, cpi in ((t, model.pi[t, y]) for t in range(model.n)):
-                if cpi.is_zero():
+            yv = halg.mult_vec(halg.mult_vec(gmi, halg.basis_vec(y)), gi)
+            for yy, cy in enumerate(yv):
+                if cy.is_zero():
                     continue
-                tw.entries[k0 * NK + k] = tw.entries[k0 * NK + k] + c * cpi * zeta_power(ctx, t)
+                for t in range(n):
+                    cpi = model.pi[t, yy]
+                    if not cpi.is_zero():
+                        tw.entries[k0 * NK + k] = tw.entries[k0 * NK + k] + c * cy * cpi * zeta_power(ctx, t)
     return tw
 
 
@@ -1072,31 +1067,17 @@ def chi0_crosscheck(n: int, d: int, xi, report: VerificationReport | None = None
     rel = solve_adjoint(problem_for(model, K, {"ad1", "ad2", "ad3"}), with_structure=False)
     rel_dim = rel.dim
 
-    tw_k = _grading_twist(model, K)
-    dim_k0 = _isotypic_zero_dim(ctx, tw_k, n)
-
-    # twist on the m-tuple carrier: component i is conjugated by g^i,
-    # which leaves the projected degree unchanged; verified honestly by
-    # building the conjugated coaction and projecting.
+    # component i of the m-tuple carrier is conjugated by g^i, which
+    # leaves the projected degree unchanged; verified honestly by
+    # projecting the block-diagonal sum of the conjugated twists.
+    blocks = [_grading_twist(model, K, i) for i in range(m)]
+    dim_k0 = _isotypic_zero_dim(ctx, blocks[0], n)
     big = m * NK
     tw_t = Matrix.zero(ctx, big, big)
-    halg = model.taft.algebra
-    for i in range(m):
-        gi = halg.basis_vec(model.x_index(0, i % n))
-        gmi = halg.basis_vec(model.x_index(0, (n - i) % n))
-        for k in range(NK):
-            for y, k0, c in K.coaction_terms(k):
-                yv = halg.mult_vec(halg.mult_vec(gmi, halg.basis_vec(y)), gi)
-                for yy, cy in enumerate(yv):
-                    if cy.is_zero():
-                        continue
-                    for t in range(model.n):
-                        cpi = model.pi[t, yy]
-                        if cpi.is_zero():
-                            continue
-                        row = i * NK + k0
-                        col = i * NK + k
-                        tw_t.entries[row * big + col] = tw_t.entries[row * big + col] + c * cy * cpi * zeta_power(ctx, t)
+    for i, block in enumerate(blocks):
+        for r in range(NK):
+            for c in range(NK):
+                tw_t.entries[(i * NK + r) * big + i * NK + c] = block[r, c]
     dim_t0 = _isotypic_zero_dim(ctx, tw_t, n)
 
     rep.add(f"{prefix}/dims", True,
@@ -1141,7 +1122,7 @@ def dinaturality_element_check(p: AdjointProblem, elem: AdjointElement,
                     if jdual == vv:
                         lhs = m_mod.act_vec(bar(h), unit_vector(ctx, dm, mm))
                     rhs = [z] * dm
-                    for i2, j2, cr in p.rmatrix.inverse_terms():
+                    for i2, j2, cr in _ad2_leg_terms(p):
                         for zz, memb in _embedded_mult(p, j2, h):
                             pvec = bar(zz)
                             if all(e.is_zero() for e in pvec):

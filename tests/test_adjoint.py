@@ -226,6 +226,16 @@ def test_closure_failure_on_truncated_basis():
     assert err.value.witness is not None
 
 
+def test_structure_needs_right_k_linear_basis():
+    # the whole Hom-space is not right-K-linear, so it carries no structure maps
+    m = taft_model(2)
+    p = problem_for(m, comodule_algebra_K(2, 2, 0), set())
+    hom = solve_adjoint(p, pipeline="full", with_structure=False)
+    with pytest.raises(ClosureFailure) as err:
+        AdjointAlgebra(p, hom.basis).compute_structure()
+    assert set(err.value.witness) == {"basis", "tuple"}
+
+
 @pytest.mark.parametrize("n,d,xi", [(2, 1, 0), (2, 2, 1), (3, 3, 0)])
 def test_structure_transport_passes(n, d, xi):
     m = taft_model(n)
@@ -264,13 +274,28 @@ def test_chi0_crosscheck_dimensions():
         assert "tuple-algebra" in m["matches"]
 
 
-def test_dinaturality_samples():
-    m = taft_model(2)
-    k = comodule_algebra_K(2, 2, 0)
-    p = problem_for(m, k, {"ad1", "ad2", "ad3"})
+@pytest.mark.parametrize("rbar", [False, True])
+@pytest.mark.parametrize("n,d,xi", [(2, 2, 0), (3, 3, 0), (3, 1, 0)])
+def test_dinaturality_samples(n, d, xi, rbar):
+    # at n = 2, q = q^-1 makes both R-matrix conventions agree; n = 3 tells them apart
+    m = taft_model(n)
+    k = comodule_algebra_K(n, d, xi)
+    p = problem_for(m, k, {"ad1", "ad2", "ad3"}, rbar=rbar)
     mreg = regular_module(k.algebra)
     assert dinaturality_sample(p, mreg, regular_module(m.t_hopf.algebra)).ok
     assert dinaturality_sample(p, mreg, trivial_module(m.t_hopf)).ok
+
+
+@pytest.mark.parametrize("rbar", [False, True])
+def test_dinaturality_rejects_module_variant_element(rbar):
+    # a module-variant solution outside the relative centre is not dinatural
+    m = taft_model(3)
+    k = comodule_algebra_K(3, 1, 0)
+    module = solve_adjoint(problem_for(m, k, {"ad1", "ad3"}), with_structure=False)
+    p = problem_for(m, k, {"ad1", "ad2", "ad3"}, rbar=rbar)
+    ok, witness = dinaturality_element_check(p, module.elements[0], regular_module(k.algebra),
+                                             regular_module(m.t_hopf.algebra))
+    assert not ok and witness is not None
 
 
 def test_dinaturality_rejects_non_solution():

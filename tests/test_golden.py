@@ -91,6 +91,14 @@ CLI_DIGESTS = {
         ADJOINT_N2 + ["--conditions", "ad1,ad3", "--full"],
         "2fbf12cb4f64f2e34c703c7ab5891763c9cb34922feab98eb8af7397fb34accd",
     ),
+    "adjoint-n3-K(3,0)-ad1-ad3": (
+        ["adjoint", "--n", "3", "--d", "3", "--xi", "0", "--conditions", "ad1,ad3"],
+        "b32b222aa69401dd20afbbb89b95c79c57b3895a0badd477c338a1b770a7886e",
+    ),
+    "adjoint-n3-K(1,1)-ad1-ad2-ad3": (
+        ["adjoint", "--n", "3", "--d", "1", "--xi", "1", "--conditions", "ad1,ad2,ad3"],
+        "814b221dd76d0ba3cedc06a95b58d2a78cda741909abcf584aa29379faaff8b2",
+    ),
     "braided-adjoint-n2": (
         ["braided-adjoint", "--n", "2"],
         "a631034d3b021e2580d4bba126ffe0815f109cf91501fe519f7c961d9a49d59d",

@@ -190,11 +190,13 @@ def test_cli_report_rejects_malformed_json(tmp_path):
     assert err.value.code == 2
 
 
-def test_cli_full_pipeline_accepts_conditions_without_ad3(tmp_path):
-    # only the reduced pipeline needs ad3; without it the structure is
-    # not closed, which is a mathematical failure (exit 1), not a usage error
+@pytest.mark.parametrize("conditions", ["ad1", "ad2", "ad1,ad2", ""], ids=lambda c: c or "none")
+def test_cli_full_pipeline_accepts_conditions_without_ad3(conditions, tmp_path):
+    # only the reduced pipeline needs ad3 to solve; without it the basis is
+    # not right-K-linear, so the structure maps refuse it: a mathematical
+    # failure (exit 1), not a usage error
     out = tmp_path / "adj.json"
-    assert cli_main(["adjoint", "--n", "2", "--d", "2", "--conditions", "ad1",
+    assert cli_main(["adjoint", "--n", "2", "--d", "2", "--conditions", conditions,
                      "--full", "--out", str(out)]) == 1
     claims = json.loads(out.read_bytes())["report"]["claims"]
     assert [c["claim_id"] for c in claims if c["status"] == "fail"] == ["solve/closure"]
