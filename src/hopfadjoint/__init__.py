@@ -61,7 +61,6 @@ from .constructions import (
 )
 from .adjoint import (
     AdjointAlgebra,
-    AdjointElement,
     AdjointProblem,
     ClosureFailure,
     chi0_crosscheck,

@@ -10,11 +10,14 @@ Conditions (imposed exactly):
        H#T with the projected coaction on P
   ad3  alpha(x, k) = alpha(x, 1) k
 
-Two pipelines produce bit-identical bases: the full Hom-space kernel,
-over all basis tuples, and a reduced one parametrised by alpha(-, 1),
-which imposes ad1 on the generators of K only.  Both share one
-structure path: the structure maps need ad3, and are computed on
-abar = alpha(-, 1) alone.
+The solved algebra lives in abar coordinates: under ad3 a solution is
+fixed by abar = alpha(-, 1), and its basis, product, unit, action and
+coaction are all computed on abar.  The reduced pipeline solves for
+abar directly and imposes ad1 on the generators of K only; the full
+one solves over the whole Hom-space and every basis tuple, and is the
+oracle it must agree with bit for bit.  Hom-space maps are derived
+from abar only where they are read: for the JSON basis and for the
+direct re-check of the conditions.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from .constructions import ComoduleAlgebraK, TaftModel, taft_model, comodule_alg
 from .linalg import (
     Matrix,
     SubspaceBasis,
+    coords_in_basis,
     kernel_basis,
     rank,
     sparse_diff,
@@ -301,63 +305,20 @@ def condition_system_reduced(p: AdjointProblem) -> Matrix:
 # the solved algebra
 
 
-class AdjointElement:
-    """One solution map, stored as its columns: cols[x*NK + k] is the
-    value alpha(e_x, e_k) in K."""
-
-    __slots__ = ("cols", "NH", "NK")
-
-    def __init__(self, cols: list[list[Scalar]], NH: int, NK: int):
-        self.cols = cols
-        self.NH = NH
-        self.NK = NK
-
-    @classmethod
-    def from_flat(cls, flat: list[Scalar], NH: int, NK: int) -> "AdjointElement":
-        NP = NK
-        cols = [flat[i * NP : (i + 1) * NP] for i in range(NH * NK)]
-        return cls(cols, NH, NK)
-
-    def col(self, x: int, k: int) -> list[Scalar]:
-        return self.cols[x * self.NK + k]
-
-    def eval_kvec(self, ctx: FieldContext, x: int, kvec: list[Scalar]) -> list[Scalar]:
-        out = [ctx.zero()] * len(self.cols[0])
-        for k, ck in enumerate(kvec):
-            if ck.is_zero():
-                continue
-            col = self.col(x, k)
-            for i, e in enumerate(col):
-                if not e.is_zero():
-                    out[i] = out[i] + ck * e
-        return out
-
-    def to_matrix(self, ctx: FieldContext) -> Matrix:
-        NP = len(self.cols[0])
-        ncols = len(self.cols)
-        entries = [self.cols[c][r] for r in range(NP) for c in range(ncols)]
-        return Matrix(ctx, NP, ncols, entries)
-
-
 class AdjointAlgebra:
-    """Solution space in the echelon basis of the Hom-space, with
-    product, unit, action and coaction expressed in that basis.
+    """Solution space in abar coordinates: `basis` is the echelon basis
+    of the vectors abar = alpha(-, 1) in k^(NH*NK), at index x*NK + pp,
+    with product, unit, action and coaction expressed in that basis.
 
-    The structure maps need every basis element to be right-K-linear
-    (ad3): then alpha(x, k) = abar(x) k with abar = alpha(-, 1), so each
-    structure map is computed on abar alone, read off at the Hom-space
-    pivots and closure-checked by a zero residual in abar coordinates
-    (inflation abar -> alpha is injective)."""
+    Every solution is right-K-linear (ad3), alpha(x, k) = abar(x) k, so
+    abar fixes it; `hom_maps` inflates the basis back to Hom-space
+    coordinates for serialisation and the direct condition checks."""
 
     def __init__(self, problem: AdjointProblem, basis: SubspaceBasis):
         self.problem = problem
         self.basis = basis
-        K = problem.comod_alg
-        self.NH, self.NK = problem.hopf.dim, K.dim
-        self.elements = [AdjointElement.from_flat(v, self.NH, self.NK) for v in basis.vectors]
+        self.NH, self.NK = problem.hopf.dim, problem.comod_alg.dim
         self.dim = basis.dim
-        self.bars = [[e.eval_kvec(self.ctx, x, K.algebra.unit) for x in range(self.NH)]
-                     for e in self.elements]
         self.product: list[list[list[Scalar]]] | None = None
         self.unit_coords: list[Scalar] | None = None
         self.action: list[Matrix] | None = None
@@ -369,49 +330,45 @@ class AdjointAlgebra:
 
     def bar(self, i: int, x: int) -> list[Scalar]:
         """alpha_i(e_x, 1)."""
-        return self.bars[i][x]
+        return self.basis.vectors[i][x * self.NK : (x + 1) * self.NK]
+
+    def hom_maps(self) -> list[list[Scalar]]:
+        """The basis in Hom-space coordinates: alpha(x, k) = abar(x) k,
+        flattened at (x*NK + k)*NK + pp."""
+        kalg = self.problem.comod_alg.algebra
+        NK = self.NK
+        maps = []
+        for v in self.basis.vectors:
+            flat = [self.ctx.zero()] * (self.NH * NK * NK)
+            for u, e in enumerate(v):  # u = x*NK + r
+                if e.is_zero():
+                    continue
+                x, r = divmod(u, NK)
+                for k in range(NK):
+                    for pp, m in kalg.mult_sparse(r, k):
+                        i = (x * NK + k) * NK + pp
+                        flat[i] = flat[i] + e * m
+            maps.append(flat)
+        return maps
 
     # -- structure assembly ------------------------------------------------
 
     def compute_structure(self) -> None:
         """Product (a.b)bar(x) = sum a(x1) b(x2), unit ubar(x) = eps(x) 1,
         action (h.a)bar(x) = a(x h) and coaction component_y bar(x) =
-        sum [S(x1) lam(a(x2))(-1) x3]_y lam(a(x2))(0), all on abar."""
-        bad = next(_ad3_residuals(self), None)
-        if bad is not None:
-            raise ClosureFailure("a basis element is not right-K-linear", witness=bad)
+        sum [S(x1) lam(a(x2))(-1) x3]_y lam(a(x2))(0), each built as a
+        flat abar vector and read off by `coords_in_basis`."""
         ctx = self.ctx
         hopf = self.problem.hopf
         K = self.problem.comod_alg
         kalg, halg = K.algebra, hopf.algebra
         NH, NK, n = self.NH, self.NK, self.dim
         z = ctx.zero()
-        terms = [[[(r, e) for r, e in enumerate(v) if not e.is_zero()] for v in row]
-                 for row in self.bars]
-        pivots = [(pc // (NK * NK), pc // NK % NK, pc % NK) for pc in self.basis.pivots]
-
-        def coords(vbar: list[list[Scalar]]) -> list[Scalar] | None:
-            """Coordinates of the right-K-linear map (x, k) -> vbar[x] k:
-            its values at the pivots, or None when the residual is nonzero."""
-            out = []
-            for x, k, pp in pivots:
-                c = z
-                for r, e in enumerate(vbar[x]):
-                    if not e.is_zero():
-                        c = c + e * kalg.mult[r][k][pp]
-                out.append(c)
-            live = [(c, t) for c, t in zip(out, terms) if not c.is_zero()]
-            for x, v in enumerate(vbar):
-                residual = list(v)
-                for c, t in live:
-                    for r, e in t[x]:
-                        residual[r] = residual[r] - c * e
-                if any(not e.is_zero() for e in residual):
-                    return None
-            return out
+        terms = [[[(r, e) for r, e in enumerate(self.bar(i, x)) if not e.is_zero()]
+                  for x in range(NH)] for i in range(n)]
 
         eps = hopf.coalgebra.counit
-        uc = coords([[e * u for u in kalg.unit] for e in eps])
+        uc = coords_in_basis([e * u for e in eps for u in kalg.unit], self.basis)
         if uc is None:
             raise ClosureFailure("unit map is not in the solution space",
                                  witness={"map": "x,k -> eps(x) k"})
@@ -420,17 +377,15 @@ class AdjointAlgebra:
         prod: list[list[list[Scalar]]] = [[None] * n for _ in range(n)]
         for i in range(n):
             for j in range(n):
-                vbar = []
+                vbar = [z] * (NH * NK)
                 for x in range(NH):
-                    acc = [z] * NK
                     for x1, x2, c in hopf.coalgebra.delta_terms(x):
                         for r, a in terms[i][x1]:
                             for s, b in terms[j][x2]:
                                 cab = c * a * b
                                 for t, m in kalg.mult_sparse(r, s):
-                                    acc[t] = acc[t] + cab * m
-                    vbar.append(acc)
-                cij = coords(vbar)
+                                    vbar[x * NK + t] = vbar[x * NK + t] + cab * m
+                cij = coords_in_basis(vbar, self.basis)
                 if cij is None:
                     raise ClosureFailure("product left the solution space",
                                          witness={"pair": [i, j]})
@@ -441,14 +396,12 @@ class AdjointAlgebra:
         for h in range(NH):
             cols = []
             for j in range(n):
-                vbar = []
+                vbar = [z] * (NH * NK)
                 for x in range(NH):
-                    acc = [z] * NK
                     for zz, m in halg.mult_sparse(x, h):
                         for r, e in terms[j][zz]:
-                            acc[r] = acc[r] + m * e
-                    vbar.append(acc)
-                c = coords(vbar)
+                            vbar[x * NK + r] = vbar[x * NK + r] + m * e
+                c = coords_in_basis(vbar, self.basis)
                 if c is None:
                     raise ClosureFailure("action left the solution space",
                                          witness={"h": h, "basis": j})
@@ -474,17 +427,17 @@ class AdjointAlgebra:
 
         coact = Matrix.zero(ctx, NH * n, n)
         for j in range(n):
-            comps: dict[int, list[list[Scalar]]] = {}
+            comps: dict[int, list[Scalar]] = {}
             for x in range(NH):
                 for x1, x2, x3, c in hopf.coalgebra.delta2_terms(x):
-                    for (y0, p0), clam in K.coaction_vec(self.bars[j][x2]).items():
+                    for (y0, p0), clam in K.coaction_vec(self.bar(j, x2)).items():
                         for y, cy in left_terms(x1, y0, x3):
                             comp = comps.get(y)
                             if comp is None:
-                                comp = comps[y] = [[z] * NK for _ in range(NH)]
-                            comp[x][p0] = comp[x][p0] + c * clam * cy
+                                comp = comps[y] = [z] * (NH * NK)
+                            comp[x * NK + p0] = comp[x * NK + p0] + c * clam * cy
             for y, vbar in comps.items():
-                c = coords(vbar)
+                c = coords_in_basis(vbar, self.basis)
                 if c is None:
                     raise ClosureFailure("coaction left the solution space",
                                          witness={"basis": j, "hopf_component": y})
@@ -516,10 +469,12 @@ class AdjointAlgebra:
         return out
 
     def to_jsonable(self):
+        rows = self.NH * self.NK
         return {
             "problem": self.problem.describe(),
             "dim": self.dim,
-            "basis": [e.to_matrix(self.ctx) for e in self.elements],
+            "basis": [Matrix(self.ctx, rows, self.NK, flat).transpose()
+                      for flat in self.hom_maps()],
             "product": self.product,
             "unit": self.unit_coords,
             "action": self.action,
@@ -529,30 +484,22 @@ class AdjointAlgebra:
 
 def solve_adjoint(p: AdjointProblem, pipeline: str = "reduced",
                   with_structure: bool = True) -> AdjointAlgebra:
-    """Kernel of the active conditions, inflated to full Hom-space
-    coordinates and echelonised (so both pipelines agree bit-for-bit),
-    then equipped with its verified structure maps."""
-    ctx = p.ctx
-    K = p.comod_alg
-    NH, NK = p.hopf.dim, K.dim
+    """Kernel of the active conditions as an echelon basis of abar
+    vectors, then equipped with its verified structure maps.  The
+    reduced system's kernel is that basis already; the full pipeline
+    solves over the whole Hom-space, requires every kernel vector to be
+    right-K-linear and restricts it to k = 1, so both agree bit for bit."""
     if pipeline == "reduced":
-        system = condition_system_reduced(p)
-        kern = kernel_basis(system)
-        flats = []
-        for v in kern.vectors:
-            cols = []
-            for x in range(NH):
-                vbar = v[x * NK : (x + 1) * NK]
-                for k in range(NK):
-                    cols.append(K.algebra.mult_vec(vbar, K.algebra.basis_vec(k)))
-            flat: list[Scalar] = []
-            for col in cols:
-                flat.extend(col)
-            flats.append(flat)
-        basis = SubspaceBasis.from_spanning(ctx, NH * NK * NK, flats)
+        basis = kernel_basis(condition_system_reduced(p))
     elif pipeline == "full":
-        system = condition_system(p)
-        basis = kernel_basis(system)
+        maps = kernel_basis(condition_system(p)).vectors
+        bad = next(_ad3_residuals(p, maps), None)
+        if bad is not None:
+            raise ClosureFailure("a basis element is not right-K-linear", witness=bad)
+        unit = p.comod_alg.algebra.unit
+        bars = [[e for x in range(p.hopf.dim) for e in _hom_eval(p, flat, x, unit)]
+                for flat in maps]
+        basis = SubspaceBasis.from_spanning(p.ctx, p.hopf.dim * p.comod_alg.dim, bars)
     else:
         raise ValueError(f"unknown pipeline {pipeline!r}")
     alg = AdjointAlgebra(p, basis)
@@ -563,33 +510,54 @@ def solve_adjoint(p: AdjointProblem, pipeline: str = "reduced",
 
 # ---------------------------------------------------------------------------
 # direct re-verification of the conditions (independent of the kernel solver)
+#
+# These read Hom-space vectors alpha, flattened at (x*NK + k)*NK + pp, so
+# that maps which are not right-K-linear can be checked as well.
 
 
-def _ad3_residuals(a: AdjointAlgebra):
-    """Basis tuples (x, k) at which a basis element is not right-K-linear,
-    alpha(x, k) != alpha(x, 1) k; the precondition of the structure maps."""
-    kalg = a.problem.comod_alg.algebra
-    for idx, e in enumerate(a.elements):
-        for x in range(a.NH):
-            vbar = a.bar(idx, x)
-            for k in range(a.NK):
-                if not vec_eq(e.col(x, k), kalg.mult_vec(vbar, kalg.basis_vec(k))):
+def _hom_eval(p: AdjointProblem, flat: list[Scalar], x: int, kvec: list[Scalar]) -> list[Scalar]:
+    """alpha(e_x, kvec) for the Hom-space vector flat."""
+    NK = p.comod_alg.dim
+    out = [p.ctx.zero()] * NK
+    for k, ck in enumerate(kvec):
+        if ck.is_zero():
+            continue
+        base = (x * NK + k) * NK
+        for i in range(NK):
+            e = flat[base + i]
+            if not e.is_zero():
+                out[i] = out[i] + ck * e
+    return out
+
+
+def _ad3_residuals(p: AdjointProblem, maps: list[list[Scalar]]):
+    """Basis tuples (x, k) at which a Hom-space map is not right-K-linear,
+    alpha(x, k) != alpha(x, 1) k."""
+    kalg = p.comod_alg.algebra
+    NK = kalg.dim
+    for idx, flat in enumerate(maps):
+        for x in range(p.hopf.dim):
+            vbar = _hom_eval(p, flat, x, kalg.unit)
+            for k in range(NK):
+                col = flat[(x * NK + k) * NK : (x * NK + k + 1) * NK]
+                if not vec_eq(col, kalg.mult_vec(vbar, kalg.basis_vec(k))):
                     yield {"basis": idx, "tuple": [x, k]}
 
 
-def verify_conditions_direct(a: AdjointAlgebra,
+def verify_conditions_direct(p: AdjointProblem, maps: list[list[Scalar]],
                              report: VerificationReport | None = None,
                              prefix: str = "conditions") -> VerificationReport:
+    """Substitute each Hom-space vector in maps into the active
+    conditions of p: ad1 over every (k, x, l), ad2 and ad3."""
     rep = report if report is not None else VerificationReport()
-    p = a.problem
-    ctx = a.ctx
+    ctx = p.ctx
     K = p.comod_alg
     kalg = K.algebra
-    NH, NK = a.NH, a.NK
+    NH, NK = p.hopf.dim, K.dim
     z = ctx.zero()
 
     def ad1_residuals():
-        for idx, e in enumerate(a.elements):
+        for idx, flat in enumerate(maps):
             for k in range(NK):
                 lam_k = K.coaction_terms(k)
                 for x in range(NH):
@@ -597,29 +565,28 @@ def verify_conditions_direct(a: AdjointAlgebra,
                         lhs = [z] * NK
                         for y, k0, c in lam_k:
                             for zz, m1 in p.hopf.algebra.mult_sparse(y, x):
-                                kl = kalg.mult[k0][l]
-                                v = e.eval_kvec(ctx, zz, kl)
+                                v = _hom_eval(p, flat, zz, kalg.mult[k0][l])
                                 for r in range(NK):
                                     if not v[r].is_zero():
                                         lhs[r] = lhs[r] + c * m1 * v[r]
-                        rhs = kalg.mult_vec(kalg.basis_vec(k), e.col(x, l))
-                        if not vec_eq(lhs, rhs):
+                        col = flat[(x * NK + l) * NK : (x * NK + l + 1) * NK]
+                        if not vec_eq(lhs, kalg.mult_vec(kalg.basis_vec(k), col)):
                             yield {"basis": idx, "tuple": [k, x, l]}
 
     def ad2_residuals():
         legs = _ad2_leg_terms(p)
-        for idx in range(a.dim):
+        for idx, flat in enumerate(maps):
             for x in range(NH):
                 lhs: dict[tuple[int, int], Scalar] = {}
                 for t_leg, e_leg, c in legs:
                     for zz, m in _embedded_mult(p, e_leg, x):
-                        v = a.bar(idx, zz)
+                        v = _hom_eval(p, flat, zz, kalg.unit)
                         for r in range(NK):
                             if not v[r].is_zero():
                                 key = (t_leg, r)
                                 lhs[key] = lhs.get(key, z) + c * m * v[r]
                 rhs: dict[tuple[int, int], Scalar] = {}
-                for (y, p0), c in K.coaction_vec(a.bar(idx, x)).items():
+                for (y, p0), c in K.coaction_vec(_hom_eval(p, flat, x, kalg.unit)).items():
                     for t, cpi in _pi_terms(p, y):
                         key = (t, p0)
                         rhs[key] = rhs.get(key, z) + c * cpi
@@ -627,7 +594,7 @@ def verify_conditions_direct(a: AdjointAlgebra,
                     yield {"basis": idx, "x": x}
 
     for name, residuals in (("ad1", ad1_residuals()), ("ad2", ad2_residuals()),
-                            ("ad3", _ad3_residuals(a))):
+                            ("ad3", _ad3_residuals(p, maps))):
         if name in p.conditions:
             rep.check(f"{prefix}/{name}-residual-zero", residuals)
     return rep
@@ -1096,50 +1063,46 @@ def chi0_crosscheck(n: int, d: int, xi, report: VerificationReport | None = None
 # dinaturality sampling
 
 
-def dinaturality_element_check(p: AdjointProblem, elem: AdjointElement,
+def dinaturality_element_check(p: AdjointProblem, bars: list[list[Scalar]],
                                m_mod: ModuleRep, v: ModuleRep) -> tuple[bool, dict | None]:
-    """Both sides of the wedge identity for one map, evaluated on all
-    basis tuples; values land in the module m collapsed along K."""
+    """Both sides of the wedge identity for the map with abar rows
+    bars[x] = alpha(e_x, 1), evaluated on all basis tuples; values land
+    in the module m collapsed along K."""
     ctx = p.ctx
     K = p.comod_alg
     kalg = K.algebra
-    NH = p.hopf.dim
     dv, dm = v.dim, m_mod.dim
     z = ctx.zero()
-    base = p.base
-
-    def bar(x: int) -> list[Scalar]:
-        return elem.eval_kvec(ctx, x, kalg.unit)
-
-    s_t = base.antipode
+    s_t = p.base.antipode
     gv = lift_via_pi(p.hopf, p.pi, v)
+    legs = [([s_t[l, i2] for l in range(p.base.dim)], j2, cr)
+            for i2, j2, cr in _ad2_leg_terms(p)]
+    units = [unit_vector(ctx, dm, mm) for mm in range(dm)]
+    m_acts = [[m_mod.act_vec(kalg.basis_vec(p0), e) for e in units] for p0 in range(K.dim)]
 
-    for h in range(NH):
+    for h in range(p.hopf.dim):
+        # (S(leg) acting on the lifted coaction leg, coefficient, p0) per term
+        terms = []
+        for scol, j2, cr in legs:
+            for zz, memb in _embedded_mult(p, j2, h):
+                for (y, p0), lc in K.coaction_vec(bars[zz]).items():
+                    w2 = [v.act_vec(scol, gv.action[y].col(vv)) for vv in range(dv)]
+                    terms.append((w2, cr * memb * lc, p0))
         for jdual in range(dv):
             for vv in range(dv):
                 for mm in range(dm):
                     lhs = [z] * dm
                     if jdual == vv:
-                        lhs = m_mod.act_vec(bar(h), unit_vector(ctx, dm, mm))
+                        lhs = m_mod.act_vec(bars[h], units[mm])
                     rhs = [z] * dm
-                    for i2, j2, cr in _ad2_leg_terms(p):
-                        for zz, memb in _embedded_mult(p, j2, h):
-                            pvec = bar(zz)
-                            if all(e.is_zero() for e in pvec):
-                                continue
-                            lam = K.coaction_vec(pvec)
-                            for (y, p0), lc in lam.items():
-                                w1 = gv.action[y].col(vv)
-                                scol = [s_t[l, i2] for l in range(base.dim)]
-                                w2 = v.act_vec(scol, w1)
-                                s = w2[jdual]
-                                if s.is_zero():
-                                    continue
-                                coeff = cr * memb * lc * s
-                                mv = m_mod.act_vec(kalg.basis_vec(p0), unit_vector(ctx, dm, mm))
-                                for r in range(dm):
-                                    if not mv[r].is_zero():
-                                        rhs[r] = rhs[r] + coeff * mv[r]
+                    for w2, c, p0 in terms:
+                        s = w2[vv][jdual]
+                        if s.is_zero():
+                            continue
+                        coeff = c * s
+                        for r, e in enumerate(m_acts[p0][mm]):
+                            if not e.is_zero():
+                                rhs[r] = rhs[r] + coeff * e
                     if not vec_eq(lhs, rhs):
                         return False, {"tuple": [h, jdual, vv, mm]}
     return True, None
@@ -1154,8 +1117,9 @@ def dinaturality_sample(p: AdjointProblem, m_mod: ModuleRep, v: ModuleRep,
     alg = solve_adjoint(p, with_structure=False)
 
     def wedge_identity():
-        for idx, e in enumerate(alg.elements):
-            ok, witness = dinaturality_element_check(p, e, m_mod, v)
+        for idx in range(alg.dim):
+            bars = [alg.bar(idx, x) for x in range(alg.NH)]
+            ok, witness = dinaturality_element_check(p, bars, m_mod, v)
             if not ok:
                 yield {"basis": idx, **(witness or {})}
 

@@ -138,7 +138,8 @@ def _suite_adjoint(n: int, rep: VerificationReport) -> None:
     kreg = regular_comodule_algebra(n)
     alg = solve_adjoint(problem_for(model, kreg, {"ad1", "ad2", "ad3"}))
     rep.add(f"n{n}/relative-regular/dim", alg.dim == n, {"dim": alg.dim})
-    verify_conditions_direct(alg, rep, prefix=f"n{n}/relative-regular/conditions")
+    verify_conditions_direct(alg.problem, alg.hom_maps(), rep,
+                             prefix=f"n{n}/relative-regular/conditions")
     verify_yd(alg, rep, prefix=f"n{n}/relative-regular/yd")
     verify_center_algebra(alg, rep, prefix=f"n{n}/relative-regular/center")
     verify_braided_commutative(alg, rep, prefix=f"n{n}/relative-regular/braided")
@@ -200,7 +201,7 @@ def cmd_adjoint(args) -> int:
         rep.add("solve/closure", False, {"error": str(exc), "witness": exc.witness})
         return _finish(args, rep, {"problem": problem.describe()}, model.ctx)
     rep.add("solve/dim", True, {"dim": alg.dim})
-    verify_conditions_direct(alg, rep)
+    verify_conditions_direct(problem, alg.hom_maps(), rep)
     verify_yd(alg, rep)
     verify_center_algebra(alg, rep)
     verify_braided_commutative(alg, rep)

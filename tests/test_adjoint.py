@@ -10,7 +10,6 @@ from hopfadjoint.constructions import (
 )
 from hopfadjoint.adjoint import (
     AdjointAlgebra,
-    AdjointElement,
     ClosureFailure,
     chi0_crosscheck,
     condition_system,
@@ -79,6 +78,8 @@ def test_full_and_reduced_pipelines_agree(name, conds):
     assert a.basis.dim == b.basis.dim
     assert a.basis.pivots == b.basis.pivots
     assert a.basis.vectors == b.basis.vectors
+    # inflated to the Hom-space, the abar basis is the full kernel's echelon basis
+    assert a.hom_maps() == kernel_basis(condition_system(p)).vectors
 
 
 def test_reduced_requires_right_multiplicativity():
@@ -118,7 +119,7 @@ def test_direct_condition_recheck_is_independent_of_solver():
     m = taft_model(2)
     k = comodule_algebra_K(2, 2, 1)
     alg = solve_adjoint(problem_for(m, k, {"ad1", "ad2", "ad3"}))
-    assert verify_conditions_direct(alg).ok
+    assert verify_conditions_direct(alg.problem, alg.hom_maps()).ok
 
 
 def test_structural_verifications_small_grid():
@@ -227,12 +228,11 @@ def test_closure_failure_on_truncated_basis():
 
 
 def test_structure_needs_right_k_linear_basis():
-    # the whole Hom-space is not right-K-linear, so it carries no structure maps
+    # the whole Hom-space is not right-K-linear, so the full pipeline refuses it
     m = taft_model(2)
     p = problem_for(m, comodule_algebra_K(2, 2, 0), set())
-    hom = solve_adjoint(p, pipeline="full", with_structure=False)
     with pytest.raises(ClosureFailure) as err:
-        AdjointAlgebra(p, hom.basis).compute_structure()
+        solve_adjoint(p, pipeline="full")
     assert set(err.value.witness) == {"basis", "tuple"}
 
 
@@ -293,7 +293,8 @@ def test_dinaturality_rejects_module_variant_element(rbar):
     k = comodule_algebra_K(3, 1, 0)
     module = solve_adjoint(problem_for(m, k, {"ad1", "ad3"}), with_structure=False)
     p = problem_for(m, k, {"ad1", "ad2", "ad3"}, rbar=rbar)
-    ok, witness = dinaturality_element_check(p, module.elements[0], regular_module(k.algebra),
+    bars = [module.bar(0, x) for x in range(m.taft.dim)]
+    ok, witness = dinaturality_element_check(p, bars, regular_module(k.algebra),
                                              regular_module(m.t_hopf.algebra))
     assert not ok and witness is not None
 
@@ -303,8 +304,7 @@ def test_dinaturality_rejects_non_solution():
     k = comodule_algebra_K(2, 2, 0)
     p = problem_for(m, k, {"ad1", "ad2", "ad3"})
     ctx = m.ctx
-    cols = [[ctx.one() if r == 0 else ctx.zero() for r in range(4)] for _ in range(16)]
-    fake = AdjointElement(cols, 4, 4)
+    fake = [[ctx.one() if r == 0 else ctx.zero() for r in range(4)] for _ in range(4)]
     ok, witness = dinaturality_element_check(p, fake, regular_module(k.algebra),
                                              regular_module(m.t_hopf.algebra))
     assert not ok and witness is not None

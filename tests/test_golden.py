@@ -15,7 +15,7 @@ import hashlib
 import pytest
 
 from hopfadjoint.adjoint import (
-    AdjointAlgebra,
+    condition_system,
     dinaturality_sample,
     phi_structure_transport,
     problem_for,
@@ -64,7 +64,7 @@ from hopfadjoint.hopf import (
     check_bialgebra,
     check_hopf,
 )
-from hopfadjoint.linalg import Matrix
+from hopfadjoint.linalg import Matrix, kernel_basis
 from hopfadjoint.reports import emit_json
 
 ADJOINT_N2 = ["adjoint", "--n", "2", "--d", "2", "--xi", "0"]
@@ -72,40 +72,62 @@ ADJOINT_N2 = ["adjoint", "--n", "2", "--d", "2", "--xi", "0"]
 CLI_DIGESTS = {
     "taft-n3": (
         ["taft", "--n", "3"],
+        0,
         "34cbf66e5298d5bae5d08ff384d15d071882b0c04fbdf4d9c88f7655e4e7ab2c",
     ),
     "adjoint-ad1-ad3": (
         ADJOINT_N2 + ["--conditions", "ad1,ad3"],
+        0,
         "2fbf12cb4f64f2e34c703c7ab5891763c9cb34922feab98eb8af7397fb34accd",
     ),
     "adjoint-ad1-ad2-ad3": (
         ADJOINT_N2 + ["--conditions", "ad1,ad2,ad3"],
+        0,
         "0896619e1e54a3d67108e6a891a2dc4b1ea5b8aeaafed2c1490135cc4654f4a7",
     ),
     # the full pipeline agrees with the reduced one bit for bit
     "adjoint-full": (
         ADJOINT_N2 + ["--full"],
+        0,
         "0896619e1e54a3d67108e6a891a2dc4b1ea5b8aeaafed2c1490135cc4654f4a7",
     ),
     "adjoint-full-ad1-ad3": (
         ADJOINT_N2 + ["--conditions", "ad1,ad3", "--full"],
+        0,
         "2fbf12cb4f64f2e34c703c7ab5891763c9cb34922feab98eb8af7397fb34accd",
     ),
     "adjoint-n3-K(3,0)-ad1-ad3": (
         ["adjoint", "--n", "3", "--d", "3", "--xi", "0", "--conditions", "ad1,ad3"],
+        0,
         "b32b222aa69401dd20afbbb89b95c79c57b3895a0badd477c338a1b770a7886e",
     ),
     "adjoint-n3-K(1,1)-ad1-ad2-ad3": (
         ["adjoint", "--n", "3", "--d", "1", "--xi", "1", "--conditions", "ad1,ad2,ad3"],
+        0,
         "814b221dd76d0ba3cedc06a95b58d2a78cda741909abcf584aa29379faaff8b2",
     ),
     "braided-adjoint-n2": (
         ["braided-adjoint", "--n", "2"],
+        0,
         "a631034d3b021e2580d4bba126ffe0815f109cf91501fe519f7c961d9a49d59d",
     ),
     "verify-all-n1-n2": (
         ["verify", "--suite", "all", "--n", "1,2"],
+        0,
         "8f86b7db7e99c436a1b5feccbb806c9bc4479ffa7966f28e3a40785eee34fe49",
+    ),
+    # solve/closure from the full pipeline: the ad1 kernel is not right-K-linear
+    "adjoint-full-ad1": (
+        ADJOINT_N2 + ["--conditions", "ad1", "--full"],
+        1,
+        "297522bc88c3c2447a572699dba293e393412cdbb74331c486156c41f70ba970",
+    ),
+    # solve/closure from compute_structure: the coaction leaves the solution space
+    "adjoint-n3-K(1,0)-rbar": (
+        ["adjoint", "--n", "3", "--d", "1", "--xi", "0", "--conditions", "ad1,ad2,ad3",
+         "--rbar"],
+        1,
+        "8b10abddb0ce11fb7ba6b6c43ad5ed70f428a25dfa71c13688418f9aa64c6518",
     ),
 }
 
@@ -116,9 +138,9 @@ def _digest(data: bytes) -> str:
 
 @pytest.mark.parametrize("name", sorted(CLI_DIGESTS))
 def test_cli_output_digest(name, tmp_path):
-    argv, expected = CLI_DIGESTS[name]
+    argv, exit_code, expected = CLI_DIGESTS[name]
     out = tmp_path / "out.json"
-    assert cli_main(argv + ["--out", str(out)]) == 0
+    assert cli_main(argv + ["--out", str(out)]) == exit_code
     assert _digest(out.read_bytes()) == expected
 
 
@@ -214,9 +236,9 @@ def conditions_against_a_larger_problem():
     k = comodule_algebra_K(2, 2, 0)
     relative = problem_for(m, k, {"ad1", "ad2", "ad3"})
     module = solve_adjoint(problem_for(m, k, {"ad1", "ad3"}), with_structure=False)
-    rep = verify_conditions_direct(AdjointAlgebra(relative, module.basis))
-    hom = solve_adjoint(problem_for(m, k, set()), pipeline="full", with_structure=False)
-    return verify_conditions_direct(AdjointAlgebra(relative, hom.basis), rep, prefix="hom")
+    rep = verify_conditions_direct(relative, module.hom_maps())
+    hom = kernel_basis(condition_system(problem_for(m, k, set())))
+    return verify_conditions_direct(relative, hom.vectors, rep, prefix="hom")
 
 
 def transport_with_scrambled_structure():
