@@ -35,7 +35,9 @@ from .linalg import (
     SubspaceBasis,
     coords_in_basis,
     kernel_basis,
+    nonzero,
     rank,
+    sorted_terms,
     sparse_diff,
     unit_vector,
     vec_eq,
@@ -117,19 +119,29 @@ def _ad2_leg_terms(p: AdjointProblem) -> list[tuple[int, int, Scalar]]:
 def _embedded_mult(p: AdjointProblem, t_index: int, x_index: int) -> list[tuple[int, Scalar]]:
     """Sparse expansion of (embed g^t) * e_x inside H#T."""
     alg = p.hopf.algebra
-    col = [p.t_embed[r, t_index] for r in range(p.hopf.dim)]
     out: dict[int, Scalar] = {}
     z = p.ctx.zero()
-    for y, cy in enumerate(col):
-        if cy.is_zero():
-            continue
-        for zz, m in alg.mult_sparse(y, x_index):
+    for y, cy in nonzero(p.t_embed.col(t_index)):
+        for zz, m in alg.mult[y][x_index]:
             out[zz] = out.get(zz, z) + cy * m
-    return sorted((k, v) for k, v in out.items() if not v.is_zero())
+    return sorted_terms(out)
 
 
 def _pi_terms(p: AdjointProblem, y: int) -> list[tuple[int, Scalar]]:
-    return [(t, p.pi[t, y]) for t in range(p.base.dim) if not p.pi[t, y].is_zero()]
+    return nonzero(p.pi.col(y))
+
+
+def _ad2_rhs(p: AdjointProblem) -> dict[tuple[int, int, int], Scalar]:
+    """(t, p0, p2) -> the coefficient of g^t x e_p0 in (pi x id) lambda(e_p2):
+    the right-hand side of the comodule condition, the same for every x."""
+    z = p.ctx.zero()
+    rhs: dict[tuple[int, int, int], Scalar] = {}
+    for p2, terms in enumerate(p.comod_alg.coaction):
+        for y, p0, c in terms:
+            for t, cpi in _pi_terms(p, y):
+                key = (t, p0, p2)
+                rhs[key] = rhs.get(key, z) + c * cpi
+    return rhs
 
 
 def condition_system(p: AdjointProblem) -> Matrix:
@@ -142,7 +154,8 @@ def condition_system(p: AdjointProblem) -> Matrix:
     NP = NK  # coefficients in K itself
     ncols = NH * NK * NP
     z = ctx.zero()
-    kalg = K.algebra
+    halg, kalg = p.hopf.algebra, K.algebra
+    unit_terms = nonzero(kalg.unit)
 
     def u(x: int, k: int, pp: int) -> int:
         return (x * NK + k) * NP + pp
@@ -150,31 +163,27 @@ def condition_system(p: AdjointProblem) -> Matrix:
     rows: list[list[Scalar]] = []
 
     if "ad1" in p.conditions:
-        left_mats = [kalg.left_mult_matrix(kalg.basis_vec(k)) for k in range(NK)]
         for k in range(NK):
-            lam_k = K.coaction_terms(k)
-            lk = left_mats[k]
             for x in range(NH):
                 for l in range(NK):
                     coeffs: dict[tuple[int, int], Scalar] = {}
-                    for y, k0, c in lam_k:
-                        for zz, m1 in p.hopf.algebra.mult_sparse(y, x):
-                            for j, m2 in kalg.mult_sparse(k0, l):
+                    for y, k0, c in K.coaction[k]:
+                        for zz, m1 in halg.mult[y][x]:
+                            for j, m2 in kalg.mult[k0][l]:
                                 key = (zz, j)
                                 coeffs[key] = coeffs.get(key, z) + c * m1 * m2
-                    for pp in range(NP):
-                        row = [z] * ncols
+                    block = [[z] * ncols for _ in range(NP)]  # one row per pp
+                    for pp, row in enumerate(block):
                         for (zz, j), c in coeffs.items():
                             row[u(zz, j, pp)] = row[u(zz, j, pp)] + c
-                        for p2 in range(NP):
-                            e = lk[pp, p2]
-                            if not e.is_zero():
-                                row[u(x, l, p2)] = row[u(x, l, p2)] - e
-                        rows.append(row)
+                    for p2 in range(NP):  # minus e_k alpha(x, l)
+                        for pp, e in kalg.mult[k][p2]:
+                            block[pp][u(x, l, p2)] = block[pp][u(x, l, p2)] - e
+                    rows.extend(block)
 
     if "ad2" in p.conditions:
         legs = _ad2_leg_terms(p)
-        unit_terms = [(k, c) for k, c in enumerate(kalg.unit) if not c.is_zero()]
+        rhs = _ad2_rhs(p)
         for x in range(NH):
             lhs: dict[tuple[int, int, int], Scalar] = {}  # (t, zz, k) -> coeff
             for t_leg, e_leg, c in legs:
@@ -182,12 +191,6 @@ def condition_system(p: AdjointProblem) -> Matrix:
                     for k, ck in unit_terms:
                         key = (t_leg, zz, k)
                         lhs[key] = lhs.get(key, z) + c * m * ck
-            rhs: dict[tuple[int, int, int], Scalar] = {}  # (t, pp, p2) -> coeff
-            for p2 in range(NK):
-                for y, p0, c in K.coaction_terms(p2):
-                    for t, cpi in _pi_terms(p, y):
-                        key = (t, p0, p2)
-                        rhs[key] = rhs.get(key, z) + c * cpi
             for t in range(p.base.dim):
                 for pp in range(NP):
                     row = [z] * ncols
@@ -201,21 +204,16 @@ def condition_system(p: AdjointProblem) -> Matrix:
                     rows.append(row)
 
     if "ad3" in p.conditions:
-        right_mats = [kalg.right_mult_matrix(kalg.basis_vec(k)) for k in range(NK)]
-        unit_terms = [(k, c) for k, c in enumerate(kalg.unit) if not c.is_zero()]
         for x in range(NH):
             for k in range(NK):
-                rk = right_mats[k]
-                for pp in range(NP):
-                    row = [z] * ncols
-                    row[u(x, k, pp)] = row[u(x, k, pp)] + ctx.one()
-                    for p2 in range(NP):
-                        e = rk[pp, p2]
-                        if e.is_zero():
-                            continue
+                block = [[z] * ncols for _ in range(NP)]  # one row per pp
+                for pp, row in enumerate(block):
+                    row[u(x, k, pp)] = ctx.one()
+                for p2 in range(NP):  # minus alpha(x, 1) e_k
+                    for pp, e in kalg.mult[p2][k]:
                         for kk, ck in unit_terms:
-                            row[u(x, kk, p2)] = row[u(x, kk, p2)] - e * ck
-                    rows.append(row)
+                            block[pp][u(x, kk, p2)] = block[pp][u(x, kk, p2)] - e * ck
+                rows.extend(block)
 
     if not rows:
         return Matrix.zero(ctx, 0, ncols)
@@ -237,7 +235,7 @@ def condition_system_reduced(p: AdjointProblem) -> Matrix:
     NH, NK = p.hopf.dim, K.dim
     ncols = NH * NK
     z = ctx.zero()
-    kalg = K.algebra
+    halg, kalg = p.hopf.algebra, K.algebra
 
     def u(x: int, pp: int) -> int:
         return x * NK + pp
@@ -245,46 +243,29 @@ def condition_system_reduced(p: AdjointProblem) -> Matrix:
     rows: list[list[Scalar]] = []
 
     if "ad1" in p.conditions:
-        right_mats = [kalg.right_mult_matrix(kalg.basis_vec(k)) for k in range(NK)]
         for k in K.generators:
-            lam_k = K.coaction_terms(k)
-            lk = kalg.left_mult_matrix(kalg.basis_vec(k))
             for x in range(NH):
-                coeffs: dict[tuple[int, int, int], Scalar] = {}  # (zz, p_out, p2)
-                for y, k0, c in lam_k:
-                    rmat = right_mats[k0]
-                    for zz, m1 in p.hopf.algebra.mult_sparse(y, x):
-                        for pp in range(NK):
-                            for p2 in range(NK):
-                                e = rmat[pp, p2]
-                                if not e.is_zero():
-                                    key = (zz, pp, p2)
-                                    coeffs[key] = coeffs.get(key, z) + c * m1 * e
-                for pp in range(NK):
-                    row = [z] * ncols
-                    for (zz, p_out, p2), c in coeffs.items():
-                        if p_out == pp:
-                            row[u(zz, p2)] = row[u(zz, p2)] + c
-                    for p2 in range(NK):
-                        e = lk[pp, p2]
-                        if not e.is_zero():
-                            row[u(x, p2)] = row[u(x, p2)] - e
-                    rows.append(row)
+                block = [[z] * ncols for _ in range(NK)]  # one row per pp
+                for y, k0, c in K.coaction[k]:  # abar(y x) k0
+                    for zz, m1 in halg.mult[y][x]:
+                        cm = c * m1
+                        for p2 in range(NK):
+                            for pp, e in kalg.mult[p2][k0]:
+                                block[pp][u(zz, p2)] = block[pp][u(zz, p2)] + cm * e
+                for p2 in range(NK):  # minus e_k abar(x)
+                    for pp, e in kalg.mult[k][p2]:
+                        block[pp][u(x, p2)] = block[pp][u(x, p2)] - e
+                rows.extend(block)
 
     if "ad2" in p.conditions:
         legs = _ad2_leg_terms(p)
+        rhs = _ad2_rhs(p)
         for x in range(NH):
             lhs: dict[tuple[int, int], Scalar] = {}  # (t, zz)
             for t_leg, e_leg, c in legs:
                 for zz, m in _embedded_mult(p, e_leg, x):
                     key = (t_leg, zz)
                     lhs[key] = lhs.get(key, z) + c * m
-            rhs: dict[tuple[int, int, int], Scalar] = {}  # (t, p0, p2)
-            for p2 in range(NK):
-                for y, p0, c in K.coaction_terms(p2):
-                    for t, cpi in _pi_terms(p, y):
-                        key = (t, p0, p2)
-                        rhs[key] = rhs.get(key, z) + c * cpi
             for t in range(p.base.dim):
                 for pp in range(NK):
                     row = [z] * ncols
@@ -322,7 +303,7 @@ class AdjointAlgebra:
         self.product: list[list[list[Scalar]]] | None = None
         self.unit_coords: list[Scalar] | None = None
         self.action: list[Matrix] | None = None
-        self.coaction: Matrix | None = None
+        self.coaction: list[list[tuple[int, int, Scalar]]] | None = None
 
     @property
     def ctx(self) -> FieldContext:
@@ -345,7 +326,7 @@ class AdjointAlgebra:
                     continue
                 x, r = divmod(u, NK)
                 for k in range(NK):
-                    for pp, m in kalg.mult_sparse(r, k):
+                    for pp, m in kalg.mult[r][k]:
                         i = (x * NK + k) * NK + pp
                         flat[i] = flat[i] + e * m
             maps.append(flat)
@@ -364,8 +345,7 @@ class AdjointAlgebra:
         kalg, halg = K.algebra, hopf.algebra
         NH, NK, n = self.NH, self.NK, self.dim
         z = ctx.zero()
-        terms = [[[(r, e) for r, e in enumerate(self.bar(i, x)) if not e.is_zero()]
-                  for x in range(NH)] for i in range(n)]
+        terms = [[nonzero(self.bar(i, x)) for x in range(NH)] for i in range(n)]
 
         eps = hopf.coalgebra.counit
         uc = coords_in_basis([e * u for e in eps for u in kalg.unit], self.basis)
@@ -379,11 +359,11 @@ class AdjointAlgebra:
             for j in range(n):
                 vbar = [z] * (NH * NK)
                 for x in range(NH):
-                    for x1, x2, c in hopf.coalgebra.delta_terms(x):
+                    for x1, x2, c in hopf.coalgebra.comult[x]:
                         for r, a in terms[i][x1]:
                             for s, b in terms[j][x2]:
                                 cab = c * a * b
-                                for t, m in kalg.mult_sparse(r, s):
+                                for t, m in kalg.mult[r][s]:
                                     vbar[x * NK + t] = vbar[x * NK + t] + cab * m
                 cij = coords_in_basis(vbar, self.basis)
                 if cij is None:
@@ -398,7 +378,7 @@ class AdjointAlgebra:
             for j in range(n):
                 vbar = [z] * (NH * NK)
                 for x in range(NH):
-                    for zz, m in halg.mult_sparse(x, h):
+                    for zz, m in halg.mult[x][h]:
                         for r, e in terms[j][zz]:
                             vbar[x * NK + r] = vbar[x * NK + r] + m * e
                 c = coords_in_basis(vbar, self.basis)
@@ -416,35 +396,32 @@ class AdjointAlgebra:
             key = (x1, y0, x3)
             if key not in lefts:
                 acc: dict[int, Scalar] = {}
-                for s, cs in enumerate(hopf.antipode.col(x1)):
-                    if cs.is_zero():
-                        continue
-                    for t, m1 in halg.mult_sparse(s, y0):
-                        for y, m2 in halg.mult_sparse(t, x3):
+                for s, cs in nonzero(hopf.antipode.col(x1)):
+                    for t, m1 in halg.mult[s][y0]:
+                        for y, m2 in halg.mult[t][x3]:
                             acc[y] = acc.get(y, z) + cs * m1 * m2
-                lefts[key] = [(y, cy) for y, cy in sorted(acc.items()) if not cy.is_zero()]
+                lefts[key] = sorted_terms(acc)
             return lefts[key]
 
-        coact = Matrix.zero(ctx, NH * n, n)
+        coaction = []
         for j in range(n):
             comps: dict[int, list[Scalar]] = {}
             for x in range(NH):
                 for x1, x2, x3, c in hopf.coalgebra.delta2_terms(x):
-                    for (y0, p0), clam in K.coaction_vec(self.bar(j, x2)).items():
+                    for (y0, p0), clam in K.coaction_vec(terms[j][x2]).items():
                         for y, cy in left_terms(x1, y0, x3):
                             comp = comps.get(y)
                             if comp is None:
                                 comp = comps[y] = [z] * (NH * NK)
                             comp[x * NK + p0] = comp[x * NK + p0] + c * clam * cy
+            cols: dict[int, list[Scalar]] = {}
             for y, vbar in comps.items():
-                c = coords_in_basis(vbar, self.basis)
-                if c is None:
+                cols[y] = coords_in_basis(vbar, self.basis)
+                if cols[y] is None:
                     raise ClosureFailure("coaction left the solution space",
                                          witness={"basis": j, "hopf_component": y})
-                for i in range(n):
-                    if not c[i].is_zero():
-                        coact.entries[(y * n + i) * n + j] = c[i]
-        self.coaction = coact
+            coaction.append([(y, i, c) for y in sorted(cols) for i, c in nonzero(cols[y])])
+        self.coaction = coaction
 
     # -- views -------------------------------------------------------------
 
@@ -469,16 +446,20 @@ class AdjointAlgebra:
         return out
 
     def to_jsonable(self):
-        rows = self.NH * self.NK
+        n = self.dim
+        coaction = Matrix.zero(self.ctx, self.NH * n, n)
+        for j, terms in enumerate(self.coaction):
+            for y, i, c in terms:
+                coaction.entries[(y * n + i) * n + j] = c
         return {
             "problem": self.problem.describe(),
-            "dim": self.dim,
-            "basis": [Matrix(self.ctx, rows, self.NK, flat).transpose()
+            "dim": n,
+            "basis": [Matrix(self.ctx, self.NH * self.NK, self.NK, flat).transpose()
                       for flat in self.hom_maps()],
             "product": self.product,
             "unit": self.unit_coords,
             "action": self.action,
-            "coaction": self.coaction,
+            "coaction": coaction,
         }
 
 
@@ -496,7 +477,7 @@ def solve_adjoint(p: AdjointProblem, pipeline: str = "reduced",
         bad = next(_ad3_residuals(p, maps), None)
         if bad is not None:
             raise ClosureFailure("a basis element is not right-K-linear", witness=bad)
-        unit = p.comod_alg.algebra.unit
+        unit = nonzero(p.comod_alg.algebra.unit)
         bars = [[e for x in range(p.hopf.dim) for e in _hom_eval(p, flat, x, unit)]
                 for flat in maps]
         basis = SubspaceBasis.from_spanning(p.ctx, p.hopf.dim * p.comod_alg.dim, bars)
@@ -515,13 +496,12 @@ def solve_adjoint(p: AdjointProblem, pipeline: str = "reduced",
 # that maps which are not right-K-linear can be checked as well.
 
 
-def _hom_eval(p: AdjointProblem, flat: list[Scalar], x: int, kvec: list[Scalar]) -> list[Scalar]:
-    """alpha(e_x, kvec) for the Hom-space vector flat."""
+def _hom_eval(p: AdjointProblem, flat: list[Scalar], x: int, kterms) -> list[Scalar]:
+    """alpha(e_x, k) for the Hom-space vector flat and the element k of K
+    with these (index, coefficient) terms."""
     NK = p.comod_alg.dim
     out = [p.ctx.zero()] * NK
-    for k, ck in enumerate(kvec):
-        if ck.is_zero():
-            continue
+    for k, ck in kterms:
         base = (x * NK + k) * NK
         for i in range(NK):
             e = flat[base + i]
@@ -535,9 +515,10 @@ def _ad3_residuals(p: AdjointProblem, maps: list[list[Scalar]]):
     alpha(x, k) != alpha(x, 1) k."""
     kalg = p.comod_alg.algebra
     NK = kalg.dim
+    unit = nonzero(kalg.unit)
     for idx, flat in enumerate(maps):
         for x in range(p.hopf.dim):
-            vbar = _hom_eval(p, flat, x, kalg.unit)
+            vbar = _hom_eval(p, flat, x, unit)
             for k in range(NK):
                 col = flat[(x * NK + k) * NK : (x * NK + k + 1) * NK]
                 if not vec_eq(col, kalg.mult_vec(vbar, kalg.basis_vec(k))):
@@ -555,16 +536,16 @@ def verify_conditions_direct(p: AdjointProblem, maps: list[list[Scalar]],
     kalg = K.algebra
     NH, NK = p.hopf.dim, K.dim
     z = ctx.zero()
+    unit = nonzero(kalg.unit)
 
     def ad1_residuals():
         for idx, flat in enumerate(maps):
             for k in range(NK):
-                lam_k = K.coaction_terms(k)
                 for x in range(NH):
                     for l in range(NK):
                         lhs = [z] * NK
-                        for y, k0, c in lam_k:
-                            for zz, m1 in p.hopf.algebra.mult_sparse(y, x):
+                        for y, k0, c in K.coaction[k]:
+                            for zz, m1 in p.hopf.algebra.mult[y][x]:
                                 v = _hom_eval(p, flat, zz, kalg.mult[k0][l])
                                 for r in range(NK):
                                     if not v[r].is_zero():
@@ -580,13 +561,13 @@ def verify_conditions_direct(p: AdjointProblem, maps: list[list[Scalar]],
                 lhs: dict[tuple[int, int], Scalar] = {}
                 for t_leg, e_leg, c in legs:
                     for zz, m in _embedded_mult(p, e_leg, x):
-                        v = _hom_eval(p, flat, zz, kalg.unit)
+                        v = _hom_eval(p, flat, zz, unit)
                         for r in range(NK):
                             if not v[r].is_zero():
                                 key = (t_leg, r)
                                 lhs[key] = lhs.get(key, z) + c * m * v[r]
                 rhs: dict[tuple[int, int], Scalar] = {}
-                for (y, p0), c in K.coaction_vec(_hom_eval(p, flat, x, kalg.unit)).items():
+                for (y, p0), c in K.coaction_vec(nonzero(_hom_eval(p, flat, x, unit))).items():
                     for t, cpi in _pi_terms(p, y):
                         key = (t, p0)
                         rhs[key] = rhs.get(key, z) + c * cpi
@@ -635,7 +616,7 @@ def verify_center_algebra(a: AdjointAlgebra, report: VerificationReport | None =
 
     def product_module_morphism():
         for h in range(hopf.dim):
-            terms = hopf.coalgebra.delta_terms(h)
+            terms = hopf.coalgebra.comult[h]
             for i in range(n):
                 for j in range(n):
                     lhs = a.action[h].apply(a.product[i][j])
@@ -653,22 +634,18 @@ def verify_center_algebra(a: AdjointAlgebra, report: VerificationReport | None =
     def product_comodule_morphism():
         com = a.comodule_rep()
         for i in range(n):
-            ti = com.coaction_terms(i)
             for j in range(n):
-                tj = com.coaction_terms(j)
                 lhs: dict[tuple[int, int], Scalar] = {}
-                for k, ck in enumerate(a.product[i][j]):
-                    if ck.is_zero():
-                        continue
-                    for y, l, c in com.coaction_terms(k):
+                for k, ck in nonzero(a.product[i][j]):
+                    for y, l, c in com.coaction[k]:
                         key = (y, l)
                         lhs[key] = lhs.get(key, z) + ck * c
                 rhs: dict[tuple[int, int], Scalar] = {}
-                for y1, i0, c1 in ti:
-                    for y2, j0, c2 in tj:
+                for y1, i0, c1 in com.coaction[i]:
+                    for y2, j0, c2 in com.coaction[j]:
                         c12 = c1 * c2
                         pr = a.product[i0][j0]
-                        for y, m in hopf.algebra.mult_sparse(y1, y2):
+                        for y, m in hopf.algebra.mult[y1][y2]:
                             cm = c12 * m
                             for l, e in enumerate(pr):
                                 if not e.is_zero():
@@ -706,7 +683,7 @@ def verify_braided_commutative(a: AdjointAlgebra, report: VerificationReport | N
             for j in range(n):
                 # c(alpha_i x alpha_j) = alpha_i(-1).alpha_j x alpha_i(0)
                 rhs = [z] * n
-                for y, i0, c in com.coaction_terms(i):
+                for y, i0, c in com.coaction[i]:
                     w = a.action[y].col(j)
                     v = a.product_coords(w, unit_vector(ctx, n, i0))
                     for r in range(n):
@@ -745,12 +722,10 @@ def verify_relative_center(a: AdjointAlgebra, v: ModuleRep,
             for vv in range(dv):
                 # first A x V -> V x A by the Yetter-Drinfeld half-braiding
                 mid: dict[tuple[int, int], Scalar] = {}
-                for y, i0, c in com.coaction_terms(i):
-                    col = [gv.action[y][r, vv] for r in range(dv)]
-                    for r, e in enumerate(col):
-                        if not e.is_zero():
-                            key = (r, i0)
-                            mid[key] = mid.get(key, z) + c * e
+                for y, i0, c in com.coaction[i]:
+                    for r, e in nonzero(gv.action[y].col(vv)):
+                        key = (r, i0)
+                        mid[key] = mid.get(key, z) + c * e
                 # then V x A -> A x V by the lifted inverse-R half-braiding
                 out: dict[tuple[int, int], Scalar] = {}
                 for (w, j), c in mid.items():
@@ -771,7 +746,7 @@ def verify_relative_center(a: AdjointAlgebra, v: ModuleRep,
     return rep
 
 
-def invariant_coinvariant_dim(hopf: FinDimHopf, action: list[Matrix], coaction: Matrix) -> int:
+def invariant_coinvariant_dim(hopf: FinDimHopf, action: list[Matrix], coaction) -> int:
     """dim of { a : h.a = eps(h) a for all h, and delta(a) = 1 x a }."""
     ctx = hopf.ctx
     n = action[0].rows
@@ -784,9 +759,13 @@ def invariant_coinvariant_dim(hopf: FinDimHopf, action: list[Matrix], coaction: 
             row = [m[r, c] for c in range(n)]
             row[r] = row[r] - eps[h]
             rows.append(row)
+    co_rows = [[ctx.zero()] * n for _ in range(hopf.dim * n)]  # row y*n + r of lambda
+    for c, terms in enumerate(coaction):
+        for y, r, e in terms:
+            co_rows[y * n + r][c] = e
     for y in range(hopf.dim):
         for r in range(n):
-            row = [coaction[(y * n + r), c] for c in range(n)]
+            row = co_rows[y * n + r]
             row[r] = row[r] - unit[y]
             rows.append(row)
     return kernel_basis(Matrix.from_rows(ctx, rows)).dim
@@ -948,7 +927,7 @@ def phi_structure_transport(a: AdjointAlgebra, report: VerificationReport | None
         halg = p.hopf.algebra
         for s in range(a.dim):
             lhs: dict[tuple[int, int, int], Scalar] = {}
-            for y, l, c in com.coaction_terms(s):
+            for y, l, c in com.coaction[s]:
                 for i in range(m):
                     v = tvals[l][i]
                     for pp in range(NK):
@@ -959,7 +938,7 @@ def phi_structure_transport(a: AdjointAlgebra, report: VerificationReport | None
             for i in range(m):
                 gi = g_index(i)
                 gmi = g_index((n - i) % n)
-                for (y, pp), c in K.coaction_vec(tvals[s][i]).items():
+                for (y, pp), c in K.coaction_vec(nonzero(tvals[s][i])).items():
                     yv = halg.mult_vec(halg.mult_vec(gmi, halg.basis_vec(y)), gi)
                     for yy, cy in enumerate(yv):
                         if not cy.is_zero():
@@ -992,7 +971,7 @@ def _grading_twist(model: TaftModel, K: ComoduleAlgebra, shift: int) -> Matrix:
     gmi = halg.basis_vec(model.x_index(0, -shift % n))
     tw = Matrix.zero(ctx, NK, NK)
     for k in range(NK):
-        for y, k0, c in K.coaction_terms(k):
+        for y, k0, c in K.coaction[k]:
             yv = halg.mult_vec(halg.mult_vec(gmi, halg.basis_vec(y)), gi)
             for yy, cy in enumerate(yv):
                 if cy.is_zero():
@@ -1085,7 +1064,7 @@ def dinaturality_element_check(p: AdjointProblem, bars: list[list[Scalar]],
         terms = []
         for scol, j2, cr in legs:
             for zz, memb in _embedded_mult(p, j2, h):
-                for (y, p0), lc in K.coaction_vec(bars[zz]).items():
+                for (y, p0), lc in K.coaction_vec(nonzero(bars[zz])).items():
                     w2 = [v.act_vec(scol, gv.action[y].col(vv)) for vv in range(dv)]
                     terms.append((w2, cr * memb * lc, p0))
         for jdual in range(dv):

@@ -21,7 +21,7 @@ from .braiding import (
 )
 from .constructions import TaftModel
 from .adjoint import AdjointAlgebra
-from .linalg import Matrix, kernel_basis, kron, sparse_diff, vec_eq
+from .linalg import Matrix, kernel_basis, kron, nonzero, sparse_diff, vec_eq
 from .reports import VerificationReport
 
 
@@ -58,7 +58,7 @@ def build_h_ad(model: TaftModel) -> HAdjoint:
         mat = Matrix.zero(ctx, n, n)
         for a in range(n):
             acc = [z] * n
-            for h1, h2, c in line.coalgebra.delta_terms(h):
+            for h1, h2, c in line.coalgebra.comult[h]:
                 col = h2 * n + a
                 for row in range(n * n):
                     s = sigma[row, col]
@@ -106,7 +106,7 @@ def half_braiding(had: HAdjoint, x: ModuleRep) -> Matrix:
         for xx in range(dx):
             col = h * dx + xx
             acc: dict[int, Scalar] = {}
-            for h1, h2, c in line.coalgebra.delta_terms(h):
+            for h1, h2, c in line.coalgebra.comult[h]:
                 icol = h2 * dx + xx
                 for row in range(dx * n):
                     s = inv[row, icol]
@@ -200,11 +200,9 @@ def verify_h_ad(had: HAdjoint, modules: dict[str, ModuleRep],
                     if s.is_zero():
                         continue
                     jj, ii = row // n, row % n
-                    v = alg.mult[jj][ii]
-                    for r in range(n):
-                        if not v[r].is_zero():
-                            rhs[r] = rhs[r] + s * v[r]
-                if not vec_eq(alg.mult[i][j], rhs):
+                    for r, e in alg.mult[jj][ii]:
+                        rhs[r] = rhs[r] + s * e
+                if nonzero(rhs) != alg.mult[i][j]:
                     yield {"pair": [i, j]}
 
     for name, x in modules.items():
@@ -324,7 +322,7 @@ def displayed_adjoint_action(model: TaftModel) -> list[Matrix]:
         for h in range(n):
             acc = [ctx.zero()] * taft.dim
             hv = taft.algebra.basis_vec(model.x_index(h, 0))
-            for u1, u2, c in taft.coalgebra.delta_terms(u):
+            for u1, u2, c in taft.coalgebra.comult[u]:
                 s2 = [taft.antipode[l, u2] for l in range(taft.dim)]
                 w = taft.algebra.mult_vec(taft.algebra.mult_vec(taft.algebra.basis_vec(u1), hv), s2)
                 for r in range(taft.dim):
@@ -345,7 +343,7 @@ def displayed_adjoint_coaction(model: TaftModel) -> Matrix:
     line = model.line
     out = Matrix.zero(ctx, taft.dim * n, n)
     for h in range(n):
-        for h1, h2, c in line.coalgebra.delta_terms(h):
+        for h1, h2, c in line.coalgebra.comult[h]:
             for ri, rj, cr in model.rmatrix.terms():
                 y = model.x_index(h1, rj)
                 col_h2 = [line.tmodule.action[ri][r, h2] for r in range(n)]
@@ -396,7 +394,7 @@ def regular_case_iso(adjoint: AdjointAlgebra, had: HAdjoint,
         lhs = Matrix.zero(ctx, taft.dim * n, adjoint.dim)
         com = adjoint.comodule_rep()
         for s in range(adjoint.dim):
-            for y, l, c in com.coaction_terms(s):
+            for y, l, c in com.coaction[s]:
                 pl = phi.col(l)
                 for r in range(n):
                     if not pl[r].is_zero():

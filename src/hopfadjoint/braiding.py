@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .cyclotomic import Scalar
 from .hopf import FinDimAlgebra, FinDimCoalgebra, FinDimHopf, check_algebra, tensor_algebra
-from .linalg import Matrix, invert, sparse_diff, unit_vector, vec_eq, zeros
+from .linalg import Matrix, invert, nonzero, sparse_diff, unit_vector, vec_eq, zeros
 from .reports import VerificationReport
 
 
@@ -64,11 +64,14 @@ class ModuleRep:
 
     def act_elem(self, u: list[Scalar]) -> Matrix:
         """Action matrix of the algebra element with coordinates u."""
+        return self.act_terms(nonzero(u))
+
+    def act_terms(self, terms) -> Matrix:
+        """Action matrix of the algebra element with these (index,
+        coefficient) terms."""
         ctx = self.host.ctx
         entries = zeros(ctx, self.dim * self.dim)
-        for i, ui in enumerate(u):
-            if ui.is_zero():
-                continue
+        for i, ui in terms:
             for idx, e in enumerate(self.action[i].entries):
                 if not e.is_zero():
                     entries[idx] = entries[idx] + ui * e
@@ -88,26 +91,14 @@ class ModuleRep:
 
 
 class ComoduleRep:
-    """Left comodule: coaction matrix V -> A x V with rows (a * dimV + v)."""
+    """Left comodule: coaction[v] is the term list [(a, v0, c), ...] of
+    lambda(e_v), the coefficient c of e_a x e_v0: ascending in (a, v0),
+    no zero coefficient."""
 
-    def __init__(self, host: FinDimCoalgebra, dim: int, coaction: Matrix):
+    def __init__(self, host: FinDimCoalgebra, dim: int, coaction):
         self.host = host
         self.dim = dim
         self.coaction = coaction
-        self._sparse: list[list[tuple[int, int, Scalar]]] | None = None
-
-    def coaction_terms(self, v: int) -> list[tuple[int, int, Scalar]]:
-        """Sparse coaction of basis element v as (host_index, v0_index, coeff)."""
-        if self._sparse is None:
-            self._sparse = []
-            for col in range(self.dim):
-                terms = []
-                for r in range(self.coaction.rows):
-                    c = self.coaction[r, col]
-                    if not c.is_zero():
-                        terms.append((r // self.dim, r % self.dim, c))
-                self._sparse.append(terms)
-        return self._sparse[v]
 
 
 class YDModule:
@@ -127,7 +118,7 @@ class ComoduleAlgebra:
     module condition on them only.  When none are declared, the whole
     basis is the generating set, so that condition is never dropped."""
 
-    def __init__(self, hopf: FinDimHopf, algebra: FinDimAlgebra, coaction: Matrix,
+    def __init__(self, hopf: FinDimHopf, algebra: FinDimAlgebra, coaction,
                  name: str = "K", generators: list[int] | None = None):
         self.hopf = hopf
         self.algebra = algebra
@@ -140,28 +131,16 @@ class ComoduleAlgebra:
     def dim(self) -> int:
         return self.algebra.dim
 
-    def coaction_terms(self, k: int) -> list[tuple[int, int, Scalar]]:
-        return self.comodule.coaction_terms(k)
-
-    def coaction_vec(self, u: list[Scalar]) -> dict[tuple[int, int], Scalar]:
+    def coaction_vec(self, terms) -> dict[tuple[int, int], Scalar]:
+        """lambda of the element with these (index, coefficient) terms, as
+        a sparse tensor without zeros."""
         acc: dict[tuple[int, int], Scalar] = {}
-        for k, uk in enumerate(u):
-            if uk.is_zero():
-                continue
-            for y, k0, c in self.coaction_terms(k):
+        for k, uk in terms:
+            for y, k0, c in self.coaction[k]:
                 key = (y, k0)
                 add = uk * c
                 acc[key] = acc[key] + add if key in acc else add
         return {k: v for k, v in acc.items() if not v.is_zero()}
-
-    def to_jsonable(self):
-        return {
-            "name": self.name,
-            "dim": self.dim,
-            "mult": self.algebra.mult,
-            "unit": self.algebra.unit,
-            "coaction": self.coaction,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +158,7 @@ def _sparse_mult(alg: FinDimAlgebra, x: dict, y: dict, legs: int) -> dict:
             for leg in range(legs):
                 nxt: dict = {}
                 for prefix, pc in partial.items():
-                    for t, m in alg.mult_sparse(ki[leg], kj[leg]):
+                    for t, m in alg.mult[ki[leg]][kj[leg]]:
                         key = prefix + (t,)
                         add = pc * m
                         nxt[key] = nxt.get(key, z) + add
@@ -200,14 +179,14 @@ def check_rmatrix(r: RMatrix, report: VerificationReport | None = None, prefix: 
     rterms = r.terms()
     rinv_terms = r.inverse_terms()
     rinv_dict = {(a, b): c for a, b, c in rinv_terms}
-    unit_sparse = [(i, c) for i, c in enumerate(alg.unit) if not c.is_zero()]
+    unit_terms = nonzero(alg.unit)
 
     def embed(two_terms, pos: tuple[int, int]) -> dict:
         """Place an element of T x T into legs pos of T^3, unit elsewhere."""
         out: dict = {}
         other = ({0, 1, 2} - set(pos)).pop()
         for i, j, c in two_terms:
-            for u, cu in unit_sparse:
+            for u, cu in unit_terms:
                 key = [0, 0, 0]
                 key[pos[0]] = i
                 key[pos[1]] = j
@@ -224,7 +203,7 @@ def check_rmatrix(r: RMatrix, report: VerificationReport | None = None, prefix: 
     def comult_left():
         lhs: dict = {}
         for i, j, c in rterms:
-            for a, b, d in coa.delta_terms(i):
+            for a, b, d in coa.comult[i]:
                 key = (a, b, j)
                 lhs[key] = lhs.get(key, z) + c * d
         rhs = _sparse_mult(alg, embed(rterms, (0, 2)), embed(rterms, (1, 2)), 3)
@@ -233,7 +212,7 @@ def check_rmatrix(r: RMatrix, report: VerificationReport | None = None, prefix: 
     def comult_right():
         lhs: dict = {}
         for i, j, c in rterms:
-            for a, b, d in coa.delta_terms(j):
+            for a, b, d in coa.comult[j]:
                 key = (i, a, b)
                 lhs[key] = lhs.get(key, z) + c * d
         rhs = _sparse_mult(alg, embed(rterms, (0, 2)), embed(rterms, (0, 1)), 3)
@@ -250,8 +229,8 @@ def check_rmatrix(r: RMatrix, report: VerificationReport | None = None, prefix: 
 
     def almost_cocommutative():
         for i in range(h.dim):
-            delta = {(a, b): c for a, b, c in coa.delta_terms(i)}
-            cop = {(b, a): c for a, b, c in coa.delta_terms(i)}
+            delta = {(a, b): c for a, b, c in coa.comult[i]}
+            cop = {(b, a): c for a, b, c in coa.comult[i]}
             rd = _sparse_mult(alg, {(a, b): c for a, b, c in rterms}, delta, 2)
             rdr = _sparse_mult(alg, rd, {(a, b): c for a, b, c in rinv_terms}, 2)
             if sparse_diff(cop, rdr, ctx) is not None:
@@ -365,7 +344,7 @@ def tensor_module(hopf: FinDimHopf, v: ModuleRep, w: ModuleRep) -> ModuleRep:
     for i in range(hopf.dim):
         m = Matrix.zero(ctx, dim, dim)
         entries = m.entries
-        for j, k, c in hopf.coalgebra.delta_terms(i):
+        for j, k, c in hopf.coalgebra.comult[i]:
             mv = v.action[j]
             mw = w.action[k]
             for a in range(v.dim):
@@ -426,7 +405,7 @@ def check_module(v: ModuleRep, report: VerificationReport | None = None, prefix:
     alg = v.host
     rep.check(f"{prefix}/action-multiplicative", (
         {"pair": [i, j]} for i in range(alg.dim) for j in range(alg.dim)
-        if v.action[i] * v.action[j] != v.act_elem(alg.mult[i][j])))
+        if v.action[i] * v.action[j] != v.act_terms(alg.mult[i][j])))
 
     def unit_acts_as_identity():
         if v.act_elem(alg.unit) != Matrix.identity(alg.ctx, v.dim):
@@ -445,13 +424,13 @@ def check_comodule(c: ComoduleRep, report: VerificationReport | None = None, pre
     def coassociativity():
         for v in range(c.dim):
             lhs: dict = {}
-            for a, v0, x in c.coaction_terms(v):
-                for p, q, d in host.delta_terms(a):
+            for a, v0, x in c.coaction[v]:
+                for p, q, d in host.comult[a]:
                     key = (p, q, v0)
                     lhs[key] = lhs.get(key, z) + x * d
             rhs: dict = {}
-            for a, v0, x in c.coaction_terms(v):
-                for b, v1, y in c.coaction_terms(v0):
+            for a, v0, x in c.coaction[v]:
+                for b, v1, y in c.coaction[v0]:
                     key = (a, b, v1)
                     rhs[key] = rhs.get(key, z) + x * y
             if sparse_diff(lhs, rhs, ctx) is not None:
@@ -460,7 +439,7 @@ def check_comodule(c: ComoduleRep, report: VerificationReport | None = None, pre
     def counit():
         for v in range(c.dim):
             acc = zeros(ctx, c.dim)
-            for a, v0, x in c.coaction_terms(v):
+            for a, v0, x in c.coaction[v]:
                 acc[v0] = acc[v0] + x * host.counit[a]
             if not vec_eq(acc, unit_vector(ctx, c.dim, v)):
                 yield {"index": v}
@@ -485,25 +464,20 @@ def check_comodule_algebra(k: ComoduleAlgebra, report: VerificationReport | None
             for j in range(k.dim):
                 lhs = k.coaction_vec(k.algebra.mult[i][j])
                 rhs: dict = {}
-                for y1, a, c1 in k.coaction_terms(i):
-                    for y2, b, c2 in k.coaction_terms(j):
+                for y1, a, c1 in k.coaction[i]:
+                    for y2, b, c2 in k.coaction[j]:
                         coeff = c1 * c2
-                        for y, m1 in h_alg.mult_sparse(y1, y2):
-                            for p, m2 in k.algebra.mult_sparse(a, b):
+                        for y, m1 in h_alg.mult[y1][y2]:
+                            for p, m2 in k.algebra.mult[a][b]:
                                 key = (y, p)
                                 rhs[key] = rhs.get(key, z) + coeff * m1 * m2
                 if sparse_diff(lhs, rhs, ctx) is not None:
                     yield {"pair": [i, j]}
 
     def coaction_unit():
-        rhs = {}
-        for y, cy in enumerate(h_alg.unit):
-            if cy.is_zero():
-                continue
-            for p, cp in enumerate(k.algebra.unit):
-                if not cp.is_zero():
-                    rhs[(y, p)] = cy * cp
-        if sparse_diff(k.coaction_vec(k.algebra.unit), rhs, ctx) is not None:
+        unit = nonzero(k.algebra.unit)
+        rhs = {(y, p): cy * cp for y, cy in nonzero(h_alg.unit) for p, cp in unit}
+        if sparse_diff(k.coaction_vec(unit), rhs, ctx) is not None:
             yield {"axiom": "lambda(1) = 1 x 1"}
 
     rep.check(f"{prefix}/coaction-multiplicative", coaction_multiplicative())
@@ -523,18 +497,15 @@ def check_yd(hopf: FinDimHopf, module: ModuleRep, comodule: ComoduleRep,
     def compatibility():
         for h in range(hopf.dim):
             for v in range(dim_v):
-                hv = [module.action[h][r, v] for r in range(dim_v)]
                 lhs: dict = {}
-                for w, wc in enumerate(hv):
-                    if wc.is_zero():
-                        continue
-                    for y, w0, c in comodule.coaction_terms(w):
+                for w, wc in nonzero(module.action[h].col(v)):
+                    for y, w0, c in comodule.coaction[w]:
                         key = (y, w0)
                         lhs[key] = lhs.get(key, z) + wc * c
                 rhs: dict = {}
                 for h1, h2, h3, c in hopf.coalgebra.delta2_terms(h):
                     s3 = [hopf.antipode[l, h3] for l in range(hopf.dim)]
-                    for y, v0, d in comodule.coaction_terms(v):
+                    for y, v0, d in comodule.coaction[v]:
                         first = alg.mult_vec(alg.mult_vec(alg.basis_vec(h1), alg.basis_vec(y)), s3)
                         coeff = c * d
                         h2v0 = [module.action[h2][r, v0] for r in range(dim_v)]
@@ -559,7 +530,7 @@ def yd_braiding(hopf: FinDimHopf, a: YDModule, b: YDModule) -> Matrix:
     out = Matrix.zero(ctx, db * da, da * db)
     entries = out.entries
     for v in range(da):
-        for y, v0, c in a.comodule.coaction_terms(v):
+        for y, v0, c in a.comodule.coaction[v]:
             m = b.module.action[y]
             for xi in range(db):
                 for x0 in range(db):

@@ -33,7 +33,8 @@ from .braiding import (
     braiding,
     check_comodule_algebra,
 )
-from .linalg import Matrix, rank, sparse_diff, vec_eq, zeros
+from .linalg import (Matrix, dense, nonzero, rank, sorted_terms, sparse_diff, unit_vector,
+                     vec_eq, zeros)
 from .reports import VerificationReport
 
 
@@ -62,22 +63,10 @@ def q_binomial(ctx: FieldContext, q: Scalar, a: int, i: int) -> Scalar:
 def group_algebra_cn(n: int) -> FinDimHopf:
     """Group algebra of the cyclic group of order n; grouplike basis."""
     ctx = make_field(n)
-    z, o = ctx.zero(), ctx.one()
-    mult = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            vec = [z] * n
-            vec[(i + j) % n] = o
-            mult[i][j] = vec
-    unit = [z] * n
-    unit[0] = o
-    alg = FinDimAlgebra(ctx, n, mult, unit)
-    comult = []
-    for i in range(n):
-        mat = [[z] * n for _ in range(n)]
-        mat[i][i] = o
-        comult.append(mat)
-    coa = FinDimCoalgebra(ctx, n, comult, [o] * n)
+    o = ctx.one()
+    alg = FinDimAlgebra(ctx, n, [[[((i + j) % n, o)] for j in range(n)] for i in range(n)],
+                        unit_vector(ctx, n, 0))
+    coa = FinDimCoalgebra(ctx, n, [[(i, i, o)] for i in range(n)], [o] * n)
     antipode = solve_antipode(alg, coa)
     return FinDimHopf(alg, coa, antipode)
 
@@ -145,8 +134,8 @@ def _braided_square_product(h_alg: FinDimAlgebra, sigma: Matrix,
                 if s.is_zero():
                     continue
                 kk, jj = row // n, row % n
-                for p, m1 in h_alg.mult_sparse(i, kk):
-                    for q, m2 in h_alg.mult_sparse(jj, l):
+                for p, m1 in h_alg.mult[i][kk]:
+                    for q, m2 in h_alg.mult[jj][l]:
                         key = (p, q)
                         out[key] = out.get(key, z) + c0 * s * m1 * m2
     return {k: v for k, v in out.items() if not v.is_zero()}
@@ -163,16 +152,8 @@ def braided_line(n: int) -> BraidedHopf:
     z, o = ctx.zero(), ctx.one()
     q = zeta_power(ctx, 1)
 
-    mult = [[None] * n for _ in range(n)]
-    for a in range(n):
-        for c in range(n):
-            vec = [z] * n
-            if a + c < n:
-                vec[a + c] = o
-            mult[a][c] = vec
-    unit = [z] * n
-    unit[0] = o
-    alg = FinDimAlgebra(ctx, n, mult, unit)
+    mult = [[[(a + c, o)] if a + c < n else [] for c in range(n)] for a in range(n)]
+    alg = FinDimAlgebra(ctx, n, mult, unit_vector(ctx, n, 0))
 
     action = []
     for b in range(n):
@@ -195,18 +176,14 @@ def braided_line(n: int) -> BraidedHopf:
 
     comult = []
     for a in range(n):
-        mat = [[z] * n for _ in range(n)]
-        for (i, j), c in deltas[a].items():
-            mat[i][j] = c
-        comult.append(mat)
-        for i in range(n):
-            for j in range(n):
-                expect = q_binomial(ctx, q, a, i) if (i + j == a) else z
-                if not (mat[i][j] - expect).is_zero():
-                    raise ConstructionError(
-                        f"coproduct coefficient at x^{a} -> x^{i} x x^{j} "
-                        "does not match the Gaussian binomial"
-                    )
+        expect = {(i, a - i): q_binomial(ctx, q, a, i) for i in range(a + 1)}
+        key = sparse_diff(deltas[a], expect, ctx)
+        if key is not None:
+            raise ConstructionError(
+                f"coproduct coefficient at x^{a} -> x^{key[0]} x x^{key[1]} "
+                "does not match the Gaussian binomial"
+            )
+        comult.append([(i, j, c) for (i, j), c in sorted_terms(deltas[a])])
     counit = [o if a == 0 else z for a in range(n)]
     coa = FinDimCoalgebra(ctx, n, comult, counit)
     antipode = solve_antipode(alg, coa)
@@ -228,12 +205,11 @@ def check_braided_hopf(h: BraidedHopf, report: VerificationReport | None = None,
             for i in range(n):
                 for j in range(n):
                     # t.(x_i x_j) via Delta_T against (t.x_i)(t.x_j)
-                    lhs = act.apply(h.algebra.mult[i][j])
+                    lhs = act.apply_terms(h.algebra.mult[i][j])
                     rhs = zeros(ctx, n)
-                    for t1, t2, c in t.coalgebra.delta_terms(b):
-                        vi = [h.tmodule.action[t1][r, i] for r in range(n)]
-                        vj = [h.tmodule.action[t2][r, j] for r in range(n)]
-                        w = h.algebra.mult_vec(vi, vj)
+                    for t1, t2, c in t.coalgebra.comult[b]:
+                        w = h.algebra.mult_vec(h.tmodule.action[t1].col(i),
+                                               h.tmodule.action[t2].col(j))
                         for k in range(n):
                             if not w[k].is_zero():
                                 rhs[k] = rhs[k] + c * w[k]
@@ -244,21 +220,16 @@ def check_braided_hopf(h: BraidedHopf, report: VerificationReport | None = None,
         for b in range(t.dim):
             act = h.tmodule.action[b]
             for i in range(n):
-                vi = [act[r, i] for r in range(n)]
-                lhs = h.coalgebra.delta_vec(vi)
+                lhs = h.coalgebra.delta_vec(nonzero(act.col(i)))
                 rhs: dict = {}
-                for t1, t2, c in t.coalgebra.delta_terms(b):
-                    for p, qq, d in h.coalgebra.delta_terms(i):
-                        vp = [h.tmodule.action[t1][r, p] for r in range(n)]
-                        vq = [h.tmodule.action[t2][r, qq] for r in range(n)]
-                        for a1, x1 in enumerate(vp):
-                            if x1.is_zero():
-                                continue
-                            for a2, x2 in enumerate(vq):
-                                if not x2.is_zero():
-                                    key = (a1, a2)
-                                    add = c * d * x1 * x2
-                                    rhs[key] = rhs.get(key, ctx.zero()) + add
+                for t1, t2, c in t.coalgebra.comult[b]:
+                    for p, qq, d in h.coalgebra.comult[i]:
+                        vq = nonzero(h.tmodule.action[t2].col(qq))
+                        for a1, x1 in nonzero(h.tmodule.action[t1].col(p)):
+                            for a2, x2 in vq:
+                                key = (a1, a2)
+                                add = c * d * x1 * x2
+                                rhs[key] = rhs.get(key, ctx.zero()) + add
                 if sparse_diff(lhs, rhs, ctx) is not None:
                     yield {"t_index": b, "index": i}
 
@@ -267,8 +238,8 @@ def check_braided_hopf(h: BraidedHopf, report: VerificationReport | None = None,
         for i in range(n):
             for j in range(n):
                 lhs = h.coalgebra.delta_vec(h.algebra.mult[i][j])
-                di = {(a, b2): c for a, b2, c in h.coalgebra.delta_terms(i)}
-                dj = {(a, b2): c for a, b2, c in h.coalgebra.delta_terms(j)}
+                di = {(a, b2): c for a, b2, c in h.coalgebra.comult[i]}
+                dj = {(a, b2): c for a, b2, c in h.coalgebra.comult[j]}
                 rhs = _braided_square_product(h.algebra, sigma, di, dj)
                 if sparse_diff(lhs, rhs, ctx) is not None:
                     yield {"pair": [i, j]}
@@ -295,43 +266,32 @@ def bosonization(h: BraidedHopf, t: FinDimHopf, r: RMatrix) -> FinDimHopf:
         for b in range(nt):
             for c in range(nh):
                 for d in range(nt):
-                    vec = [z] * dim
-                    for t1, t2, cc in t.coalgebra.delta_terms(b):
-                        ty = [h.tmodule.action[t1][rr, c] for rr in range(nh)]
-                        hy = h.algebra.mult_vec(h.algebra.basis_vec(a), ty)
-                        tr = t.algebra.mult_sparse(t2, d)
-                        for p, hp in enumerate(hy):
-                            if hp.is_zero():
-                                continue
-                            for qq, mq in tr:
-                                vec[p * nt + qq] = vec[p * nt + qq] + cc * hp * mq
-                    mult[a * nt + b][c * nt + d] = vec
-    unit = [z] * dim
-    for p, cp in enumerate(h.algebra.unit):
-        if cp.is_zero():
-            continue
-        for qq, cq in enumerate(t.algebra.unit):
-            if not cq.is_zero():
-                unit[p * nt + qq] = cp * cq
+                    acc: dict[int, Scalar] = {}
+                    for t1, t2, cc in t.coalgebra.comult[b]:
+                        hy = h.algebra.mult_vec(h.algebra.basis_vec(a), h.tmodule.action[t1].col(c))
+                        for p, hp in nonzero(hy):
+                            for qq, mq in t.algebra.mult[t2][d]:
+                                acc[p * nt + qq] = acc.get(p * nt + qq, z) + cc * hp * mq
+                    mult[a * nt + b][c * nt + d] = sorted_terms(acc)
+    unit = dense(ctx, dim, [(p * nt + qq, cp * cq) for p, cp in nonzero(h.algebra.unit)
+                            for qq, cq in nonzero(t.algebra.unit)])
     alg = FinDimAlgebra(ctx, dim, mult, unit)
 
     comult = []
+    rterms = r.terms()
     for a in range(nh):
         for b in range(nt):
-            mat = [[z] * dim for _ in range(dim)]
-            for h1, h2, c1 in h.coalgebra.delta_terms(a):
-                for t1, t2, c2 in t.coalgebra.delta_terms(b):
-                    for ri, rj, cr in r.terms():
+            delta: dict[tuple[int, int], Scalar] = {}
+            for h1, h2, c1 in h.coalgebra.comult[a]:
+                for t1, t2, c2 in t.coalgebra.comult[b]:
+                    for ri, rj, cr in rterms:
                         coeff = c1 * c2 * cr
-                        left_t = t.algebra.mult_sparse(rj, t1)
-                        right_h = [h.tmodule.action[ri][rr, h2] for rr in range(nh)]
-                        for tt1, m1 in left_t:
-                            row = h1 * nt + tt1
-                            for hh2, m2 in enumerate(right_h):
-                                if not m2.is_zero():
-                                    col = hh2 * nt + t2
-                                    mat[row][col] = mat[row][col] + coeff * m1 * m2
-            comult.append(mat)
+                        right_h = nonzero(h.tmodule.action[ri].col(h2))
+                        for tt1, m1 in t.algebra.mult[rj][t1]:
+                            for hh2, m2 in right_h:
+                                key = (h1 * nt + tt1, hh2 * nt + t2)
+                                delta[key] = delta.get(key, z) + coeff * m1 * m2
+            comult.append([(row, col, c) for (row, col), c in sorted_terms(delta)])
     counit = []
     for a in range(nh):
         for b in range(nt):
@@ -391,7 +351,7 @@ def check_hopf_morphism(source: FinDimHopf, target: FinDimHopf, phi: Matrix,
     def comultiplicative():
         for i in range(source.dim):
             lhs: dict = {}
-            for j, k, c in source.coalgebra.delta_terms(i):
+            for j, k, c in source.coalgebra.comult[i]:
                 pj, pk = image(j), image(k)
                 for a, xa in enumerate(pj):
                     if xa.is_zero():
@@ -400,19 +360,19 @@ def check_hopf_morphism(source: FinDimHopf, target: FinDimHopf, phi: Matrix,
                         if not xb.is_zero():
                             key = (a, b)
                             lhs[key] = lhs.get(key, z) + c * xa * xb
-            if sparse_diff(lhs, target.coalgebra.delta_vec(image(i)), ctx) is not None:
+            if sparse_diff(lhs, target.coalgebra.delta_vec(nonzero(image(i))), ctx) is not None:
                 yield {"index": i}
 
     rep.check(f"{prefix}/multiplicative", (
         {"pair": [i, j]} for i in range(source.dim) for j in range(source.dim)
-        if not vec_eq(phi.apply(source.algebra.mult[i][j]),
+        if not vec_eq(phi.apply_terms(source.algebra.mult[i][j]),
                       target.algebra.mult_vec(image(i), image(j)))))
     ok = vec_eq(phi.apply(source.algebra.unit), target.algebra.unit)
     rep.add(f"{prefix}/unit", ok, None if ok else {})
     rep.check(f"{prefix}/comultiplicative", comultiplicative())
     rep.check(f"{prefix}/counit", (
         {"index": i} for i in range(source.dim)
-        if not (source.coalgebra.counit[i] - target.coalgebra.counit_vec(image(i))).is_zero()))
+        if source.coalgebra.counit[i] != target.coalgebra.counit_vec(nonzero(image(i)))))
     rep.check(f"{prefix}/antipode", (
         {"index": i} for i in range(source.dim)
         if not vec_eq(phi.apply(source.antipode_vec(source.algebra.basis_vec(i))),
@@ -451,10 +411,10 @@ def taft_presentation_check(b: FinDimHopf, n: int,
 
     gx = alg.mult_vec(g, x)
     xg = alg.mult_vec(x, g)
-    ok = all((a - q * c).is_zero() for a, c in zip(gx, xg))
+    ok = all(a == q * c for a, c in zip(gx, xg))
     rep.add(f"{prefix}/relation-commutation", ok, None if ok else {"relation": "gx = q xg"})
 
-    dg = b.coalgebra.delta_vec(g)
+    dg = b.coalgebra.delta_vec(nonzero(g))
     expect: dict = {}
     for i, gi in enumerate(g):
         if gi.is_zero():
@@ -466,7 +426,7 @@ def taft_presentation_check(b: FinDimHopf, n: int,
     rep.add(f"{prefix}/coproduct-grouplike", ok, None if ok else {"element": "g"})
 
     if n > 1:
-        dx = b.coalgebra.delta_vec(x)
+        dx = b.coalgebra.delta_vec(nonzero(x))
         expect = {}
         for i, xi in enumerate(x):
             if xi.is_zero():
@@ -506,7 +466,7 @@ def taft_presentation_check(b: FinDimHopf, n: int,
 class ComoduleAlgebraK(ComoduleAlgebra):
     """K(d, xi): generators h, w with h^d = 1, hw = q^m wh, w^n = xi."""
 
-    def __init__(self, hopf: FinDimHopf, algebra: FinDimAlgebra, coaction: Matrix,
+    def __init__(self, hopf: FinDimHopf, algebra: FinDimAlgebra, coaction,
                  n: int, d: int, xi: Fraction):
         generators = []
         if d > 1:
@@ -530,8 +490,8 @@ def _tensor2_mult(alg_a: FinDimAlgebra, alg_b: FinDimAlgebra, x: dict, y: dict) 
     for (i, j), cx in x.items():
         for (k, l), cy in y.items():
             c0 = cx * cy
-            for p, m1 in alg_a.mult_sparse(i, k):
-                for qq, m2 in alg_b.mult_sparse(j, l):
+            for p, m1 in alg_a.mult[i][k]:
+                for qq, m2 in alg_b.mult[j][l]:
                     key = (p, qq)
                     out[key] = out.get(key, z) + c0 * m1 * m2
     return {k: v for k, v in out.items() if not v.is_zero()}
@@ -549,7 +509,7 @@ def comodule_algebra_K(n: int, d: int, xi) -> ComoduleAlgebraK:
     taft = model.taft
     m = n // d
     dim = d * n
-    z, o = ctx.zero(), ctx.one()
+    o = ctx.one()
 
     def idx(a: int, b: int) -> int:
         return (a % d) * n + (b % n)
@@ -560,15 +520,11 @@ def comodule_algebra_K(n: int, d: int, xi) -> ComoduleAlgebraK:
         for b in range(n):
             for c in range(d):
                 for e in range(n):
-                    vec = [z] * dim
                     coeff = zeta_power(ctx, (-m * b * c) % n)
                     if b + e >= n:
                         coeff = coeff * xi_s
-                    vec[idx(a + c, b + e)] = coeff
-                    mult[idx(a, b)][idx(c, e)] = vec
-    unit = [z] * dim
-    unit[0] = o
-    alg = FinDimAlgebra(ctx, dim, mult, unit)
+                    mult[idx(a, b)][idx(c, e)] = [] if coeff.is_zero() else [(idx(a + c, b + e), coeff)]
+    alg = FinDimAlgebra(ctx, dim, mult, unit_vector(ctx, dim, 0))
 
     # generator coactions inside Taft x K
     lam_h = {(model.x_index(0, m % n), idx(1, 0)): o}
@@ -583,13 +539,9 @@ def comodule_algebra_K(n: int, d: int, xi) -> ComoduleAlgebraK:
     for b in range(1, n):
         w_pows.append(_tensor2_mult(taft.algebra, alg, w_pows[b - 1], lam_w))
 
-    coaction = Matrix.zero(ctx, taft.dim * dim, dim)
-    for a in range(d):
-        for b in range(n):
-            col = idx(a, b)
-            terms = _tensor2_mult(taft.algebra, alg, h_pows[a], w_pows[b])
-            for (y, p), c in terms.items():
-                coaction.entries[(y * dim + p) * dim + col] = c
+    coaction = [[(y, p, c) for (y, p), c in
+                 sorted_terms(_tensor2_mult(taft.algebra, alg, h_pows[a], w_pows[b]))]
+                for a in range(d) for b in range(n)]
 
     k = ComoduleAlgebraK(taft, alg, coaction, n, d, xi)
     rep = check_comodule_algebra(k)
@@ -603,10 +555,8 @@ def trivial_comodule_algebra(n: int) -> ComoduleAlgebra:
     """K = k with lambda(1) = 1 x 1."""
     model = taft_model(n)
     ctx = model.ctx
-    alg = FinDimAlgebra(ctx, 1, [[[ctx.one()]]], [ctx.one()])
-    coaction = Matrix.zero(ctx, model.taft.dim, 1)
-    for y, cy in enumerate(model.taft.algebra.unit):
-        coaction.entries[y] = cy
+    alg = FinDimAlgebra(ctx, 1, [[[(0, ctx.one())]]], [ctx.one()])
+    coaction = [[(y, 0, cy) for y, cy in nonzero(model.taft.algebra.unit)]]
     k = ComoduleAlgebra(model.taft, alg, coaction, name="k1")
     rep = check_comodule_algebra(k)
     if not rep.ok:
@@ -618,14 +568,9 @@ def regular_comodule_algebra(n: int) -> ComoduleAlgebra:
     """K = the bosonization itself with lambda = Delta."""
     model = taft_model(n)
     taft = model.taft
-    ctx = model.ctx
-    dim = taft.dim
-    coaction = Matrix.zero(ctx, dim * dim, dim)
-    for i in range(dim):
-        for j, k, c in taft.coalgebra.delta_terms(i):
-            coaction.entries[(j * dim + k) * dim + i] = c
     gens = [model.x_index(1, 0), model.x_index(0, 1)] if n > 1 else []
-    k = ComoduleAlgebra(taft, taft.algebra, coaction, name="regular", generators=gens)
+    k = ComoduleAlgebra(taft, taft.algebra, taft.coalgebra.comult, name="regular",
+                        generators=gens)
     rep = check_comodule_algebra(k)
     if not rep.ok:
         raise ConstructionError("regular comodule algebra failed verification")
@@ -639,20 +584,10 @@ def coideal_comodule_algebra(n: int, d: int) -> ComoduleAlgebra:
     model = taft_model(n)
     ctx = model.ctx
     m = n // d
-    z, o = ctx.zero(), ctx.one()
-    mult = [[None] * d for _ in range(d)]
-    for i in range(d):
-        for j in range(d):
-            vec = [z] * d
-            vec[(i + j) % d] = o
-            mult[i][j] = vec
-    unit = [z] * d
-    unit[0] = o
-    alg = FinDimAlgebra(ctx, d, mult, unit)
-    coaction = Matrix.zero(ctx, model.taft.dim * d, d)
-    for a in range(d):
-        y = model.x_index(0, (m * a) % n)
-        coaction.entries[(y * d + a) * d + a] = o
+    o = ctx.one()
+    alg = FinDimAlgebra(ctx, d, [[[((i + j) % d, o)] for j in range(d)] for i in range(d)],
+                        unit_vector(ctx, d, 0))
+    coaction = [[(model.x_index(0, (m * a) % n), a, o)] for a in range(d)]
     k = ComoduleAlgebra(model.taft, alg, coaction, name=f"kC_{d}",
                         generators=[1] if d > 1 else [])
     rep = check_comodule_algebra(k)

@@ -117,7 +117,7 @@ class Scalar:
         self.coords = coords
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.coords)
 
     def is_one(self) -> bool:
         return self.coords[0] == 1 and all(c == 0 for c in self.coords[1:])

@@ -2,16 +2,17 @@
 structure constants, with exhaustive axiom checkers and antipode
 solving.
 
-Structure constants are stored densely; checkers iterate over all basis
-tuples and report exact pass/fail with witnesses.  Antipodes are never
-transcribed from formulas: they are solved from the convolution
-identity, which independently validates every construction.
+Structure constants are stored once, as sorted zero-free term lists;
+checkers iterate over all basis tuples and report exact pass/fail with
+witnesses.  Antipodes are never transcribed from formulas: they are
+solved from the convolution identity, which independently validates
+every construction.
 """
 
 from __future__ import annotations
 
 from .cyclotomic import FieldContext, Scalar
-from .linalg import Matrix, rref, sparse_diff, unit_vector, vec_eq, zeros
+from .linalg import Matrix, dense, nonzero, rref, sparse_diff, unit_vector, vec_eq, zeros
 from .reports import VerificationReport
 
 
@@ -20,33 +21,23 @@ class NoAntipodeError(Exception):
 
 
 class FinDimAlgebra:
-    """Algebra with mult[i][j] = coordinates of e_i * e_j."""
+    """Algebra with mult[i][j] the term list [(k, c), ...] of e_i * e_j:
+    ascending in k, no zero coefficient."""
 
     def __init__(self, ctx: FieldContext, dim: int, mult, unit):
         self.ctx = ctx
         self.dim = dim
         self.mult = mult
         self.unit = list(unit)
-        self._sparse: dict[tuple[int, int], list[tuple[int, Scalar]]] = {}
-
-    def mult_sparse(self, i: int, j: int) -> list[tuple[int, Scalar]]:
-        key = (i, j)
-        cached = self._sparse.get(key)
-        if cached is None:
-            cached = [(k, c) for k, c in enumerate(self.mult[i][j]) if not c.is_zero()]
-            self._sparse[key] = cached
-        return cached
 
     def mult_vec(self, u: list[Scalar], v: list[Scalar]) -> list[Scalar]:
         out = zeros(self.ctx, self.dim)
-        for i, ui in enumerate(u):
-            if ui.is_zero():
-                continue
-            for j, vj in enumerate(v):
-                if vj.is_zero():
-                    continue
+        v_terms = nonzero(v)
+        for i, ui in nonzero(u):
+            row = self.mult[i]
+            for j, vj in v_terms:
                 c = ui * vj
-                for k, m in self.mult_sparse(i, j):
+                for k, m in row[j]:
                     out[k] = out[k] + c * m
         return out
 
@@ -54,55 +45,33 @@ class FinDimAlgebra:
         return unit_vector(self.ctx, self.dim, i)
 
     def left_mult_matrix(self, u: list[Scalar]) -> Matrix:
-        cols = [self.mult_vec(u, self.basis_vec(j)) for j in range(self.dim)]
-        entries = [cols[j][i] for i in range(self.dim) for j in range(self.dim)]
+        entries = zeros(self.ctx, self.dim * self.dim)
+        for i, ui in nonzero(u):
+            for j, terms in enumerate(self.mult[i]):
+                for k, m in terms:
+                    entries[k * self.dim + j] = entries[k * self.dim + j] + ui * m
         return Matrix(self.ctx, self.dim, self.dim, entries)
-
-    def right_mult_matrix(self, u: list[Scalar]) -> Matrix:
-        cols = [self.mult_vec(self.basis_vec(j), u) for j in range(self.dim)]
-        entries = [cols[j][i] for i in range(self.dim) for j in range(self.dim)]
-        return Matrix(self.ctx, self.dim, self.dim, entries)
-
-    def to_jsonable(self):
-        return {
-            "dim": self.dim,
-            "mult": self.mult,
-            "unit": self.unit,
-        }
 
 
 class FinDimCoalgebra:
-    """Coalgebra with comult[i][j][k] the coefficient of e_j x e_k in
-    Delta(e_i); counit is a linear functional on the basis."""
+    """Coalgebra with comult[i] the term list [(j, k, c), ...] of
+    Delta(e_i), the coefficient c of e_j x e_k: ascending in (j, k), no
+    zero coefficient.  counit is a linear functional on the basis."""
 
     def __init__(self, ctx: FieldContext, dim: int, comult, counit):
         self.ctx = ctx
         self.dim = dim
         self.comult = comult
         self.counit = list(counit)
-        self._delta: dict[int, list[tuple[int, int, Scalar]]] = {}
         self._delta2: dict[int, list[tuple[int, int, int, Scalar]]] = {}
-
-    def delta_terms(self, i: int) -> list[tuple[int, int, Scalar]]:
-        cached = self._delta.get(i)
-        if cached is None:
-            rows = self.comult[i]
-            cached = [
-                (j, k, rows[j][k])
-                for j in range(self.dim)
-                for k in range(self.dim)
-                if not rows[j][k].is_zero()
-            ]
-            self._delta[i] = cached
-        return cached
 
     def delta2_terms(self, i: int) -> list[tuple[int, int, int, Scalar]]:
         """Terms of (Delta x id) Delta(e_i)."""
         cached = self._delta2.get(i)
         if cached is None:
             acc: dict[tuple[int, int, int], Scalar] = {}
-            for j, k, c in self.delta_terms(i):
-                for a, b, d in self.delta_terms(j):
+            for j, k, c in self.comult[i]:
+                for a, b, d in self.comult[j]:
                     key = (a, b, k)
                     coeff = c * d
                     if key in acc:
@@ -113,12 +82,12 @@ class FinDimCoalgebra:
             self._delta2[i] = cached
         return cached
 
-    def delta_vec(self, u: list[Scalar]) -> dict[tuple[int, int], Scalar]:
+    def delta_vec(self, terms) -> dict[tuple[int, int], Scalar]:
+        """Delta of the element with these (index, coefficient) terms, as
+        a sparse tensor without zeros."""
         acc: dict[tuple[int, int], Scalar] = {}
-        for i, ui in enumerate(u):
-            if ui.is_zero():
-                continue
-            for j, k, c in self.delta_terms(i):
+        for i, ui in terms:
+            for j, k, c in self.comult[i]:
                 key = (j, k)
                 coeff = ui * c
                 if key in acc:
@@ -127,19 +96,12 @@ class FinDimCoalgebra:
                     acc[key] = coeff
         return {k: v for k, v in acc.items() if not v.is_zero()}
 
-    def counit_vec(self, u: list[Scalar]) -> Scalar:
+    def counit_vec(self, terms) -> Scalar:
+        """The counit of the element with these (index, coefficient) terms."""
         out = self.ctx.zero()
-        for i, ui in enumerate(u):
-            if not ui.is_zero():
-                out = out + ui * self.counit[i]
+        for i, ui in terms:
+            out = out + ui * self.counit[i]
         return out
-
-    def to_jsonable(self):
-        return {
-            "dim": self.dim,
-            "comult": self.comult,
-            "counit": self.counit,
-        }
 
 
 class FinDimHopf:
@@ -164,11 +126,18 @@ class FinDimHopf:
         return self.antipode.apply(u)
 
     def to_jsonable(self):
+        ctx, dim = self.ctx, self.dim
+        comult = []
+        for terms in self.coalgebra.comult:
+            table = [zeros(ctx, dim) for _ in range(dim)]
+            for j, k, c in terms:
+                table[j][k] = c
+            comult.append(table)
         return {
-            "dim": self.dim,
-            "mult": self.algebra.mult,
+            "dim": dim,
+            "mult": [[dense(ctx, dim, terms) for terms in row] for row in self.algebra.mult],
             "unit": self.algebra.unit,
-            "comult": self.coalgebra.comult,
+            "comult": comult,
             "counit": self.coalgebra.counit,
             "antipode": self.antipode,
         }
@@ -179,15 +148,22 @@ def check_algebra(a: FinDimAlgebra, report: VerificationReport | None = None, pr
     rep = report if report is not None else VerificationReport()
 
     def associativity():
+        z = a.ctx.zero()
+        mult = a.mult
         for i in range(a.dim):
-            ei = a.basis_vec(i)
             for j in range(a.dim):
-                ij = a.mult[i][j]
                 for k in range(a.dim):
-                    lhs = a.mult_vec(ij, a.basis_vec(k))
-                    rhs = a.mult_vec(ei, a.mult[j][k])
-                    if not vec_eq(lhs, rhs):
-                        yield {"triple": [i, j, k], "residual": [x - y for x, y in zip(lhs, rhs)]}
+                    lhs: dict[int, Scalar] = {}  # (e_i e_j) e_k
+                    for t, c in mult[i][j]:
+                        for s, d in mult[t][k]:
+                            lhs[s] = lhs.get(s, z) + c * d
+                    rhs: dict[int, Scalar] = {}  # e_i (e_j e_k)
+                    for t, c in mult[j][k]:
+                        for s, d in mult[i][t]:
+                            rhs[s] = rhs.get(s, z) + c * d
+                    if sparse_diff(lhs, rhs, a.ctx) is not None:
+                        yield {"triple": [i, j, k],
+                               "residual": [lhs.get(s, z) - rhs.get(s, z) for s in range(a.dim)]}
 
     def unit_laws():
         for i in range(a.dim):
@@ -208,13 +184,13 @@ def check_coalgebra(c: FinDimCoalgebra, report: VerificationReport | None = None
     def coassociativity():
         for i in range(c.dim):
             left: dict[tuple[int, int, int], Scalar] = {}
-            for j, k, coeff in c.delta_terms(i):
-                for a, b, d in c.delta_terms(j):
+            for j, k, coeff in c.comult[i]:
+                for a, b, d in c.comult[j]:
                     key = (a, b, k)
                     left[key] = left.get(key, z) + coeff * d
             right: dict[tuple[int, int, int], Scalar] = {}
-            for j, k, coeff in c.delta_terms(i):
-                for a, b, d in c.delta_terms(k):
+            for j, k, coeff in c.comult[i]:
+                for a, b, d in c.comult[k]:
                     key = (j, a, b)
                     right[key] = right.get(key, z) + coeff * d
             key = sparse_diff(left, right, c.ctx)
@@ -225,7 +201,7 @@ def check_coalgebra(c: FinDimCoalgebra, report: VerificationReport | None = None
         for i in range(c.dim):
             lvec = zeros(c.ctx, c.dim)
             rvec = zeros(c.ctx, c.dim)
-            for j, k, coeff in c.delta_terms(i):
+            for j, k, coeff in c.comult[i]:
                 lvec[k] = lvec[k] + coeff * c.counit[j]
                 rvec[j] = rvec[j] + coeff * c.counit[k]
             ei = unit_vector(c.ctx, c.dim, i)
@@ -250,11 +226,11 @@ def check_bialgebra(a: FinDimAlgebra, c: FinDimCoalgebra, report: VerificationRe
             for j in range(a.dim):
                 lhs = c.delta_vec(a.mult[i][j])
                 rhs: dict[tuple[int, int], Scalar] = {}
-                for p, q, cc in c.delta_terms(i):
-                    for r, s, dd in c.delta_terms(j):
+                for p, q, cc in c.comult[i]:
+                    for r, s, dd in c.comult[j]:
                         coeff = cc * dd
-                        for x, m1 in a.mult_sparse(p, r):
-                            for y, m2 in a.mult_sparse(q, s):
+                        for x, m1 in a.mult[p][r]:
+                            for y, m2 in a.mult[q][s]:
                                 key = (x, y)
                                 rhs[key] = rhs.get(key, z) + coeff * m1 * m2
                 key = sparse_diff(lhs, rhs, a.ctx)
@@ -262,23 +238,18 @@ def check_bialgebra(a: FinDimAlgebra, c: FinDimCoalgebra, report: VerificationRe
                     yield {"pair": [i, j], "tensor_index": list(key)}
 
     def comult_unit():
-        expect: dict[tuple[int, int], Scalar] = {}
-        for i, ui in enumerate(a.unit):
-            if ui.is_zero():
-                continue
-            for j, uj in enumerate(a.unit):
-                if not uj.is_zero():
-                    expect[(i, j)] = ui * uj
-        key = sparse_diff(c.delta_vec(a.unit), expect, a.ctx)
+        unit = nonzero(a.unit)
+        expect = {(i, j): ui * uj for i, ui in unit for j, uj in unit}
+        key = sparse_diff(c.delta_vec(unit), expect, a.ctx)
         if key is not None:
             yield {"tensor_index": list(key)}
 
     def counit_multiplicative():
         for i in range(a.dim):
             for j in range(a.dim):
-                if not (c.counit_vec(a.mult[i][j]) - c.counit[i] * c.counit[j]).is_zero():
+                if c.counit_vec(a.mult[i][j]) != c.counit[i] * c.counit[j]:
                     yield {"pair": [i, j]}
-        if not (c.counit_vec(a.unit) - a.ctx.one()).is_zero():
+        if c.counit_vec(nonzero(a.unit)) != a.ctx.one():
             yield {"pair": "unit"}
 
     rep.check(f"{prefix}/comult-multiplicative", comult_multiplicative())
@@ -292,7 +263,7 @@ def convolution_failures(a: FinDimAlgebra, c: FinDimCoalgebra, s: Matrix, side: 
     (side="left") or m(id x S)Delta = u eps fails."""
     for i in range(a.dim):
         acc = zeros(a.ctx, a.dim)
-        for j, k, coeff in c.delta_terms(i):
+        for j, k, coeff in c.comult[i]:
             if side == "left":
                 sv = [s[l, j] for l in range(a.dim)]
                 term = a.mult_vec(sv, a.basis_vec(k))
@@ -320,9 +291,9 @@ def solve_antipode(a: FinDimAlgebra, c: FinDimCoalgebra) -> Matrix:
     z = ctx.zero()
     for i in range(dim):
         coeffs: dict[tuple[int, int, int], Scalar] = {}
-        for j, k, coeff in c.delta_terms(i):
+        for j, k, coeff in c.comult[i]:
             for l in range(dim):
-                for p, m in a.mult_sparse(l, k):
+                for p, m in a.mult[l][k]:
                     key = (p, l, j)
                     coeffs[key] = coeffs.get(key, z) + coeff * m
         for p in range(dim):
@@ -358,42 +329,19 @@ def tensor_algebra(a: FinDimAlgebra, b: FinDimAlgebra) -> FinDimAlgebra:
     """Componentwise product on basis e_i x f_j with kron indexing."""
     if a.ctx.conductor != b.ctx.conductor:
         raise ValueError("mixed field contexts")
-    ctx = a.ctx
-    dim = a.dim * b.dim
-    mult = [[None] * dim for _ in range(dim)]
-    for i in range(a.dim):
-        for j in range(b.dim):
-            for k in range(a.dim):
-                for l in range(b.dim):
-                    va = a.mult[i][k]
-                    vb = b.mult[j][l]
-                    vec = zeros(ctx, dim)
-                    for p, ca in enumerate(va):
-                        if ca.is_zero():
-                            continue
-                        for q, cb in enumerate(vb):
-                            if not cb.is_zero():
-                                vec[p * b.dim + q] = ca * cb
-                    mult[i * b.dim + j][k * b.dim + l] = vec
-    unit = zeros(ctx, dim)
-    for p, ca in enumerate(a.unit):
-        if ca.is_zero():
-            continue
-        for q, cb in enumerate(b.unit):
-            if not cb.is_zero():
-                unit[p * b.dim + q] = ca * cb
-    return FinDimAlgebra(ctx, dim, mult, unit)
+    nb = b.dim
+    mult = [[[(p * nb + q, ca * cb) for p, ca in a.mult[i][k] for q, cb in b.mult[j][l]]
+             for k in range(a.dim) for l in range(nb)]
+            for i in range(a.dim) for j in range(nb)]
+    unit = dense(a.ctx, a.dim * nb, [(p * nb + q, ca * cb) for p, ca in nonzero(a.unit)
+                                     for q, cb in nonzero(b.unit)])
+    return FinDimAlgebra(a.ctx, a.dim * nb, mult, unit)
 
 
 def dual_algebra(c: FinDimCoalgebra) -> FinDimAlgebra:
     """Convolution algebra on the dual basis; the unit is the counit."""
-    ctx = c.ctx
-    dim = c.dim
-    mult = [[None] * dim for _ in range(dim)]
-    for i in range(dim):
-        for j in range(dim):
-            vec = zeros(ctx, dim)
-            for k in range(dim):
-                vec[k] = c.comult[k][i][j]
-            mult[i][j] = vec
-    return FinDimAlgebra(ctx, dim, mult, list(c.counit))
+    mult = [[[] for _ in range(c.dim)] for _ in range(c.dim)]
+    for k, terms in enumerate(c.comult):
+        for i, j, coeff in terms:
+            mult[i][j].append((k, coeff))
+    return FinDimAlgebra(c.ctx, c.dim, mult, list(c.counit))

@@ -21,9 +21,30 @@ def unit_vector(ctx: FieldContext, n: int, i: int) -> list[Scalar]:
     return v
 
 
+def nonzero(v: list[Scalar]) -> list[tuple[int, Scalar]]:
+    """The term list of a dense vector: its nonzero entries as
+    ascending (index, coefficient) pairs."""
+    return [(i, c) for i, c in enumerate(v) if not c.is_zero()]
+
+
+def dense(ctx: FieldContext, n: int, terms) -> list[Scalar]:
+    """The dense vector of length n with these (index, coefficient) terms."""
+    v = zeros(ctx, n)
+    for i, c in terms:
+        v[i] = c
+    return v
+
+
+def sorted_terms(acc: dict) -> list:
+    """The (key, coefficient) pairs of a sparse accumulator, ascending in
+    key, without zeros."""
+    return [(k, c) for k, c in sorted(acc.items()) if not c.is_zero()]
+
+
 def vec_eq(u: list[Scalar], v: list[Scalar]) -> bool:
-    """Dense vectors agree entrywise (over the shorter length)."""
-    return all((a - b).is_zero() for a, b in zip(u, v))
+    """Dense vectors agree entrywise (over the shorter length).  Power-basis
+    coordinates are canonical, so equal scalars have equal coordinates."""
+    return all(a.coords == b.coords for a, b in zip(u, v))
 
 
 def sparse_diff(x: dict, y: dict, ctx: FieldContext):
@@ -31,7 +52,7 @@ def sparse_diff(x: dict, y: dict, ctx: FieldContext):
     vectors x and y differ, or None when they are equal."""
     z = ctx.zero()
     for key in set(x) | set(y):
-        if not (x.get(key, z) - y.get(key, z)).is_zero():
+        if x.get(key, z) != y.get(key, z):
             return key
     return None
 
@@ -146,11 +167,12 @@ class Matrix:
         """Matrix-vector product."""
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
-        z = self.ctx.zero()
-        out = [z] * self.rows
-        for k, vk in enumerate(vec):
-            if vk.is_zero():
-                continue
+        return self.apply_terms(nonzero(vec))
+
+    def apply_terms(self, terms) -> list[Scalar]:
+        """Matrix times the vector with these (index, coefficient) terms."""
+        out = [self.ctx.zero()] * self.rows
+        for k, vk in terms:
             for i in range(self.rows):
                 e = self.entries[i * self.cols + k]
                 if not e.is_zero():

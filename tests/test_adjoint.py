@@ -200,14 +200,8 @@ def test_connectedness_two_on_synthetic_direct_sum():
                     mm.entries[r * two + c] = e
                     mm.entries[(n + r) * two + (n + c)] = e
         action2.append(mm)
-    coaction2 = Matrix.zero(ctx, hopf.dim * two, two)
-    for y in range(hopf.dim):
-        for r in range(n):
-            for c in range(n):
-                e = alg.coaction[y * n + r, c]
-                if not e.is_zero():
-                    coaction2.entries[(y * two + r) * two + c] = e
-                    coaction2.entries[(y * two + n + r) * two + (n + c)] = e
+    coaction2 = (alg.coaction
+                 + [[(y, n + r, e) for y, r, e in terms] for terms in alg.coaction])
     assert invariant_coinvariant_dim(hopf, action2, coaction2) == 2
 
 

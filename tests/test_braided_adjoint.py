@@ -67,7 +67,7 @@ def test_mirrored_half_braiding_fails_at_n3():
     for h in range(n):
         for xx in range(dx):
             col = h * dx + xx
-            for h1, h2, c in line.coalgebra.delta_terms(h):
+            for h1, h2, c in line.coalgebra.comult[h]:
                 icol = h2 * dx + xx
                 for row in range(dx * n):
                     s = wrong_mid[row, icol]

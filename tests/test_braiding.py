@@ -150,13 +150,13 @@ def test_comodule_algebra_k21_passes():
 
 def test_comodule_algebra_with_dropped_term_fails():
     k = comodule_algebra_K(2, 2, 1)
-    coact = Matrix(k.algebra.ctx, k.coaction.rows, k.coaction.cols, list(k.coaction.entries))
     m = taft_model(2)
-    w_col = k.index(0, 1)
-    row = m.x_index(0, 1) * k.dim + k.index(0, 1)  # the g x w term of lambda(w)
-    assert not coact.entries[row * k.dim + w_col].is_zero()
-    coact.entries[row * k.dim + w_col] = k.algebra.ctx.zero()
-    broken = ComoduleAlgebra(m.taft, k.algebra, coact, name="broken")
+    w = k.index(0, 1)
+    g_w = (m.x_index(0, 1), w)  # the g x w term of lambda(w)
+    assert g_w in [(y, v0) for y, v0, _ in k.coaction[w]]
+    coaction = list(k.coaction)
+    coaction[w] = [t for t in coaction[w] if t[:2] != g_w]
+    broken = ComoduleAlgebra(m.taft, k.algebra, coaction, name="broken")
     rep = check_comodule_algebra(broken)
     assert not rep.ok
     assert any("multiplicative" in c.claim_id or "counit" in c.claim_id
@@ -169,10 +169,7 @@ def line_yd_module(n):
     m = taft_model(n)
     t = m.t_hopf
     ctx = m.ctx
-    # rows are (t_index * dim_v + v_index)
-    coaction = Matrix.zero(ctx, n * n, n)
-    for a in range(n):
-        coaction.entries[((a % n) * n + a) * n + a] = ctx.one()
+    coaction = [[(a, a, ctx.one())] for a in range(n)]
     return YDModule(t, m.line.tmodule, ComoduleRep(t.coalgebra, n, coaction))
 
 
@@ -190,9 +187,7 @@ def test_yd_braiding_with_trivial_coaction_is_flip():
     ctx = m.ctx
     dim = 2
     triv_act = ModuleRep(t.algebra, dim, [Matrix.identity(ctx, dim)] * t.dim)
-    coaction = Matrix.zero(ctx, t.dim * dim, dim)
-    for v in range(dim):
-        coaction.entries[(0 * dim + v) * dim + v] = ctx.one()
+    coaction = [[(0, v, ctx.one())] for v in range(dim)]
     a = YDModule(t, triv_act, ComoduleRep(t.coalgebra, dim, coaction))
     c = yd_braiding(t, a, a)
     assert c == flip_matrix(ctx, dim, dim)
@@ -244,10 +239,10 @@ def test_yd_braiding_naturality_with_solved_morphisms():
             for w, cw in enumerate(img):
                 if cw.is_zero():
                     continue
-                for y, w0, cc in yd.comodule.coaction_terms(w):
+                for y, w0, cc in yd.comodule.coaction[w]:
                     acc[(y, w0)] = acc.get((y, w0), ctx.zero()) + cw * cc
             acc2 = {}
-            for y, v0, cc in yd.comodule.coaction_terms(v):
+            for y, v0, cc in yd.comodule.coaction[v]:
                 for w, cw in enumerate(f.col(v0)):
                     if not cw.is_zero():
                         acc2[(y, w)] = acc2.get((y, w), ctx.zero()) + cc * cw

@@ -5,6 +5,7 @@ import pytest
 from hopfadjoint.cyclotomic import make_field, zeta_power
 from hopfadjoint.hopf import check_bialgebra, check_hopf
 from hopfadjoint.braiding import check_comodule_algebra, check_rmatrix
+from hopfadjoint.linalg import nonzero
 from hopfadjoint.constructions import (
     auxiliary_comodule_algebras,
     bosonization,
@@ -59,15 +60,14 @@ def test_braided_line_coproducts():
     h3 = braided_line(3)
     ctx = h3.ctx
     q = zeta_power(ctx, 1)
-    # Delta(x) = x x 1 + 1 x x
-    assert h3.coalgebra.comult[1][1][0] == ctx.one()
-    assert h3.coalgebra.comult[1][0][1] == ctx.one()
+    o = ctx.one()
+    # Delta(x) = 1 x x + x x 1
+    assert h3.coalgebra.comult[1] == [(0, 1, o), (1, 0, o)]
     # Delta(x^2): coefficient of x x x is the Gaussian binomial (2 1)_q = 1 + q
-    got = h3.coalgebra.comult[2][1][1]
-    assert got == ctx.one() + q
-    assert got == gauss_binomial_oracle(ctx, q, 2, 1)
+    assert h3.coalgebra.comult[2] == [(0, 2, o), (1, 1, o + q), (2, 0, o)]
+    assert o + q == gauss_binomial_oracle(ctx, q, 2, 1)
     # Delta(x^0) = 1 x 1
-    assert h3.coalgebra.comult[0][0][0] == ctx.one()
+    assert h3.coalgebra.comult[0] == [(0, 0, o)]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -76,10 +76,9 @@ def test_braided_line_coefficients_match_oracle(n):
     ctx = h.ctx
     q = zeta_power(ctx, 1)
     for a in range(n):
-        for i in range(n):
-            for j in range(n):
-                expect = gauss_binomial_oracle(ctx, q, a, i) if i + j == a else ctx.zero()
-                assert h.coalgebra.comult[a][i][j] == expect
+        # Delta(x^a) has exactly the terms x^i x x^(a-i), in ascending order
+        expect = [(i, a - i, gauss_binomial_oracle(ctx, q, a, i)) for i in range(a + 1)]
+        assert h.coalgebra.comult[a] == expect
 
 
 def test_gaussian_binomials_vanish_at_the_order():
@@ -98,7 +97,7 @@ def test_braided_line_checker(n):
 def test_bosonization_coproduct_of_x():
     m = taft_model(2)
     # Delta(x#1) = x#1 x 1#1 + 1#g x x#1
-    terms = m.taft.coalgebra.delta_terms(m.x_index(1, 0))
+    terms = m.taft.coalgebra.comult[m.x_index(1, 0)]
     expect = {(m.x_index(1, 0), m.x_index(0, 0)), (m.x_index(0, 1), m.x_index(1, 0))}
     assert {(i, j) for i, j, _ in terms} == expect
     assert all(c.is_one() for _, _, c in terms)
@@ -141,7 +140,7 @@ def test_bosonization_antipode_matches_composite_formula(n):
             for ri, rj, cr in m.rmatrix.terms():
                 h0 = [line.tmodule.action[ri][r, a] for r in range(n)]
                 # S_T(g^rj g^b)
-                tprod = t.algebra.mult_sparse(rj, b)
+                tprod = t.algebra.mult[rj][b]
                 for tt, mt in tprod:
                     st = [t.antipode[l, tt] for l in range(n)]
                     for bb, cb in enumerate(st):
@@ -192,24 +191,24 @@ def test_k_coaction_square_consistency():
     ctx = m.ctx
     halg = m.taft.algebra
     w = k.index(0, 1)
-    lam_w = {(y, p): c for y, p, c in k.coaction_terms(w)}
+    lam_w = {(y, p): c for y, p, c in k.coaction[w]}
     sq = {}
     for (y1, p1), c1 in lam_w.items():
         for (y2, p2), c2 in lam_w.items():
-            for y, m1 in halg.mult_sparse(y1, y2):
-                for p, m2 in k.algebra.mult_sparse(p1, p2):
+            for y, m1 in halg.mult[y1][y2]:
+                for p, m2 in k.algebra.mult[p1][p2]:
                     key = (y, p)
                     sq[key] = sq.get(key, ctx.zero()) + c1 * c2 * m1 * m2
     sq = {kk: v for kk, v in sq.items() if not v.is_zero()}
     w2 = k.algebra.mult_vec(k.algebra.basis_vec(w), k.algebra.basis_vec(w))
     assert w2 == list(k.algebra.unit)  # w^2 = xi = 1
-    expect = {(y, p): c for (y, p), c in k.coaction_vec(w2).items()}
+    expect = {(y, p): c for (y, p), c in k.coaction_vec(nonzero(w2)).items()}
     assert sq == expect
 
 
 def test_k_unit_coaction():
     k = comodule_algebra_K(3, 3, 0)
-    cv = k.coaction_vec(k.algebra.unit)
+    cv = k.coaction_vec(nonzero(k.algebra.unit))
     assert cv == {(0, 0): k.algebra.ctx.one()}
 
 
@@ -245,7 +244,7 @@ def test_auxiliary_comodule_algebras():
 
 def test_trivial_comodule_unit_coaction():
     k = trivial_comodule_algebra(2)
-    assert k.coaction_vec(k.algebra.unit) == {(0, 0): k.algebra.ctx.one()}
+    assert k.coaction_vec(nonzero(k.algebra.unit)) == {(0, 0): k.algebra.ctx.one()}
 
 
 def test_projection_values_and_morphism():
@@ -266,7 +265,7 @@ def test_projection_multiplicative_all_pairs():
     taft, t = m.taft, m.t_hopf
     for i in range(taft.dim):
         for j in range(taft.dim):
-            lhs = pi.apply(taft.algebra.mult[i][j])
+            lhs = pi.apply_terms(taft.algebra.mult[i][j])
             rhs = t.algebra.mult_vec(pi.apply(taft.algebra.basis_vec(i)),
                                      pi.apply(taft.algebra.basis_vec(j)))
             assert lhs == rhs
@@ -283,3 +282,25 @@ def test_constructor_grid_passes_axioms():
             assert check_comodule_algebra(coideal_comodule_algebra(n, d)).ok
         assert check_comodule_algebra(regular_comodule_algebra(n)).ok
         assert check_comodule_algebra(trivial_comodule_algebra(n)).ok
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_structure_constants_are_sorted_zero_free_term_lists(n):
+    # every product, coproduct and coaction is stored once, as a term
+    # list strictly ascending in its indices and free of zero coefficients
+    m = taft_model(n)
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    comodule_algebras = [comodule_algebra_K(n, d, xi) for d in divisors for xi in (0, 1)]
+    comodule_algebras += [coideal_comodule_algebra(n, d) for d in divisors]
+    comodule_algebras += [regular_comodule_algebra(n), trivial_comodule_algebra(n)]
+    algebras = [m.taft.algebra, m.t_hopf.algebra, m.line.algebra]
+    algebras += [k.algebra for k in comodule_algebras]
+    term_lists = [terms for alg in algebras for row in alg.mult for terms in row]
+    for coalgebra in (m.taft.coalgebra, m.t_hopf.coalgebra, m.line.coalgebra):
+        term_lists += coalgebra.comult
+    for k in comodule_algebras:
+        term_lists += k.coaction
+    for terms in term_lists:
+        indices = [t[:-1] for t in terms]
+        assert all(a < b for a, b in zip(indices, indices[1:]))
+        assert not any(t[-1].is_zero() for t in terms)

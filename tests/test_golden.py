@@ -64,7 +64,7 @@ from hopfadjoint.hopf import (
     check_bialgebra,
     check_hopf,
 )
-from hopfadjoint.linalg import Matrix, kernel_basis
+from hopfadjoint.linalg import Matrix, kernel_basis, sorted_terms
 from hopfadjoint.reports import emit_json
 
 ADJOINT_N2 = ["adjoint", "--n", "2", "--d", "2", "--xi", "0"]
@@ -116,6 +116,18 @@ CLI_DIGESTS = {
         0,
         "8f86b7db7e99c436a1b5feccbb806c9bc4479ffa7966f28e3a40785eee34fe49",
     ),
+    # dense dim-16 product and coproduct tables
+    "taft-n4": (
+        ["taft", "--n", "4"],
+        0,
+        "a058486ebf7015e74522700022a61bbb57f08abc019e7d8ce758fad1321f61a1",
+    ),
+    # regular(3) with ad1,ad2,ad3, K(1,0), K(3,0) and chi0
+    "verify-adjoint-n3": (
+        ["verify", "--suite", "adjoint", "--n", "3"],
+        0,
+        "0e4b440fa486695b545c4960947042a4ffd74da12f2c1633497428974c8d2b42",
+    ),
     # solve/closure from the full pipeline: the ad1 kernel is not right-K-linear
     "adjoint-full-ad1": (
         ADJOINT_N2 + ["--conditions", "ad1", "--full"],
@@ -160,10 +172,10 @@ def comodule_algebra_with_dropped_term():
     """lambda(w) of K(2, 1) without its g x w term."""
     k = comodule_algebra_K(2, 2, 1)
     m = taft_model(2)
-    coact = Matrix(k.algebra.ctx, k.coaction.rows, k.coaction.cols, list(k.coaction.entries))
-    row = m.x_index(0, 1) * k.dim + k.index(0, 1)
-    coact.entries[row * k.dim + k.index(0, 1)] = k.algebra.ctx.zero()
-    return check_comodule_algebra(ComoduleAlgebra(m.taft, k.algebra, coact, name="broken"))
+    w = k.index(0, 1)
+    coaction = list(k.coaction)
+    coaction[w] = [t for t in coaction[w] if t[:2] != (m.x_index(0, 1), w)]
+    return check_comodule_algebra(ComoduleAlgebra(m.taft, k.algebra, coaction, name="broken"))
 
 
 def pi_dinatural_with_scrambled_module():
@@ -206,15 +218,25 @@ def _reversed(m: Matrix) -> Matrix:
     return Matrix(m.ctx, m.rows, m.cols, list(reversed(m.entries)))
 
 
+def _reversed_coaction(coaction, nh: int):
+    """The coaction whose (nh * n) x n matrix, rows y * n + i, is that of
+    coaction with its entries in reverse order."""
+    n = len(coaction)
+    return [sorted((nh - 1 - y, n - 1 - i, c) for y, i, c in terms)
+            for terms in reversed(coaction)]
+
+
 def hopf_with_perturbed_constants():
     """Taft n = 2 with one product doubled, one coproduct coefficient
     shifted and one counit value changed."""
     h = taft_model(2).taft
     ctx = h.ctx
     mult = [list(row) for row in h.algebra.mult]
-    mult[1][2] = [c + c for c in mult[1][2]]
-    comult = [[list(row) for row in m] for m in h.coalgebra.comult]
-    comult[3][1][2] = comult[3][1][2] + ctx.one()
+    mult[1][2] = [(k, c + c) for k, c in mult[1][2]]
+    comult = list(h.coalgebra.comult)
+    delta = {(j, k): c for j, k, c in comult[3]}
+    delta[(1, 2)] = delta.get((1, 2), ctx.zero()) + ctx.one()
+    comult[3] = [(j, k, c) for (j, k), c in sorted_terms(delta)]
     counit = list(h.coalgebra.counit)
     counit[2] = ctx.one()
     return check_hopf(FinDimHopf(FinDimAlgebra(ctx, h.dim, mult, h.algebra.unit),
@@ -245,7 +267,7 @@ def transport_with_scrambled_structure():
     m = taft_model(2)
     alg = solve_adjoint(problem_for(m, comodule_algebra_K(2, 2, 0), {"ad1", "ad3"}))
     alg.action[1], alg.action[2] = alg.action[2], alg.action[1]
-    alg.coaction = _reversed(alg.coaction)
+    alg.coaction = _reversed_coaction(alg.coaction, m.taft.dim)
     alg.product = list(reversed(alg.product))
     return phi_structure_transport(alg)
 
@@ -253,7 +275,7 @@ def transport_with_scrambled_structure():
 def relative_center_with_reversed_coaction():
     m = taft_model(2)
     alg = solve_adjoint(problem_for(m, regular_comodule_algebra(2), {"ad1", "ad2", "ad3"}))
-    alg.coaction = _reversed(alg.coaction)
+    alg.coaction = _reversed_coaction(alg.coaction, m.taft.dim)
     return verify_relative_center(alg, regular_module(m.t_hopf.algebra))
 
 
@@ -270,7 +292,7 @@ def braided_adjoint_with_swapped_action():
     alg = solve_adjoint(problem_for(m, regular_comodule_algebra(2), {"ad1", "ad2", "ad3"}))
     alg.product = list(reversed(alg.product))
     alg.unit_coords = list(reversed(alg.unit_coords))
-    alg.coaction = _reversed(alg.coaction)
+    alg.coaction = _reversed_coaction(alg.coaction, m.taft.dim)
     return regular_case_iso(alg, bad, rep)
 
 
