@@ -101,24 +101,20 @@ def half_braiding(had: HAdjoint, x: ModuleRep) -> Matrix:
     dx = x.dim
     inv = braiding(model.rmatrix, line.tmodule, t_restriction(model, x))
     # inv maps H x X -> X x H with rows (x_out * n + h_out), cols (h * dx + xx)
+    inv_cols = [nonzero(inv.col(j)) for j in range(inv.cols)]
+    act_cols = [[nonzero(act.col(j)) for j in range(dx)]
+                for act in (x.action[model.x_index(h1, 0)] for h1 in range(n))]
     out = Matrix.zero(ctx, dx * n, n * dx)
     for h in range(n):
         for xx in range(dx):
             col = h * dx + xx
             acc: dict[int, Scalar] = {}
             for h1, h2, c in line.coalgebra.comult[h]:
-                icol = h2 * dx + xx
-                for row in range(dx * n):
-                    s = inv[row, icol]
-                    if s.is_zero():
-                        continue
+                for row, s in inv_cols[h2 * dx + xx]:
                     x_mid, h_out = row // n, row % n
-                    act = x.action[model.x_index(h1, 0)]
-                    for x_out in range(dx):
-                        e = act[x_out, x_mid]
-                        if not e.is_zero():
-                            key = x_out * n + h_out
-                            acc[key] = acc.get(key, ctx.zero()) + c * s * e
+                    for x_out, e in act_cols[h1][x_mid]:
+                        key = x_out * n + h_out
+                        acc[key] = acc.get(key, ctx.zero()) + c * s * e
             for key, val in acc.items():
                 out.entries[key * (n * dx) + col] = val
     return out

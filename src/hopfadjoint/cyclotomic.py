@@ -41,7 +41,7 @@ def _cyclotomic_poly(n: int) -> tuple[Fraction, ...]:
 class FieldContext:
     """The field Q(zeta_n) with zeta_n a primitive n-th root of unity."""
 
-    __slots__ = ("conductor", "poly", "degree", "_reduction", "_zeta_cache")
+    __slots__ = ("conductor", "poly", "degree", "_reduction", "_zeta_cache", "_zero", "_one")
 
     def __init__(self, conductor: int, poly: tuple[Fraction, ...]):
         self.conductor = conductor
@@ -51,6 +51,9 @@ class FieldContext:
         self._reduction: list[tuple[Fraction, ...]] = []
         self._zeta_cache: dict[int, "Scalar"] = {}
         self._build_reduction()
+        # scalars are immutable, so every zero() and one() is one shared object
+        self._zero = self.from_rational(0)
+        self._one = self.from_rational(1)
 
     def _build_reduction(self) -> None:
         d = self.degree
@@ -85,10 +88,10 @@ class FieldContext:
         return Scalar(self, tuple(c))
 
     def zero(self) -> "Scalar":
-        return self.from_rational(0)
+        return self._zero
 
     def one(self) -> "Scalar":
-        return self.from_rational(1)
+        return self._one
 
 
 @lru_cache(maxsize=None)

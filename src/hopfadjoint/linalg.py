@@ -1,4 +1,4 @@
-"""Dense exact matrices over cyclotomic scalars.
+"""Exact matrices over cyclotomic scalars, eliminated on sparse rows.
 
 The vector helpers shared by every checker, row-reduced echelon form,
 kernels, subspace coordinates and Kronecker products; all arithmetic is
@@ -110,11 +110,13 @@ class Matrix:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
             return NotImplemented
-        return (
-            self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            return False
+        if self.ctx.conductor != other.ctx.conductor:
+            raise ValueError(
+                f"mixed field contexts: Q(zeta_{self.ctx.conductor}) vs Q(zeta_{other.ctx.conductor})"
+            )
+        return vec_eq(self.entries, other.entries)
 
     def __repr__(self) -> str:
         return f"Matrix({self.rows}x{self.cols} over Q(zeta_{self.ctx.conductor}))"
@@ -183,45 +185,89 @@ class Matrix:
         return all(e.is_zero() for e in self.entries)
 
 
-def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
-    """Row-reduced echelon form with pivots normalised to 1.
+def _sparse_rows(m: Matrix) -> list[dict[int, Scalar]]:
+    """The rows of m as zero-free {col: Scalar} dicts."""
+    e, nc = m.entries, m.cols
+    z = m.ctx.zero()  # the shared zero is skipped by identity, other zeros by value
+    return [{c: x for c, x in enumerate(e[i * nc : (i + 1) * nc]) if x is not z and any(x.coords)}
+            for i in range(m.rows)]
 
-    Pivot selection scans columns left to right and takes the first row
-    with a nonzero entry, so the result is deterministic.
+
+def _add_multiple(target: dict[int, Scalar], f: Scalar, source: dict[int, Scalar]) -> None:
+    """target += f * source in place, dropping the entries that cancel."""
+    for c, x in source.items():
+        old = target.get(c)
+        if old is None:
+            target[c] = f * x
+        else:
+            new = old + f * x
+            if any(new.coords):
+                target[c] = new
+            else:
+                del target[c]
+
+
+def _eliminate(rows: list[dict[int, Scalar]]) -> tuple[list[dict[int, Scalar]], tuple[int, ...]]:
+    """The sparse core of every elimination: the nonzero rows of the
+    reduced row-echelon form of these zero-free {col: Scalar} rows, in
+    pivot order, and their pivot columns.  Each returned row leaves its
+    pivot entry 1 implicit.  The input rows are consumed.
+
+    Columns are taken left to right.  Of the rows not yet used as pivots
+    that have an entry in the column, the one with the fewest entries
+    (then the lowest index) is scaled to pivot 1 and eliminated from the
+    others, as in structured Gaussian elimination; a column index finds
+    those rows.  Back substitution from the last pivot up then reduces
+    every pivot row, so the result is the unique RREF whatever pivots
+    were chosen.
     """
-    rows = [list(r) for r in m.to_rows()]
-    nrows, ncols = m.rows, m.cols
+    # column -> rows that have or had an entry there; fill-in only ever
+    # lands in columns some input row has
+    index: dict[int, set[int]] = {}
+    for r, row in enumerate(rows):
+        for c in row:
+            index.setdefault(c, set()).add(r)
+    pivot_rows: list[dict[int, Scalar]] = []
     pivots: list[int] = []
-    pr = 0
-    for pc in range(ncols):
-        found = -1
-        for r in range(pr, nrows):
-            if not rows[r][pc].is_zero():
-                found = r
-                break
-        if found < 0:
+    for c in sorted(index):
+        cands = [r for r in index.pop(c) if c in rows[r]]
+        if not cands:
             continue
-        rows[pr], rows[found] = rows[found], rows[pr]
-        pivot = rows[pr][pc]
-        if not pivot.is_one():
-            pinv = pivot.inv()
-            rows[pr] = [e * pinv for e in rows[pr]]
-        prow = rows[pr]
-        for r in range(nrows):
-            if r == pr:
-                continue
-            f = rows[r][pc]
-            if f.is_zero():
-                continue
-            target = rows[r]
-            for c in range(pc, ncols):
-                if not prow[c].is_zero():
-                    target[c] = target[c] - f * prow[c]
-        pivots.append(pc)
-        pr += 1
-        if pr == nrows:
-            break
-    return Matrix.from_rows(m.ctx, rows) if nrows else m, tuple(pivots)
+        p = min(cands, key=lambda r: (len(rows[r]), r))
+        prow, rows[p] = rows[p], {}
+        lead = prow.pop(c)
+        if not lead.is_one():
+            linv = lead.inv()
+            prow = {cc: x * linv for cc, x in prow.items()}
+        for r in cands:
+            if r != p:
+                target = rows[r]
+                _add_multiple(target, -target.pop(c), prow)
+                for cc in prow:
+                    index[cc].add(r)
+        pivot_rows.append(prow)
+        pivots.append(c)
+    position = {c: i for i, c in enumerate(pivots)}
+    for row in reversed(pivot_rows):
+        for cc in [cc for cc in row if cc in position]:
+            _add_multiple(row, -row.pop(cc), pivot_rows[position[cc]])
+    return pivot_rows, tuple(pivots)
+
+
+def _dense_rows(ctx: FieldContext, ncols: int, pivot_rows, pivots) -> list[list[Scalar]]:
+    """The dense rows of _eliminate's output, with their pivot entries 1."""
+    return [dense(ctx, ncols, [(c, ctx.one()), *row.items()]) for row, c in zip(pivot_rows, pivots)]
+
+
+def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
+    """Row-reduced echelon form with pivots normalised to 1: the reduced
+    rows first, then zero rows, and the pivot columns."""
+    if not m.rows:
+        return m, ()
+    red, pivots = _eliminate(_sparse_rows(m))
+    entries = [x for v in _dense_rows(m.ctx, m.cols, red, pivots) for x in v]
+    entries += [m.ctx.zero()] * ((m.rows - len(pivots)) * m.cols)
+    return Matrix(m.ctx, m.rows, m.cols, entries), pivots
 
 
 def rank(m: Matrix) -> int:
@@ -257,20 +303,16 @@ class SubspaceBasis:
 
 def kernel_basis(m: Matrix) -> SubspaceBasis:
     """Echelonised basis of the right kernel of m."""
-    red, pivots = rref(m)
+    red, pivots = _eliminate(_sparse_rows(m))
+    one = m.ctx.one()
     pivot_set = set(pivots)
-    free_cols = [c for c in range(m.cols) if c not in pivot_set]
-    z, o = m.ctx.zero(), m.ctx.one()
-    vectors: list[list[Scalar]] = []
-    for f in free_cols:
-        v = [z] * m.cols
-        v[f] = o
-        for i, pc in enumerate(pivots):
-            e = red[i, f]
-            if not e.is_zero():
-                v[pc] = -e
-        vectors.append(v)
-    return SubspaceBasis.from_spanning(m.ctx, m.cols, vectors)
+    # free column f gives e_f - sum_i red[i, f] e_{pivots[i]}
+    kernel = {f: {f: one} for f in range(m.cols) if f not in pivot_set}
+    for row, pc in zip(red, pivots):
+        for f, x in row.items():
+            kernel[f][pc] = -x
+    basis, basis_pivots = _eliminate(list(kernel.values()))
+    return SubspaceBasis(m.ctx, m.cols, _dense_rows(m.ctx, m.cols, basis, basis_pivots), basis_pivots)
 
 
 def coords_in_basis(v: list[Scalar], b: SubspaceBasis) -> list[Scalar] | None:

@@ -69,7 +69,7 @@ COMODULE_ALGEBRAS = {
 
 
 @pytest.mark.parametrize("conds", ["ad1,ad3", "ad1,ad2,ad3"])
-@pytest.mark.parametrize("name", ["K(2,2,0)", "K(2,2,1)", "regular(2)", "K(3,1,1)"])
+@pytest.mark.parametrize("name", ["K(2,2,0)", "K(2,2,1)", "regular(2)", "K(3,1,1)", "K(3,3,0)"])
 def test_full_and_reduced_pipelines_agree(name, conds):
     n, build = COMODULE_ALGEBRAS[name]
     p = problem_for(taft_model(n), build(), conds.split(","))

@@ -2,6 +2,7 @@ import pytest
 
 from hopfadjoint.braiding import (
     ModuleRep,
+    braiding,
     braiding_inverse,
     lift_via_pi,
     regular_module,
@@ -34,6 +35,42 @@ def test_skew_primitive_kills_the_unit():
         had = build_h_ad(taft_model(n))
         col = [had.rho_ad[1][r, 0] for r in range(n)]
         assert all(c.is_zero() for c in col)
+
+
+def dense_half_braiding(had, x):
+    """half_braiding as it read the braiding before: a scan of the whole
+    dense column for every coproduct term."""
+    model, n, dx = had.model, had.dim, x.dim
+    inv = braiding(model.rmatrix, model.line.tmodule, t_restriction(model, x))
+    out = Matrix.zero(had.ctx, dx * n, n * dx)
+    for h in range(n):
+        for xx in range(dx):
+            acc = {}
+            for h1, h2, c in model.line.coalgebra.comult[h]:
+                for row in range(dx * n):
+                    s = inv[row, h2 * dx + xx]
+                    if s.is_zero():
+                        continue
+                    act = x.action[model.x_index(h1, 0)]
+                    for x_out in range(dx):
+                        e = act[x_out, row // n]
+                        if not e.is_zero():
+                            key = x_out * n + row % n
+                            acc[key] = acc.get(key, had.ctx.zero()) + c * s * e
+            for key, val in acc.items():
+                out.entries[key * (n * dx) + h * dx + xx] = val
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_half_braiding_matches_dense_column_scan(n):
+    m = taft_model(n)
+    had = build_h_ad(m)
+    regular = regular_module(m.taft.algebra)
+    for x in (trivial_module(m.taft), regular, had.ht_module,
+              tensor_module(m.taft, regular, had.ht_module)):
+        gamma, expected = half_braiding(had, x), dense_half_braiding(had, x)
+        assert [e.coords for e in gamma.entries] == [e.coords for e in expected.entries]
 
 
 def test_half_braiding_at_trivial_module_is_flip():

@@ -128,6 +128,18 @@ CLI_DIGESTS = {
         0,
         "0e4b440fa486695b545c4960947042a4ffd74da12f2c1633497428974c8d2b42",
     ),
+    # the largest reduced system at n = 4: 1,536 x 256
+    "adjoint-n4-K(4,0)-ad1-ad2-ad3": (
+        ["adjoint", "--n", "4", "--d", "4", "--xi", "0", "--conditions", "ad1,ad2,ad3"],
+        0,
+        "981f0559ac8f58bd865b0fe4ba38912972f730170c5bf8ec74a0cb0f90106428",
+    ),
+    # gamma-invertible kernels and the half-braidings at q != q^-1
+    "braided-adjoint-n3": (
+        ["braided-adjoint", "--n", "3"],
+        0,
+        "db05d7e9206ae0aa82a39fc7cd5c6e2167a41faa70663f4e5c80f5a6334b0a9c",
+    ),
     # solve/closure from the full pipeline: the ad1 kernel is not right-K-linear
     "adjoint-full-ad1": (
         ADJOINT_N2 + ["--conditions", "ad1", "--full"],
