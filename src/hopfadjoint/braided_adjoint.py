@@ -152,9 +152,8 @@ def verify_h_ad(had: HAdjoint, modules: dict[str, ModuleRep],
             for ny in names:
                 x, y = modules[nx], modules[ny]
                 lhs = half_braiding(had, tensor_module(taft, x, y))
-                gx = half_braiding(had, x)
-                gy = half_braiding(had, y)
-                rhs = kron(Matrix.identity(ctx, x.dim), gy) * kron(gx, Matrix.identity(ctx, y.dim))
+                rhs = (kron(Matrix.identity(ctx, x.dim), gammas[ny])
+                       * kron(gammas[nx], Matrix.identity(ctx, y.dim)))
                 if lhs != rhs:
                     yield {"pair": [nx, ny]}
 
@@ -201,10 +200,11 @@ def verify_h_ad(had: HAdjoint, modules: dict[str, ModuleRep],
                 if nonzero(rhs) != alg.mult[i][j]:
                     yield {"pair": [i, j]}
 
+    # each module's half-braiding, shared by its own checks and the hexagon
+    gammas = {name: half_braiding(had, x) for name, x in modules.items()}
     for name, x in modules.items():
-        gamma = half_braiding(had, x)
-        rep.check(f"{prefix}/gamma-invertible/{name}", gamma_invertible(gamma, name))
-        rep.check(f"{prefix}/gamma-equivariant/{name}", gamma_equivariant(gamma, name, x))
+        rep.check(f"{prefix}/gamma-invertible/{name}", gamma_invertible(gammas[name], name))
+        rep.check(f"{prefix}/gamma-equivariant/{name}", gamma_equivariant(gammas[name], name, x))
     rep.check(f"{prefix}/gamma-tensor-hexagon", gamma_tensor_hexagon())
     rep.check(f"{prefix}/double-braiding-trivial", double_braiding_trivial())
     rep.check(f"{prefix}/braided-commutative", braided_commutative())

@@ -1,71 +1,89 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_n).
 
 The field is realised as Q[x]/(Phi_n(x)) in the power basis
-1, zeta, ..., zeta^(phi(n)-1).  Coordinates are `fractions.Fraction`
-values, so every operation is exact and eagerly normalised.
+1, zeta, ..., zeta^(phi(n)-1).  A scalar is a tuple of integer
+numerators over one positive common denominator, kept in lowest terms
+(gcd(den, *num) == 1, zero is (0, ..., 0)/1), so the representation is
+canonical and every operation is exact and normalised once, as in
+fraction-free elimination.  Phi_n is monic with integer coefficients, so
+the reduction rows and the Galois conjugation rows are integral too.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
 Rational = Fraction
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
-
-def _poly_trim(p: list[Fraction]) -> list[Fraction]:
-    while len(p) > 1 and p[-1] == 0:
-        p.pop()
-    return p
+def _poly_divmod(a: list[int], b: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of a by the monic integer polynomial b
+    (coefficients constant term first)."""
+    a = list(a)
+    db = len(b) - 1
+    q = [0] * max(1, len(a) - db)
+    for i in range(len(a) - db - 1, -1, -1):
+        c = q[i] = a[i + db]
+        if c:
+            for j, bj in enumerate(b):
+                a[i + j] -= c * bj
+    return q, a[:db]
 
 
 @lru_cache(maxsize=None)
-def _cyclotomic_poly(n: int) -> tuple[Fraction, ...]:
+def _cyclotomic_poly(n: int) -> tuple[int, ...]:
     """Coefficients of Phi_n, constant term first, by dividing x^n - 1
     by Phi_d for every proper divisor d of n."""
-    numerator = [_ZERO] * (n + 1)
-    numerator[0] = -_ONE
-    numerator[n] = _ONE
-    poly = numerator
+    poly = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:
-            poly, rem = _poly_divmod(poly, list(_cyclotomic_poly(d)))
+            poly, rem = _poly_divmod(poly, _cyclotomic_poly(d))
             if any(rem):
                 raise ArithmeticError("polynomial division left a remainder")
     return tuple(poly)
 
 
+def _ratio(r) -> tuple[int, int]:
+    """Numerator and positive denominator, in lowest terms, of a rational
+    input (an int, a Fraction, or anything Fraction accepts)."""
+    if isinstance(r, int):
+        return int(r), 1
+    r = Fraction(r)
+    return r.numerator, r.denominator
+
+
 class FieldContext:
     """The field Q(zeta_n) with zeta_n a primitive n-th root of unity."""
 
-    __slots__ = ("conductor", "poly", "degree", "_reduction", "_zeta_cache", "_zero", "_one")
+    __slots__ = ("conductor", "poly", "degree", "_p0", "_p1", "_reduction", "_conjugates",
+                 "_zetas", "_zero", "_one")
 
-    def __init__(self, conductor: int, poly: tuple[Fraction, ...]):
+    def __init__(self, conductor: int, poly: tuple[int, ...]):
         self.conductor = conductor
         self.poly = poly
-        self.degree = len(poly) - 1
-        # x^(degree + k) mod Phi_n for k = 0 .. degree - 2, as coordinate rows
-        self._reduction: list[tuple[Fraction, ...]] = []
-        self._zeta_cache: dict[int, "Scalar"] = {}
-        self._build_reduction()
-        # scalars are immutable, so every zero() and one() is one shared object
-        self._zero = self.from_rational(0)
-        self._one = self.from_rational(1)
-
-    def _build_reduction(self) -> None:
-        d = self.degree
-        # x^d = -(poly[0] + poly[1] x + ... + poly[d-1] x^(d-1)), since Phi is monic
-        row = [-c for c in self.poly[:d]]
-        for _ in range(max(0, d - 1)):
-            self._reduction.append(tuple(row))
-            carry = row[d - 1]
-            row = [_ZERO] + row[: d - 1]
-            if carry != 0:
-                red0 = self._reduction[0]
-                row = [row[i] + carry * red0[i] for i in range(d)]
+        d = self.degree = len(poly) - 1
+        # Phi_n = x^2 + p1 x + p0 in degree 2
+        self._p0, self._p1 = (poly[0], poly[1]) if d == 2 else (0, 0)
+        # x^m mod Phi_n for m < max(n, 2d - 1), as integer rows: x^d = -(poly[0] + ... +
+        # poly[d-1] x^(d-1)), since Phi_n is monic
+        powers = [tuple(int(i == 0) for i in range(d))]
+        for _ in range(max(conductor, 2 * d - 1) - 1):
+            prev = powers[-1]
+            carry = prev[d - 1]
+            row = (0,) + prev[: d - 1]
+            powers.append(tuple(row[i] - carry * poly[i] for i in range(d)))
+        # the nonzero (i, coefficient) terms of x^(d + k) for k = 0 .. d - 2
+        self._reduction = [[(i, c) for i, c in enumerate(powers[m]) if c] for m in range(d, 2 * d - 1)]
+        # sigma_k(zeta^i) = zeta^(i k) for every unit k != 1 mod n: the rows of the
+        # other Galois conjugates, whose product over the norm is the inverse
+        self._conjugates = [[powers[i * k % conductor] for i in range(d)]
+                            for k in range(2, conductor) if gcd(k, conductor) == 1]
+        # scalars are immutable, so every zero(), one() and zeta power is one shared object
+        self._zetas = [Scalar(self, powers[k], 1) for k in range(conductor)]
+        self._zero = Scalar(self, (0,) * d, 1)
+        self._one = self._zetas[0]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, FieldContext) and other.conductor == self.conductor
@@ -77,15 +95,15 @@ class FieldContext:
         return f"FieldContext(Q(zeta_{self.conductor}))"
 
     def scalar(self, coords) -> "Scalar":
-        coords = tuple(Fraction(c) for c in coords)
-        if len(coords) != self.degree:
-            raise ValueError(f"expected {self.degree} coordinates, got {len(coords)}")
-        return Scalar(self, coords)
+        pairs = [_ratio(c) for c in coords]
+        if len(pairs) != self.degree:
+            raise ValueError(f"expected {self.degree} coordinates, got {len(pairs)}")
+        den = lcm(*(q for _, q in pairs))
+        return _normal(self, [p * (den // q) for p, q in pairs], den)
 
     def from_rational(self, r) -> "Scalar":
-        c = [_ZERO] * self.degree
-        c[0] = Fraction(r)
-        return Scalar(self, tuple(c))
+        p, q = _ratio(r)
+        return Scalar(self, (p,) + (0,) * (self.degree - 1), q)
 
     def zero(self) -> "Scalar":
         return self._zero
@@ -93,11 +111,27 @@ class FieldContext:
     def one(self) -> "Scalar":
         return self._one
 
+    def _mul_int(self, a, b) -> list[int]:
+        """The integer coordinates of a * b for integer coordinate tuples:
+        a convolution reduced by the rows of x^d .. x^(2d-2)."""
+        d = self.degree
+        prod = [0] * (2 * d - 1)
+        for i, ai in enumerate(a):
+            if ai:
+                for k, bj in enumerate(b, i):
+                    prod[k] += ai * bj
+        out = prod[:d]
+        for c, row in zip(prod[d:], self._reduction):
+            if c:
+                for i, r in row:
+                    out[i] += c * r
+        return out
+
 
 @lru_cache(maxsize=None)
 def make_field(n: int) -> FieldContext:
-    """Build Q(zeta_n).  Phi_n is computed by the divisor recursion and
-    the recursion is validated by prod_{d|n} Phi_d = x^n - 1."""
+    """Build Q(zeta_n).  Phi_n is computed by the divisor recursion, which
+    checks that every division by Phi_d is exact."""
     if n < 1:
         raise ValueError("conductor must be a positive integer")
     return FieldContext(n, _cyclotomic_poly(n))
@@ -110,87 +144,107 @@ def _check_same_context(a: "Scalar", b: "Scalar") -> None:
         )
 
 
+def _normal(ctx: FieldContext, num, den: int) -> "Scalar":
+    """The scalar num/den for den > 0, reduced to lowest terms."""
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            return Scalar(ctx, tuple(c // g for c in num), den // g)
+    return Scalar(ctx, tuple(num), den)
+
+
 class Scalar:
-    """Element of Q(zeta_n) in the power basis of its FieldContext."""
+    """Element num/den of Q(zeta_n) in the power basis of its FieldContext:
+    integer numerators over one positive denominator, in lowest terms."""
 
-    __slots__ = ("ctx", "coords")
+    __slots__ = ("ctx", "num", "den")
 
-    def __init__(self, ctx: FieldContext, coords: tuple[Fraction, ...]):
+    def __init__(self, ctx: FieldContext, num: tuple[int, ...], den: int):
         self.ctx = ctx
-        self.coords = coords
+        self.num = num
+        self.den = den
+
+    @property
+    def coords(self) -> tuple[Fraction, ...]:
+        """The power-basis coordinates as Fractions (for reading, not arithmetic)."""
+        return tuple(Fraction(c, self.den) for c in self.num)
 
     def is_zero(self) -> bool:
-        return not any(self.coords)
+        return not any(self.num)
 
     def is_one(self) -> bool:
-        return self.coords[0] == 1 and all(c == 0 for c in self.coords[1:])
+        return self.den == 1 and self.num == self.ctx._one.num
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return any(self.num)
 
     def __add__(self, other: "Scalar") -> "Scalar":
-        _check_same_context(self, other)
-        a, b = self.coords, other.coords
-        return Scalar(self.ctx, tuple(a[i] + b[i] for i in range(len(a))))
+        if other.ctx is not self.ctx:
+            _check_same_context(self, other)
+        da, db = self.den, other.den
+        if da == db:
+            return _normal(self.ctx, [x + y for x, y in zip(self.num, other.num)], da)
+        return _normal(self.ctx, [x * db + y * da for x, y in zip(self.num, other.num)], da * db)
 
     def __sub__(self, other: "Scalar") -> "Scalar":
-        _check_same_context(self, other)
-        a, b = self.coords, other.coords
-        return Scalar(self.ctx, tuple(a[i] - b[i] for i in range(len(a))))
+        if other.ctx is not self.ctx:
+            _check_same_context(self, other)
+        da, db = self.den, other.den
+        if da == db:
+            return _normal(self.ctx, [x - y for x, y in zip(self.num, other.num)], da)
+        return _normal(self.ctx, [x * db - y * da for x, y in zip(self.num, other.num)], da * db)
 
     def __neg__(self) -> "Scalar":
-        return Scalar(self.ctx, tuple(-c for c in self.coords))
+        return Scalar(self.ctx, tuple(-c for c in self.num), self.den)
 
     def __mul__(self, other: "Scalar") -> "Scalar":
-        _check_same_context(self, other)
-        d = self.ctx.degree
-        a, b = self.coords, other.coords
-        prod = [_ZERO] * (2 * d - 1)
-        for i, ai in enumerate(a):
-            if ai == 0:
-                continue
-            for j, bj in enumerate(b):
-                if bj != 0:
-                    prod[i + j] += ai * bj
-        out = prod[:d]
-        reduction = self.ctx._reduction
-        for k in range(d, 2 * d - 1):
-            c = prod[k]
-            if c != 0:
-                row = reduction[k - d]
-                for i in range(d):
-                    if row[i] != 0:
-                        out[i] += c * row[i]
-        return Scalar(self.ctx, tuple(out))
+        if other.ctx is not self.ctx:
+            _check_same_context(self, other)
+        ctx = self.ctx
+        d = ctx.degree
+        if d == 2:
+            a0, a1 = self.num
+            b0, b1 = other.num
+            t = a1 * b1
+            num = (a0 * b0 - ctx._p0 * t, a0 * b1 + a1 * b0 - ctx._p1 * t)
+        elif d == 1:
+            num = (self.num[0] * other.num[0],)
+        else:
+            num = ctx._mul_int(self.num, other.num)
+        return _normal(ctx, num, self.den * other.den)
 
     def scale(self, r) -> "Scalar":
-        r = Fraction(r)
-        return Scalar(self.ctx, tuple(c * r for c in self.coords))
+        p, q = _ratio(r)
+        return _normal(self.ctx, [c * p for c in self.num], self.den * q)
 
     def inv(self) -> "Scalar":
-        """Inverse by the extended Euclidean algorithm on (self, Phi_n).
-
-        Invariant: u_i * self = r_i (mod Phi_n).  Phi_n is irreducible, so
-        the gcd is a nonzero constant and u0/gcd is the inverse.
-        """
+        """Inverse as den * adj(num) / N(num): adj is the product of the
+        other Galois conjugates of num (the conjugate in degree 2), and the
+        norm N(num) = num * adj(num) is a nonzero integer."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in Q(zeta_n)")
-        d = self.ctx.degree
-        r0 = list(self.ctx.poly)
-        r1 = _poly_trim(list(self.coords))
-        u0: list[Fraction] = [_ZERO]
-        u1: list[Fraction] = [_ONE]
-        while not (len(r1) == 1 and r1[0] == 0):
-            q, rem = _poly_divmod(r0, r1)
-            r0, r1 = r1, rem
-            u0, u1 = u1, _poly_sub(u0, _poly_mul(q, u1))
-        g = r0[0]
-        if len(r0) != 1 or g == 0:
-            raise ArithmeticError("element not invertible; Phi_n should be irreducible")
-        _, u0 = _poly_divmod(u0, list(self.ctx.poly))
-        coords = [c / g for c in u0]
-        coords = (coords + [_ZERO] * d)[:d]
-        return Scalar(self.ctx, tuple(coords))
+        ctx = self.ctx
+        num, den = self.num, self.den
+        d = ctx.degree
+        if d == 1:
+            adj, norm = (1,), num[0]
+        elif d == 2:
+            a0, a1 = num
+            adj = (a0 - ctx._p1 * a1, -a1)
+            norm = a0 * a0 - ctx._p1 * a0 * a1 + ctx._p0 * a1 * a1
+        else:
+            adj = ctx._one.num
+            for rows in ctx._conjugates:
+                conj = [0] * d
+                for a, row in zip(num, rows):
+                    if a:
+                        for i, r in enumerate(row):
+                            conj[i] += a * r
+                adj = ctx._mul_int(adj, conj)
+            norm = ctx._mul_int(num, adj)[0]
+        if norm < 0:
+            norm, den = -norm, -den
+        return _normal(ctx, [c * den for c in adj], norm)
 
     def __truediv__(self, other: "Scalar") -> "Scalar":
         return self * other.inv()
@@ -198,68 +252,20 @@ class Scalar:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Scalar):
             return NotImplemented
-        _check_same_context(self, other)
-        return self.coords == other.coords
+        if other.ctx is not self.ctx:
+            _check_same_context(self, other)
+        return self.den == other.den and self.num == other.num
 
     def __hash__(self) -> int:
-        return hash((self.ctx.conductor, self.coords))
+        return hash((self.ctx.conductor, self.num, self.den))
 
     def __repr__(self) -> str:
         return f"Scalar({self.ctx.conductor}; {list(self.coords)})"
 
 
-def _poly_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    a = list(a)
-    b = _poly_trim(list(b))
-    db = len(b) - 1
-    lead = b[-1]
-    if len(a) - 1 < db:
-        return [_ZERO], _poly_trim(a)
-    q = [_ZERO] * (len(a) - db)
-    for i in range(len(a) - db - 1, -1, -1):
-        c = a[i + db] / lead
-        q[i] = c
-        if c != 0:
-            for j, bj in enumerate(b):
-                a[i + j] -= c * bj
-    return _poly_trim(q), _poly_trim(a)
-
-
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return _poly_trim(out)
-
-
-def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    m = max(len(a), len(b))
-    a = a + [_ZERO] * (m - len(a))
-    b = b + [_ZERO] * (m - len(b))
-    return _poly_trim([a[i] - b[i] for i in range(m)])
-
-
 def zeta_power(ctx: FieldContext, k: int) -> Scalar:
     """zeta_n^k in the power basis (k is reduced mod n)."""
-    k = k % ctx.conductor
-    cached = ctx._zeta_cache.get(k)
-    if cached is not None:
-        return cached
-    d = ctx.degree
-    if d >= 2:
-        base = Scalar(ctx, tuple([_ZERO, _ONE] + [_ZERO] * (d - 2)))
-    else:
-        # Phi_n linear and monic: zeta = -poly[0]
-        base = Scalar(ctx, (-ctx.poly[0],))
-    s = ctx.one()
-    for i in range(k + 1):
-        ctx._zeta_cache.setdefault(i, s)
-        if i < k:
-            s = s * base
-    return ctx._zeta_cache[k]
+    return ctx._zetas[k % ctx.conductor]
 
 
 def rational_str(r: Fraction) -> str:
@@ -270,8 +276,16 @@ def rational_str(r: Fraction) -> str:
 
 
 def scalar_to_strings(s: Scalar) -> list[str]:
-    return [rational_str(c) for c in s.coords]
+    """Each coordinate as "num/den" in lowest terms, from the integers."""
+    den = s.den
+    if den == 1:
+        return [str(c) for c in s.num]
+    out = []
+    for c in s.num:
+        g = gcd(c, den)
+        out.append(str(c // g) if g == den else f"{c // g}/{den // g}")
+    return out
 
 
 def scalar_from_strings(ctx: FieldContext, parts) -> Scalar:
-    return ctx.scalar([Fraction(p) for p in parts])
+    return ctx.scalar(parts)

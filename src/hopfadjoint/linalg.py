@@ -24,7 +24,7 @@ def unit_vector(ctx: FieldContext, n: int, i: int) -> list[Scalar]:
 def nonzero(v: list[Scalar]) -> list[tuple[int, Scalar]]:
     """The term list of a dense vector: its nonzero entries as
     ascending (index, coefficient) pairs."""
-    return [(i, c) for i, c in enumerate(v) if not c.is_zero()]
+    return [(i, c) for i, c in enumerate(v) if any(c.num)]
 
 
 def dense(ctx: FieldContext, n: int, terms) -> list[Scalar]:
@@ -42,9 +42,9 @@ def sorted_terms(acc: dict) -> list:
 
 
 def vec_eq(u: list[Scalar], v: list[Scalar]) -> bool:
-    """Dense vectors agree entrywise (over the shorter length).  Power-basis
-    coordinates are canonical, so equal scalars have equal coordinates."""
-    return all(a.coords == b.coords for a, b in zip(u, v))
+    """Dense vectors agree entrywise (over the shorter length).  Scalars are
+    stored in lowest terms, so equal scalars have equal num and den."""
+    return all(a.den == b.den and a.num == b.num for a, b in zip(u, v))
 
 
 def sparse_diff(x: dict, y: dict, ctx: FieldContext):
@@ -153,16 +153,13 @@ class Matrix:
         z = ctx.zero()
         out = [z] * (self.rows * other.cols)
         oc = other.cols
+        # the nonzero terms of each row of other, read once
+        brows = [nonzero(other.row(k)) for k in range(other.rows)]
         for i in range(self.rows):
-            arow = self.row(i)
             base = i * oc
-            for k, aik in enumerate(arow):
-                if aik.is_zero():
-                    continue
-                brow = other.entries[k * oc : (k + 1) * oc]
-                for j, bkj in enumerate(brow):
-                    if not bkj.is_zero():
-                        out[base + j] = out[base + j] + aik * bkj
+            for k, aik in nonzero(self.row(i)):
+                for j, bkj in brows[k]:
+                    out[base + j] = out[base + j] + aik * bkj
         return Matrix(ctx, self.rows, other.cols, out)
 
     def apply(self, vec: list[Scalar]) -> list[Scalar]:
@@ -189,7 +186,7 @@ def _sparse_rows(m: Matrix) -> list[dict[int, Scalar]]:
     """The rows of m as zero-free {col: Scalar} dicts."""
     e, nc = m.entries, m.cols
     z = m.ctx.zero()  # the shared zero is skipped by identity, other zeros by value
-    return [{c: x for c, x in enumerate(e[i * nc : (i + 1) * nc]) if x is not z and any(x.coords)}
+    return [{c: x for c, x in enumerate(e[i * nc : (i + 1) * nc]) if x is not z and any(x.num)}
             for i in range(m.rows)]
 
 
@@ -201,7 +198,7 @@ def _add_multiple(target: dict[int, Scalar], f: Scalar, source: dict[int, Scalar
             target[c] = f * x
         else:
             new = old + f * x
-            if any(new.coords):
+            if any(new.num):
                 target[c] = new
             else:
                 del target[c]

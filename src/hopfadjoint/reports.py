@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .cyclotomic import Scalar, rational_str
+from .cyclotomic import Scalar, rational_str, scalar_to_strings
 from .linalg import Matrix
 
 SCHEMA_VERSION = 1
@@ -89,7 +89,7 @@ def jsonable(obj):
     if isinstance(obj, Fraction):
         return rational_str(obj)
     if isinstance(obj, Scalar):
-        return [rational_str(c) for c in obj.coords]
+        return scalar_to_strings(obj)
     if isinstance(obj, Matrix):
         return {
             "rows": obj.rows,
@@ -116,7 +116,7 @@ def document(field_ctx, basis_convention: str, payload: dict) -> dict:
         "schema_version": SCHEMA_VERSION,
         "field": {
             "conductor": field_ctx.conductor,
-            "cyclotomic_poly": [rational_str(c) for c in field_ctx.poly],
+            "cyclotomic_poly": [str(c) for c in field_ctx.poly],
         },
         "basis_convention": basis_convention,
     }

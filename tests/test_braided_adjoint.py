@@ -10,6 +10,7 @@ from hopfadjoint.braiding import (
     trivial_module,
 )
 from hopfadjoint.constructions import regular_comodule_algebra, taft_model
+from hopfadjoint import braided_adjoint
 from hopfadjoint.adjoint import problem_for, solve_adjoint
 from hopfadjoint.braided_adjoint import (
     build_h_ad,
@@ -87,6 +88,23 @@ def test_verify_h_ad_passes(n):
     mods = {"trivial": trivial_module(m.taft), "regular": regular_module(m.taft.algebra)}
     rep = verify_h_ad(had, mods)
     assert rep.ok, [c.claim_id for c in rep.failures()]
+
+
+def test_verify_h_ad_builds_each_half_braiding_once(monkeypatch):
+    # one gamma per module, one per tensor pair of the hexagon, two for
+    # the double braiding and one for braided commutativity
+    m = taft_model(2)
+    had = build_h_ad(m)
+    mods = {"trivial": trivial_module(m.taft), "regular": regular_module(m.taft.algebra)}
+    dims = []
+
+    def counted(h, x):
+        dims.append(x.dim)
+        return half_braiding(h, x)
+
+    monkeypatch.setattr(braided_adjoint, "half_braiding", counted)
+    assert verify_h_ad(had, mods).ok
+    assert sorted(dims) == sorted([1, 4] + [1, 4, 4, 16] + [1, 2] + [2])
 
 
 def test_mirrored_half_braiding_fails_at_n3():

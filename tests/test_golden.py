@@ -122,6 +122,18 @@ CLI_DIGESTS = {
         0,
         "a058486ebf7015e74522700022a61bbb57f08abc019e7d8ce758fad1321f61a1",
     ),
+    # Q(zeta_5) has degree 4: the generic multiplication and inverse
+    "taft-n5": (
+        ["taft", "--n", "5"],
+        0,
+        "b8f27fb5971ccf4ae7231779c3b90803339de8e92c698727c971f55123befafb",
+    ),
+    # Phi_6 = x^2 - x + 1: the only degree-2 field with a nonzero linear term
+    "taft-n6": (
+        ["taft", "--n", "6"],
+        0,
+        "94ba74a814c92273f1831ec2464e6da822834382deb79b0d69f78289b3b064e4",
+    ),
     # regular(3) with ad1,ad2,ad3, K(1,0), K(3,0) and chi0
     "verify-adjoint-n3": (
         ["verify", "--suite", "adjoint", "--n", "3"],

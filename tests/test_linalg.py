@@ -288,3 +288,20 @@ def test_matrix_equality_rejects_mixed_fields():
     with pytest.raises(ValueError):
         a == Matrix.identity(make_field(5), 2)
     assert a != Matrix.identity(make_field(5), 3)  # shapes differ first
+
+
+@settings(max_examples=50, deadline=None)
+@given(sparse_matrices(), st.integers(1, 6), st.data())
+def test_matrix_product_matches_entrywise_sums(a, oc, data):
+    ctx = a.ctx
+    b = Matrix(ctx, a.cols, oc, [ctx.scalar(data.draw(st.lists(
+        st.integers(-2, 2), min_size=ctx.degree, max_size=ctx.degree)))
+        for _ in range(a.cols * oc)])
+    expected = []
+    for i in range(a.rows):
+        for j in range(oc):
+            s = ctx.zero()
+            for k in range(a.cols):
+                s = s + a[i, k] * b[k, j]
+            expected.append(s)
+    assert (a * b).entries == expected
