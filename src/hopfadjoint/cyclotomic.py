@@ -207,8 +207,6 @@ class Scalar:
             b0, b1 = other.num
             t = a1 * b1
             num = (a0 * b0 - ctx._p0 * t, a0 * b1 + a1 * b0 - ctx._p1 * t)
-        elif d == 1:
-            num = (self.num[0] * other.num[0],)
         else:
             num = ctx._mul_int(self.num, other.num)
         return _normal(ctx, num, self.den * other.den)
@@ -226,9 +224,7 @@ class Scalar:
         ctx = self.ctx
         num, den = self.num, self.den
         d = ctx.degree
-        if d == 1:
-            adj, norm = (1,), num[0]
-        elif d == 2:
+        if d == 2:
             a0, a1 = num
             adj = (a0 - ctx._p1 * a1, -a1)
             norm = a0 * a0 - ctx._p1 * a0 * a1 + ctx._p0 * a1 * a1

@@ -24,7 +24,7 @@ def unit_vector(ctx: FieldContext, n: int, i: int) -> list[Scalar]:
 def nonzero(v: list[Scalar]) -> list[tuple[int, Scalar]]:
     """The term list of a dense vector: its nonzero entries as
     ascending (index, coefficient) pairs."""
-    return [(i, c) for i, c in enumerate(v) if any(c.num)]
+    return [(i, c) for i, c in enumerate(v) if not c.is_zero()]
 
 
 def dense(ctx: FieldContext, n: int, terms) -> list[Scalar]:
@@ -42,9 +42,8 @@ def sorted_terms(acc: dict) -> list:
 
 
 def vec_eq(u: list[Scalar], v: list[Scalar]) -> bool:
-    """Dense vectors agree entrywise (over the shorter length).  Scalars are
-    stored in lowest terms, so equal scalars have equal num and den."""
-    return all(a.den == b.den and a.num == b.num for a, b in zip(u, v))
+    """Dense vectors agree entrywise (over the shorter length)."""
+    return all(a == b for a, b in zip(u, v))
 
 
 def sparse_diff(x: dict, y: dict, ctx: FieldContext):
@@ -186,7 +185,7 @@ def _sparse_rows(m: Matrix) -> list[dict[int, Scalar]]:
     """The rows of m as zero-free {col: Scalar} dicts."""
     e, nc = m.entries, m.cols
     z = m.ctx.zero()  # the shared zero is skipped by identity, other zeros by value
-    return [{c: x for c, x in enumerate(e[i * nc : (i + 1) * nc]) if x is not z and any(x.num)}
+    return [{c: x for c, x in enumerate(e[i * nc : (i + 1) * nc]) if x is not z and not x.is_zero()}
             for i in range(m.rows)]
 
 
@@ -198,7 +197,7 @@ def _add_multiple(target: dict[int, Scalar], f: Scalar, source: dict[int, Scalar
             target[c] = f * x
         else:
             new = old + f * x
-            if any(new.num):
+            if not new.is_zero():
                 target[c] = new
             else:
                 del target[c]
