@@ -146,6 +146,18 @@ CLI_DIGESTS = {
         0,
         "981f0559ac8f58bd865b0fe4ba38912972f730170c5bf8ec74a0cb0f90106428",
     ),
+    # structure maps, Hom-space checkers and transport at n = 4
+    "adjoint-n4-K(2,1)-ad1-ad3": (
+        ["adjoint", "--n", "4", "--d", "2", "--xi", "1", "--conditions", "ad1,ad3"],
+        0,
+        "77761bce7ec37cb301640860d96b0a99e87f6bb85b264ce5b4fd7bdc2f21a523",
+    ),
+    # H_ad checks, dinaturality and the relative-regular comparison at n = 4
+    "braided-adjoint-n4": (
+        ["braided-adjoint", "--n", "4"],
+        0,
+        "c72d024d18215dbab887edf73810b81bcd4c0313c6b3383a5bc0fd499868da1f",
+    ),
     # gamma-invertible kernels and the half-braidings at q != q^-1
     "braided-adjoint-n3": (
         ["braided-adjoint", "--n", "3"],
