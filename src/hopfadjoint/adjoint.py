@@ -91,9 +91,7 @@ def problem_for(model: TaftModel, k: ComoduleAlgebra, conditions, rbar: bool = F
     sends g^b to x^0 # g^b."""
     ctx = model.ctx
     n = model.n
-    embed = Matrix.zero(ctx, model.taft.dim, n)
-    for b in range(n):
-        embed.entries[model.x_index(0, b) * n + b] = ctx.one()
+    embed = Matrix(ctx, model.taft.dim, n, [(model.x_index(0, b), b, ctx.one()) for b in range(n)])
     conds = frozenset(c.lower() for c in conditions)
     if not conds <= set(CONDITIONS):
         raise ValueError(f"unknown conditions: {sorted(conds - set(CONDITIONS))}")
@@ -121,14 +119,14 @@ def _embedded_mult(p: AdjointProblem, t_index: int, x_index: int) -> list[tuple[
     alg = p.hopf.algebra
     out: dict[int, Scalar] = {}
     z = p.ctx.zero()
-    for y, cy in nonzero(p.t_embed.col(t_index)):
+    for y, cy in p.t_embed.col_terms(t_index):
         for zz, m in alg.mult[y][x_index]:
             out[zz] = out.get(zz, z) + cy * m
     return sorted_terms(out)
 
 
 def _pi_terms(p: AdjointProblem, y: int) -> list[tuple[int, Scalar]]:
-    return nonzero(p.pi.col(y))
+    return p.pi.col_terms(y)
 
 
 def _ad2_rhs(p: AdjointProblem) -> dict[tuple[int, int, int], Scalar]:
@@ -152,72 +150,54 @@ def condition_system(p: AdjointProblem) -> Matrix:
     K = p.comod_alg
     NH, NK = p.hopf.dim, K.dim
     NP = NK  # coefficients in K itself
-    ncols = NH * NK * NP
-    z = ctx.zero()
     halg, kalg = p.hopf.algebra, K.algebra
     unit_terms = nonzero(kalg.unit)
 
     def u(x: int, k: int, pp: int) -> int:
         return (x * NK + k) * NP + pp
 
-    rows: list[list[Scalar]] = []
+    terms: list[tuple[int, int, Scalar]] = []
+    nrows = 0
 
     if "ad1" in p.conditions:
         for k in range(NK):
             for x in range(NH):
-                for l in range(NK):
-                    coeffs: dict[tuple[int, int], Scalar] = {}
+                for l in range(NK):  # one row per pp
                     for y, k0, c in K.coaction[k]:
                         for zz, m1 in halg.mult[y][x]:
                             for j, m2 in kalg.mult[k0][l]:
-                                key = (zz, j)
-                                coeffs[key] = coeffs.get(key, z) + c * m1 * m2
-                    block = [[z] * ncols for _ in range(NP)]  # one row per pp
-                    for pp, row in enumerate(block):
-                        for (zz, j), c in coeffs.items():
-                            row[u(zz, j, pp)] = row[u(zz, j, pp)] + c
+                                cm = c * m1 * m2
+                                terms += [(nrows + pp, u(zz, j, pp), cm) for pp in range(NP)]
                     for p2 in range(NP):  # minus e_k alpha(x, l)
                         for pp, e in kalg.mult[k][p2]:
-                            block[pp][u(x, l, p2)] = block[pp][u(x, l, p2)] - e
-                    rows.extend(block)
+                            terms.append((nrows + pp, u(x, l, p2), -e))
+                    nrows += NP
 
     if "ad2" in p.conditions:
         legs = _ad2_leg_terms(p)
         rhs = _ad2_rhs(p)
-        for x in range(NH):
-            lhs: dict[tuple[int, int, int], Scalar] = {}  # (t, zz, k) -> coeff
+        for x in range(NH):  # one row per (t, pp)
             for t_leg, e_leg, c in legs:
                 for zz, m in _embedded_mult(p, e_leg, x):
                     for k, ck in unit_terms:
-                        key = (t_leg, zz, k)
-                        lhs[key] = lhs.get(key, z) + c * m * ck
-            for t in range(p.base.dim):
-                for pp in range(NP):
-                    row = [z] * ncols
-                    for (tt, zz, k), c in lhs.items():
-                        if tt == t:
-                            row[u(zz, k, pp)] = row[u(zz, k, pp)] + c
-                    for (tt, p0, p2), c in rhs.items():
-                        if tt == t and p0 == pp:
-                            for k, ck in unit_terms:
-                                row[u(x, k, p2)] = row[u(x, k, p2)] - c * ck
-                    rows.append(row)
+                        cmk = c * m * ck
+                        terms += [(nrows + t_leg * NP + pp, u(zz, k, pp), cmk) for pp in range(NP)]
+            for (t, p0, p2), c in rhs.items():
+                for k, ck in unit_terms:
+                    terms.append((nrows + t * NP + p0, u(x, k, p2), -c * ck))
+            nrows += p.base.dim * NP
 
     if "ad3" in p.conditions:
         for x in range(NH):
-            for k in range(NK):
-                block = [[z] * ncols for _ in range(NP)]  # one row per pp
-                for pp, row in enumerate(block):
-                    row[u(x, k, pp)] = ctx.one()
+            for k in range(NK):  # one row per pp
+                terms += [(nrows + pp, u(x, k, pp), ctx.one()) for pp in range(NP)]
                 for p2 in range(NP):  # minus alpha(x, 1) e_k
                     for pp, e in kalg.mult[p2][k]:
                         for kk, ck in unit_terms:
-                            block[pp][u(x, kk, p2)] = block[pp][u(x, kk, p2)] - e * ck
-                rows.extend(block)
+                            terms.append((nrows + pp, u(x, kk, p2), -e * ck))
+                nrows += NP
 
-    if not rows:
-        return Matrix.zero(ctx, 0, ncols)
-    return Matrix.from_rows(ctx, rows)
+    return Matrix(ctx, nrows, NH * NK * NP, terms)
 
 
 def condition_system_reduced(p: AdjointProblem) -> Matrix:
@@ -233,53 +213,41 @@ def condition_system_reduced(p: AdjointProblem) -> Matrix:
     ctx = p.ctx
     K = p.comod_alg
     NH, NK = p.hopf.dim, K.dim
-    ncols = NH * NK
-    z = ctx.zero()
     halg, kalg = p.hopf.algebra, K.algebra
 
     def u(x: int, pp: int) -> int:
         return x * NK + pp
 
-    rows: list[list[Scalar]] = []
+    terms: list[tuple[int, int, Scalar]] = []
+    nrows = 0
 
     if "ad1" in p.conditions:
         for k in K.generators:
-            for x in range(NH):
-                block = [[z] * ncols for _ in range(NK)]  # one row per pp
+            for x in range(NH):  # one row per pp
                 for y, k0, c in K.coaction[k]:  # abar(y x) k0
                     for zz, m1 in halg.mult[y][x]:
                         cm = c * m1
                         for p2 in range(NK):
                             for pp, e in kalg.mult[p2][k0]:
-                                block[pp][u(zz, p2)] = block[pp][u(zz, p2)] + cm * e
+                                terms.append((nrows + pp, u(zz, p2), cm * e))
                 for p2 in range(NK):  # minus e_k abar(x)
                     for pp, e in kalg.mult[k][p2]:
-                        block[pp][u(x, p2)] = block[pp][u(x, p2)] - e
-                rows.extend(block)
+                        terms.append((nrows + pp, u(x, p2), -e))
+                nrows += NK
 
     if "ad2" in p.conditions:
         legs = _ad2_leg_terms(p)
         rhs = _ad2_rhs(p)
-        for x in range(NH):
-            lhs: dict[tuple[int, int], Scalar] = {}  # (t, zz)
+        for x in range(NH):  # one row per (t, pp)
             for t_leg, e_leg, c in legs:
                 for zz, m in _embedded_mult(p, e_leg, x):
-                    key = (t_leg, zz)
-                    lhs[key] = lhs.get(key, z) + c * m
-            for t in range(p.base.dim):
-                for pp in range(NK):
-                    row = [z] * ncols
-                    for (tt, zz), c in lhs.items():
-                        if tt == t:
-                            row[u(zz, pp)] = row[u(zz, pp)] + c
-                    for (tt, p0, p2), c in rhs.items():
-                        if tt == t and p0 == pp:
-                            row[u(x, p2)] = row[u(x, p2)] - c
-                    rows.append(row)
+                    cm = c * m
+                    terms += [(nrows + t_leg * NK + pp, u(zz, pp), cm) for pp in range(NK)]
+            for (t, p0, p2), c in rhs.items():
+                terms.append((nrows + t * NK + p0, u(x, p2), -c))
+            nrows += p.base.dim * NK
 
-    if not rows:
-        return Matrix.zero(ctx, 0, ncols)
-    return Matrix.from_rows(ctx, rows)
+    return Matrix(ctx, nrows, NH * NK, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +342,7 @@ class AdjointAlgebra:
 
         action: list[Matrix] = []
         for h in range(NH):
-            cols = []
+            h_terms = []  # column j: the coordinates of h.a_j
             for j in range(n):
                 vbar = [z] * (NH * NK)
                 for x in range(NH):
@@ -385,9 +353,8 @@ class AdjointAlgebra:
                 if c is None:
                     raise ClosureFailure("action left the solution space",
                                          witness={"h": h, "basis": j})
-                cols.append(c)
-            entries = [cols[j][i] for i in range(n) for j in range(n)]
-            action.append(Matrix(ctx, n, n, entries))
+                h_terms += [(i, j, e) for i, e in nonzero(c)]
+            action.append(Matrix(ctx, n, n, h_terms))
         self.action = action
 
         lefts: dict[tuple[int, int, int], list[tuple[int, Scalar]]] = {}  # S(x1) y0 x3
@@ -396,7 +363,7 @@ class AdjointAlgebra:
             key = (x1, y0, x3)
             if key not in lefts:
                 acc: dict[int, Scalar] = {}
-                for s, cs in nonzero(hopf.antipode.col(x1)):
+                for s, cs in hopf.antipode.col_terms(x1):
                     for t, m1 in halg.mult[s][y0]:
                         for y, m2 in halg.mult[t][x3]:
                             acc[y] = acc.get(y, z) + cs * m1 * m2
@@ -431,30 +398,15 @@ class AdjointAlgebra:
     def comodule_rep(self) -> ComoduleRep:
         return ComoduleRep(self.problem.hopf.coalgebra, self.dim, self.coaction)
 
-    def product_coords(self, ci: list[Scalar], cj: list[Scalar]) -> list[Scalar]:
-        out = [self.ctx.zero()] * self.dim
-        for i, a in enumerate(ci):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(cj):
-                if b.is_zero():
-                    continue
-                c = a * b
-                for k, e in enumerate(self.product[i][j]):
-                    if not e.is_zero():
-                        out[k] = out[k] + c * e
-        return out
-
     def to_jsonable(self):
-        n = self.dim
-        coaction = Matrix.zero(self.ctx, self.NH * n, n)
-        for j, terms in enumerate(self.coaction):
-            for y, i, c in terms:
-                coaction.entries[(y * n + i) * n + j] = c
+        n, NK = self.dim, self.NK
+        coaction = Matrix(self.ctx, self.NH * n, n, [(y * n + i, j, c) for j, terms in
+                                                     enumerate(self.coaction) for y, i, c in terms])
         return {
             "problem": self.problem.describe(),
             "dim": n,
-            "basis": [Matrix(self.ctx, self.NH * self.NK, self.NK, flat).transpose()
+            # row pp, column x*NK + k: the e_pp coefficient of alpha(x, k)
+            "basis": [Matrix(self.ctx, NK, self.NH * NK, [(u % NK, u // NK, e) for u, e in nonzero(flat)])
                       for flat in self.hom_maps()],
             "product": self.product,
             "unit": self.unit_coords,
@@ -585,6 +537,25 @@ def verify_conditions_direct(p: AdjointProblem, maps: list[list[Scalar]],
 # structural verifications
 
 
+def _product_table(a: AdjointAlgebra):
+    """The term lists of a.product as it stands when a check starts, and
+    the product of two coordinate vectors given as term lists."""
+    table = [[nonzero(v) for v in row] for row in a.product]
+    z = a.ctx.zero()
+
+    def product(ci, cj) -> list[Scalar]:
+        out = [z] * a.dim
+        for i, x in ci:
+            row = table[i]
+            for j, y in cj:
+                c = x * y
+                for k, e in row[j]:
+                    out[k] = out[k] + c * e
+        return out
+
+    return table, product
+
+
 def verify_yd(a: AdjointAlgebra, report: VerificationReport | None = None,
               prefix: str = "adjoint-yd") -> VerificationReport:
     """The computed action and coaction form a Yetter-Drinfeld module."""
@@ -606,12 +577,14 @@ def verify_center_algebra(a: AdjointAlgebra, report: VerificationReport | None =
     n = a.dim
     z = ctx.zero()
     hopf = a.problem.hopf
+    table, product = _product_table(a)
+    basis = [[(i, ctx.one())] for i in range(n)]
 
     def unit_two_sided():
+        unit = nonzero(a.unit_coords)
         for i in range(n):
             ei = unit_vector(ctx, n, i)
-            if not vec_eq(a.product_coords(a.unit_coords, ei), ei) or \
-               not vec_eq(a.product_coords(ei, a.unit_coords), ei):
+            if not vec_eq(product(unit, basis[i]), ei) or not vec_eq(product(basis[i], unit), ei):
                 yield {"basis": i}
 
     def product_module_morphism():
@@ -622,12 +595,9 @@ def verify_center_algebra(a: AdjointAlgebra, report: VerificationReport | None =
                     lhs = a.action[h].apply(a.product[i][j])
                     rhs = [z] * n
                     for h1, h2, c in terms:
-                        vi = a.action[h1].col(i)
-                        vj = a.action[h2].col(j)
-                        w = a.product_coords(vi, vj)
-                        for r in range(n):
-                            if not w[r].is_zero():
-                                rhs[r] = rhs[r] + c * w[r]
+                        w = product(a.action[h1].col_terms(i), a.action[h2].col_terms(j))
+                        for r, x in nonzero(w):
+                            rhs[r] = rhs[r] + c * x
                     if not vec_eq(lhs, rhs):
                         yield {"h": h, "pair": [i, j]}
 
@@ -636,7 +606,7 @@ def verify_center_algebra(a: AdjointAlgebra, report: VerificationReport | None =
         for i in range(n):
             for j in range(n):
                 lhs: dict[tuple[int, int], Scalar] = {}
-                for k, ck in nonzero(a.product[i][j]):
+                for k, ck in table[i][j]:
                     for y, l, c in com.coaction[k]:
                         key = (y, l)
                         lhs[key] = lhs.get(key, z) + ck * c
@@ -644,21 +614,18 @@ def verify_center_algebra(a: AdjointAlgebra, report: VerificationReport | None =
                 for y1, i0, c1 in com.coaction[i]:
                     for y2, j0, c2 in com.coaction[j]:
                         c12 = c1 * c2
-                        pr = a.product[i0][j0]
                         for y, m in hopf.algebra.mult[y1][y2]:
                             cm = c12 * m
-                            for l, e in enumerate(pr):
-                                if not e.is_zero():
-                                    key = (y, l)
-                                    rhs[key] = rhs.get(key, z) + cm * e
+                            for l, e in table[i0][j0]:
+                                key = (y, l)
+                                rhs[key] = rhs.get(key, z) + cm * e
                 if sparse_diff(lhs, rhs, ctx) is not None:
                     yield {"pair": [i, j]}
 
     eps = hopf.coalgebra.counit
     rep.check(f"{prefix}/associative", (
         {"triple": [i, j, k]} for i in range(n) for j in range(n) for k in range(n)
-        if not vec_eq(a.product_coords(a.product[i][j], unit_vector(ctx, n, k)),
-                      a.product_coords(unit_vector(ctx, n, i), a.product[j][k]))))
+        if not vec_eq(product(table[i][j], basis[k]), product(basis[i], table[j][k]))))
     rep.check(f"{prefix}/unit-two-sided", unit_two_sided())
     rep.check(f"{prefix}/unit-invariant", (
         {"h": h} for h in range(hopf.dim)
@@ -677,6 +644,7 @@ def verify_braided_commutative(a: AdjointAlgebra, report: VerificationReport | N
     n = a.dim
     z = ctx.zero()
     com = a.comodule_rep()
+    _, product = _product_table(a)
 
     def braided_commutative():
         for i in range(n):
@@ -684,11 +652,9 @@ def verify_braided_commutative(a: AdjointAlgebra, report: VerificationReport | N
                 # c(alpha_i x alpha_j) = alpha_i(-1).alpha_j x alpha_i(0)
                 rhs = [z] * n
                 for y, i0, c in com.coaction[i]:
-                    w = a.action[y].col(j)
-                    v = a.product_coords(w, unit_vector(ctx, n, i0))
-                    for r in range(n):
-                        if not v[r].is_zero():
-                            rhs[r] = rhs[r] + c * v[r]
+                    v = product(a.action[y].col_terms(j), [(i0, ctx.one())])
+                    for r, x in nonzero(v):
+                        rhs[r] = rhs[r] + c * x
                 if not vec_eq(a.product[i][j], rhs):
                     yield {"pair": [i, j]}
 
@@ -713,7 +679,7 @@ def verify_relative_center(a: AdjointAlgebra, v: ModuleRep,
     gv = lift_via_pi(p.hopf, p.pi, v)
     com = a.comodule_rep()
     mod = a.module_rep()
-    embed_action = [mod.act_elem(p.t_embed.col(t)) for t in range(p.base.dim)]
+    embed_action = [mod.act_terms(p.t_embed.col_terms(t)) for t in range(p.base.dim)]
 
     rinv = a.problem.rmatrix.inverse_terms()
 
@@ -723,22 +689,18 @@ def verify_relative_center(a: AdjointAlgebra, v: ModuleRep,
                 # first A x V -> V x A by the Yetter-Drinfeld half-braiding
                 mid: dict[tuple[int, int], Scalar] = {}
                 for y, i0, c in com.coaction[i]:
-                    for r, e in nonzero(gv.action[y].col(vv)):
+                    for r, e in gv.action[y].col_terms(vv):
                         key = (r, i0)
                         mid[key] = mid.get(key, z) + c * e
                 # then V x A -> A x V by the lifted inverse-R half-braiding
                 out: dict[tuple[int, int], Scalar] = {}
                 for (w, j), c in mid.items():
                     for t1, t2, cr in rinv:
-                        acol = [embed_action[t1][r, j] for r in range(n)]
-                        wcol = [v.action[t2][r, w] for r in range(dv)]
-                        for r1, e1 in enumerate(acol):
-                            if e1.is_zero():
-                                continue
-                            for r2, e2 in enumerate(wcol):
-                                if not e2.is_zero():
-                                    key = (r1, r2)
-                                    out[key] = out.get(key, z) + c * cr * e1 * e2
+                        wcol = v.action[t2].col_terms(w)
+                        for r1, e1 in embed_action[t1].col_terms(j):
+                            for r2, e2 in wcol:
+                                key = (r1, r2)
+                                out[key] = out.get(key, z) + c * cr * e1 * e2
                 if sparse_diff(out, {(i, vv): ctx.one()}, ctx) is not None:
                     yield {"basis": i, "module_index": vv}
 
@@ -748,27 +710,15 @@ def verify_relative_center(a: AdjointAlgebra, v: ModuleRep,
 
 def invariant_coinvariant_dim(hopf: FinDimHopf, action: list[Matrix], coaction) -> int:
     """dim of { a : h.a = eps(h) a for all h, and delta(a) = 1 x a }."""
-    ctx = hopf.ctx
     n = action[0].rows
     eps = hopf.coalgebra.counit
     unit = hopf.algebra.unit
-    rows: list[list[Scalar]] = []
-    for h in range(hopf.dim):
-        m = action[h]
-        for r in range(n):
-            row = [m[r, c] for c in range(n)]
-            row[r] = row[r] - eps[h]
-            rows.append(row)
-    co_rows = [[ctx.zero()] * n for _ in range(hopf.dim * n)]  # row y*n + r of lambda
-    for c, terms in enumerate(coaction):
-        for y, r, e in terms:
-            co_rows[y * n + r][c] = e
-    for y in range(hopf.dim):
-        for r in range(n):
-            row = co_rows[y * n + r]
-            row[r] = row[r] - unit[y]
-            rows.append(row)
-    return kernel_basis(Matrix.from_rows(ctx, rows)).dim
+    co = hopf.dim * n  # row h*n + r of (action - eps), then co + y*n + r of (lambda - 1 x id)
+    terms = [(h * n + r, c, e) for h in range(hopf.dim) for r, c, e in action[h].terms()]
+    terms += [(h * n + r, r, -eps[h]) for h in range(hopf.dim) for r in range(n)]
+    terms += [(co + y * n + r, c, e) for c, cterms in enumerate(coaction) for y, r, e in cterms]
+    terms += [(co + y * n + r, r, -unit[y]) for y in range(hopf.dim) for r in range(n)]
+    return kernel_basis(Matrix(hopf.ctx, 2 * co, n, terms)).dim
 
 
 def connectedness(a: AdjointAlgebra) -> int:
@@ -802,7 +752,7 @@ def phi_structure_transport(a: AdjointAlgebra, report: VerificationReport | None
     rep.add(f"{prefix}/dimension", ok, None if ok else {"dim": a.dim, "expected": n * n})
 
     def g_index(j: int) -> list[Scalar]:
-        return [p.t_embed[r, j % n] for r in range(p.hopf.dim)]
+        return p.t_embed.col(j % n)
 
     def bar_at(i: int, hvec: list[Scalar]) -> list[Scalar]:
         out = [z] * NK
@@ -965,22 +915,17 @@ def _grading_twist(model: TaftModel, K: ComoduleAlgebra, shift: int) -> Matrix:
     grading by q^t, for the coaction conjugated by g^shift."""
     ctx = model.ctx
     n = model.n
-    NK = K.dim
     halg = model.taft.algebra
     gi = halg.basis_vec(model.x_index(0, shift % n))
     gmi = halg.basis_vec(model.x_index(0, -shift % n))
-    tw = Matrix.zero(ctx, NK, NK)
-    for k in range(NK):
+    terms = []
+    for k in range(K.dim):
         for y, k0, c in K.coaction[k]:
             yv = halg.mult_vec(halg.mult_vec(gmi, halg.basis_vec(y)), gi)
-            for yy, cy in enumerate(yv):
-                if cy.is_zero():
-                    continue
-                for t in range(n):
-                    cpi = model.pi[t, yy]
-                    if not cpi.is_zero():
-                        tw.entries[k0 * NK + k] = tw.entries[k0 * NK + k] + c * cy * cpi * zeta_power(ctx, t)
-    return tw
+            for yy, cy in nonzero(yv):
+                for t, cpi in model.pi.col_terms(yy):
+                    terms.append((k0, k, c * cy * cpi * zeta_power(ctx, t)))
+    return Matrix(ctx, K.dim, K.dim, terms)
 
 
 def _isotypic_zero_dim(ctx: FieldContext, twist: Matrix, n: int) -> int:
@@ -992,7 +937,7 @@ def _isotypic_zero_dim(ctx: FieldContext, twist: Matrix, n: int) -> int:
         power = power * twist
         acc = acc + power
     inv_n = Fraction(1, n)
-    proj = Matrix(ctx, dim, dim, [e.scale(inv_n) for e in acc.entries])
+    proj = Matrix(ctx, dim, dim, [(i, j, e.scale(inv_n)) for i, j, e in acc.terms()])
     if (proj * proj) != proj:
         raise ArithmeticError("averaging operator is not idempotent")
     return rank(proj)
@@ -1018,12 +963,8 @@ def chi0_crosscheck(n: int, d: int, xi, report: VerificationReport | None = None
     # projecting the block-diagonal sum of the conjugated twists.
     blocks = [_grading_twist(model, K, i) for i in range(m)]
     dim_k0 = _isotypic_zero_dim(ctx, blocks[0], n)
-    big = m * NK
-    tw_t = Matrix.zero(ctx, big, big)
-    for i, block in enumerate(blocks):
-        for r in range(NK):
-            for c in range(NK):
-                tw_t.entries[(i * NK + r) * big + i * NK + c] = block[r, c]
+    tw_t = Matrix(ctx, m * NK, m * NK, [(i * NK + r, i * NK + c, e)
+                                        for i, block in enumerate(blocks) for r, c, e in block.terms()])
     dim_t0 = _isotypic_zero_dim(ctx, tw_t, n)
 
     rep.add(f"{prefix}/dims", True,
@@ -1054,8 +995,7 @@ def dinaturality_element_check(p: AdjointProblem, bars: list[list[Scalar]],
     z = ctx.zero()
     s_t = p.base.antipode
     gv = lift_via_pi(p.hopf, p.pi, v)
-    legs = [([s_t[l, i2] for l in range(p.base.dim)], j2, cr)
-            for i2, j2, cr in _ad2_leg_terms(p)]
+    legs = [(s_t.col(i2), j2, cr) for i2, j2, cr in _ad2_leg_terms(p)]
     units = [unit_vector(ctx, dm, mm) for mm in range(dm)]
     m_acts = [[m_mod.act_vec(kalg.basis_vec(p0), e) for e in units] for p0 in range(K.dim)]
 

@@ -21,7 +21,7 @@ from .braiding import (
 )
 from .constructions import TaftModel
 from .adjoint import AdjointAlgebra
-from .linalg import Matrix, kernel_basis, kron, nonzero, sparse_diff, vec_eq
+from .linalg import Matrix, flip_legs, kernel_basis, kron, kron_sum, nonzero, sparse_diff, vec_eq
 from .reports import VerificationReport
 
 
@@ -51,28 +51,17 @@ def build_h_ad(model: TaftModel) -> HAdjoint:
     alg = line.algebra
     sigma = braiding(model.rmatrix, line.tmodule, line.tmodule)
     s_mat = line.braided_antipode
-    z = ctx.zero()
 
     rho_ad: list[Matrix] = []
     for h in range(n):
-        mat = Matrix.zero(ctx, n, n)
+        terms = []
         for a in range(n):
-            acc = [z] * n
             for h1, h2, c in line.coalgebra.comult[h]:
-                col = h2 * n + a
-                for row in range(n * n):
-                    s = sigma[row, col]
-                    if s.is_zero():
-                        continue
+                for row, s in sigma.col_terms(h2 * n + a):
                     a2, h2p = row // n, row % n
-                    sh = [s_mat[l, h2p] for l in range(n)]
-                    v = alg.mult_vec(alg.mult_vec(alg.basis_vec(h1), alg.basis_vec(a2)), sh)
-                    for r in range(n):
-                        if not v[r].is_zero():
-                            acc[r] = acc[r] + c * s * v[r]
-            for r in range(n):
-                mat.entries[r * n + a] = acc[r]
-        rho_ad.append(mat)
+                    v = alg.mult_vec(alg.mult_vec(alg.basis_vec(h1), alg.basis_vec(a2)), s_mat.col(h2p))
+                    terms += [(r, a, c * s * x) for r, x in nonzero(v)]
+        rho_ad.append(Matrix(ctx, n, n, terms))
 
     nt = model.t_hopf.dim
     ht_mats: list[Matrix] = []
@@ -99,25 +88,21 @@ def half_braiding(had: HAdjoint, x: ModuleRep) -> Matrix:
     ctx = had.ctx
     n = had.dim
     dx = x.dim
-    inv = braiding(model.rmatrix, line.tmodule, t_restriction(model, x))
-    # inv maps H x X -> X x H with rows (x_out * n + h_out), cols (h * dx + xx)
-    inv_cols = [nonzero(inv.col(j)) for j in range(inv.cols)]
-    act_cols = [[nonzero(act.col(j)) for j in range(dx)]
-                for act in (x.action[model.x_index(h1, 0)] for h1 in range(n))]
-    out = Matrix.zero(ctx, dx * n, n * dx)
+    # the braiding H x X -> X x H, rows (x_out * n + h_out) and cols
+    # (h * dx + xx), read by columns as the rows of its transpose
+    inv = braiding(model.rmatrix, line.tmodule, t_restriction(model, x)).transpose()
+    inv_cols = [inv.row_terms(j) for j in range(inv.rows)]
+    act_cols = [[act.row_terms(j) for j in range(dx)]
+                for act in (x.action[model.x_index(h1, 0)].transpose() for h1 in range(n))]
+    terms = []
     for h in range(n):
         for xx in range(dx):
-            col = h * dx + xx
-            acc: dict[int, Scalar] = {}
             for h1, h2, c in line.coalgebra.comult[h]:
                 for row, s in inv_cols[h2 * dx + xx]:
                     x_mid, h_out = row // n, row % n
-                    for x_out, e in act_cols[h1][x_mid]:
-                        key = x_out * n + h_out
-                        acc[key] = acc.get(key, ctx.zero()) + c * s * e
-            for key, val in acc.items():
-                out.entries[key * (n * dx) + col] = val
-    return out
+                    terms += [(x_out * n + h_out, h * dx + xx, c * s * e)
+                              for x_out, e in act_cols[h1][x_mid]]
+    return Matrix(ctx, dx * n, n * dx, terms)
 
 
 def verify_h_ad(had: HAdjoint, modules: dict[str, ModuleRep],
@@ -164,22 +149,8 @@ def verify_h_ad(had: HAdjoint, modules: dict[str, ModuleRep],
             gamma = half_braiding(had, gv)
             dv = gv.dim
             # sigma_{G(V),H_ad}(v x a) = (1 # Rbar1).a x Rbar2.v, then compose
-            comp = Matrix.zero(ctx, n * dv, n * dv)
-            for i2, j2, cr in model.rmatrix.inverse_terms():
-                aact = had.ht_module.action[model.x_index(0, i2)]
-                vact = vt.action[j2]
-                for r1 in range(n):
-                    for c1 in range(n):
-                        e1 = aact[r1, c1]
-                        if e1.is_zero():
-                            continue
-                        for r2 in range(dv):
-                            for c2 in range(dv):
-                                e2 = vact[r2, c2]
-                                if not e2.is_zero():
-                                    row = r1 * dv + r2
-                                    col = c2 * n + c1
-                                    comp.entries[row * (n * dv) + col] = comp.entries[row * (n * dv) + col] + cr * e1 * e2
+            comp = flip_legs(kron_sum([(cr, had.ht_module.action[model.x_index(0, i2)], vt.action[j2])
+                                       for i2, j2, cr in model.rmatrix.inverse_terms()]), dv, n)
             if comp * gamma != Matrix.identity(ctx, n * dv):
                 yield {"module": name}
 
@@ -189,11 +160,7 @@ def verify_h_ad(had: HAdjoint, modules: dict[str, ModuleRep],
         for i in range(n):
             for j in range(n):
                 rhs = [ctx.zero()] * n
-                col = i * n + j
-                for row in range(n * n):
-                    s = gamma_self[row, col]
-                    if s.is_zero():
-                        continue
+                for row, s in gamma_self.col_terms(i * n + j):
                     jj, ii = row // n, row % n
                     for r, e in alg.mult[jj][ii]:
                         rhs[r] = rhs[r] + s * e
@@ -213,19 +180,9 @@ def verify_h_ad(had: HAdjoint, modules: dict[str, ModuleRep],
 
 def _pi_x(had: HAdjoint, x: ModuleRep) -> Matrix:
     """pi_X = (rho_X x id)(id x coev): H_ad -> X x X*."""
-    model = had.model
-    ctx = had.ctx
-    n = had.dim
     dx = x.dim
-    out = Matrix.zero(ctx, dx * dx, n)
-    for h in range(n):
-        act = x.action[model.x_index(h, 0)]
-        for mo in range(dx):
-            for mm in range(dx):
-                e = act[mo, mm]
-                if not e.is_zero():
-                    out.entries[(mo * dx + mm) * n + h] = e
-    return out
+    return Matrix(had.ctx, dx * dx, had.dim, [(mo * dx + mm, h, e) for h in range(had.dim)
+                                              for mo, mm, e in x.action[had.model.x_index(h, 0)].terms()])
 
 
 def pi_dinatural_check(had: HAdjoint, x: ModuleRep, v: ModuleRep,
@@ -247,7 +204,7 @@ def pi_dinatural_check(had: HAdjoint, x: ModuleRep, v: ModuleRep,
     dvm = vm.dim
     vm_dual, _, _ = dual_module(taft, vm)
     v_dual_t = ModuleRep(model.t_hopf.algebra, dv,
-                         [v.act_elem([model.t_hopf.antipode[l, t] for l in range(model.n)]).transpose()
+                         [v.act_terms(model.t_hopf.antipode.col_terms(t)).transpose()
                           for t in range(model.n)])
 
     pi_m = _pi_x(had, x)
@@ -256,43 +213,28 @@ def pi_dinatural_check(had: HAdjoint, x: ModuleRep, v: ModuleRep,
     def wedge_instance():
         for h in range(n):
             lhs: dict[tuple[int, tuple[int, int, int]], Scalar] = {}
-            for mo in range(dm):
-                for mp in range(dm):
-                    e = pi_m[(mo * dm + mp), h]
-                    if e.is_zero():
-                        continue
-                    for j in range(dv):
-                        lhs[(mo, (j, j, mp))] = e
+            for row, e in pi_m.col_terms(h):
+                mo, mp = divmod(row, dm)
+                for j in range(dv):
+                    lhs[(mo, (j, j, mp))] = e
 
             rhs: dict[tuple[int, tuple[int, int, int]], Scalar] = {}
             for ri, rj, cr in model.rmatrix.terms():
                 a_mat = vm.action[model.x_index(0, ri)]
                 b_mat = vm_dual.action[model.x_index(0, ri)]
                 jmat = v_dual_t.action[rj]
-                for w1 in range(dvm):
-                    for w2 in range(dvm):
-                        e = pi_vm[(w1 * dvm + w2), h]
-                        if e.is_zero():
-                            continue
-                        # A e_w1 decomposed over (va, mo)
-                        for row1 in range(dvm):
-                            e1 = a_mat[row1, w1]
-                            if e1.is_zero():
-                                continue
-                            va, mo = row1 // dm, row1 % dm
-                            # B e^w2 evaluated against e_(v', m')
-                            for row2 in range(dvm):
-                                e2 = b_mat[row2, w2]
-                                if e2.is_zero():
-                                    continue
-                                vp, mp = row2 // dm, row2 % dm
-                                for j in range(dv):
-                                    ej = jmat[va, j]
-                                    if ej.is_zero():
-                                        continue
-                                    key = (mo, (j, vp, mp))
-                                    add = cr * e * e1 * e2 * ej
-                                    rhs[key] = rhs.get(key, z) + add
+                for row, e in pi_vm.col_terms(h):
+                    w1, w2 = divmod(row, dvm)
+                    # A e_w1 decomposed over (va, mo)
+                    for row1, e1 in a_mat.col_terms(w1):
+                        va, mo = row1 // dm, row1 % dm
+                        # B e^w2 evaluated against e_(v', m')
+                        for row2, e2 in b_mat.col_terms(w2):
+                            vp, mp = row2 // dm, row2 % dm
+                            for j, ej in jmat.row_terms(va):
+                                key = (mo, (j, vp, mp))
+                                add = cr * e * e1 * e2 * ej
+                                rhs[key] = rhs.get(key, z) + add
 
             key = sparse_diff(lhs, rhs, ctx)
             if key is not None:
@@ -302,51 +244,49 @@ def pi_dinatural_check(had: HAdjoint, x: ModuleRep, v: ModuleRep,
     return rep
 
 
+def _counit_projection(model: TaftModel) -> Matrix:
+    """id x eps_T: the bosonization onto the line, x^a # g^b -> eps(g^b) x^a."""
+    counit = model.t_hopf.coalgebra.counit
+    return Matrix(model.ctx, model.line.dim, model.taft.dim,
+                  [(a, model.x_index(a, b), counit[b]) for a in range(model.line.dim)
+                   for b in range(model.n)])
+
+
 def displayed_adjoint_action(model: TaftModel) -> list[Matrix]:
     """u.h = (id x eps_T)(u1 (h#1) S(u2)) for u in the bosonization,
     h in the line; one matrix per bosonization basis element."""
     taft = model.taft
     ctx = model.ctx
     n = model.line.dim
-    eproj = Matrix.zero(ctx, n, taft.dim)
-    for a in range(n):
-        for b in range(model.n):
-            eproj.entries[a * taft.dim + model.x_index(a, b)] = model.t_hopf.coalgebra.counit[b]
+    eproj = _counit_projection(model)
     mats = []
     for u in range(taft.dim):
-        m = Matrix.zero(ctx, n, n)
+        terms = []
         for h in range(n):
             acc = [ctx.zero()] * taft.dim
             hv = taft.algebra.basis_vec(model.x_index(h, 0))
             for u1, u2, c in taft.coalgebra.comult[u]:
-                s2 = [taft.antipode[l, u2] for l in range(taft.dim)]
-                w = taft.algebra.mult_vec(taft.algebra.mult_vec(taft.algebra.basis_vec(u1), hv), s2)
-                for r in range(taft.dim):
-                    if not w[r].is_zero():
-                        acc[r] = acc[r] + c * w[r]
-            pw = eproj.apply(acc)
-            for r in range(n):
-                m.entries[r * n + h] = pw[r]
-        mats.append(m)
+                w = taft.algebra.mult_vec(taft.algebra.mult_vec(taft.algebra.basis_vec(u1), hv),
+                                          taft.antipode.col(u2))
+                for r, x in nonzero(w):
+                    acc[r] = acc[r] + c * x
+            terms += [(r, h, x) for r, x in nonzero(eproj.apply(acc))]
+        mats.append(Matrix(ctx, n, n, terms))
     return mats
 
 
 def displayed_adjoint_coaction(model: TaftModel) -> Matrix:
     """rho(h) = h1 # R2 x R1 . h2 as a (dim(H#T) * n) x n matrix."""
     taft = model.taft
-    ctx = model.ctx
     n = model.line.dim
     line = model.line
-    out = Matrix.zero(ctx, taft.dim * n, n)
+    terms = []
     for h in range(n):
         for h1, h2, c in line.coalgebra.comult[h]:
             for ri, rj, cr in model.rmatrix.terms():
                 y = model.x_index(h1, rj)
-                col_h2 = [line.tmodule.action[ri][r, h2] for r in range(n)]
-                for hp, e in enumerate(col_h2):
-                    if not e.is_zero():
-                        out.entries[(y * n + hp) * n + h] = out.entries[(y * n + hp) * n + h] + c * cr * e
-    return out
+                terms += [(y * n + hp, h, c * cr * e) for hp, e in line.tmodule.action[ri].col_terms(h2)]
+    return Matrix(model.ctx, taft.dim * n, n, terms)
 
 
 def regular_case_iso(adjoint: AdjointAlgebra, had: HAdjoint,
@@ -366,18 +306,10 @@ def regular_case_iso(adjoint: AdjointAlgebra, had: HAdjoint,
     if "ad2" not in adjoint.problem.conditions:
         raise ValueError("the comparison needs the fully-constrained variant")
 
-    eproj = Matrix.zero(ctx, n, taft.dim)
-    for a in range(n):
-        for b in range(model.n):
-            eproj.entries[a * taft.dim + model.x_index(a, b)] = model.t_hopf.coalgebra.counit[b]
-
     unit_ht = 0
-    phi = Matrix.zero(ctx, n, adjoint.dim)
-    for s in range(adjoint.dim):
-        val = adjoint.bar(s, unit_ht)
-        pw = eproj.apply(val)
-        for r in range(n):
-            phi.entries[r * adjoint.dim + s] = pw[r]
+    eproj = _counit_projection(model)
+    phi = Matrix(ctx, n, adjoint.dim, [(r, s, x) for s in range(adjoint.dim)
+                                       for r, x in nonzero(eproj.apply(adjoint.bar(s, unit_ht)))])
 
     ok = adjoint.dim == n and kernel_basis(phi).dim == 0
     rep.add(f"{prefix}/phi-bijective", ok,
@@ -387,14 +319,10 @@ def regular_case_iso(adjoint: AdjointAlgebra, had: HAdjoint,
     rep.add(f"{prefix}/phi-unit", ok, None if ok else {})
 
     def phi_coaction_intertwines():
-        lhs = Matrix.zero(ctx, taft.dim * n, adjoint.dim)
         com = adjoint.comodule_rep()
-        for s in range(adjoint.dim):
-            for y, l, c in com.coaction[s]:
-                pl = phi.col(l)
-                for r in range(n):
-                    if not pl[r].is_zero():
-                        lhs.entries[(y * n + r) * adjoint.dim + s] = lhs.entries[(y * n + r) * adjoint.dim + s] + c * pl[r]
+        lhs = Matrix(ctx, taft.dim * n, adjoint.dim,
+                     [(y * n + r, s, c * e) for s in range(adjoint.dim)
+                      for y, l, c in com.coaction[s] for r, e in phi.col_terms(l)])
         if lhs != displayed_adjoint_coaction(model) * phi:
             yield {}
 

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from .cyclotomic import Scalar
 from .hopf import FinDimAlgebra, FinDimCoalgebra, FinDimHopf, check_algebra, tensor_algebra
-from .linalg import Matrix, invert, nonzero, sparse_diff, unit_vector, vec_eq, zeros
+from .linalg import (Matrix, flip_legs, invert, kron_sum, nonzero, sparse_diff, unit_vector,
+                     vec_eq, zeros)
 from .reports import VerificationReport
 
 
@@ -69,13 +70,8 @@ class ModuleRep:
     def act_terms(self, terms) -> Matrix:
         """Action matrix of the algebra element with these (index,
         coefficient) terms."""
-        ctx = self.host.ctx
-        entries = zeros(ctx, self.dim * self.dim)
-        for i, ui in terms:
-            for idx, e in enumerate(self.action[i].entries):
-                if not e.is_zero():
-                    entries[idx] = entries[idx] + ui * e
-        return Matrix(ctx, self.dim, self.dim, entries)
+        return Matrix(self.host.ctx, self.dim, self.dim,
+                      ((r, c, ui * e) for i, ui in terms for r, c, e in self.action[i].terms()))
 
     def act_vec(self, u: list[Scalar], v: list[Scalar]) -> list[Scalar]:
         ctx = self.host.ctx
@@ -239,11 +235,9 @@ def check_rmatrix(r: RMatrix, report: VerificationReport | None = None, prefix: 
     def antipode_left():
         s_r: dict = {}
         for i, j, c in rterms:
-            for l in range(h.dim):
-                e = h.antipode[l, i]
-                if not e.is_zero():
-                    key = (l, j)
-                    s_r[key] = s_r.get(key, z) + c * e
+            for l, e in h.antipode.col_terms(i):
+                key = (l, j)
+                s_r[key] = s_r.get(key, z) + c * e
         yield from axiom(s_r, rinv_dict, "(S x id)(R) = R^-1")
 
     def antipode_right_inverse():
@@ -253,25 +247,18 @@ def check_rmatrix(r: RMatrix, report: VerificationReport | None = None, prefix: 
             return
         sr2: dict = {}
         for i, j, c in rterms:
-            for l in range(h.dim):
-                e = s_inv[l, j]
-                if not e.is_zero():
-                    key = (i, l)
-                    sr2[key] = sr2.get(key, z) + c * e
+            for l, e in s_inv.col_terms(j):
+                key = (i, l)
+                sr2[key] = sr2.get(key, z) + c * e
         yield from axiom(sr2, rinv_dict, "(id x S^-1)(R) = R^-1")
 
     def antipode_both():
         ss: dict = {}
         for i, j, c in rterms:
-            for l in range(h.dim):
-                el = h.antipode[l, i]
-                if el.is_zero():
-                    continue
-                for m in range(h.dim):
-                    em = h.antipode[m, j]
-                    if not em.is_zero():
-                        key = (l, m)
-                        ss[key] = ss.get(key, z) + c * el * em
+            for l, el in h.antipode.col_terms(i):
+                for m, em in h.antipode.col_terms(j):
+                    key = (l, m)
+                    ss[key] = ss.get(key, z) + c * el * em
         yield from axiom(ss, {(a, b): c for a, b, c in rterms}, "(S x S)(R) = R")
 
     rep.check(f"{prefix}/comult-left", comult_left())
@@ -286,92 +273,33 @@ def check_rmatrix(r: RMatrix, report: VerificationReport | None = None, prefix: 
 
 def braiding(r: RMatrix, v: ModuleRep, w: ModuleRep) -> Matrix:
     """Matrix of sigma_{V,W}(v x w) = R2.w x R1.v from V x W to W x V."""
-    ctx = r.host.ctx
-    dv, dw = v.dim, w.dim
-    out = Matrix.zero(ctx, dw * dv, dv * dw)
-    entries = out.entries
-    for i, j, c in r.terms():
-        mv = v.action[i]
-        mw = w.action[j]
-        for wi in range(dw):
-            for w0 in range(dw):
-                a = mw[wi, w0]
-                if a.is_zero():
-                    continue
-                for vi in range(dv):
-                    for v0 in range(dv):
-                        b = mv[vi, v0]
-                        if b.is_zero():
-                            continue
-                        row = wi * dv + vi
-                        col = v0 * dw + w0
-                        entries[row * (dv * dw) + col] = entries[row * (dv * dw) + col] + c * a * b
-    return out
+    return flip_legs(kron_sum([(c, w.action[j], v.action[i]) for i, j, c in r.terms()]),
+                     v.dim, w.dim)
 
 
 def braiding_inverse(r: RMatrix, v: ModuleRep, w: ModuleRep) -> Matrix:
     """Matrix of sigma^{-1}_{V,W}(w x v) = S(R1).v x R2.w from W x V to V x W."""
-    ctx = r.host.ctx
-    h = r.host
-    dv, dw = v.dim, w.dim
-    out = Matrix.zero(ctx, dv * dw, dw * dv)
-    entries = out.entries
-    for i, j, c in r.terms():
-        s_col = [h.antipode[l, i] for l in range(h.dim)]
-        mv = v.act_elem(s_col)
-        mw = w.action[j]
-        for vi in range(dv):
-            for v0 in range(dv):
-                b = mv[vi, v0]
-                if b.is_zero():
-                    continue
-                for wi in range(dw):
-                    for w0 in range(dw):
-                        a = mw[wi, w0]
-                        if a.is_zero():
-                            continue
-                        row = vi * dw + wi
-                        col = w0 * dv + v0
-                        entries[row * (dw * dv) + col] = entries[row * (dw * dv) + col] + c * a * b
-    return out
+    s = r.host.antipode
+    return flip_legs(kron_sum([(c, v.act_terms(s.col_terms(i)), w.action[j])
+                               for i, j, c in r.terms()]), w.dim, v.dim)
 
 
 def tensor_module(hopf: FinDimHopf, v: ModuleRep, w: ModuleRep) -> ModuleRep:
     """V x W with the coproduct action."""
-    ctx = hopf.ctx
-    dim = v.dim * w.dim
-    mats = []
-    for i in range(hopf.dim):
-        m = Matrix.zero(ctx, dim, dim)
-        entries = m.entries
-        for j, k, c in hopf.coalgebra.comult[i]:
-            mv = v.action[j]
-            mw = w.action[k]
-            for a in range(v.dim):
-                for b in range(v.dim):
-                    x = mv[a, b]
-                    if x.is_zero():
-                        continue
-                    for p in range(w.dim):
-                        for q in range(w.dim):
-                            y = mw[p, q]
-                            if not y.is_zero():
-                                row = a * w.dim + p
-                                col = b * w.dim + q
-                                entries[row * dim + col] = entries[row * dim + col] + c * x * y
-        mats.append(m)
-    return ModuleRep(hopf.algebra, dim, mats)
+    return ModuleRep(hopf.algebra, v.dim * w.dim,
+                     [kron_sum([(c, v.action[j], w.action[k]) for j, k, c in terms])
+                      for terms in hopf.coalgebra.comult])
 
 
 def lift_via_pi(hopf: FinDimHopf, pi: Matrix, v: ModuleRep) -> ModuleRep:
     """A module over the base algebra as a module over `hopf` through
     the projection pi (column i = image of basis element i)."""
-    return ModuleRep(hopf.algebra, v.dim, [v.act_elem(pi.col(i)) for i in range(hopf.dim)])
+    return ModuleRep(hopf.algebra, v.dim, [v.act_terms(pi.col_terms(i)) for i in range(hopf.dim)])
 
 
 def trivial_module(hopf: FinDimHopf) -> ModuleRep:
     ctx = hopf.ctx
-    mats = [Matrix(ctx, 1, 1, [hopf.coalgebra.counit[i]]) for i in range(hopf.dim)]
+    mats = [Matrix(ctx, 1, 1, [(0, 0, e)]) for e in hopf.coalgebra.counit]
     return ModuleRep(hopf.algebra, 1, mats)
 
 
@@ -384,19 +312,11 @@ def dual_module(hopf: FinDimHopf, v: ModuleRep) -> tuple[ModuleRep, Matrix, Matr
     """Left dual with action (t.f)(x) = f(S(t) x); returns (V*, ev, coev)
     where ev: V* x V -> k and coev: k -> V x V*."""
     ctx = hopf.ctx
-    mats = []
-    for i in range(hopf.dim):
-        s_col = [hopf.antipode[l, i] for l in range(hopf.dim)]
-        mats.append(v.act_elem(s_col).transpose())
-    dual = ModuleRep(hopf.algebra, v.dim, mats)
-    z, o = ctx.zero(), ctx.one()
-    ev_entries = [z] * (v.dim * v.dim)
-    coev_entries = [z] * (v.dim * v.dim)
-    for i in range(v.dim):
-        ev_entries[i * v.dim + i] = o
-        coev_entries[i * v.dim + i] = o
-    ev = Matrix(ctx, 1, v.dim * v.dim, ev_entries)
-    coev = Matrix(ctx, v.dim * v.dim, 1, coev_entries)
+    d = v.dim
+    dual = ModuleRep(hopf.algebra, d, [v.act_terms(hopf.antipode.col_terms(i)).transpose()
+                                       for i in range(hopf.dim)])
+    ev = Matrix(ctx, 1, d * d, [(0, i * d + i, ctx.one()) for i in range(d)])
+    coev = Matrix(ctx, d * d, 1, [(i * d + i, 0, ctx.one()) for i in range(d)])
     return dual, ev, coev
 
 
@@ -498,24 +418,21 @@ def check_yd(hopf: FinDimHopf, module: ModuleRep, comodule: ComoduleRep,
         for h in range(hopf.dim):
             for v in range(dim_v):
                 lhs: dict = {}
-                for w, wc in nonzero(module.action[h].col(v)):
+                for w, wc in module.action[h].col_terms(v):
                     for y, w0, c in comodule.coaction[w]:
                         key = (y, w0)
                         lhs[key] = lhs.get(key, z) + wc * c
                 rhs: dict = {}
                 for h1, h2, h3, c in hopf.coalgebra.delta2_terms(h):
-                    s3 = [hopf.antipode[l, h3] for l in range(hopf.dim)]
+                    s3 = hopf.antipode.col(h3)
                     for y, v0, d in comodule.coaction[v]:
                         first = alg.mult_vec(alg.mult_vec(alg.basis_vec(h1), alg.basis_vec(y)), s3)
                         coeff = c * d
-                        h2v0 = [module.action[h2][r, v0] for r in range(dim_v)]
-                        for yy, fy in enumerate(first):
-                            if fy.is_zero():
-                                continue
-                            for w, wv in enumerate(h2v0):
-                                if not wv.is_zero():
-                                    key = (yy, w)
-                                    rhs[key] = rhs.get(key, z) + coeff * fy * wv
+                        h2v0 = module.action[h2].col_terms(v0)
+                        for yy, fy in nonzero(first):
+                            for w, wv in h2v0:
+                                key = (yy, w)
+                                rhs[key] = rhs.get(key, z) + coeff * fy * wv
                 if sparse_diff(lhs, rhs, ctx) is not None:
                     yield {"pair": [h, v]}
 
@@ -524,20 +441,13 @@ def check_yd(hopf: FinDimHopf, module: ModuleRep, comodule: ComoduleRep,
 
 
 def yd_braiding(hopf: FinDimHopf, a: YDModule, b: YDModule) -> Matrix:
-    """Matrix of c_{A,B}(v x x) = v(-1).x x v0 from A x B to B x A."""
+    """Matrix of c_{A,B}(v x x) = v(-1).x x v0 from A x B to B x A: the
+    sum over y of (action of y on B) kron (the y-component of lambda_A)."""
     ctx = hopf.ctx
     da, db = a.module.dim, b.module.dim
-    out = Matrix.zero(ctx, db * da, da * db)
-    entries = out.entries
+    components: dict[int, list] = {}
     for v in range(da):
         for y, v0, c in a.comodule.coaction[v]:
-            m = b.module.action[y]
-            for xi in range(db):
-                for x0 in range(db):
-                    e = m[xi, x0]
-                    if e.is_zero():
-                        continue
-                    row = xi * da + v0
-                    col = v * db + x0
-                    entries[row * (da * db) + col] = entries[row * (da * db) + col] + c * e
-    return out
+            components.setdefault(y, []).append((v0, v, c))
+    return flip_legs(kron_sum([(ctx.one(), b.module.action[y], Matrix(ctx, da, da, t))
+                               for y, t in sorted(components.items())]), da, db)

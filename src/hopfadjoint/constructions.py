@@ -128,11 +128,7 @@ def _braided_square_product(h_alg: FinDimAlgebra, sigma: Matrix,
     for (i, j), cx in x.items():
         for (k, l), cy in y.items():
             c0 = cx * cy
-            col = j * n + k
-            for row in range(n * n):
-                s = sigma[row, col]
-                if s.is_zero():
-                    continue
+            for row, s in sigma.col_terms(j * n + k):
                 kk, jj = row // n, row % n
                 for p, m1 in h_alg.mult[i][kk]:
                     for q, m2 in h_alg.mult[jj][l]:
@@ -155,12 +151,8 @@ def braided_line(n: int) -> BraidedHopf:
     mult = [[[(a + c, o)] if a + c < n else [] for c in range(n)] for a in range(n)]
     alg = FinDimAlgebra(ctx, n, mult, unit_vector(ctx, n, 0))
 
-    action = []
-    for b in range(n):
-        m = Matrix.zero(ctx, n, n)
-        for a in range(n):
-            m.entries[a * n + a] = zeta_power(ctx, (a * b) % n)
-        action.append(m)
+    action = [Matrix(ctx, n, n, [(a, a, zeta_power(ctx, (a * b) % n)) for a in range(n)])
+              for b in range(n)]
     tmod = ModuleRep(t.algebra, n, action)
 
     sigma = braiding(r, tmod, tmod)
@@ -220,12 +212,12 @@ def check_braided_hopf(h: BraidedHopf, report: VerificationReport | None = None,
         for b in range(t.dim):
             act = h.tmodule.action[b]
             for i in range(n):
-                lhs = h.coalgebra.delta_vec(nonzero(act.col(i)))
+                lhs = h.coalgebra.delta_vec(act.col_terms(i))
                 rhs: dict = {}
                 for t1, t2, c in t.coalgebra.comult[b]:
                     for p, qq, d in h.coalgebra.comult[i]:
-                        vq = nonzero(h.tmodule.action[t2].col(qq))
-                        for a1, x1 in nonzero(h.tmodule.action[t1].col(p)):
+                        vq = h.tmodule.action[t2].col_terms(qq)
+                        for a1, x1 in h.tmodule.action[t1].col_terms(p):
                             for a2, x2 in vq:
                                 key = (a1, a2)
                                 add = c * d * x1 * x2
@@ -286,7 +278,7 @@ def bosonization(h: BraidedHopf, t: FinDimHopf, r: RMatrix) -> FinDimHopf:
                 for t1, t2, c2 in t.coalgebra.comult[b]:
                     for ri, rj, cr in rterms:
                         coeff = c1 * c2 * cr
-                        right_h = nonzero(h.tmodule.action[ri].col(h2))
+                        right_h = h.tmodule.action[ri].col_terms(h2)
                         for tt1, m1 in t.algebra.mult[rj][t1]:
                             for hh2, m2 in right_h:
                                 key = (h1 * nt + tt1, hh2 * nt + t2)
@@ -331,10 +323,7 @@ class TaftModel:
 def projection_pi(n: int) -> Matrix:
     """pi(x^a # g^b) = eps(x^a) g^b as an n x n^2 matrix."""
     ctx = make_field(n)
-    m = Matrix.zero(ctx, n, n * n)
-    for b in range(n):
-        m.entries[b * (n * n) + (0 * n + b)] = ctx.one()
-    return m
+    return Matrix(ctx, n, n * n, [(b, 0 * n + b, ctx.one()) for b in range(n)])
 
 
 def check_hopf_morphism(source: FinDimHopf, target: FinDimHopf, phi: Matrix,

@@ -45,12 +45,9 @@ class FinDimAlgebra:
         return unit_vector(self.ctx, self.dim, i)
 
     def left_mult_matrix(self, u: list[Scalar]) -> Matrix:
-        entries = zeros(self.ctx, self.dim * self.dim)
-        for i, ui in nonzero(u):
-            for j, terms in enumerate(self.mult[i]):
-                for k, m in terms:
-                    entries[k * self.dim + j] = entries[k * self.dim + j] + ui * m
-        return Matrix(self.ctx, self.dim, self.dim, entries)
+        return Matrix(self.ctx, self.dim, self.dim,
+                      ((k, j, ui * m) for i, ui in nonzero(u)
+                       for j, terms in enumerate(self.mult[i]) for k, m in terms))
 
 
 class FinDimCoalgebra:
@@ -265,11 +262,9 @@ def convolution_failures(a: FinDimAlgebra, c: FinDimCoalgebra, s: Matrix, side: 
         acc = zeros(a.ctx, a.dim)
         for j, k, coeff in c.comult[i]:
             if side == "left":
-                sv = [s[l, j] for l in range(a.dim)]
-                term = a.mult_vec(sv, a.basis_vec(k))
+                term = a.mult_vec(s.col(j), a.basis_vec(k))
             else:
-                sv = [s[l, k] for l in range(a.dim)]
-                term = a.mult_vec(a.basis_vec(j), sv)
+                term = a.mult_vec(a.basis_vec(j), s.col(k))
             for l in range(a.dim):
                 if not term[l].is_zero():
                     acc[l] = acc[l] + coeff * term[l]
@@ -287,30 +282,21 @@ def solve_antipode(a: FinDimAlgebra, c: FinDimCoalgebra) -> Matrix:
     ctx = a.ctx
     dim = a.dim
     n_unknowns = dim * dim  # S[l][j] at column index l * dim + j; the last column is the rhs
-    rows: list[list[Scalar]] = []
-    z = ctx.zero()
-    for i in range(dim):
-        coeffs: dict[tuple[int, int, int], Scalar] = {}
-        for j, k, coeff in c.comult[i]:
-            for l in range(dim):
-                for p, m in a.mult[l][k]:
-                    key = (p, l, j)
-                    coeffs[key] = coeffs.get(key, z) + coeff * m
-        for p in range(dim):
-            row = [z] * n_unknowns + [a.unit[p] * c.counit[i]]
-            for (pp, l, j), v in coeffs.items():
-                if pp == p:
-                    row[l * dim + j] = v
-            rows.append(row)
+    # row i * dim + p: the e_p coefficient of the identity at e_i
+    terms = [(i * dim + p, l * dim + j, coeff * m)
+             for i in range(dim) for j, k, coeff in c.comult[i]
+             for l in range(dim) for p, m in a.mult[l][k]]
+    terms += [(i * dim + p, n_unknowns, a.unit[p] * c.counit[i])
+              for i in range(dim) for p in range(dim)]
     # one elimination decides all three: the system is consistent iff the
     # rhs column is no pivot, the solution unique iff every unknown is a
     # pivot, and then row u of the reduced matrix ends in unknown u
-    red, pivots = rref(Matrix.from_rows(ctx, rows))
+    red, pivots = rref(Matrix(ctx, dim * dim, n_unknowns + 1, terms))
     if n_unknowns in pivots:
         raise NoAntipodeError("antipode convolution system is inconsistent")
     if len(pivots) != n_unknowns:
         raise NoAntipodeError("antipode is not unique; convolution system is degenerate")
-    s = Matrix(ctx, dim, dim, [red[u, n_unknowns] for u in range(n_unknowns)])
+    s = Matrix(ctx, dim, dim, ((u // dim, u % dim, x) for u, x in red.col_terms(n_unknowns)))
     witness = next(convolution_failures(a, c, s, "right"), None)
     if witness is not None:
         raise NoAntipodeError(f"solved antipode fails right convolution identity: {witness}")

@@ -1,9 +1,14 @@
-"""Exact matrices over cyclotomic scalars, eliminated on sparse rows.
+"""Exact sparse matrices over cyclotomic scalars.
 
-The vector helpers shared by every checker, row-reduced echelon form,
-kernels, subspace coordinates and Kronecker products; all arithmetic is
-exact, all outputs deterministic.  The Kronecker index convention is
-(i tensor j) -> i * dim_b + j everywhere.
+`Matrix` stores one zero-free {col: Scalar} dict per row and nothing
+else: it is built from (row, col, coefficient) terms and read as row or
+column term lists, and its products, Kronecker sums and eliminations
+run over the nonzeros only.  Only the `entries` view, read at
+serialisation, lays a matrix out densely.  Vectors stay dense lists;
+this module also holds the vector helpers shared by every checker,
+row-reduced echelon form, kernels and subspace coordinates.  All
+arithmetic is exact, all outputs deterministic.  The Kronecker index
+convention is (i tensor j) -> i * dim_b + j everywhere.
 """
 
 from __future__ import annotations
@@ -57,54 +62,75 @@ def sparse_diff(x: dict, y: dict, ctx: FieldContext):
 
 
 class Matrix:
-    """Row-major dense matrix of Scalars sharing one FieldContext."""
+    """Exact rows x cols matrix of Scalars sharing one FieldContext.
 
-    __slots__ = ("ctx", "rows", "cols", "entries")
+    The one storage is a zero-free {col: Scalar} dict per row.  A matrix
+    is built from (row, col, coefficient) terms, whose duplicates are
+    summed and whose zeros are dropped, and is read as ascending row or
+    column term lists; `entries` is a dense row-major view for
+    serialisation only."""
 
-    def __init__(self, ctx: FieldContext, rows: int, cols: int, entries: list[Scalar]):
-        if len(entries) != rows * cols:
-            raise ValueError("entry count does not match shape")
+    __slots__ = ("ctx", "rows", "cols", "_rows")
+
+    def __init__(self, ctx: FieldContext, rows: int, cols: int, terms=()):
+        acc: list[dict[int, Scalar]] = [{} for _ in range(rows)]
+        for i, j, c in terms:
+            row = acc[i]
+            row[j] = row[j] + c if j in row else c
         self.ctx = ctx
         self.rows = rows
         self.cols = cols
-        self.entries = entries
+        self._rows = [_zero_free(row) for row in acc]
 
     @classmethod
-    def zero(cls, ctx: FieldContext, rows: int, cols: int) -> "Matrix":
-        z = ctx.zero()
-        return cls(ctx, rows, cols, [z] * (rows * cols))
+    def _of_rows(cls, ctx: FieldContext, cols: int, rows: list[dict[int, Scalar]]) -> "Matrix":
+        """The matrix with these zero-free row dicts, taken over as they are."""
+        m = cls.__new__(cls)
+        m.ctx, m.rows, m.cols, m._rows = ctx, len(rows), cols, rows
+        return m
 
     @classmethod
     def identity(cls, ctx: FieldContext, n: int) -> "Matrix":
-        z, o = ctx.zero(), ctx.one()
-        entries = [z] * (n * n)
-        for i in range(n):
-            entries[i * n + i] = o
-        return cls(ctx, n, n, entries)
+        one = ctx.one()
+        return cls._of_rows(ctx, n, [{i: one} for i in range(n)])
 
     @classmethod
     def from_rows(cls, ctx: FieldContext, rows: list[list[Scalar]]) -> "Matrix":
-        nrows = len(rows)
+        """The matrix with these dense rows."""
         ncols = len(rows[0]) if rows else 0
-        flat: list[Scalar] = []
-        for r in rows:
-            if len(r) != ncols:
-                raise ValueError("ragged rows")
-            flat.extend(r)
-        return cls(ctx, nrows, ncols, flat)
+        if any(len(r) != ncols for r in rows):
+            raise ValueError("ragged rows")
+        return cls._of_rows(ctx, ncols, [dict(nonzero(r)) for r in rows])
 
     def __getitem__(self, idx: tuple[int, int]) -> Scalar:
         i, j = idx
-        return self.entries[i * self.cols + j]
+        return self._rows[i].get(j, self.ctx.zero())
+
+    def row_terms(self, i: int) -> list[tuple[int, Scalar]]:
+        return sorted(self._rows[i].items())
+
+    def col_terms(self, j: int) -> list[tuple[int, Scalar]]:
+        return [(i, row[j]) for i, row in enumerate(self._rows) if j in row]
+
+    def terms(self) -> list[tuple[int, int, Scalar]]:
+        """Every nonzero entry as (row, col, coefficient), row-major."""
+        return [(i, j, c) for i, row in enumerate(self._rows) for j, c in sorted(row.items())]
 
     def row(self, i: int) -> list[Scalar]:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
+        return dense(self.ctx, self.cols, self._rows[i].items())
 
     def col(self, j: int) -> list[Scalar]:
-        return [self.entries[i * self.cols + j] for i in range(self.rows)]
+        z = self.ctx.zero()
+        return [row.get(j, z) for row in self._rows]
 
-    def to_rows(self) -> list[list[Scalar]]:
-        return [self.row(i) for i in range(self.rows)]
+    @property
+    def entries(self) -> list[Scalar]:
+        """Dense row-major view, every absent entry the one ctx.zero()."""
+        out = zeros(self.ctx, self.rows * self.cols)
+        for i, row in enumerate(self._rows):
+            for j, c in row.items():
+                out[i * self.cols + j] = c
+        return out
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
@@ -115,51 +141,43 @@ class Matrix:
             raise ValueError(
                 f"mixed field contexts: Q(zeta_{self.ctx.conductor}) vs Q(zeta_{other.ctx.conductor})"
             )
-        return vec_eq(self.entries, other.entries)
+        return self._rows == other._rows
 
     def __repr__(self) -> str:
         return f"Matrix({self.rows}x{self.cols} over Q(zeta_{self.ctx.conductor}))"
 
     def transpose(self) -> "Matrix":
-        e = self.entries
-        out = [e[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)]
-        return Matrix(self.ctx, self.cols, self.rows, out)
+        out: list[dict[int, Scalar]] = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self._rows):
+            for j, c in row.items():
+                out[j][i] = c
+        return Matrix._of_rows(self.ctx, self.rows, out)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        return Matrix(
-            self.ctx,
-            self.rows,
-            self.cols,
-            [a + b for a, b in zip(self.entries, other.entries)],
-        )
+        return Matrix(self.ctx, self.rows, self.cols, self.terms() + other.terms())
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        return Matrix(
-            self.ctx,
-            self.rows,
-            self.cols,
-            [a - b for a, b in zip(self.entries, other.entries)],
-        )
+        return Matrix(self.ctx, self.rows, self.cols,
+                      self.terms() + [(i, j, -c) for i, j, c in other.terms()])
 
     def __mul__(self, other: "Matrix") -> "Matrix":
+        """Row by row over the nonzeros (Gustavson, 1978)."""
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product")
-        ctx = self.ctx
-        z = ctx.zero()
-        out = [z] * (self.rows * other.cols)
-        oc = other.cols
-        # the nonzero terms of each row of other, read once
-        brows = [nonzero(other.row(k)) for k in range(other.rows)]
-        for i in range(self.rows):
-            base = i * oc
-            for k, aik in nonzero(self.row(i)):
-                for j, bkj in brows[k]:
-                    out[base + j] = out[base + j] + aik * bkj
-        return Matrix(ctx, self.rows, other.cols, out)
+        brows = other._rows
+        out = []
+        for arow in self._rows:
+            acc: dict[int, Scalar] = {}
+            for k, a in arow.items():
+                for j, b in brows[k].items():
+                    ab = a * b
+                    acc[j] = acc[j] + ab if j in acc else ab
+            out.append(_zero_free(acc))
+        return Matrix._of_rows(self.ctx, other.cols, out)
 
     def apply(self, vec: list[Scalar]) -> list[Scalar]:
         """Matrix-vector product."""
@@ -169,24 +187,21 @@ class Matrix:
 
     def apply_terms(self, terms) -> list[Scalar]:
         """Matrix times the vector with these (index, coefficient) terms."""
-        out = [self.ctx.zero()] * self.rows
-        for k, vk in terms:
-            for i in range(self.rows):
-                e = self.entries[i * self.cols + k]
-                if not e.is_zero():
-                    out[i] = out[i] + e * vk
+        v = dict(terms)
+        out = zeros(self.ctx, self.rows)
+        for i, row in enumerate(self._rows):
+            for j, c in row.items():
+                x = v.get(j)
+                if x is not None:
+                    out[i] = out[i] + c * x
         return out
 
     def is_zero(self) -> bool:
-        return all(e.is_zero() for e in self.entries)
+        return not any(self._rows)
 
 
-def _sparse_rows(m: Matrix) -> list[dict[int, Scalar]]:
-    """The rows of m as zero-free {col: Scalar} dicts."""
-    e, nc = m.entries, m.cols
-    z = m.ctx.zero()  # the shared zero is skipped by identity, other zeros by value
-    return [{c: x for c, x in enumerate(e[i * nc : (i + 1) * nc]) if x is not z and not x.is_zero()}
-            for i in range(m.rows)]
+def _zero_free(row: dict[int, Scalar]) -> dict[int, Scalar]:
+    return {j: c for j, c in row.items() if not c.is_zero()}
 
 
 def _add_multiple(target: dict[int, Scalar], f: Scalar, source: dict[int, Scalar]) -> None:
@@ -203,11 +218,10 @@ def _add_multiple(target: dict[int, Scalar], f: Scalar, source: dict[int, Scalar
                 del target[c]
 
 
-def _eliminate(rows: list[dict[int, Scalar]]) -> tuple[list[dict[int, Scalar]], tuple[int, ...]]:
+def _eliminate(ctx: FieldContext, rows: list[dict[int, Scalar]]) -> tuple[list[dict[int, Scalar]], tuple[int, ...]]:
     """The sparse core of every elimination: the nonzero rows of the
     reduced row-echelon form of these zero-free {col: Scalar} rows, in
-    pivot order, and their pivot columns.  Each returned row leaves its
-    pivot entry 1 implicit.  The input rows are consumed.
+    pivot order, and their pivot columns.  The input rows are consumed.
 
     Columns are taken left to right.  Of the rows not yet used as pivots
     that have an entry in the column, the one with the fewest entries
@@ -243,27 +257,22 @@ def _eliminate(rows: list[dict[int, Scalar]]) -> tuple[list[dict[int, Scalar]], 
                     index[cc].add(r)
         pivot_rows.append(prow)
         pivots.append(c)
+    # each pivot row leaves its pivot entry 1 implicit until the end
     position = {c: i for i, c in enumerate(pivots)}
     for row in reversed(pivot_rows):
         for cc in [cc for cc in row if cc in position]:
             _add_multiple(row, -row.pop(cc), pivot_rows[position[cc]])
+    one = ctx.one()
+    for row, c in zip(pivot_rows, pivots):
+        row[c] = one
     return pivot_rows, tuple(pivots)
-
-
-def _dense_rows(ctx: FieldContext, ncols: int, pivot_rows, pivots) -> list[list[Scalar]]:
-    """The dense rows of _eliminate's output, with their pivot entries 1."""
-    return [dense(ctx, ncols, [(c, ctx.one()), *row.items()]) for row, c in zip(pivot_rows, pivots)]
 
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Row-reduced echelon form with pivots normalised to 1: the reduced
     rows first, then zero rows, and the pivot columns."""
-    if not m.rows:
-        return m, ()
-    red, pivots = _eliminate(_sparse_rows(m))
-    entries = [x for v in _dense_rows(m.ctx, m.cols, red, pivots) for x in v]
-    entries += [m.ctx.zero()] * ((m.rows - len(pivots)) * m.cols)
-    return Matrix(m.ctx, m.rows, m.cols, entries), pivots
+    red, pivots = _eliminate(m.ctx, [dict(row) for row in m._rows])
+    return Matrix._of_rows(m.ctx, m.cols, red + [{} for _ in range(m.rows - len(pivots))]), pivots
 
 
 def rank(m: Matrix) -> int:
@@ -290,25 +299,24 @@ class SubspaceBasis:
 
     @classmethod
     def from_spanning(cls, ctx: FieldContext, ambient_dim: int, vectors: list[list[Scalar]]) -> "SubspaceBasis":
-        if not vectors:
-            return cls(ctx, ambient_dim, [], ())
-        red, pivots = rref(Matrix.from_rows(ctx, vectors))
-        rows = [red.row(i) for i in range(len(pivots))]
-        return cls(ctx, ambient_dim, rows, pivots)
+        red, pivots = _eliminate(ctx, [dict(nonzero(v)) for v in vectors])
+        return cls(ctx, ambient_dim, [dense(ctx, ambient_dim, row.items()) for row in red], pivots)
 
 
 def kernel_basis(m: Matrix) -> SubspaceBasis:
     """Echelonised basis of the right kernel of m."""
-    red, pivots = _eliminate(_sparse_rows(m))
-    one = m.ctx.one()
+    ctx = m.ctx
+    red, pivots = _eliminate(ctx, [dict(row) for row in m._rows])
+    one = ctx.one()
     pivot_set = set(pivots)
     # free column f gives e_f - sum_i red[i, f] e_{pivots[i]}
     kernel = {f: {f: one} for f in range(m.cols) if f not in pivot_set}
     for row, pc in zip(red, pivots):
         for f, x in row.items():
-            kernel[f][pc] = -x
-    basis, basis_pivots = _eliminate(list(kernel.values()))
-    return SubspaceBasis(m.ctx, m.cols, _dense_rows(m.ctx, m.cols, basis, basis_pivots), basis_pivots)
+            if f != pc:
+                kernel[f][pc] = -x
+    basis, basis_pivots = _eliminate(ctx, list(kernel.values()))
+    return SubspaceBasis(ctx, m.cols, [dense(ctx, m.cols, row.items()) for row in basis], basis_pivots)
 
 
 def coords_in_basis(v: list[Scalar], b: SubspaceBasis) -> list[Scalar] | None:
@@ -329,39 +337,47 @@ def coords_in_basis(v: list[Scalar], b: SubspaceBasis) -> list[Scalar] | None:
     return coords
 
 
+def kron_sum(terms) -> Matrix:
+    """The sum of c * (a kron b) over at least one (c, a, b) term, all of
+    one shape, with (i tensor k) -> i * dim_b + k indexing."""
+    _, a0, b0 = terms[0]
+    rb, cb = b0.rows, b0.cols
+    out: list[dict[int, Scalar]] = [{} for _ in range(a0.rows * rb)]
+    for c, a, b in terms:
+        brows = b._rows
+        for i, arow in enumerate(a._rows):
+            for j, x in arow.items():
+                cx = c * x
+                for k, brow in enumerate(brows):
+                    acc = out[i * rb + k]
+                    for l, y in brow.items():
+                        col, v = j * cb + l, cx * y
+                        acc[col] = acc[col] + v if col in acc else v
+    return Matrix._of_rows(a0.ctx, a0.cols * cb, [_zero_free(row) for row in out])
+
+
 def kron(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product with (i tensor j) -> i * dim_b + j indexing."""
     if a.ctx.conductor != b.ctx.conductor:
         raise ValueError("mixed field contexts in kron")
-    ctx = a.ctx
-    z = ctx.zero()
-    rows = a.rows * b.rows
-    cols = a.cols * b.cols
-    out = [z] * (rows * cols)
-    for i in range(a.rows):
-        for j in range(a.cols):
-            aij = a[i, j]
-            if aij.is_zero():
-                continue
-            for k in range(b.rows):
-                base = (i * b.rows + k) * cols + j * b.cols
-                off = k * b.cols
-                for l in range(b.cols):
-                    e = b.entries[off + l]
-                    if not e.is_zero():
-                        out[base + l] = aij * e
-    return Matrix(ctx, rows, cols, out)
+    return kron_sum([(a.ctx.one(), a, b)])
+
+
+def flip_legs(m: Matrix, da: int, db: int) -> Matrix:
+    """m composed with the flip A x B -> B x A, a x b -> b x a: column
+    a * db + b of the result is column b * da + a of m."""
+    to = [(c % da) * db + c // da for c in range(da * db)]
+    return Matrix._of_rows(m.ctx, m.cols, [{to[c]: x for c, x in row.items()} for row in m._rows])
 
 
 def invert(m: Matrix) -> Matrix | None:
-    """Inverse of a square matrix, or None if singular."""
+    """Inverse of a square matrix, or None if singular: the reduced
+    form of [m | 1]."""
     if m.rows != m.cols:
         raise ValueError("only square matrices can be inverted")
     n = m.rows
-    ident = Matrix.identity(m.ctx, n)
-    aug_rows = [m.row(i) + ident.row(i) for i in range(n)]
-    red, pivots = rref(Matrix.from_rows(m.ctx, aug_rows))
-    if tuple(pivots) != tuple(range(n)):
+    one = m.ctx.one()
+    red, pivots = _eliminate(m.ctx, [{**row, n + i: one} for i, row in enumerate(m._rows)])
+    if pivots != tuple(range(n)):
         return None
-    rows = [red.row(i)[n:] for i in range(n)]
-    return Matrix.from_rows(m.ctx, rows)
+    return Matrix._of_rows(m.ctx, n, [{j - n: x for j, x in row.items() if j >= n} for row in red])

@@ -192,14 +192,9 @@ def test_connectedness_two_on_synthetic_direct_sum():
     two = 2 * n
     action2 = []
     for h in range(hopf.dim):
-        mm = Matrix.zero(ctx, two, two)
-        for r in range(n):
-            for c in range(n):
-                e = alg.action[h][r, c]
-                if not e.is_zero():
-                    mm.entries[r * two + c] = e
-                    mm.entries[(n + r) * two + (n + c)] = e
-        action2.append(mm)
+        terms = alg.action[h].terms()
+        action2.append(Matrix(ctx, two, two,
+                              terms + [(n + r, n + c, e) for r, c, e in terms]))
     coaction2 = (alg.coaction
                  + [[(y, n + r, e) for y, r, e in terms] for terms in alg.coaction])
     assert invariant_coinvariant_dim(hopf, action2, coaction2) == 2

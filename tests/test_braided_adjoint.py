@@ -43,7 +43,7 @@ def dense_half_braiding(had, x):
     dense column for every coproduct term."""
     model, n, dx = had.model, had.dim, x.dim
     inv = braiding(model.rmatrix, model.line.tmodule, t_restriction(model, x))
-    out = Matrix.zero(had.ctx, dx * n, n * dx)
+    terms = []
     for h in range(n):
         for xx in range(dx):
             acc = {}
@@ -58,9 +58,8 @@ def dense_half_braiding(had, x):
                         if not e.is_zero():
                             key = x_out * n + row % n
                             acc[key] = acc.get(key, had.ctx.zero()) + c * s * e
-            for key, val in acc.items():
-                out.entries[key * (n * dx) + h * dx + xx] = val
-    return out
+            terms += [(key, h * dx + xx, val) for key, val in acc.items()]
+    return Matrix(had.ctx, dx * n, n * dx, terms)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -118,7 +117,7 @@ def test_mirrored_half_braiding_fails_at_n3():
     n = had.dim
     dx = x.dim
     wrong_mid = braiding_inverse(m.rmatrix, t_restriction(m, x), line.tmodule)
-    gamma = Matrix.zero(ctx, dx * n, n * dx)
+    terms = []
     for h in range(n):
         for xx in range(dx):
             col = h * dx + xx
@@ -133,8 +132,8 @@ def test_mirrored_half_braiding_fails_at_n3():
                     for x_out in range(dx):
                         e = act[x_out, x_mid]
                         if not e.is_zero():
-                            idx = (x_out * n + h_out) * (n * dx) + col
-                            gamma.entries[idx] = gamma.entries[idx] + c * s * e
+                            terms.append((x_out * n + h_out, col, c * s * e))
+    gamma = Matrix(ctx, dx * n, n * dx, terms)
     src = tensor_module(m.taft, had.ht_module, x)
     dst = tensor_module(m.taft, x, had.ht_module)
     equivariant = all(gamma * src.action[u] == dst.action[u] * gamma

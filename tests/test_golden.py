@@ -251,7 +251,8 @@ def adjoint_structure_with_swapped_action():
 
 
 def _reversed(m: Matrix) -> Matrix:
-    return Matrix(m.ctx, m.rows, m.cols, list(reversed(m.entries)))
+    return Matrix(m.ctx, m.rows, m.cols,
+                  [(m.rows - 1 - i, m.cols - 1 - j, c) for i, j, c in m.terms()])
 
 
 def _reversed_coaction(coaction, nh: int):

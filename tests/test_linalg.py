@@ -1,5 +1,10 @@
+import ast
+from pathlib import Path
+
 from hypothesis import given, settings, strategies as st
 import pytest
+
+import hopfadjoint
 
 from hopfadjoint.adjoint import condition_system_reduced, problem_for
 from hopfadjoint.constructions import comodule_algebra_K, taft_model
@@ -8,9 +13,11 @@ from hopfadjoint.linalg import (
     Matrix,
     SubspaceBasis,
     coords_in_basis,
+    flip_legs,
     invert,
     kernel_basis,
     kron,
+    kron_sum,
     rank,
     rref,
 )
@@ -18,10 +25,91 @@ from hopfadjoint.linalg import (
 CTX = make_field(4)
 
 
+class DenseMatrix:
+    """The row-major dense matrix that Matrix replaced, kept as the oracle
+    of its arithmetic."""
+
+    __slots__ = ("ctx", "rows", "cols", "entries")
+
+    def __init__(self, ctx, rows, cols, entries):
+        if len(entries) != rows * cols:
+            raise ValueError("entry count does not match shape")
+        self.ctx = ctx
+        self.rows = rows
+        self.cols = cols
+        self.entries = entries
+
+    def __getitem__(self, idx):
+        i, j = idx
+        return self.entries[i * self.cols + j]
+
+    def row(self, i):
+        return self.entries[i * self.cols : (i + 1) * self.cols]
+
+    def col(self, j):
+        return [self.entries[i * self.cols + j] for i in range(self.rows)]
+
+    def __eq__(self, other):
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            return False
+        if self.ctx.conductor != other.ctx.conductor:
+            raise ValueError("mixed field contexts")
+        return all(a == b for a, b in zip(self.entries, other.entries))
+
+    def transpose(self):
+        e = self.entries
+        out = [e[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)]
+        return DenseMatrix(self.ctx, self.cols, self.rows, out)
+
+    def __add__(self, other):
+        return DenseMatrix(self.ctx, self.rows, self.cols,
+                           [a + b for a, b in zip(self.entries, other.entries)])
+
+    def __sub__(self, other):
+        return DenseMatrix(self.ctx, self.rows, self.cols,
+                           [a - b for a, b in zip(self.entries, other.entries)])
+
+    def __mul__(self, other):
+        z = self.ctx.zero()
+        out = [z] * (self.rows * other.cols)
+        for i in range(self.rows):
+            for k in range(self.cols):
+                aik = self[i, k]
+                for j in range(other.cols):
+                    out[i * other.cols + j] = out[i * other.cols + j] + aik * other[k, j]
+        return DenseMatrix(self.ctx, self.rows, other.cols, out)
+
+    def apply(self, vec):
+        z = self.ctx.zero()
+        out = [z] * self.rows
+        for i in range(self.rows):
+            for k in range(self.cols):
+                out[i] = out[i] + self[i, k] * vec[k]
+        return out
+
+    def scale(self, c):
+        return DenseMatrix(self.ctx, self.rows, self.cols, [c * e for e in self.entries])
+
+
+def dense_kron(a, b):
+    rows, cols = a.rows * b.rows, a.cols * b.cols
+    out = [a.ctx.zero()] * (rows * cols)
+    for i in range(a.rows):
+        for j in range(a.cols):
+            for k in range(b.rows):
+                for l in range(b.cols):
+                    out[(i * b.rows + k) * cols + j * b.cols + l] = a[i, j] * b[k, l]
+    return DenseMatrix(a.ctx, rows, cols, out)
+
+
+def rows_of(m):
+    return [m.row(i) for i in range(m.rows)]
+
+
 def dense_rref(m):
     """The dense Gauss-Jordan elimination that rref replaced, kept as its
     oracle: the first row with a nonzero entry pivots each column."""
-    rows = [list(r) for r in m.to_rows()]
+    rows = [list(r) for r in rows_of(m)]
     nrows, ncols = m.rows, m.cols
     pivots = []
     pr = 0
@@ -96,8 +184,8 @@ def assert_matches_dense_oracle(m):
     kb = kernel_basis(m)
     vectors, kernel_pivots = dense_kernel(m)
     assert kb.pivots == kernel_pivots and coords(kb.vectors) == coords(vectors)
-    span = SubspaceBasis.from_spanning(m.ctx, m.cols, m.to_rows())
-    vectors, span_pivots = dense_echelon(m.ctx, m.to_rows())
+    span = SubspaceBasis.from_spanning(m.ctx, m.cols, rows_of(m))
+    vectors, span_pivots = dense_echelon(m.ctx, rows_of(m))
     assert span.pivots == span_pivots and coords(span.vectors) == coords(vectors)
     if m.rows == m.cols:
         n = m.rows
@@ -108,7 +196,7 @@ def assert_matches_dense_oracle(m):
         if aug_pivots != tuple(range(n)):
             assert inv is None
         else:
-            assert coords(inv.to_rows()) == coords(r[n:] for r in aug_red.to_rows())
+            assert coords(rows_of(inv)) == coords(r[n:] for r in rows_of(aug_red))
 
 
 def mat(rows):
@@ -122,7 +210,7 @@ def test_rref_identity_fixed():
 
 
 def test_rref_zero_fixed():
-    z = Matrix.zero(CTX, 2, 3)
+    z = Matrix(CTX, 2, 3)
     red, pivots = rref(z)
     assert red == z and pivots == ()
 
@@ -139,7 +227,7 @@ def test_kernel_of_identity_is_empty():
 
 
 def test_kernel_of_zero_is_standard_basis():
-    kb = kernel_basis(Matrix.zero(CTX, 2, 3))
+    kb = kernel_basis(Matrix(CTX, 2, 3))
     assert kb.dim == 3
     assert kb.pivots == (0, 1, 2)
 
@@ -170,7 +258,7 @@ def test_coords_outside_span_signals():
 def test_kron_identities():
     assert kron(Matrix.identity(CTX, 2), Matrix.identity(CTX, 3)) == Matrix.identity(CTX, 6)
     a = mat([[1, 2], [3, 4]])
-    assert kron(a, Matrix.zero(CTX, 2, 2)).is_zero()
+    assert kron(a, Matrix(CTX, 2, 2)).is_zero()
 
 
 def test_kron_diagonal_expansion():
@@ -251,7 +339,7 @@ def sparse_matrices(draw):
             a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
             ca, cb = scalar(0), scalar(3)
             rows.append([ca * x + cb * y for x, y in zip(a, b)])
-    return Matrix(ctx, nr, nc, [e for r in rows for e in r])
+    return Matrix(ctx, nr, nc, [(i, j, e) for i, r in enumerate(rows) for j, e in enumerate(r)])
 
 
 @settings(max_examples=200, deadline=None)
@@ -265,7 +353,7 @@ def test_sparse_elimination_matches_dense_oracle(m):
 def test_square_elimination_matches_dense_oracle(n, m):
     # invert on square matrices, singular ones included
     entries = (m.entries + [m.ctx.zero()] * (n * n))[: n * n]
-    assert_matches_dense_oracle(Matrix(m.ctx, n, n, entries))
+    assert_matches_dense_oracle(Matrix(m.ctx, n, n, [(u // n, u % n, e) for u, e in enumerate(entries)]))
 
 
 @pytest.mark.parametrize("n,d,xi,conds", [
@@ -294,9 +382,9 @@ def test_matrix_equality_rejects_mixed_fields():
 @given(sparse_matrices(), st.integers(1, 6), st.data())
 def test_matrix_product_matches_entrywise_sums(a, oc, data):
     ctx = a.ctx
-    b = Matrix(ctx, a.cols, oc, [ctx.scalar(data.draw(st.lists(
-        st.integers(-2, 2), min_size=ctx.degree, max_size=ctx.degree)))
-        for _ in range(a.cols * oc)])
+    b = Matrix(ctx, a.cols, oc, [(u // oc, u % oc, ctx.scalar(data.draw(st.lists(
+        st.integers(-2, 2), min_size=ctx.degree, max_size=ctx.degree))))
+        for u in range(a.cols * oc)])
     expected = []
     for i in range(a.rows):
         for j in range(oc):
@@ -305,3 +393,120 @@ def test_matrix_product_matches_entrywise_sums(a, oc, data):
                 s = s + a[i, k] * b[k, j]
             expected.append(s)
     assert (a * b).entries == expected
+
+
+@st.composite
+def term_matrices(draw, ctx, nr, nc):
+    """A Matrix, mostly zero or mostly not, built from shuffled terms, its
+    nonzero entries split into duplicate terms and with cancelling pairs
+    added, and the DenseMatrix of the same entries."""
+
+    def scalar():
+        return ctx.scalar(draw(st.lists(st.integers(-2, 2), min_size=ctx.degree,
+                                        max_size=ctx.degree)))
+
+    zero_weight = draw(st.sampled_from((7, 7, 2)))
+    entries = [scalar() if draw(st.integers(0, 9)) >= zero_weight else ctx.zero()
+               for _ in range(nr * nc)]
+    terms = []
+    for u, e in enumerate(entries):
+        i, j = divmod(u, nc)
+        if e.is_zero():
+            continue
+        if draw(st.booleans()):
+            part = scalar()
+            terms += [(i, j, part), (i, j, e - part)]
+        else:
+            terms.append((i, j, e))
+    if nr and nc:
+        for _ in range(draw(st.integers(0, 3))):
+            i, j, x = draw(st.integers(0, nr - 1)), draw(st.integers(0, nc - 1)), scalar()
+            terms += [(i, j, x), (i, j, -x)]
+    terms = draw(st.permutations(terms))
+    return Matrix(ctx, nr, nc, terms), DenseMatrix(ctx, nr, nc, entries)
+
+
+def nonzero_of(v):
+    return [(i, e) for i, e in enumerate(v) if not e.is_zero()]
+
+
+def assert_matches(m, d):
+    """m and the dense oracle d hold the same entries, read every way."""
+    assert (m.rows, m.cols) == (d.rows, d.cols)
+    z = m.ctx.zero()
+    assert all(e is z or not e.is_zero() for e in m.entries)
+    assert [e.coords for e in m.entries] == [e.coords for e in d.entries]
+    assert all(m[i, j] == d[i, j] for i in range(d.rows) for j in range(d.cols))
+    for i in range(d.rows):
+        assert m.row(i) == d.row(i) and m.row_terms(i) == nonzero_of(d.row(i))
+    for j in range(d.cols):
+        assert m.col(j) == d.col(j) and m.col_terms(j) == nonzero_of(d.col(j))
+    assert m.terms() == [(u // d.cols, u % d.cols, e) for u, e in nonzero_of(d.entries)]
+    assert m.is_zero() == all(e.is_zero() for e in d.entries)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(FIELDS), st.integers(0, 4), st.integers(1, 4), st.integers(1, 4), st.data())
+def test_matrix_arithmetic_matches_dense_oracle(ctx, nr, nk, nc, data):
+    a, da = data.draw(term_matrices(ctx, nr, nk))
+    b, db = data.draw(term_matrices(ctx, nk, nc))
+    a2, da2 = data.draw(term_matrices(ctx, nr, nk))
+    assert_matches(a, da)
+    assert_matches(a * b, da * db)
+    assert_matches(a + a2, da + da2)
+    assert_matches(a - a2, da - da2)
+    assert_matches(a.transpose(), da.transpose())
+    assert_matches(kron(a, b), dense_kron(da, db))
+    vec = [ctx.scalar(data.draw(st.lists(st.integers(-2, 2), min_size=ctx.degree,
+                                         max_size=ctx.degree))) for _ in range(nk)]
+    assert a.apply(vec) == da.apply(vec)
+    assert a.apply_terms(nonzero_of(vec)) == da.apply(vec)
+    # equality against an unequal matrix, one entry doubled, the same
+    # entries rebuilt, and another shape
+    assert (a == a2) == (da == da2)
+    for i, j, e in a.terms()[:1]:
+        assert a != Matrix(ctx, nr, nk, a.terms() + [(i, j, e)])
+    assert a == Matrix(ctx, nr, nk, list(reversed(a.terms())) + [(i, j, z - z) for i, j, z in a2.terms()])
+    assert a != Matrix(ctx, nr + 1, nk)
+    other = FIELDS[1] if ctx is FIELDS[0] else FIELDS[0]
+    with pytest.raises(ValueError):
+        a == Matrix(other, nr, nk)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from(FIELDS), st.integers(1, 3), st.integers(1, 3), st.integers(0, 3), st.data())
+def test_kron_sum_and_leg_flip_match_dense_oracle(ctx, da, db, nr, data):
+    shapes = (data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3)))
+    terms, expected = [], None
+    for _ in range(data.draw(st.integers(1, 3))):
+        c = data.draw(term_matrices(ctx, 1, 1))[1].entries[0]
+        a, dense_a = data.draw(term_matrices(ctx, *shapes))
+        b, dense_b = data.draw(term_matrices(ctx, da, db))
+        terms.append((c, a, b))
+        k = dense_kron(dense_a, dense_b).scale(c)
+        expected = k if expected is None else expected + k
+    assert_matches(kron_sum(terms), expected)
+    # the flip A x B -> B x A as a dense permutation matrix
+    m, dm = data.draw(term_matrices(ctx, nr, db * da))
+    flip = [ctx.zero()] * (da * db) ** 2
+    for x in range(da):
+        for y in range(db):
+            flip[(y * da + x) * (da * db) + x * db + y] = ctx.one()
+    assert_matches(flip_legs(m, da, db), dm * DenseMatrix(ctx, da * db, da * db, flip))
+
+
+def test_dense_layout_stays_in_linalg():
+    # the dense view of a Matrix is read at serialisation only, and never written
+    package = Path(hopfadjoint.__file__).parent
+    readers = set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "entries":
+                readers.add(path.name)
+                assert isinstance(node.ctx, ast.Load), f"{path.name}:{node.lineno} assigns .entries"
+            if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+                target = node.value
+                assert not (isinstance(target, ast.Attribute) and target.attr == "entries"), \
+                    f"{path.name}:{node.lineno} writes into .entries"
+    assert readers <= {"linalg.py", "reports.py"}

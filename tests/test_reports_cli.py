@@ -26,7 +26,8 @@ def test_scalar_and_matrix_round_trip():
     m = Matrix.from_rows(ctx, [[ctx.one(), s], [ctx.zero(), ctx.from_rational(7)]])
     blob = json.loads(emit_json(m))
     assert blob["rows"] == 2 and blob["cols"] == 2
-    rebuilt = Matrix(ctx, 2, 2, [scalar_from_strings(ctx, e) for e in blob["entries"]])
+    rebuilt = Matrix(ctx, 2, 2, [(u // 2, u % 2, scalar_from_strings(ctx, e))
+                                 for u, e in enumerate(blob["entries"])])
     assert rebuilt == m
 
 
