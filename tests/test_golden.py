@@ -152,6 +152,18 @@ CLI_DIGESTS = {
         0,
         "77761bce7ec37cb301640860d96b0a99e87f6bb85b264ce5b4fd7bdc2f21a523",
     ),
+    # the module-n4 benchmark's other job: K(1, 0) has the largest Hom-space checks
+    "adjoint-n4-K(1,0)-ad1-ad3": (
+        ["adjoint", "--n", "4", "--d", "1", "--xi", "0", "--conditions", "ad1,ad3"],
+        0,
+        "6c4c31b40fdf2c76d244970ddd959834f0f759d3cf4d6e4aaf8e85400a2885bb",
+    ),
+    # the fully-constrained variant over Q(zeta_5), degree 4
+    "adjoint-n5-K(1,1)-ad1-ad2-ad3": (
+        ["adjoint", "--n", "5", "--d", "1", "--xi", "1", "--conditions", "ad1,ad2,ad3"],
+        0,
+        "f232e87bb140b5c5cedf8c5163b50cb545a858f7ab86b5c1d3b2d63151984ad6",
+    ),
     # H_ad checks, dinaturality and the relative-regular comparison at n = 4
     "braided-adjoint-n4": (
         ["braided-adjoint", "--n", "4"],
@@ -345,6 +357,24 @@ def line_and_projection_corrupted():
     return check_hopf_morphism(m.taft, m.t_hopf, _reversed(m.pi), rep)
 
 
+def late_map_entry_and_action_entry_corrupted():
+    """One entry of the last Hom-space map and one entry of the last
+    action matrix of the module variant over K(2, 0) shifted by one: the
+    first ad1 and product-module-morphism witnesses are late tuples, so
+    the digest pins the loop order of both checkers."""
+    m = taft_model(2)
+    alg = solve_adjoint(problem_for(m, comodule_algebra_K(2, 2, 0), {"ad1", "ad3"}))
+    one = alg.ctx.one()
+    maps = alg.hom_maps()
+    maps[3][(3 * 4 + 2) * 4 + 3] += one  # alpha_3(e_3, e_2), coefficient of e_3
+    rep = verify_conditions_direct(alg.problem, maps)
+    act = alg.action[3]
+    alg.action[3] = act + Matrix(alg.ctx, act.rows, act.cols, [(3, 3, one)])
+    verify_yd(alg, rep)
+    verify_center_algebra(alg, rep)
+    return rep
+
+
 def dinaturality_without_comodule_condition():
     m = taft_model(2)
     k = comodule_algebra_K(2, 2, 0)
@@ -379,6 +409,8 @@ REPORT_DIGESTS = {
         "43048a6f6d4bc4f7d8caf30eccf39a9779bc7438ec1850b17684c901145841dc",
     line_and_projection_corrupted:
         "d44756ee5140b92665e05f85396e4de24ac41d693cf1e85867ed01d85457425a",
+    late_map_entry_and_action_entry_corrupted:
+        "a29df411e03108794ed75c7c8bf16e8216c7ba05a5256e6bf502e7fa1c7218bf",
     dinaturality_without_comodule_condition:
         "0ee8e76c65a9217fc51d8ee86276833c329ef921b4ae32bb1bc8e9275448f797",
 }
