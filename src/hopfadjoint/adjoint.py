@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cyclotomic import FieldContext, Scalar, zeta_power
-from .hopf import FinDimHopf
+from .hopf import FinDimAlgebra, FinDimHopf
 from .braiding import (ComoduleAlgebra, ComoduleRep, ModuleRep, RMatrix, check_comodule,
                        check_module, check_yd, lift_via_pi)
 from .constructions import ComoduleAlgebraK, TaftModel, taft_model, comodule_algebra_K
@@ -34,6 +34,7 @@ from .linalg import (
     Matrix,
     SubspaceBasis,
     coords_in_basis,
+    dense,
     kernel_basis,
     nonzero,
     rank,
@@ -425,14 +426,16 @@ def solve_adjoint(p: AdjointProblem, pipeline: str = "reduced",
     if pipeline == "reduced":
         basis = kernel_basis(condition_system_reduced(p))
     elif pipeline == "full":
-        maps = kernel_basis(condition_system(p)).vectors
-        bad = next(_ad3_residuals(p, maps), None)
+        views = [_hom_columns(p, flat) for flat in kernel_basis(condition_system(p)).vectors]
+        bad = next(_ad3_residuals(p, views), None)
         if bad is not None:
             raise ClosureFailure("a basis element is not right-K-linear", witness=bad)
+        NK = p.comod_alg.dim
         unit = nonzero(p.comod_alg.algebra.unit)
-        bars = [[e for x in range(p.hopf.dim) for e in _hom_eval(p, flat, x, unit)]
-                for flat in maps]
-        basis = SubspaceBasis.from_spanning(p.ctx, p.hopf.dim * p.comod_alg.dim, bars)
+        bars = [dense(p.ctx, p.hopf.dim * NK, [(x * NK + r, e) for x in range(p.hopf.dim)
+                                               for r, e in _hom_at(cols, NK, x, unit).items()])
+                for cols in views]
+        basis = SubspaceBasis.from_spanning(p.ctx, p.hopf.dim * NK, bars)
     else:
         raise ValueError(f"unknown pipeline {pipeline!r}")
     alg = AdjointAlgebra(p, basis)
@@ -448,32 +451,36 @@ def solve_adjoint(p: AdjointProblem, pipeline: str = "reduced",
 # that maps which are not right-K-linear can be checked as well.
 
 
-def _hom_eval(p: AdjointProblem, flat: list[Scalar], x: int, kterms) -> list[Scalar]:
-    """alpha(e_x, k) for the Hom-space vector flat and the element k of K
-    with these (index, coefficient) terms."""
+def _hom_columns(p: AdjointProblem, flat: list[Scalar]) -> list[list[tuple[int, Scalar]]]:
+    """The term lists of alpha(e_x, e_k), at x*NK + k, for the Hom-space
+    vector flat."""
     NK = p.comod_alg.dim
-    out = [p.ctx.zero()] * NK
+    return [nonzero(flat[u * NK : (u + 1) * NK]) for u in range(p.hopf.dim * NK)]
+
+
+def _hom_at(cols, NK: int, x: int, kterms) -> dict[int, Scalar]:
+    """alpha(e_x, k) for the element k of K with these (index, coefficient)
+    terms, read from the column view of `_hom_columns`."""
+    acc: dict[int, Scalar] = {}
     for k, ck in kterms:
-        base = (x * NK + k) * NK
-        for i in range(NK):
-            e = flat[base + i]
-            if not e.is_zero():
-                out[i] = out[i] + ck * e
-    return out
+        for r, e in cols[x * NK + k]:
+            add = ck * e
+            acc[r] = acc[r] + add if r in acc else add
+    return acc
 
 
-def _ad3_residuals(p: AdjointProblem, maps: list[list[Scalar]]):
-    """Basis tuples (x, k) at which a Hom-space map is not right-K-linear,
-    alpha(x, k) != alpha(x, 1) k."""
+def _ad3_residuals(p: AdjointProblem, views):
+    """Basis tuples (x, k) at which a Hom-space map, given by its
+    `_hom_columns` view, is not right-K-linear: alpha(x, k) != alpha(x, 1) k."""
     kalg = p.comod_alg.algebra
     NK = kalg.dim
     unit = nonzero(kalg.unit)
-    for idx, flat in enumerate(maps):
+    one = p.ctx.one()
+    for idx, cols in enumerate(views):
         for x in range(p.hopf.dim):
-            vbar = _hom_eval(p, flat, x, unit)
+            vbar = _hom_at(cols, NK, x, unit).items()
             for k in range(NK):
-                col = flat[(x * NK + k) * NK : (x * NK + k + 1) * NK]
-                if not vec_eq(col, kalg.mult_vec(vbar, kalg.basis_vec(k))):
+                if cols[x * NK + k] != kalg.mult_terms(vbar, [(k, one)]):
                     yield {"basis": idx, "tuple": [x, k]}
 
 
@@ -489,37 +496,54 @@ def verify_conditions_direct(p: AdjointProblem, maps: list[list[Scalar]],
     NH, NK = p.hopf.dim, K.dim
     z = ctx.zero()
     unit = nonzero(kalg.unit)
+    views = [_hom_columns(p, flat) for flat in maps]
 
     def ad1_residuals():
-        for idx, flat in enumerate(maps):
+        # Per (k, x) one identity of NK x NK matrices whose column l is
+        # the condition at (k, x, l): sum w A_zz L_k0 = L_k A_x, with
+        # A_z(l) = alpha(z, l), L_k left multiplication by e_k in K and
+        # the (zz, k0, w) of spread[k][x] the terms of k(-1) x (x) k(0).
+        spread = [[[(zz, k0, c * m1) for y, k0, c in K.coaction[k] for zz, m1 in p.hopf.algebra.mult[y][x]]
+                   for x in range(NH)] for k in range(NK)]
+        for idx, cols in enumerate(views):
+            shifted: dict[tuple[int, int], list] = {}  # (zz, k0) -> the (l, r, e) of A_zz L_k0
             for k in range(NK):
+                left = kalg.mult[k]
                 for x in range(NH):
+                    lhs: dict[tuple[int, int], Scalar] = {}
+                    for zz, k0, w in spread[k][x]:
+                        block = shifted.get((zz, k0))
+                        if block is None:
+                            block = shifted[zz, k0] = [(l, r, e) for l in range(NK) for r, e in
+                                                       _hom_at(cols, NK, zz, kalg.mult[k0][l]).items()]
+                        for l, r, e in block:
+                            key, add = (l, r), w * e
+                            lhs[key] = lhs[key] + add if key in lhs else add
+                    rhs: dict[tuple[int, int], Scalar] = {}
                     for l in range(NK):
-                        lhs = [z] * NK
-                        for y, k0, c in K.coaction[k]:
-                            for zz, m1 in p.hopf.algebra.mult[y][x]:
-                                v = _hom_eval(p, flat, zz, kalg.mult[k0][l])
-                                for r in range(NK):
-                                    if not v[r].is_zero():
-                                        lhs[r] = lhs[r] + c * m1 * v[r]
-                        col = flat[(x * NK + l) * NK : (x * NK + l + 1) * NK]
-                        if not vec_eq(lhs, kalg.mult_vec(kalg.basis_vec(k), col)):
+                        for r, e in cols[x * NK + l]:
+                            for pp, m in left[r]:
+                                key, add = (l, pp), e * m
+                                rhs[key] = rhs[key] + add if key in rhs else add
+                    # equal dicts agree in every column; unequal ones may still
+                    # differ in stored zeros only
+                    if lhs != rhs:
+                        bad = {l for l, r in lhs.keys() | rhs.keys() if lhs.get((l, r), z) != rhs.get((l, r), z)}
+                        for l in sorted(bad):
                             yield {"basis": idx, "tuple": [k, x, l]}
 
     def ad2_residuals():
         legs = _ad2_leg_terms(p)
-        for idx, flat in enumerate(maps):
+        for idx, cols in enumerate(views):
             for x in range(NH):
                 lhs: dict[tuple[int, int], Scalar] = {}
                 for t_leg, e_leg, c in legs:
                     for zz, m in _embedded_mult(p, e_leg, x):
-                        v = _hom_eval(p, flat, zz, unit)
-                        for r in range(NK):
-                            if not v[r].is_zero():
-                                key = (t_leg, r)
-                                lhs[key] = lhs.get(key, z) + c * m * v[r]
+                        for r, e in _hom_at(cols, NK, zz, unit).items():
+                            key = (t_leg, r)
+                            lhs[key] = lhs.get(key, z) + c * m * e
                 rhs: dict[tuple[int, int], Scalar] = {}
-                for (y, p0), c in K.coaction_vec(nonzero(_hom_eval(p, flat, x, unit))).items():
+                for (y, p0), c in K.coaction_vec(_hom_at(cols, NK, x, unit).items()).items():
                     for t, cpi in _pi_terms(p, y):
                         key = (t, p0)
                         rhs[key] = rhs.get(key, z) + c * cpi
@@ -527,7 +551,7 @@ def verify_conditions_direct(p: AdjointProblem, maps: list[list[Scalar]],
                     yield {"basis": idx, "x": x}
 
     for name, residuals in (("ad1", ad1_residuals()), ("ad2", ad2_residuals()),
-                            ("ad3", _ad3_residuals(p, maps))):
+                            ("ad3", _ad3_residuals(p, views))):
         if name in p.conditions:
             rep.check(f"{prefix}/{name}-residual-zero", residuals)
     return rep
@@ -537,23 +561,11 @@ def verify_conditions_direct(p: AdjointProblem, maps: list[list[Scalar]],
 # structural verifications
 
 
-def _product_table(a: AdjointAlgebra):
-    """The term lists of a.product as it stands when a check starts, and
-    the product of two coordinate vectors given as term lists."""
+def _coordinate_algebra(a: AdjointAlgebra) -> FinDimAlgebra:
+    """The solved algebra on its own basis, with the term lists of
+    a.product and a.unit_coords as they stand when a check starts."""
     table = [[nonzero(v) for v in row] for row in a.product]
-    z = a.ctx.zero()
-
-    def product(ci, cj) -> list[Scalar]:
-        out = [z] * a.dim
-        for i, x in ci:
-            row = table[i]
-            for j, y in cj:
-                c = x * y
-                for k, e in row[j]:
-                    out[k] = out[k] + c * e
-        return out
-
-    return table, product
+    return FinDimAlgebra(a.ctx, a.dim, table, a.unit_coords)
 
 
 def verify_yd(a: AdjointAlgebra, report: VerificationReport | None = None,
@@ -577,28 +589,33 @@ def verify_center_algebra(a: AdjointAlgebra, report: VerificationReport | None =
     n = a.dim
     z = ctx.zero()
     hopf = a.problem.hopf
-    table, product = _product_table(a)
+    coords = _coordinate_algebra(a)
+    table = coords.mult
     basis = [[(i, ctx.one())] for i in range(n)]
 
     def unit_two_sided():
         unit = nonzero(a.unit_coords)
         for i in range(n):
-            ei = unit_vector(ctx, n, i)
-            if not vec_eq(product(unit, basis[i]), ei) or not vec_eq(product(basis[i], unit), ei):
+            if coords.mult_terms(unit, basis[i]) != basis[i] or coords.mult_terms(basis[i], unit) != basis[i]:
                 yield {"basis": i}
 
     def product_module_morphism():
+        act_cols = [[m.col_terms(i) for i in range(n)] for m in a.action]
         for h in range(hopf.dim):
             terms = hopf.coalgebra.comult[h]
             for i in range(n):
                 for j in range(n):
-                    lhs = a.action[h].apply(a.product[i][j])
-                    rhs = [z] * n
+                    lhs: dict[int, Scalar] = {}  # h.(a_i a_j)
+                    for k, ck in table[i][j]:
+                        for r, e in act_cols[h][k]:
+                            add = ck * e
+                            lhs[r] = lhs[r] + add if r in lhs else add
+                    rhs: dict[int, Scalar] = {}  # (h1.a_i)(h2.a_j)
                     for h1, h2, c in terms:
-                        w = product(a.action[h1].col_terms(i), a.action[h2].col_terms(j))
-                        for r, x in nonzero(w):
-                            rhs[r] = rhs[r] + c * x
-                    if not vec_eq(lhs, rhs):
+                        for r, x in coords.mult_terms(act_cols[h1][i], act_cols[h2][j]):
+                            add = c * x
+                            rhs[r] = rhs[r] + add if r in rhs else add
+                    if sparse_diff(lhs, rhs, ctx) is not None:
                         yield {"h": h, "pair": [i, j]}
 
     def product_comodule_morphism():
@@ -625,7 +642,7 @@ def verify_center_algebra(a: AdjointAlgebra, report: VerificationReport | None =
     eps = hopf.coalgebra.counit
     rep.check(f"{prefix}/associative", (
         {"triple": [i, j, k]} for i in range(n) for j in range(n) for k in range(n)
-        if not vec_eq(product(table[i][j], basis[k]), product(basis[i], table[j][k]))))
+        if coords.mult_terms(table[i][j], basis[k]) != coords.mult_terms(basis[i], table[j][k])))
     rep.check(f"{prefix}/unit-two-sided", unit_two_sided())
     rep.check(f"{prefix}/unit-invariant", (
         {"h": h} for h in range(hopf.dim)
@@ -644,16 +661,16 @@ def verify_braided_commutative(a: AdjointAlgebra, report: VerificationReport | N
     n = a.dim
     z = ctx.zero()
     com = a.comodule_rep()
-    _, product = _product_table(a)
+    coords = _coordinate_algebra(a)
 
     def braided_commutative():
+        act_cols = [[m.col_terms(j) for j in range(n)] for m in a.action]
         for i in range(n):
             for j in range(n):
                 # c(alpha_i x alpha_j) = alpha_i(-1).alpha_j x alpha_i(0)
                 rhs = [z] * n
                 for y, i0, c in com.coaction[i]:
-                    v = product(a.action[y].col_terms(j), [(i0, ctx.one())])
-                    for r, x in nonzero(v):
+                    for r, x in coords.mult_terms(act_cols[y][j], [(i0, ctx.one())]):
                         rhs[r] = rhs[r] + c * x
                 if not vec_eq(a.product[i][j], rhs):
                     yield {"pair": [i, j]}
@@ -875,6 +892,7 @@ def phi_structure_transport(a: AdjointAlgebra, report: VerificationReport | None
     def coaction_conjugated():
         com = a.comodule_rep()
         halg = p.hopf.algebra
+        one = ctx.one()
         for s in range(a.dim):
             lhs: dict[tuple[int, int, int], Scalar] = {}
             for y, l, c in com.coaction[s]:
@@ -886,14 +904,12 @@ def phi_structure_transport(a: AdjointAlgebra, report: VerificationReport | None
                             lhs[key] = lhs.get(key, z) + c * v[pp]
             rhs: dict[tuple[int, int, int], Scalar] = {}
             for i in range(m):
-                gi = g_index(i)
-                gmi = g_index((n - i) % n)
+                gi = p.t_embed.col_terms(i % n)
+                gmi = p.t_embed.col_terms((n - i) % n)
                 for (y, pp), c in K.coaction_vec(nonzero(tvals[s][i])).items():
-                    yv = halg.mult_vec(halg.mult_vec(gmi, halg.basis_vec(y)), gi)
-                    for yy, cy in enumerate(yv):
-                        if not cy.is_zero():
-                            key = (yy, i, pp)
-                            rhs[key] = rhs.get(key, z) + c * cy
+                    for yy, cy in halg.mult_terms(halg.mult_terms(gmi, [(y, one)]), gi):
+                        key = (yy, i, pp)
+                        rhs[key] = rhs.get(key, z) + c * cy
             key = sparse_diff(lhs, rhs, ctx)
             if key is not None:
                 yield {"basis": s, "key": list(key)}
@@ -916,13 +932,13 @@ def _grading_twist(model: TaftModel, K: ComoduleAlgebra, shift: int) -> Matrix:
     ctx = model.ctx
     n = model.n
     halg = model.taft.algebra
-    gi = halg.basis_vec(model.x_index(0, shift % n))
-    gmi = halg.basis_vec(model.x_index(0, -shift % n))
+    gi = model.x_index(0, shift % n)
+    gmi = model.x_index(0, -shift % n)
+    one = ctx.one()
     terms = []
     for k in range(K.dim):
         for y, k0, c in K.coaction[k]:
-            yv = halg.mult_vec(halg.mult_vec(gmi, halg.basis_vec(y)), gi)
-            for yy, cy in nonzero(yv):
+            for yy, cy in halg.mult_terms(halg.mult[gmi][y], [(gi, one)]):
                 for t, cpi in model.pi.col_terms(yy):
                     terms.append((k0, k, c * cy * cpi * zeta_power(ctx, t)))
     return Matrix(ctx, K.dim, K.dim, terms)

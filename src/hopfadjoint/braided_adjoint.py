@@ -52,6 +52,7 @@ def build_h_ad(model: TaftModel) -> HAdjoint:
     sigma = braiding(model.rmatrix, line.tmodule, line.tmodule)
     s_mat = line.braided_antipode
 
+    s_cols = [s_mat.col_terms(j) for j in range(n)]
     rho_ad: list[Matrix] = []
     for h in range(n):
         terms = []
@@ -59,8 +60,8 @@ def build_h_ad(model: TaftModel) -> HAdjoint:
             for h1, h2, c in line.coalgebra.comult[h]:
                 for row, s in sigma.col_terms(h2 * n + a):
                     a2, h2p = row // n, row % n
-                    v = alg.mult_vec(alg.mult_vec(alg.basis_vec(h1), alg.basis_vec(a2)), s_mat.col(h2p))
-                    terms += [(r, a, c * s * x) for r, x in nonzero(v)]
+                    v = alg.mult_terms(alg.mult[h1][a2], s_cols[h2p])
+                    terms += [(r, a, c * s * x) for r, x in v]
         rho_ad.append(Matrix(ctx, n, n, terms))
 
     nt = model.t_hopf.dim
@@ -211,27 +212,34 @@ def pi_dinatural_check(had: HAdjoint, x: ModuleRep, v: ModuleRep,
     pi_vm = _pi_x(had, vm)
 
     def wedge_instance():
+        pi_m_cols = [pi_m.col_terms(h) for h in range(n)]
+        pi_vm_cols = [pi_vm.col_terms(h) for h in range(n)]
+        # the columns of A = 1 # R1 on V x M and of B on its dual, and the
+        # rows of R2 on V*, each read once
+        a_cols = [[vm.action[model.x_index(0, t)].col_terms(w) for w in range(dvm)]
+                  for t in range(model.n)]
+        b_cols = [[vm_dual.action[model.x_index(0, t)].col_terms(w) for w in range(dvm)]
+                  for t in range(model.n)]
+        j_rows = [[v_dual_t.action[t].row_terms(va) for va in range(dv)] for t in range(model.n)]
         for h in range(n):
             lhs: dict[tuple[int, tuple[int, int, int]], Scalar] = {}
-            for row, e in pi_m.col_terms(h):
+            for row, e in pi_m_cols[h]:
                 mo, mp = divmod(row, dm)
                 for j in range(dv):
                     lhs[(mo, (j, j, mp))] = e
 
             rhs: dict[tuple[int, tuple[int, int, int]], Scalar] = {}
             for ri, rj, cr in model.rmatrix.terms():
-                a_mat = vm.action[model.x_index(0, ri)]
-                b_mat = vm_dual.action[model.x_index(0, ri)]
-                jmat = v_dual_t.action[rj]
-                for row, e in pi_vm.col_terms(h):
+                a_col, b_col, j_row = a_cols[ri], b_cols[ri], j_rows[rj]
+                for row, e in pi_vm_cols[h]:
                     w1, w2 = divmod(row, dvm)
                     # A e_w1 decomposed over (va, mo)
-                    for row1, e1 in a_mat.col_terms(w1):
+                    for row1, e1 in a_col[w1]:
                         va, mo = row1 // dm, row1 % dm
                         # B e^w2 evaluated against e_(v', m')
-                        for row2, e2 in b_mat.col_terms(w2):
+                        for row2, e2 in b_col[w2]:
                             vp, mp = row2 // dm, row2 % dm
-                            for j, ej in jmat.row_terms(va):
+                            for j, ej in j_row[va]:
                                 key = (mo, (j, vp, mp))
                                 add = cr * e * e1 * e2 * ej
                                 rhs[key] = rhs.get(key, z) + add
@@ -258,19 +266,19 @@ def displayed_adjoint_action(model: TaftModel) -> list[Matrix]:
     taft = model.taft
     ctx = model.ctx
     n = model.line.dim
+    alg = taft.algebra
     eproj = _counit_projection(model)
+    s_cols = [taft.antipode.col_terms(j) for j in range(taft.dim)]
     mats = []
     for u in range(taft.dim):
         terms = []
         for h in range(n):
-            acc = [ctx.zero()] * taft.dim
-            hv = taft.algebra.basis_vec(model.x_index(h, 0))
+            acc: dict[int, Scalar] = {}
             for u1, u2, c in taft.coalgebra.comult[u]:
-                w = taft.algebra.mult_vec(taft.algebra.mult_vec(taft.algebra.basis_vec(u1), hv),
-                                          taft.antipode.col(u2))
-                for r, x in nonzero(w):
-                    acc[r] = acc[r] + c * x
-            terms += [(r, h, x) for r, x in nonzero(eproj.apply(acc))]
+                for r, x in alg.mult_terms(alg.mult[u1][model.x_index(h, 0)], s_cols[u2]):
+                    add = c * x
+                    acc[r] = acc[r] + add if r in acc else add
+            terms += [(r, h, x) for r, x in nonzero(eproj.apply_terms(acc.items()))]
         mats.append(Matrix(ctx, n, n, terms))
     return mats
 

@@ -415,21 +415,25 @@ def check_yd(hopf: FinDimHopf, module: ModuleRep, comodule: ComoduleRep,
     dim_v = module.dim
 
     def compatibility():
+        act_cols = [[m.col_terms(v) for v in range(dim_v)] for m in module.action]
+        s_cols = [hopf.antipode.col_terms(h3) for h3 in range(hopf.dim)]
+        sandwiches: dict[tuple[int, int, int], list[tuple[int, Scalar]]] = {}  # h1 y S(h3)
         for h in range(hopf.dim):
             for v in range(dim_v):
                 lhs: dict = {}
-                for w, wc in module.action[h].col_terms(v):
+                for w, wc in act_cols[h][v]:
                     for y, w0, c in comodule.coaction[w]:
                         key = (y, w0)
                         lhs[key] = lhs.get(key, z) + wc * c
                 rhs: dict = {}
                 for h1, h2, h3, c in hopf.coalgebra.delta2_terms(h):
-                    s3 = hopf.antipode.col(h3)
                     for y, v0, d in comodule.coaction[v]:
-                        first = alg.mult_vec(alg.mult_vec(alg.basis_vec(h1), alg.basis_vec(y)), s3)
+                        first = sandwiches.get((h1, y, h3))
+                        if first is None:
+                            first = sandwiches[h1, y, h3] = alg.mult_terms(alg.mult[h1][y], s_cols[h3])
                         coeff = c * d
-                        h2v0 = module.action[h2].col_terms(v0)
-                        for yy, fy in nonzero(first):
+                        h2v0 = act_cols[h2][v0]
+                        for yy, fy in first:
                             for w, wv in h2v0:
                                 key = (yy, w)
                                 rhs[key] = rhs.get(key, z) + coeff * fy * wv

@@ -12,7 +12,8 @@ every construction.
 from __future__ import annotations
 
 from .cyclotomic import FieldContext, Scalar
-from .linalg import Matrix, dense, nonzero, rref, sparse_diff, unit_vector, vec_eq, zeros
+from .linalg import (Matrix, dense, nonzero, rref, sorted_terms, sparse_diff, unit_vector, vec_eq,
+                     zeros)
 from .reports import VerificationReport
 
 
@@ -30,16 +31,21 @@ class FinDimAlgebra:
         self.mult = mult
         self.unit = list(unit)
 
-    def mult_vec(self, u: list[Scalar], v: list[Scalar]) -> list[Scalar]:
-        out = zeros(self.ctx, self.dim)
-        v_terms = nonzero(v)
-        for i, ui in nonzero(u):
+    def mult_terms(self, u_terms, v_terms) -> list[tuple[int, Scalar]]:
+        """The term list of u * v for the elements with these (index,
+        coefficient) terms: ascending, no zero coefficient."""
+        acc: dict[int, Scalar] = {}
+        for i, ui in u_terms:
             row = self.mult[i]
             for j, vj in v_terms:
                 c = ui * vj
                 for k, m in row[j]:
-                    out[k] = out[k] + c * m
-        return out
+                    add = c * m
+                    acc[k] = acc[k] + add if k in acc else add
+        return sorted_terms(acc)
+
+    def mult_vec(self, u: list[Scalar], v: list[Scalar]) -> list[Scalar]:
+        return dense(self.ctx, self.dim, self.mult_terms(nonzero(u), nonzero(v)))
 
     def basis_vec(self, i: int) -> list[Scalar]:
         return unit_vector(self.ctx, self.dim, i)
@@ -258,18 +264,20 @@ def check_bialgebra(a: FinDimAlgebra, c: FinDimCoalgebra, report: VerificationRe
 def convolution_failures(a: FinDimAlgebra, c: FinDimCoalgebra, s: Matrix, side: str):
     """Yield a witness at each basis element where m(S x id)Delta = u eps
     (side="left") or m(id x S)Delta = u eps fails."""
+    one = a.ctx.one()
+    s_cols = [s.col_terms(j) for j in range(a.dim)]
     for i in range(a.dim):
-        acc = zeros(a.ctx, a.dim)
+        acc: dict[int, Scalar] = {}
         for j, k, coeff in c.comult[i]:
             if side == "left":
-                term = a.mult_vec(s.col(j), a.basis_vec(k))
+                term = a.mult_terms(s_cols[j], [(k, one)])
             else:
-                term = a.mult_vec(a.basis_vec(j), s.col(k))
-            for l in range(a.dim):
-                if not term[l].is_zero():
-                    acc[l] = acc[l] + coeff * term[l]
-        target = [a.unit[l] * c.counit[i] for l in range(a.dim)]
-        if not vec_eq(acc, target):
+                term = a.mult_terms([(j, one)], s_cols[k])
+            for l, x in term:
+                add = coeff * x
+                acc[l] = acc[l] + add if l in acc else add
+        target = {l: u * c.counit[i] for l, u in nonzero(a.unit)}
+        if sparse_diff(acc, target, a.ctx) is not None:
             yield {"index": i, "side": side}
 
 

@@ -337,3 +337,22 @@ def test_comodule_algebra_without_generators_reports_whole_basis():
     assert k.generators == [k.index(1, 0), k.index(0, 1)]
     assert ComoduleAlgebra(k.hopf, k.algebra, k.coaction).generators == list(range(k.dim))
     assert trivial_comodule_algebra(2).generators == [0]
+
+
+def test_checkers_read_each_column_once(monkeypatch):
+    # check_yd and verify_center_algebra read each column of an action
+    # matrix or of the antipode at most once per check
+    alg = solve_adjoint(problem_for(taft_model(3), comodule_algebra_K(3, 3, 0), {"ad1", "ad3"}))
+    reads = []
+    col_terms = Matrix.col_terms
+
+    def counted(m, j):
+        reads.append((id(m), j))
+        return col_terms(m, j)
+
+    monkeypatch.setattr(Matrix, "col_terms", counted)
+    for check in (lambda: check_yd(alg.problem.hopf, alg.module_rep(), alg.comodule_rep()),
+                  lambda: verify_center_algebra(alg)):
+        reads.clear()
+        assert check().ok
+        assert reads and len(reads) == len(set(reads))
