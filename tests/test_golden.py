@@ -164,6 +164,18 @@ CLI_DIGESTS = {
         0,
         "f232e87bb140b5c5cedf8c5163b50cb545a858f7ab86b5c1d3b2d63151984ad6",
     ),
+    # the fully-constrained variant at n = 6, over Q(zeta_6)
+    "adjoint-n6-K(3,0)-ad1-ad2-ad3": (
+        ["adjoint", "--n", "6", "--d", "3", "--xi", "0"],
+        0,
+        "b50d8bae9119ac1087042e599a6d8c179caa8d9299d4e4770ce0c2fd94cc91a3",
+    ),
+    # a module variant with large emission: dim 36, 1.87 MB of JSON
+    "adjoint-n6-K(1,0)-ad1-ad3": (
+        ["adjoint", "--n", "6", "--d", "1", "--xi", "0", "--conditions", "ad1,ad3"],
+        0,
+        "eac9813e22fbe66e774bcb48b237d5e2b1cb6aeebdaa024f0d91b9f1be519845",
+    ),
     # H_ad checks, dinaturality and the relative-regular comparison at n = 4
     "braided-adjoint-n4": (
         ["braided-adjoint", "--n", "4"],
