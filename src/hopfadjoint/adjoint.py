@@ -16,13 +16,15 @@ coaction are all computed on abar.  The reduced pipeline solves for
 abar directly and imposes ad1 on the generators of K only; the full
 one solves over the whole Hom-space and every basis tuple, and is the
 oracle it must agree with bit for bit.  Hom-space maps are derived
-from abar only where they are read: for the JSON basis and for the
-direct re-check of the conditions.
+from abar only where they are read: the JSON basis is written from the
+term lists of abar, and dense maps are inflated only for the direct
+re-check of the conditions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .cyclotomic import FieldContext, Scalar, zeta_power
@@ -33,7 +35,7 @@ from .constructions import ComoduleAlgebraK, TaftModel, taft_model, comodule_alg
 from .linalg import (
     Matrix,
     SubspaceBasis,
-    coords_in_basis,
+    coords_of_terms,
     dense,
     kernel_basis,
     nonzero,
@@ -261,8 +263,9 @@ class AdjointAlgebra:
     with product, unit, action and coaction expressed in that basis.
 
     Every solution is right-K-linear (ad3), alpha(x, k) = abar(x) k, so
-    abar fixes it; `hom_maps` inflates the basis back to Hom-space
-    coordinates for serialisation and the direct condition checks."""
+    abar fixes it: the structure maps and the JSON basis are built from
+    the term lists of abar, and `hom_maps` inflates the basis back to
+    dense Hom-space coordinates for the direct condition checks only."""
 
     def __init__(self, problem: AdjointProblem, basis: SubspaceBasis):
         self.problem = problem
@@ -278,82 +281,101 @@ class AdjointAlgebra:
     def ctx(self) -> FieldContext:
         return self.problem.ctx
 
+    @cached_property
+    def bar_terms(self) -> list[list[list[tuple[int, Scalar]]]]:
+        """bar_terms[i][x]: the term list of alpha_i(e_x, 1)."""
+        NK = self.NK
+        out = []
+        for row in self.basis.rows:
+            per_x: list[list[tuple[int, Scalar]]] = [[] for _ in range(self.NH)]
+            for u, e in sorted(row.items()):
+                per_x[u // NK].append((u % NK, e))
+            out.append(per_x)
+        return out
+
     def bar(self, i: int, x: int) -> list[Scalar]:
         """alpha_i(e_x, 1)."""
-        return self.basis.vectors[i][x * self.NK : (x + 1) * self.NK]
+        return dense(self.ctx, self.NK, self.bar_terms[i][x])
+
+    def _alpha_terms(self, i: int):
+        """The (x, k, pp, coefficient) terms of alpha_i(e_x, e_k) =
+        abar_i(x) e_k, with repeated (x, k, pp) still to be summed."""
+        mult = self.problem.comod_alg.algebra.mult
+        for x, bar in enumerate(self.bar_terms[i]):
+            for r, e in bar:
+                for k, products in enumerate(mult[r]):
+                    for pp, m in products:
+                        yield x, k, pp, e * m
 
     def hom_maps(self) -> list[list[Scalar]]:
-        """The basis in Hom-space coordinates: alpha(x, k) = abar(x) k,
-        flattened at (x*NK + k)*NK + pp."""
-        kalg = self.problem.comod_alg.algebra
+        """The basis in Hom-space coordinates, flattened at
+        (x*NK + k)*NK + pp."""
         NK = self.NK
         maps = []
-        for v in self.basis.vectors:
+        for i in range(self.dim):
             flat = [self.ctx.zero()] * (self.NH * NK * NK)
-            for u, e in enumerate(v):  # u = x*NK + r
-                if e.is_zero():
-                    continue
-                x, r = divmod(u, NK)
-                for k in range(NK):
-                    for pp, m in kalg.mult[r][k]:
-                        i = (x * NK + k) * NK + pp
-                        flat[i] = flat[i] + e * m
+            for x, k, pp, c in self._alpha_terms(i):
+                u = (x * NK + k) * NK + pp
+                flat[u] = flat[u] + c
             maps.append(flat)
         return maps
 
     # -- structure assembly ------------------------------------------------
 
+    def _coords(self, acc: dict[int, Scalar], message: str, witness: dict) -> list[Scalar]:
+        """The coordinates of the abar vector acc in the basis, or a
+        ClosureFailure when it has left the solution space."""
+        c = coords_of_terms(acc, self.basis)
+        if c is None:
+            raise ClosureFailure(message, witness=witness)
+        return c
+
     def compute_structure(self) -> None:
         """Product (a.b)bar(x) = sum a(x1) b(x2), unit ubar(x) = eps(x) 1,
         action (h.a)bar(x) = a(x h) and coaction component_y bar(x) =
-        sum [S(x1) lam(a(x2))(-1) x3]_y lam(a(x2))(0), each built as a
-        flat abar vector and read off by `coords_in_basis`."""
+        sum [S(x1) lam(a(x2))(-1) x3]_y lam(a(x2))(0), each summed into a
+        sparse abar vector {x*NK + pp: coefficient} and read off at the
+        basis pivots by `coords_of_terms`."""
         ctx = self.ctx
         hopf = self.problem.hopf
         K = self.problem.comod_alg
         kalg, halg = K.algebra, hopf.algebra
         NH, NK, n = self.NH, self.NK, self.dim
         z = ctx.zero()
-        terms = [[nonzero(self.bar(i, x)) for x in range(NH)] for i in range(n)]
+        terms = self.bar_terms
 
-        eps = hopf.coalgebra.counit
-        uc = coords_in_basis([e * u for e in eps for u in kalg.unit], self.basis)
-        if uc is None:
-            raise ClosureFailure("unit map is not in the solution space",
-                                 witness={"map": "x,k -> eps(x) k"})
-        self.unit_coords = uc
+        unit = {x * NK + r: e * u for x, e in nonzero(hopf.coalgebra.counit)
+                for r, u in nonzero(kalg.unit)}
+        self.unit_coords = self._coords(unit, "unit map is not in the solution space",
+                                        {"map": "x,k -> eps(x) k"})
 
         prod: list[list[list[Scalar]]] = [[None] * n for _ in range(n)]
         for i in range(n):
             for j in range(n):
-                vbar = [z] * (NH * NK)
+                acc: dict[int, Scalar] = {}
                 for x in range(NH):
                     for x1, x2, c in hopf.coalgebra.comult[x]:
                         for r, a in terms[i][x1]:
                             for s, b in terms[j][x2]:
                                 cab = c * a * b
                                 for t, m in kalg.mult[r][s]:
-                                    vbar[x * NK + t] = vbar[x * NK + t] + cab * m
-                cij = coords_in_basis(vbar, self.basis)
-                if cij is None:
-                    raise ClosureFailure("product left the solution space",
-                                         witness={"pair": [i, j]})
-                prod[i][j] = cij
+                                    u, v = x * NK + t, cab * m
+                                    acc[u] = acc[u] + v if u in acc else v
+                prod[i][j] = self._coords(acc, "product left the solution space",
+                                          {"pair": [i, j]})
         self.product = prod
 
         action: list[Matrix] = []
         for h in range(NH):
             h_terms = []  # column j: the coordinates of h.a_j
             for j in range(n):
-                vbar = [z] * (NH * NK)
+                acc = {}
                 for x in range(NH):
                     for zz, m in halg.mult[x][h]:
                         for r, e in terms[j][zz]:
-                            vbar[x * NK + r] = vbar[x * NK + r] + m * e
-                c = coords_in_basis(vbar, self.basis)
-                if c is None:
-                    raise ClosureFailure("action left the solution space",
-                                         witness={"h": h, "basis": j})
+                            u, v = x * NK + r, m * e
+                            acc[u] = acc[u] + v if u in acc else v
+                c = self._coords(acc, "action left the solution space", {"h": h, "basis": j})
                 h_terms += [(i, j, e) for i, e in nonzero(c)]
             action.append(Matrix(ctx, n, n, h_terms))
         self.action = action
@@ -373,21 +395,17 @@ class AdjointAlgebra:
 
         coaction = []
         for j in range(n):
-            comps: dict[int, list[Scalar]] = {}
+            comps: dict[int, dict[int, Scalar]] = {}
             for x in range(NH):
                 for x1, x2, x3, c in hopf.coalgebra.delta2_terms(x):
                     for (y0, p0), clam in K.coaction_vec(terms[j][x2]).items():
                         for y, cy in left_terms(x1, y0, x3):
-                            comp = comps.get(y)
-                            if comp is None:
-                                comp = comps[y] = [z] * (NH * NK)
-                            comp[x * NK + p0] = comp[x * NK + p0] + c * clam * cy
-            cols: dict[int, list[Scalar]] = {}
-            for y, vbar in comps.items():
-                cols[y] = coords_in_basis(vbar, self.basis)
-                if cols[y] is None:
-                    raise ClosureFailure("coaction left the solution space",
-                                         witness={"basis": j, "hopf_component": y})
+                            comp = comps.setdefault(y, {})
+                            u, v = x * NK + p0, c * clam * cy
+                            comp[u] = comp[u] + v if u in comp else v
+            cols = {y: self._coords(comp, "coaction left the solution space",
+                                    {"basis": j, "hopf_component": y})
+                    for y, comp in comps.items()}
             coaction.append([(y, i, c) for y in sorted(cols) for i, c in nonzero(cols[y])])
         self.coaction = coaction
 
@@ -407,8 +425,9 @@ class AdjointAlgebra:
             "problem": self.problem.describe(),
             "dim": n,
             # row pp, column x*NK + k: the e_pp coefficient of alpha(x, k)
-            "basis": [Matrix(self.ctx, NK, self.NH * NK, [(u % NK, u // NK, e) for u, e in nonzero(flat)])
-                      for flat in self.hom_maps()],
+            "basis": [Matrix(self.ctx, NK, self.NH * NK,
+                             [(pp, x * NK + k, c) for x, k, pp, c in self._alpha_terms(i)])
+                      for i in range(n)],
             "product": self.product,
             "unit": self.unit_coords,
             "action": self.action,
@@ -773,13 +792,9 @@ def phi_structure_transport(a: AdjointAlgebra, report: VerificationReport | None
 
     def bar_at(i: int, hvec: list[Scalar]) -> list[Scalar]:
         out = [z] * NK
-        for y, cy in enumerate(hvec):
-            if cy.is_zero():
-                continue
-            v = a.bar(i, y)
-            for r in range(NK):
-                if not v[r].is_zero():
-                    out[r] = out[r] + cy * v[r]
+        for y, cy in nonzero(hvec):
+            for r, e in a.bar_terms[i][y]:
+                out[r] = out[r] + cy * e
         return out
 
     tvals = [[bar_at(s, g_index(j)) for j in range(n + 1)] for s in range(a.dim)]

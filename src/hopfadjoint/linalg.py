@@ -3,12 +3,14 @@
 `Matrix` stores one zero-free {col: Scalar} dict per row and nothing
 else: it is built from (row, col, coefficient) terms and read as row or
 column term lists, and its products, Kronecker sums and eliminations
-run over the nonzeros only.  Only the `entries` view, read at
-serialisation, lays a matrix out densely.  Vectors stay dense lists;
-this module also holds the vector helpers shared by every checker,
-row-reduced echelon form, kernels and subspace coordinates.  All
-arithmetic is exact, all outputs deterministic.  The Kronecker index
-convention is (i tensor j) -> i * dim_b + j everywhere.
+run over the nonzeros only.  Serialisation reads `terms()`; the dense
+`entries` view is read only by the tests and by the bench's traced
+nonzero count, and stays until that count reads `terms()` too.  A
+`SubspaceBasis` keeps the zero-free echelon rows that elimination
+returns, and coordinates in it are read at its pivots.  Other vectors
+stay dense lists; this module also holds the vector helpers shared by
+every checker.  All arithmetic is exact, all outputs deterministic.  The
+Kronecker index convention is (i tensor j) -> i * dim_b + j everywhere.
 """
 
 from __future__ import annotations
@@ -67,8 +69,8 @@ class Matrix:
     The one storage is a zero-free {col: Scalar} dict per row.  A matrix
     is built from (row, col, coefficient) terms, whose duplicates are
     summed and whose zeros are dropped, and is read as ascending row or
-    column term lists; `entries` is a dense row-major view for
-    serialisation only."""
+    column term lists; `entries` is a dense row-major view that only the
+    tests and the bench's traced nonzero count read."""
 
     __slots__ = ("ctx", "rows", "cols", "_rows")
 
@@ -280,19 +282,26 @@ def rank(m: Matrix) -> int:
 
 
 class SubspaceBasis:
-    """Basis of a subspace of k^ambient_dim in reduced echelon form."""
+    """Basis of a subspace of k^ambient_dim in reduced echelon form: one
+    zero-free {index: Scalar} dict per basis vector, vector i with entry 1
+    at pivots[i] and no entry at any other pivot."""
 
-    __slots__ = ("ctx", "ambient_dim", "vectors", "pivots")
+    __slots__ = ("ctx", "ambient_dim", "rows", "pivots")
 
-    def __init__(self, ctx: FieldContext, ambient_dim: int, vectors: list[list[Scalar]], pivots: tuple[int, ...]):
+    def __init__(self, ctx: FieldContext, ambient_dim: int, rows: list[dict[int, Scalar]], pivots: tuple[int, ...]):
         self.ctx = ctx
         self.ambient_dim = ambient_dim
-        self.vectors = vectors
+        self.rows = rows
         self.pivots = pivots
 
     @property
     def dim(self) -> int:
-        return len(self.vectors)
+        return len(self.rows)
+
+    @property
+    def vectors(self) -> list[list[Scalar]]:
+        """The basis vectors as dense lists, built on each read."""
+        return [dense(self.ctx, self.ambient_dim, row.items()) for row in self.rows]
 
     def __repr__(self) -> str:
         return f"SubspaceBasis(dim {self.dim} in k^{self.ambient_dim})"
@@ -300,7 +309,7 @@ class SubspaceBasis:
     @classmethod
     def from_spanning(cls, ctx: FieldContext, ambient_dim: int, vectors: list[list[Scalar]]) -> "SubspaceBasis":
         red, pivots = _eliminate(ctx, [dict(nonzero(v)) for v in vectors])
-        return cls(ctx, ambient_dim, [dense(ctx, ambient_dim, row.items()) for row in red], pivots)
+        return cls(ctx, ambient_dim, red, pivots)
 
 
 def kernel_basis(m: Matrix) -> SubspaceBasis:
@@ -316,25 +325,30 @@ def kernel_basis(m: Matrix) -> SubspaceBasis:
             if f != pc:
                 kernel[f][pc] = -x
     basis, basis_pivots = _eliminate(ctx, list(kernel.values()))
-    return SubspaceBasis(ctx, m.cols, [dense(ctx, m.cols, row.items()) for row in basis], basis_pivots)
+    return SubspaceBasis(ctx, m.cols, basis, basis_pivots)
+
+
+def coords_of_terms(v: dict[int, Scalar], b: SubspaceBasis) -> list[Scalar] | None:
+    """Coordinates in the echelon basis b of the sparse vector v, an
+    {index: Scalar} dict that may hold zeros, or None when v is not in
+    the span (the NotInSubspace signal).  b is reduced, so the
+    coordinates are the entries of v at the pivots; the residual
+    v - sum c_i b_i is formed over the nonzeros only."""
+    residual = _zero_free(v)
+    z = b.ctx.zero()
+    coords = [residual.get(pc, z) for pc in b.pivots]
+    for c, row in zip(coords, b.rows):
+        if c is not z:
+            _add_multiple(residual, -c, row)
+    return None if residual else coords
 
 
 def coords_in_basis(v: list[Scalar], b: SubspaceBasis) -> list[Scalar] | None:
-    """Coordinates of v in the echelon basis b, or None when v is not in
-    the span (the NotInSubspace signal)."""
+    """Coordinates of the dense vector v in the echelon basis b, or None
+    when v is not in the span."""
     if len(v) != b.ambient_dim:
         raise ValueError("vector length does not match ambient dimension")
-    coords = [v[pc] for pc in b.pivots]
-    residual = list(v)
-    for c, vec in zip(coords, b.vectors):
-        if c.is_zero():
-            continue
-        for i, e in enumerate(vec):
-            if not e.is_zero():
-                residual[i] = residual[i] - c * e
-    if any(not e.is_zero() for e in residual):
-        return None
-    return coords
+    return coords_of_terms(dict(enumerate(v)), b)
 
 
 def kron_sum(terms) -> Matrix:

@@ -81,28 +81,43 @@ class VerificationReport:
 
 
 def jsonable(obj):
-    """Convert package objects to plain JSON-compatible data."""
-    if obj is None or isinstance(obj, (bool, int, str)):
-        return obj
-    if isinstance(obj, float):
-        return obj
-    if isinstance(obj, Fraction):
-        return rational_str(obj)
-    if isinstance(obj, Scalar):
-        return scalar_to_strings(obj)
-    if isinstance(obj, Matrix):
-        return {
-            "rows": obj.rows,
-            "cols": obj.cols,
-            "entries": [jsonable(e) for e in obj.entries],
-        }
-    if isinstance(obj, (list, tuple)):
-        return [jsonable(x) for x in obj]
-    if isinstance(obj, dict):
-        return {str(k): jsonable(v) for k, v in obj.items()}
-    if hasattr(obj, "to_jsonable"):
-        return jsonable(obj.to_jsonable())
-    raise TypeError(f"cannot serialise {type(obj).__name__}")
+    """Convert package objects to plain JSON-compatible data.
+
+    Each distinct scalar value is formatted once per call, and every
+    occurrence shares that one string list.  A Matrix is laid out densely
+    only here: its entry list starts as references to the zero's list and
+    only its nonzero terms are written into it."""
+    memo: dict[tuple[tuple[int, ...], int], list[str]] = {}
+
+    def scalar(s: Scalar) -> list[str]:
+        key = (s.num, s.den)
+        out = memo.get(key)
+        if out is None:
+            out = memo[key] = scalar_to_strings(s)
+        return out
+
+    def convert(obj):
+        if isinstance(obj, Scalar):
+            return scalar(obj)
+        if obj is None or isinstance(obj, (bool, int, str, float)):
+            return obj
+        if isinstance(obj, Fraction):
+            return rational_str(obj)
+        if isinstance(obj, Matrix):
+            cols = obj.cols
+            entries = [scalar(obj.ctx.zero())] * (obj.rows * cols)
+            for i, j, c in obj.terms():
+                entries[i * cols + j] = scalar(c)
+            return {"rows": obj.rows, "cols": cols, "entries": entries}
+        if isinstance(obj, (list, tuple)):
+            return [convert(x) for x in obj]
+        if isinstance(obj, dict):
+            return {str(k): convert(v) for k, v in obj.items()}
+        if hasattr(obj, "to_jsonable"):
+            return convert(obj.to_jsonable())
+        raise TypeError(f"cannot serialise {type(obj).__name__}")
+
+    return convert(obj)
 
 
 def emit_json(obj) -> bytes:

@@ -208,7 +208,7 @@ def test_closure_failure_on_truncated_basis():
     full = solve_adjoint(p, with_structure=False)
     keep = [0, 3]
     truncated = SubspaceBasis(full.basis.ctx, full.basis.ambient_dim,
-                              [full.basis.vectors[i] for i in keep],
+                              [full.basis.rows[i] for i in keep],
                               tuple(full.basis.pivots[i] for i in keep))
     crippled = AdjointAlgebra(p, truncated)
     with pytest.raises(ClosureFailure) as err:

@@ -1,0 +1,186 @@
+"""Slow dense oracles for the two edges where sparse data is laid out
+densely: canonical JSON emission and coordinates in a solved basis.
+
+`emit_json` formats each distinct scalar once and writes only a
+matrix's nonzero terms; `dense_jsonable` is the per-entry walk over
+`Matrix.entries` that it replaced, and both must give the same bytes.
+`coords_of_terms` reads coordinates at the pivots of an echelon basis
+and forms the residual sparsely; `dense_coords_in_basis` scans dense
+basis vectors and a dense residual, and both must agree, `None`
+included.
+"""
+
+import json
+import random
+from collections import Counter
+from fractions import Fraction
+
+import pytest
+
+from hopfadjoint import cli, reports
+from hopfadjoint.adjoint import condition_system, condition_system_reduced, problem_for
+from hopfadjoint.constructions import comodule_algebra_K, regular_comodule_algebra, taft_model
+from hopfadjoint.cyclotomic import Scalar, make_field, rational_str, scalar_to_strings
+from hopfadjoint.linalg import Matrix, SubspaceBasis, coords_in_basis, coords_of_terms, kernel_basis
+from hopfadjoint.reports import emit_json
+
+from test_golden import CLI_DIGESTS
+
+
+def dense_jsonable(obj):
+    """One `scalar_to_strings` call per scalar occurrence, matrices read
+    entry by entry from the dense `entries` view."""
+    if obj is None or isinstance(obj, (bool, int, str, float)):
+        return obj
+    if isinstance(obj, Fraction):
+        return rational_str(obj)
+    if isinstance(obj, Scalar):
+        return scalar_to_strings(obj)
+    if isinstance(obj, Matrix):
+        return {"rows": obj.rows, "cols": obj.cols,
+                "entries": [dense_jsonable(e) for e in obj.entries]}
+    if isinstance(obj, (list, tuple)):
+        return [dense_jsonable(x) for x in obj]
+    if isinstance(obj, dict):
+        return {str(k): dense_jsonable(v) for k, v in obj.items()}
+    if hasattr(obj, "to_jsonable"):
+        return dense_jsonable(obj.to_jsonable())
+    raise TypeError(f"cannot serialise {type(obj).__name__}")
+
+
+def dense_emit(obj) -> bytes:
+    return json.dumps(dense_jsonable(obj), sort_keys=True, separators=(",", ":")).encode()
+
+
+def dense_coords_in_basis(v, b: SubspaceBasis):
+    """Coordinates at the pivots, then the residual v - sum c_i b_i
+    formed entry by entry over the dense basis vectors."""
+    coords = [v[pc] for pc in b.pivots]
+    residual = list(v)
+    for c, vec in zip(coords, b.vectors):
+        if c.is_zero():
+            continue
+        for i, e in enumerate(vec):
+            if not e.is_zero():
+                residual[i] = residual[i] - c * e
+    if any(not e.is_zero() for e in residual):
+        return None
+    return coords
+
+
+# -- emission --------------------------------------------------------------
+
+
+def captured_documents(monkeypatch, argv) -> tuple[int, list]:
+    """Run the CLI; its exit code and every document it hands to emit_json."""
+    docs = []
+
+    def capture(obj):
+        docs.append(obj)
+        return emit_json(obj)
+
+    monkeypatch.setattr(cli, "emit_json", capture)
+    return cli.cli_main(argv), docs
+
+
+@pytest.mark.parametrize("name", sorted(CLI_DIGESTS))
+def test_emit_json_matches_dense_oracle_on_golden_payloads(name, monkeypatch, tmp_path):
+    argv, exit_code, _ = CLI_DIGESTS[name]
+    out = tmp_path / "out.json"
+    code, docs = captured_documents(monkeypatch, argv + ["--out", str(out)])
+    assert code == exit_code and len(docs) == 1
+    assert dense_emit(docs[0]) == out.read_bytes()
+
+
+def random_scalar(rng: random.Random, ctx):
+    """Zero about a third of the time, otherwise coordinates with
+    negative numerators and non-unit denominators, some of them zero."""
+    if rng.random() < 0.35:
+        return ctx.zero()
+    return ctx.scalar([Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 4, 6, 7)))
+                       for _ in range(ctx.degree)])
+
+
+def random_matrix(rng: random.Random, ctx, pool) -> Matrix:
+    rows, cols = rng.randint(0, 5), rng.randint(0, 5)
+    # draws from a small pool repeat values across entries and matrices
+    pick = lambda: rng.choice(pool) if rng.random() < 0.3 else random_scalar(rng, ctx)
+    terms = [(i, j, pick()) for i in range(rows) for j in range(cols)]
+    # duplicate and cancelling terms exercise the zero-free construction
+    terms += [(i, j, c) for i, j, c in terms[::3]] + [(i, j, -c) for i, j, c in terms[::3]]
+    return Matrix(ctx, rows, cols, terms)
+
+
+@pytest.mark.parametrize("conductor", [3, 4, 5])
+@pytest.mark.parametrize("seed", range(4))
+def test_emit_json_matches_dense_oracle_on_random_matrices(conductor, seed):
+    rng = random.Random(1000 * conductor + seed)
+    ctx = make_field(conductor)
+    pool = [random_scalar(rng, ctx) for _ in range(4)]
+    doc = {
+        "matrices": [random_matrix(rng, ctx, pool) for _ in range(6)],
+        "vector": [random_scalar(rng, ctx) for _ in range(7)],
+        "nested": {"pair": (ctx.zero(), ctx.one()), "rational": Fraction(-5, 6), "flag": True},
+    }
+    assert emit_json(doc) == dense_emit(doc)
+
+
+def test_emit_json_formats_each_distinct_scalar_once(monkeypatch, tmp_path):
+    # a solved (4, 1, 0) module-variant document: every scalar value,
+    # zero included, goes through scalar_to_strings at most once
+    _, docs = captured_documents(monkeypatch, ["adjoint", "--n", "4", "--d", "1", "--xi", "0",
+                                               "--conditions", "ad1,ad3",
+                                               "--out", str(tmp_path / "out.json")])
+    calls = Counter()
+
+    def counted(s):
+        calls[s.num, s.den] += 1
+        return scalar_to_strings(s)
+
+    monkeypatch.setattr(reports, "scalar_to_strings", counted)
+    data = emit_json(docs[0])
+    assert data == dense_emit(docs[0])
+    assert calls and max(calls.values()) == 1
+
+
+# -- coordinates -----------------------------------------------------------
+
+
+# kernel bases of condition systems at n = 2 and 3: (n, K, conditions, system)
+SOLVED = [
+    (2, (2, 2, 0), {"ad1", "ad3"}, condition_system_reduced),
+    (2, (2, 1, 1), {"ad1", "ad2", "ad3"}, condition_system_reduced),
+    (2, (2, 2, 0), {"ad1"}, condition_system),
+    (3, (3, 3, 0), {"ad1", "ad3"}, condition_system_reduced),
+    (3, (3, 1, 1), {"ad1", "ad2", "ad3"}, condition_system_reduced),
+    (3, None, {"ad1", "ad2", "ad3"}, condition_system_reduced),
+]
+
+
+@pytest.mark.parametrize("index", range(len(SOLVED)))
+def test_sparse_coords_match_dense_oracle(index):
+    n, k, conditions, system = SOLVED[index]
+    comod = regular_comodule_algebra(n) if k is None else comodule_algebra_K(*k)
+    b = kernel_basis(system(problem_for(taft_model(n), comod, conditions)))
+    ctx = b.ctx
+    rng = random.Random(index)
+    vectors = b.vectors
+    non_pivots = [f for f in range(b.ambient_dim) if f not in set(b.pivots)]
+    assert b.dim and non_pivots
+    cases = [([ctx.zero()] * b.ambient_dim, True)] + [(v, True) for v in vectors]
+    for _ in range(12):
+        coeffs = [ctx.from_rational(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+                  for _ in range(b.dim)]
+        inside = [sum((c * v[u] for c, v in zip(coeffs, vectors)), ctx.zero())
+                  for u in range(b.ambient_dim)]
+        cases.append((inside, True))
+        # a non-pivot unit vector is outside the span of an echelon basis
+        outside = list(inside)
+        f = rng.choice(non_pivots)
+        outside[f] = outside[f] + ctx.from_rational(rng.choice((-2, 1, 3)))
+        cases.append((outside, False))
+    for v, in_span in cases:
+        expected = dense_coords_in_basis(v, b)
+        assert (expected is not None) == in_span
+        assert coords_in_basis(v, b) == expected
+        assert coords_of_terms(dict(enumerate(v)), b) == expected
