@@ -134,6 +134,12 @@ CLI_DIGESTS = {
         0,
         "94ba74a814c92273f1831ec2464e6da822834382deb79b0d69f78289b3b064e4",
     ),
+    # Q(zeta_7) has degree 6: the first pinned field with reduction rows up to x^10
+    "taft-n7": (
+        ["taft", "--n", "7"],
+        0,
+        "e39e97f4210f68775ee05e4a5eabc36a3864e2ab836a72880d23b017309851e4",
+    ),
     # regular(3) with ad1,ad2,ad3, K(1,0), K(3,0) and chi0
     "verify-adjoint-n3": (
         ["verify", "--suite", "adjoint", "--n", "3"],
