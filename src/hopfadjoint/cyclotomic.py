@@ -7,6 +7,12 @@ numerators over one positive common denominator, kept in lowest terms
 canonical and every operation is exact and normalised once, as in
 fraction-free elimination.  Phi_n is monic with integer coefficients, so
 the reduction rows and the Galois conjugation rows are integral too.
+
+Each field compiles its product once, from the reduction rows of Phi_n:
+one straight-line function of the two numerator tuples that folds the
+reduction into the convolution and normalises inline.  It is the only
+multiplication, in every degree, and the inverse forms its conjugate
+products and norm with it.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from typing import Callable
 
 Rational = Fraction
 
@@ -54,18 +61,41 @@ def _ratio(r) -> tuple[int, int]:
     return r.numerator, r.denominator
 
 
+def _compile_product(ctx: "FieldContext", reduction) -> Callable[["Scalar", "Scalar"], "Scalar"]:
+    """The product of two scalars of ctx as one straight-line function: the
+    convolution of x.num and y.num, with t_k, the coefficient of x^(d+k), spread
+    by its integer reduction row, then normalised inline by gcd(den, *num).
+    The source holds only local names and the integers of the rows."""
+    d = ctx.degree
+    a, b, n = (", ".join(f"{v}{i}" for i in range(d)) for v in "abn")
+    conv = [" + ".join(f"a{i} * b{m - i}" for i in range(max(0, m - d + 1), min(m, d - 1) + 1))
+            for m in range(2 * d - 1)]
+    src = [f"def mul(x, y):\n    {a}, = x.num\n    {b}, = y.num"]
+    src += [f"    t{k} = {conv[d + k]}" for k in range(d - 1)]
+    for i in range(d):
+        line = f"    n{i} = {conv[i]}"
+        for k, row in enumerate(reduction):
+            if c := row[i]:
+                line += f" {'+' if c > 0 else '-'} {'' if abs(c) == 1 else f'{abs(c)} * '}t{k}"
+        src.append(line)
+    reduced = ", ".join(f"n{i} // g" for i in range(d))
+    src.append(f"    den = x.den * y.den\n    if den != 1:\n        g = gcd(den, {n})\n"
+               f"        if g != 1:\n            return Scalar(ctx, ({reduced},), den // g)\n"
+               f"    return Scalar(ctx, ({n},), den)")
+    namespace = {"ctx": ctx, "Scalar": Scalar, "gcd": gcd}
+    exec(compile("\n".join(src), f"<Q(zeta_{ctx.conductor}) product>", "exec"), namespace)
+    return namespace["mul"]
+
+
 class FieldContext:
     """The field Q(zeta_n) with zeta_n a primitive n-th root of unity."""
 
-    __slots__ = ("conductor", "poly", "degree", "_p0", "_p1", "_reduction", "_conjugates",
-                 "_zetas", "_zero", "_one")
+    __slots__ = ("conductor", "poly", "degree", "_mul", "_conjugates", "_zetas", "_zero", "_one")
 
     def __init__(self, conductor: int, poly: tuple[int, ...]):
         self.conductor = conductor
         self.poly = poly
         d = self.degree = len(poly) - 1
-        # Phi_n = x^2 + p1 x + p0 in degree 2
-        self._p0, self._p1 = (poly[0], poly[1]) if d == 2 else (0, 0)
         # x^m mod Phi_n for m < max(n, 2d - 1), as integer rows: x^d = -(poly[0] + ... +
         # poly[d-1] x^(d-1)), since Phi_n is monic
         powers = [tuple(int(i == 0) for i in range(d))]
@@ -74,11 +104,10 @@ class FieldContext:
             carry = prev[d - 1]
             row = (0,) + prev[: d - 1]
             powers.append(tuple(row[i] - carry * poly[i] for i in range(d)))
-        # the nonzero (i, coefficient) terms of x^(d + k) for k = 0 .. d - 2
-        self._reduction = [[(i, c) for i, c in enumerate(powers[m]) if c] for m in range(d, 2 * d - 1)]
-        # sigma_k(zeta^i) = zeta^(i k) for every unit k != 1 mod n: the rows of the
-        # other Galois conjugates, whose product over the norm is the inverse
-        self._conjugates = [[powers[i * k % conductor] for i in range(d)]
+        self._mul = _compile_product(self, powers[d: 2 * d - 1])
+        # sigma_k(zeta^i) = zeta^(i k) for every unit k != 1 mod n: the nonzero terms
+        # (i, j, c) of the other Galois conjugates, whose product over the norm is the inverse
+        self._conjugates = [[(i, j, c) for i in range(d) for j, c in enumerate(powers[i * k % conductor]) if c]
                             for k in range(2, conductor) if gcd(k, conductor) == 1]
         # scalars are immutable, so every zero(), one() and zeta power is one shared object
         self._zetas = [Scalar(self, powers[k], 1) for k in range(conductor)]
@@ -110,22 +139,6 @@ class FieldContext:
 
     def one(self) -> "Scalar":
         return self._one
-
-    def _mul_int(self, a, b) -> list[int]:
-        """The integer coordinates of a * b for integer coordinate tuples:
-        a convolution reduced by the rows of x^d .. x^(2d-2)."""
-        d = self.degree
-        prod = [0] * (2 * d - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for k, bj in enumerate(b, i):
-                    prod[k] += ai * bj
-        out = prod[:d]
-        for c, row in zip(prod[d:], self._reduction):
-            if c:
-                for i, r in row:
-                    out[i] += c * r
-        return out
 
 
 @lru_cache(maxsize=None)
@@ -200,16 +213,7 @@ class Scalar:
     def __mul__(self, other: "Scalar") -> "Scalar":
         if other.ctx is not self.ctx:
             _check_same_context(self, other)
-        ctx = self.ctx
-        d = ctx.degree
-        if d == 2:
-            a0, a1 = self.num
-            b0, b1 = other.num
-            t = a1 * b1
-            num = (a0 * b0 - ctx._p0 * t, a0 * b1 + a1 * b0 - ctx._p1 * t)
-        else:
-            num = ctx._mul_int(self.num, other.num)
-        return _normal(ctx, num, self.den * other.den)
+        return self.ctx._mul(self, other)
 
     def scale(self, r) -> "Scalar":
         p, q = _ratio(r)
@@ -217,30 +221,22 @@ class Scalar:
 
     def inv(self) -> "Scalar":
         """Inverse as den * adj(num) / N(num): adj is the product of the
-        other Galois conjugates of num (the conjugate in degree 2), and the
-        norm N(num) = num * adj(num) is a nonzero integer."""
+        other Galois conjugates of num, and the norm N(num) = num * adj(num)
+        is a nonzero integer.  Both products are integral ones of the field."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in Q(zeta_n)")
         ctx = self.ctx
         num, den = self.num, self.den
-        d = ctx.degree
-        if d == 2:
-            a0, a1 = num
-            adj = (a0 - ctx._p1 * a1, -a1)
-            norm = a0 * a0 - ctx._p1 * a0 * a1 + ctx._p0 * a1 * a1
-        else:
-            adj = ctx._one.num
-            for rows in ctx._conjugates:
-                conj = [0] * d
-                for a, row in zip(num, rows):
-                    if a:
-                        for i, r in enumerate(row):
-                            conj[i] += a * r
-                adj = ctx._mul_int(adj, conj)
-            norm = ctx._mul_int(num, adj)[0]
+        adj = ctx._one
+        for terms in ctx._conjugates:
+            conj = [0] * ctx.degree
+            for i, j, c in terms:
+                conj[j] += num[i] * c
+            adj = ctx._mul(adj, Scalar(ctx, tuple(conj), 1))
+        norm = ctx._mul(Scalar(ctx, num, 1), adj).num[0]
         if norm < 0:
             norm, den = -norm, -den
-        return _normal(ctx, [c * den for c in adj], norm)
+        return _normal(ctx, [c * den for c in adj.num], norm)
 
     def __truediv__(self, other: "Scalar") -> "Scalar":
         return self * other.inv()

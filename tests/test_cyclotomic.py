@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hopfadjoint.cyclotomic import (
+    Scalar,
     _cyclotomic_poly,
     make_field,
     rational_str,
@@ -237,7 +239,7 @@ class FractionScalar:
         return self.coords == (1,) + (0,) * (self.d - 1)
 
 
-ORACLE_CONDUCTORS = (1, 2, 3, 4, 5, 6, 8)
+ORACLE_CONDUCTORS = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12)
 BIG = 10 ** 12
 
 
@@ -302,3 +304,86 @@ def test_scalar_matches_fraction_oracle(n, data):
     if not fb.is_zero():
         assert_agrees(b.inv(), fb.inv())
         assert_agrees(a / b, fa * fb.inv())
+
+
+# -- the compiled product against the convolution loop it replaced --------
+
+
+def loop_mul_int(n, a, b):
+    """The integer coordinates of a * b in Q(zeta_n) for integer coordinate
+    tuples: the plain convolution, then x^d .. x^(2d-2) replaced by their
+    integer reduction rows mod Phi_n, one nonzero coefficient at a time."""
+    poly = _cyclotomic_poly(n)
+    d = len(poly) - 1
+    reduction, row = [], [-c for c in poly[:d]]
+    for _ in range(d - 1):
+        reduction.append([(i, r) for i, r in enumerate(row) if r])
+        carry, row = row[d - 1], [0] + row[: d - 1]
+        row = [r - carry * p for r, p in zip(row, poly)]
+    prod = [0] * (2 * d - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for k, bj in enumerate(b, i):
+                prod[k] += ai * bj
+    out = prod[:d]
+    for c, terms in zip(prod[d:], reduction):
+        if c:
+            for i, r in terms:
+                out[i] += c * r
+    return out
+
+
+def seeded_numerators(rng, degree):
+    """Zero, one-term, small signed and +-10^12 numerator tuples."""
+    kind = rng.choice(("zero", "one-term", "small", "big", "mixed"))
+    if kind == "zero":
+        return (0,) * degree
+    if kind == "one-term":
+        num = [0] * degree
+        num[rng.randrange(degree)] = rng.choice((-BIG, -1, 1, 7, BIG))
+        return tuple(num)
+    if kind == "small":
+        return tuple(rng.randint(-9, 9) for _ in range(degree))
+    if kind == "big":
+        return tuple(rng.choice((-BIG, BIG)) + rng.randint(-3, 3) for _ in range(degree))
+    return tuple(rng.choice((0, rng.randint(-9, 9), rng.randint(-BIG, BIG))) for _ in range(degree))
+
+
+def seeded_scalar(ctx, rng):
+    """A canonical scalar with seeded numerators over a denominator that is
+    1 half the time and otherwise shares factors with them."""
+    num = seeded_numerators(rng, ctx.degree)
+    den = rng.choice((1, 1, 2, 6, 12, 35, BIG))
+    g = gcd(den, *num) or 1
+    return Scalar(ctx, tuple(c // g for c in num), den // g)
+
+
+# Phi_105 is the first cyclotomic polynomial whose reduction rows have a
+# coefficient other than 0 and +-1
+@pytest.mark.parametrize("n", [*range(1, 13), 105])
+def test_compiled_product_matches_the_loop_oracle(n):
+    ctx = make_field(n)
+    rng = random.Random(1000 + n)
+    for _ in range(300):
+        a, b = seeded_scalar(ctx, rng), seeded_scalar(ctx, rng)
+        prod = a * b
+        assert_canonical(prod)
+        num, den = loop_mul_int(n, a.num, b.num), a.den * b.den
+        assert [c * prod.den for c in num] == [c * den for c in prod.num]
+        if a.den == b.den == 1:
+            assert prod.num == tuple(num) and prod.den == 1
+
+
+@pytest.mark.parametrize("n", (5, 7, 9, 12))
+def test_inverse_round_trip_in_degree_4_and_6(n):
+    ctx = make_field(n)
+    rng = random.Random(2000 + n)
+    for _ in range(60):
+        a = seeded_scalar(ctx, rng)
+        if not a:
+            continue
+        inv = a.inv()
+        assert_canonical(inv)
+        assert (a * inv).is_one() and (inv * a).is_one()
+        assert inv.inv() == a
+        assert_agrees(inv, FractionScalar(n, a.coords).inv())
