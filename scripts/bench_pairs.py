@@ -2,12 +2,13 @@
 """Alternating paired runs of the benchmark on two source trees.
 
     python3 scripts/bench_pairs.py PARENT CHANGE --workload taft-relative-n5 \
-        --pairs 10 --label pr12 [--workload module-n4 ...] [--seconds 20]
+        --pairs 10 --label pr12 [--workload module-n4 ...]
 
 Each tree is a source checkout with its own `perfbench/run.py`, which runs
-unchanged, one process per run, with `--trace 0`.  Pair i runs both trees
-with seed i; the parent goes first in even pairs and the change in odd
-ones, so that drift of the host falls on both sides alike.  Before every
+unchanged, one process per run, with `--trace 0` and its own default run
+length.  Pair i runs both trees with seed i; the parent goes first in even
+pairs and the change in odd ones, so that drift of the host falls on both
+sides alike.  Before every
 run the tree's `__pycache__` directories are removed, so that both sides
 pay the same bytecode compilation.
 
@@ -43,17 +44,22 @@ def clear_bytecode(tree: Path) -> None:
         shutil.rmtree(cache, ignore_errors=True)
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The benchmark's final JSON line for one run of workload in tree."""
+def run_once(tree: Path, workload: str, seed: int) -> dict:
+    """The benchmark's final JSON line for one run of workload in tree.
+
+    A run that reports a wrong result still exits 1 after its JSON line, so
+    only a missing or unparsable last line ends the pairs."""
     clear_bytecode(tree)
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
-                           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+                           "--seed", str(seed), "--trace", "0"],
                           cwd=tree, env=env, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
-    if not lines:
-        raise SystemExit(f"{workload} in {tree} wrote no result:\n{proc.stderr}")
-    return json.loads(lines[-1])
+    try:
+        return json.loads(lines[-1])
+    except (IndexError, json.JSONDecodeError):
+        raise SystemExit(f"{workload} in {tree} (seed {seed}) wrote no result, exit code "
+                         f"{proc.returncode}:\n{proc.stderr}") from None
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -91,21 +97,20 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", action="append", required=True,
                         help="benchmark workload (repeat for several)")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--label", required=True)
     parser.add_argument("--out", type=Path, default=None)
     args = parser.parse_args(argv)
 
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     metrics = end_to_end_metrics(trees["change"])
-    result = {"label": args.label, "pairs": args.pairs, "seconds": args.seconds,
+    result = {"label": args.label, "pairs": args.pairs,
               "order": "parent first in even pairs, change first in odd pairs",
               "python": platform.python_version(), "cpus": os.cpu_count(), "workloads": {}}
     for workload in args.workload:
         runs = []
         for pair in range(args.pairs):
             sides = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
-            got = {side: run_once(trees[side], workload, pair, args.seconds) for side in sides}
+            got = {side: run_once(trees[side], workload, pair) for side in sides}
             runs.append((got["parent"], got["change"]))
             print(f"{workload} pair {pair}: " + ", ".join(
                 f"{name} {got['parent']['metrics'][name]['value']:.4g} -> "

@@ -53,6 +53,7 @@ def test_verify_all(tmp_path):
 
 
 STUB_RUN = '''import json, pathlib, sys
+assert "--seconds" not in sys.argv  # the run length is the benchmark's own
 seed = int(sys.argv[sys.argv.index("--seed") + 1])
 tree = pathlib.Path.cwd()
 scale = float((tree / "scale").read_text())
@@ -89,3 +90,20 @@ def test_bench_pairs_alternates_and_summarises(tmp_path):
     assert run_s["parent"]["values"] == [1.0, 1.01, 1.02, 1.03]
     assert run_s["parent"]["median"] == pytest.approx(1.015)
     assert metrics["peak_rss_mb"]["change_wins"] == 0  # ties count for neither side
+
+
+def test_bench_pairs_reports_a_crashed_run(tmp_path):
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    for name in ("parent", "change"):
+        tree = tmp_path / name
+        (tree / "perfbench").mkdir(parents=True)
+        (tree / "perfbench" / "run.py").write_text(
+            'print("workload scale line")\nraise RuntimeError("stub crash")\n')
+        (tree / "BENCHMARK.json").write_text(json.dumps(spec))
+    proc = run_script("bench_pairs.py", str(tmp_path / "parent"), str(tmp_path / "change"),
+                      "--workload", "module-n4", "--pairs", "1", "--label", "stub",
+                      "--out", str(tmp_path / "BENCH_stub.json"))
+    assert proc.returncode == 1
+    assert "module-n4" in proc.stderr and "exit code 1" in proc.stderr
+    assert "RuntimeError: stub crash" in proc.stderr
+    assert not (tmp_path / "BENCH_stub.json").exists()
