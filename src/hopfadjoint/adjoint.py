@@ -16,9 +16,8 @@ coaction are all computed on abar.  The reduced pipeline solves for
 abar directly and imposes ad1 on the generators of K only; the full
 one solves over the whole Hom-space and every basis tuple, and is the
 oracle it must agree with bit for bit.  Hom-space maps are derived
-from abar only where they are read: the JSON basis is written from the
-term lists of abar, and dense maps are inflated only for the direct
-re-check of the conditions.
+from abar only where they are read, as term lists: the JSON basis and
+the sparse maps that the direct re-check of the conditions reads.
 """
 
 from __future__ import annotations
@@ -62,9 +61,7 @@ class ClosureFailure(Exception):
 @dataclass(frozen=True)
 class AdjointProblem:
     """All data feeding one solver run.  `t_embed` lifts the base Hopf
-    algebra into the bosonization (columns = images of base elements);
-    `rbar` flips the R-matrix convention of the comodule condition to
-    the mirrored one."""
+    algebra into the bosonization (columns = images of base elements)."""
 
     hopf: FinDimHopf
     base: FinDimHopf
@@ -73,7 +70,6 @@ class AdjointProblem:
     rmatrix: RMatrix
     comod_alg: ComoduleAlgebra
     conditions: frozenset[str]
-    rbar: bool = False
 
     @property
     def ctx(self) -> FieldContext:
@@ -84,11 +80,13 @@ class AdjointProblem:
             "hopf_dim": self.hopf.dim,
             "comodule_algebra": self.comod_alg.name,
             "conditions": sorted(self.conditions),
-            "rbar": self.rbar,
+            # ad2 has one R-matrix reading, (R2, R1); the field stays,
+            # always false, so that the canonical JSON keeps its bytes
+            "rbar": False,
         }
 
 
-def problem_for(model: TaftModel, k: ComoduleAlgebra, conditions, rbar: bool = False,
+def problem_for(model: TaftModel, k: ComoduleAlgebra, conditions,
                 rmatrix: RMatrix | None = None) -> AdjointProblem:
     """Problem over one Taft model; the embedding of the group algebra
     sends g^b to x^0 # g^b."""
@@ -100,16 +98,14 @@ def problem_for(model: TaftModel, k: ComoduleAlgebra, conditions, rbar: bool = F
         raise ValueError(f"unknown conditions: {sorted(conds - set(CONDITIONS))}")
     return AdjointProblem(model.taft, model.t_hopf, model.pi, embed,
                           rmatrix if rmatrix is not None else model.rmatrix,
-                          k, conds, rbar)
+                          k, conds)
 
 
 def _ad2_leg_terms(p: AdjointProblem) -> list[tuple[int, int, Scalar]]:
     """(base_leg, embedded_leg, coeff) triples for the comodule
     condition: base_leg stays in T, embedded_leg multiplies the H#T
-    argument.  Default reads the problem's R as legs (R2, R1); the rbar
-    flag uses the mirrored inverse instead."""
-    if p.rbar:
-        return [(i, j, c) for (i, j, c) in p.rmatrix.inverse_terms()]
+    argument.  The problem's R is read as legs (R2, R1): the braided
+    functor G: V -> Z(C) whose image the solutions centralise."""
     return [(j, i, c) for (i, j, c) in p.rmatrix.terms()]
 
 
@@ -263,9 +259,9 @@ class AdjointAlgebra:
     with product, unit, action and coaction expressed in that basis.
 
     Every solution is right-K-linear (ad3), alpha(x, k) = abar(x) k, so
-    abar fixes it: the structure maps and the JSON basis are built from
-    the term lists of abar, and `hom_maps` inflates the basis back to
-    dense Hom-space coordinates for the direct condition checks only."""
+    abar fixes it: the structure maps, the JSON basis and the sparse
+    Hom-space maps of `hom_maps` are all built from the term lists of
+    abar."""
 
     def __init__(self, problem: AdjointProblem, basis: SubspaceBasis):
         self.problem = problem
@@ -307,17 +303,17 @@ class AdjointAlgebra:
                     for pp, m in products:
                         yield x, k, pp, e * m
 
-    def hom_maps(self) -> list[list[Scalar]]:
-        """The basis in Hom-space coordinates, flattened at
-        (x*NK + k)*NK + pp."""
+    def hom_maps(self) -> list[dict[int, Scalar]]:
+        """The basis in Hom-space coordinates: one zero-free
+        {(x*NK + k)*NK + pp: coefficient} dict per basis element."""
         NK = self.NK
         maps = []
         for i in range(self.dim):
-            flat = [self.ctx.zero()] * (self.NH * NK * NK)
+            acc: dict[int, Scalar] = {}
             for x, k, pp, c in self._alpha_terms(i):
                 u = (x * NK + k) * NK + pp
-                flat[u] = flat[u] + c
-            maps.append(flat)
+                acc[u] = acc[u] + c if u in acc else c
+            maps.append(dict(sorted_terms(acc)))
         return maps
 
     # -- structure assembly ------------------------------------------------
@@ -445,14 +441,13 @@ def solve_adjoint(p: AdjointProblem, pipeline: str = "reduced",
     if pipeline == "reduced":
         basis = kernel_basis(condition_system_reduced(p))
     elif pipeline == "full":
-        views = [_hom_columns(p, flat) for flat in kernel_basis(condition_system(p)).vectors]
+        views = [_hom_columns(p, alpha) for alpha in kernel_basis(condition_system(p)).rows]
         bad = next(_ad3_residuals(p, views), None)
         if bad is not None:
             raise ClosureFailure("a basis element is not right-K-linear", witness=bad)
         NK = p.comod_alg.dim
         unit = nonzero(p.comod_alg.algebra.unit)
-        bars = [dense(p.ctx, p.hopf.dim * NK, [(x * NK + r, e) for x in range(p.hopf.dim)
-                                               for r, e in _hom_at(cols, NK, x, unit).items()])
+        bars = [{x * NK + r: e for x in range(p.hopf.dim) for r, e in _hom_at(cols, NK, x, unit).items()}
                 for cols in views]
         basis = SubspaceBasis.from_spanning(p.ctx, p.hopf.dim * NK, bars)
     else:
@@ -466,15 +461,19 @@ def solve_adjoint(p: AdjointProblem, pipeline: str = "reduced",
 # ---------------------------------------------------------------------------
 # direct re-verification of the conditions (independent of the kernel solver)
 #
-# These read Hom-space vectors alpha, flattened at (x*NK + k)*NK + pp, so
-# that maps which are not right-K-linear can be checked as well.
+# These read sparse Hom-space maps alpha, {(x*NK + k)*NK + pp: Scalar}
+# dicts, so that maps which are not right-K-linear can be checked as well.
 
 
-def _hom_columns(p: AdjointProblem, flat: list[Scalar]) -> list[list[tuple[int, Scalar]]]:
-    """The term lists of alpha(e_x, e_k), at x*NK + k, for the Hom-space
-    vector flat."""
+def _hom_columns(p: AdjointProblem, alpha: dict[int, Scalar]) -> list[list[tuple[int, Scalar]]]:
+    """The term lists of alpha(e_x, e_k), at x*NK + k, for the sparse
+    Hom-space map alpha; a stored zero counts as absent."""
     NK = p.comod_alg.dim
-    return [nonzero(flat[u * NK : (u + 1) * NK]) for u in range(p.hopf.dim * NK)]
+    cols: list[list[tuple[int, Scalar]]] = [[] for _ in range(p.hopf.dim * NK)]
+    for u, c in sorted(alpha.items()):
+        if not c.is_zero():
+            cols[u // NK].append((u % NK, c))
+    return cols
 
 
 def _hom_at(cols, NK: int, x: int, kterms) -> dict[int, Scalar]:
@@ -503,10 +502,10 @@ def _ad3_residuals(p: AdjointProblem, views):
                     yield {"basis": idx, "tuple": [x, k]}
 
 
-def verify_conditions_direct(p: AdjointProblem, maps: list[list[Scalar]],
+def verify_conditions_direct(p: AdjointProblem, maps: list[dict[int, Scalar]],
                              report: VerificationReport | None = None,
                              prefix: str = "conditions") -> VerificationReport:
-    """Substitute each Hom-space vector in maps into the active
+    """Substitute each sparse Hom-space map in maps into the active
     conditions of p: ad1 over every (k, x, l), ad2 and ad3."""
     rep = report if report is not None else VerificationReport()
     ctx = p.ctx
@@ -515,7 +514,7 @@ def verify_conditions_direct(p: AdjointProblem, maps: list[list[Scalar]],
     NH, NK = p.hopf.dim, K.dim
     z = ctx.zero()
     unit = nonzero(kalg.unit)
-    views = [_hom_columns(p, flat) for flat in maps]
+    views = [_hom_columns(p, alpha) for alpha in maps]
 
     def ad1_residuals():
         # Per (k, x) one identity of NK x NK matrices whose column l is

@@ -185,7 +185,7 @@ def cmd_adjoint(args) -> int:
         raise UsageError("the reduced pipeline needs condition ad3; add it or pass --full")
     model = taft_model(n)
     k = comodule_algebra_K(n, d, xi)
-    problem = problem_for(model, k, conditions, rbar=args.rbar)
+    problem = problem_for(model, k, conditions)
     pipeline = "full" if args.full else "reduced"
     rep = VerificationReport()
     try:
@@ -280,8 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--conditions", default="ad1,ad2,ad3")
     p.add_argument("--full", action="store_true",
                    help="use the full Hom-space pipeline instead of the reduced one")
-    p.add_argument("--rbar", action="store_true",
-                   help="mirrored R-matrix convention in the comodule condition")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_adjoint)
 

@@ -307,8 +307,10 @@ class SubspaceBasis:
         return f"SubspaceBasis(dim {self.dim} in k^{self.ambient_dim})"
 
     @classmethod
-    def from_spanning(cls, ctx: FieldContext, ambient_dim: int, vectors: list[list[Scalar]]) -> "SubspaceBasis":
-        red, pivots = _eliminate(ctx, [dict(nonzero(v)) for v in vectors])
+    def from_spanning(cls, ctx: FieldContext, ambient_dim: int, rows: list[dict[int, Scalar]]) -> "SubspaceBasis":
+        """The echelon basis of the span of these {index: Scalar} rows,
+        which may hold zeros and are left as they are."""
+        red, pivots = _eliminate(ctx, [_zero_free(row) for row in rows])
         return cls(ctx, ambient_dim, red, pivots)
 
 

@@ -8,7 +8,9 @@ every value per basis tuple from dense vectors, with its own dense
 product on the structure constants.  Every fast checker must report the
 same first witness as its oracle (or pass with it) on the solved
 algebras at n = 2, 3 and on seeded single-entry corruptions of the
-Hom-space maps, the actions, the coactions and the product.
+Hom-space maps, the actions, the coactions and the product.  The
+Hom-space maps are sparse {(x*NK + k)*NK + pp: Scalar} dicts; the ad1
+oracle reads each one as a dense vector.
 """
 
 import random
@@ -18,7 +20,7 @@ import pytest
 from hopfadjoint.adjoint import problem_for, solve_adjoint, verify_center_algebra, verify_conditions_direct
 from hopfadjoint.braiding import check_yd
 from hopfadjoint.constructions import comodule_algebra_K, regular_comodule_algebra, taft_model
-from hopfadjoint.linalg import Matrix, sorted_terms, sparse_diff, vec_eq
+from hopfadjoint.linalg import Matrix, dense, sorted_terms, sparse_diff, vec_eq
 from hopfadjoint.reports import VerificationReport
 
 # (n, K, conditions): module variants over K(d, xi) and the relative regular case
@@ -77,7 +79,8 @@ def oracle_ad1(p, maps):
     kalg = K.algebra
     NH, NK = p.hopf.dim, K.dim
     z = p.ctx.zero()
-    for idx, flat in enumerate(maps):
+    for idx, alpha in enumerate(maps):
+        flat = dense(p.ctx, NH * NK * NK, alpha.items())
         for k in range(NK):
             for x in range(NH):
                 for l in range(NK):
@@ -148,9 +151,9 @@ def oracle_product_module_morphism(a):
 
 def corrupt_maps(alg, rng):
     maps = alg.hom_maps()
-    flat = maps[rng.randrange(len(maps))]
-    u = rng.randrange(len(flat))
-    flat[u] = flat[u] + alg.ctx.one()
+    alpha = maps[rng.randrange(len(maps))]
+    u = rng.randrange(alg.NH * alg.NK * alg.NK)
+    alpha[u] = alpha.get(u, alg.ctx.zero()) + alg.ctx.one()
     return maps
 
 
@@ -216,3 +219,21 @@ def test_checkers_match_oracles_on_corrupted_inputs(case, seed):
     assert_yd_agrees(alg)
     corrupt_product(alg, rng)
     assert_center_agrees(alg)
+
+
+@pytest.mark.parametrize("case", ["n2-K(2,1)", "n3-regular"])
+def test_condition_checker_treats_a_stored_zero_as_absent(case):
+    # a corruption that cancels an entry leaves a stored zero: the checker
+    # must report what it reports with the entry deleted, as the oracle does
+    alg = solved(case)
+    maps = alg.hom_maps()
+    u, c = max(maps[-1].items())
+    maps[-1][u] = c + (-c)
+    # and a zero stored where the first map has no entry
+    maps[0][next(v for v in range(alg.NH * alg.NK * alg.NK) if v not in maps[0])] = alg.ctx.zero()
+    stored = verify_conditions_direct(alg.problem, maps)
+    assert not stored.ok
+    assert_ad1_agrees(alg, maps)
+    absent = [{v: e for v, e in alpha.items() if not e.is_zero()} for alpha in maps]
+    assert ([(c.claim_id, c.status, c.witness) for c in stored.claims]
+            == [(c.claim_id, c.status, c.witness) for c in verify_conditions_direct(alg.problem, absent).claims])

@@ -200,13 +200,6 @@ CLI_DIGESTS = {
         1,
         "297522bc88c3c2447a572699dba293e393412cdbb74331c486156c41f70ba970",
     ),
-    # solve/closure from compute_structure: the coaction leaves the solution space
-    "adjoint-n3-K(1,0)-rbar": (
-        ["adjoint", "--n", "3", "--d", "1", "--xi", "0", "--conditions", "ad1,ad2,ad3",
-         "--rbar"],
-        1,
-        "8b10abddb0ce11fb7ba6b6c43ad5ed70f428a25dfa71c13688418f9aa64c6518",
-    ),
 }
 
 
@@ -327,7 +320,7 @@ def conditions_against_a_larger_problem():
     module = solve_adjoint(problem_for(m, k, {"ad1", "ad3"}), with_structure=False)
     rep = verify_conditions_direct(relative, module.hom_maps())
     hom = kernel_basis(condition_system(problem_for(m, k, set())))
-    return verify_conditions_direct(relative, hom.vectors, rep, prefix="hom")
+    return verify_conditions_direct(relative, hom.rows, rep, prefix="hom")
 
 
 def transport_with_scrambled_structure():
@@ -384,7 +377,8 @@ def late_map_entry_and_action_entry_corrupted():
     alg = solve_adjoint(problem_for(m, comodule_algebra_K(2, 2, 0), {"ad1", "ad3"}))
     one = alg.ctx.one()
     maps = alg.hom_maps()
-    maps[3][(3 * 4 + 2) * 4 + 3] += one  # alpha_3(e_3, e_2), coefficient of e_3
+    u = (3 * 4 + 2) * 4 + 3  # alpha_3(e_3, e_2), coefficient of e_3
+    maps[3][u] = maps[3].get(u, alg.ctx.zero()) + one
     rep = verify_conditions_direct(alg.problem, maps)
     act = alg.action[3]
     alg.action[3] = act + Matrix(alg.ctx, act.rows, act.cols, [(3, 3, one)])

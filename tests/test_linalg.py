@@ -184,7 +184,8 @@ def assert_matches_dense_oracle(m):
     kb = kernel_basis(m)
     vectors, kernel_pivots = dense_kernel(m)
     assert kb.pivots == kernel_pivots and coords(kb.vectors) == coords(vectors)
-    span = SubspaceBasis.from_spanning(m.ctx, m.cols, rows_of(m))
+    # every entry stored, zeros included: from_spanning drops them
+    span = SubspaceBasis.from_spanning(m.ctx, m.cols, [dict(enumerate(r)) for r in rows_of(m)])
     vectors, span_pivots = dense_echelon(m.ctx, rows_of(m))
     assert span.pivots == span_pivots and coords(span.vectors) == coords(vectors)
     if m.rows == m.cols:
@@ -282,9 +283,12 @@ def test_solve_and_invert():
 
 
 def test_subspace_from_spanning_deduplicates():
-    vecs = [[CTX.one(), CTX.one()], [CTX.from_rational(2), CTX.from_rational(2)]]
-    b = SubspaceBasis.from_spanning(CTX, 2, vecs)
-    assert b.dim == 1 and b.pivots == (0,)
+    two = CTX.from_rational(2)
+    rows = [{0: CTX.one(), 1: CTX.one()}, {1: two, 0: two}, {1: CTX.zero()}]
+    b = SubspaceBasis.from_spanning(CTX, 2, rows)
+    assert b.dim == 1 and b.pivots == (0,) and b.rows == [{0: CTX.one(), 1: CTX.one()}]
+    # the rows are read, not consumed, and the stored zero stays stored
+    assert rows == [{0: CTX.one(), 1: CTX.one()}, {0: two, 1: two}, {1: CTX.zero()}]
 
 
 entries = st.integers(min_value=-4, max_value=4)

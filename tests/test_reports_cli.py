@@ -170,6 +170,7 @@ def test_cli_report_replays_and_sets_exit(tmp_path, capsys):
     pytest.param(["adjoint", "--n", "2", "--d", "2", "--xi", "abc"], id="xi-not-rational"),
     pytest.param(["adjoint", "--n", "2", "--d", "2", "--xi", "1/0"], id="xi-zero-denominator"),
     pytest.param(["adjoint", "--n", "2", "--d", "2", "--reduced"], id="reduced-flag-removed"),
+    pytest.param(["adjoint", "--n", "3", "--d", "1", "--xi", "0", "--rbar"], id="rbar-flag-removed"),
     pytest.param(["verify", "--suite", "hopf", "--n", "2,x"], id="n-list-not-integers"),
     pytest.param(["report", "--json", "/nonexistent/report.json"], id="missing-report"),
     pytest.param(["braided-adjoint", "--n", "2", "--modules", "bogus"], id="unknown-module"),

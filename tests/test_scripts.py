@@ -6,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from math import gcd
 
 import pytest
 
@@ -29,8 +30,9 @@ def test_dimension_table():
         if n == "2":
             assert dim == ("4" if label == "module" else "2")
         assert conn == "1"
-        if n in ("1", "2"):
-            assert plain == ("False" if (n, d, label) == ("2", "2", "module") else "True")
+        # plainly commutative: module variant iff d = 1, fully-constrained iff gcd(d, n/d) = 1
+        n, d = int(n), int(d)
+        assert plain == str(d == 1 if label == "module" else gcd(d, n // d) == 1)
 
 
 def test_dimension_table_exits_1_on_a_formula_mismatch(monkeypatch, capsys):
