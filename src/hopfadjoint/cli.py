@@ -82,7 +82,10 @@ def positive_int(text: str) -> int:
 
 
 def positive_int_list(text: str) -> list[int]:
-    return [positive_int(part) for part in text.split(",") if part]
+    values = [positive_int(part) for part in text.split(",") if part]
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected a comma-separated list of positive integers, got {text!r}")
+    return values
 
 
 def rational(text: str) -> Fraction:
@@ -145,8 +148,11 @@ def _suite_adjoint(n: int, rep: VerificationReport) -> None:
 def _emit(args, payload: dict, ctx: FieldContext) -> None:
     data = emit_json(document(ctx, BASIS_CONVENTION, payload))
     if args.out:
-        with open(args.out, "wb") as fh:
-            fh.write(data)
+        try:
+            with open(args.out, "wb") as fh:
+                fh.write(data)
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.out}: {exc}") from None
     else:
         sys.stdout.buffer.write(data)
         sys.stdout.buffer.write(b"\n")
@@ -209,6 +215,8 @@ def cmd_adjoint(args) -> int:
 def cmd_braided_adjoint(args) -> int:
     n = args.n
     names = _names(args.modules, MODULES, "modules")
+    if not names:
+        raise UsageError(f"--modules names no module (use {','.join(MODULES)})")
     model = taft_model(n)
     had = build_h_ad(model)
     mods = {name: regular_module(model.taft.algebra) if name == "regular" else trivial_module(model.taft)
@@ -236,8 +244,7 @@ def cmd_verify(args) -> int:
             _suite_rmatrix(n, rep)
         if args.suite in ("adjoint", "all"):
             _suite_adjoint(n, rep)
-    ctx = make_field(max(ns)) if ns else make_field(1)
-    return _finish(args, rep, {"suite": args.suite, "n": ns}, ctx)
+    return _finish(args, rep, {"suite": args.suite, "n": ns}, make_field(max(ns)))
 
 
 def cmd_report(args) -> int:

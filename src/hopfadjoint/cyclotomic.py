@@ -8,11 +8,13 @@ canonical and every operation is exact and normalised once, as in
 fraction-free elimination.  Phi_n is monic with integer coefficients, so
 the reduction rows and the Galois conjugation rows are integral too.
 
-Each field compiles its product once, from the reduction rows of Phi_n:
-one straight-line function of the two numerator tuples that folds the
-reduction into the convolution and normalises inline.  It is the only
-multiplication, in every degree, and the inverse forms its conjugate
-products and norm with it.
+Each field compiles, once, its own Scalar subclass, whose +, -, unary -
+and * are straight-line functions of the numerator tuples: the product
+folds the reduction rows of Phi_n into the convolution, the sum and the
+difference take one branch on equal denominators, and each normalises
+inline.  They are the only arithmetic, in every degree; every scalar is
+built as an instance of its field's class, and the inverse forms its
+conjugate products and norm with *.
 """
 
 from __future__ import annotations
@@ -20,9 +22,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import Callable
 
 Rational = Fraction
+_new = object.__new__
 
 
 def _poly_divmod(a: list[int], b: tuple[int, ...]) -> tuple[list[int], list[int]]:
@@ -61,16 +63,32 @@ def _ratio(r) -> tuple[int, int]:
     return r.numerator, r.denominator
 
 
-def _compile_product(ctx: "FieldContext", reduction) -> Callable[["Scalar", "Scalar"], "Scalar"]:
-    """The product of two scalars of ctx as one straight-line function: the
-    convolution of x.num and y.num, with t_k, the coefficient of x^(d+k), spread
-    by its integer reduction row, then normalised inline by gcd(den, *num).
-    The source holds only local names and the integers of the rows."""
+def _compile_scalar_class(ctx: "FieldContext", reduction) -> type:
+    """The Scalar subclass of ctx, whose +, -, unary - and * are straight-line
+    functions of the numerator tuples.  The product is the convolution of
+    x.num and y.num with t_k, the coefficient of x^(d+k), spread by its
+    integer reduction row; the sum and difference take one branch on equal
+    denominators.  Each normalises inline by gcd(den, *num), as _normal does,
+    and builds its result without calling a constructor.  The source holds
+    only local names and the integers of the rows."""
     d = ctx.degree
     a, b, n = (", ".join(f"{v}{i}" for i in range(d)) for v in "abn")
+
+    def normalise(den: str, pad: str) -> list[str]:
+        reduced = ", ".join(f"n{i} // g" for i in range(d))
+        return [f"{pad}g = gcd({den}, {n})", f"{pad}if g != 1:", f"{pad}    s.num = ({reduced},)",
+                f"{pad}    s.den = {den} // g", f"{pad}    return s"]
+
+    def store(den: str, pad: str) -> list[str]:
+        return [f"{pad}s.num = ({n},)", f"{pad}s.den = {den}", f"{pad}return s"]
+
+    def binary(name: str) -> list[str]:
+        return [f"def {name}(x, y):", "    if type(y) is not cls:", "        _check_same_context(x, y)",
+                f"    {a}, = x.num", f"    {b}, = y.num", "    s = new(cls)"]
+
     conv = [" + ".join(f"a{i} * b{m - i}" for i in range(max(0, m - d + 1), min(m, d - 1) + 1))
             for m in range(2 * d - 1)]
-    src = [f"def mul(x, y):\n    {a}, = x.num\n    {b}, = y.num"]
+    src = binary("mul")
     src += [f"    t{k} = {conv[d + k]}" for k in range(d - 1)]
     for i in range(d):
         line = f"    n{i} = {conv[i]}"
@@ -78,19 +96,29 @@ def _compile_product(ctx: "FieldContext", reduction) -> Callable[["Scalar", "Sca
             if c := row[i]:
                 line += f" {'+' if c > 0 else '-'} {'' if abs(c) == 1 else f'{abs(c)} * '}t{k}"
         src.append(line)
-    reduced = ", ".join(f"n{i} // g" for i in range(d))
-    src.append(f"    den = x.den * y.den\n    if den != 1:\n        g = gcd(den, {n})\n"
-               f"        if g != 1:\n            return Scalar(ctx, ({reduced},), den // g)\n"
-               f"    return Scalar(ctx, ({n},), den)")
-    namespace = {"ctx": ctx, "Scalar": Scalar, "gcd": gcd}
-    exec(compile("\n".join(src), f"<Q(zeta_{ctx.conductor}) product>", "exec"), namespace)
-    return namespace["mul"]
+    src += ["    den = x.den * y.den", "    if den != 1:", *normalise("den", " " * 8), *store("den", "    ")]
+    for name, op in (("add", "+"), ("sub", "-")):
+        # the product of two distinct positive denominators is at least 2
+        src += binary(name) + ["    da = x.den", "    db = y.den", "    if da == db:"]
+        src += [f"        n{i} = a{i} {op} b{i}" for i in range(d)]
+        src += ["        if da != 1:", *normalise("da", " " * 12), *store("da", " " * 8)]
+        src += [f"    n{i} = a{i} * db {op} b{i} * da" for i in range(d)]
+        src += ["    den = da * db", *normalise("den", "    "), *store("den", "    ")]
+    src += ["def neg(x):", f"    {a}, = x.num", "    s = new(cls)",
+            f"    s.num = ({', '.join(f'-a{i}' for i in range(d))},)", "    s.den = x.den", "    return s"]
+    namespace = {"new": _new, "gcd": gcd, "_check_same_context": _check_same_context}
+    exec(compile("\n".join(src), f"<Q(zeta_{ctx.conductor}) arithmetic>", "exec"), namespace)
+    cls = namespace["cls"] = type("Scalar", (Scalar,), {
+        "__slots__": (), "__module__": __name__, "__qualname__": f"Scalar[Q(zeta_{ctx.conductor})]",
+        "ctx": ctx, "__mul__": namespace["mul"], "__add__": namespace["add"],
+        "__sub__": namespace["sub"], "__neg__": namespace["neg"]})
+    return cls
 
 
 class FieldContext:
     """The field Q(zeta_n) with zeta_n a primitive n-th root of unity."""
 
-    __slots__ = ("conductor", "poly", "degree", "_mul", "_conjugates", "_zetas", "_zero", "_one")
+    __slots__ = ("conductor", "poly", "degree", "scalar_type", "_conjugates", "_zetas", "_zero", "_one")
 
     def __init__(self, conductor: int, poly: tuple[int, ...]):
         self.conductor = conductor
@@ -104,14 +132,14 @@ class FieldContext:
             carry = prev[d - 1]
             row = (0,) + prev[: d - 1]
             powers.append(tuple(row[i] - carry * poly[i] for i in range(d)))
-        self._mul = _compile_product(self, powers[d: 2 * d - 1])
+        cls = self.scalar_type = _compile_scalar_class(self, powers[d: 2 * d - 1])
         # sigma_k(zeta^i) = zeta^(i k) for every unit k != 1 mod n: the nonzero terms
         # (i, j, c) of the other Galois conjugates, whose product over the norm is the inverse
         self._conjugates = [[(i, j, c) for i in range(d) for j, c in enumerate(powers[i * k % conductor]) if c]
                             for k in range(2, conductor) if gcd(k, conductor) == 1]
         # scalars are immutable, so every zero(), one() and zeta power is one shared object
-        self._zetas = [Scalar(self, powers[k], 1) for k in range(conductor)]
-        self._zero = Scalar(self, (0,) * d, 1)
+        self._zetas = [_make(cls, powers[k], 1) for k in range(conductor)]
+        self._zero = _make(cls, (0,) * d, 1)
         self._one = self._zetas[0]
 
     def __eq__(self, other) -> bool:
@@ -132,7 +160,7 @@ class FieldContext:
 
     def from_rational(self, r) -> "Scalar":
         p, q = _ratio(r)
-        return Scalar(self, (p,) + (0,) * (self.degree - 1), q)
+        return _make(self.scalar_type, (p,) + (0,) * (self.degree - 1), q)
 
     def zero(self) -> "Scalar":
         return self._zero
@@ -157,25 +185,34 @@ def _check_same_context(a: "Scalar", b: "Scalar") -> None:
         )
 
 
+def _make(cls: type, num: tuple[int, ...], den: int) -> "Scalar":
+    """The scalar num/den of the compiled class cls, already in lowest terms."""
+    s = _new(cls)
+    s.num = num
+    s.den = den
+    return s
+
+
 def _normal(ctx: FieldContext, num, den: int) -> "Scalar":
     """The scalar num/den for den > 0, reduced to lowest terms."""
     if den != 1:
         g = gcd(den, *num)
         if g != 1:
-            return Scalar(ctx, tuple(c // g for c in num), den // g)
-    return Scalar(ctx, tuple(num), den)
+            return _make(ctx.scalar_type, tuple(c // g for c in num), den // g)
+    return _make(ctx.scalar_type, tuple(num), den)
 
 
 class Scalar:
     """Element num/den of Q(zeta_n) in the power basis of its FieldContext:
-    integer numerators over one positive denominator, in lowest terms."""
+    integer numerators over one positive denominator, in lowest terms.
 
-    __slots__ = ("ctx", "num", "den")
+    Every scalar is an instance of its field's compiled subclass
+    (FieldContext.scalar_type), which holds ctx as a class attribute and
+    defines +, -, unary - and *; this base class keeps what does not depend
+    on the field, and is never instantiated itself."""
 
-    def __init__(self, ctx: FieldContext, num: tuple[int, ...], den: int):
-        self.ctx = ctx
-        self.num = num
-        self.den = den
+    __slots__ = ("num", "den")
+    ctx: FieldContext
 
     @property
     def coords(self) -> tuple[Fraction, ...]:
@@ -191,30 +228,6 @@ class Scalar:
     def __bool__(self) -> bool:
         return any(self.num)
 
-    def __add__(self, other: "Scalar") -> "Scalar":
-        if other.ctx is not self.ctx:
-            _check_same_context(self, other)
-        da, db = self.den, other.den
-        if da == db:
-            return _normal(self.ctx, [x + y for x, y in zip(self.num, other.num)], da)
-        return _normal(self.ctx, [x * db + y * da for x, y in zip(self.num, other.num)], da * db)
-
-    def __sub__(self, other: "Scalar") -> "Scalar":
-        if other.ctx is not self.ctx:
-            _check_same_context(self, other)
-        da, db = self.den, other.den
-        if da == db:
-            return _normal(self.ctx, [x - y for x, y in zip(self.num, other.num)], da)
-        return _normal(self.ctx, [x * db - y * da for x, y in zip(self.num, other.num)], da * db)
-
-    def __neg__(self) -> "Scalar":
-        return Scalar(self.ctx, tuple(-c for c in self.num), self.den)
-
-    def __mul__(self, other: "Scalar") -> "Scalar":
-        if other.ctx is not self.ctx:
-            _check_same_context(self, other)
-        return self.ctx._mul(self, other)
-
     def scale(self, r) -> "Scalar":
         p, q = _ratio(r)
         return _normal(self.ctx, [c * p for c in self.num], self.den * q)
@@ -225,15 +238,15 @@ class Scalar:
         is a nonzero integer.  Both products are integral ones of the field."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in Q(zeta_n)")
-        ctx = self.ctx
+        ctx, cls = self.ctx, type(self)
         num, den = self.num, self.den
         adj = ctx._one
         for terms in ctx._conjugates:
             conj = [0] * ctx.degree
             for i, j, c in terms:
                 conj[j] += num[i] * c
-            adj = ctx._mul(adj, Scalar(ctx, tuple(conj), 1))
-        norm = ctx._mul(Scalar(ctx, num, 1), adj).num[0]
+            adj = adj * _make(cls, tuple(conj), 1)
+        norm = (_make(cls, num, 1) * adj).num[0]
         if norm < 0:
             norm, den = -norm, -den
         return _normal(ctx, [c * den for c in adj.num], norm)
@@ -242,9 +255,9 @@ class Scalar:
         return self * other.inv()
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, Scalar):
-            return NotImplemented
-        if other.ctx is not self.ctx:
+        if type(other) is not type(self):
+            if not isinstance(other, Scalar):
+                return NotImplemented
             _check_same_context(self, other)
         return self.den == other.den and self.num == other.num
 

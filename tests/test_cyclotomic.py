@@ -5,7 +5,9 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hopfadjoint import cyclotomic
 from hopfadjoint.cyclotomic import (
+    FieldContext,
     Scalar,
     _cyclotomic_poly,
     make_field,
@@ -108,7 +110,30 @@ def test_context_mixing_is_an_error():
     with pytest.raises(ValueError):
         _ = a + b
     with pytest.raises(ValueError):
+        _ = a - b
+    with pytest.raises(ValueError):
+        _ = a * b
+    with pytest.raises(ValueError):
         _ = a == b
+
+
+@pytest.mark.parametrize("n", [1, 3, 4, 5])
+def test_every_scalar_is_of_its_field_class(n):
+    ctx = make_field(n)
+    cls = ctx.scalar_type
+    assert cls is not Scalar and issubclass(cls, Scalar) and cls.ctx is ctx
+    a = ctx.scalar([Fraction(2, 3)] + [Fraction(-1, 5)] * (ctx.degree - 1))
+    b = ctx.scalar(range(1, ctx.degree + 1))
+    made = {
+        "zero": ctx.zero(), "one": ctx.one(), "zeta_power": zeta_power(ctx, 1),
+        "scalar": a, "from_rational": ctx.from_rational(Fraction(-7, 4)),
+        "scalar_from_strings": scalar_from_strings(ctx, ["1/2"] * ctx.degree),
+        "scale": a.scale(Fraction(3, 4)), "inv": a.inv(), "truediv": a / b,
+        "add": a + b, "sub": a - b, "neg": -a, "mul": a * b,
+    }
+    assert {name: type(s).__qualname__ for name, s in made.items() if type(s) is not cls} == {}
+    with pytest.raises(TypeError):
+        Scalar(ctx, (1,) * ctx.degree, 1)
 
 
 def test_zero_inverse_is_an_error():
@@ -333,6 +358,38 @@ def loop_mul_int(n, a, b):
     return out
 
 
+def loop_normal(num, den):
+    """num/den reduced to lowest terms, as (num, den): the generic normalisation."""
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            return tuple(c // g for c in num), den // g
+    return tuple(num), den
+
+
+def loop_add(a, b):
+    """The generic sum: same-denominator coordinates added, otherwise
+    cross-multiplied over da * db, then normalised.  Returns (num, den) and the
+    denominator before reduction."""
+    da, db = a.den, b.den
+    if da == db:
+        return loop_normal([x + y for x, y in zip(a.num, b.num)], da), da
+    return loop_normal([x * db + y * da for x, y in zip(a.num, b.num)], da * db), da * db
+
+
+def loop_sub(a, b):
+    """The generic difference, shaped as loop_add."""
+    da, db = a.den, b.den
+    if da == db:
+        return loop_normal([x - y for x, y in zip(a.num, b.num)], da), da
+    return loop_normal([x * db - y * da for x, y in zip(a.num, b.num)], da * db), da * db
+
+
+def loop_neg(a):
+    """The generic negation: each numerator negated over the same denominator."""
+    return tuple(-c for c in a.num), a.den
+
+
 def seeded_numerators(rng, degree):
     """Zero, one-term, small signed and +-10^12 numerator tuples."""
     kind = rng.choice(("zero", "one-term", "small", "big", "mixed"))
@@ -350,12 +407,11 @@ def seeded_numerators(rng, degree):
 
 
 def seeded_scalar(ctx, rng):
-    """A canonical scalar with seeded numerators over a denominator that is
-    1 half the time and otherwise shares factors with them."""
+    """A canonical scalar of ctx with seeded numerators over a denominator
+    that is 1 half the time and otherwise shares factors with them."""
     num = seeded_numerators(rng, ctx.degree)
     den = rng.choice((1, 1, 2, 6, 12, 35, BIG))
-    g = gcd(den, *num) or 1
-    return Scalar(ctx, tuple(c // g for c in num), den // g)
+    return ctx.scalar([Fraction(c, den) for c in num])
 
 
 # Phi_105 is the first cyclotomic polynomial whose reduction rows have a
@@ -372,6 +428,40 @@ def test_compiled_product_matches_the_loop_oracle(n):
         assert [c * prod.den for c in num] == [c * den for c in prod.num]
         if a.den == b.den == 1:
             assert prod.num == tuple(num) and prod.den == 1
+
+
+@pytest.mark.parametrize("n", [*range(1, 13), 105])
+def test_compiled_sum_matches_the_loop_oracle(n, monkeypatch):
+    # a field compiled with a recording gcd: the compiled sum must normalise
+    # by the loop's denominator before reduction, and not at all over 1
+    gcd_dens = []
+
+    def recording_gcd(den, *num):
+        gcd_dens.append(den)
+        return gcd(den, *num)
+
+    monkeypatch.setattr(cyclotomic, "gcd", recording_gcd)
+    ctx = FieldContext(n, _cyclotomic_poly(n))
+    zero = ((0,) * ctx.degree, 1)
+    rng = random.Random(3000 + n)
+    branches = set()
+    for _ in range(300):
+        a, b = seeded_scalar(ctx, rng), seeded_scalar(ctx, rng)
+        branches.add(a.den == b.den)
+        for op, loop in ((a.__add__, loop_add), (a.__sub__, loop_sub)):
+            gcd_dens.clear()
+            s = op(b)
+            assert_canonical(s)
+            expect, den = loop(a, b)
+            assert (s.num, s.den) == expect
+            assert gcd_dens == ([den] if den != 1 else [])
+        neg = -a
+        assert_canonical(neg)
+        assert (neg.num, neg.den) == loop_neg(a)
+        for cancel in (a + neg, a - a):
+            assert_canonical(cancel)
+            assert (cancel.num, cancel.den) == zero
+    assert branches == {True, False}
 
 
 @pytest.mark.parametrize("n", (5, 7, 9, 12))
