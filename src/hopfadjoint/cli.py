@@ -83,8 +83,9 @@ def positive_int(text: str) -> int:
 
 def positive_int_list(text: str) -> list[int]:
     values = [positive_int(part) for part in text.split(",") if part]
-    if not values:
-        raise argparse.ArgumentTypeError(f"expected a comma-separated list of positive integers, got {text!r}")
+    if not values or len(set(values)) != len(values):
+        raise argparse.ArgumentTypeError(
+            f"expected a comma-separated list of distinct positive integers, got {text!r}")
     return values
 
 

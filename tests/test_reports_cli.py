@@ -173,6 +173,7 @@ def test_cli_report_replays_and_sets_exit(tmp_path, capsys):
     pytest.param(["adjoint", "--n", "3", "--d", "1", "--xi", "0", "--rbar"], id="rbar-flag-removed"),
     pytest.param(["verify", "--suite", "hopf", "--n", "2,x"], id="n-list-not-integers"),
     pytest.param(["verify", "--suite", "all", "--n", ","], id="n-list-empty"),
+    pytest.param(["verify", "--suite", "hopf", "--n", "2,2"], id="n-list-repeated"),
     pytest.param(["taft", "--n", "2", "--out", "/nonexistent/x.json"], id="out-path-unwritable"),
     pytest.param(["report", "--json", "/nonexistent/report.json"], id="missing-report"),
     pytest.param(["braided-adjoint", "--n", "2", "--modules", "bogus"], id="unknown-module"),
