@@ -15,6 +15,7 @@ import hashlib
 import pytest
 
 from hopfadjoint.adjoint import (
+    AdjointAlgebra,
     condition_system,
     dinaturality_sample,
     phi_structure_transport,
@@ -38,6 +39,7 @@ from hopfadjoint.braiding import (
     ModuleRep,
     RMatrix,
     check_comodule_algebra,
+    check_module,
     check_rmatrix,
     check_yd,
     regular_module,
@@ -57,14 +59,16 @@ from hopfadjoint.constructions import (
     taft_presentation_check,
     trivial_r_matrix,
 )
+from hopfadjoint.cyclotomic import zeta_power
 from hopfadjoint.hopf import (
     FinDimAlgebra,
     FinDimCoalgebra,
     FinDimHopf,
+    check_algebra,
     check_bialgebra,
     check_hopf,
 )
-from hopfadjoint.linalg import Matrix, kernel_basis, sorted_terms
+from hopfadjoint.linalg import Matrix, SubspaceBasis, dense, kernel_basis, sorted_terms
 from hopfadjoint.reports import emit_json
 
 ADJOINT_N2 = ["adjoint", "--n", "2", "--d", "2", "--xi", "0"]
@@ -394,6 +398,85 @@ def dinaturality_without_comodule_condition():
                                regular_module(m.t_hopf.algebra))
 
 
+def taft_with_unit_e1():
+    """The Taft algebra at n = 2 with unit e_1 = 1 # g, as an algebra
+    and as the host of its regular module."""
+    h = taft_model(2).taft
+    alg = FinDimAlgebra(h.ctx, h.dim, h.algebra.mult, dense(h.ctx, h.dim, [(1, h.ctx.one())]))
+    rep = check_algebra(alg)
+    return check_module(ModuleRep(alg, h.dim, regular_module(h.algebra).action), rep)
+
+
+def line_with_non_multiplicative_action():
+    """The braided line at n = 3 with g^b acting on every x^a, a >= 1, by
+    q^b: a T-action that is not by algebra maps."""
+    line = braided_line(3)
+    ctx = line.ctx
+    action = [Matrix(ctx, 3, 3, [(a, a, zeta_power(ctx, b if a else 0)) for a in range(3)])
+              for b in range(3)]
+    return check_braided_hopf(BraidedHopf(line.algebra, line.coalgebra,
+                                          ModuleRep(line.t_hopf.algebra, 3, action),
+                                          line.braided_antipode, line.t_hopf, line.rmatrix))
+
+
+def _relabelled(h: FinDimHopf, i: int, j: int) -> FinDimHopf:
+    """h with basis indices i and j exchanged."""
+    s = list(range(h.dim))
+    s[i], s[j] = j, i
+    mult = [[None] * h.dim for _ in range(h.dim)]
+    for a, row in enumerate(h.algebra.mult):
+        for b, terms in enumerate(row):
+            mult[s[a]][s[b]] = sorted((s[k], c) for k, c in terms)
+    comult = [None] * h.dim
+    for a, terms in enumerate(h.coalgebra.comult):
+        comult[s[a]] = sorted((s[p], s[q], c) for p, q, c in terms)
+    unit, counit = [None] * h.dim, [None] * h.dim
+    for a in range(h.dim):
+        unit[s[a]], counit[s[a]] = h.algebra.unit[a], h.coalgebra.counit[a]
+    antipode = Matrix(h.ctx, h.dim, h.dim, [(s[r], s[c], x) for r, c, x in h.antipode.terms()])
+    return FinDimHopf(FinDimAlgebra(h.ctx, h.dim, mult, unit),
+                      FinDimCoalgebra(h.ctx, h.dim, comult, counit), antipode)
+
+
+def taft_with_relabelled_basis():
+    """The Taft algebra at n = 2 with g and x exchanged, and with 1 and g
+    exchanged, against the presentation that reads g at index 1 and x at
+    index 2."""
+    h = taft_model(2).taft
+    rep = taft_presentation_check(_relabelled(h, 1, 2), 2, prefix="taft-g-x")
+    return taft_presentation_check(_relabelled(h, 0, 1), 2, rep, prefix="taft-1-g")
+
+
+def _with_repeated_row(alg: AdjointAlgebra) -> AdjointAlgebra:
+    """alg with the last abar basis vector replaced by the first, and its
+    structure maps as they were."""
+    b = alg.basis
+    out = AdjointAlgebra(alg.problem, SubspaceBasis(b.ctx, b.ambient_dim,
+                                                    b.rows[:-1] + [b.rows[0]], b.pivots))
+    out.product, out.unit_coords = alg.product, alg.unit_coords
+    out.action, out.coaction = list(alg.action), alg.coaction
+    return out
+
+
+def transport_at_m3_with_repeated_row():
+    """The module variant over K(1, 0) at n = 3 (m = 3) with the actions
+    of g and x swapped and one abar basis vector repeated."""
+    m = taft_model(3)
+    alg = _with_repeated_row(solve_adjoint(problem_for(m, comodule_algebra_K(3, 1, 0), {"ad1", "ad3"})))
+    alg.action[1], alg.action[3] = alg.action[3], alg.action[1]
+    return phi_structure_transport(alg)
+
+
+def regular_case_with_repeated_row():
+    """The relative-regular solution at n = 2 with one abar basis vector
+    repeated and the actions of g and x swapped."""
+    m = taft_model(2)
+    alg = _with_repeated_row(solve_adjoint(problem_for(m, regular_comodule_algebra(2),
+                                                       {"ad1", "ad2", "ad3"})))
+    alg.action[1], alg.action[2] = alg.action[2], alg.action[1]
+    return regular_case_iso(alg, build_h_ad(m))
+
+
 REPORT_DIGESTS = {
     yd_with_transposed_action:
         "5ddbbe94a74772d0ffb475e7e34da006926fa0ac4b513e48c7ccfbc7f33344e4",
@@ -425,6 +508,16 @@ REPORT_DIGESTS = {
         "a29df411e03108794ed75c7c8bf16e8216c7ba05a5256e6bf502e7fa1c7218bf",
     dinaturality_without_comodule_condition:
         "0ee8e76c65a9217fc51d8ee86276833c329ef921b4ae32bb1bc8e9275448f797",
+    taft_with_unit_e1:
+        "368e70fcf8cee44337c9c859cc6628605434826e0fae467420b10db1163c6828",
+    line_with_non_multiplicative_action:
+        "725af6b4a758d9cee609644f8f94928f12ba08f2517981cba7c0d4bbf8fe69f1",
+    taft_with_relabelled_basis:
+        "bc402905ee444cb1f7e6fdbeded1d9de56404177d93312ac6de03470e882e4da",
+    transport_at_m3_with_repeated_row:
+        "e9e539b8d563ba448eb9bd6adb90f73f5f25af6c3980601c2995ef65c6dbf1d9",
+    regular_case_with_repeated_row:
+        "8b08c9bcecd0303c1213758948b132810681640de786d9de738d461ade88fe7f",
 }
 
 
