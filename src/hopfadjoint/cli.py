@@ -254,8 +254,10 @@ def cmd_report(args) -> int:
             data = json.load(fh)
     except (OSError, ValueError) as exc:
         raise UsageError(f"cannot read report {args.json}: {exc}") from None
-    rep = data.get("report", data)
-    claims = rep.get("claims", [])
+    rep = data.get("report", data) if isinstance(data, dict) else None
+    claims = rep.get("claims", []) if isinstance(rep, dict) else None
+    if not isinstance(claims, list) or not all(isinstance(c, dict) for c in claims):
+        raise UsageError(f"{args.json} is not a report: expected an object whose claims are a list of objects")
     n_fail = 0
     for claim in claims:
         status = claim.get("status", "?")

@@ -188,12 +188,16 @@ def test_cli_usage_error_exit_two(argv, capsys):
     assert not any("Traceback" in line for line in lines)
 
 
-def test_cli_report_rejects_malformed_json(tmp_path):
+@pytest.mark.parametrize("text", ["{not json", "[1,2]", '{"report": 5}', '{"claims": [1]}', '{"claims": 3}'],
+                         ids=["not-json", "list", "report-not-object", "claim-not-object", "claims-not-list"])
+def test_cli_report_rejects_malformed_json(text, tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
+    bad.write_text(text)
     with pytest.raises(SystemExit) as err:
         cli_main(["report", "--json", str(bad)])
     assert err.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "Traceback" not in errors[0]
 
 
 @pytest.mark.parametrize("conditions", ["ad1", "ad2", "ad1,ad2", ""], ids=lambda c: c or "none")
