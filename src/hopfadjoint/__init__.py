@@ -3,8 +3,8 @@ scalars, structure-constant Hopf algebras, R-matrices, comodule
 algebras, and the braided commutative algebras of invariant maps cut
 out by explicit linear conditions."""
 
-from .cyclotomic import FieldContext, Rational, Scalar, make_field, zeta_power
-from .linalg import Matrix, SubspaceBasis, coords_in_basis, kernel_basis, kron, rank, rref
+from .cyclotomic import FieldContext, Scalar, make_field, zeta_power
+from .linalg import Matrix, SubspaceBasis, kernel_basis, kron, rank, rref
 from .hopf import (
     FinDimAlgebra,
     FinDimCoalgebra,

@@ -27,7 +27,7 @@ from functools import cached_property
 from fractions import Fraction
 
 from .cyclotomic import FieldContext, Scalar, zeta_power
-from .hopf import FinDimAlgebra, FinDimHopf
+from .hopf import FinDimAlgebra, FinDimHopf, tensor_image
 from .braiding import (ComoduleAlgebra, ComoduleRep, ModuleRep, RMatrix, check_comodule,
                        check_module, check_yd, lift_via_pi)
 from .constructions import ComoduleAlgebraK, TaftModel, taft_model, comodule_algebra_K
@@ -35,14 +35,12 @@ from .linalg import (
     Matrix,
     SubspaceBasis,
     coords_of_terms,
-    dense,
     kernel_basis,
+    lincomb,
     nonzero,
     rank,
     sorted_terms,
     sparse_diff,
-    unit_vector,
-    vec_eq,
 )
 from .reports import VerificationReport
 
@@ -106,7 +104,7 @@ def _ad2_leg_terms(p: AdjointProblem) -> list[tuple[int, int, Scalar]]:
     condition: base_leg stays in T, embedded_leg multiplies the H#T
     argument.  The problem's R is read as legs (R2, R1): the braided
     functor G: V -> Z(C) whose image the solutions centralise."""
-    return [(j, i, c) for (i, j, c) in p.rmatrix.terms()]
+    return [(j, i, c) for (i, j, c) in p.rmatrix.terms]
 
 
 # ---------------------------------------------------------------------------
@@ -289,10 +287,6 @@ class AdjointAlgebra:
             out.append(per_x)
         return out
 
-    def bar(self, i: int, x: int) -> list[Scalar]:
-        """alpha_i(e_x, 1)."""
-        return dense(self.ctx, self.NK, self.bar_terms[i][x])
-
     def _alpha_terms(self, i: int):
         """The (x, k, pp, coefficient) terms of alpha_i(e_x, e_k) =
         abar_i(x) e_k, with repeated (x, k, pp) still to be summed."""
@@ -394,7 +388,7 @@ class AdjointAlgebra:
             comps: dict[int, dict[int, Scalar]] = {}
             for x in range(NH):
                 for x1, x2, x3, c in hopf.coalgebra.delta2_terms(x):
-                    for (y0, p0), clam in K.coaction_vec(terms[j][x2]).items():
+                    for (y0, p0), clam in tensor_image(K.coaction, terms[j][x2]).items():
                         for y, cy in left_terms(x1, y0, x3):
                             comp = comps.setdefault(y, {})
                             u, v = x * NK + p0, c * clam * cy
@@ -561,7 +555,7 @@ def verify_conditions_direct(p: AdjointProblem, maps: list[dict[int, Scalar]],
                             key = (t_leg, r)
                             lhs[key] = lhs.get(key, z) + c * m * e
                 rhs: dict[tuple[int, int], Scalar] = {}
-                for (y, p0), c in K.coaction_vec(_hom_at(cols, NK, x, unit).items()).items():
+                for (y, p0), c in tensor_image(K.coaction, _hom_at(cols, NK, x, unit).items()).items():
                     for t, cpi in _pi_terms(p, y):
                         key = (t, p0)
                         rhs[key] = rhs.get(key, z) + c * cpi
@@ -610,9 +604,9 @@ def verify_center_algebra(a: AdjointAlgebra, report: VerificationReport | None =
     coords = _coordinate_algebra(a)
     table = coords.mult
     basis = [[(i, ctx.one())] for i in range(n)]
+    unit = nonzero(a.unit_coords)
 
     def unit_two_sided():
-        unit = nonzero(a.unit_coords)
         for i in range(n):
             if coords.mult_terms(unit, basis[i]) != basis[i] or coords.mult_terms(basis[i], unit) != basis[i]:
                 yield {"basis": i}
@@ -664,7 +658,7 @@ def verify_center_algebra(a: AdjointAlgebra, report: VerificationReport | None =
     rep.check(f"{prefix}/unit-two-sided", unit_two_sided())
     rep.check(f"{prefix}/unit-invariant", (
         {"h": h} for h in range(hopf.dim)
-        if not vec_eq(a.action[h].apply(a.unit_coords), [eps[h] * c for c in a.unit_coords])))
+        if a.action[h].apply_terms(unit) != lincomb([(eps[h], unit)])))
     rep.check(f"{prefix}/product-module-morphism", product_module_morphism())
     rep.check(f"{prefix}/product-comodule-morphism", product_comodule_morphism())
     return rep
@@ -675,26 +669,24 @@ def verify_braided_commutative(a: AdjointAlgebra, report: VerificationReport | N
     """m o c = m with c the Yetter-Drinfeld braiding; also records
     whether plain (unbraided) commutativity happens to hold."""
     rep = report if report is not None else VerificationReport()
-    ctx = a.ctx
+    one = a.ctx.one()
     n = a.dim
-    z = ctx.zero()
     com = a.comodule_rep()
     coords = _coordinate_algebra(a)
+    table = coords.mult
 
     def braided_commutative():
         act_cols = [[m.col_terms(j) for j in range(n)] for m in a.action]
         for i in range(n):
             for j in range(n):
                 # c(alpha_i x alpha_j) = alpha_i(-1).alpha_j x alpha_i(0)
-                rhs = [z] * n
-                for y, i0, c in com.coaction[i]:
-                    for r, x in coords.mult_terms(act_cols[y][j], [(i0, ctx.one())]):
-                        rhs[r] = rhs[r] + c * x
-                if not vec_eq(a.product[i][j], rhs):
+                rhs = lincomb((c, coords.mult_terms(act_cols[y][j], [(i0, one)]))
+                              for y, i0, c in com.coaction[i])
+                if table[i][j] != rhs:
                     yield {"pair": [i, j]}
 
     rep.check(f"{prefix}/braided-commutative", braided_commutative())
-    plain = all(vec_eq(a.product[i][j], a.product[j][i]) for i in range(n) for j in range(n))
+    plain = all(table[i][j] == table[j][i] for i in range(n) for j in range(n))
     rep.add(f"{prefix}/plain-commutative-info", True, {"plain_commutative": plain})
     return rep
 
@@ -716,7 +708,7 @@ def verify_relative_center(a: AdjointAlgebra, v: ModuleRep,
     mod = a.module_rep()
     embed_action = [mod.act_terms(p.t_embed.col_terms(t)) for t in range(p.base.dim)]
 
-    rinv = a.problem.rmatrix.inverse_terms()
+    rinv = a.problem.rmatrix.inverse_terms
 
     def double_braiding_identity():
         for i in range(n):
@@ -781,83 +773,68 @@ def phi_structure_transport(a: AdjointAlgebra, report: VerificationReport | None
     n, d, m = K.n, K.d, K.m
     NK = K.dim
     kalg = K.algebra
-    z = ctx.zero()
+    z, one = ctx.zero(), ctx.one()
+    unit = nonzero(kalg.unit)
 
     ok = a.dim == n * n
     rep.add(f"{prefix}/dimension", ok, None if ok else {"dim": a.dim, "expected": n * n})
 
-    def g_index(j: int) -> list[Scalar]:
-        return p.t_embed.col(j % n)
+    def g_terms(j: int) -> list[tuple[int, Scalar]]:
+        return p.t_embed.col_terms(j % n)
 
-    def bar_at(i: int, hvec: list[Scalar]) -> list[Scalar]:
-        out = [z] * NK
-        for y, cy in nonzero(hvec):
-            for r, e in a.bar_terms[i][y]:
-                out[r] = out[r] + cy * e
-        return out
+    # tvals[s][j]: the term list of alpha_s(g^j, 1)
+    tvals = [[lincomb((cy, a.bar_terms[s][y]) for y, cy in g_terms(j)) for j in range(n + 1)]
+             for s in range(a.dim)]
 
-    tvals = [[bar_at(s, g_index(j)) for j in range(n + 1)] for s in range(a.dim)]
-
-    phi_rows = []
-    for i in range(m):
-        for pp in range(NK):
-            phi_rows.append([tvals[s][i][pp] for s in range(a.dim)])
-    phi = Matrix.from_rows(ctx, phi_rows)
+    phi = Matrix(ctx, m * NK, a.dim, [(i * NK + pp, s, c) for s in range(a.dim)
+                                      for i in range(m) for pp, c in tvals[s][i]])
     ok = kernel_basis(phi).dim == 0 and phi.rows == a.dim
     rep.add(f"{prefix}/phi-bijective", ok,
             None if ok else {"rows": phi.rows, "dim": a.dim,
                              "kernel": kernel_basis(phi).dim})
 
-    hvec = kalg.basis_vec(K.index(1, 0)) if d > 1 else kalg.unit
-    h_pows = [kalg.unit]
+    h = [(K.index(1, 0), one)] if d > 1 else unit
+    h_pows = [unit]
     for _ in range(d):
-        h_pows.append(kalg.mult_vec(h_pows[-1], hvec))
+        h_pows.append(kalg.mult_terms(h_pows[-1], h))
 
-    def conj(qt: int, vec: list[Scalar]) -> list[Scalar]:
+    def conj(qt: int, terms) -> list[tuple[int, Scalar]]:
         qt = qt % d
-        return kalg.mult_vec(kalg.mult_vec(h_pows[qt], vec), h_pows[(d - qt) % d])
+        return kalg.mult_terms(kalg.mult_terms(h_pows[qt], terms), h_pows[(d - qt) % d])
 
-    def component(coords: list[Scalar], comp: int) -> list[Scalar]:
-        """Component comp of the tuple of the solution with these coordinates."""
-        out = [z] * NK
-        for l, cl in enumerate(coords):
-            if cl.is_zero():
-                continue
-            v = tvals[l][comp]
-            for r in range(NK):
-                if not v[r].is_zero():
-                    out[r] = out[r] + cl * v[r]
-        return out
+    def component(coords, comp: int) -> list[tuple[int, Scalar]]:
+        """Component comp of the tuple of the solution with these
+        coordinate terms."""
+        return lincomb((cl, tvals[l][comp]) for l, cl in coords)
 
-    def transported(s: int, act: Matrix, comp: int) -> list[Scalar]:
-        return component(act.col(s), comp)
+    def transported(s: int, act: Matrix, comp: int) -> list[tuple[int, Scalar]]:
+        return component(act.col_terms(s), comp)
 
-    embedded_action = a.module_rep().act_elem
+    embedded_action = a.module_rep().act_terms
 
     def g_shift():
         for r in range(1, m):
-            act = embedded_action(g_index(r))
+            act = embedded_action(g_terms(r))
             for s in range(a.dim):
                 for i in range(m - r):
-                    if not vec_eq(transported(s, act, i), tvals[s][i + r]):
+                    if transported(s, act, i) != tvals[s][i + r]:
                         yield {"shift": r, "component": i, "basis": s}
 
     def g_conjugation_rule():
         for shift in range(n):
-            act = embedded_action(g_index(shift))
+            act = embedded_action(g_terms(shift))
             for s in range(a.dim):
                 for i in range(m):
                     qt, j = divmod(i + shift, m)
-                    if not vec_eq(transported(s, act, i), conj(qt, tvals[s][j])):
+                    if transported(s, act, i) != conj(qt, tvals[s][j]):
                         yield {"shift": shift, "component": i, "basis": s}
 
     rep.check(f"{prefix}/g-shift", g_shift())
     rep.check(f"{prefix}/g-conjugation-rule", g_conjugation_rule())
 
     if n > 1:
-        wvec = kalg.basis_vec(K.index(0, 1))
-        x_ht = p.hopf.algebra.basis_vec(n)  # x # 1 sits at index 1*n + 0
-        act_x = embedded_action(x_ht)
+        w = [(K.index(0, 1), one)]
+        act_x = embedded_action([(n, one)])  # x # 1 sits at index 1*n + 0
         # one scan records the first failure of both index conventions
         bad_shifted = None
         bad_unshifted = None
@@ -865,14 +842,12 @@ def phi_structure_transport(a: AdjointAlgebra, report: VerificationReport | None
             for i in range(m):
                 qi = zeta_power(ctx, i)
                 got = transported(s, act_x, i)
-                w_ti = kalg.mult_vec(wvec, tvals[s][i])
-                ti1_w = kalg.mult_vec(tvals[s][i + 1], wvec)
-                ti_w = kalg.mult_vec(tvals[s][i], wvec)
-                shifted = [qi * (u - v) for u, v in zip(w_ti, ti1_w)]
-                unshifted = [qi * (u - v) for u, v in zip(w_ti, ti_w)]
-                if bad_shifted is None and not vec_eq(got, shifted):
+                w_ti = kalg.mult_terms(w, tvals[s][i])
+                shifted = lincomb([(qi, w_ti), (-qi, kalg.mult_terms(tvals[s][i + 1], w))])
+                unshifted = lincomb([(qi, w_ti), (-qi, kalg.mult_terms(tvals[s][i], w))])
+                if bad_shifted is None and got != shifted:
                     bad_shifted = {"basis": s, "component": i}
-                if bad_unshifted is None and not vec_eq(got, unshifted):
+                if bad_unshifted is None and got != unshifted:
                     bad_unshifted = {"basis": s, "component": i}
             if bad_shifted and bad_unshifted:
                 break
@@ -883,15 +858,12 @@ def phi_structure_transport(a: AdjointAlgebra, report: VerificationReport | None
 
         def x_power_extension():
             for aexp in range(2, m):
-                xa = embedded_action(p.hopf.algebra.basis_vec(aexp * n))
-                xa1 = embedded_action(p.hopf.algebra.basis_vec((aexp - 1) * n))
+                xa = embedded_action([(aexp * n, one)])
+                xa1 = embedded_action([((aexp - 1) * n, one)])
                 for s in range(a.dim):
-                    lhs = transported(s, xa, 0)
-                    prev0 = transported(s, xa1, 0)
-                    prev1 = transported(s, xa1, 1)
-                    rhs = [u - v for u, v in zip(kalg.mult_vec(wvec, prev0),
-                                                 kalg.mult_vec(prev1, wvec))]
-                    if not vec_eq(lhs, rhs):
+                    rhs = lincomb([(one, kalg.mult_terms(w, transported(s, xa1, 0))),
+                                   (-one, kalg.mult_terms(transported(s, xa1, 1), w))])
+                    if transported(s, xa, 0) != rhs:
                         yield {"power": aexp, "basis": s}
 
         if m >= 3:
@@ -906,21 +878,18 @@ def phi_structure_transport(a: AdjointAlgebra, report: VerificationReport | None
     def coaction_conjugated():
         com = a.comodule_rep()
         halg = p.hopf.algebra
-        one = ctx.one()
         for s in range(a.dim):
             lhs: dict[tuple[int, int, int], Scalar] = {}
             for y, l, c in com.coaction[s]:
                 for i in range(m):
-                    v = tvals[l][i]
-                    for pp in range(NK):
-                        if not v[pp].is_zero():
-                            key = (y, i, pp)
-                            lhs[key] = lhs.get(key, z) + c * v[pp]
+                    for pp, v in tvals[l][i]:
+                        key = (y, i, pp)
+                        lhs[key] = lhs.get(key, z) + c * v
             rhs: dict[tuple[int, int, int], Scalar] = {}
             for i in range(m):
                 gi = p.t_embed.col_terms(i % n)
                 gmi = p.t_embed.col_terms((n - i) % n)
-                for (y, pp), c in K.coaction_vec(nonzero(tvals[s][i])).items():
+                for (y, pp), c in tensor_image(K.coaction, tvals[s][i]).items():
                     for yy, cy in halg.mult_terms(halg.mult_terms(gmi, [(y, one)]), gi):
                         key = (yy, i, pp)
                         rhs[key] = rhs.get(key, z) + c * cy
@@ -932,7 +901,7 @@ def phi_structure_transport(a: AdjointAlgebra, report: VerificationReport | None
     rep.check(f"{prefix}/componentwise-product", (
         {"pair": [s, t], "component": i}
         for s in range(a.dim) for t in range(a.dim) for i in range(m)
-        if not vec_eq(component(a.product[s][t], i), kalg.mult_vec(tvals[s][i], tvals[t][i]))))
+        if component(nonzero(a.product[s][t]), i) != kalg.mult_terms(tvals[s][i], tvals[t][i])))
     return rep
 
 
@@ -1013,46 +982,34 @@ def chi0_crosscheck(n: int, d: int, xi, report: VerificationReport | None = None
 # dinaturality sampling
 
 
-def dinaturality_element_check(p: AdjointProblem, bars: list[list[Scalar]],
+def dinaturality_element_check(p: AdjointProblem, bars: list[list[tuple[int, Scalar]]],
                                m_mod: ModuleRep, v: ModuleRep) -> tuple[bool, dict | None]:
-    """Both sides of the wedge identity for the map with abar rows
-    bars[x] = alpha(e_x, 1), evaluated on all basis tuples; values land
-    in the module m collapsed along K."""
-    ctx = p.ctx
+    """Both sides of the wedge identity for the map whose abar term lists
+    are bars[x] = alpha(e_x, 1), as in `AdjointAlgebra.bar_terms`,
+    evaluated on all basis tuples; values land in the module m collapsed
+    along K."""
     K = p.comod_alg
-    kalg = K.algebra
     dv, dm = v.dim, m_mod.dim
-    z = ctx.zero()
     s_t = p.base.antipode
     gv = lift_via_pi(p.hopf, p.pi, v)
-    legs = [(s_t.col(i2), j2, cr) for i2, j2, cr in _ad2_leg_terms(p)]
-    units = [unit_vector(ctx, dm, mm) for mm in range(dm)]
-    m_acts = [[m_mod.act_vec(kalg.basis_vec(p0), e) for e in units] for p0 in range(K.dim)]
+    legs = [(v.act_terms(s_t.col_terms(i2)), j2, cr) for i2, j2, cr in _ad2_leg_terms(p)]
+    # m_acts[p0][mm]: e_p0 acting on e_mm
+    m_acts = [[act.col_terms(mm) for mm in range(dm)] for act in m_mod.action]
 
     for h in range(p.hopf.dim):
-        # (S(leg) acting on the lifted coaction leg, coefficient, p0) per term
+        # (S(leg) acting after the lifted coaction leg, coefficient, p0) per term
         terms = []
-        for scol, j2, cr in legs:
+        for s_act, j2, cr in legs:
             for zz, memb in _embedded_mult(p, j2, h):
-                for (y, p0), lc in K.coaction_vec(nonzero(bars[zz])).items():
-                    w2 = [v.act_vec(scol, gv.action[y].col(vv)) for vv in range(dv)]
-                    terms.append((w2, cr * memb * lc, p0))
+                for (y, p0), lc in tensor_image(K.coaction, bars[zz]).items():
+                    terms.append((s_act * gv.action[y], cr * memb * lc, p0))
+        bar_act = m_mod.act_terms(bars[h])
         for jdual in range(dv):
             for vv in range(dv):
                 for mm in range(dm):
-                    lhs = [z] * dm
-                    if jdual == vv:
-                        lhs = m_mod.act_vec(bars[h], units[mm])
-                    rhs = [z] * dm
-                    for w2, c, p0 in terms:
-                        s = w2[vv][jdual]
-                        if s.is_zero():
-                            continue
-                        coeff = c * s
-                        for r, e in enumerate(m_acts[p0][mm]):
-                            if not e.is_zero():
-                                rhs[r] = rhs[r] + coeff * e
-                    if not vec_eq(lhs, rhs):
+                    lhs = bar_act.col_terms(mm) if jdual == vv else []
+                    rhs = lincomb((c * w2[jdual, vv], m_acts[p0][mm]) for w2, c, p0 in terms)
+                    if lhs != rhs:
                         return False, {"tuple": [h, jdual, vv, mm]}
     return True, None
 
@@ -1067,8 +1024,7 @@ def dinaturality_sample(p: AdjointProblem, m_mod: ModuleRep, v: ModuleRep,
 
     def wedge_identity():
         for idx in range(alg.dim):
-            bars = [alg.bar(idx, x) for x in range(alg.NH)]
-            ok, witness = dinaturality_element_check(p, bars, m_mod, v)
+            ok, witness = dinaturality_element_check(p, alg.bar_terms[idx], m_mod, v)
             if not ok:
                 yield {"basis": idx, **(witness or {})}
 

@@ -21,7 +21,7 @@ from .braiding import (
 )
 from .constructions import TaftModel
 from .adjoint import AdjointAlgebra
-from .linalg import Matrix, flip_legs, kernel_basis, kron, kron_sum, nonzero, sparse_diff, vec_eq
+from .linalg import Matrix, flip_legs, kernel_basis, kron, kron_sum, lincomb, nonzero, sparse_diff
 from .reports import VerificationReport
 
 
@@ -151,7 +151,7 @@ def verify_h_ad(had: HAdjoint, modules: dict[str, ModuleRep],
             dv = gv.dim
             # sigma_{G(V),H_ad}(v x a) = (1 # Rbar1).a x Rbar2.v, then compose
             comp = flip_legs(kron_sum([(cr, had.ht_module.action[model.x_index(0, i2)], vt.action[j2])
-                                       for i2, j2, cr in model.rmatrix.inverse_terms()]), dv, n)
+                                       for i2, j2, cr in model.rmatrix.inverse_terms]), dv, n)
             if comp * gamma != Matrix.identity(ctx, n * dv):
                 yield {"module": name}
 
@@ -160,12 +160,10 @@ def verify_h_ad(had: HAdjoint, modules: dict[str, ModuleRep],
         alg = model.line.algebra
         for i in range(n):
             for j in range(n):
-                rhs = [ctx.zero()] * n
-                for row, s in gamma_self.col_terms(i * n + j):
-                    jj, ii = row // n, row % n
-                    for r, e in alg.mult[jj][ii]:
-                        rhs[r] = rhs[r] + s * e
-                if nonzero(rhs) != alg.mult[i][j]:
+                # gamma_self(e_i x e_j) = sum s e_jj x e_ii, multiplied out
+                rhs = lincomb((s, alg.mult[row // n][row % n])
+                              for row, s in gamma_self.col_terms(i * n + j))
+                if rhs != alg.mult[i][j]:
                     yield {"pair": [i, j]}
 
     # each module's half-braiding, shared by its own checks and the hexagon
@@ -229,7 +227,7 @@ def pi_dinatural_check(had: HAdjoint, x: ModuleRep, v: ModuleRep,
                     lhs[(mo, (j, j, mp))] = e
 
             rhs: dict[tuple[int, tuple[int, int, int]], Scalar] = {}
-            for ri, rj, cr in model.rmatrix.terms():
+            for ri, rj, cr in model.rmatrix.terms:
                 a_col, b_col, j_row = a_cols[ri], b_cols[ri], j_rows[rj]
                 for row, e in pi_vm_cols[h]:
                     w1, w2 = divmod(row, dvm)
@@ -278,7 +276,7 @@ def displayed_adjoint_action(model: TaftModel) -> list[Matrix]:
                 for r, x in alg.mult_terms(alg.mult[u1][model.x_index(h, 0)], s_cols[u2]):
                     add = c * x
                     acc[r] = acc[r] + add if r in acc else add
-            terms += [(r, h, x) for r, x in nonzero(eproj.apply_terms(acc.items()))]
+            terms += [(r, h, x) for r, x in eproj.apply_terms(acc.items())]
         mats.append(Matrix(ctx, n, n, terms))
     return mats
 
@@ -291,7 +289,7 @@ def displayed_adjoint_coaction(model: TaftModel) -> Matrix:
     terms = []
     for h in range(n):
         for h1, h2, c in line.coalgebra.comult[h]:
-            for ri, rj, cr in model.rmatrix.terms():
+            for ri, rj, cr in model.rmatrix.terms:
                 y = model.x_index(h1, rj)
                 terms += [(y * n + hp, h, c * cr * e) for hp, e in line.tmodule.action[ri].col_terms(h2)]
     return Matrix(model.ctx, taft.dim * n, n, terms)
@@ -317,13 +315,13 @@ def regular_case_iso(adjoint: AdjointAlgebra, had: HAdjoint,
     unit_ht = 0
     eproj = _counit_projection(model)
     phi = Matrix(ctx, n, adjoint.dim, [(r, s, x) for s in range(adjoint.dim)
-                                       for r, x in nonzero(eproj.apply(adjoint.bar(s, unit_ht)))])
+                                       for r, x in eproj.apply_terms(adjoint.bar_terms[s][unit_ht])])
 
     ok = adjoint.dim == n and kernel_basis(phi).dim == 0
     rep.add(f"{prefix}/phi-bijective", ok,
             None if ok else {"solution_dim": adjoint.dim, "carrier_dim": n})
 
-    ok = vec_eq(phi.apply(adjoint.unit_coords), model.line.algebra.unit)
+    ok = phi.apply_terms(nonzero(adjoint.unit_coords)) == nonzero(model.line.algebra.unit)
     rep.add(f"{prefix}/phi-unit", ok, None if ok else {})
 
     def phi_coaction_intertwines():
@@ -337,8 +335,8 @@ def regular_case_iso(adjoint: AdjointAlgebra, had: HAdjoint,
     disp = displayed_adjoint_action(model)
     rep.check(f"{prefix}/phi-multiplicative", (
         {"pair": [i, j]} for i in range(adjoint.dim) for j in range(adjoint.dim)
-        if not vec_eq(phi.apply(adjoint.product[i][j]),
-                      model.line.algebra.mult_vec(phi.col(i), phi.col(j)))))
+        if phi.apply_terms(nonzero(adjoint.product[i][j]))
+        != model.line.algebra.mult_terms(phi.col_terms(i), phi.col_terms(j))))
     rep.check(f"{prefix}/phi-action-intertwines", (
         {"hopf_index": u} for u in range(taft.dim) if phi * adjoint.action[u] != disp[u] * phi))
     rep.check(f"{prefix}/phi-coaction-intertwines", phi_coaction_intertwines())

@@ -10,46 +10,41 @@ is a checkable theorem here, never a definition.
 from __future__ import annotations
 
 from .cyclotomic import Scalar
-from .hopf import FinDimAlgebra, FinDimCoalgebra, FinDimHopf, check_algebra, tensor_algebra
-from .linalg import (Matrix, flip_legs, invert, kron_sum, nonzero, sparse_diff, unit_vector,
-                     vec_eq, zeros)
+from .hopf import (FinDimAlgebra, FinDimCoalgebra, FinDimHopf, check_algebra, tensor_algebra,
+                   tensor_image, tensor_mult)
+from .linalg import Matrix, dense, flip_legs, invert, kron_sum, nonzero, sparse_diff
 from .reports import VerificationReport
 
 
 class RMatrix:
-    """Invertible element of T x T written in the kron basis."""
+    """Invertible element of T x T written in the kron basis: `element`
+    and `inverse` are the dense vectors the JSON writes, `terms` and
+    `inverse_terms` their (i, j, c) term lists, the coefficient c of
+    e_i x e_j, ascending and without zeros."""
 
     def __init__(self, host: FinDimHopf, element: list[Scalar]):
         self.host = host
         self.element = list(element)
-        if len(self.element) != host.dim * host.dim:
+        n = host.dim
+        if len(self.element) != n * n:
             raise ValueError("R-matrix element has wrong length")
-        self.inverse = self._invert()
+        element_terms = nonzero(self.element)
+        inverse_terms = self._invert(element_terms)
+        self.inverse = dense(host.ctx, n * n, inverse_terms)
+        self.terms, self.inverse_terms = ([(u // n, u % n, c) for u, c in terms]
+                                          for terms in (element_terms, inverse_terms))
 
-    def _invert(self) -> list[Scalar]:
+    def _invert(self, element_terms) -> list[tuple[int, Scalar]]:
         square = tensor_algebra(self.host.algebra, self.host.algebra)
-        left = square.left_mult_matrix(self.element)
-        inv_mat = invert(left)
+        inv_mat = invert(square.left_mult_matrix(element_terms))
         if inv_mat is None:
             raise ValueError("R-matrix element is not invertible")
-        unit = square.unit
-        inverse = inv_mat.apply(unit)
+        unit = nonzero(square.unit)
+        inverse = inv_mat.apply_terms(unit)
         # two-sided check
-        if not vec_eq(square.mult_vec(inverse, self.element), unit):
+        if square.mult_terms(inverse, element_terms) != unit:
             raise ValueError("R-matrix inverse is one-sided only")
         return inverse
-
-    def terms(self) -> list[tuple[int, int, Scalar]]:
-        n = self.host.dim
-        return [
-            (u // n, u % n, c) for u, c in enumerate(self.element) if not c.is_zero()
-        ]
-
-    def inverse_terms(self) -> list[tuple[int, int, Scalar]]:
-        n = self.host.dim
-        return [
-            (u // n, u % n, c) for u, c in enumerate(self.inverse) if not c.is_zero()
-        ]
 
     def to_jsonable(self):
         return {"dim": self.host.dim, "element": self.element, "inverse": self.inverse}
@@ -63,27 +58,11 @@ class ModuleRep:
         self.dim = dim
         self.action = action
 
-    def act_elem(self, u: list[Scalar]) -> Matrix:
-        """Action matrix of the algebra element with coordinates u."""
-        return self.act_terms(nonzero(u))
-
     def act_terms(self, terms) -> Matrix:
         """Action matrix of the algebra element with these (index,
         coefficient) terms."""
         return Matrix(self.host.ctx, self.dim, self.dim,
                       ((r, c, ui * e) for i, ui in terms for r, c, e in self.action[i].terms()))
-
-    def act_vec(self, u: list[Scalar], v: list[Scalar]) -> list[Scalar]:
-        ctx = self.host.ctx
-        out = zeros(ctx, self.dim)
-        for i, ui in enumerate(u):
-            if ui.is_zero():
-                continue
-            w = self.action[i].apply(v)
-            for k in range(self.dim):
-                if not w[k].is_zero():
-                    out[k] = out[k] + ui * w[k]
-        return out
 
 
 class ComoduleRep:
@@ -127,42 +106,6 @@ class ComoduleAlgebra:
     def dim(self) -> int:
         return self.algebra.dim
 
-    def coaction_vec(self, terms) -> dict[tuple[int, int], Scalar]:
-        """lambda of the element with these (index, coefficient) terms, as
-        a sparse tensor without zeros."""
-        acc: dict[tuple[int, int], Scalar] = {}
-        for k, uk in terms:
-            for y, k0, c in self.coaction[k]:
-                key = (y, k0)
-                add = uk * c
-                acc[key] = acc[key] + add if key in acc else add
-        return {k: v for k, v in acc.items() if not v.is_zero()}
-
-
-# ---------------------------------------------------------------------------
-# tensor helpers on elements of T^k represented as sparse dicts
-
-
-def _sparse_mult(alg: FinDimAlgebra, x: dict, y: dict, legs: int) -> dict:
-    out: dict = {}
-    z = alg.ctx.zero()
-    for ki, ci in x.items():
-        for kj, cj in y.items():
-            coeff = ci * cj
-            # multiply componentwise across legs, expanding each product
-            partial = {(): coeff}
-            for leg in range(legs):
-                nxt: dict = {}
-                for prefix, pc in partial.items():
-                    for t, m in alg.mult[ki[leg]][kj[leg]]:
-                        key = prefix + (t,)
-                        add = pc * m
-                        nxt[key] = nxt.get(key, z) + add
-                partial = nxt
-            for key, v in partial.items():
-                out[key] = out.get(key, z) + v
-    return {k: v for k, v in out.items() if not v.is_zero()}
-
 
 def check_rmatrix(r: RMatrix, report: VerificationReport | None = None, prefix: str = "rmatrix") -> VerificationReport:
     """All quasitriangularity axioms plus the antipode identities, exactly."""
@@ -172,8 +115,8 @@ def check_rmatrix(r: RMatrix, report: VerificationReport | None = None, prefix: 
     alg = h.algebra
     coa = h.coalgebra
     z = ctx.zero()
-    rterms = r.terms()
-    rinv_terms = r.inverse_terms()
+    rterms = r.terms
+    rinv_terms = r.inverse_terms
     rinv_dict = {(a, b): c for a, b, c in rinv_terms}
     unit_terms = nonzero(alg.unit)
 
@@ -202,7 +145,7 @@ def check_rmatrix(r: RMatrix, report: VerificationReport | None = None, prefix: 
             for a, b, d in coa.comult[i]:
                 key = (a, b, j)
                 lhs[key] = lhs.get(key, z) + c * d
-        rhs = _sparse_mult(alg, embed(rterms, (0, 2)), embed(rterms, (1, 2)), 3)
+        rhs = tensor_mult((alg,) * 3, embed(rterms, (0, 2)), embed(rterms, (1, 2)))
         yield from axiom(lhs, rhs, "(Delta x id)(R) = R13 R23")
 
     def comult_right():
@@ -211,24 +154,25 @@ def check_rmatrix(r: RMatrix, report: VerificationReport | None = None, prefix: 
             for a, b, d in coa.comult[j]:
                 key = (i, a, b)
                 lhs[key] = lhs.get(key, z) + c * d
-        rhs = _sparse_mult(alg, embed(rterms, (0, 2)), embed(rterms, (0, 1)), 3)
+        rhs = tensor_mult((alg,) * 3, embed(rterms, (0, 2)), embed(rterms, (0, 1)))
         yield from axiom(lhs, rhs, "(id x Delta)(R) = R13 R12")
 
     def counit():
-        left_counit = zeros(ctx, h.dim)
-        right_counit = zeros(ctx, h.dim)
+        left: dict = {}
+        right: dict = {}
         for i, j, c in rterms:
-            left_counit[j] = left_counit[j] + c * coa.counit[i]
-            right_counit[i] = right_counit[i] + c * coa.counit[j]
-        if not (vec_eq(left_counit, alg.unit) and vec_eq(right_counit, alg.unit)):
+            left[j] = left.get(j, z) + c * coa.counit[i]
+            right[i] = right.get(i, z) + c * coa.counit[j]
+        unit = dict(unit_terms)
+        if sparse_diff(left, unit, ctx) is not None or sparse_diff(right, unit, ctx) is not None:
             yield {"axiom": "(eps x id)(R) = 1 = (id x eps)(R)"}
 
     def almost_cocommutative():
         for i in range(h.dim):
             delta = {(a, b): c for a, b, c in coa.comult[i]}
             cop = {(b, a): c for a, b, c in coa.comult[i]}
-            rd = _sparse_mult(alg, {(a, b): c for a, b, c in rterms}, delta, 2)
-            rdr = _sparse_mult(alg, rd, {(a, b): c for a, b, c in rinv_terms}, 2)
+            rd = tensor_mult((alg, alg), {(a, b): c for a, b, c in rterms}, delta)
+            rdr = tensor_mult((alg, alg), rd, {(a, b): c for a, b, c in rinv_terms})
             if sparse_diff(cop, rdr, ctx) is not None:
                 yield {"index": i, "axiom": "Delta_cop(h) = R Delta(h) R^-1"}
 
@@ -273,7 +217,7 @@ def check_rmatrix(r: RMatrix, report: VerificationReport | None = None, prefix: 
 
 def braiding(r: RMatrix, v: ModuleRep, w: ModuleRep) -> Matrix:
     """Matrix of sigma_{V,W}(v x w) = R2.w x R1.v from V x W to W x V."""
-    return flip_legs(kron_sum([(c, w.action[j], v.action[i]) for i, j, c in r.terms()]),
+    return flip_legs(kron_sum([(c, w.action[j], v.action[i]) for i, j, c in r.terms]),
                      v.dim, w.dim)
 
 
@@ -281,7 +225,7 @@ def braiding_inverse(r: RMatrix, v: ModuleRep, w: ModuleRep) -> Matrix:
     """Matrix of sigma^{-1}_{V,W}(w x v) = S(R1).v x R2.w from W x V to V x W."""
     s = r.host.antipode
     return flip_legs(kron_sum([(c, v.act_terms(s.col_terms(i)), w.action[j])
-                               for i, j, c in r.terms()]), w.dim, v.dim)
+                               for i, j, c in r.terms]), w.dim, v.dim)
 
 
 def tensor_module(hopf: FinDimHopf, v: ModuleRep, w: ModuleRep) -> ModuleRep:
@@ -304,7 +248,8 @@ def trivial_module(hopf: FinDimHopf) -> ModuleRep:
 
 
 def regular_module(alg: FinDimAlgebra) -> ModuleRep:
-    mats = [alg.left_mult_matrix(alg.basis_vec(i)) for i in range(alg.dim)]
+    one = alg.ctx.one()
+    mats = [alg.left_mult_matrix([(i, one)]) for i in range(alg.dim)]
     return ModuleRep(alg, alg.dim, mats)
 
 
@@ -328,7 +273,7 @@ def check_module(v: ModuleRep, report: VerificationReport | None = None, prefix:
         if v.action[i] * v.action[j] != v.act_terms(alg.mult[i][j])))
 
     def unit_acts_as_identity():
-        if v.act_elem(alg.unit) != Matrix.identity(alg.ctx, v.dim):
+        if v.act_terms(nonzero(alg.unit)) != Matrix.identity(alg.ctx, v.dim):
             yield {"axiom": "unit acts as identity"}
 
     rep.check(f"{prefix}/action-unit", unit_acts_as_identity())
@@ -358,10 +303,10 @@ def check_comodule(c: ComoduleRep, report: VerificationReport | None = None, pre
 
     def counit():
         for v in range(c.dim):
-            acc = zeros(ctx, c.dim)
+            acc: dict = {}
             for a, v0, x in c.coaction[v]:
-                acc[v0] = acc[v0] + x * host.counit[a]
-            if not vec_eq(acc, unit_vector(ctx, c.dim, v)):
+                acc[v0] = acc.get(v0, z) + x * host.counit[a]
+            if sparse_diff(acc, {v: ctx.one()}, ctx) is not None:
                 yield {"index": v}
 
     rep.check(f"{prefix}/coassociativity", coassociativity())
@@ -382,7 +327,7 @@ def check_comodule_algebra(k: ComoduleAlgebra, report: VerificationReport | None
     def coaction_multiplicative():
         for i in range(k.dim):
             for j in range(k.dim):
-                lhs = k.coaction_vec(k.algebra.mult[i][j])
+                lhs = tensor_image(k.coaction, k.algebra.mult[i][j])
                 rhs: dict = {}
                 for y1, a, c1 in k.coaction[i]:
                     for y2, b, c2 in k.coaction[j]:
@@ -397,7 +342,7 @@ def check_comodule_algebra(k: ComoduleAlgebra, report: VerificationReport | None
     def coaction_unit():
         unit = nonzero(k.algebra.unit)
         rhs = {(y, p): cy * cp for y, cy in nonzero(h_alg.unit) for p, cp in unit}
-        if sparse_diff(k.coaction_vec(unit), rhs, ctx) is not None:
+        if sparse_diff(tensor_image(k.coaction, unit), rhs, ctx) is not None:
             yield {"axiom": "lambda(1) = 1 x 1"}
 
     rep.check(f"{prefix}/coaction-multiplicative", coaction_multiplicative())

@@ -25,6 +25,8 @@ from .hopf import (
     FinDimHopf,
     convolution_failures,
     solve_antipode,
+    tensor_image,
+    tensor_mult,
 )
 from .braiding import (
     ComoduleAlgebra,
@@ -33,8 +35,7 @@ from .braiding import (
     braiding,
     check_comodule_algebra,
 )
-from .linalg import (Matrix, dense, nonzero, rank, sorted_terms, sparse_diff, unit_vector,
-                     vec_eq, zeros)
+from .linalg import Matrix, dense, lincomb, nonzero, rank, sorted_terms, sparse_diff, zeros
 from .reports import VerificationReport
 
 
@@ -65,7 +66,7 @@ def group_algebra_cn(n: int) -> FinDimHopf:
     ctx = make_field(n)
     o = ctx.one()
     alg = FinDimAlgebra(ctx, n, [[[((i + j) % n, o)] for j in range(n)] for i in range(n)],
-                        unit_vector(ctx, n, 0))
+                        dense(ctx, n, [(0, o)]))
     coa = FinDimCoalgebra(ctx, n, [[(i, i, o)] for i in range(n)], [o] * n)
     antipode = solve_antipode(alg, coa)
     return FinDimHopf(alg, coa, antipode)
@@ -149,7 +150,7 @@ def braided_line(n: int) -> BraidedHopf:
     q = zeta_power(ctx, 1)
 
     mult = [[[(a + c, o)] if a + c < n else [] for c in range(n)] for a in range(n)]
-    alg = FinDimAlgebra(ctx, n, mult, unit_vector(ctx, n, 0))
+    alg = FinDimAlgebra(ctx, n, mult, dense(ctx, n, [(0, o)]))
 
     action = [Matrix(ctx, n, n, [(a, a, zeta_power(ctx, (a * b) % n)) for a in range(n)])
               for b in range(n)]
@@ -192,27 +193,23 @@ def check_braided_hopf(h: BraidedHopf, report: VerificationReport | None = None,
     n = h.dim
 
     def product_t_equivariant():
+        action = h.tmodule.action
         for b in range(t.dim):
-            act = h.tmodule.action[b]
             for i in range(n):
                 for j in range(n):
                     # t.(x_i x_j) via Delta_T against (t.x_i)(t.x_j)
-                    lhs = act.apply_terms(h.algebra.mult[i][j])
-                    rhs = zeros(ctx, n)
-                    for t1, t2, c in t.coalgebra.comult[b]:
-                        w = h.algebra.mult_vec(h.tmodule.action[t1].col(i),
-                                               h.tmodule.action[t2].col(j))
-                        for k in range(n):
-                            if not w[k].is_zero():
-                                rhs[k] = rhs[k] + c * w[k]
-                    if not vec_eq(lhs, rhs):
+                    lhs = action[b].apply_terms(h.algebra.mult[i][j])
+                    rhs = lincomb((c, h.algebra.mult_terms(action[t1].col_terms(i),
+                                                           action[t2].col_terms(j)))
+                                  for t1, t2, c in t.coalgebra.comult[b])
+                    if lhs != rhs:
                         yield {"t_index": b, "pair": [i, j]}
 
     def coproduct_t_equivariant():
         for b in range(t.dim):
             act = h.tmodule.action[b]
             for i in range(n):
-                lhs = h.coalgebra.delta_vec(act.col_terms(i))
+                lhs = tensor_image(h.coalgebra.comult, act.col_terms(i))
                 rhs: dict = {}
                 for t1, t2, c in t.coalgebra.comult[b]:
                     for p, qq, d in h.coalgebra.comult[i]:
@@ -229,7 +226,7 @@ def check_braided_hopf(h: BraidedHopf, report: VerificationReport | None = None,
         sigma = braiding(h.rmatrix, h.tmodule, h.tmodule)
         for i in range(n):
             for j in range(n):
-                lhs = h.coalgebra.delta_vec(h.algebra.mult[i][j])
+                lhs = tensor_image(h.coalgebra.comult, h.algebra.mult[i][j])
                 di = {(a, b2): c for a, b2, c in h.coalgebra.comult[i]}
                 dj = {(a, b2): c for a, b2, c in h.coalgebra.comult[j]}
                 rhs = _braided_square_product(h.algebra, sigma, di, dj)
@@ -251,7 +248,7 @@ def bosonization(h: BraidedHopf, t: FinDimHopf, r: RMatrix) -> FinDimHopf:
     ctx = h.ctx
     nh, nt = h.dim, t.dim
     dim = nh * nt
-    z = ctx.zero()
+    z, one = ctx.zero(), ctx.one()
 
     mult = [[None] * dim for _ in range(dim)]
     for a in range(nh):
@@ -260,8 +257,8 @@ def bosonization(h: BraidedHopf, t: FinDimHopf, r: RMatrix) -> FinDimHopf:
                 for d in range(nt):
                     acc: dict[int, Scalar] = {}
                     for t1, t2, cc in t.coalgebra.comult[b]:
-                        hy = h.algebra.mult_vec(h.algebra.basis_vec(a), h.tmodule.action[t1].col(c))
-                        for p, hp in nonzero(hy):
+                        hy = h.algebra.mult_terms([(a, one)], h.tmodule.action[t1].col_terms(c))
+                        for p, hp in hy:
                             for qq, mq in t.algebra.mult[t2][d]:
                                 acc[p * nt + qq] = acc.get(p * nt + qq, z) + cc * hp * mq
                     mult[a * nt + b][c * nt + d] = sorted_terms(acc)
@@ -270,7 +267,7 @@ def bosonization(h: BraidedHopf, t: FinDimHopf, r: RMatrix) -> FinDimHopf:
     alg = FinDimAlgebra(ctx, dim, mult, unit)
 
     comult = []
-    rterms = r.terms()
+    rterms = r.terms
     for a in range(nh):
         for b in range(nt):
             delta: dict[tuple[int, int], Scalar] = {}
@@ -333,39 +330,31 @@ def check_hopf_morphism(source: FinDimHopf, target: FinDimHopf, phi: Matrix,
     rep = report if report is not None else VerificationReport()
     ctx = source.ctx
     z = ctx.zero()
-
-    def image(i: int) -> list[Scalar]:
-        return phi.apply(source.algebra.basis_vec(i))
+    image = [phi.col_terms(i) for i in range(source.dim)]  # phi(e_i)
 
     def comultiplicative():
         for i in range(source.dim):
             lhs: dict = {}
             for j, k, c in source.coalgebra.comult[i]:
-                pj, pk = image(j), image(k)
-                for a, xa in enumerate(pj):
-                    if xa.is_zero():
-                        continue
-                    for b, xb in enumerate(pk):
-                        if not xb.is_zero():
-                            key = (a, b)
-                            lhs[key] = lhs.get(key, z) + c * xa * xb
-            if sparse_diff(lhs, target.coalgebra.delta_vec(nonzero(image(i))), ctx) is not None:
+                for a, xa in image[j]:
+                    for b, xb in image[k]:
+                        key = (a, b)
+                        lhs[key] = lhs.get(key, z) + c * xa * xb
+            if sparse_diff(lhs, tensor_image(target.coalgebra.comult, image[i]), ctx) is not None:
                 yield {"index": i}
 
     rep.check(f"{prefix}/multiplicative", (
         {"pair": [i, j]} for i in range(source.dim) for j in range(source.dim)
-        if not vec_eq(phi.apply_terms(source.algebra.mult[i][j]),
-                      target.algebra.mult_vec(image(i), image(j)))))
-    ok = vec_eq(phi.apply(source.algebra.unit), target.algebra.unit)
+        if phi.apply_terms(source.algebra.mult[i][j]) != target.algebra.mult_terms(image[i], image[j])))
+    ok = phi.apply_terms(nonzero(source.algebra.unit)) == nonzero(target.algebra.unit)
     rep.add(f"{prefix}/unit", ok, None if ok else {})
     rep.check(f"{prefix}/comultiplicative", comultiplicative())
     rep.check(f"{prefix}/counit", (
         {"index": i} for i in range(source.dim)
-        if source.coalgebra.counit[i] != target.coalgebra.counit_vec(nonzero(image(i)))))
+        if source.coalgebra.counit[i] != target.coalgebra.counit_vec(image[i])))
     rep.check(f"{prefix}/antipode", (
         {"index": i} for i in range(source.dim)
-        if not vec_eq(phi.apply(source.antipode_vec(source.algebra.basis_vec(i))),
-                      target.antipode_vec(image(i)))))
+        if phi.apply_terms(source.antipode.col_terms(i)) != target.antipode.apply_terms(image[i])))
     return rep
 
 
@@ -383,64 +372,48 @@ def taft_presentation_check(b: FinDimHopf, n: int,
     ctx = b.ctx
     alg = b.algebra
     q = zeta_power(ctx, 1)
-    x = alg.basis_vec(n) if n > 1 else zeros(ctx, 1)
-    g = alg.basis_vec(1 % (n * n)) if n > 1 else alg.basis_vec(0)
+    one = ctx.one()
+    unit = nonzero(alg.unit)
+    x = [(n, one)] if n > 1 else []
+    g = [(1 % (n * n), one)]
 
     def power(v, k):
-        out = alg.unit
+        out = unit
         for _ in range(k):
-            out = alg.mult_vec(out, v)
+            out = alg.mult_terms(out, v)
         return out
 
-    ok = vec_eq(power(g, n), alg.unit)
+    ok = power(g, n) == unit
     rep.add(f"{prefix}/relation-g-order", ok, None if ok else {"relation": "g^n = 1"})
 
-    ok = all(c.is_zero() for c in power(x, n))
+    ok = not power(x, n)
     rep.add(f"{prefix}/relation-x-nilpotent", ok, None if ok else {"relation": "x^n = 0"})
 
-    gx = alg.mult_vec(g, x)
-    xg = alg.mult_vec(x, g)
-    ok = all(a == q * c for a, c in zip(gx, xg))
+    ok = alg.mult_terms(g, x) == [(k, q * c) for k, c in alg.mult_terms(x, g)]
     rep.add(f"{prefix}/relation-commutation", ok, None if ok else {"relation": "gx = q xg"})
 
-    dg = b.coalgebra.delta_vec(nonzero(g))
-    expect: dict = {}
-    for i, gi in enumerate(g):
-        if gi.is_zero():
-            continue
-        for j, gj in enumerate(g):
-            if not gj.is_zero():
-                expect[(i, j)] = gi * gj
+    dg = tensor_image(b.coalgebra.comult, g)
+    expect = {(i, j): gi * gj for i, gi in g for j, gj in g}
     ok = sparse_diff(dg, expect, ctx) is None
     rep.add(f"{prefix}/coproduct-grouplike", ok, None if ok else {"element": "g"})
 
     if n > 1:
-        dx = b.coalgebra.delta_vec(nonzero(x))
+        dx = tensor_image(b.coalgebra.comult, x)
         expect = {}
-        for i, xi in enumerate(x):
-            if xi.is_zero():
-                continue
-            for j, uj in enumerate(alg.unit):
-                if not uj.is_zero():
-                    expect[(i, j)] = expect.get((i, j), ctx.zero()) + xi * uj
-        for i, gi in enumerate(g):
-            if gi.is_zero():
-                continue
-            for j, xj in enumerate(x):
-                if not xj.is_zero():
-                    expect[(i, j)] = expect.get((i, j), ctx.zero()) + gi * xj
+        for i, xi in x:
+            for j, uj in unit:
+                expect[(i, j)] = expect.get((i, j), ctx.zero()) + xi * uj
+        for i, gi in g:
+            for j, xj in x:
+                expect[(i, j)] = expect.get((i, j), ctx.zero()) + gi * xj
         ok = sparse_diff(dx, expect, ctx) is None
         rep.add(f"{prefix}/coproduct-skew-primitive", ok, None if ok else {"element": "x"})
     else:
         rep.add_skipped(f"{prefix}/coproduct-skew-primitive", "no x generator at n = 1")
 
     def monomials_independent():
-        monomials = []
-        for a in range(n):
-            xa = power(x, a) if n > 1 else alg.unit
-            for bb in range(n):
-                monomials.append(alg.mult_vec(xa, power(g, bb)))
-        r = rank(Matrix.from_rows(ctx, monomials))
+        monomials = [alg.mult_terms(power(x, a), power(g, bb)) for a in range(n) for bb in range(n)]
+        r = rank(Matrix(ctx, n * n, n * n, [(row, k, c) for row, v in enumerate(monomials) for k, c in v]))
         if r != n * n:
             yield {"rank": r}
 
@@ -473,19 +446,6 @@ class ComoduleAlgebraK(ComoduleAlgebra):
         return (a % self.d) * self.n + (b % self.n)
 
 
-def _tensor2_mult(alg_a: FinDimAlgebra, alg_b: FinDimAlgebra, x: dict, y: dict) -> dict:
-    z = alg_a.ctx.zero()
-    out: dict = {}
-    for (i, j), cx in x.items():
-        for (k, l), cy in y.items():
-            c0 = cx * cy
-            for p, m1 in alg_a.mult[i][k]:
-                for qq, m2 in alg_b.mult[j][l]:
-                    key = (p, qq)
-                    out[key] = out.get(key, z) + c0 * m1 * m2
-    return {k: v for k, v in out.items() if not v.is_zero()}
-
-
 def comodule_algebra_K(n: int, d: int, xi) -> ComoduleAlgebraK:
     """Build K(d, xi) with its coaction into the bosonization, extending
     lambda(h) = g^m x h, lambda(w) = x x 1 + g x w multiplicatively and
@@ -513,7 +473,7 @@ def comodule_algebra_K(n: int, d: int, xi) -> ComoduleAlgebraK:
                     if b + e >= n:
                         coeff = coeff * xi_s
                     mult[idx(a, b)][idx(c, e)] = [] if coeff.is_zero() else [(idx(a + c, b + e), coeff)]
-    alg = FinDimAlgebra(ctx, dim, mult, unit_vector(ctx, dim, 0))
+    alg = FinDimAlgebra(ctx, dim, mult, dense(ctx, dim, [(0, o)]))
 
     # generator coactions inside Taft x K
     lam_h = {(model.x_index(0, m % n), idx(1, 0)): o}
@@ -521,15 +481,16 @@ def comodule_algebra_K(n: int, d: int, xi) -> ComoduleAlgebraK:
     if n == 1:
         lam_w = {(model.x_index(0, 0), idx(0, 0)): xi_s}
 
+    legs = (taft.algebra, alg)
     h_pows = [{(model.x_index(0, 0), idx(0, 0)): o}]
     for a in range(1, d):
-        h_pows.append(_tensor2_mult(taft.algebra, alg, h_pows[a - 1], lam_h))
+        h_pows.append(tensor_mult(legs, h_pows[a - 1], lam_h))
     w_pows = [{(model.x_index(0, 0), idx(0, 0)): o}]
     for b in range(1, n):
-        w_pows.append(_tensor2_mult(taft.algebra, alg, w_pows[b - 1], lam_w))
+        w_pows.append(tensor_mult(legs, w_pows[b - 1], lam_w))
 
     coaction = [[(y, p, c) for (y, p), c in
-                 sorted_terms(_tensor2_mult(taft.algebra, alg, h_pows[a], w_pows[b]))]
+                 sorted_terms(tensor_mult(legs, h_pows[a], w_pows[b]))]
                 for a in range(d) for b in range(n)]
 
     k = ComoduleAlgebraK(taft, alg, coaction, n, d, xi)
@@ -575,7 +536,7 @@ def coideal_comodule_algebra(n: int, d: int) -> ComoduleAlgebra:
     m = n // d
     o = ctx.one()
     alg = FinDimAlgebra(ctx, d, [[[((i + j) % d, o)] for j in range(d)] for i in range(d)],
-                        unit_vector(ctx, d, 0))
+                        dense(ctx, d, [(0, o)]))
     coaction = [[(model.x_index(0, (m * a) % n), a, o)] for a in range(d)]
     k = ComoduleAlgebra(model.taft, alg, coaction, name=f"kC_{d}",
                         generators=[1] if d > 1 else [])

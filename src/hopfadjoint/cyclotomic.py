@@ -23,7 +23,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-Rational = Fraction
 _new = object.__new__
 
 

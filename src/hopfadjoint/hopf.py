@@ -11,9 +11,10 @@ every construction.
 
 from __future__ import annotations
 
+from itertools import product
+
 from .cyclotomic import FieldContext, Scalar
-from .linalg import (Matrix, dense, nonzero, rref, sorted_terms, sparse_diff, unit_vector, vec_eq,
-                     zeros)
+from .linalg import Matrix, dense, nonzero, rref, sorted_terms, sparse_diff, zeros
 from .reports import VerificationReport
 
 
@@ -44,15 +45,11 @@ class FinDimAlgebra:
                     acc[k] = acc[k] + add if k in acc else add
         return sorted_terms(acc)
 
-    def mult_vec(self, u: list[Scalar], v: list[Scalar]) -> list[Scalar]:
-        return dense(self.ctx, self.dim, self.mult_terms(nonzero(u), nonzero(v)))
-
-    def basis_vec(self, i: int) -> list[Scalar]:
-        return unit_vector(self.ctx, self.dim, i)
-
-    def left_mult_matrix(self, u: list[Scalar]) -> Matrix:
+    def left_mult_matrix(self, u_terms) -> Matrix:
+        """Left multiplication by the element with these (index,
+        coefficient) terms."""
         return Matrix(self.ctx, self.dim, self.dim,
-                      ((k, j, ui * m) for i, ui in nonzero(u)
+                      ((k, j, ui * m) for i, ui in u_terms
                        for j, terms in enumerate(self.mult[i]) for k, m in terms))
 
 
@@ -85,20 +82,6 @@ class FinDimCoalgebra:
             self._delta2[i] = cached
         return cached
 
-    def delta_vec(self, terms) -> dict[tuple[int, int], Scalar]:
-        """Delta of the element with these (index, coefficient) terms, as
-        a sparse tensor without zeros."""
-        acc: dict[tuple[int, int], Scalar] = {}
-        for i, ui in terms:
-            for j, k, c in self.comult[i]:
-                key = (j, k)
-                coeff = ui * c
-                if key in acc:
-                    acc[key] = acc[key] + coeff
-                else:
-                    acc[key] = coeff
-        return {k: v for k, v in acc.items() if not v.is_zero()}
-
     def counit_vec(self, terms) -> Scalar:
         """The counit of the element with these (index, coefficient) terms."""
         out = self.ctx.zero()
@@ -125,9 +108,6 @@ class FinDimHopf:
     def dim(self) -> int:
         return self.algebra.dim
 
-    def antipode_vec(self, u: list[Scalar]) -> list[Scalar]:
-        return self.antipode.apply(u)
-
     def to_jsonable(self):
         ctx, dim = self.ctx, self.dim
         comult = []
@@ -144,6 +124,38 @@ class FinDimHopf:
             "counit": self.coalgebra.counit,
             "antipode": self.antipode,
         }
+
+
+def tensor_image(table, terms) -> dict[tuple[int, int], Scalar]:
+    """The image of the element with these (index, coefficient) terms
+    under the map into a tensor square whose value at e_i is the term
+    list table[i] of (j, k, c): Delta for a comultiplication table,
+    lambda for a coaction.  A sparse tensor {(j, k): c} without zeros."""
+    acc: dict[tuple[int, int], Scalar] = {}
+    for i, ui in terms:
+        for j, k, c in table[i]:
+            key = (j, k)
+            add = ui * c
+            acc[key] = acc[key] + add if key in acc else add
+    return {k: v for k, v in acc.items() if not v.is_zero()}
+
+
+def tensor_mult(algs, x: dict, y: dict) -> dict:
+    """The product of the sparse tensors x and y, {(i_1, ..., i_k): c}
+    dicts, in the tensor product of the algebras algs, one per leg,
+    taken leg by leg; without zeros."""
+    z = algs[0].ctx.zero()
+    out: dict = {}
+    for kx, cx in x.items():
+        for ky, cy in y.items():
+            c0 = cx * cy
+            for legs in product(*[alg.mult[i][j] for alg, i, j in zip(algs, kx, ky)]):
+                v = c0
+                for _, m in legs:
+                    v = v * m
+                key = tuple(t for t, _ in legs)
+                out[key] = out.get(key, z) + v
+    return {k: v for k, v in out.items() if not v.is_zero()}
 
 
 def check_algebra(a: FinDimAlgebra, report: VerificationReport | None = None, prefix: str = "algebra") -> VerificationReport:
@@ -169,9 +181,10 @@ def check_algebra(a: FinDimAlgebra, report: VerificationReport | None = None, pr
                                "residual": [lhs.get(s, z) - rhs.get(s, z) for s in range(a.dim)]}
 
     def unit_laws():
+        unit, one = nonzero(a.unit), a.ctx.one()
         for i in range(a.dim):
-            ei = a.basis_vec(i)
-            if not vec_eq(a.mult_vec(a.unit, ei), ei) or not vec_eq(a.mult_vec(ei, a.unit), ei):
+            ei = [(i, one)]
+            if a.mult_terms(unit, ei) != ei or a.mult_terms(ei, unit) != ei:
                 yield {"index": i}
 
     rep.check(f"{prefix}/associativity", associativity())
@@ -202,13 +215,13 @@ def check_coalgebra(c: FinDimCoalgebra, report: VerificationReport | None = None
 
     def counit_laws():
         for i in range(c.dim):
-            lvec = zeros(c.ctx, c.dim)
-            rvec = zeros(c.ctx, c.dim)
+            left: dict[int, Scalar] = {}
+            right: dict[int, Scalar] = {}
             for j, k, coeff in c.comult[i]:
-                lvec[k] = lvec[k] + coeff * c.counit[j]
-                rvec[j] = rvec[j] + coeff * c.counit[k]
-            ei = unit_vector(c.ctx, c.dim, i)
-            if not vec_eq(lvec, ei) or not vec_eq(rvec, ei):
+                left[k] = left.get(k, z) + coeff * c.counit[j]
+                right[j] = right.get(j, z) + coeff * c.counit[k]
+            ei = {i: c.ctx.one()}
+            if sparse_diff(left, ei, c.ctx) is not None or sparse_diff(right, ei, c.ctx) is not None:
                 yield {"index": i}
 
     rep.check(f"{prefix}/coassociativity", coassociativity())
@@ -227,7 +240,7 @@ def check_bialgebra(a: FinDimAlgebra, c: FinDimCoalgebra, report: VerificationRe
     def comult_multiplicative():
         for i in range(a.dim):
             for j in range(a.dim):
-                lhs = c.delta_vec(a.mult[i][j])
+                lhs = tensor_image(c.comult, a.mult[i][j])
                 rhs: dict[tuple[int, int], Scalar] = {}
                 for p, q, cc in c.comult[i]:
                     for r, s, dd in c.comult[j]:
@@ -243,7 +256,7 @@ def check_bialgebra(a: FinDimAlgebra, c: FinDimCoalgebra, report: VerificationRe
     def comult_unit():
         unit = nonzero(a.unit)
         expect = {(i, j): ui * uj for i, ui in unit for j, uj in unit}
-        key = sparse_diff(c.delta_vec(unit), expect, a.ctx)
+        key = sparse_diff(tensor_image(c.comult, unit), expect, a.ctx)
         if key is not None:
             yield {"tensor_index": list(key)}
 

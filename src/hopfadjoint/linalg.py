@@ -7,10 +7,13 @@ run over the nonzeros only.  Serialisation reads `terms()`; the dense
 `entries` view is read only by the tests and by the bench's traced
 nonzero count, and stays until that count reads `terms()` too.  A
 `SubspaceBasis` keeps the zero-free echelon rows that elimination
-returns, and coordinates in it are read at its pivots.  Other vectors
-stay dense lists; this module also holds the vector helpers shared by
-every checker.  All arithmetic is exact, all outputs deterministic.  The
-Kronecker index convention is (i tensor j) -> i * dim_b + j everywhere.
+returns, and coordinates in it are read at its pivots.  Vectors are term
+lists, ascending (index, coefficient) pairs without zeros, everywhere
+between the model build and the JSON; a dense list is built only for a
+field that the JSON writes.  This module also holds the vector helpers
+shared by every checker.  All arithmetic is exact, all outputs
+deterministic.  The Kronecker index convention is (i tensor j) ->
+i * dim_b + j everywhere.
 """
 
 from __future__ import annotations
@@ -20,12 +23,6 @@ from .cyclotomic import FieldContext, Scalar
 
 def zeros(ctx: FieldContext, n: int) -> list[Scalar]:
     return [ctx.zero()] * n
-
-
-def unit_vector(ctx: FieldContext, n: int, i: int) -> list[Scalar]:
-    v = zeros(ctx, n)
-    v[i] = ctx.one()
-    return v
 
 
 def nonzero(v: list[Scalar]) -> list[tuple[int, Scalar]]:
@@ -48,9 +45,15 @@ def sorted_terms(acc: dict) -> list:
     return [(k, c) for k, c in sorted(acc.items()) if not c.is_zero()]
 
 
-def vec_eq(u: list[Scalar], v: list[Scalar]) -> bool:
-    """Dense vectors agree entrywise (over the shorter length)."""
-    return all(a == b for a, b in zip(u, v))
+def lincomb(pairs) -> list[tuple[int, Scalar]]:
+    """The term list of the sum of c * v over the (c, v) pairs, each v a
+    term list: ascending, no zero coefficient."""
+    acc: dict[int, Scalar] = {}
+    for c, v in pairs:
+        for i, x in v:
+            add = c * x
+            acc[i] = acc[i] + add if i in acc else add
+    return sorted_terms(acc)
 
 
 def sparse_diff(x: dict, y: dict, ctx: FieldContext):
@@ -118,13 +121,6 @@ class Matrix:
         """Every nonzero entry as (row, col, coefficient), row-major."""
         return [(i, j, c) for i, row in enumerate(self._rows) for j, c in sorted(row.items())]
 
-    def row(self, i: int) -> list[Scalar]:
-        return dense(self.ctx, self.cols, self._rows[i].items())
-
-    def col(self, j: int) -> list[Scalar]:
-        z = self.ctx.zero()
-        return [row.get(j, z) for row in self._rows]
-
     @property
     def entries(self) -> list[Scalar]:
         """Dense row-major view, every absent entry the one ctx.zero()."""
@@ -181,21 +177,19 @@ class Matrix:
             out.append(_zero_free(acc))
         return Matrix._of_rows(self.ctx, other.cols, out)
 
-    def apply(self, vec: list[Scalar]) -> list[Scalar]:
-        """Matrix-vector product."""
-        if len(vec) != self.cols:
-            raise ValueError("vector length mismatch")
-        return self.apply_terms(nonzero(vec))
-
-    def apply_terms(self, terms) -> list[Scalar]:
-        """Matrix times the vector with these (index, coefficient) terms."""
+    def apply_terms(self, terms) -> list[tuple[int, Scalar]]:
+        """The term list of the matrix times the vector with these (index,
+        coefficient) terms: ascending, no zero coefficient."""
         v = dict(terms)
-        out = zeros(self.ctx, self.rows)
+        out = []
         for i, row in enumerate(self._rows):
+            acc = None
             for j, c in row.items():
                 x = v.get(j)
                 if x is not None:
-                    out[i] = out[i] + c * x
+                    acc = c * x if acc is None else acc + c * x
+            if acc is not None and not acc.is_zero():
+                out.append((i, acc))
         return out
 
     def is_zero(self) -> bool:
@@ -298,11 +292,6 @@ class SubspaceBasis:
     def dim(self) -> int:
         return len(self.rows)
 
-    @property
-    def vectors(self) -> list[list[Scalar]]:
-        """The basis vectors as dense lists, built on each read."""
-        return [dense(self.ctx, self.ambient_dim, row.items()) for row in self.rows]
-
     def __repr__(self) -> str:
         return f"SubspaceBasis(dim {self.dim} in k^{self.ambient_dim})"
 
@@ -343,14 +332,6 @@ def coords_of_terms(v: dict[int, Scalar], b: SubspaceBasis) -> list[Scalar] | No
         if c is not z:
             _add_multiple(residual, -c, row)
     return None if residual else coords
-
-
-def coords_in_basis(v: list[Scalar], b: SubspaceBasis) -> list[Scalar] | None:
-    """Coordinates of the dense vector v in the echelon basis b, or None
-    when v is not in the span."""
-    if len(v) != b.ambient_dim:
-        raise ValueError("vector length does not match ambient dimension")
-    return coords_of_terms(dict(enumerate(v)), b)
 
 
 def kron_sum(terms) -> Matrix:

@@ -225,24 +225,20 @@ def test_yd_braiding_naturality_with_solved_morphisms():
     comm = kb(M.from_rows(ctx, rows))
     assert comm.dim >= 1
     cmat = yd_braiding(t, yd, yd)
-    for vec in comm.vectors:
-        f = M(ctx, dim, dim, [(u // dim, u % dim, e) for u, e in enumerate(vec)])
+    for vec in comm.rows:
+        f = M(ctx, dim, dim, [(u // dim, u % dim, e) for u, e in vec.items()])
         # check f is also comodule map before using it
         lhs = {}
         ok = True
         for v in range(dim):
-            img = f.col(v)
             acc = {}
-            for w, cw in enumerate(img):
-                if cw.is_zero():
-                    continue
+            for w, cw in f.col_terms(v):
                 for y, w0, cc in yd.comodule.coaction[w]:
                     acc[(y, w0)] = acc.get((y, w0), ctx.zero()) + cw * cc
             acc2 = {}
             for y, v0, cc in yd.comodule.coaction[v]:
-                for w, cw in enumerate(f.col(v0)):
-                    if not cw.is_zero():
-                        acc2[(y, w)] = acc2.get((y, w), ctx.zero()) + cc * cw
+                for w, cw in f.col_terms(v0):
+                    acc2[(y, w)] = acc2.get((y, w), ctx.zero()) + cc * cw
             for key in set(acc) | set(acc2):
                 if not (acc.get(key, ctx.zero()) - acc2.get(key, ctx.zero())).is_zero():
                     ok = False
@@ -291,5 +287,4 @@ def test_dual_module_properties():
     ddual, _, _ = dual_module(taft, dual)
     s2 = taft.antipode * taft.antipode
     for h in range(taft.dim):
-        col = [s2[l, h] for l in range(taft.dim)]
-        assert ddual.action[h] == reg.act_elem(col)
+        assert ddual.action[h] == reg.act_terms(s2.col_terms(h))

@@ -20,7 +20,7 @@ import pytest
 from hopfadjoint.adjoint import problem_for, solve_adjoint, verify_center_algebra, verify_conditions_direct
 from hopfadjoint.braiding import check_yd
 from hopfadjoint.constructions import comodule_algebra_K, regular_comodule_algebra, taft_model
-from hopfadjoint.linalg import Matrix, dense, sorted_terms, sparse_diff, vec_eq
+from hopfadjoint.linalg import Matrix, dense, sorted_terms, sparse_diff
 from hopfadjoint.reports import VerificationReport
 
 # (n, K, conditions): module variants over K(d, xi) and the relative regular case
@@ -92,13 +92,14 @@ def oracle_ad1(p, maps):
                                 if not v[r].is_zero():
                                     lhs[r] = lhs[r] + c * m1 * v[r]
                     col = flat[(x * NK + l) * NK : (x * NK + l + 1) * NK]
-                    if not vec_eq(lhs, dense_mult(kalg, kalg.basis_vec(k), col)):
+                    if lhs != dense_mult(kalg, dense(p.ctx, NK, [(k, p.ctx.one())]), col):
                         yield {"basis": idx, "tuple": [k, x, l]}
 
 
 def oracle_yd(hopf, module, comodule):
     alg = hopf.algebra
-    z = hopf.ctx.zero()
+    ctx = hopf.ctx
+    z, one = ctx.zero(), ctx.one()
     for h in range(hopf.dim):
         for v in range(module.dim):
             lhs = {}
@@ -107,10 +108,11 @@ def oracle_yd(hopf, module, comodule):
                     lhs[(y, w0)] = lhs.get((y, w0), z) + wc * c
             rhs = {}
             for h1, h2, h3, c in hopf.coalgebra.delta2_terms(h):
-                s3 = hopf.antipode.col(h3)
+                s3 = dense(ctx, hopf.dim, hopf.antipode.col_terms(h3))
                 for y, v0, d in comodule.coaction[v]:
-                    first = dense_mult(alg, dense_mult(alg, alg.basis_vec(h1), alg.basis_vec(y)), s3)
-                    h2v0 = module.action[h2].col(v0)
+                    first = dense_mult(alg, dense_mult(alg, dense(ctx, hopf.dim, [(h1, one)]),
+                                                       dense(ctx, hopf.dim, [(y, one)])), s3)
+                    h2v0 = dense(ctx, module.dim, module.action[h2].col_terms(v0))
                     for yy, fy in enumerate(first):
                         for w, wv in enumerate(h2v0):
                             if not fy.is_zero() and not wv.is_zero():
@@ -134,15 +136,20 @@ def oracle_product_module_morphism(a):
                     out[k] = out[k] + x * y * e
         return out
 
+    def column(h, i):
+        return dense(a.ctx, n, a.action[h].col_terms(i))
+
     for h in range(hopf.dim):
         for i in range(n):
             for j in range(n):
-                lhs = a.action[h].apply(a.product[i][j])
+                lhs = [z] * n
+                for k, x in enumerate(a.product[i][j]):
+                    lhs = [r + x * e for r, e in zip(lhs, column(h, k))]
                 rhs = [z] * n
                 for h1, h2, c in hopf.coalgebra.comult[h]:
-                    w = product(a.action[h1].col(i), a.action[h2].col(j))
+                    w = product(column(h1, i), column(h2, j))
                     rhs = [r + c * x for r, x in zip(rhs, w)]
-                if not vec_eq(lhs, rhs):
+                if lhs != rhs:
                     yield {"h": h, "pair": [i, j]}
 
 

@@ -12,12 +12,15 @@ from hopfadjoint.cyclotomic import make_field, zeta_power
 from hopfadjoint.linalg import (
     Matrix,
     SubspaceBasis,
-    coords_in_basis,
+    coords_of_terms,
+    dense,
     flip_legs,
     invert,
     kernel_basis,
     kron,
     kron_sum,
+    lincomb,
+    nonzero,
     rank,
     rref,
 )
@@ -103,7 +106,7 @@ def dense_kron(a, b):
 
 
 def rows_of(m):
-    return [m.row(i) for i in range(m.rows)]
+    return [dense(m.ctx, m.cols, m.row_terms(i)) for i in range(m.rows)]
 
 
 def dense_rref(m):
@@ -148,12 +151,17 @@ def coords(vectors):
     return [[e.coords for e in v] for v in vectors]
 
 
+def term_coords(vectors):
+    """The coordinates of term lists or {index: Scalar} dicts, ascending."""
+    return [[(i, e.coords) for i, e in sorted(dict(v).items())] for v in vectors]
+
+
 def dense_echelon(ctx, vectors):
     """Reduced echelon basis and pivots of the span of vectors, by dense_rref."""
     if not vectors:
         return [], ()
     red, pivots = dense_rref(Matrix.from_rows(ctx, vectors))
-    return [red.row(i) for i in range(len(pivots))], pivots
+    return rows_of(red)[:len(pivots)], pivots
 
 
 def dense_kernel(m):
@@ -183,15 +191,15 @@ def assert_matches_dense_oracle(m):
     assert rank(m) == len(dense_pivots)
     kb = kernel_basis(m)
     vectors, kernel_pivots = dense_kernel(m)
-    assert kb.pivots == kernel_pivots and coords(kb.vectors) == coords(vectors)
+    assert kb.pivots == kernel_pivots and term_coords(kb.rows) == term_coords(map(nonzero, vectors))
     # every entry stored, zeros included: from_spanning drops them
     span = SubspaceBasis.from_spanning(m.ctx, m.cols, [dict(enumerate(r)) for r in rows_of(m)])
     vectors, span_pivots = dense_echelon(m.ctx, rows_of(m))
-    assert span.pivots == span_pivots and coords(span.vectors) == coords(vectors)
+    assert span.pivots == span_pivots and term_coords(span.rows) == term_coords(map(nonzero, vectors))
     if m.rows == m.cols:
         n = m.rows
         ident = Matrix.identity(m.ctx, n)
-        aug = Matrix.from_rows(m.ctx, [m.row(i) + ident.row(i) for i in range(n)])
+        aug = Matrix.from_rows(m.ctx, [r + e for r, e in zip(rows_of(m), rows_of(ident))])
         aug_red, aug_pivots = dense_rref(aug)
         inv = invert(m)
         if aug_pivots != tuple(range(n)):
@@ -237,23 +245,23 @@ def test_kernel_rank_nullity_on_row():
     m = mat([[1, 1, 0]])
     kb = kernel_basis(m)
     assert kb.dim == m.cols - rank(m) == 2
-    for v in kb.vectors:
-        assert all(e.is_zero() for e in m.apply(v))
+    for v in kb.rows:
+        assert m.apply_terms(v.items()) == []
 
 
 def test_coords_of_basis_vector():
     kb = kernel_basis(mat([[1, 1, 0]]))
-    c = coords_in_basis(kb.vectors[0], kb)
+    c = coords_of_terms(kb.rows[0], kb)
     assert c == [CTX.one(), CTX.zero()]
-    zero = [CTX.zero()] * 3
-    assert coords_in_basis(zero, kb) == [CTX.zero(), CTX.zero()]
+    zero = dict.fromkeys(range(3), CTX.zero())
+    assert coords_of_terms(zero, kb) == [CTX.zero(), CTX.zero()]
 
 
 def test_coords_outside_span_signals():
     kb = kernel_basis(mat([[1, 1, 0]]))
     # a vector with nonzero image under the row is outside the kernel
-    v = [CTX.one(), CTX.one(), CTX.zero()]
-    assert coords_in_basis(v, kb) is None
+    v = {0: CTX.one(), 1: CTX.one(), 2: CTX.zero()}
+    assert coords_of_terms(v, kb) is None
 
 
 def test_kron_identities():
@@ -277,7 +285,7 @@ def test_kron_diagonal_expansion():
 def test_solve_and_invert():
     m = mat([[2, 1], [1, 1]])
     assert m * invert(m) == Matrix.identity(CTX, 2)
-    assert invert(m).apply([CTX.one(), CTX.zero()]) == [CTX.one(), CTX.from_rational(-1)]
+    assert invert(m).apply_terms([(0, CTX.one())]) == [(0, CTX.one()), (1, CTX.from_rational(-1))]
     singular = mat([[1, 2], [2, 4]])
     assert invert(singular) is None
 
@@ -300,8 +308,8 @@ def test_rank_nullity_random(nr, nc, data):
     rows = [[CTX.from_rational(data.draw(entries)) for _ in range(nc)] for _ in range(nr)]
     m = Matrix.from_rows(CTX, rows)
     assert rank(m) + kernel_basis(m).dim == nc
-    for v in kernel_basis(m).vectors:
-        assert all(e.is_zero() for e in m.apply(v))
+    for v in kernel_basis(m).rows:
+        assert m.apply_terms(v.items()) == []
 
 
 @settings(max_examples=50, deadline=None)
@@ -442,9 +450,9 @@ def assert_matches(m, d):
     assert [e.coords for e in m.entries] == [e.coords for e in d.entries]
     assert all(m[i, j] == d[i, j] for i in range(d.rows) for j in range(d.cols))
     for i in range(d.rows):
-        assert m.row(i) == d.row(i) and m.row_terms(i) == nonzero_of(d.row(i))
+        assert m.row_terms(i) == nonzero_of(d.row(i))
     for j in range(d.cols):
-        assert m.col(j) == d.col(j) and m.col_terms(j) == nonzero_of(d.col(j))
+        assert m.col_terms(j) == nonzero_of(d.col(j))
     assert m.terms() == [(u // d.cols, u % d.cols, e) for u, e in nonzero_of(d.entries)]
     assert m.is_zero() == all(e.is_zero() for e in d.entries)
 
@@ -463,8 +471,14 @@ def test_matrix_arithmetic_matches_dense_oracle(ctx, nr, nk, nc, data):
     assert_matches(kron(a, b), dense_kron(da, db))
     vec = [ctx.scalar(data.draw(st.lists(st.integers(-2, 2), min_size=ctx.degree,
                                          max_size=ctx.degree))) for _ in range(nk)]
-    assert a.apply(vec) == da.apply(vec)
-    assert a.apply_terms(nonzero_of(vec)) == da.apply(vec)
+    # stored zeros in the input count as absent
+    assert a.apply_terms(nonzero_of(vec)) == nonzero_of(da.apply(vec))
+    assert a.apply_terms(list(enumerate(vec))) == nonzero_of(da.apply(vec))
+    # c a_0 + c' a2_0 over the first rows, against the dense sum
+    if nr:
+        c, c2 = vec[0], -vec[-1]
+        expect = [c * x + c2 * y for x, y in zip(da.row(0), da2.row(0))]
+        assert lincomb([(c, a.row_terms(0)), (c2, a2.row_terms(0))]) == nonzero_of(expect)
     # equality against an unequal matrix, one entry doubled, the same
     # entries rebuilt, and another shape
     assert (a == a2) == (da == da2)
