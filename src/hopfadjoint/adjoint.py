@@ -1014,17 +1014,16 @@ def dinaturality_element_check(p: AdjointProblem, bars: list[list[tuple[int, Sca
     return True, None
 
 
-def dinaturality_sample(p: AdjointProblem, m_mod: ModuleRep, v: ModuleRep,
+def dinaturality_sample(a: AdjointAlgebra, m_mod: ModuleRep, v: ModuleRep,
                         report: VerificationReport | None = None,
                         prefix: str = "dinaturality") -> VerificationReport:
-    """Wedge identity for every basis solution, sampled at the module m
-    over K and the base-algebra module v."""
+    """Wedge identity for every basis solution of a, sampled at the
+    module m over K and the base-algebra module v."""
     rep = report if report is not None else VerificationReport()
-    alg = solve_adjoint(p, with_structure=False)
 
     def wedge_identity():
-        for idx in range(alg.dim):
-            ok, witness = dinaturality_element_check(p, alg.bar_terms[idx], m_mod, v)
+        for idx in range(a.dim):
+            ok, witness = dinaturality_element_check(a.problem, a.bar_terms[idx], m_mod, v)
             if not ok:
                 yield {"basis": idx, **(witness or {})}
 

@@ -30,6 +30,8 @@ from .adjoint import (
     ClosureFailure,
     chi0_crosscheck,
     connectedness,
+    dinaturality_sample,
+    phi_structure_transport,
     problem_for,
     solve_adjoint,
     verify_braided_commutative,
@@ -131,7 +133,15 @@ def _suite_adjoint(n: int, rep: VerificationReport) -> None:
         dim_inv = connectedness(alg)
         rep.add(f"n{n}/module-variant-K({d},0)/connected", dim_inv == 1,
                 {"dim_invariants": dim_inv})
+        phi_structure_transport(alg, rep, prefix=f"n{n}/module-variant-K({d},0)/transport")
     chi0_crosscheck(n, n, 0, rep, prefix=f"n{n}/chi0")
+    k = comodule_algebra_K(n, n, 0)
+    rel = solve_adjoint(problem_for(model, k, {"ad1", "ad2", "ad3"}), with_structure=False)
+    mreg = regular_module(k.algebra)
+    for vname, v in (("regular", regular_module(model.t_hopf.algebra)),
+                     ("trivial", trivial_module(model.t_hopf))):
+        dinaturality_sample(rel, mreg, v, rep,
+                            prefix=f"n{n}/relative-K({n},0)/kC{n}-{vname}/dinaturality")
     kreg = regular_comodule_algebra(n)
     alg = solve_adjoint(problem_for(model, kreg, {"ad1", "ad2", "ad3"}))
     rep.add(f"n{n}/relative-regular/dim", alg.dim == n, {"dim": alg.dim})

@@ -284,10 +284,10 @@ def test_dinaturality_samples(n, d, xi):
     # at n = 2, q = q^-1 makes R symmetric; n = 3 tells its legs apart
     m = taft_model(n)
     k = comodule_algebra_K(n, d, xi)
-    p = problem_for(m, k, {"ad1", "ad2", "ad3"})
+    rel = solve_adjoint(problem_for(m, k, {"ad1", "ad2", "ad3"}), with_structure=False)
     mreg = regular_module(k.algebra)
-    assert dinaturality_sample(p, mreg, regular_module(m.t_hopf.algebra)).ok
-    assert dinaturality_sample(p, mreg, trivial_module(m.t_hopf)).ok
+    assert dinaturality_sample(rel, mreg, regular_module(m.t_hopf.algebra)).ok
+    assert dinaturality_sample(rel, mreg, trivial_module(m.t_hopf)).ok
 
 
 def test_dinaturality_rejects_module_variant_element():

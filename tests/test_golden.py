@@ -118,7 +118,7 @@ CLI_DIGESTS = {
     "verify-all-n1-n2": (
         ["verify", "--suite", "all", "--n", "1,2"],
         0,
-        "8f86b7db7e99c436a1b5feccbb806c9bc4479ffa7966f28e3a40785eee34fe49",
+        "054d9263f836cd78a2a22f02d890b720a8c156873e55b7d0a8a0a644f979489b",
     ),
     # dense dim-16 product and coproduct tables
     "taft-n4": (
@@ -144,11 +144,12 @@ CLI_DIGESTS = {
         0,
         "e39e97f4210f68775ee05e4a5eabc36a3864e2ab836a72880d23b017309851e4",
     ),
-    # regular(3) with ad1,ad2,ad3, K(1,0), K(3,0) and chi0
+    # regular(3) with ad1,ad2,ad3, K(1,0) and K(3,0) with transport, chi0, and
+    # dinaturality on the fully-constrained K(3,0)
     "verify-adjoint-n3": (
         ["verify", "--suite", "adjoint", "--n", "3"],
         0,
-        "0e4b440fa486695b545c4960947042a4ffd74da12f2c1633497428974c8d2b42",
+        "40f4ed524cb62698e36be9dbbe49dd86cd4bb6e1a86f6d9b1a4e877bb090e4b1",
     ),
     # the largest reduced system at n = 4: 1,536 x 256
     "adjoint-n4-K(4,0)-ad1-ad2-ad3": (
@@ -394,8 +395,8 @@ def late_map_entry_and_action_entry_corrupted():
 def dinaturality_without_comodule_condition():
     m = taft_model(2)
     k = comodule_algebra_K(2, 2, 0)
-    return dinaturality_sample(problem_for(m, k, {"ad1", "ad3"}), regular_module(k.algebra),
-                               regular_module(m.t_hopf.algebra))
+    module = solve_adjoint(problem_for(m, k, {"ad1", "ad3"}), with_structure=False)
+    return dinaturality_sample(module, regular_module(k.algebra), regular_module(m.t_hopf.algebra))
 
 
 def taft_with_unit_e1():

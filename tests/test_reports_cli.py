@@ -121,6 +121,19 @@ def test_cli_adjoint_dimension_examples(tmp_path):
     assert json.loads(out1.read_bytes())["dim"] == 1
 
 
+def test_cli_adjoint_suite_runs_transport_and_dinaturality(tmp_path):
+    out = tmp_path / "suite.json"
+    assert cli_main(["verify", "--suite", "adjoint", "--n", "2,3", "--out", str(out)]) == 0
+    status = {c["claim_id"]: c["status"] for c in json.loads(out.read_bytes())["report"]["claims"]}
+    for n in (2, 3):
+        for d in (d for d in range(1, n + 1) if n % d == 0):
+            transport = f"n{n}/module-variant-K({d},0)/transport/"
+            assert status[transport + "componentwise-product"] == "pass"
+            assert {s for c, s in status.items() if c.startswith(transport)} <= {"pass", "skipped"}
+        for v in ("regular", "trivial"):
+            assert status[f"n{n}/relative-K({n},0)/kC{n}-{v}/dinaturality/wedge-identity"] == "pass"
+
+
 def test_cli_full_pipeline_flag(tmp_path):
     out = tmp_path / "adj.json"
     rc = cli_main(["adjoint", "--n", "2", "--d", "2", "--xi", "0",
