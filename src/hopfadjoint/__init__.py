@@ -14,7 +14,6 @@ from .hopf import (
     check_bialgebra,
     check_coalgebra,
     check_hopf,
-    dual_algebra,
     solve_antipode,
     tensor_algebra,
 )
@@ -23,9 +22,7 @@ from .braiding import (
     ComoduleRep,
     ModuleRep,
     RMatrix,
-    YDModule,
     braiding,
-    braiding_inverse,
     check_comodule,
     check_comodule_algebra,
     check_module,
@@ -35,20 +32,17 @@ from .braiding import (
     regular_module,
     tensor_module,
     trivial_module,
-    yd_braiding,
 )
 from .constructions import (
     BraidedHopf,
     ComoduleAlgebraK,
     ConstructionError,
     TaftModel,
-    auxiliary_comodule_algebras,
     bosonization,
     braided_line,
     check_braided_hopf,
     check_hopf_morphism,
     comodule_algebra_K,
-    coideal_comodule_algebra,
     group_algebra_cn,
     projection_pi,
     q_binomial,
@@ -56,8 +50,6 @@ from .constructions import (
     regular_comodule_algebra,
     taft_model,
     taft_presentation_check,
-    trivial_comodule_algebra,
-    trivial_r_matrix,
 )
 from .adjoint import (
     AdjointAlgebra,

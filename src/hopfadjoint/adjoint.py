@@ -997,18 +997,21 @@ def dinaturality_element_check(p: AdjointProblem, bars: list[list[tuple[int, Sca
     m_acts = [[act.col_terms(mm) for mm in range(dm)] for act in m_mod.action]
 
     for h in range(p.hopf.dim):
-        # (S(leg) acting after the lifted coaction leg, coefficient, p0) per term
+        # ({(row, col): entry} of S(leg) acting after the lifted coaction
+        # leg, coefficient, p0) per term
         terms = []
         for s_act, j2, cr in legs:
             for zz, memb in _embedded_mult(p, j2, h):
                 for (y, p0), lc in tensor_image(K.coaction, bars[zz]).items():
-                    terms.append((s_act * gv.action[y], cr * memb * lc, p0))
+                    w2 = {(i, j): e for i, j, e in (s_act * gv.action[y]).terms()}
+                    terms.append((w2, cr * memb * lc, p0))
         bar_act = m_mod.act_terms(bars[h])
         for jdual in range(dv):
             for vv in range(dv):
                 for mm in range(dm):
                     lhs = bar_act.col_terms(mm) if jdual == vv else []
-                    rhs = lincomb((c * w2[jdual, vv], m_acts[p0][mm]) for w2, c, p0 in terms)
+                    rhs = lincomb((c * w2[jdual, vv], m_acts[p0][mm])
+                                  for w2, c, p0 in terms if (jdual, vv) in w2)
                     if lhs != rhs:
                         return False, {"tuple": [h, jdual, vv, mm]}
     return True, None

@@ -76,16 +76,6 @@ class ComoduleRep:
         self.coaction = coaction
 
 
-class YDModule:
-    """Module + comodule over one Hopf algebra; compatibility is checked
-    by check_yd, not assumed."""
-
-    def __init__(self, hopf: FinDimHopf, module: ModuleRep, comodule: ComoduleRep):
-        self.hopf = hopf
-        self.module = module
-        self.comodule = comodule
-
-
 class ComoduleAlgebra:
     """Algebra K with a left coaction into a Hopf algebra H that is an
     algebra morphism K -> H x K.  `generators` lists basis indices that
@@ -219,13 +209,6 @@ def braiding(r: RMatrix, v: ModuleRep, w: ModuleRep) -> Matrix:
     """Matrix of sigma_{V,W}(v x w) = R2.w x R1.v from V x W to W x V."""
     return flip_legs(kron_sum([(c, w.action[j], v.action[i]) for i, j, c in r.terms]),
                      v.dim, w.dim)
-
-
-def braiding_inverse(r: RMatrix, v: ModuleRep, w: ModuleRep) -> Matrix:
-    """Matrix of sigma^{-1}_{V,W}(w x v) = S(R1).v x R2.w from W x V to V x W."""
-    s = r.host.antipode
-    return flip_legs(kron_sum([(c, v.act_terms(s.col_terms(i)), w.action[j])
-                               for i, j, c in r.terms]), w.dim, v.dim)
 
 
 def tensor_module(hopf: FinDimHopf, v: ModuleRep, w: ModuleRep) -> ModuleRep:
@@ -388,15 +371,3 @@ def check_yd(hopf: FinDimHopf, module: ModuleRep, comodule: ComoduleRep,
     rep.check(f"{prefix}/compatibility", compatibility())
     return rep
 
-
-def yd_braiding(hopf: FinDimHopf, a: YDModule, b: YDModule) -> Matrix:
-    """Matrix of c_{A,B}(v x x) = v(-1).x x v0 from A x B to B x A: the
-    sum over y of (action of y on B) kron (the y-component of lambda_A)."""
-    ctx = hopf.ctx
-    da, db = a.module.dim, b.module.dim
-    components: dict[int, list] = {}
-    for v in range(da):
-        for y, v0, c in a.comodule.coaction[v]:
-            components.setdefault(y, []).append((v0, v, c))
-    return flip_legs(kron_sum([(ctx.one(), b.module.action[y], Matrix(ctx, da, da, t))
-                               for y, t in sorted(components.items())]), da, db)

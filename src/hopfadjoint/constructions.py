@@ -35,7 +35,7 @@ from .braiding import (
     braiding,
     check_comodule_algebra,
 )
-from .linalg import Matrix, dense, lincomb, nonzero, rank, sorted_terms, sparse_diff, zeros
+from .linalg import Matrix, dense, lincomb, nonzero, rank, sorted_terms, sparse_diff
 from .reports import VerificationReport
 
 
@@ -82,19 +82,6 @@ def r_matrix_cn(n: int) -> RMatrix:
     for i in range(n):
         for j in range(n):
             element.append(zeta_power(ctx, (-i * j) % n).scale(inv_n))
-    return RMatrix(t, element)
-
-
-def trivial_r_matrix(t: FinDimHopf) -> RMatrix:
-    """R = 1 x 1 over any Hopf algebra with grouplike-enough unit."""
-    ctx = t.ctx
-    element = zeros(ctx, t.dim * t.dim)
-    for i, ci in enumerate(t.algebra.unit):
-        if ci.is_zero():
-            continue
-        for j, cj in enumerate(t.algebra.unit):
-            if not cj.is_zero():
-                element[i * t.dim + j] = ci * cj
     return RMatrix(t, element)
 
 
@@ -501,19 +488,6 @@ def comodule_algebra_K(n: int, d: int, xi) -> ComoduleAlgebraK:
     return k
 
 
-def trivial_comodule_algebra(n: int) -> ComoduleAlgebra:
-    """K = k with lambda(1) = 1 x 1."""
-    model = taft_model(n)
-    ctx = model.ctx
-    alg = FinDimAlgebra(ctx, 1, [[[(0, ctx.one())]]], [ctx.one()])
-    coaction = [[(y, 0, cy) for y, cy in nonzero(model.taft.algebra.unit)]]
-    k = ComoduleAlgebra(model.taft, alg, coaction, name="k1")
-    rep = check_comodule_algebra(k)
-    if not rep.ok:
-        raise ConstructionError("trivial comodule algebra failed verification")
-    return k
-
-
 def regular_comodule_algebra(n: int) -> ComoduleAlgebra:
     """K = the bosonization itself with lambda = Delta."""
     model = taft_model(n)
@@ -526,29 +500,3 @@ def regular_comodule_algebra(n: int) -> ComoduleAlgebra:
         raise ConstructionError("regular comodule algebra failed verification")
     return k
 
-
-def coideal_comodule_algebra(n: int, d: int) -> ComoduleAlgebra:
-    """K = kC_d inside the bosonization: lambda(g_d^a) = g^{ma} x g_d^a."""
-    if n % d != 0:
-        raise ValueError(f"d = {d} does not divide n = {n}")
-    model = taft_model(n)
-    ctx = model.ctx
-    m = n // d
-    o = ctx.one()
-    alg = FinDimAlgebra(ctx, d, [[[((i + j) % d, o)] for j in range(d)] for i in range(d)],
-                        dense(ctx, d, [(0, o)]))
-    coaction = [[(model.x_index(0, (m * a) % n), a, o)] for a in range(d)]
-    k = ComoduleAlgebra(model.taft, alg, coaction, name=f"kC_{d}",
-                        generators=[1] if d > 1 else [])
-    rep = check_comodule_algebra(k)
-    if not rep.ok:
-        raise ConstructionError("coideal comodule algebra failed verification")
-    return k
-
-
-def auxiliary_comodule_algebras(n: int, d: int) -> dict[str, ComoduleAlgebra]:
-    return {
-        "trivial": trivial_comodule_algebra(n),
-        "regular": regular_comodule_algebra(n),
-        "coideal": coideal_comodule_algebra(n, d),
-    }

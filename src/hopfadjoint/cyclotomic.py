@@ -290,6 +290,3 @@ def scalar_to_strings(s: Scalar) -> list[str]:
         out.append(str(c // g) if g == den else f"{c // g}/{den // g}")
     return out
 
-
-def scalar_from_strings(ctx: FieldContext, parts) -> Scalar:
-    return ctx.scalar(parts)

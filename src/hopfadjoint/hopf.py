@@ -344,11 +344,3 @@ def tensor_algebra(a: FinDimAlgebra, b: FinDimAlgebra) -> FinDimAlgebra:
                                      for q, cb in nonzero(b.unit)])
     return FinDimAlgebra(a.ctx, a.dim * nb, mult, unit)
 
-
-def dual_algebra(c: FinDimCoalgebra) -> FinDimAlgebra:
-    """Convolution algebra on the dual basis; the unit is the counit."""
-    mult = [[[] for _ in range(c.dim)] for _ in range(c.dim)]
-    for k, terms in enumerate(c.comult):
-        for i, j, coeff in terms:
-            mult[i][j].append((k, coeff))
-    return FinDimAlgebra(c.ctx, c.dim, mult, list(c.counit))

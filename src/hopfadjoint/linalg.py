@@ -99,18 +99,6 @@ class Matrix:
         one = ctx.one()
         return cls._of_rows(ctx, n, [{i: one} for i in range(n)])
 
-    @classmethod
-    def from_rows(cls, ctx: FieldContext, rows: list[list[Scalar]]) -> "Matrix":
-        """The matrix with these dense rows."""
-        ncols = len(rows[0]) if rows else 0
-        if any(len(r) != ncols for r in rows):
-            raise ValueError("ragged rows")
-        return cls._of_rows(ctx, ncols, [dict(nonzero(r)) for r in rows])
-
-    def __getitem__(self, idx: tuple[int, int]) -> Scalar:
-        i, j = idx
-        return self._rows[i].get(j, self.ctx.zero())
-
     def row_terms(self, i: int) -> list[tuple[int, Scalar]]:
         return sorted(self._rows[i].items())
 
@@ -156,12 +144,6 @@ class Matrix:
             raise ValueError("shape mismatch")
         return Matrix(self.ctx, self.rows, self.cols, self.terms() + other.terms())
 
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return Matrix(self.ctx, self.rows, self.cols,
-                      self.terms() + [(i, j, -c) for i, j, c in other.terms()])
-
     def __mul__(self, other: "Matrix") -> "Matrix":
         """Row by row over the nonzeros (Gustavson, 1978)."""
         if self.cols != other.rows:
@@ -191,9 +173,6 @@ class Matrix:
             if acc is not None and not acc.is_zero():
                 out.append((i, acc))
         return out
-
-    def is_zero(self) -> bool:
-        return not any(self._rows)
 
 
 def _zero_free(row: dict[int, Scalar]) -> dict[int, Scalar]:

@@ -3,14 +3,7 @@ import pytest
 from math import gcd
 
 from hopfadjoint.braiding import ComoduleAlgebra, ModuleRep, check_yd, regular_module, trivial_module
-from hopfadjoint.constructions import (
-    coideal_comodule_algebra,
-    comodule_algebra_K,
-    regular_comodule_algebra,
-    taft_model,
-    trivial_comodule_algebra,
-    trivial_r_matrix,
-)
+from hopfadjoint.constructions import comodule_algebra_K, regular_comodule_algebra, taft_model
 from hopfadjoint.adjoint import (
     AdjointAlgebra,
     ClosureFailure,
@@ -31,6 +24,7 @@ from hopfadjoint.adjoint import (
     verify_yd,
 )
 from hopfadjoint.linalg import Matrix, SubspaceBasis, coords_of_terms, kernel_basis, nonzero
+from support import coideal_comodule_algebra, trivial_comodule_algebra, trivial_r_matrix
 
 
 def test_empty_conditions_give_full_hom_space():

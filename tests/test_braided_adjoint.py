@@ -3,7 +3,6 @@ import pytest
 from hopfadjoint.braiding import (
     ModuleRep,
     braiding,
-    braiding_inverse,
     lift_via_pi,
     regular_module,
     tensor_module,
@@ -22,6 +21,7 @@ from hopfadjoint.braided_adjoint import (
     verify_h_ad,
 )
 from hopfadjoint.linalg import Matrix
+from support import braiding_inverse
 
 
 def test_unit_acts_as_identity():
@@ -34,27 +34,26 @@ def test_skew_primitive_kills_the_unit():
     # the adjoint action of x on 1 collapses to x - x = 0
     for n in (2, 3):
         had = build_h_ad(taft_model(n))
-        col = [had.rho_ad[1][r, 0] for r in range(n)]
-        assert all(c.is_zero() for c in col)
+        assert had.rho_ad[1].col_terms(0) == []
 
 
 def dense_half_braiding(had, x):
     """half_braiding as it read the braiding before: a scan of the whole
     dense column for every coproduct term."""
     model, n, dx = had.model, had.dim, x.dim
-    inv = braiding(model.rmatrix, model.line.tmodule, t_restriction(model, x))
+    inv = braiding(model.rmatrix, model.line.tmodule, t_restriction(model, x)).entries
     terms = []
     for h in range(n):
         for xx in range(dx):
             acc = {}
             for h1, h2, c in model.line.coalgebra.comult[h]:
                 for row in range(dx * n):
-                    s = inv[row, h2 * dx + xx]
+                    s = inv[row * n * dx + h2 * dx + xx]
                     if s.is_zero():
                         continue
-                    act = x.action[model.x_index(h1, 0)]
+                    act = x.action[model.x_index(h1, 0)].entries
                     for x_out in range(dx):
-                        e = act[x_out, row // n]
+                        e = act[x_out * dx + row // n]
                         if not e.is_zero():
                             key = x_out * n + row % n
                             acc[key] = acc.get(key, had.ctx.zero()) + c * s * e
@@ -116,7 +115,7 @@ def test_mirrored_half_braiding_fails_at_n3():
     ctx = m.ctx
     n = had.dim
     dx = x.dim
-    wrong_mid = braiding_inverse(m.rmatrix, t_restriction(m, x), line.tmodule)
+    wrong_mid = braiding_inverse(m.rmatrix, t_restriction(m, x), line.tmodule).entries
     terms = []
     for h in range(n):
         for xx in range(dx):
@@ -124,13 +123,13 @@ def test_mirrored_half_braiding_fails_at_n3():
             for h1, h2, c in line.coalgebra.comult[h]:
                 icol = h2 * dx + xx
                 for row in range(dx * n):
-                    s = wrong_mid[row, icol]
+                    s = wrong_mid[row * n * dx + icol]
                     if s.is_zero():
                         continue
                     x_mid, h_out = row // n, row % n
-                    act = x.action[m.x_index(h1, 0)]
+                    act = x.action[m.x_index(h1, 0)].entries
                     for x_out in range(dx):
-                        e = act[x_out, x_mid]
+                        e = act[x_out * dx + x_mid]
                         if not e.is_zero():
                             terms.append((x_out * n + h_out, col, c * s * e))
     gamma = Matrix(ctx, dx * n, n * dx, terms)
@@ -211,5 +210,5 @@ def test_lift_via_pi_gives_trivial_line_action():
     v = regular_module(m.t_hopf.algebra)
     gv = lift_via_pi(m.taft, m.pi, v)
     # x # 1 acts as zero, 1 # g acts as g
-    assert gv.action[m.x_index(1, 0)].is_zero()
+    assert gv.action[m.x_index(1, 0)].terms() == []
     assert gv.action[m.x_index(0, 1)] == v.action[1]

@@ -12,7 +12,6 @@ from hopfadjoint.cyclotomic import (
     _cyclotomic_poly,
     make_field,
     rational_str,
-    scalar_from_strings,
     scalar_to_strings,
     zeta_power,
 )
@@ -127,7 +126,7 @@ def test_every_scalar_is_of_its_field_class(n):
     made = {
         "zero": ctx.zero(), "one": ctx.one(), "zeta_power": zeta_power(ctx, 1),
         "scalar": a, "from_rational": ctx.from_rational(Fraction(-7, 4)),
-        "scalar_from_strings": scalar_from_strings(ctx, ["1/2"] * ctx.degree),
+        "scalar_of_strings": ctx.scalar(["1/2"] * ctx.degree),
         "scale": a.scale(Fraction(3, 4)), "inv": a.inv(), "truediv": a / b,
         "add": a + b, "sub": a - b, "neg": -a, "mul": a * b,
     }
@@ -148,7 +147,7 @@ def test_rational_serialisation():
     ctx = make_field(4)
     s = ctx.scalar([Fraction(1, 2), -2])
     assert scalar_to_strings(s) == ["1/2", "-2"]
-    assert scalar_from_strings(ctx, scalar_to_strings(s)) == s
+    assert ctx.scalar(scalar_to_strings(s)) == s
 
 
 small_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)

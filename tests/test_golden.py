@@ -57,7 +57,6 @@ from hopfadjoint.constructions import (
     regular_comodule_algebra,
     taft_model,
     taft_presentation_check,
-    trivial_r_matrix,
 )
 from hopfadjoint.cyclotomic import zeta_power
 from hopfadjoint.hopf import (
@@ -70,6 +69,7 @@ from hopfadjoint.hopf import (
 )
 from hopfadjoint.linalg import Matrix, SubspaceBasis, dense, kernel_basis, sorted_terms
 from hopfadjoint.reports import emit_json
+from support import trivial_r_matrix
 
 ADJOINT_N2 = ["adjoint", "--n", "2", "--d", "2", "--xi", "0"]
 

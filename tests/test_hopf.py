@@ -9,12 +9,12 @@ from hopfadjoint.hopf import (
     check_bialgebra,
     check_coalgebra,
     check_hopf,
-    dual_algebra,
     solve_antipode,
     tensor_algebra,
 )
 from hopfadjoint.constructions import group_algebra_cn, taft_model
 from hopfadjoint.linalg import dense
+from support import dual_algebra
 
 
 def test_group_algebra_c3_passes_all_axioms():
@@ -72,7 +72,7 @@ def test_primitive_element_convolution_solves():
     rep = check_bialgebra(alg, coa)
     assert {c.claim_id for c in rep.failures()} == {"bialgebra/comult-multiplicative"}
     s = solve_antipode(alg, coa)
-    assert [s[l, 1] for l in range(2)] == [z, -o]
+    assert dense(ctx, 2, s.col_terms(1)) == [z, -o]
 
 
 def test_no_antipode_for_idempotent_grouplike():

@@ -24,6 +24,7 @@ from hopfadjoint.linalg import (
     rank,
     rref,
 )
+from support import from_rows
 
 CTX = make_field(4)
 
@@ -67,10 +68,6 @@ class DenseMatrix:
     def __add__(self, other):
         return DenseMatrix(self.ctx, self.rows, self.cols,
                            [a + b for a, b in zip(self.entries, other.entries)])
-
-    def __sub__(self, other):
-        return DenseMatrix(self.ctx, self.rows, self.cols,
-                           [a - b for a, b in zip(self.entries, other.entries)])
 
     def __mul__(self, other):
         z = self.ctx.zero()
@@ -144,7 +141,7 @@ def dense_rref(m):
         pr += 1
         if pr == nrows:
             break
-    return Matrix.from_rows(m.ctx, rows) if nrows else m, tuple(pivots)
+    return from_rows(m.ctx, rows) if nrows else m, tuple(pivots)
 
 
 def coords(vectors):
@@ -160,7 +157,7 @@ def dense_echelon(ctx, vectors):
     """Reduced echelon basis and pivots of the span of vectors, by dense_rref."""
     if not vectors:
         return [], ()
-    red, pivots = dense_rref(Matrix.from_rows(ctx, vectors))
+    red, pivots = dense_rref(from_rows(ctx, vectors))
     return rows_of(red)[:len(pivots)], pivots
 
 
@@ -168,14 +165,15 @@ def dense_kernel(m):
     """The kernel as kernel_basis built it before: from the dense reduced
     rows, echelonised again."""
     red, pivots = dense_rref(m)
+    red = rows_of(red)
     z, o = m.ctx.zero(), m.ctx.one()
     vectors = []
     for f in (c for c in range(m.cols) if c not in pivots):
         v = [z] * m.cols
         v[f] = o
         for i, pc in enumerate(pivots):
-            if not red[i, f].is_zero():
-                v[pc] = -red[i, f]
+            if not red[i][f].is_zero():
+                v[pc] = -red[i][f]
         vectors.append(v)
     return dense_echelon(m.ctx, vectors)
 
@@ -199,7 +197,7 @@ def assert_matches_dense_oracle(m):
     if m.rows == m.cols:
         n = m.rows
         ident = Matrix.identity(m.ctx, n)
-        aug = Matrix.from_rows(m.ctx, [r + e for r, e in zip(rows_of(m), rows_of(ident))])
+        aug = from_rows(m.ctx, [r + e for r, e in zip(rows_of(m), rows_of(ident))])
         aug_red, aug_pivots = dense_rref(aug)
         inv = invert(m)
         if aug_pivots != tuple(range(n)):
@@ -209,7 +207,7 @@ def assert_matches_dense_oracle(m):
 
 
 def mat(rows):
-    return Matrix.from_rows(CTX, [[CTX.from_rational(e) for e in r] for r in rows])
+    return from_rows(CTX, [[CTX.from_rational(e) for e in r] for r in rows])
 
 
 def test_rref_identity_fixed():
@@ -267,18 +265,18 @@ def test_coords_outside_span_signals():
 def test_kron_identities():
     assert kron(Matrix.identity(CTX, 2), Matrix.identity(CTX, 3)) == Matrix.identity(CTX, 6)
     a = mat([[1, 2], [3, 4]])
-    assert kron(a, Matrix(CTX, 2, 2)).is_zero()
+    assert kron(a, Matrix(CTX, 2, 2)).terms() == []
 
 
 def test_kron_diagonal_expansion():
     q = zeta_power(CTX, 1)
-    da = Matrix.from_rows(CTX, [[q, CTX.zero()], [CTX.zero(), CTX.one()]])
-    db = Matrix.from_rows(CTX, [[CTX.one(), CTX.zero()], [CTX.zero(), q]])
+    da = from_rows(CTX, [[q, CTX.zero()], [CTX.zero(), CTX.one()]])
+    db = from_rows(CTX, [[CTX.one(), CTX.zero()], [CTX.zero(), q]])
     k = kron(da, db)
     # (i tensor j) -> i*2 + j: diagonal (q, q*q, 1, q)
     expect = [q, q * q, CTX.one(), q]
     for idx, e in enumerate(expect):
-        assert k[idx, idx] == e
+        assert k.entries[idx * k.cols + idx] == e
     assert sum(1 for x in k.entries if not x.is_zero()) == 4
 
 
@@ -306,7 +304,7 @@ entries = st.integers(min_value=-4, max_value=4)
 @given(st.integers(2, 4), st.integers(2, 4), st.data())
 def test_rank_nullity_random(nr, nc, data):
     rows = [[CTX.from_rational(data.draw(entries)) for _ in range(nc)] for _ in range(nr)]
-    m = Matrix.from_rows(CTX, rows)
+    m = from_rows(CTX, rows)
     assert rank(m) + kernel_basis(m).dim == nc
     for v in kernel_basis(m).rows:
         assert m.apply_terms(v.items()) == []
@@ -316,7 +314,7 @@ def test_rank_nullity_random(nr, nc, data):
 @given(st.integers(2, 4), st.integers(2, 4), st.data())
 def test_rref_idempotent_random(nr, nc, data):
     rows = [[CTX.from_rational(data.draw(entries)) for _ in range(nc)] for _ in range(nr)]
-    m = Matrix.from_rows(CTX, rows)
+    m = from_rows(CTX, rows)
     red, piv = rref(m)
     red2, piv2 = rref(red)
     assert red == red2 and piv == piv2
@@ -397,12 +395,13 @@ def test_matrix_product_matches_entrywise_sums(a, oc, data):
     b = Matrix(ctx, a.cols, oc, [(u // oc, u % oc, ctx.scalar(data.draw(st.lists(
         st.integers(-2, 2), min_size=ctx.degree, max_size=ctx.degree))))
         for u in range(a.cols * oc)])
+    ar, br = rows_of(a), rows_of(b)
     expected = []
     for i in range(a.rows):
         for j in range(oc):
             s = ctx.zero()
             for k in range(a.cols):
-                s = s + a[i, k] * b[k, j]
+                s = s + ar[i][k] * br[k][j]
             expected.append(s)
     assert (a * b).entries == expected
 
@@ -448,13 +447,11 @@ def assert_matches(m, d):
     z = m.ctx.zero()
     assert all(e is z or not e.is_zero() for e in m.entries)
     assert [e.coords for e in m.entries] == [e.coords for e in d.entries]
-    assert all(m[i, j] == d[i, j] for i in range(d.rows) for j in range(d.cols))
     for i in range(d.rows):
         assert m.row_terms(i) == nonzero_of(d.row(i))
     for j in range(d.cols):
         assert m.col_terms(j) == nonzero_of(d.col(j))
     assert m.terms() == [(u // d.cols, u % d.cols, e) for u, e in nonzero_of(d.entries)]
-    assert m.is_zero() == all(e.is_zero() for e in d.entries)
 
 
 @settings(max_examples=100, deadline=None)
@@ -466,7 +463,6 @@ def test_matrix_arithmetic_matches_dense_oracle(ctx, nr, nk, nc, data):
     assert_matches(a, da)
     assert_matches(a * b, da * db)
     assert_matches(a + a2, da + da2)
-    assert_matches(a - a2, da - da2)
     assert_matches(a.transpose(), da.transpose())
     assert_matches(kron(a, b), dense_kron(da, db))
     vec = [ctx.scalar(data.draw(st.lists(st.integers(-2, 2), min_size=ctx.degree,

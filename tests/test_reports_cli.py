@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from hopfadjoint.cyclotomic import make_field, scalar_from_strings
+from hopfadjoint.cyclotomic import make_field
 from hopfadjoint.linalg import Matrix
 from hopfadjoint.reports import VerificationReport, document, emit_json, jsonable
 from hopfadjoint.cli import cli_main, field_axiom_spotcheck
+from support import from_rows
 
 
 def test_field_document_fragment():
@@ -21,12 +22,12 @@ def test_scalar_and_matrix_round_trip():
     s = ctx.scalar([Fraction(3, 2), Fraction(-1)])
     blob = json.loads(emit_json(s))
     assert blob == ["3/2", "-1"]
-    assert scalar_from_strings(ctx, blob) == s
+    assert ctx.scalar(blob) == s
 
-    m = Matrix.from_rows(ctx, [[ctx.one(), s], [ctx.zero(), ctx.from_rational(7)]])
+    m = from_rows(ctx, [[ctx.one(), s], [ctx.zero(), ctx.from_rational(7)]])
     blob = json.loads(emit_json(m))
     assert blob["rows"] == 2 and blob["cols"] == 2
-    rebuilt = Matrix(ctx, 2, 2, [(u // 2, u % 2, scalar_from_strings(ctx, e))
+    rebuilt = Matrix(ctx, 2, 2, [(u // 2, u % 2, ctx.scalar(e))
                                  for u, e in enumerate(blob["entries"])])
     assert rebuilt == m
 
