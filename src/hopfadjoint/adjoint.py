@@ -113,17 +113,7 @@ def _ad2_leg_terms(p: AdjointProblem) -> list[tuple[int, int, Scalar]]:
 
 def _embedded_mult(p: AdjointProblem, t_index: int, x_index: int) -> list[tuple[int, Scalar]]:
     """Sparse expansion of (embed g^t) * e_x inside H#T."""
-    alg = p.hopf.algebra
-    out: dict[int, Scalar] = {}
-    z = p.ctx.zero()
-    for y, cy in p.t_embed.col_terms(t_index):
-        for zz, m in alg.mult[y][x_index]:
-            out[zz] = out.get(zz, z) + cy * m
-    return sorted_terms(out)
-
-
-def _pi_terms(p: AdjointProblem, y: int) -> list[tuple[int, Scalar]]:
-    return p.pi.col_terms(y)
+    return p.hopf.algebra.mult_terms(p.t_embed.col_terms(t_index), [(x_index, p.ctx.one())])
 
 
 def _ad2_rhs(p: AdjointProblem) -> dict[tuple[int, int, int], Scalar]:
@@ -133,7 +123,7 @@ def _ad2_rhs(p: AdjointProblem) -> dict[tuple[int, int, int], Scalar]:
     rhs: dict[tuple[int, int, int], Scalar] = {}
     for p2, terms in enumerate(p.comod_alg.coaction):
         for y, p0, c in terms:
-            for t, cpi in _pi_terms(p, y):
+            for t, cpi in p.pi.col_terms(y):
                 key = (t, p0, p2)
                 rhs[key] = rhs.get(key, z) + c * cpi
     return rhs
@@ -545,18 +535,20 @@ def verify_conditions_direct(p: AdjointProblem, maps: list[dict[int, Scalar]],
                             yield {"basis": idx, "tuple": [k, x, l]}
 
     def ad2_residuals():
-        legs = _ad2_leg_terms(p)
+        # per x, the (t_leg, c, terms of (embed R1) e_x) of each R-matrix leg
+        legs = [[(t_leg, c, _embedded_mult(p, e_leg, x)) for t_leg, e_leg, c in _ad2_leg_terms(p)]
+                for x in range(NH)]
         for idx, cols in enumerate(views):
             for x in range(NH):
                 lhs: dict[tuple[int, int], Scalar] = {}
-                for t_leg, e_leg, c in legs:
-                    for zz, m in _embedded_mult(p, e_leg, x):
+                for t_leg, c, products in legs[x]:
+                    for zz, m in products:
                         for r, e in _hom_at(cols, NK, zz, unit).items():
                             key = (t_leg, r)
                             lhs[key] = lhs.get(key, z) + c * m * e
                 rhs: dict[tuple[int, int], Scalar] = {}
                 for (y, p0), c in tensor_image(K.coaction, _hom_at(cols, NK, x, unit).items()).items():
-                    for t, cpi in _pi_terms(p, y):
+                    for t, cpi in p.pi.col_terms(y):
                         key = (t, p0)
                         rhs[key] = rhs.get(key, z) + c * cpi
                 if sparse_diff(lhs, rhs, ctx) is not None:

@@ -202,9 +202,7 @@ def pi_dinatural_check(had: HAdjoint, x: ModuleRep, v: ModuleRep,
     vm = tensor_module(taft, gv, x)
     dvm = vm.dim
     vm_dual, _, _ = dual_module(taft, vm)
-    v_dual_t = ModuleRep(model.t_hopf.algebra, dv,
-                         [v.act_terms(model.t_hopf.antipode.col_terms(t)).transpose()
-                          for t in range(model.n)])
+    v_dual_t, _, _ = dual_module(model.t_hopf, v)
 
     pi_m = _pi_x(had, x)
     pi_vm = _pi_x(had, vm)
