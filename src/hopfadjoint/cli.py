@@ -46,6 +46,7 @@ from .reports import VerificationReport, document, emit_json
 BASIS_CONVENTION = ("bosonization x^a # g^b at a*n+b; K(d,xi) h^a w^b at a*n+b; "
                     "tensor legs i*dim_right+j")
 MODULES = ("regular", "trivial")
+STATUSES = ("pass", "fail", "skipped")
 
 
 class UsageError(Exception):
@@ -266,11 +267,13 @@ def cmd_report(args) -> int:
         raise UsageError(f"cannot read report {args.json}: {exc}") from None
     rep = data.get("report", data) if isinstance(data, dict) else None
     claims = rep.get("claims", []) if isinstance(rep, dict) else None
-    if not isinstance(claims, list) or not all(isinstance(c, dict) for c in claims):
-        raise UsageError(f"{args.json} is not a report: expected an object whose claims are a list of objects")
+    if not isinstance(claims, list) or not all(isinstance(c, dict) and c.get("status") in STATUSES
+                                               for c in claims):
+        raise UsageError(f"{args.json} is not a report: expected an object whose claims are a list of "
+                         f"objects, each with a status of {', '.join(STATUSES)}")
     n_fail = 0
     for claim in claims:
-        status = claim.get("status", "?")
+        status = claim["status"]
         if status == "fail":
             n_fail += 1
         print(f"[{status.upper():>4}] {claim.get('claim_id')}")
