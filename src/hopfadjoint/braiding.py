@@ -370,4 +370,3 @@ def check_yd(hopf: FinDimHopf, module: ModuleRep, comodule: ComoduleRep,
 
     rep.check(f"{prefix}/compatibility", compatibility())
     return rep
-

@@ -499,4 +499,3 @@ def regular_comodule_algebra(n: int) -> ComoduleAlgebra:
     if not rep.ok:
         raise ConstructionError("regular comodule algebra failed verification")
     return k
-

@@ -289,4 +289,3 @@ def scalar_to_strings(s: Scalar) -> list[str]:
         g = gcd(c, den)
         out.append(str(c // g) if g == den else f"{c // g}/{den // g}")
     return out
-

@@ -343,4 +343,3 @@ def tensor_algebra(a: FinDimAlgebra, b: FinDimAlgebra) -> FinDimAlgebra:
     unit = dense(a.ctx, a.dim * nb, [(p * nb + q, ca * cb) for p, ca in nonzero(a.unit)
                                      for q, cb in nonzero(b.unit)])
     return FinDimAlgebra(a.ctx, a.dim * nb, mult, unit)
-
