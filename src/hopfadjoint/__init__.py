@@ -60,6 +60,7 @@ from .adjoint import (
     condition_system_reduced,
     connectedness,
     dinaturality_sample,
+    full_pipeline_basis,
     phi_structure_transport,
     problem_for,
     solve_adjoint,

@@ -12,12 +12,14 @@ Conditions (imposed exactly):
 
 The solved algebra lives in abar coordinates: under ad3 a solution is
 fixed by abar = alpha(-, 1), and its basis, product, unit, action and
-coaction are all computed on abar.  The reduced pipeline solves for
-abar directly and imposes ad1 on the generators of K only; the full
-one solves over the whole Hom-space and every basis tuple, and is the
-oracle it must agree with bit for bit.  Hom-space maps are derived
-from abar only where they are read, as term lists: the JSON basis and
-the sparse maps that the direct re-check of the conditions reads.
+coaction are all computed on abar.  The conditions choose the
+pipeline.  With ad3 the reduced one solves for abar directly and
+imposes ad1 on the generators of K only; without it the full one
+solves over the whole Hom-space and every basis tuple.  The full one
+is also the oracle that the reduced one must agree with bit for bit.
+Hom-space maps are derived from abar only where they are read, as term
+lists: the JSON basis and the sparse maps that the direct re-check of
+the conditions reads.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .cyclotomic import FieldContext, Scalar, zeta_power
 from .hopf import FinDimAlgebra, FinDimHopf, tensor_image
 from .braiding import (ComoduleAlgebra, ComoduleRep, ModuleRep, RMatrix, check_comodule,
                        check_module, check_yd, lift_via_pi)
-from .constructions import ComoduleAlgebraK, TaftModel, taft_model, comodule_algebra_K
+from .constructions import ComoduleAlgebraK, TaftModel
 from .linalg import (
     Matrix,
     SubspaceBasis,
@@ -73,6 +75,18 @@ class AdjointProblem:
     def ctx(self) -> FieldContext:
         return self.hopf.ctx
 
+    @cached_property
+    def ad2_terms(self) -> list[list[tuple[int, int, Scalar]]]:
+        """ad2_terms[x]: the (t_leg, zz, coefficient) terms of the
+        comodule condition's left side, R2 x (embed R1) e_x, legs outer
+        and products inner.  R is read as legs (R2, R1): the braided
+        functor G: V -> Z(C) whose image the solutions centralise."""
+        one = self.ctx.one()
+        mult_terms = self.hopf.algebra.mult_terms
+        return [[(t_leg, zz, c * m) for e_leg, t_leg, c in self.rmatrix.terms
+                 for zz, m in mult_terms(self.t_embed.col_terms(e_leg), [(x, one)])]
+                for x in range(self.hopf.dim)]
+
     def describe(self) -> dict:
         return {
             "hopf_dim": self.hopf.dim,
@@ -84,8 +98,7 @@ class AdjointProblem:
         }
 
 
-def problem_for(model: TaftModel, k: ComoduleAlgebra, conditions,
-                rmatrix: RMatrix | None = None) -> AdjointProblem:
+def problem_for(model: TaftModel, k: ComoduleAlgebra, conditions) -> AdjointProblem:
     """Problem over one Taft model; the embedding of the group algebra
     sends g^b to x^0 # g^b."""
     ctx = model.ctx
@@ -94,26 +107,11 @@ def problem_for(model: TaftModel, k: ComoduleAlgebra, conditions,
     conds = frozenset(c.lower() for c in conditions)
     if not conds <= set(CONDITIONS):
         raise ValueError(f"unknown conditions: {sorted(conds - set(CONDITIONS))}")
-    return AdjointProblem(model.taft, model.t_hopf, model.pi, embed,
-                          rmatrix if rmatrix is not None else model.rmatrix,
-                          k, conds)
-
-
-def _ad2_leg_terms(p: AdjointProblem) -> list[tuple[int, int, Scalar]]:
-    """(base_leg, embedded_leg, coeff) triples for the comodule
-    condition: base_leg stays in T, embedded_leg multiplies the H#T
-    argument.  The problem's R is read as legs (R2, R1): the braided
-    functor G: V -> Z(C) whose image the solutions centralise."""
-    return [(j, i, c) for (i, j, c) in p.rmatrix.terms]
+    return AdjointProblem(model.taft, model.t_hopf, model.pi, embed, model.rmatrix, k, conds)
 
 
 # ---------------------------------------------------------------------------
 # condition systems
-
-
-def _embedded_mult(p: AdjointProblem, t_index: int, x_index: int) -> list[tuple[int, Scalar]]:
-    """Sparse expansion of (embed g^t) * e_x inside H#T."""
-    return p.hopf.algebra.mult_terms(p.t_embed.col_terms(t_index), [(x_index, p.ctx.one())])
 
 
 def _ad2_rhs(p: AdjointProblem) -> dict[tuple[int, int, int], Scalar]:
@@ -161,14 +159,12 @@ def condition_system(p: AdjointProblem) -> Matrix:
                     nrows += NP
 
     if "ad2" in p.conditions:
-        legs = _ad2_leg_terms(p)
         rhs = _ad2_rhs(p)
         for x in range(NH):  # one row per (t, pp)
-            for t_leg, e_leg, c in legs:
-                for zz, m in _embedded_mult(p, e_leg, x):
-                    for k, ck in unit_terms:
-                        cmk = c * m * ck
-                        terms += [(nrows + t_leg * NP + pp, u(zz, k, pp), cmk) for pp in range(NP)]
+            for t_leg, zz, cm in p.ad2_terms[x]:
+                for k, ck in unit_terms:
+                    cmk = cm * ck
+                    terms += [(nrows + t_leg * NP + pp, u(zz, k, pp), cmk) for pp in range(NP)]
             for (t, p0, p2), c in rhs.items():
                 for k, ck in unit_terms:
                     terms.append((nrows + t * NP + p0, u(x, k, p2), -c * ck))
@@ -223,13 +219,10 @@ def condition_system_reduced(p: AdjointProblem) -> Matrix:
                 nrows += NK
 
     if "ad2" in p.conditions:
-        legs = _ad2_leg_terms(p)
         rhs = _ad2_rhs(p)
         for x in range(NH):  # one row per (t, pp)
-            for t_leg, e_leg, c in legs:
-                for zz, m in _embedded_mult(p, e_leg, x):
-                    cm = c * m
-                    terms += [(nrows + t_leg * NK + pp, u(zz, pp), cm) for pp in range(NK)]
+            for t_leg, zz, cm in p.ad2_terms[x]:
+                terms += [(nrows + t_leg * NK + pp, u(zz, pp), cm) for pp in range(NK)]
             for (t, p0, p2), c in rhs.items():
                 terms.append((nrows + t * NK + p0, u(x, p2), -c))
             nrows += p.base.dim * NK
@@ -415,27 +408,32 @@ class AdjointAlgebra:
         }
 
 
-def solve_adjoint(p: AdjointProblem, pipeline: str = "reduced",
-                  with_structure: bool = True) -> AdjointAlgebra:
+def full_pipeline_basis(p: AdjointProblem) -> SubspaceBasis:
+    """The abar basis from the whole Hom-space: the kernel of
+    `condition_system`, whose vectors must all be right-K-linear, each
+    restricted to k = 1.  With ad3 it agrees with the reduced pipeline
+    bit for bit, and is its oracle."""
+    views = [_hom_columns(p, alpha) for alpha in kernel_basis(condition_system(p)).rows]
+    bad = next(_ad3_residuals(p, views), None)
+    if bad is not None:
+        raise ClosureFailure("a basis element is not right-K-linear", witness=bad)
+    NK = p.comod_alg.dim
+    unit = nonzero(p.comod_alg.algebra.unit)
+    bars = [{x * NK + r: e for x in range(p.hopf.dim) for r, e in _hom_at(cols, NK, x, unit).items()}
+            for cols in views]
+    return SubspaceBasis.from_spanning(p.ctx, p.hopf.dim * NK, bars)
+
+
+def solve_adjoint(p: AdjointProblem, with_structure: bool = True) -> AdjointAlgebra:
     """Kernel of the active conditions as an echelon basis of abar
-    vectors, then equipped with its verified structure maps.  The
-    reduced system's kernel is that basis already; the full pipeline
-    solves over the whole Hom-space, requires every kernel vector to be
-    right-K-linear and restricts it to k = 1, so both agree bit for bit."""
-    if pipeline == "reduced":
+    vectors, then equipped with its verified structure maps.  With ad3
+    the reduced system's kernel is that basis already; without it only
+    `full_pipeline_basis` can solve, and it raises ClosureFailure unless
+    the kernel happens to be right-K-linear."""
+    if "ad3" in p.conditions:
         basis = kernel_basis(condition_system_reduced(p))
-    elif pipeline == "full":
-        views = [_hom_columns(p, alpha) for alpha in kernel_basis(condition_system(p)).rows]
-        bad = next(_ad3_residuals(p, views), None)
-        if bad is not None:
-            raise ClosureFailure("a basis element is not right-K-linear", witness=bad)
-        NK = p.comod_alg.dim
-        unit = nonzero(p.comod_alg.algebra.unit)
-        bars = [{x * NK + r: e for x in range(p.hopf.dim) for r, e in _hom_at(cols, NK, x, unit).items()}
-                for cols in views]
-        basis = SubspaceBasis.from_spanning(p.ctx, p.hopf.dim * NK, bars)
     else:
-        raise ValueError(f"unknown pipeline {pipeline!r}")
+        basis = full_pipeline_basis(p)
     alg = AdjointAlgebra(p, basis)
     if with_structure:
         alg.compute_structure()
@@ -535,17 +533,13 @@ def verify_conditions_direct(p: AdjointProblem, maps: list[dict[int, Scalar]],
                             yield {"basis": idx, "tuple": [k, x, l]}
 
     def ad2_residuals():
-        # per x, the (t_leg, c, terms of (embed R1) e_x) of each R-matrix leg
-        legs = [[(t_leg, c, _embedded_mult(p, e_leg, x)) for t_leg, e_leg, c in _ad2_leg_terms(p)]
-                for x in range(NH)]
         for idx, cols in enumerate(views):
             for x in range(NH):
                 lhs: dict[tuple[int, int], Scalar] = {}
-                for t_leg, c, products in legs[x]:
-                    for zz, m in products:
-                        for r, e in _hom_at(cols, NK, zz, unit).items():
-                            key = (t_leg, r)
-                            lhs[key] = lhs.get(key, z) + c * m * e
+                for t_leg, zz, cm in p.ad2_terms[x]:
+                    for r, e in _hom_at(cols, NK, zz, unit).items():
+                        key = (t_leg, r)
+                        lhs[key] = lhs.get(key, z) + cm * e
                 rhs: dict[tuple[int, int], Scalar] = {}
                 for (y, p0), c in tensor_image(K.coaction, _hom_at(cols, NK, x, unit).items()).items():
                     for t, cpi in p.pi.col_terms(y):
@@ -901,20 +895,21 @@ def phi_structure_transport(a: AdjointAlgebra, report: VerificationReport | None
 # isotypic cross-check
 
 
-def _grading_twist(model: TaftModel, K: ComoduleAlgebra, shift: int) -> Matrix:
+def _grading_twist(p: AdjointProblem, shift: int) -> Matrix:
     """Operator multiplying the degree-t component of the projected
-    grading by q^t, for the coaction conjugated by g^shift."""
-    ctx = model.ctx
-    n = model.n
-    halg = model.taft.algebra
-    gi = model.x_index(0, shift % n)
-    gmi = model.x_index(0, -shift % n)
+    grading by q^t, for the coaction of p's K conjugated by g^shift."""
+    ctx = p.ctx
+    n = p.base.dim
+    K = p.comod_alg
+    halg = p.hopf.algebra
+    gi = p.t_embed.col_terms(shift % n)
+    gmi = p.t_embed.col_terms(-shift % n)
     one = ctx.one()
     terms = []
     for k in range(K.dim):
         for y, k0, c in K.coaction[k]:
-            for yy, cy in halg.mult_terms(halg.mult[gmi][y], [(gi, one)]):
-                for t, cpi in model.pi.col_terms(yy):
+            for yy, cy in halg.mult_terms(halg.mult_terms(gmi, [(y, one)]), gi):
+                for t, cpi in p.pi.col_terms(yy):
                     terms.append((k0, k, c * cy * cpi * zeta_power(ctx, t)))
     return Matrix(ctx, K.dim, K.dim, terms)
 
@@ -934,25 +929,25 @@ def _isotypic_zero_dim(ctx: FieldContext, twist: Matrix, n: int) -> int:
     return rank(proj)
 
 
-def chi0_crosscheck(n: int, d: int, xi, report: VerificationReport | None = None,
+def chi0_crosscheck(rel: AdjointAlgebra, report: VerificationReport | None = None,
                     prefix: str = "chi0") -> VerificationReport:
-    """Compare the dimension of the fully-constrained solution space
-    with the trivial-isotypic subspaces of K(d, xi) and of the m-tuple
-    algebra built on it, computed by an independent averaging projector."""
+    """Compare the dimension of the solved fully-constrained algebra rel
+    over K(d, xi) with the trivial-isotypic subspaces of K(d, xi) and of
+    the m-tuple algebra built on it, computed by an independent averaging
+    projector."""
+    K = rel.problem.comod_alg
+    if not isinstance(K, ComoduleAlgebraK):
+        raise ValueError("chi0 cross-check needs a K(d, xi) comodule algebra")
+    if rel.problem.conditions != set(CONDITIONS):
+        raise ValueError("chi0 cross-check is defined for the fully-constrained variant")
     rep = report if report is not None else VerificationReport()
-    model = taft_model(n)
-    ctx = model.ctx
-    K = comodule_algebra_K(n, d, xi)
-    m = n // d
-    NK = K.dim
-
-    rel = solve_adjoint(problem_for(model, K, {"ad1", "ad2", "ad3"}), with_structure=False)
-    rel_dim = rel.dim
+    n, m, NK = K.n, K.m, K.dim
+    ctx, rel_dim = rel.ctx, rel.dim
 
     # component i of the m-tuple carrier is conjugated by g^i, which
     # leaves the projected degree unchanged; verified honestly by
     # projecting the block-diagonal sum of the conjugated twists.
-    blocks = [_grading_twist(model, K, i) for i in range(m)]
+    blocks = [_grading_twist(rel.problem, i) for i in range(m)]
     dim_k0 = _isotypic_zero_dim(ctx, blocks[0], n)
     tw_t = Matrix(ctx, m * NK, m * NK, [(i * NK + r, i * NK + c, e)
                                         for i, block in enumerate(blocks) for r, c, e in block.terms()])
@@ -960,7 +955,7 @@ def chi0_crosscheck(n: int, d: int, xi, report: VerificationReport | None = None
 
     rep.add(f"{prefix}/dims", True,
             {"relative_dim": rel_dim, "isotypic_K": dim_k0, "isotypic_tuple": dim_t0,
-             "n": n, "d": d, "xi": str(Fraction(xi))})
+             "n": n, "d": K.d, "xi": str(K.xi)})
     matches = []
     if rel_dim == dim_k0:
         matches.append("K(d,xi)")
@@ -984,26 +979,33 @@ def dinaturality_element_check(p: AdjointProblem, bars: list[list[tuple[int, Sca
     dv, dm = v.dim, m_mod.dim
     s_t = p.base.antipode
     gv = lift_via_pi(p.hopf, p.pi, v)
-    legs = [(v.act_terms(s_t.col_terms(i2)), j2, cr) for i2, j2, cr in _ad2_leg_terms(p)]
+    s_acts = [v.act_terms(s_t.col_terms(t)) for t in range(p.base.dim)]
     # m_acts[p0][mm]: e_p0 acting on e_mm
     m_acts = [[act.col_terms(mm) for mm in range(dm)] for act in m_mod.action]
+    legs: dict[tuple[int, int], list] = {}  # (t_leg, y) -> the terms of S(t_leg) G(v)_y
+    images: dict[int, dict] = {}  # zz -> lambda(alpha(e_zz, 1))
 
     for h in range(p.hopf.dim):
-        # ({(row, col): entry} of S(leg) acting after the lifted coaction
-        # leg, coefficient, p0) per term
-        terms = []
-        for s_act, j2, cr in legs:
-            for zz, memb in _embedded_mult(p, j2, h):
-                for (y, p0), lc in tensor_image(K.coaction, bars[zz]).items():
-                    w2 = {(i, j): e for i, j, e in (s_act * gv.action[y]).terms()}
-                    terms.append((w2, cr * memb * lc, p0))
+        # (jdual, vv) -> p0 -> the summed coefficient of e_p0 acting on m
+        rhs_coeffs: dict[tuple[int, int], dict[int, Scalar]] = {}
+        for t_leg, zz, cm in p.ad2_terms[h]:
+            if zz not in images:
+                images[zz] = tensor_image(K.coaction, bars[zz])
+            for (y, p0), lc in images[zz].items():
+                if (t_leg, y) not in legs:
+                    legs[t_leg, y] = (s_acts[t_leg] * gv.action[y]).terms()
+                c = cm * lc
+                for i, j, e in legs[t_leg, y]:
+                    per = rhs_coeffs.setdefault((i, j), {})
+                    add = c * e
+                    per[p0] = per[p0] + add if p0 in per else add
         bar_act = m_mod.act_terms(bars[h])
         for jdual in range(dv):
             for vv in range(dv):
+                per = rhs_coeffs.get((jdual, vv), {})
                 for mm in range(dm):
                     lhs = bar_act.col_terms(mm) if jdual == vv else []
-                    rhs = lincomb((c * w2[jdual, vv], m_acts[p0][mm])
-                                  for w2, c, p0 in terms if (jdual, vv) in w2)
+                    rhs = lincomb((c, m_acts[p0][mm]) for p0, c in per.items())
                     if lhs != rhs:
                         return False, {"tuple": [h, jdual, vv, mm]}
     return True, None

@@ -135,9 +135,9 @@ def _suite_adjoint(n: int, rep: VerificationReport) -> None:
         rep.add(f"n{n}/module-variant-K({d},0)/connected", dim_inv == 1,
                 {"dim_invariants": dim_inv})
         phi_structure_transport(alg, rep, prefix=f"n{n}/module-variant-K({d},0)/transport")
-    chi0_crosscheck(n, n, 0, rep, prefix=f"n{n}/chi0")
     k = comodule_algebra_K(n, n, 0)
     rel = solve_adjoint(problem_for(model, k, {"ad1", "ad2", "ad3"}), with_structure=False)
+    chi0_crosscheck(rel, rep, prefix=f"n{n}/chi0")
     mreg = regular_module(k.algebra)
     for vname, v in (("regular", regular_module(model.t_hopf.algebra)),
                      ("trivial", trivial_module(model.t_hopf))):
@@ -199,15 +199,12 @@ def cmd_adjoint(args) -> int:
     conditions = set(_names(args.conditions, CONDITIONS, "conditions"))
     if n % d:
         raise UsageError(f"--d {d} does not divide --n {n}")
-    if "ad3" not in conditions and not args.full:
-        raise UsageError("the reduced pipeline needs condition ad3; add it or pass --full")
     model = taft_model(n)
     k = comodule_algebra_K(n, d, xi)
     problem = problem_for(model, k, conditions)
-    pipeline = "full" if args.full else "reduced"
     rep = VerificationReport()
     try:
-        alg = solve_adjoint(problem, pipeline=pipeline)
+        alg = solve_adjoint(problem)
     except ClosureFailure as exc:
         rep.add("solve/closure", False, {"error": str(exc), "witness": exc.witness})
         return _finish(args, rep, {"problem": problem.describe()}, model.ctx)
@@ -301,8 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=positive_int, required=True)
     p.add_argument("--xi", type=rational, default="0")
     p.add_argument("--conditions", default="ad1,ad2,ad3")
-    p.add_argument("--full", action="store_true",
-                   help="use the full Hom-space pipeline instead of the reduced one")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_adjoint)
 

@@ -23,6 +23,7 @@ from hopfadjoint.adjoint import (
     chi0_crosscheck,
     connectedness,
     dinaturality_sample,
+    full_pipeline_basis,
     phi_structure_transport,
     problem_for,
     solve_adjoint,
@@ -156,10 +157,10 @@ def test_criterion_06_universal_structure(solved):
            f"{len(algebras)} algebras checked")
 
 
-def test_criterion_07_isotypic_crosscheck():
+def test_criterion_07_isotypic_crosscheck(solved):
     readings = []
     for (n, d, xi) in CHI0_POINTS:
-        rep = chi0_crosscheck(n, d, xi)
+        rep = chi0_crosscheck(solved["relative"][(n, d, xi)])
         assert rep.ok, (n, d, xi, [c.claim_id for c in rep.failures()])
         dims = [c for c in rep.claims if c.claim_id.endswith("dims")][0].witness
         match = [c for c in rep.claims if "isomorphism" in c.claim_id][0].witness
@@ -190,12 +191,10 @@ def test_criterion_09_solver_self_consistency(solved):
     model = taft_model(2)
     k = comodule_algebra_K(2, 2, 0)
     for conds in ({"ad1", "ad3"}, {"ad1", "ad2", "ad3"}):
-        a = solve_adjoint(problem_for(model, k, conds), pipeline="reduced",
-                          with_structure=False)
-        b = solve_adjoint(problem_for(model, k, conds), pipeline="full",
-                          with_structure=False)
-        assert a.basis.pivots == b.basis.pivots
-        assert a.basis.rows == b.basis.rows
+        a = solve_adjoint(problem_for(model, k, conds), with_structure=False)
+        b = full_pipeline_basis(problem_for(model, k, conds))
+        assert a.basis.pivots == b.pivots
+        assert a.basis.rows == b.rows
     for key in GRID:
         sh = solved["module_variant"][key]
         rel = solved["relative"][key]

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from math import gcd
@@ -13,6 +15,7 @@ from hopfadjoint.adjoint import (
     connectedness,
     dinaturality_element_check,
     dinaturality_sample,
+    full_pipeline_basis,
     invariant_coinvariant_dim,
     phi_structure_transport,
     problem_for,
@@ -24,6 +27,7 @@ from hopfadjoint.adjoint import (
     verify_yd,
 )
 from hopfadjoint.linalg import Matrix, SubspaceBasis, coords_of_terms, kernel_basis, nonzero
+from hopfadjoint.reports import emit_json
 from support import coideal_comodule_algebra, trivial_comodule_algebra, trivial_r_matrix
 
 
@@ -49,8 +53,8 @@ def test_trivial_k_with_trivial_r_keeps_full_dual():
     for n in (2, 3):
         m = taft_model(n)
         k1 = trivial_comodule_algebra(n)
-        p = problem_for(m, k1, {"ad1", "ad2", "ad3"},
-                        rmatrix=trivial_r_matrix(m.t_hopf))
+        p = dataclasses.replace(problem_for(m, k1, {"ad1", "ad2", "ad3"}),
+                                rmatrix=trivial_r_matrix(m.t_hopf))
         alg = solve_adjoint(p, with_structure=False)
         assert alg.dim == n * n
 
@@ -70,13 +74,19 @@ COMODULE_ALGEBRAS = {
 def test_full_and_reduced_pipelines_agree(name, conds):
     n, build = COMODULE_ALGEBRAS[name]
     p = problem_for(taft_model(n), build(), conds.split(","))
-    a = solve_adjoint(p, pipeline="reduced", with_structure=False)
-    b = solve_adjoint(p, pipeline="full", with_structure=False)
-    assert a.basis.dim == b.basis.dim
-    assert a.basis.pivots == b.basis.pivots
-    assert a.basis.rows == b.basis.rows
+    a = solve_adjoint(p, with_structure=False)
+    b = full_pipeline_basis(p)
+    assert a.basis.dim == b.dim
+    assert a.basis.pivots == b.pivots
+    assert a.basis.rows == b.rows
     # spread over the Hom-space, the abar basis is the full kernel's echelon basis
     assert a.hom_maps() == kernel_basis(condition_system(p)).rows
+    if name == "K(2,2,0)":
+        # with structure maps, both algebras emit the same canonical JSON
+        full = AdjointAlgebra(p, b)
+        full.compute_structure()
+        a.compute_structure()
+        assert emit_json(a) == emit_json(full)
 
 
 def test_reduced_requires_right_multiplicativity():
@@ -231,7 +241,7 @@ def test_structure_needs_right_k_linear_basis():
     m = taft_model(2)
     p = problem_for(m, comodule_algebra_K(2, 2, 0), set())
     with pytest.raises(ClosureFailure) as err:
-        solve_adjoint(p, pipeline="full")
+        full_pipeline_basis(p)
     assert set(err.value.witness) == {"basis", "tuple"}
 
 
@@ -265,12 +275,26 @@ def test_chi0_crosscheck_dimensions():
         (2, 2, 0): (2, 2, 2),
     }
     for (n, d, xi), dims in expect.items():
-        rep = chi0_crosscheck(n, d, xi)
+        k = comodule_algebra_K(n, d, xi)
+        rep = chi0_crosscheck(solve_adjoint(problem_for(taft_model(n), k, {"ad1", "ad2", "ad3"}),
+                                            with_structure=False))
         assert rep.ok
         w = [c for c in rep.claims if c.claim_id.endswith("dims")][0].witness
         assert (w["relative_dim"], w["isotypic_K"], w["isotypic_tuple"]) == dims
         m = [c for c in rep.claims if "isomorphism" in c.claim_id][0].witness
         assert "tuple-algebra" in m["matches"]
+
+
+def test_chi0_crosscheck_refuses_wrong_inputs():
+    m = taft_model(2)
+    module = solve_adjoint(problem_for(m, comodule_algebra_K(2, 2, 0), {"ad1", "ad3"}),
+                           with_structure=False)
+    with pytest.raises(ValueError):
+        chi0_crosscheck(module)
+    reg = solve_adjoint(problem_for(m, regular_comodule_algebra(2), {"ad1", "ad2", "ad3"}),
+                        with_structure=False)
+    with pytest.raises(ValueError):
+        chi0_crosscheck(reg)
 
 
 @pytest.mark.parametrize("n,d,xi", [(2, 2, 0), (3, 3, 0), (3, 1, 0)])

@@ -135,14 +135,6 @@ def test_cli_adjoint_suite_runs_transport_and_dinaturality(tmp_path):
             assert status[f"n{n}/relative-K({n},0)/kC{n}-{v}/dinaturality/wedge-identity"] == "pass"
 
 
-def test_cli_full_pipeline_flag(tmp_path):
-    out = tmp_path / "adj.json"
-    rc = cli_main(["adjoint", "--n", "2", "--d", "2", "--xi", "0",
-                   "--conditions", "ad1,ad3", "--full", "--out", str(out)])
-    assert rc == 0
-    assert json.loads(out.read_bytes())["dim"] == 4
-
-
 def test_cli_braided_adjoint(tmp_path):
     out = tmp_path / "ba.json"
     rc = cli_main(["braided-adjoint", "--n", "2", "--out", str(out)])
@@ -180,11 +172,11 @@ def test_cli_report_replays_and_sets_exit(tmp_path, capsys):
     pytest.param(["adjoint", "--n", "3", "--d", "2"], id="d-not-dividing-n"),
     pytest.param(["adjoint", "--n", "2", "--d", "0"], id="d-zero"),
     pytest.param(["adjoint", "--n", "2", "--d", "2", "--conditions", "ad9"], id="unknown-condition"),
-    pytest.param(["adjoint", "--n", "2", "--d", "2", "--conditions", "ad2"], id="reduced-without-ad3"),
     pytest.param(["adjoint", "--n", "2", "--d", "2", "--xi", "abc"], id="xi-not-rational"),
     pytest.param(["adjoint", "--n", "2", "--d", "2", "--xi", "1/0"], id="xi-zero-denominator"),
     pytest.param(["adjoint", "--n", "2", "--d", "2", "--reduced"], id="reduced-flag-removed"),
     pytest.param(["adjoint", "--n", "3", "--d", "1", "--xi", "0", "--rbar"], id="rbar-flag-removed"),
+    pytest.param(["adjoint", "--n", "2", "--d", "2", "--conditions", "ad1", "--full"], id="full-flag-removed"),
     pytest.param(["verify", "--suite", "hopf", "--n", "2,x"], id="n-list-not-integers"),
     pytest.param(["verify", "--suite", "all", "--n", ","], id="n-list-empty"),
     pytest.param(["verify", "--suite", "hopf", "--n", "2,2"], id="n-list-repeated"),
@@ -221,14 +213,23 @@ def test_cli_report_rejects_malformed_json(text, tmp_path, capsys):
 
 @pytest.mark.parametrize("conditions", ["ad1", "ad2", "ad1,ad2", ""], ids=lambda c: c or "none")
 def test_cli_full_pipeline_accepts_conditions_without_ad3(conditions, tmp_path):
-    # only the reduced pipeline needs ad3 to solve; without it the basis is
-    # not right-K-linear, so the structure maps refuse it: a mathematical
+    # without ad3 the full pipeline solves; at n = 2 its basis is not
+    # right-K-linear, so the structure maps refuse it: a mathematical
     # failure (exit 1), not a usage error
     out = tmp_path / "adj.json"
     assert cli_main(["adjoint", "--n", "2", "--d", "2", "--conditions", conditions,
-                     "--full", "--out", str(out)]) == 1
+                     "--out", str(out)]) == 1
     claims = json.loads(out.read_bytes())["report"]["claims"]
     assert [c["claim_id"] for c in claims if c["status"] == "fail"] == ["solve/closure"]
+
+
+def test_cli_without_ad3_passes_at_n_one(tmp_path):
+    # K(1, 0) is one-dimensional, so every map is right-K-linear
+    out = tmp_path / "adj.json"
+    assert cli_main(["adjoint", "--n", "1", "--d", "1", "--conditions", "ad1",
+                     "--out", str(out)]) == 0
+    data = json.loads(out.read_bytes())
+    assert data["dim"] == 1 and data["report"]["ok"] is True
 
 
 def test_jsonable_rejects_unknown():
