@@ -144,14 +144,17 @@ def verify_h_ad(had: HAdjoint, modules: dict[str, ModuleRep],
                     yield {"pair": [nx, ny]}
 
     def double_braiding_trivial():
+        one = ctx.one()
+        # per leg of R^-1: its summed left leg 1 # Rbar1 acting on H_ad
+        rbar1 = [(j, had.ht_module.act_terms([(model.x_index(0, i), c) for i, c in leg]))
+                 for j, leg in model.rmatrix.inverse_legs]
         for name, vt in (("trivial", trivial_module(model.t_hopf)),
                          ("regular", regular_module(model.t_hopf.algebra))):
             gv = lift_via_pi(taft, model.pi, vt)
             gamma = half_braiding(had, gv)
             dv = gv.dim
             # sigma_{G(V),H_ad}(v x a) = (1 # Rbar1).a x Rbar2.v, then compose
-            comp = flip_legs(kron_sum([(cr, had.ht_module.action[model.x_index(0, i2)], vt.action[j2])
-                                       for i2, j2, cr in model.rmatrix.inverse_terms]), dv, n)
+            comp = flip_legs(kron_sum([(one, act, vt.action[j]) for j, act in rbar1]), dv, n)
             if comp * gamma != Matrix.identity(ctx, n * dv):
                 yield {"module": name}
 
@@ -284,12 +287,13 @@ def displayed_adjoint_coaction(model: TaftModel) -> Matrix:
     taft = model.taft
     n = model.line.dim
     line = model.line
+    legs = [(j, line.tmodule.act_terms(leg)) for j, leg in model.rmatrix.legs]
     terms = []
     for h in range(n):
         for h1, h2, c in line.coalgebra.comult[h]:
-            for ri, rj, cr in model.rmatrix.terms:
-                y = model.x_index(h1, rj)
-                terms += [(y * n + hp, h, c * cr * e) for hp, e in line.tmodule.action[ri].col_terms(h2)]
+            for j, act in legs:
+                y = model.x_index(h1, j)
+                terms += [(y * n + hp, h, c * e) for hp, e in act.col_terms(h2)]
     return Matrix(model.ctx, taft.dim * n, n, terms)
 
 

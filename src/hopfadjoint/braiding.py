@@ -12,7 +12,7 @@ from __future__ import annotations
 from .cyclotomic import Scalar
 from .hopf import (FinDimAlgebra, FinDimCoalgebra, FinDimHopf, check_algebra, tensor_algebra,
                    tensor_image, tensor_mult)
-from .linalg import Matrix, dense, flip_legs, invert, kron_sum, nonzero, sparse_diff
+from .linalg import Matrix, dense, flip_legs, invert, kron_sum, nonzero, rref, sparse_diff
 from .reports import VerificationReport
 
 
@@ -20,7 +20,11 @@ class RMatrix:
     """Invertible element of T x T written in the kron basis: `element`
     and `inverse` are the dense vectors the JSON writes, `terms` and
     `inverse_terms` their (i, j, c) term lists, the coefficient c of
-    e_i x e_j, ascending and without zeros."""
+    e_i x e_j, ascending and without zeros.  `legs` and `inverse_legs`
+    group those terms by right index, [(j, [(i, c), ...]), ...] ascending
+    in j and i, so that R = sum_j (sum_i c e_i) x e_j is applied through
+    a module once per right index, with its summed left leg.  The inverse
+    solves R y = 1 in the tensor-square algebra."""
 
     def __init__(self, host: FinDimHopf, element: list[Scalar]):
         self.host = host
@@ -33,14 +37,22 @@ class RMatrix:
         self.inverse = dense(host.ctx, n * n, inverse_terms)
         self.terms, self.inverse_terms = ([(u // n, u % n, c) for u, c in terms]
                                           for terms in (element_terms, inverse_terms))
+        self.legs, self.inverse_legs = (_legs(terms) for terms in (self.terms, self.inverse_terms))
 
     def _invert(self, element_terms) -> list[tuple[int, Scalar]]:
+        """y with R y = 1, from the reduced form of [L_R | 1]: R is
+        invertible iff the pivots are exactly the N unknowns, and then
+        row u ends in y_u."""
         square = tensor_algebra(self.host.algebra, self.host.algebra)
-        inv_mat = invert(square.left_mult_matrix(element_terms))
-        if inv_mat is None:
-            raise ValueError("R-matrix element is not invertible")
+        size = square.dim
         unit = nonzero(square.unit)
-        inverse = inv_mat.apply_terms(unit)
+        augmented = Matrix(self.host.ctx, size, size + 1,
+                           square.left_mult_matrix(element_terms).terms()
+                           + [(u, size, c) for u, c in unit])
+        red, pivots = rref(augmented)
+        if pivots != tuple(range(size)):
+            raise ValueError("R-matrix element is not invertible")
+        inverse = red.col_terms(size)
         # two-sided check
         if square.mult_terms(inverse, element_terms) != unit:
             raise ValueError("R-matrix inverse is one-sided only")
@@ -48,6 +60,14 @@ class RMatrix:
 
     def to_jsonable(self):
         return {"dim": self.host.dim, "element": self.element, "inverse": self.inverse}
+
+
+def _legs(terms) -> list[tuple[int, list[tuple[int, Scalar]]]]:
+    """The (i, j, c) terms grouped by right index j: [(j, [(i, c), ...]), ...]."""
+    legs: dict[int, list[tuple[int, Scalar]]] = {}
+    for i, j, c in terms:
+        legs.setdefault(j, []).append((i, c))
+    return sorted(legs.items())
 
 
 class ModuleRep:
@@ -206,8 +226,10 @@ def check_rmatrix(r: RMatrix, report: VerificationReport | None = None, prefix: 
 
 
 def braiding(r: RMatrix, v: ModuleRep, w: ModuleRep) -> Matrix:
-    """Matrix of sigma_{V,W}(v x w) = R2.w x R1.v from V x W to W x V."""
-    return flip_legs(kron_sum([(c, w.action[j], v.action[i]) for i, j, c in r.terms]),
+    """Matrix of sigma_{V,W}(v x w) = R2.w x R1.v from V x W to W x V,
+    one Kronecker term per leg of R."""
+    one = r.host.ctx.one()
+    return flip_legs(kron_sum([(one, w.action[j], v.act_terms(leg)) for j, leg in r.legs]),
                      v.dim, w.dim)
 
 

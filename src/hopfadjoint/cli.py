@@ -135,7 +135,7 @@ def _suite_adjoint(n: int, rep: VerificationReport) -> None:
         rep.add(f"n{n}/module-variant-K({d},0)/connected", dim_inv == 1,
                 {"dim_invariants": dim_inv})
         phi_structure_transport(alg, rep, prefix=f"n{n}/module-variant-K({d},0)/transport")
-    k = comodule_algebra_K(n, n, 0)
+    # the divisors end at d = n, so k is K(n, n, 0)
     rel = solve_adjoint(problem_for(model, k, {"ad1", "ad2", "ad3"}), with_structure=False)
     chi0_crosscheck(rel, rep, prefix=f"n{n}/chi0")
     mreg = regular_module(k.algebra)

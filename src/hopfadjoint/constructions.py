@@ -231,7 +231,9 @@ def check_braided_hopf(h: BraidedHopf, report: VerificationReport | None = None,
 
 def bosonization(h: BraidedHopf, t: FinDimHopf, r: RMatrix) -> FinDimHopf:
     """Smash product algebra and smash coproduct coalgebra on basis
-    x^a # g^b at index a*dim(T) + b; the antipode is solved afresh."""
+    x^a # g^b at index a*dim(T) + b; the coproduct
+    h1 # R2 t1 x R1.h2 # t2 reads R leg by leg, and the antipode is
+    solved afresh."""
     ctx = h.ctx
     nh, nt = h.dim, t.dim
     dim = nh * nt
@@ -254,15 +256,20 @@ def bosonization(h: BraidedHopf, t: FinDimHopf, r: RMatrix) -> FinDimHopf:
     alg = FinDimAlgebra(ctx, dim, mult, unit)
 
     comult = []
-    rterms = r.terms
+    # per leg of R: its right index j and the columns of its summed left
+    # leg acting on H
+    legs = []
+    for j, leg in r.legs:
+        act = h.tmodule.act_terms(leg)
+        legs.append((j, [act.col_terms(h2) for h2 in range(nh)]))
     for a in range(nh):
         for b in range(nt):
             delta: dict[tuple[int, int], Scalar] = {}
             for h1, h2, c1 in h.coalgebra.comult[a]:
                 for t1, t2, c2 in t.coalgebra.comult[b]:
-                    for ri, rj, cr in rterms:
-                        coeff = c1 * c2 * cr
-                        right_h = h.tmodule.action[ri].col_terms(h2)
+                    coeff = c1 * c2
+                    for rj, cols in legs:
+                        right_h = cols[h2]
                         for tt1, m1 in t.algebra.mult[rj][t1]:
                             for hh2, m2 in right_h:
                                 key = (h1 * nt + tt1, hh2 * nt + t2)

@@ -1,12 +1,14 @@
 """Objects that only the tests build: extra comodule algebras, the
 trivial R-matrix, Yetter-Drinfeld braidings, the inverse braiding, the
 dual algebra of a coalgebra, and matrices from dense rows.  Each is
-checked against the package's own checkers before a test relies on it."""
+checked against the package's own checkers before a test relies on it.
+It also keeps the slow oracles of the R-matrix consumers, which read R
+term by term where the package reads it leg by leg."""
 
 from hopfadjoint.braiding import ComoduleAlgebra, ComoduleRep, ModuleRep, RMatrix, check_comodule_algebra
-from hopfadjoint.constructions import ConstructionError, taft_model
-from hopfadjoint.hopf import FinDimAlgebra, FinDimCoalgebra, FinDimHopf
-from hopfadjoint.linalg import Matrix, dense, flip_legs, kron_sum, nonzero
+from hopfadjoint.constructions import BraidedHopf, ConstructionError, taft_model
+from hopfadjoint.hopf import FinDimAlgebra, FinDimCoalgebra, FinDimHopf, tensor_algebra
+from hopfadjoint.linalg import Matrix, dense, flip_legs, invert, kron_sum, nonzero, sorted_terms
 
 
 def from_rows(ctx, rows) -> Matrix:
@@ -37,6 +39,45 @@ def braiding_inverse(r: RMatrix, v: ModuleRep, w: ModuleRep) -> Matrix:
     s = r.host.antipode
     return flip_legs(kron_sum([(c, v.act_terms(s.col_terms(i)), w.action[j])
                                for i, j, c in r.terms]), w.dim, v.dim)
+
+
+def braiding_per_term(r: RMatrix, v: ModuleRep, w: ModuleRep) -> Matrix:
+    """Oracle of `braiding`: sigma_{V,W} with one Kronecker term per
+    (i, j, c) term of R, n^2 of them for kC_n."""
+    return flip_legs(kron_sum([(c, w.action[j], v.action[i]) for i, j, c in r.terms]),
+                     v.dim, w.dim)
+
+
+def bosonization_comult_per_term(h: BraidedHopf, t: FinDimHopf, r: RMatrix) -> list:
+    """Oracle of the coproduct of `bosonization`:
+    Delta(a # b) = h1 # R2 t1 x R1.h2 # t2, summed over every term of R."""
+    z = h.ctx.zero()
+    nt = t.dim
+    comult = []
+    for a in range(h.dim):
+        for b in range(nt):
+            delta: dict = {}
+            for h1, h2, c1 in h.coalgebra.comult[a]:
+                for t1, t2, c2 in t.coalgebra.comult[b]:
+                    for ri, rj, cr in r.terms:
+                        coeff = c1 * c2 * cr
+                        right_h = h.tmodule.action[ri].col_terms(h2)
+                        for tt1, m1 in t.algebra.mult[rj][t1]:
+                            for hh2, m2 in right_h:
+                                key = (h1 * nt + tt1, hh2 * nt + t2)
+                                delta[key] = delta.get(key, z) + coeff * m1 * m2
+            comult.append([(row, col, c) for (row, col), c in sorted_terms(delta)])
+    return comult
+
+
+def r_inverse_by_inversion(r: RMatrix) -> list:
+    """Oracle of `RMatrix.inverse_terms`: the whole inverse of left
+    multiplication by R in the tensor-square algebra, applied to 1, as
+    (i, j, c) terms."""
+    n = r.host.dim
+    square = tensor_algebra(r.host.algebra, r.host.algebra)
+    inverse = invert(square.left_mult_matrix(nonzero(r.element)))
+    return [(u // n, u % n, c) for u, c in inverse.apply_terms(nonzero(square.unit))]
 
 
 class YDModule:

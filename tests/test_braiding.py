@@ -25,8 +25,10 @@ from hopfadjoint.constructions import (
     r_matrix_cn,
     taft_model,
 )
+from hopfadjoint.braided_adjoint import t_restriction
 from hopfadjoint.linalg import Matrix, kernel_basis, kron
-from support import YDModule, braiding_inverse, from_rows, trivial_r_matrix, yd_braiding
+from support import (YDModule, braiding_inverse, braiding_per_term, from_rows, r_inverse_by_inversion,
+                     trivial_r_matrix, yd_braiding)
 
 
 def flip_matrix(ctx, dv, dw):
@@ -62,6 +64,44 @@ def test_rmatrix_sign_flip_caught_at_inversion():
     el[3] = -el[3]
     with pytest.raises(ValueError):
         RMatrix(t, el)
+
+
+def test_rmatrix_zero_element_is_not_invertible():
+    t = group_algebra_cn(2)
+    with pytest.raises(ValueError, match="not invertible"):
+        RMatrix(t, [t.ctx.zero()] * 4)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_rmatrix_inverse_of_double_is_half_inverse(n):
+    r = r_matrix_cn(n)
+    doubled = RMatrix(r.host, [c.scale(Fraction(2)) for c in r.element])
+    assert doubled.inverse_terms == [(i, j, c.scale(Fraction(1, 2))) for i, j, c in r.inverse_terms]
+
+
+def test_rmatrix_n1_is_one_leg():
+    r = r_matrix_cn(1)
+    one = r.host.ctx.one()
+    assert r.legs == r.inverse_legs == [(0, [(0, one)])]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_rmatrix_inverse_matches_whole_inversion(n):
+    r = r_matrix_cn(n)
+    assert r.inverse_terms == r_inverse_by_inversion(r)
+    for legs, terms in ((r.legs, r.terms), (r.inverse_legs, r.inverse_terms)):
+        assert sorted((i, j, c) for j, leg in legs for i, c in leg) == terms
+        assert [j for j, _ in legs] == sorted({j for _, j, _ in terms})
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_braiding_by_legs_matches_per_term_oracle(n):
+    model = taft_model(n)
+    line = model.line.tmodule
+    reg = regular_module(model.taft.algebra)
+    for w in (trivial_module(model.t_hopf), regular_module(model.t_hopf.algebra),
+              t_restriction(model, tensor_module(model.taft, reg, reg))):
+        assert braiding(model.rmatrix, line, w) == braiding_per_term(model.rmatrix, line, w)
 
 
 def test_rmatrix_mutations_fail_checker():

@@ -19,7 +19,8 @@ from hopfadjoint.constructions import (
     taft_model,
     taft_presentation_check,
 )
-from support import coideal_comodule_algebra, trivial_comodule_algebra, trivial_r_matrix
+from support import (bosonization_comult_per_term, coideal_comodule_algebra, trivial_comodule_algebra,
+                     trivial_r_matrix)
 
 
 def gauss_binomial_oracle(ctx, q, a, i):
@@ -295,3 +296,9 @@ def test_structure_constants_are_sorted_zero_free_term_lists(n):
         indices = [t[:-1] for t in terms]
         assert all(a < b for a, b in zip(indices, indices[1:]))
         assert not any(t[-1].is_zero() for t in terms)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_bosonization_coproduct_by_legs_matches_per_term_oracle(n):
+    m = taft_model(n)
+    assert m.taft.coalgebra.comult == bosonization_comult_per_term(m.line, m.t_hopf, m.rmatrix)

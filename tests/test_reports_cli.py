@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from hopfadjoint.constructions import comodule_algebra_K
 from hopfadjoint.cyclotomic import make_field
 from hopfadjoint.linalg import Matrix
 from hopfadjoint.reports import VerificationReport, document, emit_json, jsonable
+from hopfadjoint import cli
 from hopfadjoint.cli import cli_main, field_axiom_spotcheck
 from support import from_rows
 
@@ -133,6 +135,21 @@ def test_cli_adjoint_suite_runs_transport_and_dinaturality(tmp_path):
             assert {s for c, s in status.items() if c.startswith(transport)} <= {"pass", "skipped"}
         for v in ("regular", "trivial"):
             assert status[f"n{n}/relative-K({n},0)/kC{n}-{v}/dinaturality/wedge-identity"] == "pass"
+
+
+def test_cli_adjoint_suite_builds_each_K_once(monkeypatch, tmp_path):
+    # the module-variant loop ends at d = n, and the fully-constrained
+    # solve reuses that K(n, n, 0)
+    built = []
+
+    def counted(n, d, xi):
+        built.append((n, d, xi))
+        return comodule_algebra_K(n, d, xi)
+
+    monkeypatch.setattr(cli, "comodule_algebra_K", counted)
+    out = tmp_path / "suite.json"
+    assert cli_main(["verify", "--suite", "adjoint", "--n", "2,4", "--out", str(out)]) == 0
+    assert built == [(2, 1, 0), (2, 2, 0), (4, 1, 0), (4, 2, 0), (4, 4, 0)]
 
 
 def test_cli_braided_adjoint(tmp_path):
