@@ -14,9 +14,11 @@ pay the same bytecode compilation.
 
 For every end-to-end metric that the change's BENCHMARK.json names, the
 medians and quartiles of both sides, the change/parent ratio of the
-medians and the number of pairs the change won are written to
-`BENCH_<label>.json` in the current directory (or `--out`).  The exit
-code is 1 when any run reported a wrong result.  The script only runs the benchmark's
+medians, whether that ratio is within the metric's `bound` (a relative
+worsening of at most `bound`) and the number of pairs the change won
+are written to `BENCH_<label>.json` in the current directory (or
+`--out`).  The last line printed names every workload and metric outside
+its bound.  The exit code is 1 when any run reported a wrong result.  The script only runs the benchmark's
 command line; it imports nothing from `perfbench/`.
 """
 
@@ -33,10 +35,11 @@ import sys
 from pathlib import Path
 
 
-def end_to_end_metrics(tree: Path) -> dict[str, str]:
-    """Name -> "lower" or "higher" for each end-to-end metric of tree's benchmark."""
+def end_to_end_metrics(tree: Path) -> dict[str, dict]:
+    """Name -> the spec entry ("better", "bound", ...) of each end-to-end
+    metric of tree's benchmark."""
     spec = json.loads((tree / "BENCHMARK.json").read_text(encoding="utf-8"))
-    return {m["name"]: m["better"] for m in spec["end_to_end"]}
+    return {m["name"]: m for m in spec["end_to_end"]}
 
 
 def clear_bytecode(tree: Path) -> None:
@@ -69,20 +72,32 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
-def summarise(runs: list[tuple[dict, dict]], metrics: dict[str, str]) -> dict:
+def within_bound(ratio: float | None, better: str, bound: float | None) -> bool | None:
+    """Whether the change/parent ratio of the medians is worse by at most
+    bound; None when there is no ratio or no bound."""
+    if ratio is None or bound is None:
+        return None
+    return ratio <= 1 + bound if better == "lower" else ratio >= 1 - bound
+
+
+def summarise(runs: list[tuple[dict, dict]], metrics: dict[str, dict]) -> dict:
     """Per-metric statistics of (parent, change) result pairs."""
     out = {}
-    for name, better in metrics.items():
+    for name, spec in metrics.items():
+        better, bound = spec["better"], spec.get("bound")
         parent = [p["metrics"][name]["value"] for p, _ in runs]
         change = [c["metrics"][name]["value"] for _, c in runs]
         pq1, pmed, pq3 = quartiles(parent)
         cq1, cmed, cq3 = quartiles(change)
         wins = sum((c < p) if better == "lower" else (c > p) for p, c in zip(parent, change))
+        ratio = cmed / pmed if pmed else None
         out[name] = {
             "better": better,
             "parent": {"median": pmed, "q1": pq1, "q3": pq3, "values": parent},
             "change": {"median": cmed, "q1": cq1, "q3": cq3, "values": change},
-            "ratio": cmed / pmed if pmed else None,
+            "ratio": ratio,
+            "bound": bound,
+            "within_bound": within_bound(ratio, better, bound),
             "median_difference": cmed - pmed,
             "parent_quartile_distance": pq3 - pq1,
             "change_wins": wins,
@@ -124,6 +139,10 @@ def main(argv=None) -> int:
     out = args.out or Path(f"BENCH_{args.label}.json")
     out.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {out}")
+    outside = [f"{workload} {name} (ratio {m['ratio']:.3f}, bound {m['bound']})"
+               for workload, w in result["workloads"].items()
+               for name, m in w["metrics"].items() if m["within_bound"] is False]
+    print("outside its bound: " + "; ".join(outside) if outside else "every metric within its bound")
     return 1 if any(w["incorrect_runs"] for w in result["workloads"].values()) else 0
 
 

@@ -32,6 +32,7 @@ from .braiding import (
     regular_module,
     tensor_module,
     trivial_module,
+    yd_braiding,
 )
 from .constructions import (
     BraidedHopf,
@@ -74,7 +75,6 @@ from .braided_adjoint import (
     HAdjoint,
     build_h_ad,
     regular_case_iso,
-    half_braiding,
     pi_dinatural_check,
     verify_h_ad,
 )

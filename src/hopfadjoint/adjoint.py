@@ -30,8 +30,8 @@ from fractions import Fraction
 
 from .cyclotomic import FieldContext, Scalar, zeta_power
 from .hopf import FinDimAlgebra, FinDimHopf, tensor_image
-from .braiding import (ComoduleAlgebra, ComoduleRep, ModuleRep, RMatrix, check_comodule,
-                       check_module, check_yd, lift_via_pi)
+from .braiding import (ComoduleAlgebra, ComoduleRep, ModuleRep, RMatrix, braided_commutativity_failures,
+                       check_comodule, check_module, check_yd, double_braiding, lift_via_pi, yd_braiding)
 from .constructions import ComoduleAlgebraK, TaftModel
 from .linalg import (
     Matrix,
@@ -99,15 +99,11 @@ class AdjointProblem:
 
 
 def problem_for(model: TaftModel, k: ComoduleAlgebra, conditions) -> AdjointProblem:
-    """Problem over one Taft model; the embedding of the group algebra
-    sends g^b to x^0 # g^b."""
-    ctx = model.ctx
-    n = model.n
-    embed = Matrix(ctx, model.taft.dim, n, [(model.x_index(0, b), b, ctx.one()) for b in range(n)])
+    """Problem over one Taft model, with its embedding g^b -> x^0 # g^b."""
     conds = frozenset(c.lower() for c in conditions)
     if not conds <= set(CONDITIONS):
         raise ValueError(f"unknown conditions: {sorted(conds - set(CONDITIONS))}")
-    return AdjointProblem(model.taft, model.t_hopf, model.pi, embed, model.rmatrix, k, conds)
+    return AdjointProblem(model.taft, model.t_hopf, model.pi, model.embed, model.rmatrix, k, conds)
 
 
 # ---------------------------------------------------------------------------
@@ -392,8 +388,6 @@ class AdjointAlgebra:
 
     def to_jsonable(self):
         n, NK = self.dim, self.NK
-        coaction = Matrix(self.ctx, self.NH * n, n, [(y * n + i, j, c) for j, terms in
-                                                     enumerate(self.coaction) for y, i, c in terms])
         return {
             "problem": self.problem.describe(),
             "dim": n,
@@ -404,7 +398,7 @@ class AdjointAlgebra:
             "product": self.product,
             "unit": self.unit_coords,
             "action": self.action,
-            "coaction": coaction,
+            "coaction": self.comodule_rep().matrix(),
         }
 
 
@@ -655,23 +649,11 @@ def verify_braided_commutative(a: AdjointAlgebra, report: VerificationReport | N
     """m o c = m with c the Yetter-Drinfeld braiding; also records
     whether plain (unbraided) commutativity happens to hold."""
     rep = report if report is not None else VerificationReport()
-    one = a.ctx.one()
     n = a.dim
-    com = a.comodule_rep()
     coords = _coordinate_algebra(a)
     table = coords.mult
-
-    def braided_commutative():
-        act_cols = [[m.col_terms(j) for j in range(n)] for m in a.action]
-        for i in range(n):
-            for j in range(n):
-                # c(alpha_i x alpha_j) = alpha_i(-1).alpha_j x alpha_i(0)
-                rhs = lincomb((c, coords.mult_terms(act_cols[y][j], [(i0, one)]))
-                              for y, i0, c in com.coaction[i])
-                if table[i][j] != rhs:
-                    yield {"pair": [i, j]}
-
-    rep.check(f"{prefix}/braided-commutative", braided_commutative())
+    rep.check(f"{prefix}/braided-commutative", braided_commutativity_failures(
+        yd_braiding(a.comodule_rep(), a.module_rep()), coords))
     plain = all(table[i][j] == table[j][i] for i in range(n) for j in range(n))
     rep.add(f"{prefix}/plain-commutative-info", True, {"plain_commutative": plain})
     return rep
@@ -680,44 +662,19 @@ def verify_braided_commutative(a: AdjointAlgebra, report: VerificationReport | N
 def verify_relative_center(a: AdjointAlgebra, v: ModuleRep,
                            report: VerificationReport | None = None,
                            prefix: str = "relative-center") -> VerificationReport:
-    """The double braiding against the lifted module is the identity."""
+    """The double braiding against the lifted module is the identity;
+    the witness is the first basis tuple (i, vv) where it is not."""
     if "ad2" not in a.problem.conditions:
         raise ValueError("relative-center check requires the comodule condition (ad2)")
     rep = report if report is not None else VerificationReport()
     p = a.problem
-    ctx = a.ctx
-    n = a.dim
+    one = a.ctx.one()
     dv = v.dim
-    z = ctx.zero()
-    gv = lift_via_pi(p.hopf, p.pi, v)
-    com = a.comodule_rep()
-    mod = a.module_rep()
-    embed_action = [mod.act_terms(p.t_embed.col_terms(t)) for t in range(p.base.dim)]
-
-    rinv = a.problem.rmatrix.inverse_terms
-
-    def double_braiding_identity():
-        for i in range(n):
-            for vv in range(dv):
-                # first A x V -> V x A by the Yetter-Drinfeld half-braiding
-                mid: dict[tuple[int, int], Scalar] = {}
-                for y, i0, c in com.coaction[i]:
-                    for r, e in gv.action[y].col_terms(vv):
-                        key = (r, i0)
-                        mid[key] = mid.get(key, z) + c * e
-                # then V x A -> A x V by the lifted inverse-R half-braiding
-                out: dict[tuple[int, int], Scalar] = {}
-                for (w, j), c in mid.items():
-                    for t1, t2, cr in rinv:
-                        wcol = v.action[t2].col_terms(w)
-                        for r1, e1 in embed_action[t1].col_terms(j):
-                            for r2, e2 in wcol:
-                                key = (r1, r2)
-                                out[key] = out.get(key, z) + c * cr * e1 * e2
-                if sparse_diff(out, {(i, vv): ctx.one()}, ctx) is not None:
-                    yield {"basis": i, "module_index": vv}
-
-    rep.check(f"{prefix}/double-braiding-identity", double_braiding_identity())
+    gamma = yd_braiding(a.comodule_rep(), lift_via_pi(p.hopf, p.pi, v))
+    cols = double_braiding(gamma, a.module_rep(), v, p.t_embed, p.rmatrix).transpose()
+    rep.check(f"{prefix}/double-braiding-identity", (
+        {"basis": col // dv, "module_index": col % dv} for col in range(a.dim * dv)
+        if cols.row_terms(col) != [(col, one)]))
     return rep
 
 

@@ -1,5 +1,8 @@
 """R-matrices, braidings, modules, comodules and Yetter-Drinfeld
-modules, with exact axiom checkers.
+modules, with exact axiom checkers.  A Yetter-Drinfeld object's
+half-braiding is always `yd_braiding` of its coaction; the double
+braiding with a lifted base module and braided commutativity are each
+formed in one place.
 
 Tensor legs are indexed with the kron convention (i tensor j) ->
 i * dim_b + j.  The inverse R-matrix is always computed by inversion in
@@ -12,7 +15,7 @@ from __future__ import annotations
 from .cyclotomic import Scalar
 from .hopf import (FinDimAlgebra, FinDimCoalgebra, FinDimHopf, check_algebra, tensor_algebra,
                    tensor_image, tensor_mult)
-from .linalg import Matrix, dense, flip_legs, invert, kron_sum, nonzero, rref, sparse_diff
+from .linalg import Matrix, dense, flip_legs, invert, kron_sum, lincomb, nonzero, rref, sparse_diff
 from .reports import VerificationReport
 
 
@@ -94,6 +97,13 @@ class ComoduleRep:
         self.host = host
         self.dim = dim
         self.coaction = coaction
+
+    def matrix(self) -> Matrix:
+        """lambda as a (dim H * dim) x dim matrix: row y * dim + v0 of
+        column v is the coefficient of e_y x e_v0 in lambda(e_v)."""
+        d = self.dim
+        return Matrix(self.host.ctx, self.host.dim * d, d,
+                      [(y * d + v0, v, c) for v, terms in enumerate(self.coaction) for y, v0, c in terms])
 
 
 class ComoduleAlgebra:
@@ -231,6 +241,43 @@ def braiding(r: RMatrix, v: ModuleRep, w: ModuleRep) -> Matrix:
     one = r.host.ctx.one()
     return flip_legs(kron_sum([(one, w.action[j], v.act_terms(leg)) for j, leg in r.legs]),
                      v.dim, w.dim)
+
+
+def yd_braiding(a: ComoduleRep, x: ModuleRep) -> Matrix:
+    """Matrix of the half-braiding c_{A,X}(v x w) = v(-1).w x v0 from
+    A x X to X x A that A's coaction defines: the sum over y of (y
+    acting on X) kron (the y-component of lambda_A)."""
+    ctx = x.host.ctx
+    da = a.dim
+    components: dict[int, list] = {}
+    for v in range(da):
+        for y, v0, c in a.coaction[v]:
+            components.setdefault(y, []).append((v0, v, c))
+    return flip_legs(kron_sum([(ctx.one(), x.action[y], Matrix(ctx, da, da, t))
+                               for y, t in sorted(components.items())]), da, x.dim)
+
+
+def double_braiding(c: Matrix, a: ModuleRep, v: ModuleRep, embed: Matrix, r: RMatrix) -> Matrix:
+    """sigma_{G(V),A} c: A x V -> A x V for a half-braiding c: A x G(V) ->
+    G(V) x A, where V is a module over R's host, `embed` its embedding
+    into the algebra of A, and sigma_{G(V),A}(w x u) = embed(Rbar1).u x
+    Rbar2.w the braiding by R^-1, one Kronecker term per leg of R^-1."""
+    one = r.host.ctx.one()
+    sigma = kron_sum([(one, a.act_terms(embed.apply_terms(leg)), v.action[j]) for j, leg in r.inverse_legs])
+    return flip_legs(sigma, v.dim, a.dim) * c
+
+
+def braided_commutativity_failures(c: Matrix, alg: FinDimAlgebra):
+    """Yield {"pair": [i, j]} wherever m(c(e_i x e_j)) != e_i e_j, in
+    (i, j) order, for a braiding c of A x A and A's product; c's columns
+    are read from one transpose."""
+    n = alg.dim
+    c_cols = c.transpose()
+    for i in range(n):
+        for j in range(n):
+            rhs = lincomb((s, alg.mult[row // n][row % n]) for row, s in c_cols.row_terms(i * n + j))
+            if rhs != alg.mult[i][j]:
+                yield {"pair": [i, j]}
 
 
 def tensor_module(hopf: FinDimHopf, v: ModuleRep, w: ModuleRep) -> ModuleRep:

@@ -286,14 +286,16 @@ def bosonization(h: BraidedHopf, t: FinDimHopf, r: RMatrix) -> FinDimHopf:
 
 @lru_cache(maxsize=None)
 def taft_model(n: int):
-    """Everything for one n: field, kC_n, R, braided line, bosonization
-    and the projection onto the group algebra."""
+    """Everything for one n: field, kC_n, R, braided line, bosonization,
+    the projection onto the group algebra and the embedding of it."""
     t = group_algebra_cn(n)
     r = r_matrix_cn(n)
     h = braided_line(n)
     taft = bosonization(h, t, r)
     pi = projection_pi(n)
-    return TaftModel(n, t.ctx, t, r, h, taft, pi)
+    # g^b -> x^0 # g^b, at index 0 * n + b
+    embed = Matrix(t.ctx, taft.dim, n, [(0 * n + b, b, t.ctx.one()) for b in range(n)])
+    return TaftModel(n, t.ctx, t, r, h, taft, pi, embed)
 
 
 @dataclass(frozen=True)
@@ -305,6 +307,7 @@ class TaftModel:
     line: BraidedHopf
     taft: FinDimHopf
     pi: Matrix
+    embed: Matrix  # columns = images 1 # g^b of the group algebra's basis
 
     def x_index(self, a: int, b: int) -> int:
         """Index of x^a # g^b."""

@@ -1,12 +1,15 @@
 """Objects that only the tests build: extra comodule algebras, the
-trivial R-matrix, Yetter-Drinfeld braidings, the inverse braiding, the
-dual algebra of a coalgebra, and matrices from dense rows.  Each is
-checked against the package's own checkers before a test relies on it.
-It also keeps the slow oracles of the R-matrix consumers, which read R
-term by term where the package reads it leg by leg."""
+trivial R-matrix, the inverse braiding, the restriction of a
+bosonization module to the group algebra, the dual algebra of a
+coalgebra, and matrices from dense rows.  Each is checked against the
+package's own checkers before a test relies on it.  It also keeps the
+slow oracles of the R-matrix consumers, which read R term by term where
+the package reads it leg by leg, and the per-basis-tuple double
+braiding that `braiding.double_braiding` replaced."""
 
-from hopfadjoint.braiding import ComoduleAlgebra, ComoduleRep, ModuleRep, RMatrix, check_comodule_algebra
-from hopfadjoint.constructions import BraidedHopf, ConstructionError, taft_model
+from hopfadjoint.braiding import (ComoduleAlgebra, ComoduleRep, ModuleRep, RMatrix, check_comodule_algebra,
+                                  lift_via_pi)
+from hopfadjoint.constructions import BraidedHopf, ConstructionError, TaftModel, taft_model
 from hopfadjoint.hopf import FinDimAlgebra, FinDimCoalgebra, FinDimHopf, tensor_algebra
 from hopfadjoint.linalg import Matrix, dense, flip_legs, invert, kron_sum, nonzero, sorted_terms
 
@@ -80,27 +83,38 @@ def r_inverse_by_inversion(r: RMatrix) -> list:
     return [(u // n, u % n, c) for u, c in inverse.apply_terms(nonzero(square.unit))]
 
 
-class YDModule:
-    """Module + comodule over one Hopf algebra; compatibility is checked
-    by check_yd, not assumed."""
-
-    def __init__(self, hopf: FinDimHopf, module: ModuleRep, comodule: ComoduleRep):
-        self.hopf = hopf
-        self.module = module
-        self.comodule = comodule
+def t_restriction(model: TaftModel, x: ModuleRep) -> ModuleRep:
+    """Restrict a bosonization module to the group algebra (t acts as 1#t)."""
+    mats = [x.action[model.x_index(0, b)] for b in range(model.n)]
+    return ModuleRep(model.t_hopf.algebra, x.dim, mats)
 
 
-def yd_braiding(hopf: FinDimHopf, a: YDModule, b: YDModule) -> Matrix:
-    """Matrix of c_{A,B}(v x x) = v(-1).x x v0 from A x B to B x A: the
-    sum over y of (action of y on B) kron (the y-component of lambda_A)."""
-    ctx = hopf.ctx
-    da, db = a.module.dim, b.module.dim
-    components: dict[int, list] = {}
-    for v in range(da):
-        for y, v0, c in a.comodule.coaction[v]:
-            components.setdefault(y, []).append((v0, v, c))
-    return flip_legs(kron_sum([(ctx.one(), b.module.action[y], Matrix(ctx, da, da, t))
-                               for y, t in sorted(components.items())]), da, db)
+def double_braiding_per_term(model: TaftModel, com: ComoduleRep, mod: ModuleRep, v: ModuleRep) -> Matrix:
+    """Oracle of `double_braiding` after `yd_braiding`: for each basis
+    tuple (i, vv) of A x V, the Yetter-Drinfeld half-braiding
+    e_i x e_vv -> e_i(-1).e_vv x e_i(0), then the lifted inverse-R
+    braiding, one term of R^-1 at a time; column i * dv + vv."""
+    ctx = model.ctx
+    z = ctx.zero()
+    n, dv = mod.dim, v.dim
+    gv = lift_via_pi(model.taft, model.pi, v)
+    embed_action = [mod.action[model.x_index(0, t)] for t in range(model.n)]
+    terms = []
+    for i in range(n):
+        for vv in range(dv):
+            mid: dict = {}
+            for y, i0, c in com.coaction[i]:
+                for r, e in gv.action[y].col_terms(vv):
+                    mid[(r, i0)] = mid.get((r, i0), z) + c * e
+            out: dict = {}
+            for (w, j), c in mid.items():
+                for t1, t2, cr in model.rmatrix.inverse_terms:
+                    wcol = v.action[t2].col_terms(w)
+                    for r1, e1 in embed_action[t1].col_terms(j):
+                        for r2, e2 in wcol:
+                            out[(r1, r2)] = out.get((r1, r2), z) + c * cr * e1 * e2
+            terms += [(r1 * dv + r2, i * dv + vv, c) for (r1, r2), c in out.items()]
+    return Matrix(ctx, n * dv, n * dv, terms)
 
 
 def _verified(k: ComoduleAlgebra) -> ComoduleAlgebra:

@@ -1,27 +1,32 @@
+from dataclasses import replace
+from types import SimpleNamespace
+
 import pytest
 
 from hopfadjoint.braiding import (
     ModuleRep,
     braiding,
+    double_braiding,
     lift_via_pi,
     regular_module,
     tensor_module,
     trivial_module,
+    yd_braiding,
 )
 from hopfadjoint.constructions import regular_comodule_algebra, taft_model
 from hopfadjoint import braided_adjoint
-from hopfadjoint.adjoint import problem_for, solve_adjoint
+from hopfadjoint.adjoint import problem_for, solve_adjoint, verify_braided_commutative
 from hopfadjoint.braided_adjoint import (
+    HAdjoint,
     build_h_ad,
     displayed_adjoint_action,
     regular_case_iso,
-    half_braiding,
     pi_dinatural_check,
-    t_restriction,
     verify_h_ad,
 )
-from hopfadjoint.linalg import Matrix
-from support import braiding_inverse
+from hopfadjoint.hopf import FinDimAlgebra
+from hopfadjoint.linalg import Matrix, dense, lincomb
+from support import braiding_inverse, double_braiding_per_term, t_restriction
 
 
 def test_unit_acts_as_identity():
@@ -38,10 +43,14 @@ def test_skew_primitive_kills_the_unit():
 
 
 def dense_half_braiding(had, x):
-    """half_braiding as it read the braiding before: a scan of the whole
-    dense column for every coproduct term."""
+    """The half-braiding of H_ad built from the inverse braiding, as
+    gamma_X = (rho_X x id)(id x tau)(Delta x id) with tau(h x x) =
+    R2.x x R1.h the transposed braiding of the line with X restricted to
+    the group algebra, by a scan of the whole dense column for every
+    coproduct term."""
     model, n, dx = had.model, had.dim, x.dim
     inv = braiding(model.rmatrix, model.line.tmodule, t_restriction(model, x)).entries
+    acts = [x.action[model.x_index(h1, 0)].entries for h1 in range(n)]
     terms = []
     for h in range(n):
         for xx in range(dx):
@@ -51,9 +60,8 @@ def dense_half_braiding(had, x):
                     s = inv[row * n * dx + h2 * dx + xx]
                     if s.is_zero():
                         continue
-                    act = x.action[model.x_index(h1, 0)].entries
                     for x_out in range(dx):
-                        e = act[x_out * dx + row // n]
+                        e = acts[h1][x_out * dx + row // n]
                         if not e.is_zero():
                             key = x_out * n + row % n
                             acc[key] = acc.get(key, had.ctx.zero()) + c * s * e
@@ -61,22 +69,83 @@ def dense_half_braiding(had, x):
     return Matrix(had.ctx, dx * n, n * dx, terms)
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_half_braiding_matches_dense_column_scan(n):
+    # the Yetter-Drinfeld braiding of H_ad's displayed coaction is the
+    # half-braiding built from the inverse braiding, bit for bit
     m = taft_model(n)
     had = build_h_ad(m)
     regular = regular_module(m.taft.algebra)
     for x in (trivial_module(m.taft), regular, had.ht_module,
+              lift_via_pi(m.taft, m.pi, regular_module(m.t_hopf.algebra)),
               tensor_module(m.taft, regular, had.ht_module)):
-        gamma, expected = half_braiding(had, x), dense_half_braiding(had, x)
+        gamma, expected = yd_braiding(had.comodule, x), dense_half_braiding(had, x)
         assert [e.coords for e in gamma.entries] == [e.coords for e in expected.entries]
 
 
 def test_half_braiding_at_trivial_module_is_flip():
     had = build_h_ad(taft_model(2))
     triv = trivial_module(had.model.taft)
-    gamma = half_braiding(had, triv)
+    gamma = yd_braiding(had.comodule, triv)
     assert gamma == Matrix.identity(had.ctx, had.dim)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_double_braiding_matches_per_term_oracle(n):
+    # H_ad and the regular comodule algebra's solutions in both variants;
+    # the module variant's double braiding with the regular kC_n module
+    # is not the identity, so the comparison is not one of identities
+    m = taft_model(n)
+    had = build_h_ad(m)
+    algs = [solve_adjoint(problem_for(m, regular_comodule_algebra(n), conds))
+            for conds in ({"ad1", "ad3"}, {"ad1", "ad2", "ad3"})]
+    yds = [(had.comodule, had.ht_module)] + [(a.comodule_rep(), a.module_rep()) for a in algs]
+    identities = []
+    for com, mod in yds:
+        for v in (trivial_module(m.t_hopf), regular_module(m.t_hopf.algebra)):
+            gamma = yd_braiding(com, lift_via_pi(m.taft, m.pi, v))
+            got = double_braiding(gamma, mod, v, m.embed, m.rmatrix)
+            assert got == double_braiding_per_term(m, com, mod, v)
+            identities.append(got == Matrix.identity(m.ctx, mod.dim * v.dim))
+    assert identities == [True, True, True, n == 1, True, True]
+
+
+def braided_commutative_per_column(com, action, mult):
+    """The first pair (i, j) at which m(c(e_i x e_j)) != e_i e_j, with c
+    the Yetter-Drinfeld braiding formed column by column from the
+    coaction and the action, as both callers of the shared scan did."""
+    n = len(mult)
+    for i in range(n):
+        for j in range(n):
+            rhs = lincomb((c * e, mult[r][i0]) for y, i0, c in com.coaction[i]
+                          for r, e in action[y].col_terms(j))
+            if rhs != mult[i][j]:
+                return {"pair": [i, j]}
+    return None
+
+
+def test_braided_commutativity_callers_report_one_late_pair():
+    # H_ad at n = 3 with one late product entry corrupted, checked by
+    # verify_h_ad on the carrier and by verify_braided_commutative on the
+    # same algebra given as solved coordinates
+    m = taft_model(3)
+    had = build_h_ad(m)
+    line = m.line.algebra
+    ctx, n = m.ctx, line.dim
+    mult = [list(row) for row in line.mult]
+    mult[n - 1][n - 2] = lincomb([(ctx.one(), mult[n - 1][n - 2]), (ctx.one(), [(n - 1, ctx.one())])])
+    bad = HAdjoint(replace(m, line=replace(m.line, algebra=FinDimAlgebra(ctx, n, mult, line.unit))),
+                   had.rho_ad, had.ht_module)
+    expected = braided_commutative_per_column(had.comodule, had.ht_module.action, mult)
+    assert expected is not None
+
+    claims = verify_h_ad(bad, {}).claims
+    assert [c.witness for c in claims if c.claim_id.endswith("/braided-commutative")] == [expected]
+    solved = SimpleNamespace(ctx=ctx, dim=n, product=[[dense(ctx, n, v) for v in row] for row in mult],
+                             unit_coords=line.unit, comodule_rep=lambda: had.comodule,
+                             module_rep=lambda: had.ht_module)
+    claims = verify_braided_commutative(solved).claims
+    assert [c.witness for c in claims if c.claim_id.endswith("/braided-commutative")] == [expected]
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -96,11 +165,11 @@ def test_verify_h_ad_builds_each_half_braiding_once(monkeypatch):
     mods = {"trivial": trivial_module(m.taft), "regular": regular_module(m.taft.algebra)}
     dims = []
 
-    def counted(h, x):
+    def counted(a, x):
         dims.append(x.dim)
-        return half_braiding(h, x)
+        return yd_braiding(a, x)
 
-    monkeypatch.setattr(braided_adjoint, "half_braiding", counted)
+    monkeypatch.setattr(braided_adjoint, "yd_braiding", counted)
     assert verify_h_ad(had, mods).ok
     assert sorted(dims) == sorted([1, 4] + [1, 4, 4, 16] + [1, 2] + [2])
 

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -18,6 +19,7 @@ from hopfadjoint.braiding import (
     regular_module,
     tensor_module,
     trivial_module,
+    yd_braiding,
 )
 from hopfadjoint.constructions import (
     comodule_algebra_K,
@@ -25,10 +27,9 @@ from hopfadjoint.constructions import (
     r_matrix_cn,
     taft_model,
 )
-from hopfadjoint.braided_adjoint import t_restriction
 from hopfadjoint.linalg import Matrix, kernel_basis, kron
-from support import (YDModule, braiding_inverse, braiding_per_term, from_rows, r_inverse_by_inversion,
-                     trivial_r_matrix, yd_braiding)
+from support import (braiding_inverse, braiding_per_term, from_rows, r_inverse_by_inversion,
+                     t_restriction, trivial_r_matrix)
 
 
 def flip_matrix(ctx, dv, dw):
@@ -204,7 +205,7 @@ def line_yd_module(n):
     t = m.t_hopf
     ctx = m.ctx
     coaction = [[(a, a, ctx.one())] for a in range(n)]
-    return YDModule(t, m.line.tmodule, ComoduleRep(t.coalgebra, n, coaction))
+    return SimpleNamespace(hopf=t, module=m.line.tmodule, comodule=ComoduleRep(t.coalgebra, n, coaction))
 
 
 def test_line_is_yetter_drinfeld_over_group_algebra():
@@ -222,15 +223,14 @@ def test_yd_braiding_with_trivial_coaction_is_flip():
     dim = 2
     triv_act = ModuleRep(t.algebra, dim, [Matrix.identity(ctx, dim)] * t.dim)
     coaction = [[(0, v, ctx.one())] for v in range(dim)]
-    a = YDModule(t, triv_act, ComoduleRep(t.coalgebra, dim, coaction))
-    c = yd_braiding(t, a, a)
+    c = yd_braiding(ComoduleRep(t.coalgebra, dim, coaction), triv_act)
     assert c == flip_matrix(ctx, dim, dim)
 
 
 def test_yd_braiding_grades_by_character():
     n = 3
     yd = line_yd_module(n)
-    c = yd_braiding(yd.hopf, yd, yd)
+    c = yd_braiding(yd.comodule, yd.module)
     ctx = yd.hopf.ctx
     # c(x^a x x^b) = (g^a . x^b) x x^a = q^{ab} x^b x x^a
     for a in range(n):
@@ -260,7 +260,7 @@ def test_yd_braiding_naturality_with_solved_morphisms():
                 rows.append(row)
     comm = kernel_basis(from_rows(ctx, rows))
     assert comm.dim >= 1
-    cmat = yd_braiding(t, yd, yd)
+    cmat = yd_braiding(yd.comodule, yd.module)
     for vec in comm.rows:
         f = Matrix(ctx, dim, dim, [(u // dim, u % dim, e) for u, e in vec.items()])
         # check f is also comodule map before using it

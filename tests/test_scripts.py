@@ -92,6 +92,20 @@ def test_bench_pairs_alternates_and_summarises(tmp_path):
     assert run_s["parent"]["values"] == [1.0, 1.01, 1.02, 1.03]
     assert run_s["parent"]["median"] == pytest.approx(1.015)
     assert metrics["peak_rss_mb"]["change_wins"] == 0  # ties count for neither side
+    assert {name: m["within_bound"] for name, m in metrics.items()} == {name: True for name in metrics}
+    assert run_s["bound"] == 0.25
+    assert proc.stdout.splitlines()[-1] == "every metric within its bound"
+
+    # with the sides swapped the change takes twice as long: 2.0 > 1 + 0.25
+    out.unlink()
+    proc = run_script("bench_pairs.py", str(tmp_path / "change"), str(tmp_path / "parent"),
+                      "--workload", "module-n4", "--pairs", "2", "--label", "stub", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    metrics = json.loads(out.read_text())["workloads"]["module-n4"]["metrics"]
+    assert metrics["run_s"]["ratio"] == 2.0 and metrics["run_s"]["within_bound"] is False
+    assert metrics["peak_rss_mb"]["within_bound"] is True
+    assert proc.stdout.splitlines()[-1] == ("outside its bound: module-n4 setup_s (ratio 2.000, bound 0.25); "
+                                            "module-n4 run_s (ratio 2.000, bound 0.25)")
 
 
 def test_bench_pairs_reports_a_crashed_run(tmp_path):
