@@ -382,6 +382,23 @@ def late_map_entry_and_action_entry_corrupted():
     return rep
 
 
+def late_product_unit_and_coaction_corrupted():
+    """The module variant over K(2, 0) with the products a_3 a_3 and
+    a_3 * 1 and the last coaction term of a_3 shifted: associativity, the
+    unit laws and the comodule-morphism claim of the centre-algebra suite
+    each fail first at a late tuple, so the digest pins their loop order."""
+    m = taft_model(2)
+    alg = solve_adjoint(problem_for(m, comodule_algebra_K(2, 2, 0), {"ad1", "ad3"}))
+    one = alg.ctx.one()
+    last = alg.dim - 1
+    alg.product = [[list(v) for v in row] for row in alg.product]
+    for j in (last, 0):
+        alg.product[last][j][last] = alg.product[last][j][last] + one
+    *head, (y, v, c) = alg.coaction[last]
+    alg.coaction = alg.coaction[:last] + [head + [(y, v, c + c)]]
+    return verify_center_algebra(alg)
+
+
 def dinaturality_without_comodule_condition():
     m = taft_model(2)
     k = comodule_algebra_K(2, 2, 0)
@@ -497,6 +514,8 @@ REPORT_DIGESTS = {
         "d44756ee5140b92665e05f85396e4de24ac41d693cf1e85867ed01d85457425a",
     late_map_entry_and_action_entry_corrupted:
         "a29df411e03108794ed75c7c8bf16e8216c7ba05a5256e6bf502e7fa1c7218bf",
+    late_product_unit_and_coaction_corrupted:
+        "1add8cc03480606c77493c698b48aa6d0e201794db1dad63bd6a9db7b4610722",
     dinaturality_without_comodule_condition:
         "0ee8e76c65a9217fc51d8ee86276833c329ef921b4ae32bb1bc8e9275448f797",
     taft_with_unit_e1:
