@@ -17,9 +17,20 @@ medians and quartiles of both sides, the change/parent ratio of the
 medians, whether that ratio is within the metric's `bound` (a relative
 worsening of at most `bound`) and the number of pairs the change won
 are written to `BENCH_<label>.json` in the current directory (or
-`--out`).  The last line printed names every workload and metric outside
-its bound.  The exit code is 1 when any run reported a wrong result.  The script only runs the benchmark's
-command line; it imports nothing from `perfbench/`.
+`--out`).  Two verdicts go with them:
+
+  * `gain_shown`: the change won at least 9 of every 10 pairs, ties
+    counting for neither side, and its median is better than the
+    parent's by more than the distance between the parent's quartiles;
+  * `unresolved`: the parent's quartile distance, relative to its median,
+    is wider than `bound`, and not every run of the change is better than
+    every run of the parent, so a difference within the bound cannot be
+    told from the spread.
+
+The last line printed names every workload and metric outside its bound,
+every one with a gain shown and every unresolved one.  The exit code is 1
+when any run reported a wrong result.  The script only runs the
+benchmark's command line; it imports nothing from `perfbench/`.
 """
 
 from __future__ import annotations
@@ -91,6 +102,8 @@ def summarise(runs: list[tuple[dict, dict]], metrics: dict[str, dict]) -> dict:
         cq1, cmed, cq3 = quartiles(change)
         wins = sum((c < p) if better == "lower" else (c > p) for p, c in zip(parent, change))
         ratio = cmed / pmed if pmed else None
+        gap = pmed - cmed if better == "lower" else cmed - pmed
+        separated = max(change) < min(parent) if better == "lower" else min(change) > max(parent)
         out[name] = {
             "better": better,
             "parent": {"median": pmed, "q1": pq1, "q3": pq3, "values": parent},
@@ -101,6 +114,9 @@ def summarise(runs: list[tuple[dict, dict]], metrics: dict[str, dict]) -> dict:
             "median_difference": cmed - pmed,
             "parent_quartile_distance": pq3 - pq1,
             "change_wins": wins,
+            "gain_shown": 10 * wins >= 9 * len(runs) and gap > pq3 - pq1,
+            "unresolved": (None if bound is None or not pmed
+                           else (pq3 - pq1) / abs(pmed) > bound and not separated),
         }
     return out
 
@@ -139,10 +155,15 @@ def main(argv=None) -> int:
     out = args.out or Path(f"BENCH_{args.label}.json")
     out.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {out}")
+    named = [(workload, name, m) for workload, w in result["workloads"].items()
+             for name, m in w["metrics"].items()]
     outside = [f"{workload} {name} (ratio {m['ratio']:.3f}, bound {m['bound']})"
-               for workload, w in result["workloads"].items()
-               for name, m in w["metrics"].items() if m["within_bound"] is False]
-    print("outside its bound: " + "; ".join(outside) if outside else "every metric within its bound")
+               for workload, name, m in named if m["within_bound"] is False]
+    gains = [f"{workload} {name}" for workload, name, m in named if m["gain_shown"]]
+    spread = [f"{workload} {name}" for workload, name, m in named if m["unresolved"]]
+    print(" | ".join(["outside its bound: " + "; ".join(outside) if outside else "every metric within its bound",
+                      "gain shown: " + (", ".join(gains) or "none"),
+                      "unresolved: " + (", ".join(spread) or "none")]))
     return 1 if any(w["incorrect_runs"] for w in result["workloads"].values()) else 0
 
 

@@ -29,7 +29,8 @@ from functools import cached_property
 from fractions import Fraction
 
 from .cyclotomic import FieldContext, Scalar, zeta_power
-from .hopf import FinDimAlgebra, FinDimHopf, tensor_image
+from .hopf import (FinDimAlgebra, FinDimHopf, associativity_failures, coaction_multiplicative_failures,
+                   module_algebra_failures, tensor_image, unit_failures)
 from .braiding import (ComoduleAlgebra, ComoduleRep, ModuleRep, RMatrix, braided_commutativity_failures,
                        check_comodule, check_module, check_yd, double_braiding, lift_via_pi, yd_braiding)
 from .constructions import ComoduleAlgebraK, TaftModel
@@ -577,70 +578,20 @@ def verify_center_algebra(a: AdjointAlgebra, report: VerificationReport | None =
     """Associativity, unit, and the product being a module and comodule
     morphism for the tensor structures."""
     rep = report if report is not None else VerificationReport()
-    ctx = a.ctx
-    n = a.dim
-    z = ctx.zero()
     hopf = a.problem.hopf
     coords = _coordinate_algebra(a)
-    table = coords.mult
-    basis = [[(i, ctx.one())] for i in range(n)]
     unit = nonzero(a.unit_coords)
-
-    def unit_two_sided():
-        for i in range(n):
-            if coords.mult_terms(unit, basis[i]) != basis[i] or coords.mult_terms(basis[i], unit) != basis[i]:
-                yield {"basis": i}
-
-    def product_module_morphism():
-        act_cols = [[m.col_terms(i) for i in range(n)] for m in a.action]
-        for h in range(hopf.dim):
-            terms = hopf.coalgebra.comult[h]
-            for i in range(n):
-                for j in range(n):
-                    lhs: dict[int, Scalar] = {}  # h.(a_i a_j)
-                    for k, ck in table[i][j]:
-                        for r, e in act_cols[h][k]:
-                            add = ck * e
-                            lhs[r] = lhs[r] + add if r in lhs else add
-                    rhs: dict[int, Scalar] = {}  # (h1.a_i)(h2.a_j)
-                    for h1, h2, c in terms:
-                        for r, x in coords.mult_terms(act_cols[h1][i], act_cols[h2][j]):
-                            add = c * x
-                            rhs[r] = rhs[r] + add if r in rhs else add
-                    if sparse_diff(lhs, rhs, ctx) is not None:
-                        yield {"h": h, "pair": [i, j]}
-
-    def product_comodule_morphism():
-        com = a.comodule_rep()
-        for i in range(n):
-            for j in range(n):
-                lhs: dict[tuple[int, int], Scalar] = {}
-                for k, ck in table[i][j]:
-                    for y, l, c in com.coaction[k]:
-                        key = (y, l)
-                        lhs[key] = lhs.get(key, z) + ck * c
-                rhs: dict[tuple[int, int], Scalar] = {}
-                for y1, i0, c1 in com.coaction[i]:
-                    for y2, j0, c2 in com.coaction[j]:
-                        c12 = c1 * c2
-                        for y, m in hopf.algebra.mult[y1][y2]:
-                            cm = c12 * m
-                            for l, e in table[i0][j0]:
-                                key = (y, l)
-                                rhs[key] = rhs.get(key, z) + cm * e
-                if sparse_diff(lhs, rhs, ctx) is not None:
-                    yield {"pair": [i, j]}
-
     eps = hopf.coalgebra.counit
     rep.check(f"{prefix}/associative", (
-        {"triple": [i, j, k]} for i in range(n) for j in range(n) for k in range(n)
-        if coords.mult_terms(table[i][j], basis[k]) != coords.mult_terms(basis[i], table[j][k])))
-    rep.check(f"{prefix}/unit-two-sided", unit_two_sided())
+        {"triple": [i, j, k]} for i, j, k, _, _ in associativity_failures(coords)))
+    rep.check(f"{prefix}/unit-two-sided", ({"basis": i} for i in unit_failures(coords)))
     rep.check(f"{prefix}/unit-invariant", (
         {"h": h} for h in range(hopf.dim)
         if a.action[h].apply_terms(unit) != lincomb([(eps[h], unit)])))
-    rep.check(f"{prefix}/product-module-morphism", product_module_morphism())
-    rep.check(f"{prefix}/product-comodule-morphism", product_comodule_morphism())
+    rep.check(f"{prefix}/product-module-morphism", (
+        {"h": h, "pair": [i, j]} for h, i, j in module_algebra_failures(hopf.coalgebra, coords, a.action)))
+    rep.check(f"{prefix}/product-comodule-morphism", (
+        {"pair": [i, j]} for i, j, _ in coaction_multiplicative_failures(hopf.algebra, coords, a.coaction)))
     return rep
 
 

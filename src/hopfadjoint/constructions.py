@@ -24,6 +24,7 @@ from .hopf import (
     FinDimCoalgebra,
     FinDimHopf,
     convolution_failures,
+    module_algebra_failures,
     solve_antipode,
     tensor_image,
     tensor_mult,
@@ -35,7 +36,7 @@ from .braiding import (
     braiding,
     check_comodule_algebra,
 )
-from .linalg import Matrix, dense, lincomb, nonzero, rank, sorted_terms, sparse_diff
+from .linalg import Matrix, dense, nonzero, rank, sorted_terms, sparse_diff
 from .reports import VerificationReport
 
 
@@ -179,19 +180,6 @@ def check_braided_hopf(h: BraidedHopf, report: VerificationReport | None = None,
     t = h.t_hopf
     n = h.dim
 
-    def product_t_equivariant():
-        action = h.tmodule.action
-        for b in range(t.dim):
-            for i in range(n):
-                for j in range(n):
-                    # t.(x_i x_j) via Delta_T against (t.x_i)(t.x_j)
-                    lhs = action[b].apply_terms(h.algebra.mult[i][j])
-                    rhs = lincomb((c, h.algebra.mult_terms(action[t1].col_terms(i),
-                                                           action[t2].col_terms(j)))
-                                  for t1, t2, c in t.coalgebra.comult[b])
-                    if lhs != rhs:
-                        yield {"t_index": b, "pair": [i, j]}
-
     def coproduct_t_equivariant():
         for b in range(t.dim):
             act = h.tmodule.action[b]
@@ -220,7 +208,9 @@ def check_braided_hopf(h: BraidedHopf, report: VerificationReport | None = None,
                 if sparse_diff(lhs, rhs, ctx) is not None:
                     yield {"pair": [i, j]}
 
-    rep.check(f"{prefix}/product-t-equivariant", product_t_equivariant())
+    rep.check(f"{prefix}/product-t-equivariant", (
+        {"t_index": b, "pair": [i, j]}
+        for b, i, j in module_algebra_failures(t.coalgebra, h.algebra, h.tmodule.action)))
     rep.check(f"{prefix}/coproduct-t-equivariant", coproduct_t_equivariant())
     rep.check(f"{prefix}/coproduct-braided-multiplicative", coproduct_braided_multiplicative())
     for side in ("left", "right"):

@@ -7,6 +7,18 @@ checkers iterate over all basis tuples and report exact pass/fail with
 witnesses.  Antipodes are never transcribed from formulas: they are
 solved from the convolution identity, which independently validates
 every construction.
+
+Each algebra axiom is scanned by one generator here, which yields the
+failing basis tuples in one loop order; every caller keeps its own claim
+id and witness:
+  * `associativity_failures`, `unit_failures`: `check_algebra` and
+    `adjoint.verify_center_algebra`;
+  * `coassociativity_failures` of a coaction, Delta included:
+    `check_coalgebra` and `braiding.check_comodule`;
+  * `coaction_multiplicative_failures`: `check_bialgebra`,
+    `braiding.check_comodule_algebra` and `verify_center_algebra`;
+  * `module_algebra_failures`: `constructions.check_braided_hopf` and
+    `verify_center_algebra`.
 """
 
 from __future__ import annotations
@@ -158,37 +170,112 @@ def tensor_mult(algs, x: dict, y: dict) -> dict:
     return {k: v for k, v in out.items() if not v.is_zero()}
 
 
+def associativity_failures(a: FinDimAlgebra):
+    """Yield (i, j, k, lhs, rhs) at each basis triple, in the order of i,
+    then j, then k, where lhs = (e_i e_j) e_k and rhs = e_i (e_j e_k)
+    differ; both are {index: Scalar} dicts that may hold zeros."""
+    z = a.ctx.zero()
+    mult = a.mult
+    for i in range(a.dim):
+        for j in range(a.dim):
+            for k in range(a.dim):
+                lhs: dict[int, Scalar] = {}
+                for t, c in mult[i][j]:
+                    for s, d in mult[t][k]:
+                        lhs[s] = lhs.get(s, z) + c * d
+                rhs: dict[int, Scalar] = {}
+                for t, c in mult[j][k]:
+                    for s, d in mult[i][t]:
+                        rhs[s] = rhs.get(s, z) + c * d
+                if sparse_diff(lhs, rhs, a.ctx) is not None:
+                    yield i, j, k, lhs, rhs
+
+
+def unit_failures(a: FinDimAlgebra):
+    """Yield each basis index i at which 1 e_i or e_i 1 is not e_i."""
+    unit, one = nonzero(a.unit), a.ctx.one()
+    for i in range(a.dim):
+        ei = [(i, one)]
+        if a.mult_terms(unit, ei) != ei or a.mult_terms(ei, unit) != ei:
+            yield i
+
+
+def coassociativity_failures(host: FinDimCoalgebra, coaction):
+    """Yield (v, key) at each basis index v where (Delta x id) lambda(e_v)
+    and (id x lambda) lambda(e_v) differ, key the first (a, b, w) at which
+    they do.  coaction[v] is the term list of lambda(e_v) into host x V;
+    with coaction = host.comult this is the coassociativity of host."""
+    z = host.ctx.zero()
+    for v, terms in enumerate(coaction):
+        lhs: dict[tuple[int, int, int], Scalar] = {}
+        for a, v0, x in terms:
+            for p, q, d in host.comult[a]:
+                key = (p, q, v0)
+                lhs[key] = lhs.get(key, z) + x * d
+        rhs: dict[tuple[int, int, int], Scalar] = {}
+        for a, v0, x in terms:
+            for b, v1, y in coaction[v0]:
+                key = (a, b, v1)
+                rhs[key] = rhs.get(key, z) + x * y
+        key = sparse_diff(lhs, rhs, host.ctx)
+        if key is not None:
+            yield v, key
+
+
+def coaction_multiplicative_failures(h_alg: FinDimAlgebra, alg: FinDimAlgebra, coaction):
+    """Yield (i, j, key) at each basis pair of alg, in the order of i, then
+    j, where lambda(e_i e_j) and lambda(e_i) lambda(e_j) differ in h_alg x
+    alg, key the first (y, p) at which they do.  With h_alg = alg and
+    coaction = Delta this is the multiplicativity of a bialgebra's Delta."""
+    z = alg.ctx.zero()
+    mult, h_mult = alg.mult, h_alg.mult
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            lhs = tensor_image(coaction, mult[i][j])
+            rhs: dict[tuple[int, int], Scalar] = {}
+            for y1, a, c1 in coaction[i]:
+                for y2, b, c2 in coaction[j]:
+                    c12 = c1 * c2
+                    for y, m1 in h_mult[y1][y2]:
+                        cm = c12 * m1
+                        for p, m2 in mult[a][b]:
+                            key = (y, p)
+                            rhs[key] = rhs.get(key, z) + cm * m2
+            key = sparse_diff(lhs, rhs, alg.ctx)
+            if key is not None:
+                yield i, j, key
+
+
+def module_algebra_failures(coalgebra: FinDimCoalgebra, alg: FinDimAlgebra, action: list[Matrix]):
+    """Yield (h, i, j) at each tuple, in the order of h, then i, then j,
+    where h.(e_i e_j) and (h1.e_i)(h2.e_j) differ: action[h] is the matrix
+    of the basis element h of coalgebra's host on alg."""
+    cols = [[m.col_terms(i) for i in range(alg.dim)] for m in action]
+    for h, terms in enumerate(coalgebra.comult):
+        for i in range(alg.dim):
+            for j in range(alg.dim):
+                lhs: dict[int, Scalar] = {}
+                for k, ck in alg.mult[i][j]:
+                    for r, e in cols[h][k]:
+                        add = ck * e
+                        lhs[r] = lhs[r] + add if r in lhs else add
+                rhs: dict[int, Scalar] = {}
+                for h1, h2, c in terms:
+                    for r, x in alg.mult_terms(cols[h1][i], cols[h2][j]):
+                        add = c * x
+                        rhs[r] = rhs[r] + add if r in rhs else add
+                if sparse_diff(lhs, rhs, alg.ctx) is not None:
+                    yield h, i, j
+
+
 def check_algebra(a: FinDimAlgebra, report: VerificationReport | None = None, prefix: str = "algebra") -> VerificationReport:
     """Associativity on all basis triples and both unit laws."""
     rep = report if report is not None else VerificationReport()
-
-    def associativity():
-        z = a.ctx.zero()
-        mult = a.mult
-        for i in range(a.dim):
-            for j in range(a.dim):
-                for k in range(a.dim):
-                    lhs: dict[int, Scalar] = {}  # (e_i e_j) e_k
-                    for t, c in mult[i][j]:
-                        for s, d in mult[t][k]:
-                            lhs[s] = lhs.get(s, z) + c * d
-                    rhs: dict[int, Scalar] = {}  # e_i (e_j e_k)
-                    for t, c in mult[j][k]:
-                        for s, d in mult[i][t]:
-                            rhs[s] = rhs.get(s, z) + c * d
-                    if sparse_diff(lhs, rhs, a.ctx) is not None:
-                        yield {"triple": [i, j, k],
-                               "residual": [lhs.get(s, z) - rhs.get(s, z) for s in range(a.dim)]}
-
-    def unit_laws():
-        unit, one = nonzero(a.unit), a.ctx.one()
-        for i in range(a.dim):
-            ei = [(i, one)]
-            if a.mult_terms(unit, ei) != ei or a.mult_terms(ei, unit) != ei:
-                yield {"index": i}
-
-    rep.check(f"{prefix}/associativity", associativity())
-    rep.check(f"{prefix}/unit-laws", unit_laws())
+    z = a.ctx.zero()
+    rep.check(f"{prefix}/associativity", (
+        {"triple": [i, j, k], "residual": [lhs.get(s, z) - rhs.get(s, z) for s in range(a.dim)]}
+        for i, j, k, lhs, rhs in associativity_failures(a)))
+    rep.check(f"{prefix}/unit-laws", ({"index": i} for i in unit_failures(a)))
     return rep
 
 
@@ -196,22 +283,6 @@ def check_coalgebra(c: FinDimCoalgebra, report: VerificationReport | None = None
     """Coassociativity and counit laws on every basis element."""
     rep = report if report is not None else VerificationReport()
     z = c.ctx.zero()
-
-    def coassociativity():
-        for i in range(c.dim):
-            left: dict[tuple[int, int, int], Scalar] = {}
-            for j, k, coeff in c.comult[i]:
-                for a, b, d in c.comult[j]:
-                    key = (a, b, k)
-                    left[key] = left.get(key, z) + coeff * d
-            right: dict[tuple[int, int, int], Scalar] = {}
-            for j, k, coeff in c.comult[i]:
-                for a, b, d in c.comult[k]:
-                    key = (j, a, b)
-                    right[key] = right.get(key, z) + coeff * d
-            key = sparse_diff(left, right, c.ctx)
-            if key is not None:
-                yield {"index": i, "tensor_index": list(key)}
 
     def counit_laws():
         for i in range(c.dim):
@@ -224,7 +295,8 @@ def check_coalgebra(c: FinDimCoalgebra, report: VerificationReport | None = None
             if sparse_diff(left, ei, c.ctx) is not None or sparse_diff(right, ei, c.ctx) is not None:
                 yield {"index": i}
 
-    rep.check(f"{prefix}/coassociativity", coassociativity())
+    rep.check(f"{prefix}/coassociativity", (
+        {"index": i, "tensor_index": list(key)} for i, key in coassociativity_failures(c, c.comult)))
     rep.check(f"{prefix}/counit-laws", counit_laws())
     return rep
 
@@ -235,23 +307,6 @@ def check_bialgebra(a: FinDimAlgebra, c: FinDimCoalgebra, report: VerificationRe
     rep = report if report is not None else VerificationReport()
     check_algebra(a, rep, prefix=f"{prefix}/algebra")
     check_coalgebra(c, rep, prefix=f"{prefix}/coalgebra")
-    z = a.ctx.zero()
-
-    def comult_multiplicative():
-        for i in range(a.dim):
-            for j in range(a.dim):
-                lhs = tensor_image(c.comult, a.mult[i][j])
-                rhs: dict[tuple[int, int], Scalar] = {}
-                for p, q, cc in c.comult[i]:
-                    for r, s, dd in c.comult[j]:
-                        coeff = cc * dd
-                        for x, m1 in a.mult[p][r]:
-                            for y, m2 in a.mult[q][s]:
-                                key = (x, y)
-                                rhs[key] = rhs.get(key, z) + coeff * m1 * m2
-                key = sparse_diff(lhs, rhs, a.ctx)
-                if key is not None:
-                    yield {"pair": [i, j], "tensor_index": list(key)}
 
     def comult_unit():
         unit = nonzero(a.unit)
@@ -268,7 +323,9 @@ def check_bialgebra(a: FinDimAlgebra, c: FinDimCoalgebra, report: VerificationRe
         if c.counit_vec(nonzero(a.unit)) != a.ctx.one():
             yield {"pair": "unit"}
 
-    rep.check(f"{prefix}/comult-multiplicative", comult_multiplicative())
+    rep.check(f"{prefix}/comult-multiplicative", (
+        {"pair": [i, j], "tensor_index": list(key)}
+        for i, j, key in coaction_multiplicative_failures(a, a, c.comult)))
     rep.check(f"{prefix}/comult-unit", comult_unit())
     rep.check(f"{prefix}/counit-multiplicative", counit_multiplicative())
     return rep

@@ -1,7 +1,7 @@
 """Objects that only the tests build: extra comodule algebras, the
 trivial R-matrix, the inverse braiding, the restriction of a
 bosonization module to the group algebra, the dual algebra of a
-coalgebra, and matrices from dense rows.  Each is checked against the
+coalgebra, a perturbed Taft algebra, and matrices from dense rows.  Each is checked against the
 package's own checkers before a test relies on it.  It also keeps the
 slow oracles of the R-matrix consumers, which read R term by term where
 the package reads it leg by leg, and the per-basis-tuple double
@@ -115,6 +115,23 @@ def double_braiding_per_term(model: TaftModel, com: ComoduleRep, mod: ModuleRep,
                             out[(r1, r2)] = out.get((r1, r2), z) + c * cr * e1 * e2
             terms += [(r1 * dv + r2, i * dv + vv, c) for (r1, r2), c in out.items()]
     return Matrix(ctx, n * dv, n * dv, terms)
+
+
+def perturbed_taft() -> FinDimHopf:
+    """Taft n = 2 with one product doubled, one coproduct coefficient
+    shifted and one counit value changed."""
+    h = taft_model(2).taft
+    ctx = h.ctx
+    mult = [list(row) for row in h.algebra.mult]
+    mult[1][2] = [(k, c + c) for k, c in mult[1][2]]
+    comult = list(h.coalgebra.comult)
+    delta = {(j, k): c for j, k, c in comult[3]}
+    delta[(1, 2)] = delta.get((1, 2), ctx.zero()) + ctx.one()
+    comult[3] = [(j, k, c) for (j, k), c in sorted_terms(delta)]
+    counit = list(h.coalgebra.counit)
+    counit[2] = ctx.one()
+    return FinDimHopf(FinDimAlgebra(ctx, h.dim, mult, h.algebra.unit),
+                      FinDimCoalgebra(ctx, h.dim, comult, counit), h.antipode)
 
 
 def _verified(k: ComoduleAlgebra) -> ComoduleAlgebra:

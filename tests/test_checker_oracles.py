@@ -1,7 +1,9 @@
 """Slow oracles of the exhaustive checkers that read precomputed term
 lists: the ad1 residuals of `verify_conditions_direct`, the
-Yetter-Drinfeld compatibility of `check_yd` and the product-module-
-morphism claim of `verify_center_algebra`.
+Yetter-Drinfeld compatibility of `check_yd`, and the module-algebra scan
+`hopf.module_algebra_failures` that both the product-module-morphism
+claim of `verify_center_algebra` and the product-t-equivariant claim of
+`check_braided_hopf` run.
 
 Each oracle is the dense loop the checker used to run: it recomputes
 every value per basis tuple from dense vectors, with its own dense
@@ -11,17 +13,29 @@ algebras at n = 2, 3 and on seeded single-entry corruptions of the
 Hom-space maps, the actions, the coactions and the product.  The
 Hom-space maps are sparse {(x*NK + k)*NK + pp: Scalar} dicts; the ad1
 oracle reads each one as a dense vector.
+
+The other axiom scans of `hopf` each serve two checkers, and those must
+report the same first index on one corrupted input: coassociativity for
+`check_coalgebra` and `check_comodule`, multiplicativity of the coaction
+for `check_bialgebra` and `check_comodule_algebra`, and associativity
+and the unit laws for `check_algebra` and `verify_center_algebra`.
 """
 
 import random
 
 import pytest
 
-from hopfadjoint.adjoint import problem_for, solve_adjoint, verify_center_algebra, verify_conditions_direct
-from hopfadjoint.braiding import check_yd
-from hopfadjoint.constructions import comodule_algebra_K, regular_comodule_algebra, taft_model
+from hopfadjoint.adjoint import (_coordinate_algebra, problem_for, solve_adjoint, verify_center_algebra,
+                                 verify_conditions_direct)
+from hopfadjoint.braiding import (ComoduleAlgebra, ComoduleRep, ModuleRep, check_comodule, check_comodule_algebra,
+                                  check_yd)
+from hopfadjoint.constructions import (BraidedHopf, braided_line, check_braided_hopf, comodule_algebra_K,
+                                       regular_comodule_algebra, taft_model)
+from hopfadjoint.cyclotomic import zeta_power
+from hopfadjoint.hopf import check_algebra, check_bialgebra, check_coalgebra
 from hopfadjoint.linalg import Matrix, dense, sorted_terms, sparse_diff
 from hopfadjoint.reports import VerificationReport
+from support import perturbed_taft
 
 # (n, K, conditions): module variants over K(d, xi) and the relative regular case
 CASES = {
@@ -44,6 +58,12 @@ def solved(case):
 def first_witness(rep: VerificationReport, claim_id: str):
     (claim,) = [c for c in rep.claims if c.claim_id == claim_id]
     return claim.witness
+
+
+def scan_witness(rep: VerificationReport, claim_id: str, *keys):
+    """The values of keys in the witness of claim_id, or None when it passes."""
+    witness = first_witness(rep, claim_id)
+    return None if witness is None else tuple(witness[k] for k in keys)
 
 
 # -- the dense oracles -------------------------------------------------------
@@ -121,36 +141,39 @@ def oracle_yd(hopf, module, comodule):
                 yield {"pair": [h, v]}
 
 
-def oracle_product_module_morphism(a):
-    n = a.dim
-    z = a.ctx.zero()
-    hopf = a.problem.hopf
+def oracle_product_module_morphism(coalgebra, product, action):
+    """(h, [i, j]) at each tuple where h.(a_i a_j) and (h1.a_i)(h2.a_j)
+    differ, for the dense product table product[i][j] and the action
+    matrix action[h] of each basis element h of coalgebra's host."""
+    n = len(product)
+    ctx = coalgebra.ctx
+    z = ctx.zero()
 
-    def product(u, v):
+    def mult(u, v):
         out = [z] * n
         for i, x in enumerate(u):
             for j, y in enumerate(v):
                 if x.is_zero() or y.is_zero():
                     continue
-                for k, e in enumerate(a.product[i][j]):
+                for k, e in enumerate(product[i][j]):
                     out[k] = out[k] + x * y * e
         return out
 
     def column(h, i):
-        return dense(a.ctx, n, a.action[h].col_terms(i))
+        return dense(ctx, n, action[h].col_terms(i))
 
-    for h in range(hopf.dim):
+    for h, terms in enumerate(coalgebra.comult):
         for i in range(n):
             for j in range(n):
                 lhs = [z] * n
-                for k, x in enumerate(a.product[i][j]):
+                for k, x in enumerate(product[i][j]):
                     lhs = [r + x * e for r, e in zip(lhs, column(h, k))]
                 rhs = [z] * n
-                for h1, h2, c in hopf.coalgebra.comult[h]:
-                    w = product(column(h1, i), column(h2, j))
+                for h1, h2, c in terms:
+                    w = mult(column(h1, i), column(h2, j))
                     rhs = [r + c * x for r, x in zip(rhs, w)]
                 if lhs != rhs:
-                    yield {"h": h, "pair": [i, j]}
+                    yield h, [i, j]
 
 
 # -- seeded single-entry corruptions -----------------------------------------
@@ -200,8 +223,13 @@ def assert_yd_agrees(alg):
 
 def assert_center_agrees(alg):
     rep = verify_center_algebra(alg)
-    assert (first_witness(rep, "adjoint-center/product-module-morphism")
-            == next(oracle_product_module_morphism(alg), None))
+    assert (scan_witness(rep, "adjoint-center/product-module-morphism", "h", "pair")
+            == next(oracle_product_module_morphism(alg.problem.hopf.coalgebra, alg.product, alg.action), None))
+    # check_algebra runs the same associativity and unit scans on the coordinate algebra
+    plain = check_algebra(_coordinate_algebra(alg))
+    assert (scan_witness(plain, "algebra/associativity", "triple")
+            == scan_witness(rep, "adjoint-center/associative", "triple"))
+    assert scan_witness(plain, "algebra/unit-laws", "index") == scan_witness(rep, "adjoint-center/unit-two-sided", "basis")
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -244,3 +272,34 @@ def test_condition_checker_treats_a_stored_zero_as_absent(case):
     absent = [{v: e for v, e in alpha.items() if not e.is_zero()} for alpha in maps]
     assert ([(c.claim_id, c.status, c.witness) for c in stored.claims]
             == [(c.claim_id, c.status, c.witness) for c in verify_conditions_direct(alg.problem, absent).claims])
+
+
+# -- the callers of one shared scan ------------------------------------------
+
+
+def test_coassociativity_of_a_coalgebra_and_of_its_regular_comodule_agree():
+    c = perturbed_taft().coalgebra
+    first = scan_witness(check_coalgebra(c), "coalgebra/coassociativity", "index")
+    assert first is not None
+    assert scan_witness(check_comodule(ComoduleRep(c, c.dim, c.comult)), "comodule/coassociativity", "index") == first
+
+
+def test_multiplicativity_of_a_bialgebra_and_of_its_regular_comodule_algebra_agree():
+    h = perturbed_taft()
+    first = scan_witness(check_bialgebra(h.algebra, h.coalgebra), "bialgebra/comult-multiplicative", "pair")
+    assert first is not None
+    regular = ComoduleAlgebra(h, h.algebra, h.coalgebra.comult)
+    assert scan_witness(check_comodule_algebra(regular), "comodule-algebra/coaction-multiplicative", "pair") == first
+
+
+def test_product_t_equivariance_matches_oracle():
+    # the braided line at n = 3 with g^b acting on every x^a, a >= 1, by q^b
+    line = braided_line(3)
+    ctx = line.ctx
+    action = [Matrix(ctx, 3, 3, [(a, a, zeta_power(ctx, b if a else 0)) for a in range(3)]) for b in range(3)]
+    product = [[dense(ctx, 3, terms) for terms in row] for row in line.algebra.mult]
+    for tmodule in (line.tmodule, ModuleRep(line.t_hopf.algebra, 3, action)):
+        rep = check_braided_hopf(BraidedHopf(line.algebra, line.coalgebra, tmodule, line.braided_antipode,
+                                             line.t_hopf, line.rmatrix))
+        assert (scan_witness(rep, "braided-hopf/product-t-equivariant", "t_index", "pair")
+                == next(oracle_product_module_morphism(line.t_hopf.coalgebra, product, tmodule.action), None))

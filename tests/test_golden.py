@@ -67,9 +67,9 @@ from hopfadjoint.hopf import (
     check_bialgebra,
     check_hopf,
 )
-from hopfadjoint.linalg import Matrix, SubspaceBasis, dense, kernel_basis, sorted_terms
+from hopfadjoint.linalg import Matrix, SubspaceBasis, dense, kernel_basis
 from hopfadjoint.reports import emit_json
-from support import trivial_r_matrix
+from support import perturbed_taft, trivial_r_matrix
 
 ADJOINT_N2 = ["adjoint", "--n", "2", "--d", "2", "--xi", "0"]
 
@@ -282,20 +282,7 @@ def _reversed_coaction(coaction, nh: int):
 
 
 def hopf_with_perturbed_constants():
-    """Taft n = 2 with one product doubled, one coproduct coefficient
-    shifted and one counit value changed."""
-    h = taft_model(2).taft
-    ctx = h.ctx
-    mult = [list(row) for row in h.algebra.mult]
-    mult[1][2] = [(k, c + c) for k, c in mult[1][2]]
-    comult = list(h.coalgebra.comult)
-    delta = {(j, k): c for j, k, c in comult[3]}
-    delta[(1, 2)] = delta.get((1, 2), ctx.zero()) + ctx.one()
-    comult[3] = [(j, k, c) for (j, k), c in sorted_terms(delta)]
-    counit = list(h.coalgebra.counit)
-    counit[2] = ctx.one()
-    return check_hopf(FinDimHopf(FinDimAlgebra(ctx, h.dim, mult, h.algebra.unit),
-                                 FinDimCoalgebra(ctx, h.dim, comult, counit), h.antipode))
+    return check_hopf(perturbed_taft())
 
 
 def rmatrix_one_tensor_g():

@@ -63,7 +63,7 @@ with open(tree.parent / "order.log", "a") as log:
     log.write(f"{tree.name} {seed}\\n")
 print("a line before the result, which bench_pairs.py skips")
 print(json.dumps({"correct": True, "attempted": 2, "failed": 0, "metrics": {
-    "setup_s": {"value": 0.1 * scale, "unit": "s"},
+    "setup_s": {"value": 0.1 * scale * (1 + seed), "unit": "s"},
     "run_s": {"value": (1 + seed / 100) * scale, "unit": "s"},
     "peak_rss_mb": {"value": 30.0, "unit": "MB"}}}))
 '''
@@ -94,7 +94,16 @@ def test_bench_pairs_alternates_and_summarises(tmp_path):
     assert metrics["peak_rss_mb"]["change_wins"] == 0  # ties count for neither side
     assert {name: m["within_bound"] for name, m in metrics.items()} == {name: True for name in metrics}
     assert run_s["bound"] == 0.25
-    assert proc.stdout.splitlines()[-1] == "every metric within its bound"
+    # run_s: 4/4 pairs won by a gap of 0.51 s against a parent spread of 0.015 s
+    assert run_s["gain_shown"] is True and run_s["unresolved"] is False
+    # setup_s: 4/4 pairs won, but the gap of 0.125 s is within the parent's
+    # quartile distance of 0.15 s, which is 0.6 of its median, wider than the bound
+    setup_s = metrics["setup_s"]
+    assert setup_s["change_wins"] == 4 and setup_s["parent_quartile_distance"] == pytest.approx(0.15)
+    assert setup_s["gain_shown"] is False and setup_s["unresolved"] is True
+    assert metrics["peak_rss_mb"]["gain_shown"] is False and metrics["peak_rss_mb"]["unresolved"] is False
+    assert proc.stdout.splitlines()[-1] == ("every metric within its bound | gain shown: module-n4 run_s | "
+                                            "unresolved: module-n4 setup_s")
 
     # with the sides swapped the change takes twice as long: 2.0 > 1 + 0.25
     out.unlink()
@@ -104,8 +113,20 @@ def test_bench_pairs_alternates_and_summarises(tmp_path):
     metrics = json.loads(out.read_text())["workloads"]["module-n4"]["metrics"]
     assert metrics["run_s"]["ratio"] == 2.0 and metrics["run_s"]["within_bound"] is False
     assert metrics["peak_rss_mb"]["within_bound"] is True
+    assert metrics["run_s"]["gain_shown"] is False
     assert proc.stdout.splitlines()[-1] == ("outside its bound: module-n4 setup_s (ratio 2.000, bound 0.25); "
-                                            "module-n4 run_s (ratio 2.000, bound 0.25)")
+                                            "module-n4 run_s (ratio 2.000, bound 0.25) | gain shown: none | "
+                                            "unresolved: module-n4 setup_s")
+
+    # a spread wider than the bound is resolved when every change run beats every parent run
+    module_spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+    script = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(script)
+    runs = [({"metrics": {"run_s": {"value": p}}}, {"metrics": {"run_s": {"value": c}}})
+            for p, c in ((1.0, 0.5), (2.0, 0.6), (3.0, 0.9))]
+    metric = script.summarise(runs, {"run_s": {"better": "lower", "bound": 0.25}})["run_s"]
+    assert metric["parent_quartile_distance"] / metric["parent"]["median"] > 0.25
+    assert metric["unresolved"] is False and metric["gain_shown"] is True
 
 
 def test_bench_pairs_reports_a_crashed_run(tmp_path):
