@@ -14,6 +14,17 @@ Hom-space maps, the actions, the coactions and the product.  The
 Hom-space maps are sparse {(x*NK + k)*NK + pp: Scalar} dicts; the ad1
 oracle reads each one as a dense vector.
 
+Three more scans have oracles of their own: associativity, checked with
+`check_algebra`'s dense residual; the multiplicativity of a coaction,
+whose oracle is the dict loop the scan used to run, so that the tensor
+index `sparse_diff` picks among several differing keys is compared too;
+and `check_module`'s action-multiplicative scan, whose oracle forms
+action[i] * action[j] and the action of e_i e_j as matrices per pair.
+They are compared on the Taft algebras at n = 3 and 4, on K(4, 2, 1), on
+the regular comodule algebra at n = 3, on the solved algebras and on
+seeded single-entry corruptions of each, and on tables that hold a
+stored zero, which every scan must read as absent.
+
 The other axiom scans of `hopf` each serve two checkers, and those must
 report the same first index on one corrupted input: coassociativity for
 `check_coalgebra` and `check_comodule`, multiplicativity of the coaction
@@ -28,11 +39,12 @@ import pytest
 from hopfadjoint.adjoint import (_coordinate_algebra, problem_for, solve_adjoint, verify_center_algebra,
                                  verify_conditions_direct)
 from hopfadjoint.braiding import (ComoduleAlgebra, ComoduleRep, ModuleRep, check_comodule, check_comodule_algebra,
-                                  check_yd)
+                                  check_module, check_yd, regular_module)
 from hopfadjoint.constructions import (BraidedHopf, braided_line, check_braided_hopf, comodule_algebra_K,
                                        regular_comodule_algebra, taft_model)
 from hopfadjoint.cyclotomic import zeta_power
-from hopfadjoint.hopf import check_algebra, check_bialgebra, check_coalgebra
+from hopfadjoint.hopf import (FinDimAlgebra, FinDimCoalgebra, check_algebra, check_bialgebra, check_coalgebra,
+                             tensor_image)
 from hopfadjoint.linalg import Matrix, dense, sorted_terms, sparse_diff
 from hopfadjoint.reports import VerificationReport
 from support import perturbed_taft
@@ -72,10 +84,11 @@ def scan_witness(rep: VerificationReport, claim_id: str, *keys):
 def dense_mult(alg, u, v):
     """u * v for dense vectors, straight from the structure constants."""
     out = [alg.ctx.zero()] * alg.dim
+    v_nonzero = [(j, vj) for j, vj in enumerate(v) if not vj.is_zero()]
     for i, ui in enumerate(u):
-        for j, vj in enumerate(v):
-            if ui.is_zero() or vj.is_zero():
-                continue
+        if ui.is_zero():
+            continue
+        for j, vj in v_nonzero:
             for k, m in alg.mult[i][j]:
                 out[k] = out[k] + ui * vj * m
     return out
@@ -176,6 +189,49 @@ def oracle_product_module_morphism(coalgebra, product, action):
                     yield h, [i, j]
 
 
+def oracle_associativity(alg):
+    """check_algebra's witness at each triple where (e_i e_j) e_k and
+    e_i (e_j e_k) differ, with the dense residual lhs - rhs."""
+    basis = [dense(alg.ctx, alg.dim, [(i, alg.ctx.one())]) for i in range(alg.dim)]
+    for i, ei in enumerate(basis):
+        for j, ej in enumerate(basis):
+            for k, ek in enumerate(basis):
+                lhs = dense_mult(alg, dense_mult(alg, ei, ej), ek)
+                rhs = dense_mult(alg, ei, dense_mult(alg, ej, ek))
+                if lhs != rhs:
+                    yield {"triple": [i, j, k], "residual": [a - b for a, b in zip(lhs, rhs)]}
+
+
+def oracle_coaction_multiplicative(h_alg, alg, coaction):
+    """([i, j], key) at each pair where lambda(e_i e_j) and lambda(e_i)
+    lambda(e_j) differ, key the first (y, p) at which they do: the loop
+    the scan ran before, whose two dicts fix which differing key
+    `sparse_diff` picks."""
+    z = alg.ctx.zero()
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            lhs = tensor_image(coaction, alg.mult[i][j])
+            rhs = {}
+            for y1, a, c1 in coaction[i]:
+                for y2, b, c2 in coaction[j]:
+                    for y, m1 in h_alg.mult[y1][y2]:
+                        for p, m2 in alg.mult[a][b]:
+                            rhs[(y, p)] = rhs.get((y, p), z) + c1 * c2 * m1 * m2
+            key = sparse_diff(lhs, rhs, alg.ctx)
+            if key is not None:
+                yield [i, j], list(key)
+
+
+def oracle_action_multiplicative(v):
+    """{"pair": [i, j]} wherever action[i] * action[j] is not the action
+    of e_i e_j, both formed as matrices."""
+    alg = v.host
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            if v.action[i] * v.action[j] != v.act_terms(alg.mult[i][j]):
+                yield {"pair": [i, j]}
+
+
 # -- seeded single-entry corruptions -----------------------------------------
 
 
@@ -207,6 +263,51 @@ def corrupt_product(alg, rng):
     alg.product[i][j][k] = alg.product[i][j][k] + alg.ctx.one()
 
 
+def shifted_product(alg, rng):
+    """alg with one coefficient of its product table shifted by one."""
+    i, j, k = (rng.randrange(alg.dim) for _ in range(3))
+    mult = [list(row) for row in alg.mult]
+    acc = dict(mult[i][j])
+    acc[k] = acc.get(k, alg.ctx.zero()) + alg.ctx.one()
+    mult[i][j] = sorted_terms(acc)
+    return FinDimAlgebra(alg.ctx, alg.dim, mult, alg.unit)
+
+
+def shifted_coaction(ctx, coaction, nh, rng):
+    """coaction, into a host of dimension nh, with one coefficient shifted
+    by one."""
+    n = len(coaction)
+    v, key = rng.randrange(n), (rng.randrange(nh), rng.randrange(n))
+    acc = {(y, w): c for y, w, c in coaction[v]}
+    acc[key] = acc.get(key, ctx.zero()) + ctx.one()
+    return coaction[:v] + [[(y, w, c) for (y, w), c in sorted_terms(acc)]] + coaction[v + 1:]
+
+
+def shifted_action(v, rng):
+    """v with one entry of one action matrix shifted by one."""
+    h, r, c = rng.randrange(len(v.action)), rng.randrange(v.dim), rng.randrange(v.dim)
+    action = list(v.action)
+    action[h] = action[h] + Matrix(v.host.ctx, v.dim, v.dim, [(r, c, v.host.ctx.one())])
+    return ModuleRep(v.host, v.dim, action)
+
+
+def with_stored_zeros(alg, rng):
+    """alg with a zero coefficient stored in one product term list at an
+    index it does not hold, and one of its coefficients cancelled to a
+    stored zero: the second is a different algebra, the first is not."""
+    zero = alg.ctx.zero()
+    mult = [list(row) for row in alg.mult]
+    i, j = rng.randrange(alg.dim), rng.randrange(alg.dim)
+    held = {k for k, _ in mult[i][j]}
+    mult[i][j] = sorted(mult[i][j] + [(next(k for k in range(alg.dim) if k not in held), zero)])
+    same = FinDimAlgebra(alg.ctx, alg.dim, mult, alg.unit)
+    i, j = rng.choice([(i, j) for i in range(alg.dim) for j in range(alg.dim) if alg.mult[i][j]])
+    cut = [list(row) for row in alg.mult]
+    (k, c), *rest = cut[i][j]
+    cut[i][j] = [(k, c - c)] + rest
+    return same, FinDimAlgebra(alg.ctx, alg.dim, cut, alg.unit)
+
+
 # -- the comparisons ---------------------------------------------------------
 
 
@@ -219,17 +320,47 @@ def assert_yd_agrees(alg):
     hopf, mod, com = alg.problem.hopf, alg.module_rep(), alg.comodule_rep()
     rep = check_yd(hopf, mod, com)
     assert first_witness(rep, "yd/compatibility") == next(oracle_yd(hopf, mod, com), None)
+    assert_module_agrees(mod)
 
 
 def assert_center_agrees(alg):
     rep = verify_center_algebra(alg)
     assert (scan_witness(rep, "adjoint-center/product-module-morphism", "h", "pair")
             == next(oracle_product_module_morphism(alg.problem.hopf.coalgebra, alg.product, alg.action), None))
+    coords = _coordinate_algebra(alg)
+    expect = next(oracle_coaction_multiplicative(alg.problem.hopf.algebra, coords, alg.coaction), None)
+    assert (scan_witness(rep, "adjoint-center/product-comodule-morphism", "pair")
+            == (None if expect is None else (expect[0],)))
+    assert_associativity_agrees(coords)
     # check_algebra runs the same associativity and unit scans on the coordinate algebra
-    plain = check_algebra(_coordinate_algebra(alg))
+    plain = check_algebra(coords)
     assert (scan_witness(plain, "algebra/associativity", "triple")
             == scan_witness(rep, "adjoint-center/associative", "triple"))
     assert scan_witness(plain, "algebra/unit-laws", "index") == scan_witness(rep, "adjoint-center/unit-two-sided", "basis")
+
+
+def assert_associativity_agrees(alg):
+    assert first_witness(check_algebra(alg), "algebra/associativity") == next(oracle_associativity(alg), None)
+
+
+def assert_coaction_agrees(hopf, alg, coaction):
+    """check_comodule_algebra's first pair for this coaction of alg into
+    hopf against the oracle's."""
+    expect = next(oracle_coaction_multiplicative(hopf.algebra, alg, coaction), None)
+    rep = check_comodule_algebra(ComoduleAlgebra(hopf, alg, coaction))
+    assert (scan_witness(rep, "comodule-algebra/coaction-multiplicative", "pair")
+            == (None if expect is None else (expect[0],)))
+
+
+def assert_comult_agrees(alg, coalgebra):
+    """check_bialgebra's first pair and tensor index against the oracle's."""
+    expect = next(oracle_coaction_multiplicative(alg, alg, coalgebra.comult), None)
+    assert (scan_witness(check_bialgebra(alg, coalgebra), "bialgebra/comult-multiplicative", "pair", "tensor_index")
+            == (None if expect is None else tuple(expect)))
+
+
+def assert_module_agrees(v):
+    assert first_witness(check_module(v), "module/action-multiplicative") == next(oracle_action_multiplicative(v), None)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -254,6 +385,56 @@ def test_checkers_match_oracles_on_corrupted_inputs(case, seed):
     assert_yd_agrees(alg)
     corrupt_product(alg, rng)
     assert_center_agrees(alg)
+
+
+MODEL_CASES = ("taft-3", "taft-4", "K(4,2,1)", "regular-3")
+
+
+def model_case(case):
+    """(hopf, algebra, coaction of the algebra into hopf) for a case."""
+    if case.startswith("taft"):
+        h = taft_model(int(case[-1])).taft
+        return h, h.algebra, h.coalgebra.comult
+    k = regular_comodule_algebra(3) if case == "regular-3" else comodule_algebra_K(4, 2, 1)
+    return k.hopf, k.algebra, k.coaction
+
+
+def assert_model_scans_agree(hopf, alg, coaction):
+    assert_associativity_agrees(alg)
+    assert_coaction_agrees(hopf, alg, coaction)
+    if alg.dim == hopf.dim:
+        assert_comult_agrees(alg, FinDimCoalgebra(alg.ctx, alg.dim, coaction, hopf.coalgebra.counit))
+    assert_module_agrees(regular_module(alg))
+
+
+@pytest.mark.parametrize("case", MODEL_CASES)
+def test_scans_match_oracles_on_model_algebras(case):
+    assert_model_scans_agree(*model_case(case))
+
+
+@pytest.mark.parametrize("case", MODEL_CASES)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_scans_match_oracles_on_corrupted_model_algebras(case, seed):
+    rng = random.Random(f"{case}/{seed}")
+    hopf, alg, coaction = model_case(case)
+    shifted = shifted_product(alg, rng)
+    assert_model_scans_agree(hopf, shifted, coaction)
+    assert_module_agrees(ModuleRep(shifted, alg.dim, regular_module(alg).action))
+    assert_model_scans_agree(hopf, alg, shifted_coaction(alg.ctx, coaction, hopf.dim, rng))
+    assert_module_agrees(shifted_action(regular_module(alg), rng))
+
+
+@pytest.mark.parametrize("case", MODEL_CASES)
+def test_scans_treat_a_stored_zero_as_absent(case):
+    rng = random.Random(case)
+    hopf, alg, coaction = model_case(case)
+    same, cut = with_stored_zeros(alg, rng)
+    for table in (same, cut):
+        assert_model_scans_agree(hopf, table, coaction)
+        assert_module_agrees(ModuleRep(table, alg.dim, regular_module(alg).action))
+    # the same algebra with a stored zero passes every scan its oracle passes
+    assert check_algebra(same).ok
+    assert check_module(ModuleRep(same, alg.dim, regular_module(alg).action)).ok
 
 
 @pytest.mark.parametrize("case", ["n2-K(2,1)", "n3-regular"])

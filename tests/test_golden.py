@@ -386,6 +386,46 @@ def late_product_unit_and_coaction_corrupted():
     return verify_center_algebra(alg)
 
 
+def late_tuples_at_n3_corrupted():
+    """At n = 3: the Taft algebra with the product of its last basis element
+    with itself set to that element, and again with the last coproduct term
+    of that element doubled; its regular module with one entry of the last
+    action matrix shifted; and the module variant over K(3, 0) with one entry
+    of the last Hom-space map, one entry of the last action matrix and the
+    last coaction term shifted.  The first witnesses of associativity,
+    comult-multiplicative (a tensor index among several differing keys),
+    action-multiplicative, ad1, Yetter-Drinfeld compatibility and the
+    centre algebra's module and comodule morphism claims are late tuples."""
+    m = taft_model(3)
+    h = m.taft
+    ctx = h.ctx
+    one = ctx.one()
+    last = h.dim - 1
+    mult = [list(row) for row in h.algebra.mult]
+    mult[last][last] = [(last, one)]
+    rep = check_hopf(FinDimHopf(FinDimAlgebra(ctx, h.dim, mult, h.algebra.unit), h.coalgebra, h.antipode),
+                     prefix="late-product")
+    comult = list(h.coalgebra.comult)
+    *head, (j, k, c) = comult[last]
+    comult[last] = head + [(j, k, c + c)]
+    check_hopf(FinDimHopf(h.algebra, FinDimCoalgebra(ctx, h.dim, comult, h.coalgebra.counit), h.antipode),
+               rep, prefix="late-coproduct")
+    acts = list(regular_module(h.algebra).action)
+    acts[last] = acts[last] + Matrix(ctx, h.dim, h.dim, [(last, last, one)])
+    check_module(ModuleRep(h.algebra, h.dim, acts), rep, prefix="late-action")
+    alg = solve_adjoint(problem_for(m, comodule_algebra_K(3, 3, 0), {"ad1", "ad3"}))
+    maps = alg.hom_maps()
+    u = alg.NH * alg.NK * alg.NK - 1  # alpha_last(e_last, e_last), coefficient of e_last
+    maps[-1][u] = maps[-1].get(u, ctx.zero()) + one
+    verify_conditions_direct(alg.problem, maps, rep)
+    act = alg.action[-1]
+    alg.action[-1] = act + Matrix(ctx, act.rows, act.cols, [(alg.dim - 1, alg.dim - 1, one)])
+    *head, (y, v, c) = alg.coaction[-1]
+    alg.coaction = alg.coaction[:-1] + [head + [(y, v, c + c)]]
+    verify_yd(alg, rep)
+    return verify_center_algebra(alg, rep)
+
+
 def dinaturality_without_comodule_condition():
     m = taft_model(2)
     k = comodule_algebra_K(2, 2, 0)
@@ -503,6 +543,8 @@ REPORT_DIGESTS = {
         "a29df411e03108794ed75c7c8bf16e8216c7ba05a5256e6bf502e7fa1c7218bf",
     late_product_unit_and_coaction_corrupted:
         "1add8cc03480606c77493c698b48aa6d0e201794db1dad63bd6a9db7b4610722",
+    late_tuples_at_n3_corrupted:
+        "32194b538d67dfc1807b2cbcc72845e7de999c890f5ed244804eee92ebc79f4f",
     dinaturality_without_comodule_condition:
         "0ee8e76c65a9217fc51d8ee86276833c329ef921b4ae32bb1bc8e9275448f797",
     taft_with_unit_e1:
