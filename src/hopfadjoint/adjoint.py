@@ -501,7 +501,9 @@ def verify_conditions_direct(p: AdjointProblem, maps: list[dict[int, Scalar]],
         spread = [[[(zz, k0, c * m1) for y, k0, c in K.coaction[k] for zz, m1 in p.hopf.algebra.mult[y][x]]
                    for x in range(NH)] for k in range(NK)]
         for idx, cols in enumerate(views):
-            shifted: dict[tuple[int, int], list] = {}  # (zz, k0) -> the (l, r, e) of A_zz L_k0
+            # (zz, k0) -> the (l, r, e) of A_zz L_k0, read from the column
+            # table; an (l, r) that comes twice is summed where it is read
+            shifted: dict[tuple[int, int], list] = {}
             for k in range(NK):
                 left = kalg.mult[k]
                 for x in range(NH):
@@ -509,8 +511,8 @@ def verify_conditions_direct(p: AdjointProblem, maps: list[dict[int, Scalar]],
                     for zz, k0, w in spread[k][x]:
                         block = shifted.get((zz, k0))
                         if block is None:
-                            block = shifted[zz, k0] = [(l, r, e) for l in range(NK) for r, e in
-                                                       _hom_at(cols, NK, zz, kalg.mult[k0][l]).items()]
+                            block = shifted[zz, k0] = [(l, r, ck * e) for l, terms in enumerate(kalg.mult[k0])
+                                                       for k1, ck in terms for r, e in cols[zz * NK + k1]]
                         for l, r, e in block:
                             key, add = (l, r), w * e
                             lhs[key] = lhs[key] + add if key in lhs else add

@@ -322,9 +322,31 @@ def check_module(v: ModuleRep, report: VerificationReport | None = None, prefix:
     as the identity."""
     rep = report if report is not None else VerificationReport()
     alg = v.host
-    rep.check(f"{prefix}/action-multiplicative", (
-        {"pair": [i, j]} for i in range(alg.dim) for j in range(alg.dim)
-        if v.action[i] * v.action[j] != v.act_terms(alg.mult[i][j])))
+    ctx = alg.ctx
+
+    def action_multiplicative():
+        # column col of action[i] action[j] against that of the action of e_i e_j
+        cols = [[m.col_terms(col) for col in range(v.dim)] for m in v.action]
+        for i in range(alg.dim):
+            row_i, cols_i = alg.mult[i], cols[i]
+            for j in range(alg.dim):
+                ij, cols_j = row_i[j], cols[j]
+                for col in range(v.dim):
+                    lhs: dict[int, Scalar] = {}
+                    for r, e in cols_j[col]:
+                        for s, f in cols_i[r]:
+                            add = e * f
+                            lhs[s] = lhs[s] + add if s in lhs else add
+                    rhs: dict[int, Scalar] = {}
+                    for t, m in ij:
+                        for s, f in cols[t][col]:
+                            add = m * f
+                            rhs[s] = rhs[s] + add if s in rhs else add
+                    if lhs != rhs and sparse_diff(lhs, rhs, ctx) is not None:
+                        yield {"pair": [i, j]}
+                        break
+
+    rep.check(f"{prefix}/action-multiplicative", action_multiplicative())
 
     def unit_acts_as_identity():
         if v.act_terms(nonzero(alg.unit)) != Matrix.identity(alg.ctx, v.dim):
@@ -382,33 +404,39 @@ def check_yd(hopf: FinDimHopf, module: ModuleRep, comodule: ComoduleRep,
     rep = report if report is not None else VerificationReport()
     ctx = hopf.ctx
     alg = hopf.algebra
-    z = ctx.zero()
     dim_v = module.dim
 
     def compatibility():
         act_cols = [[m.col_terms(v) for v in range(dim_v)] for m in module.action]
         s_cols = [hopf.antipode.col_terms(h3) for h3 in range(hopf.dim)]
+        coaction = comodule.coaction
         sandwiches: dict[tuple[int, int, int], list[tuple[int, Scalar]]] = {}  # h1 y S(h3)
         for h in range(hopf.dim):
+            delta2, h_cols = hopf.coalgebra.delta2_terms(h), act_cols[h]
             for v in range(dim_v):
                 lhs: dict = {}
-                for w, wc in act_cols[h][v]:
-                    for y, w0, c in comodule.coaction[w]:
-                        key = (y, w0)
-                        lhs[key] = lhs.get(key, z) + wc * c
+                for w, wc in h_cols[v]:
+                    for y, w0, c in coaction[w]:
+                        key, add = (y, w0), wc * c
+                        lhs[key] = lhs[key] + add if key in lhs else add
                 rhs: dict = {}
-                for h1, h2, h3, c in hopf.coalgebra.delta2_terms(h):
-                    for y, v0, d in comodule.coaction[v]:
+                for h1, h2, h3, c in delta2:
+                    h2_cols = act_cols[h2]
+                    for y, v0, d in coaction[v]:
+                        h2v0 = h2_cols[v0]
+                        if not h2v0:
+                            continue
                         first = sandwiches.get((h1, y, h3))
                         if first is None:
                             first = sandwiches[h1, y, h3] = alg.mult_terms(alg.mult[h1][y], s_cols[h3])
-                        coeff = c * d
-                        h2v0 = act_cols[h2][v0]
-                        for yy, fy in first:
-                            for w, wv in h2v0:
-                                key = (yy, w)
-                                rhs[key] = rhs.get(key, z) + coeff * fy * wv
-                if sparse_diff(lhs, rhs, ctx) is not None:
+                        if first:
+                            coeff = c * d
+                            for yy, fy in first:
+                                cf = coeff * fy
+                                for w, wv in h2v0:
+                                    key, add = (yy, w), cf * wv
+                                    rhs[key] = rhs[key] + add if key in rhs else add
+                if lhs != rhs and sparse_diff(lhs, rhs, ctx) is not None:
                     yield {"pair": [h, v]}
 
     rep.check(f"{prefix}/compatibility", compatibility())

@@ -19,6 +19,21 @@ id and witness:
     `braiding.check_comodule_algebra` and `verify_center_algebra`;
   * `module_algebra_failures`: `constructions.check_braided_hopf` and
     `verify_center_algebra`.
+
+These scans, `braiding.check_module` and `check_yd`, and the ad1 scan of
+`adjoint.verify_conditions_direct` share one idiom per basis tuple.  Each
+side is summed into a dict with `acc[k] = acc[k] + v if k in acc else v`,
+so no first term is added to a zero.  An empty structure-constant list is
+skipped before anything is multiplied for it, and a coefficient product
+that does not depend on the innermost index is formed outside it.  A
+product of two elements that is summed into a dict goes through
+`FinDimAlgebra.add_product`, unsorted.  The two sides are compared with
+`lhs != rhs` first, and `sparse_diff` runs only when the dicts differ.
+Equal dicts agree at every key, so the test changes no result.  Unequal
+dicts reach `sparse_diff` as they are, so the key it returns, the first
+differing one in the order of their key set, is the one it returned
+before, and a zero stored in one dict still counts as absent: dicts that
+differ only in stored zeros pass.
 """
 
 from __future__ import annotations
@@ -44,17 +59,27 @@ class FinDimAlgebra:
         self.mult = mult
         self.unit = list(unit)
 
+    def add_product(self, acc: dict[int, Scalar], u_terms, v_terms) -> None:
+        """Add u * v, for the elements with these (index, coefficient)
+        terms, into the accumulator acc in place, unsorted; acc may be left
+        with stored zeros.  A caller that sums c * (u v) passes u with c
+        already multiplied in, formed outside its inner loops."""
+        mult = self.mult
+        for i, ui in u_terms:
+            row = mult[i]
+            for j, vj in v_terms:
+                terms = row[j]
+                if terms:
+                    c = ui * vj
+                    for k, m in terms:
+                        add = c * m
+                        acc[k] = acc[k] + add if k in acc else add
+
     def mult_terms(self, u_terms, v_terms) -> list[tuple[int, Scalar]]:
         """The term list of u * v for the elements with these (index,
         coefficient) terms: ascending, no zero coefficient."""
         acc: dict[int, Scalar] = {}
-        for i, ui in u_terms:
-            row = self.mult[i]
-            for j, vj in v_terms:
-                c = ui * vj
-                for k, m in row[j]:
-                    add = c * m
-                    acc[k] = acc[k] + add if k in acc else add
+        self.add_product(acc, u_terms, v_terms)
         return sorted_terms(acc)
 
     def left_mult_matrix(self, u_terms) -> Matrix:
@@ -174,20 +199,23 @@ def associativity_failures(a: FinDimAlgebra):
     """Yield (i, j, k, lhs, rhs) at each basis triple, in the order of i,
     then j, then k, where lhs = (e_i e_j) e_k and rhs = e_i (e_j e_k)
     differ; both are {index: Scalar} dicts that may hold zeros."""
-    z = a.ctx.zero()
-    mult = a.mult
+    ctx, mult = a.ctx, a.mult
     for i in range(a.dim):
+        row_i = mult[i]
         for j in range(a.dim):
+            ij, row_j = row_i[j], mult[j]
             for k in range(a.dim):
                 lhs: dict[int, Scalar] = {}
-                for t, c in mult[i][j]:
+                for t, c in ij:
                     for s, d in mult[t][k]:
-                        lhs[s] = lhs.get(s, z) + c * d
+                        add = c * d
+                        lhs[s] = lhs[s] + add if s in lhs else add
                 rhs: dict[int, Scalar] = {}
-                for t, c in mult[j][k]:
-                    for s, d in mult[i][t]:
-                        rhs[s] = rhs.get(s, z) + c * d
-                if sparse_diff(lhs, rhs, a.ctx) is not None:
+                for t, c in row_j[k]:
+                    for s, d in row_i[t]:
+                        add = c * d
+                        rhs[s] = rhs[s] + add if s in rhs else add
+                if lhs != rhs and sparse_diff(lhs, rhs, ctx) is not None:
                     yield i, j, k, lhs, rhs
 
 
@@ -227,44 +255,52 @@ def coaction_multiplicative_failures(h_alg: FinDimAlgebra, alg: FinDimAlgebra, c
     j, where lambda(e_i e_j) and lambda(e_i) lambda(e_j) differ in h_alg x
     alg, key the first (y, p) at which they do.  With h_alg = alg and
     coaction = Delta this is the multiplicativity of a bialgebra's Delta."""
-    z = alg.ctx.zero()
-    mult, h_mult = alg.mult, h_alg.mult
+    ctx, mult, h_mult = alg.ctx, alg.mult, h_alg.mult
     for i in range(alg.dim):
+        row_i, lambda_i = mult[i], coaction[i]
         for j in range(alg.dim):
-            lhs = tensor_image(coaction, mult[i][j])
+            lambda_j = coaction[j]
+            lhs = tensor_image(coaction, row_i[j])
             rhs: dict[tuple[int, int], Scalar] = {}
-            for y1, a, c1 in coaction[i]:
-                for y2, b, c2 in coaction[j]:
-                    c12 = c1 * c2
-                    for y, m1 in h_mult[y1][y2]:
-                        cm = c12 * m1
-                        for p, m2 in mult[a][b]:
-                            key = (y, p)
-                            rhs[key] = rhs.get(key, z) + cm * m2
-            key = sparse_diff(lhs, rhs, alg.ctx)
-            if key is not None:
-                yield i, j, key
+            for y1, a, c1 in lambda_i:
+                h_row, a_row = h_mult[y1], mult[a]
+                for y2, b, c2 in lambda_j:
+                    hy, ab = h_row[y2], a_row[b]
+                    if hy and ab:
+                        c12 = c1 * c2
+                        for y, m1 in hy:
+                            cm = c12 * m1
+                            for p, m2 in ab:
+                                key, add = (y, p), cm * m2
+                                rhs[key] = rhs[key] + add if key in rhs else add
+            if lhs != rhs:
+                key = sparse_diff(lhs, rhs, ctx)
+                if key is not None:
+                    yield i, j, key
 
 
 def module_algebra_failures(coalgebra: FinDimCoalgebra, alg: FinDimAlgebra, action: list[Matrix]):
     """Yield (h, i, j) at each tuple, in the order of h, then i, then j,
     where h.(e_i e_j) and (h1.e_i)(h2.e_j) differ: action[h] is the matrix
     of the basis element h of coalgebra's host on alg."""
+    ctx, mult, add_product = alg.ctx, alg.mult, alg.add_product
     cols = [[m.col_terms(i) for i in range(alg.dim)] for m in action]
     for h, terms in enumerate(coalgebra.comult):
+        h_cols = cols[h]
         for i in range(alg.dim):
+            row_i = mult[i]
+            # c (h1.e_i) for each term (h1, h2, c) of Delta(h), with its h2
+            lefts = [([(r, c * x) for r, x in cols[h1][i]], cols[h2]) for h1, h2, c in terms]
             for j in range(alg.dim):
                 lhs: dict[int, Scalar] = {}
-                for k, ck in alg.mult[i][j]:
-                    for r, e in cols[h][k]:
+                for k, ck in row_i[j]:
+                    for r, e in h_cols[k]:
                         add = ck * e
                         lhs[r] = lhs[r] + add if r in lhs else add
                 rhs: dict[int, Scalar] = {}
-                for h1, h2, c in terms:
-                    for r, x in alg.mult_terms(cols[h1][i], cols[h2][j]):
-                        add = c * x
-                        rhs[r] = rhs[r] + add if r in rhs else add
-                if sparse_diff(lhs, rhs, alg.ctx) is not None:
+                for left, h2_cols in lefts:
+                    add_product(rhs, left, h2_cols[j])
+                if lhs != rhs and sparse_diff(lhs, rhs, ctx) is not None:
                     yield h, i, j
 
 
