@@ -15,6 +15,10 @@ id and witness:
     `adjoint.verify_center_algebra`;
   * `coassociativity_failures` of a coaction, Delta included:
     `check_coalgebra` and `braiding.check_comodule`;
+  * `counit_failures` of a coaction, Delta and its opposite included:
+    `check_coalgebra` and `braiding.check_comodule`;
+  * `coaction_unit_failures`: `check_bialgebra` and
+    `braiding.check_comodule_algebra`;
   * `coaction_multiplicative_failures`: `check_bialgebra`,
     `braiding.check_comodule_algebra` and `verify_center_algebra`;
   * `module_algebra_failures`: `constructions.check_braided_hopf` and
@@ -38,10 +42,11 @@ differ only in stored zeros pass.
 
 from __future__ import annotations
 
+from heapq import merge
 from itertools import product
 
 from .cyclotomic import FieldContext, Scalar
-from .linalg import Matrix, dense, nonzero, rref, sorted_terms, sparse_diff, zeros
+from .linalg import Matrix, dense, lincomb, nonzero, rref, sorted_terms, sparse_diff, zeros
 from .reports import VerificationReport
 
 
@@ -250,6 +255,28 @@ def coassociativity_failures(host: FinDimCoalgebra, coaction):
             yield v, key
 
 
+def counit_failures(host: FinDimCoalgebra, coaction):
+    """Yield each basis index v at which (eps x id) lambda(e_v) is not e_v,
+    for coaction[v] the term list of lambda(e_v) into host x V: the counit
+    law of a comodule, and with coaction = host.comult the left counit law
+    of host."""
+    one = host.ctx.one()
+    for v, terms in enumerate(coaction):
+        if lincomb((host.counit[a], [(v0, x)]) for a, v0, x in terms) != [(v, one)]:
+            yield v
+
+
+def coaction_unit_failures(h_alg: FinDimAlgebra, alg: FinDimAlgebra, coaction):
+    """Yield the first key (y, p) at which lambda(1) and 1 x 1 differ in
+    h_alg x alg, if they do; with h_alg = alg and coaction = Delta this is
+    Delta(1) = 1 x 1."""
+    unit = nonzero(alg.unit)
+    expect = {(y, p): cy * cp for y, cy in nonzero(h_alg.unit) for p, cp in unit}
+    key = sparse_diff(tensor_image(coaction, unit), expect, alg.ctx)
+    if key is not None:
+        yield key
+
+
 def coaction_multiplicative_failures(h_alg: FinDimAlgebra, alg: FinDimAlgebra, coaction):
     """Yield (i, j, key) at each basis pair of alg, in the order of i, then
     j, where lambda(e_i e_j) and lambda(e_i) lambda(e_j) differ in h_alg x
@@ -318,22 +345,12 @@ def check_algebra(a: FinDimAlgebra, report: VerificationReport | None = None, pr
 def check_coalgebra(c: FinDimCoalgebra, report: VerificationReport | None = None, prefix: str = "coalgebra") -> VerificationReport:
     """Coassociativity and counit laws on every basis element."""
     rep = report if report is not None else VerificationReport()
-    z = c.ctx.zero()
-
-    def counit_laws():
-        for i in range(c.dim):
-            left: dict[int, Scalar] = {}
-            right: dict[int, Scalar] = {}
-            for j, k, coeff in c.comult[i]:
-                left[k] = left.get(k, z) + coeff * c.counit[j]
-                right[j] = right.get(j, z) + coeff * c.counit[k]
-            ei = {i: c.ctx.one()}
-            if sparse_diff(left, ei, c.ctx) is not None or sparse_diff(right, ei, c.ctx) is not None:
-                yield {"index": i}
-
+    # the right counit law is the left one of the opposite comultiplication
+    opposite = [[(k, j, x) for j, k, x in terms] for terms in c.comult]
     rep.check(f"{prefix}/coassociativity", (
         {"index": i, "tensor_index": list(key)} for i, key in coassociativity_failures(c, c.comult)))
-    rep.check(f"{prefix}/counit-laws", counit_laws())
+    rep.check(f"{prefix}/counit-laws", (
+        {"index": i} for i in merge(counit_failures(c, c.comult), counit_failures(c, opposite))))
     return rep
 
 
@@ -343,13 +360,6 @@ def check_bialgebra(a: FinDimAlgebra, c: FinDimCoalgebra, report: VerificationRe
     rep = report if report is not None else VerificationReport()
     check_algebra(a, rep, prefix=f"{prefix}/algebra")
     check_coalgebra(c, rep, prefix=f"{prefix}/coalgebra")
-
-    def comult_unit():
-        unit = nonzero(a.unit)
-        expect = {(i, j): ui * uj for i, ui in unit for j, uj in unit}
-        key = sparse_diff(tensor_image(c.comult, unit), expect, a.ctx)
-        if key is not None:
-            yield {"tensor_index": list(key)}
 
     def counit_multiplicative():
         for i in range(a.dim):
@@ -362,7 +372,7 @@ def check_bialgebra(a: FinDimAlgebra, c: FinDimCoalgebra, report: VerificationRe
     rep.check(f"{prefix}/comult-multiplicative", (
         {"pair": [i, j], "tensor_index": list(key)}
         for i, j, key in coaction_multiplicative_failures(a, a, c.comult)))
-    rep.check(f"{prefix}/comult-unit", comult_unit())
+    rep.check(f"{prefix}/comult-unit", ({"tensor_index": list(key)} for key in coaction_unit_failures(a, a, c.comult)))
     rep.check(f"{prefix}/counit-multiplicative", counit_multiplicative())
     return rep
 

@@ -484,3 +484,35 @@ def test_product_t_equivariance_matches_oracle():
                                              line.t_hopf, line.rmatrix))
         assert (scan_witness(rep, "braided-hopf/product-t-equivariant", "t_index", "pair")
                 == next(oracle_product_module_morphism(line.t_hopf.coalgebra, product, tmodule.action), None))
+
+
+def _with_extra_comult_term(h, i, term):
+    """The coalgebra of h with the term (j, k, c) added to Delta(e_i)."""
+    comult = list(h.coalgebra.comult)
+    comult[i] = sorted(comult[i] + [term])
+    return FinDimCoalgebra(h.ctx, h.dim, comult, h.coalgebra.counit)
+
+
+def test_counit_law_of_a_coalgebra_and_of_its_regular_comodule_agree():
+    c = perturbed_taft().coalgebra
+    first = scan_witness(check_coalgebra(c), "coalgebra/counit-laws", "index")
+    assert first is not None
+    assert scan_witness(check_comodule(ComoduleRep(c, c.dim, c.comult)), "comodule/counit", "index") == first
+
+
+def test_right_counit_law_is_checked_on_the_opposite_comultiplication():
+    # Delta(g) = g x g + x x 1 at n = 2: eps(x) = 0 keeps the left law, the right one fails
+    h = taft_model(2).taft
+    c = _with_extra_comult_term(h, 1, (2, 0, h.ctx.one()))
+    assert scan_witness(check_coalgebra(c), "coalgebra/counit-laws", "index") == (1,)
+    assert scan_witness(check_comodule(ComoduleRep(c, c.dim, c.comult)), "comodule/counit", "index") is None
+
+
+def test_unit_coaction_of_a_bialgebra_and_of_its_regular_comodule_algebra_agree():
+    # Delta(1) = 1 x 1 + x x x at n = 2
+    h = taft_model(2).taft
+    c = _with_extra_comult_term(h, 0, (2, 2, h.ctx.one()))
+    assert scan_witness(check_bialgebra(h.algebra, c), "bialgebra/comult-unit", "tensor_index") == ([2, 2],)
+    regular = ComoduleAlgebra(h, h.algebra, c.comult)
+    assert first_witness(check_comodule_algebra(regular), "comodule-algebra/coaction-unit") == {
+        "axiom": "lambda(1) = 1 x 1"}
