@@ -24,8 +24,9 @@ id and witness:
   * `module_algebra_failures`: `constructions.check_braided_hopf` and
     `verify_center_algebra`.
 
-These scans, `braiding.check_module` and `check_yd`, and the ad1 scan of
-`adjoint.verify_conditions_direct` share one idiom per basis tuple.  Each
+The scans here that sum into dicts, `braiding.check_module` and
+`check_yd`, and the ad1 scan of `adjoint.verify_conditions_direct` share
+one idiom per basis tuple.  Each
 side is summed into a dict with `acc[k] = acc[k] + v if k in acc else v`,
 so no first term is added to a zero.  An empty structure-constant list is
 skipped before anything is multiplied for it, and a coefficient product
@@ -238,21 +239,22 @@ def coassociativity_failures(host: FinDimCoalgebra, coaction):
     and (id x lambda) lambda(e_v) differ, key the first (a, b, w) at which
     they do.  coaction[v] is the term list of lambda(e_v) into host x V;
     with coaction = host.comult this is the coassociativity of host."""
-    z = host.ctx.zero()
+    ctx, comult = host.ctx, host.comult
     for v, terms in enumerate(coaction):
         lhs: dict[tuple[int, int, int], Scalar] = {}
         for a, v0, x in terms:
-            for p, q, d in host.comult[a]:
-                key = (p, q, v0)
-                lhs[key] = lhs.get(key, z) + x * d
+            for p, q, d in comult[a]:
+                key, add = (p, q, v0), x * d
+                lhs[key] = lhs[key] + add if key in lhs else add
         rhs: dict[tuple[int, int, int], Scalar] = {}
         for a, v0, x in terms:
             for b, v1, y in coaction[v0]:
-                key = (a, b, v1)
-                rhs[key] = rhs.get(key, z) + x * y
-        key = sparse_diff(lhs, rhs, host.ctx)
-        if key is not None:
-            yield v, key
+                key, add = (a, b, v1), x * y
+                rhs[key] = rhs[key] + add if key in rhs else add
+        if lhs != rhs:
+            key = sparse_diff(lhs, rhs, ctx)
+            if key is not None:
+                yield v, key
 
 
 def counit_failures(host: FinDimCoalgebra, coaction):
