@@ -349,7 +349,7 @@ def check_module(v: ModuleRep, report: VerificationReport | None = None, prefix:
     rep.check(f"{prefix}/action-multiplicative", action_multiplicative())
 
     def unit_acts_as_identity():
-        if v.act_terms(nonzero(alg.unit)) != Matrix.identity(alg.ctx, v.dim):
+        if v.act_terms(nonzero(alg.unit)) != Matrix.identity(ctx, v.dim):
             yield {"axiom": "unit acts as identity"}
 
     rep.check(f"{prefix}/action-unit", unit_acts_as_identity())
