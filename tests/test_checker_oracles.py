@@ -402,7 +402,7 @@ def model_case(case):
 def assert_model_scans_agree(hopf, alg, coaction):
     assert_associativity_agrees(alg)
     assert_coaction_agrees(hopf, alg, coaction)
-    if alg.dim == hopf.dim:
+    if alg.dim == hopf.dim:  # a (perturbed) Taft algebra whose coaction is its Delta
         assert_comult_agrees(alg, FinDimCoalgebra(alg.ctx, alg.dim, coaction, hopf.coalgebra.counit))
     assert_module_agrees(regular_module(alg))
 
