@@ -512,6 +512,27 @@ def regular_case_with_repeated_row():
     return regular_case_iso(alg, build_h_ad(m))
 
 
+def rmatrices_and_line_with_cyclic_action():
+    """R = g x 1 over kC_3, which fails comult-right and
+    antipode-right-inverse; R = g x g over the Taft algebra at n = 2, g
+    at index 1, which fails almost-cocommutative; and the braided line at
+    n = 3 with kC_3 acting by the cyclic permutation of its basis, which
+    fails coproduct-t-equivariant."""
+    t = group_algebra_cn(3)
+    element = [t.ctx.zero()] * 9
+    element[1 * 3 + 0] = t.ctx.one()
+    rep = check_rmatrix(RMatrix(t, element), prefix="kc3-rmatrix")
+    h = taft_model(2).taft
+    element = [h.ctx.zero()] * 16
+    element[1 * 4 + 1] = h.ctx.one()
+    check_rmatrix(RMatrix(h, element), rep, prefix="taft2-rmatrix")
+    line = braided_line(3)
+    ctx = line.ctx
+    cyclic = [Matrix(ctx, 3, 3, [((a + b) % 3, a, ctx.one()) for a in range(3)]) for b in range(3)]
+    return check_braided_hopf(BraidedHopf(line.algebra, line.coalgebra, ModuleRep(line.t_hopf.algebra, 3, cyclic),
+                                          line.braided_antipode, line.t_hopf, line.rmatrix), rep)
+
+
 REPORT_DIGESTS = {
     yd_with_transposed_action:
         "5ddbbe94a74772d0ffb475e7e34da006926fa0ac4b513e48c7ccfbc7f33344e4",
@@ -557,6 +578,8 @@ REPORT_DIGESTS = {
         "e9e539b8d563ba448eb9bd6adb90f73f5f25af6c3980601c2995ef65c6dbf1d9",
     regular_case_with_repeated_row:
         "8b08c9bcecd0303c1213758948b132810681640de786d9de738d461ade88fe7f",
+    rmatrices_and_line_with_cyclic_action:
+        "1332b70ee2a4a35274436b341091af0153add4173d7d2e172af9f58ab32c5f84",
 }
 
 
