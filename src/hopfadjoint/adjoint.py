@@ -29,7 +29,7 @@ from functools import cached_property
 from fractions import Fraction
 
 from .cyclotomic import FieldContext, Scalar, zeta_power
-from .hopf import (FinDimAlgebra, FinDimHopf, associativity_failures, coaction_multiplicative_failures,
+from .hopf import (FinDimAlgebra, FinDimHopf, associativity_failures, coaction_multiplicative_failures, leg_map,
                    module_algebra_failures, tensor_image, unit_failures)
 from .braiding import (ComoduleAlgebra, ComoduleRep, ModuleRep, RMatrix, braided_commutativity_failures,
                        check_comodule, check_module, check_yd, double_braiding, lift_via_pi, yd_braiding)
@@ -88,6 +88,15 @@ class AdjointProblem:
                  for zz, m in mult_terms(self.t_embed.col_terms(e_leg), [(x, one)])]
                 for x in range(self.hopf.dim)]
 
+    @cached_property
+    def g_conjugates(self) -> list[list[list[tuple[int, Scalar]]]]:
+        """g_conjugates[i][y]: the term list of g^-i e_y g^i, for g^i the
+        image under t_embed of the base element at index i."""
+        one, n = self.ctx.one(), self.base.dim
+        mult_terms, g = self.hopf.algebra.mult_terms, self.t_embed.col_terms
+        return [[mult_terms(mult_terms(g(-i % n), [(y, one)]), g(i)) for y in range(self.hopf.dim)]
+                for i in range(n)]
+
     def describe(self) -> dict:
         return {
             "hopf_dim": self.hopf.dim,
@@ -114,14 +123,9 @@ def problem_for(model: TaftModel, k: ComoduleAlgebra, conditions) -> AdjointProb
 def _ad2_rhs(p: AdjointProblem) -> dict[tuple[int, int, int], Scalar]:
     """(t, p0, p2) -> the coefficient of g^t x e_p0 in (pi x id) lambda(e_p2):
     the right-hand side of the comodule condition, the same for every x."""
-    z = p.ctx.zero()
-    rhs: dict[tuple[int, int, int], Scalar] = {}
-    for p2, terms in enumerate(p.comod_alg.coaction):
-        for y, p0, c in terms:
-            for t, cpi in p.pi.col_terms(y):
-                key = (t, p0, p2)
-                rhs[key] = rhs.get(key, z) + c * cpi
-    return rhs
+    pi_cols = [p.pi.col_terms(y) for y in range(p.hopf.dim)]
+    return {(t, p0, p2): c for p2, terms in enumerate(p.comod_alg.coaction)
+            for (t, p0), c in leg_map((pi_cols, None), {(y, p0): c for y, p0, c in terms}).items()}
 
 
 def condition_system(p: AdjointProblem) -> Matrix:
@@ -311,7 +315,7 @@ class AdjointAlgebra:
         K = self.problem.comod_alg
         kalg, halg = K.algebra, hopf.algebra
         NH, NK, n = self.NH, self.NK, self.dim
-        z = ctx.zero()
+        one = ctx.one()
         terms = self.bar_terms
 
         unit = {x * NK + r: e * u for x, e in nonzero(hopf.coalgebra.counit)
@@ -355,12 +359,7 @@ class AdjointAlgebra:
         def left_terms(x1: int, y0: int, x3: int) -> list[tuple[int, Scalar]]:
             key = (x1, y0, x3)
             if key not in lefts:
-                acc: dict[int, Scalar] = {}
-                for s, cs in hopf.antipode.col_terms(x1):
-                    for t, m1 in halg.mult[s][y0]:
-                        for y, m2 in halg.mult[t][x3]:
-                            acc[y] = acc.get(y, z) + cs * m1 * m2
-                lefts[key] = sorted_terms(acc)
+                lefts[key] = halg.mult_terms(halg.mult_terms(hopf.antipode.col_terms(x1), [(y0, one)]), [(x3, one)])
             return lefts[key]
 
         coaction = []
@@ -530,18 +529,12 @@ def verify_conditions_direct(p: AdjointProblem, maps: list[dict[int, Scalar]],
                             yield {"basis": idx, "tuple": [k, x, l]}
 
     def ad2_residuals():
+        pi_cols = [p.pi.col_terms(y) for y in range(NH)]
         for idx, cols in enumerate(views):
+            bars = [_hom_at(cols, NK, x, unit).items() for x in range(NH)]  # alpha(e_x, 1)
             for x in range(NH):
-                lhs: dict[tuple[int, int], Scalar] = {}
-                for t_leg, zz, cm in p.ad2_terms[x]:
-                    for r, e in _hom_at(cols, NK, zz, unit).items():
-                        key = (t_leg, r)
-                        lhs[key] = lhs.get(key, z) + cm * e
-                rhs: dict[tuple[int, int], Scalar] = {}
-                for (y, p0), c in tensor_image(K.coaction, _hom_at(cols, NK, x, unit).items()).items():
-                    for t, cpi in p.pi.col_terms(y):
-                        key = (t, p0)
-                        rhs[key] = rhs.get(key, z) + c * cpi
+                lhs = dict(lincomb((cm, [((t_leg, r), e) for r, e in bars[zz]]) for t_leg, zz, cm in p.ad2_terms[x]))
+                rhs = leg_map((pi_cols, None), tensor_image(K.coaction, bars[x]))
                 if sparse_diff(lhs, rhs, ctx) is not None:
                     yield {"basis": idx, "x": x}
 
@@ -669,7 +662,7 @@ def phi_structure_transport(a: AdjointAlgebra, report: VerificationReport | None
     n, d, m = K.n, K.d, K.m
     NK = K.dim
     kalg = K.algebra
-    z, one = ctx.zero(), ctx.one()
+    one = ctx.one()
     unit = nonzero(kalg.unit)
 
     ok = a.dim == n * n
@@ -773,22 +766,12 @@ def phi_structure_transport(a: AdjointAlgebra, report: VerificationReport | None
 
     def coaction_conjugated():
         com = a.comodule_rep()
-        halg = p.hopf.algebra
         for s in range(a.dim):
-            lhs: dict[tuple[int, int, int], Scalar] = {}
-            for y, l, c in com.coaction[s]:
-                for i in range(m):
-                    for pp, v in tvals[l][i]:
-                        key = (y, i, pp)
-                        lhs[key] = lhs.get(key, z) + c * v
-            rhs: dict[tuple[int, int, int], Scalar] = {}
-            for i in range(m):
-                gi = p.t_embed.col_terms(i % n)
-                gmi = p.t_embed.col_terms((n - i) % n)
-                for (y, pp), c in tensor_image(K.coaction, tvals[s][i]).items():
-                    for yy, cy in halg.mult_terms(halg.mult_terms(gmi, [(y, one)]), gi):
-                        key = (yy, i, pp)
-                        rhs[key] = rhs.get(key, z) + c * cy
+            lhs = dict(lincomb((c, [((y, i, pp), v) for i in range(m) for pp, v in tvals[l][i]])
+                               for y, l, c in com.coaction[s]))
+            # component i conjugated by g^i
+            rhs = {(yy, i, pp): c for i in range(m) for (yy, pp), c in
+                   leg_map((p.g_conjugates[i], None), tensor_image(K.coaction, tvals[s][i])).items()}
             key = sparse_diff(lhs, rhs, ctx)
             if key is not None:
                 yield {"basis": s, "key": list(key)}
@@ -811,14 +794,11 @@ def _grading_twist(p: AdjointProblem, shift: int) -> Matrix:
     ctx = p.ctx
     n = p.base.dim
     K = p.comod_alg
-    halg = p.hopf.algebra
-    gi = p.t_embed.col_terms(shift % n)
-    gmi = p.t_embed.col_terms(-shift % n)
-    one = ctx.one()
+    conjugates = p.g_conjugates[shift % n]
     terms = []
     for k in range(K.dim):
         for y, k0, c in K.coaction[k]:
-            for yy, cy in halg.mult_terms(halg.mult_terms(gmi, [(y, one)]), gi):
+            for yy, cy in conjugates[y]:
                 for t, cpi in p.pi.col_terms(yy):
                     terms.append((k0, k, c * cy * cpi * zeta_power(ctx, t)))
     return Matrix(ctx, K.dim, K.dim, terms)

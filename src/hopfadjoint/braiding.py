@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from .cyclotomic import Scalar
 from .hopf import (FinDimAlgebra, FinDimCoalgebra, FinDimHopf, check_algebra, coaction_multiplicative_failures,
-                   coaction_unit_failures, coassociativity_failures, counit_failures, tensor_algebra, tensor_mult)
+                   coaction_unit_failures, coassociativity_failures, counit_failures, leg_map, tensor_algebra,
+                   tensor_image, tensor_mult)
 from .linalg import Matrix, dense, flip_legs, invert, kron_sum, lincomb, nonzero, rref, sparse_diff
 from .reports import VerificationReport
 
@@ -134,104 +135,61 @@ def check_rmatrix(r: RMatrix, report: VerificationReport | None = None, prefix: 
     ctx = h.ctx
     alg = h.algebra
     coa = h.coalgebra
-    z = ctx.zero()
     rterms = r.terms
-    rinv_terms = r.inverse_terms
-    rinv_dict = {(a, b): c for a, b, c in rinv_terms}
+    r_dict = {(a, b): c for a, b, c in rterms}
+    rinv_dict = {(a, b): c for a, b, c in r.inverse_terms}
     unit_terms = nonzero(alg.unit)
+    s_cols = [h.antipode.col_terms(i) for i in range(h.dim)]
 
-    def embed(two_terms, pos: tuple[int, int]) -> dict:
-        """Place an element of T x T into legs pos of T^3, unit elsewhere."""
-        out: dict = {}
-        other = ({0, 1, 2} - set(pos)).pop()
-        for i, j, c in two_terms:
-            for u, cu in unit_terms:
-                key = [0, 0, 0]
-                key[pos[0]] = i
-                key[pos[1]] = j
-                key[other] = u
-                k = tuple(key)
-                add = c * cu
-                out[k] = out.get(k, z) + add
-        return out
+    def embed(unit_leg: int) -> dict:
+        """R in the two legs of T^3 other than unit_leg, the unit in that one."""
+        return {(i, j)[:unit_leg] + (u,) + (i, j)[unit_leg:]: c * cu
+                for i, j, c in rterms for u, cu in unit_terms}
 
     def axiom(lhs: dict, rhs: dict, text: str):
         if sparse_diff(lhs, rhs, ctx) is not None:
             yield {"axiom": text}
 
     def comult_left():
-        lhs: dict = {}
-        for i, j, c in rterms:
-            for a, b, d in coa.comult[i]:
-                key = (a, b, j)
-                lhs[key] = lhs.get(key, z) + c * d
-        rhs = tensor_mult((alg,) * 3, embed(rterms, (0, 2)), embed(rterms, (1, 2)))
+        lhs = {(a, b, j): c for j, leg in r.legs for (a, b), c in tensor_image(coa.comult, leg).items()}
+        rhs = tensor_mult((alg,) * 3, embed(1), embed(0))
         yield from axiom(lhs, rhs, "(Delta x id)(R) = R13 R23")
 
     def comult_right():
-        lhs: dict = {}
-        for i, j, c in rterms:
-            for a, b, d in coa.comult[j]:
-                key = (i, a, b)
-                lhs[key] = lhs.get(key, z) + c * d
-        rhs = tensor_mult((alg,) * 3, embed(rterms, (0, 2)), embed(rterms, (0, 1)))
+        flipped = _legs([(j, i, c) for i, j, c in rterms])
+        lhs = {(i, a, b): c for i, leg in flipped for (a, b), c in tensor_image(coa.comult, leg).items()}
+        rhs = tensor_mult((alg,) * 3, embed(1), embed(2))
         yield from axiom(lhs, rhs, "(id x Delta)(R) = R13 R12")
 
     def counit():
-        left: dict = {}
-        right: dict = {}
-        for i, j, c in rterms:
-            left[j] = left.get(j, z) + c * coa.counit[i]
-            right[i] = right.get(i, z) + c * coa.counit[j]
-        unit = dict(unit_terms)
-        if sparse_diff(left, unit, ctx) is not None or sparse_diff(right, unit, ctx) is not None:
+        left = lincomb((coa.counit[i], [(j, c)]) for i, j, c in rterms)
+        right = lincomb((coa.counit[j], [(i, c)]) for i, j, c in rterms)
+        if left != unit_terms or right != unit_terms:
             yield {"axiom": "(eps x id)(R) = 1 = (id x eps)(R)"}
 
     def almost_cocommutative():
         for i in range(h.dim):
             delta = {(a, b): c for a, b, c in coa.comult[i]}
             cop = {(b, a): c for a, b, c in coa.comult[i]}
-            rd = tensor_mult((alg, alg), {(a, b): c for a, b, c in rterms}, delta)
-            rdr = tensor_mult((alg, alg), rd, {(a, b): c for a, b, c in rinv_terms})
+            rdr = tensor_mult((alg, alg), tensor_mult((alg, alg), r_dict, delta), rinv_dict)
             if sparse_diff(cop, rdr, ctx) is not None:
                 yield {"index": i, "axiom": "Delta_cop(h) = R Delta(h) R^-1"}
-
-    def antipode_left():
-        s_r: dict = {}
-        for i, j, c in rterms:
-            for l, e in h.antipode.col_terms(i):
-                key = (l, j)
-                s_r[key] = s_r.get(key, z) + c * e
-        yield from axiom(s_r, rinv_dict, "(S x id)(R) = R^-1")
 
     def antipode_right_inverse():
         s_inv = invert(h.antipode)
         if s_inv is None:
             yield {"axiom": "S invertible"}
             return
-        sr2: dict = {}
-        for i, j, c in rterms:
-            for l, e in s_inv.col_terms(j):
-                key = (i, l)
-                sr2[key] = sr2.get(key, z) + c * e
-        yield from axiom(sr2, rinv_dict, "(id x S^-1)(R) = R^-1")
-
-    def antipode_both():
-        ss: dict = {}
-        for i, j, c in rterms:
-            for l, el in h.antipode.col_terms(i):
-                for m, em in h.antipode.col_terms(j):
-                    key = (l, m)
-                    ss[key] = ss.get(key, z) + c * el * em
-        yield from axiom(ss, {(a, b): c for a, b, c in rterms}, "(S x S)(R) = R")
+        s_inv_cols = [s_inv.col_terms(j) for j in range(h.dim)]
+        yield from axiom(leg_map((None, s_inv_cols), r_dict), rinv_dict, "(id x S^-1)(R) = R^-1")
 
     rep.check(f"{prefix}/comult-left", comult_left())
     rep.check(f"{prefix}/comult-right", comult_right())
     rep.check(f"{prefix}/counit", counit())
     rep.check(f"{prefix}/almost-cocommutative", almost_cocommutative())
-    rep.check(f"{prefix}/antipode-left", antipode_left())
+    rep.check(f"{prefix}/antipode-left", axiom(leg_map((s_cols, None), r_dict), rinv_dict, "(S x id)(R) = R^-1"))
     rep.check(f"{prefix}/antipode-right-inverse", antipode_right_inverse())
-    rep.check(f"{prefix}/antipode-both", antipode_both())
+    rep.check(f"{prefix}/antipode-both", axiom(leg_map((s_cols, s_cols), r_dict), r_dict, "(S x S)(R) = R"))
     return rep
 
 

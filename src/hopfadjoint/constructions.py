@@ -24,6 +24,7 @@ from .hopf import (
     FinDimCoalgebra,
     FinDimHopf,
     convolution_failures,
+    leg_map,
     module_algebra_failures,
     solve_antipode,
     tensor_image,
@@ -35,8 +36,9 @@ from .braiding import (
     RMatrix,
     braiding,
     check_comodule_algebra,
+    tensor_module,
 )
-from .linalg import Matrix, dense, nonzero, rank, sorted_terms, sparse_diff
+from .linalg import Matrix, dense, lincomb, nonzero, rank, sorted_terms, sparse_diff
 from .reports import VerificationReport
 
 
@@ -181,19 +183,14 @@ def check_braided_hopf(h: BraidedHopf, report: VerificationReport | None = None,
     n = h.dim
 
     def coproduct_t_equivariant():
+        # T acts on H x H at the kron index p * n + q
+        square = tensor_module(t, h.tmodule, h.tmodule)
+        flat = [[(p * n + q, d) for p, q, d in terms] for terms in h.coalgebra.comult]
         for b in range(t.dim):
             act = h.tmodule.action[b]
             for i in range(n):
                 lhs = tensor_image(h.coalgebra.comult, act.col_terms(i))
-                rhs: dict = {}
-                for t1, t2, c in t.coalgebra.comult[b]:
-                    for p, qq, d in h.coalgebra.comult[i]:
-                        vq = h.tmodule.action[t2].col_terms(qq)
-                        for a1, x1 in h.tmodule.action[t1].col_terms(p):
-                            for a2, x2 in vq:
-                                key = (a1, a2)
-                                add = c * d * x1 * x2
-                                rhs[key] = rhs.get(key, ctx.zero()) + add
+                rhs = {divmod(u, n): c for u, c in square.action[b].apply_terms(flat[i])}
                 if sparse_diff(lhs, rhs, ctx) is not None:
                     yield {"t_index": b, "index": i}
 
@@ -316,17 +313,11 @@ def check_hopf_morphism(source: FinDimHopf, target: FinDimHopf, phi: Matrix,
     """phi respects product, unit, coproduct, counit and antipode."""
     rep = report if report is not None else VerificationReport()
     ctx = source.ctx
-    z = ctx.zero()
     image = [phi.col_terms(i) for i in range(source.dim)]  # phi(e_i)
 
     def comultiplicative():
         for i in range(source.dim):
-            lhs: dict = {}
-            for j, k, c in source.coalgebra.comult[i]:
-                for a, xa in image[j]:
-                    for b, xb in image[k]:
-                        key = (a, b)
-                        lhs[key] = lhs.get(key, z) + c * xa * xb
+            lhs = leg_map((image, image), {(j, k): c for j, k, c in source.coalgebra.comult[i]})
             if sparse_diff(lhs, tensor_image(target.coalgebra.comult, image[i]), ctx) is not None:
                 yield {"index": i}
 
@@ -386,13 +377,9 @@ def taft_presentation_check(b: FinDimHopf, n: int,
 
     if n > 1:
         dx = tensor_image(b.coalgebra.comult, x)
-        expect = {}
-        for i, xi in x:
-            for j, uj in unit:
-                expect[(i, j)] = expect.get((i, j), ctx.zero()) + xi * uj
-        for i, gi in g:
-            for j, xj in x:
-                expect[(i, j)] = expect.get((i, j), ctx.zero()) + gi * xj
+        # x x 1 + g x x
+        expect = dict(lincomb([(xi, [((i, j), uj) for j, uj in unit]) for i, xi in x]
+                              + [(gi, [((i, j), xj) for j, xj in x]) for i, gi in g]))
         ok = sparse_diff(dx, expect, ctx) is None
         rep.add(f"{prefix}/coproduct-skew-primitive", ok, None if ok else {"element": "x"})
     else:

@@ -39,6 +39,20 @@ dicts reach `sparse_diff` as they are, so the key it returns, the first
 differing one in the order of their key set, is the one it returned
 before, and a zero stored in one dict still counts as absent: dicts that
 differ only in stored zeros pass.
+
+Those hot scans, and `tensor_image`, which they call, keep that inline
+idiom.  Every other sum of a sparse tensor, a {(i_1, ..., i_k): c} dict,
+goes through one of four helpers, each returning no zero: `linalg.lincomb`
+for a linear combination of term lists, whose keys may be tuples;
+`tensor_image` for Delta or a coaction applied to an element; `tensor_mult`
+for the product leg by leg; and `leg_map` for (f_1 x ... x f_k)(t).  Four
+bespoke loops remain, each a product that no helper composes without
+building an intermediate tensor: `tensor_mult`'s own, over the legs of both
+factors; `constructions._braided_square_product`, which puts the braiding
+between the two products; `constructions.bosonization`'s smash product and
+coproduct, which interleave the T-action, R's legs and T's product at kron
+indices; and `braided_adjoint.pi_dinatural_check`'s wedge sum, a product
+of R's terms with three module actions.
 """
 
 from __future__ import annotations
@@ -180,6 +194,24 @@ def tensor_image(table, terms) -> dict[tuple[int, int], Scalar]:
             key = (j, k)
             add = ui * c
             acc[key] = acc[key] + add if key in acc else add
+    return {k: v for k, v in acc.items() if not v.is_zero()}
+
+
+def leg_map(maps, t: dict) -> dict:
+    """The image (f_1 x ... x f_k)(t) of the sparse tensor t, a {(i_1,
+    ..., i_k): c} dict, where maps[l] lists the column term lists of f_l,
+    maps[l][i] that of f_l(e_i), or is None for the identity on leg l; a
+    sparse tensor without zeros."""
+    acc: dict = {}
+    for key, c in t.items():
+        images = [((), c)]
+        for f, i in zip(maps, key):
+            if f is None:
+                images = [(k + (i,), v) for k, v in images]
+            else:
+                images = [(k + (j,), v * x) for k, v in images for j, x in f[i]]
+        for k, v in images:
+            acc[k] = acc[k] + v if k in acc else v
     return {k: v for k, v in acc.items() if not v.is_zero()}
 
 

@@ -1,5 +1,7 @@
 import ast
+from itertools import product
 from pathlib import Path
+import random
 
 from hypothesis import given, settings, strategies as st
 import pytest
@@ -9,6 +11,7 @@ import hopfadjoint
 from hopfadjoint.adjoint import condition_system_reduced, problem_for
 from hopfadjoint.constructions import comodule_algebra_K, taft_model
 from hopfadjoint.cyclotomic import make_field, zeta_power
+from hopfadjoint.hopf import leg_map
 from hopfadjoint.linalg import (
     Matrix,
     SubspaceBasis,
@@ -507,6 +510,73 @@ def test_kron_sum_and_leg_flip_match_dense_oracle(ctx, da, db, nr, data):
         for y in range(db):
             flip[(y * da + x) * (da * db) + x * db + y] = ctx.one()
     assert_matches(flip_legs(m, da, db), dm * DenseMatrix(ctx, da * db, da * db, flip))
+
+
+def random_sparse_matrix(rng, rows, cols):
+    """A Matrix over Q(zeta_4) with about half of its entries drawn, each
+    coordinate in -2..2, so that some drawn entries are zero."""
+    return Matrix(CTX, rows, cols, [(i, j, CTX.scalar([rng.randint(-2, 2) for _ in range(CTX.degree)]))
+                                    for i in range(rows) for j in range(cols) if rng.random() < 0.5])
+
+
+def random_sparse_tensor(rng, dims):
+    """A {(i_1, ..., i_k): Scalar} tensor over Q(zeta_4), stored zeros included."""
+    return {key: CTX.scalar([rng.randint(-2, 2) for _ in range(CTX.degree)])
+            for key in product(*map(range, dims)) if rng.random() < 0.5}
+
+
+def kron_oracle(mats, t):
+    """(A_1 x ... x A_k)(t) by kron(...kron(A_1, A_2)..., A_k).apply_terms on
+    the flattened tensor, unflattened again."""
+    big = mats[0]
+    for m in mats[1:]:
+        big = kron(big, m)
+
+    def flat(key, dims):
+        u = 0
+        for i, d in zip(key, dims):
+            u = u * d + i
+        return u
+
+    def unflat(u):
+        key = []
+        for m in reversed(mats):
+            u, i = divmod(u, m.rows)
+            key.append(i)
+        return tuple(reversed(key))
+
+    terms = [(flat(key, [m.cols for m in mats]), c) for key, c in t.items()]
+    return {unflat(u): c for u, c in big.apply_terms(terms)}
+
+
+def columns(m):
+    return [m.col_terms(j) for j in range(m.cols)]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_leg_map_matches_kron_oracle(seed):
+    rng = random.Random(seed)
+    a, b, c = (random_sparse_matrix(rng, rng.randint(1, 3), rng.randint(1, 3)) for _ in range(3))
+    t = random_sparse_tensor(rng, (a.cols, b.cols))
+    t3 = random_sparse_tensor(rng, (a.cols, b.cols, c.cols))
+    cases = [((columns(a), columns(b)), (a, b), t),
+             ((columns(a), None), (a, Matrix.identity(CTX, b.cols)), t),
+             ((None, columns(b)), (Matrix.identity(CTX, a.cols), b), t),
+             ((columns(a), columns(b), columns(c)), (a, b, c), t3),
+             ((columns(a), None, columns(c)), (a, Matrix.identity(CTX, b.cols), c), t3)]
+    for maps, mats, tensor in cases:
+        image = leg_map(maps, tensor)
+        assert image == kron_oracle(mats, tensor)
+        assert not any(v.is_zero() for v in image.values())
+
+
+def test_leg_map_leaves_no_cancelled_term():
+    one, q = CTX.one(), zeta_power(CTX, 1)
+    add = Matrix(CTX, 1, 2, [(0, 0, one), (0, 1, one)])  # e_0, e_1 -> e_0
+    t = {(0, 0): q, (1, 0): -q, (1, 1): q, (0, 2): q - q}
+    expect = {(0, 1): q}
+    assert leg_map((columns(add), None), t) == expect
+    assert kron_oracle((add, Matrix.identity(CTX, 3)), t) == expect
 
 
 def test_dense_layout_stays_in_linalg():
