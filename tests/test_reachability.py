@@ -79,3 +79,64 @@ def test_scan_sees_a_test_only_definition(tmp_path):
     (tmp_path / "b.py").write_text("from .a import used\n\nused()\nn = 1\n")
     (tmp_path / "__init__.py").write_text("from .a import unused\n\nunused()\nC.n\n")
     assert unreached_definitions(tmp_path) == {"C.n", "unused"}
+
+
+# The dead-name scan: neither pyflakes nor ruff is a dependency, so this
+# is the package's only check for unused imports and dead locals.
+
+def _reads(node) -> set[str]:
+    return {sub.id for sub in ast.walk(node) if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+
+
+def _assigned(node) -> set[str]:
+    """The names that assignment statements in node bind, tuple targets
+    unpacked; loop and comprehension variables are not counted."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Assign):
+            targets = sub.targets
+        elif isinstance(sub, (ast.AnnAssign, ast.AugAssign, ast.NamedExpr)):
+            targets = [sub.target]
+        else:
+            continue
+        for target in targets:
+            out |= {t.id for t in ast.walk(target) if isinstance(t, ast.Name)}
+    return out
+
+
+def dead_names(package: Path) -> set[str]:
+    """"module: name" for each name a module imports and never reads, and
+    "module.function: name" for each local that an assignment in a
+    function binds and that function never reads.  `__init__.py` is
+    skipped for imports: they are the package's exports.  Names that
+    start with an underscore and names declared global or nonlocal are
+    exempt."""
+    dead = set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        module = path.stem
+        if path.name != "__init__.py":
+            imported = {(alias.asname or alias.name).split(".")[0]
+                        for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                        and getattr(node, "module", None) != "__future__" for alias in node.names}
+            dead |= {f"{module}: {name}" for name in imported - _reads(tree)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                declared = {name for sub in ast.walk(node) if isinstance(sub, (ast.Global, ast.Nonlocal))
+                            for name in sub.names}
+                unread = _assigned(node) - _reads(node) - declared
+                dead |= {f"{module}.{node.name}: {name}" for name in unread if not name.startswith("_")}
+    return dead
+
+
+def test_no_unused_import_or_dead_local():
+    assert dead_names(PACKAGE) == set()
+
+
+def test_scan_sees_an_unused_import_and_a_dead_local(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "from __future__ import annotations\n\nimport os\nfrom math import pi, tau\n\n\n"
+        "def f(x):\n    z, y = 0, x\n    _unused = 1\n    w = 2\n    w += 1\n\n"
+        "    def g():\n        nonlocal y\n        y = tau\n        return y\n\n    return g() + pi\n")
+    (tmp_path / "__init__.py").write_text("from .a import f\n")
+    assert dead_names(tmp_path) == {"a: os", "a.f: z", "a.f: w"}
