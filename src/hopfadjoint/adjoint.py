@@ -315,7 +315,6 @@ class AdjointAlgebra:
         K = self.problem.comod_alg
         kalg, halg = K.algebra, hopf.algebra
         NH, NK, n = self.NH, self.NK, self.dim
-        one = ctx.one()
         terms = self.bar_terms
 
         unit = {x * NK + r: e * u for x, e in nonzero(hopf.coalgebra.counit)
@@ -359,7 +358,8 @@ class AdjointAlgebra:
         def left_terms(x1: int, y0: int, x3: int) -> list[tuple[int, Scalar]]:
             key = (x1, y0, x3)
             if key not in lefts:
-                lefts[key] = halg.mult_terms(halg.mult_terms(hopf.antipode.col_terms(x1), [(y0, one)]), [(x3, one)])
+                # as S(x1) (y0 x3), one product with the stored y0 x3
+                lefts[key] = halg.mult_terms(hopf.antipode.col_terms(x1), halg.mult[y0][x3])
             return lefts[key]
 
         coaction = []
