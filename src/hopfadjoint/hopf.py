@@ -40,19 +40,18 @@ differing one in the order of their key set, is the one it returned
 before, and a zero stored in one dict still counts as absent: dicts that
 differ only in stored zeros pass.
 
-Those hot scans, and `tensor_image`, which they call, keep that inline
-idiom.  Every other sum of a sparse tensor, a {(i_1, ..., i_k): c} dict,
-goes through one of four helpers, each returning no zero: `linalg.lincomb`
-for a linear combination of term lists, whose keys may be tuples;
-`tensor_image` for Delta or a coaction applied to an element; `tensor_mult`
-for the product leg by leg; and `leg_map` for (f_1 x ... x f_k)(t).  Four
-bespoke loops remain, each a product that no helper composes without
-building an intermediate tensor: `tensor_mult`'s own, over the legs of both
-factors; `constructions._braided_square_product`, which puts the braiding
-between the two products; `constructions.bosonization`'s smash product and
-coproduct, which interleave the T-action, R's legs and T's product at kron
-indices; and `braided_adjoint.pi_dinatural_check`'s wedge sum, a product
-of R's terms with three module actions.
+Those hot scans keep that inline idiom, as does `tensor_image`, hot in
+`coaction_multiplicative_failures` and `adjoint` structure assembly.
+Every other sum of a sparse tensor, a {(i_1, ..., i_k): c} dict, goes
+through one of four helpers, each returning no zero: `linalg.lincomb`
+(tuple keys allowed), `tensor_image` (Delta or a coaction), `tensor_mult`
+(the product leg by leg) and `leg_map` ((f_1 x ... x f_k)(t)).  Four
+bespoke products remain, each interleaving more than one helper could
+without an intermediate tensor: `tensor_mult`'s own loop,
+`constructions._braided_square_product` (the braiding between two
+products), `constructions.bosonization` (the T-action, R's legs and T's
+product at kron indices) and `braided_adjoint.pi_dinatural_check`'s wedge
+sum (R's terms against three module actions).
 """
 
 from __future__ import annotations
