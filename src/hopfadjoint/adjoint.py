@@ -353,13 +353,14 @@ class AdjointAlgebra:
             action.append(Matrix(ctx, n, n, h_terms))
         self.action = action
 
+        s_cols = [hopf.antipode.col_terms(x1) for x1 in range(NH)]
         lefts: dict[tuple[int, int, int], list[tuple[int, Scalar]]] = {}  # S(x1) y0 x3
 
         def left_terms(x1: int, y0: int, x3: int) -> list[tuple[int, Scalar]]:
             key = (x1, y0, x3)
             if key not in lefts:
                 # as S(x1) (y0 x3), one product with the stored y0 x3
-                lefts[key] = halg.mult_terms(hopf.antipode.col_terms(x1), halg.mult[y0][x3])
+                lefts[key] = halg.mult_terms(s_cols[x1], halg.mult[y0][x3])
             return lefts[key]
 
         coaction = []

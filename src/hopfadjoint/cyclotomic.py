@@ -15,6 +15,16 @@ difference take one branch on equal denominators, and each normalises
 inline.  They are the only arithmetic, in every degree; every scalar is
 built as an instance of its field's class, and the inverse forms its
 conjugate products and norm with *.
+
+When one factor is 1, the product returns the other factor itself, after
+the check that both belong to one field: scalars are immutable and
+canonical, so this is exact.  The structure constants of the Taft
+algebra, of K(d, xi) and of kC_n are roots of unity, so most products
+multiply by 1: in one pass of the benchmark 66% of the products of
+module-n4, 58% of taft-relative-n5, 74% of dimension-sweep-n4 and 77% of
+braided-n4.  Shortcuts for -1 and for the other powers of zeta, and a
+compiled == and is_zero, were measured on top of this one and gained
+nothing, so they are left out.
 """
 
 from __future__ import annotations
@@ -67,9 +77,11 @@ def _compile_scalar_class(ctx: "FieldContext", reduction) -> type:
     functions of the numerator tuples.  The product is the convolution of
     x.num and y.num with t_k, the coefficient of x^(d+k), spread by its
     integer reduction row; the sum and difference take one branch on equal
-    denominators.  Each normalises inline by gcd(den, *num), as _normal does,
-    and builds its result without calling a constructor.  The source holds
-    only local names and the integers of the rows."""
+    denominators; the product returns the other factor when one factor is 1,
+    the tuple of 1 written as a literal.  Each normalises inline by
+    gcd(den, *num), as _normal does, and builds its result without calling
+    a constructor.  The source holds only local names and the integers of
+    the rows."""
     d = ctx.degree
     a, b, n = (", ".join(f"{v}{i}" for i in range(d)) for v in "abn")
 
@@ -81,13 +93,16 @@ def _compile_scalar_class(ctx: "FieldContext", reduction) -> type:
     def store(den: str, pad: str) -> list[str]:
         return [f"{pad}s.num = ({n},)", f"{pad}s.den = {den}", f"{pad}return s"]
 
-    def binary(name: str) -> list[str]:
+    def binary(name: str, *shortcut: str) -> list[str]:
         return [f"def {name}(x, y):", "    if type(y) is not cls:", "        _check_same_context(x, y)",
-                f"    {a}, = x.num", f"    {b}, = y.num", "    s = new(cls)"]
+                *shortcut, f"    {a}, = x.num", f"    {b}, = y.num", "    s = new(cls)"]
 
     conv = [" + ".join(f"a{i} * b{m - i}" for i in range(max(0, m - d + 1), min(m, d - 1) + 1))
             for m in range(2 * d - 1)]
-    src = binary("mul")
+    # a factor of 1 returns the other one, which is already canonical
+    one = (1,) + (0,) * (d - 1)
+    src = binary("mul", f"    if y.den == 1 and y.num == {one}:", "        return x",
+                 f"    if x.den == 1 and x.num == {one}:", "        return y")
     src += [f"    t{k} = {conv[d + k]}" for k in range(d - 1)]
     for i in range(d):
         line = f"    n{i} = {conv[i]}"

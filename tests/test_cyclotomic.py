@@ -114,6 +114,11 @@ def test_context_mixing_is_an_error():
         _ = a * b
     with pytest.raises(ValueError):
         _ = a == b
+    # a factor of 1 is returned only after the context check
+    four, five = make_field(4).one(), make_field(5).one()
+    for x, y in ((b, a), (four, five), (five, four)):
+        with pytest.raises(ValueError, match="mixed field contexts"):
+            _ = x * y
 
 
 @pytest.mark.parametrize("n", [1, 3, 4, 5])
@@ -427,6 +432,24 @@ def test_compiled_product_matches_the_loop_oracle(n):
         assert [c * prod.den for c in num] == [c * den for c in prod.num]
         if a.den == b.den == 1:
             assert prod.num == tuple(num) and prod.den == 1
+
+
+@pytest.mark.parametrize("n", [*range(1, 13), 105])
+def test_product_by_one_returns_the_other_factor(n):
+    # the shared one() and a separately built 1 both take the shortcut
+    ctx = make_field(n)
+    rng = random.Random(4000 + n)
+    ones = (ctx.one(), ctx.scalar([1] + [0] * (ctx.degree - 1)))
+    assert ones[0] is not ones[1]
+    for _ in range(100):
+        x = seeded_scalar(ctx, rng)
+        for one in ones:
+            for prod in (x * one, one * x):
+                # when x is 1 as well, either factor is the product
+                assert prod is x or (x.is_one() and prod is one)
+                assert_canonical(prod)
+                num, den = loop_mul_int(n, one.num, x.num), x.den
+                assert [c * prod.den for c in num] == [c * den for c in prod.num]
 
 
 @pytest.mark.parametrize("n", [*range(1, 13), 105])
