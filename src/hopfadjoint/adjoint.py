@@ -49,6 +49,9 @@ from .reports import VerificationReport
 
 
 CONDITIONS = ("ad1", "ad2", "ad3")  # module, comodule, right-multiplicativity
+# the two condition sets that configure an algebra: the module variant in
+# Z(C) and the fully-constrained one in Z^V(C)
+VARIANTS = (frozenset({"ad1", "ad3"}), frozenset(CONDITIONS))
 
 
 class ClosureFailure(Exception):
@@ -108,12 +111,19 @@ class AdjointProblem:
         }
 
 
+def condition_variant(conditions) -> frozenset[str]:
+    """The condition names, stripped and lower-cased, as one of the two
+    VARIANTS; a ValueError for any other set."""
+    conds = frozenset(c.strip().lower() for c in conditions if c.strip())
+    if conds not in VARIANTS:
+        raise ValueError(f"conditions {','.join(sorted(conds)) or '(none)'} are neither ad1,ad3 nor ad1,ad2,ad3")
+    return conds
+
+
 def problem_for(model: TaftModel, k: ComoduleAlgebra, conditions) -> AdjointProblem:
     """Problem over one Taft model, with its embedding g^b -> x^0 # g^b."""
-    conds = frozenset(c.lower() for c in conditions)
-    if not conds <= set(CONDITIONS):
-        raise ValueError(f"unknown conditions: {sorted(conds - set(CONDITIONS))}")
-    return AdjointProblem(model.taft, model.t_hopf, model.pi, model.embed, model.rmatrix, k, conds)
+    return AdjointProblem(model.taft, model.t_hopf, model.pi, model.embed, model.rmatrix, k,
+                          condition_variant(conditions))
 
 
 # ---------------------------------------------------------------------------
@@ -192,8 +202,8 @@ def condition_system_reduced(p: AdjointProblem) -> Matrix:
     the coaction is an algebra map, so once alpha(x, k) = abar(x) k the
     condition at a product k1 k2 follows from the conditions at k1 and
     at k2 (and at k = 1 it is void).  The full pipeline keeps every k."""
-    if "ad3" not in p.conditions:
-        raise ValueError("reduced pipeline needs the right-multiplicativity condition")
+    if p.conditions not in VARIANTS:
+        raise ValueError("the reduced pipeline solves ad1,ad3 and ad1,ad2,ad3 only")
     ctx = p.ctx
     K = p.comod_alg
     NH, NK = p.hopf.dim, K.dim
@@ -205,19 +215,18 @@ def condition_system_reduced(p: AdjointProblem) -> Matrix:
     terms: list[tuple[int, int, Scalar]] = []
     nrows = 0
 
-    if "ad1" in p.conditions:
-        for k in K.generators:
-            for x in range(NH):  # one row per pp
-                for y, k0, c in K.coaction[k]:  # abar(y x) k0
-                    for zz, m1 in halg.mult[y][x]:
-                        cm = c * m1
-                        for p2 in range(NK):
-                            for pp, e in kalg.mult[p2][k0]:
-                                terms.append((nrows + pp, u(zz, p2), cm * e))
-                for p2 in range(NK):  # minus e_k abar(x)
-                    for pp, e in kalg.mult[k][p2]:
-                        terms.append((nrows + pp, u(x, p2), -e))
-                nrows += NK
+    for k in K.generators:  # ad1
+        for x in range(NH):  # one row per pp
+            for y, k0, c in K.coaction[k]:  # abar(y x) k0
+                for zz, m1 in halg.mult[y][x]:
+                    cm = c * m1
+                    for p2 in range(NK):
+                        for pp, e in kalg.mult[p2][k0]:
+                            terms.append((nrows + pp, u(zz, p2), cm * e))
+            for p2 in range(NK):  # minus e_k abar(x)
+                for pp, e in kalg.mult[k][p2]:
+                    terms.append((nrows + pp, u(x, p2), -e))
+            nrows += NK
 
     if "ad2" in p.conditions:
         rhs = _ad2_rhs(p)

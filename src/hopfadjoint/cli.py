@@ -26,9 +26,9 @@ from .constructions import (
     taft_presentation_check,
 )
 from .adjoint import (
-    CONDITIONS,
     ClosureFailure,
     chi0_crosscheck,
+    condition_variant,
     connectedness,
     dinaturality_sample,
     phi_structure_transport,
@@ -196,7 +196,10 @@ def cmd_taft(args) -> int:
 
 def cmd_adjoint(args) -> int:
     n, d, xi = args.n, args.d, args.xi
-    conditions = set(_names(args.conditions, CONDITIONS, "conditions"))
+    try:
+        conditions = condition_variant(args.conditions.split(","))
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     if n % d:
         raise UsageError(f"--d {d} does not divide --n {n}")
     model = taft_model(n)

@@ -34,7 +34,7 @@ from support import coideal_comodule_algebra, trivial_comodule_algebra, trivial_
 def test_empty_conditions_give_full_hom_space():
     m = taft_model(2)
     k = comodule_algebra_K(2, 2, 0)
-    p = problem_for(m, k, set())
+    p = dataclasses.replace(problem_for(m, k, {"ad1", "ad3"}), conditions=frozenset())
     system = condition_system(p)
     assert system.rows == 0
     assert kernel_basis(system).dim == m.taft.dim * k.dim * k.dim
@@ -90,10 +90,10 @@ def test_full_and_reduced_pipelines_agree(name, conds):
 
 
 def test_reduced_requires_right_multiplicativity():
-    m = taft_model(2)
-    k = comodule_algebra_K(2, 2, 0)
+    # the reduced system solves the two variants only
+    p = problem_for(taft_model(2), comodule_algebra_K(2, 2, 0), {"ad1", "ad3"})
     with pytest.raises(ValueError):
-        condition_system_reduced(problem_for(m, k, {"ad1"}))
+        condition_system_reduced(dataclasses.replace(p, conditions=frozenset({"ad1"})))
 
 
 @pytest.mark.parametrize("n,d,xi", [(2, 1, 0), (2, 2, 0), (2, 2, 1), (3, 1, 0), (3, 3, 0)])
@@ -236,13 +236,27 @@ def test_closure_failure_on_truncated_basis():
     assert err.value.witness == {"basis": 1, "hopf_component": 3}
 
 
-def test_structure_needs_right_k_linear_basis():
-    # the whole Hom-space is not right-K-linear, so the full pipeline refuses it
-    m = taft_model(2)
-    p = problem_for(m, comodule_algebra_K(2, 2, 0), set())
-    with pytest.raises(ClosureFailure) as err:
-        full_pipeline_basis(p)
-    assert set(err.value.witness) == {"basis", "tuple"}
+# the six condition sets outside the two variants
+OTHER_CONDITIONS = [frozenset(c) for c in ((), ("ad1",), ("ad2",), ("ad1", "ad2"), ("ad3",), ("ad2", "ad3"))]
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("conds", OTHER_CONDITIONS, ids=lambda c: ",".join(sorted(c)) or "none")
+def test_other_condition_sets_give_no_braided_commutative_algebra(conds, d):
+    # without ad3 the Hom-space kernel is not right-K-linear, so it carries
+    # no structure maps; with ad3 but without ad1 the structure maps exist
+    # and the product is not braided commutative
+    p = dataclasses.replace(problem_for(taft_model(2), comodule_algebra_K(2, d, 0), {"ad1", "ad3"}),
+                            conditions=conds)
+    if "ad3" not in conds:
+        with pytest.raises(ClosureFailure) as err:
+            full_pipeline_basis(p)
+        assert set(err.value.witness) == {"basis", "tuple"}
+    else:
+        alg = AdjointAlgebra(p, full_pipeline_basis(p))
+        alg.compute_structure()
+        failed = [c.claim_id for c in verify_braided_commutative(alg).failures()]
+        assert failed == ["adjoint-braided/braided-commutative"]
 
 
 @pytest.mark.parametrize("n,d,xi", [(2, 1, 0), (2, 2, 1), (3, 3, 0)])
@@ -341,8 +355,10 @@ def test_coaction_roundtrip_through_projection():
 
 def test_problem_rejects_unknown_conditions():
     m = taft_model(2)
-    with pytest.raises(ValueError):
-        problem_for(m, comodule_algebra_K(2, 2, 0), {"ad1", "ad9"})
+    k = comodule_algebra_K(2, 2, 0)
+    for conds in [{"ad1", "ad9"}] + OTHER_CONDITIONS:
+        with pytest.raises(ValueError):
+            problem_for(m, k, conds)
 
 
 @pytest.mark.parametrize("name,conds", [("K(2,2,1)", "ad1,ad3"),

@@ -189,6 +189,10 @@ def test_cli_report_replays_and_sets_exit(tmp_path, capsys):
     pytest.param(["adjoint", "--n", "3", "--d", "2"], id="d-not-dividing-n"),
     pytest.param(["adjoint", "--n", "2", "--d", "0"], id="d-zero"),
     pytest.param(["adjoint", "--n", "2", "--d", "2", "--conditions", "ad9"], id="unknown-condition"),
+    # the six sets outside the two variants ad1,ad3 and ad1,ad2,ad3
+    *[pytest.param(["adjoint", "--n", str(n), "--d", "1", "--conditions", conditions],
+                   id=f"conditions-{conditions or 'none'}-n{n}")
+      for n in (1, 2) for conditions in ("", "ad1", "ad2", "ad1,ad2", "ad3", "ad2,ad3")],
     pytest.param(["adjoint", "--n", "2", "--d", "2", "--xi", "abc"], id="xi-not-rational"),
     pytest.param(["adjoint", "--n", "2", "--d", "2", "--xi", "1/0"], id="xi-zero-denominator"),
     pytest.param(["adjoint", "--n", "2", "--d", "2", "--reduced"], id="reduced-flag-removed"),
@@ -226,27 +230,6 @@ def test_cli_report_rejects_malformed_json(text, tmp_path, capsys):
     assert err.value.code == 2
     errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
     assert len(errors) == 1 and "Traceback" not in errors[0]
-
-
-@pytest.mark.parametrize("conditions", ["ad1", "ad2", "ad1,ad2", ""], ids=lambda c: c or "none")
-def test_cli_full_pipeline_accepts_conditions_without_ad3(conditions, tmp_path):
-    # without ad3 the full pipeline solves; at n = 2 its basis is not
-    # right-K-linear, so the structure maps refuse it: a mathematical
-    # failure (exit 1), not a usage error
-    out = tmp_path / "adj.json"
-    assert cli_main(["adjoint", "--n", "2", "--d", "2", "--conditions", conditions,
-                     "--out", str(out)]) == 1
-    claims = json.loads(out.read_bytes())["report"]["claims"]
-    assert [c["claim_id"] for c in claims if c["status"] == "fail"] == ["solve/closure"]
-
-
-def test_cli_without_ad3_passes_at_n_one(tmp_path):
-    # K(1, 0) is one-dimensional, so every map is right-K-linear
-    out = tmp_path / "adj.json"
-    assert cli_main(["adjoint", "--n", "1", "--d", "1", "--conditions", "ad1",
-                     "--out", str(out)]) == 0
-    data = json.loads(out.read_bytes())
-    assert data["dim"] == 1 and data["report"]["ok"] is True
 
 
 def test_jsonable_rejects_unknown():
