@@ -61,7 +61,6 @@ from .adjoint import (
     condition_system_reduced,
     connectedness,
     dinaturality_sample,
-    full_pipeline_basis,
     phi_structure_transport,
     problem_for,
     solve_adjoint,

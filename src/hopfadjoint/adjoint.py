@@ -10,13 +10,17 @@ Conditions (imposed exactly):
        H#T with the projected coaction on P
   ad3  alpha(x, k) = alpha(x, 1) k
 
-The solved algebra lives in abar coordinates: under ad3 a solution is
-fixed by abar = alpha(-, 1), and its basis, product, unit, action and
-coaction are all computed on abar.  The conditions choose the
-pipeline.  With ad3 the reduced one solves for abar directly and
-imposes ad1 on the generators of K only; without it the full one
-solves over the whole Hom-space and every basis tuple.  The full one
-is also the oracle that the reduced one must agree with bit for bit.
+Two condition sets configure an algebra (VARIANTS): the module variant
+ad1, ad3, the braided commutative algebra in Z(C), and the
+fully-constrained ad1, ad2, ad3, that algebra in Z^V(C) for
+V = Rep kC_n; `problem_for` refuses any other set.  Under ad3 a
+solution is fixed by abar = alpha(-, 1), so the solved algebra lives in
+abar coordinates: its basis, product, unit, action and coaction are all
+computed on abar.  The reduced system is the one solve: it solves for
+abar directly and imposes ad1 on the generators of K only.  The full
+system `condition_system`, over the whole Hom-space and every basis
+tuple, takes any set of conditions; it is the tests' oracle, which the
+reduced one must agree with bit for bit.
 Hom-space maps are derived from abar only where they are read, as term
 lists: the JSON basis and the sparse maps that the direct re-check of
 the conditions reads.
@@ -412,33 +416,13 @@ class AdjointAlgebra:
         }
 
 
-def full_pipeline_basis(p: AdjointProblem) -> SubspaceBasis:
-    """The abar basis from the whole Hom-space: the kernel of
-    `condition_system`, whose vectors must all be right-K-linear, each
-    restricted to k = 1.  With ad3 it agrees with the reduced pipeline
-    bit for bit, and is its oracle."""
-    views = [_hom_columns(p, alpha) for alpha in kernel_basis(condition_system(p)).rows]
-    bad = next(_ad3_residuals(p, views), None)
-    if bad is not None:
-        raise ClosureFailure("a basis element is not right-K-linear", witness=bad)
-    NK = p.comod_alg.dim
-    unit = nonzero(p.comod_alg.algebra.unit)
-    bars = [{x * NK + r: e for x in range(p.hopf.dim) for r, e in _hom_at(cols, NK, x, unit).items()}
-            for cols in views]
-    return SubspaceBasis.from_spanning(p.ctx, p.hopf.dim * NK, bars)
-
-
 def solve_adjoint(p: AdjointProblem, with_structure: bool = True) -> AdjointAlgebra:
-    """Kernel of the active conditions as an echelon basis of abar
-    vectors, then equipped with its verified structure maps.  With ad3
-    the reduced system's kernel is that basis already; without it only
-    `full_pipeline_basis` can solve, and it raises ClosureFailure unless
-    the kernel happens to be right-K-linear."""
-    if "ad3" in p.conditions:
-        basis = kernel_basis(condition_system_reduced(p))
-    else:
-        basis = full_pipeline_basis(p)
-    alg = AdjointAlgebra(p, basis)
+    """The kernel of the reduced system, an echelon basis of abar
+    vectors, equipped with its verified structure maps.  p is one of the
+    two variants, so every solution is right-K-linear and fixed by abar;
+    the tests check this basis against the kernel of the full system
+    `condition_system`, restricted to k = 1, bit for bit."""
+    alg = AdjointAlgebra(p, kernel_basis(condition_system_reduced(p)))
     if with_structure:
         alg.compute_structure()
     return alg

@@ -4,14 +4,17 @@ bosonization module to the group algebra, the dual algebra of a
 coalgebra, a perturbed Taft algebra, and matrices from dense rows.  Each is checked against the
 package's own checkers before a test relies on it.  It also keeps the
 slow oracles of the R-matrix consumers, which read R term by term where
-the package reads it leg by leg, and the per-basis-tuple double
-braiding that `braiding.double_braiding` replaced."""
+the package reads it leg by leg, the per-basis-tuple double
+braiding that `braiding.double_braiding` replaced, and the solve over
+the whole Hom-space that is the oracle of `adjoint.solve_adjoint`."""
 
+from hopfadjoint.adjoint import AdjointProblem, ClosureFailure, _ad3_residuals, _hom_at, _hom_columns, condition_system
 from hopfadjoint.braiding import (ComoduleAlgebra, ComoduleRep, ModuleRep, RMatrix, check_comodule_algebra,
                                   lift_via_pi)
 from hopfadjoint.constructions import BraidedHopf, ConstructionError, TaftModel, taft_model
 from hopfadjoint.hopf import FinDimAlgebra, FinDimCoalgebra, FinDimHopf, tensor_algebra
-from hopfadjoint.linalg import Matrix, dense, flip_legs, invert, kron_sum, nonzero, sorted_terms
+from hopfadjoint.linalg import (Matrix, SubspaceBasis, _eliminate, _zero_free, dense, flip_legs, invert,
+                                kernel_basis, kron_sum, nonzero, sorted_terms)
 
 
 def from_rows(ctx, rows) -> Matrix:
@@ -20,6 +23,31 @@ def from_rows(ctx, rows) -> Matrix:
     if any(len(r) != ncols for r in rows):
         raise ValueError("ragged rows")
     return Matrix(ctx, len(rows), ncols, [(i, j, c) for i, r in enumerate(rows) for j, c in nonzero(r)])
+
+
+def from_spanning(ctx, ambient_dim: int, rows) -> SubspaceBasis:
+    """The echelon basis of the span of these {index: Scalar} rows,
+    which may hold zeros and are left as they are."""
+    red, pivots = _eliminate(ctx, [_zero_free(row) for row in rows])
+    return SubspaceBasis(ctx, ambient_dim, red, pivots)
+
+
+def full_pipeline_basis(p: AdjointProblem) -> SubspaceBasis:
+    """Oracle of `solve_adjoint`'s basis: the kernel of the full system
+    `condition_system` over the whole Hom-space, whose vectors must all
+    be right-K-linear, each restricted to k = 1 and echelonised.  For
+    the two variants it agrees with the reduced system bit for bit;
+    without ad3 it raises ClosureFailure when a kernel vector is not
+    right-K-linear."""
+    views = [_hom_columns(p, alpha) for alpha in kernel_basis(condition_system(p)).rows]
+    bad = next(_ad3_residuals(p, views), None)
+    if bad is not None:
+        raise ClosureFailure("a basis element is not right-K-linear", witness=bad)
+    NK = p.comod_alg.dim
+    unit = nonzero(p.comod_alg.algebra.unit)
+    bars = [{x * NK + r: e for x in range(p.hopf.dim) for r, e in _hom_at(cols, NK, x, unit).items()}
+            for cols in views]
+    return from_spanning(p.ctx, p.hopf.dim * NK, bars)
 
 
 def trivial_r_matrix(t: FinDimHopf) -> RMatrix:

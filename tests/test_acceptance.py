@@ -23,7 +23,6 @@ from hopfadjoint.adjoint import (
     chi0_crosscheck,
     connectedness,
     dinaturality_sample,
-    full_pipeline_basis,
     phi_structure_transport,
     problem_for,
     solve_adjoint,
@@ -34,6 +33,7 @@ from hopfadjoint.adjoint import (
 )
 from hopfadjoint.braided_adjoint import build_h_ad, regular_case_iso, pi_dinatural_check, verify_h_ad
 from hopfadjoint.linalg import coords_of_terms
+from support import full_pipeline_basis
 
 GRID = [(2, 1, 0), (2, 2, 0), (2, 2, 1), (3, 1, 0), (3, 3, 0), (4, 2, 1)]
 CHI0_POINTS = [(2, 1, 0), (2, 2, 0), (3, 3, 0)]

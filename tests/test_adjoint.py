@@ -15,7 +15,6 @@ from hopfadjoint.adjoint import (
     connectedness,
     dinaturality_element_check,
     dinaturality_sample,
-    full_pipeline_basis,
     invariant_coinvariant_dim,
     phi_structure_transport,
     problem_for,
@@ -28,7 +27,7 @@ from hopfadjoint.adjoint import (
 )
 from hopfadjoint.linalg import Matrix, SubspaceBasis, coords_of_terms, kernel_basis, nonzero
 from hopfadjoint.reports import emit_json
-from support import coideal_comodule_algebra, trivial_comodule_algebra, trivial_r_matrix
+from support import coideal_comodule_algebra, full_pipeline_basis, trivial_comodule_algebra, trivial_r_matrix
 
 
 def test_empty_conditions_give_full_hom_space():

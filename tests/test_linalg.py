@@ -14,7 +14,6 @@ from hopfadjoint.cyclotomic import make_field, zeta_power
 from hopfadjoint.hopf import leg_map
 from hopfadjoint.linalg import (
     Matrix,
-    SubspaceBasis,
     coords_of_terms,
     dense,
     flip_legs,
@@ -27,7 +26,7 @@ from hopfadjoint.linalg import (
     rank,
     rref,
 )
-from support import from_rows
+from support import from_rows, from_spanning
 
 CTX = make_field(4)
 
@@ -194,7 +193,7 @@ def assert_matches_dense_oracle(m):
     vectors, kernel_pivots = dense_kernel(m)
     assert kb.pivots == kernel_pivots and term_coords(kb.rows) == term_coords(map(nonzero, vectors))
     # every entry stored, zeros included: from_spanning drops them
-    span = SubspaceBasis.from_spanning(m.ctx, m.cols, [dict(enumerate(r)) for r in rows_of(m)])
+    span = from_spanning(m.ctx, m.cols, [dict(enumerate(r)) for r in rows_of(m)])
     vectors, span_pivots = dense_echelon(m.ctx, rows_of(m))
     assert span.pivots == span_pivots and term_coords(span.rows) == term_coords(map(nonzero, vectors))
     if m.rows == m.cols:
@@ -294,7 +293,7 @@ def test_solve_and_invert():
 def test_subspace_from_spanning_deduplicates():
     two = CTX.from_rational(2)
     rows = [{0: CTX.one(), 1: CTX.one()}, {1: two, 0: two}, {1: CTX.zero()}]
-    b = SubspaceBasis.from_spanning(CTX, 2, rows)
+    b = from_spanning(CTX, 2, rows)
     assert b.dim == 1 and b.pivots == (0,) and b.rows == [{0: CTX.one(), 1: CTX.one()}]
     # the rows are read, not consumed, and the stored zero stays stored
     assert rows == [{0: CTX.one(), 1: CTX.one()}, {0: two, 1: two}, {1: CTX.zero()}]
