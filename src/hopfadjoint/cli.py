@@ -45,7 +45,6 @@ from .reports import VerificationReport, document, emit_json
 
 BASIS_CONVENTION = ("bosonization x^a # g^b at a*n+b; K(d,xi) h^a w^b at a*n+b; "
                     "tensor legs i*dim_right+j")
-MODULES = ("regular", "trivial")
 STATUSES = ("pass", "fail", "skipped")
 
 
@@ -97,14 +96,6 @@ def rational(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"expected a rational number such as 1/2, got {text!r}") from None
-
-
-def _names(text: str, allowed: tuple[str, ...], what: str) -> list[str]:
-    names = [part.strip().lower() for part in text.split(",") if part.strip()]
-    unknown = sorted(set(names) - set(allowed))
-    if unknown:
-        raise UsageError(f"unknown {what} {', '.join(unknown)} (use {','.join(allowed)})")
-    return names
 
 
 def _suite_hopf(n: int, seed: int, rep: VerificationReport) -> None:
@@ -226,13 +217,9 @@ def cmd_adjoint(args) -> int:
 
 def cmd_braided_adjoint(args) -> int:
     n = args.n
-    names = _names(args.modules, MODULES, "modules")
-    if not names:
-        raise UsageError(f"--modules names no module (use {','.join(MODULES)})")
     model = taft_model(n)
     had = build_h_ad(model)
-    mods = {name: regular_module(model.taft.algebra) if name == "regular" else trivial_module(model.taft)
-            for name in names}
+    mods = {"regular": regular_module(model.taft.algebra), "trivial": trivial_module(model.taft)}
     rep = VerificationReport()
     verify_h_ad(had, mods, rep)
     for name, x in mods.items():
@@ -306,7 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("braided-adjoint", help="build and verify the braided adjoint algebra")
     p.add_argument("--n", type=positive_int, required=True)
-    p.add_argument("--modules", default="regular,trivial")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_braided_adjoint)
 
