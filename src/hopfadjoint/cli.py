@@ -286,8 +286,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("adjoint", help="solve the invariant-map algebra for K(d, xi)")
     p.add_argument("--n", type=positive_int, required=True)
     p.add_argument("--d", type=positive_int, required=True)
-    p.add_argument("--xi", type=rational, default="0")
-    p.add_argument("--conditions", default="ad1,ad2,ad3")
+    p.add_argument("--xi", type=rational, default="0",
+                   help="a rational such as 1/2; write a negative fraction as --xi=-1/2")
+    p.add_argument("--conditions", default="ad1,ad2,ad3",
+                   help="ad1,ad3 (the module variant) or ad1,ad2,ad3 (the fully-constrained one)")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_adjoint)
 

@@ -152,6 +152,13 @@ def test_cli_adjoint_suite_builds_each_K_once(monkeypatch, tmp_path):
     assert built == [(2, 1, 0), (2, 2, 0), (4, 1, 0), (4, 2, 0), (4, 4, 0)]
 
 
+def test_cli_negative_xi_fraction_after_equals_sign(tmp_path):
+    # argparse reads a separate -1/2 as an option, so the value follows "="
+    out = tmp_path / "adj.json"
+    assert cli_main(["adjoint", "--n", "2", "--d", "1", "--xi=-1/2", "--out", str(out)]) == 0
+    assert json.loads(out.read_bytes())["algebra"]["problem"]["comodule_algebra"] == "K(1,-1/2)"
+
+
 def test_cli_braided_adjoint(tmp_path):
     out = tmp_path / "ba.json"
     rc = cli_main(["braided-adjoint", "--n", "2", "--out", str(out)])
