@@ -5,15 +5,19 @@ somewhere in the package outside its own body and outside
 `__init__.py`; a non-dunder method must be read as an attribute
 somewhere outside its own body.  Code that only the tests call belongs
 in `tests/support.py`, not in the package.  The scan is by name, so it
-finds a dead definition once nothing else spells its name."""
+finds a dead definition once nothing else spells its name.  The last
+scan checks the other direction for the benchmark: every package name
+that `perfbench/` reads must exist."""
 
 import ast
+import importlib
 from collections import Counter
 from pathlib import Path
 
 import hopfadjoint
 
 PACKAGE = Path(hopfadjoint.__file__).parent
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 # qualified name -> why it stays although no package code reads it
 ALLOWED = {
@@ -142,3 +146,99 @@ def test_scan_sees_an_unused_import_and_a_dead_local(tmp_path):
         "    def g():\n        nonlocal y\n        y = tau\n        return y\n\n    return g() + pi\n")
     (tmp_path / "__init__.py").write_text("from .a import f\n")
     assert dead_names(tmp_path) == {"a: os", "a.f: z", "a.f: w"}
+
+
+# The names the benchmark reads: perfbench/ runs the package from outside,
+# and its traced runs rebind names with getattr and no default, so a
+# removed name breaks every traced run.  perfbench's own tests would
+# notice, but they are slow and outside testpaths; this scan is the
+# tier-1 guard.
+
+def _module_aliases(tree) -> dict[str, str]:
+    """Local name -> package module, for `import hopfadjoint`,
+    `from hopfadjoint import <module>` and
+    `<name> = importlib.import_module("hopfadjoint.<module>")`."""
+    aliases = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            aliases |= {alias.asname or alias.name: alias.name for alias in node.names
+                        if alias.name == "hopfadjoint"}
+        elif isinstance(node, ast.ImportFrom) and node.module == "hopfadjoint":
+            aliases |= {alias.asname or alias.name: f"hopfadjoint.{alias.name}" for alias in node.names
+                        if (PACKAGE / f"{alias.name}.py").exists()}
+        elif (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+              and isinstance(node.value.func, ast.Attribute) and node.value.func.attr == "import_module"
+              and node.value.args and isinstance(node.value.args[0], ast.Constant)
+              and str(node.value.args[0].value).startswith("hopfadjoint")):
+            aliases |= {target.id: node.value.args[0].value for target in node.targets
+                        if isinstance(target, ast.Name)}
+    return aliases
+
+
+def _dotted(node, aliases) -> tuple[str, str] | None:
+    """(module, attribute path) of an attribute chain on a module alias,
+    the path "" for the module itself; None for anything else."""
+    path = []
+    while isinstance(node, ast.Attribute):
+        path.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name) and node.id in aliases:
+        return aliases[node.id], ".".join(reversed(path))
+    return None
+
+
+def benchmark_names(bench: Path) -> set[tuple[str, str]]:
+    """(module, attribute path) for each package name that the scripts in
+    bench read: attribute reads of package modules, the (metric, owner,
+    "attribute") triples of LAYERS and the names of
+    `from hopfadjoint... import`."""
+    names = set()
+    for path in sorted(bench.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        aliases = _module_aliases(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and (name := _dotted(node, aliases)) is not None:
+                names.add(name)
+            elif (isinstance(node, ast.ImportFrom) and node.module and node.module.startswith("hopfadjoint")
+                  and node.level == 0):
+                names |= {(node.module, alias.name) for alias in node.names}
+            elif isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "LAYERS"
+                                                      for t in node.targets):
+                for layer in node.value.elts:
+                    owner, attr = layer.elts[1], layer.elts[2].value
+                    module, owner_path = _dotted(owner, aliases)
+                    names.add((module, f"{owner_path}.{attr}" if owner_path else attr))
+    return names
+
+
+def _resolves(module: str, path: str) -> bool:
+    obj = importlib.import_module(module)
+    for part in filter(None, path.split(".")):
+        if not hasattr(obj, part):
+            return False
+        obj = getattr(obj, part)
+    return True
+
+
+def test_names_the_benchmark_reads_exist():
+    # Matrix.entries is read on a matrix, not through a module
+    names = benchmark_names(PERFBENCH) | {("hopfadjoint.linalg", "Matrix.entries")}
+    assert {("hopfadjoint.adjoint", "condition_system"),
+            ("hopfadjoint.adjoint", "AdjointAlgebra.compute_structure")} <= names
+    assert {f"{module}: {path}" for module, path in names if not _resolves(module, path)} == set()
+
+
+def test_scan_sees_the_names_a_benchmark_reads(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "import importlib\nimport hopfadjoint\nfrom hopfadjoint import adjoint, cli_main\n"
+        "from hopfadjoint.cyclotomic import make_field\n"
+        "braiding = importlib.import_module('hopfadjoint.braiding')\n"
+        "LAYERS = (('x', adjoint, 'gone'), ('y', adjoint.AdjointAlgebra, 'compute_structure'))\n"
+        "hopfadjoint.__file__\nbraiding.check_yd\nother.ignored\n")
+    names = benchmark_names(tmp_path)
+    assert names == {("hopfadjoint.adjoint", "gone"), ("hopfadjoint.adjoint", "AdjointAlgebra"),
+                     ("hopfadjoint.adjoint", "AdjointAlgebra.compute_structure"),
+                     ("hopfadjoint", "cli_main"), ("hopfadjoint", "adjoint"),
+                     ("hopfadjoint.cyclotomic", "make_field"), ("hopfadjoint", "__file__"),
+                     ("hopfadjoint.braiding", "check_yd")}
+    assert [name for name in sorted(names) if not _resolves(*name)] == [("hopfadjoint.adjoint", "gone")]
