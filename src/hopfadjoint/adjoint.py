@@ -53,9 +53,7 @@ from .reports import VerificationReport
 
 
 CONDITIONS = ("ad1", "ad2", "ad3")  # module, comodule, right-multiplicativity
-# the two condition sets that configure an algebra: the module variant in
-# Z(C) and the fully-constrained one in Z^V(C)
-VARIANTS = (frozenset({"ad1", "ad3"}), frozenset(CONDITIONS))
+VARIANTS = (frozenset({"ad1", "ad3"}), frozenset(CONDITIONS))  # module, fully-constrained
 
 
 class ClosureFailure(Exception):
