@@ -210,7 +210,10 @@ def test_cli_report_replays_and_sets_exit(tmp_path, capsys):
     pytest.param(["verify", "--suite", "hopf", "--n", "2,2"], id="n-list-repeated"),
     pytest.param(["taft", "--n", "2", "--out", "/nonexistent/x.json"], id="out-path-unwritable"),
     pytest.param(["report", "--json", "/nonexistent/report.json"], id="missing-report"),
+    # --modules is gone: a once-valid value, an unknown one and an empty list all exit 2
     pytest.param(["braided-adjoint", "--n", "2", "--modules", "regular"], id="modules-flag-removed"),
+    pytest.param(["braided-adjoint", "--n", "2", "--modules", "bogus"], id="unknown-module"),
+    pytest.param(["braided-adjoint", "--n", "2", "--modules", ","], id="modules-empty"),
 ])
 def test_cli_usage_error_exit_two(argv, capsys):
     with pytest.raises(SystemExit) as err:
