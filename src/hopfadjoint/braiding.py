@@ -5,14 +5,18 @@ braiding with a lifted base module and braided commutativity are each
 formed in one place.
 
 Tensor legs are indexed with the kron convention (i tensor j) ->
-i * dim_b + j.  The inverse R-matrix is always computed by inversion in
-the tensor-square algebra, so the antipode identity (S x id)(R) = R^{-1}
-is a checkable theorem here, never a definition.
+i * dim_b + j.  The inverse R-matrix is always solved from R alone in
+the tensor-square algebra: over the characters of C_m x C_m when the
+host is kC_m with zeta_m in its field, by elimination otherwise, and
+checked exactly either way.  So the antipode identity (S x id)(R) =
+R^{-1} is a checkable theorem here, never a definition.
 """
 
 from __future__ import annotations
 
-from .cyclotomic import Scalar
+from fractions import Fraction
+
+from .cyclotomic import Scalar, zeta_power
 from .hopf import (FinDimAlgebra, FinDimCoalgebra, FinDimHopf, check_algebra, coaction_multiplicative_failures,
                    coaction_unit_failures, coassociativity_failures, counit_failures, leg_map, tensor_algebra,
                    tensor_image, tensor_mult)
@@ -28,7 +32,9 @@ class RMatrix:
     group those terms by right index, [(j, [(i, c), ...]), ...] ascending
     in j and i, so that R = sum_j (sum_i c e_i) x e_j is applied through
     a module once per right index, with its summed left leg.  The inverse
-    solves R y = 1 in the tensor-square algebra."""
+    solves R y = 1 in the tensor-square algebra: one scalar equation per
+    character of C_m x C_m when the host is kC_m (`_cyclic_order`), the
+    elimination of [L_R | 1] for any other host."""
 
     def __init__(self, host: FinDimHopf, element: list[Scalar]):
         self.host = host
@@ -44,26 +50,70 @@ class RMatrix:
         self.legs, self.inverse_legs = (_legs(terms) for terms in (self.terms, self.inverse_terms))
 
     def _invert(self, element_terms) -> list[tuple[int, Scalar]]:
-        """y with R y = 1, from the reduced form of [L_R | 1]: R is
-        invertible iff the pivots are exactly the N unknowns, and then
-        row u ends in y_u."""
+        """y with R y = 1, by characters on a cyclic host and otherwise
+        from the reduced form of [L_R | 1]: R is invertible iff the pivots
+        are exactly the N unknowns, and then row u ends in y_u.  Either
+        way y R = 1 is checked exactly."""
         square = tensor_algebra(self.host.algebra, self.host.algebra)
         size = square.dim
         unit = nonzero(square.unit)
-        augmented = Matrix(self.host.ctx, size, size + 1,
-                           square.left_mult_matrix(element_terms).terms()
-                           + [(u, size, c) for u, c in unit])
-        red, pivots = rref(augmented)
-        if pivots != tuple(range(size)):
-            raise ValueError("R-matrix element is not invertible")
-        inverse = red.col_terms(size)
-        # two-sided check
+        m = _cyclic_order(self.host.algebra)
+        if m is not None:
+            inverse = _inverse_by_characters(self.host.ctx, m, element_terms)
+        else:
+            augmented = Matrix(self.host.ctx, size, size + 1,
+                               square.left_mult_matrix(element_terms).terms()
+                               + [(u, size, c) for u, c in unit])
+            red, pivots = rref(augmented)
+            if pivots != tuple(range(size)):
+                raise ValueError("R-matrix element is not invertible")
+            inverse = red.col_terms(size)
+        # two-sided after elimination; the solve's only check after characters
         if square.mult_terms(inverse, element_terms) != unit:
             raise ValueError("R-matrix inverse is one-sided only")
         return inverse
 
     def to_jsonable(self):
         return {"dim": self.host.dim, "element": self.element, "inverse": self.inverse}
+
+
+def _cyclic_order(alg: FinDimAlgebra) -> int | None:
+    """m when alg is kC_m in its grouplike basis, every e_i e_j the single
+    term e_{(i + j) mod m} with coefficient 1, and m divides the
+    conductor, so that zeta_m is in the field; None otherwise."""
+    m, one = alg.dim, alg.ctx.one()
+    if alg.ctx.conductor % m or any(alg.mult[i][j] != [((i + j) % m, one)] for i in range(m) for j in range(m)):
+        return None
+    return m
+
+
+def _character_sums(x: list[list[Scalar]], zetas: list[Scalar], sign: int) -> list[list[Scalar]]:
+    """sum_{i,j} x[i][j] zeta^(sign (a i + b j)) at [a][b] for every
+    character (a, b) of C_m x C_m, one leg and then the other: 2 m^3
+    products.  Each leg sums over the first index and transposes."""
+    m, z = len(x), zetas[0].ctx.zero()
+
+    def leg(rows):
+        return [[sum((c * zetas[sign * a * i % m] for i, row in enumerate(rows) if (c := row[j])), z)
+                 for a in range(m)] for j in range(m)]
+
+    return leg(leg(x))
+
+
+def _inverse_by_characters(ctx, m: int, element_terms) -> list[tuple[int, Scalar]]:
+    """y with R y = 1 in kC_m x kC_m, which is commutative: R y = 1 holds
+    iff R^(a, b) y^(a, b) = 1 at every character (a, b), so y is the
+    inverse transform of 1 / R^, scaled by 1/m^2."""
+    zetas = [zeta_power(ctx, k * (ctx.conductor // m)) for k in range(m)]
+    rows = [[ctx.zero()] * m for _ in range(m)]
+    for u, c in element_terms:
+        rows[u // m][u % m] = c
+    hats = _character_sums(rows, zetas, 1)
+    if any(h.is_zero() for row in hats for h in row):
+        raise ValueError("R-matrix element is not invertible")
+    y = _character_sums([[h.inv() for h in row] for row in hats], zetas, -1)
+    scale = Fraction(1, m * m)
+    return [(i * m + j, c.scale(scale)) for i, row in enumerate(y) for j, c in enumerate(row) if c]
 
 
 def _legs(terms) -> list[tuple[int, list[tuple[int, Scalar]]]]:

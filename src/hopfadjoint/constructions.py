@@ -226,15 +226,17 @@ def bosonization(h: BraidedHopf, t: FinDimHopf, r: RMatrix) -> FinDimHopf:
     dim = nh * nt
     z, one = ctx.zero(), ctx.one()
 
+    # each T-action column read once; x^a (t1.x^c) formed once per (a, t1, c)
+    cols = [[act.col_terms(c) for c in range(nh)] for act in h.tmodule.action]
     mult = [[None] * dim for _ in range(dim)]
     for a in range(nh):
-        for b in range(nt):
-            for c in range(nh):
+        for c in range(nh):
+            moved = [h.algebra.mult_terms([(a, one)], t1_cols[c]) for t1_cols in cols]
+            for b in range(nt):
                 for d in range(nt):
                     acc: dict[int, Scalar] = {}
                     for t1, t2, cc in t.coalgebra.comult[b]:
-                        hy = h.algebra.mult_terms([(a, one)], h.tmodule.action[t1].col_terms(c))
-                        for p, hp in hy:
+                        for p, hp in moved[t1]:
                             for qq, mq in t.algebra.mult[t2][d]:
                                 acc[p * nt + qq] = acc.get(p * nt + qq, z) + cc * hp * mq
                     mult[a * nt + b][c * nt + d] = sorted_terms(acc)

@@ -101,13 +101,16 @@ def bosonization_comult_per_term(h: BraidedHopf, t: FinDimHopf, r: RMatrix) -> l
     return comult
 
 
-def r_inverse_by_inversion(r: RMatrix) -> list:
+def r_inverse_by_inversion(host: FinDimHopf, element: list) -> list:
     """Oracle of `RMatrix.inverse_terms`: the whole inverse of left
-    multiplication by R in the tensor-square algebra, applied to 1, as
-    (i, j, c) terms."""
-    n = r.host.dim
-    square = tensor_algebra(r.host.algebra, r.host.algebra)
-    inverse = invert(square.left_mult_matrix(nonzero(r.element)))
+    multiplication by the element in the tensor-square algebra of host,
+    applied to 1, as (i, j, c) terms.  Raises RMatrix's ValueError when
+    that multiplication is singular."""
+    n = host.dim
+    square = tensor_algebra(host.algebra, host.algebra)
+    inverse = invert(square.left_mult_matrix(nonzero(element)))
+    if inverse is None:
+        raise ValueError("R-matrix element is not invertible")
     return [(u // n, u % n, c) for u, c in inverse.apply_terms(nonzero(square.unit))]
 
 

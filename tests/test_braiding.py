@@ -1,9 +1,11 @@
+import importlib
+import random
 from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
 
-from hopfadjoint.cyclotomic import zeta_power
+from hopfadjoint.cyclotomic import make_field, zeta_power
 from hopfadjoint.braiding import (
     ComoduleAlgebra,
     ComoduleRep,
@@ -27,7 +29,8 @@ from hopfadjoint.constructions import (
     r_matrix_cn,
     taft_model,
 )
-from hopfadjoint.linalg import Matrix, kernel_basis, kron
+from hopfadjoint.hopf import FinDimAlgebra, FinDimCoalgebra, FinDimHopf, solve_antipode, tensor_algebra
+from hopfadjoint.linalg import Matrix, dense, kernel_basis, kron, nonzero
 from support import (braiding_inverse, braiding_per_term, from_rows, r_inverse_by_inversion,
                      t_restriction, trivial_r_matrix)
 
@@ -86,13 +89,104 @@ def test_rmatrix_n1_is_one_leg():
     assert r.legs == r.inverse_legs == [(0, [(0, one)])]
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", range(1, 10))
 def test_rmatrix_inverse_matches_whole_inversion(n):
     r = r_matrix_cn(n)
-    assert r.inverse_terms == r_inverse_by_inversion(r)
+    assert r.inverse_terms == r_inverse_by_inversion(r.host, r.element)
     for legs, terms in ((r.legs, r.terms), (r.inverse_legs, r.inverse_terms)):
         assert sorted((i, j, c) for j, leg in legs for i, c in leg) == terms
         assert [j for j, _ in legs] == sorted({j for _, j, _ in terms})
+
+
+def cyclic_group_algebra(conductor: int, m: int) -> FinDimHopf:
+    """kC_m in its grouplike basis over Q(zeta_conductor), built by hand."""
+    ctx = make_field(conductor)
+    o = ctx.one()
+    alg = FinDimAlgebra(ctx, m, [[[((i + j) % m, o)] for j in range(m)] for i in range(m)], dense(ctx, m, [(0, o)]))
+    coa = FinDimCoalgebra(ctx, m, [[(i, i, o)] for i in range(m)], [o] * m)
+    return FinDimHopf(alg, coa, solve_antipode(alg, coa))
+
+
+# hosts whose R^-1 is solved by characters, and hosts outside that rule:
+# kC_3 over Q lacks zeta_3, and the Taft algebra at n = 2 is not commutative
+CHARACTER_HOSTS = {**{f"kC{m}": (lambda m=m: group_algebra_cn(m)) for m in range(2, 7)},
+                   "kC2-over-Q(zeta4)": lambda: cyclic_group_algebra(4, 2)}
+ELIMINATION_HOSTS = {"kC3-over-Q": lambda: cyclic_group_algebra(1, 3), "taft2": lambda: taft_model(2).taft}
+HOSTS = {**CHARACTER_HOSTS, **ELIMINATION_HOSTS}
+
+
+def random_elements(host: FinDimHopf, seed: str, count: int = 3) -> list[list]:
+    """Seeded random elements of the tensor square of host, each entry
+    zero or a small rational times a power of zeta, followed by each of
+    them times (1 - e_1) x 1, which is singular: 1 - e_1 is a zero
+    divisor in kC_m and in the Taft algebra, whose e_1 is g."""
+    ctx, size = host.ctx, host.dim ** 2
+    rng = random.Random(seed)
+    square = tensor_algebra(host.algebra, host.algebra)
+    elements = [[zeta_power(ctx, rng.randrange(ctx.conductor)).scale(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+                 if rng.random() < 0.6 else ctx.zero() for _ in range(size)] for _ in range(count)]
+    zero_divisor = [(0, ctx.one()), (host.dim, -ctx.one())]
+    return elements + [dense(ctx, size, square.mult_terms(zero_divisor, nonzero(e)))
+                       for e in elements]
+
+
+def assert_inverse_matches_oracle(host: FinDimHopf, element: list) -> bool:
+    """RMatrix's inverse equals the whole-inversion oracle's, or both
+    raise "not invertible"; True when the element was invertible."""
+    try:
+        expect = r_inverse_by_inversion(host, element)
+    except ValueError:
+        with pytest.raises(ValueError, match="not invertible"):
+            RMatrix(host, element)
+        return False
+    assert RMatrix(host, element).inverse_terms == expect
+    return True
+
+
+@pytest.mark.parametrize("name", list(HOSTS))
+def test_rmatrix_inverse_of_random_elements_matches_whole_inversion(name):
+    host = HOSTS[name]()
+    invertible = [assert_inverse_matches_oracle(host, e) for e in random_elements(host, seed=name)]
+    assert any(invertible) and not all(invertible)
+
+
+def test_rmatrix_singular_sum_at_n2_is_not_invertible():
+    # 1 x 1 + g x 1 vanishes at the characters with g -> -1
+    t = group_algebra_cn(2)
+    o = t.ctx.one()
+    element = dense(t.ctx, 4, [(0, o), (2, o)])
+    assert not assert_inverse_matches_oracle(t, element)
+
+
+@pytest.fixture
+def rref_calls(monkeypatch):
+    """The matrices that the braiding module eliminates, in call order
+    (the package exports a function named `braiding`, so the module is
+    looked up by its full name)."""
+    module = importlib.import_module("hopfadjoint.braiding")
+    calls, rref = [], module.rref
+    monkeypatch.setattr(module, "rref", lambda m: calls.append(m) or rref(m))
+    return calls
+
+
+def test_r_matrix_cn_calls_no_elimination(rref_calls):
+    """A silent fallback to elimination fails here.  r_matrix_cn is built
+    afresh, past its cache; R = g x g over the Taft algebra at n = 2
+    still eliminates."""
+    for n in range(1, 9):
+        r_matrix_cn.__wrapped__(n)
+    assert not rref_calls
+    h = taft_model(2).taft
+    RMatrix(h, dense(h.ctx, 16, [(1 * 4 + 1, h.ctx.one())]))
+    assert len(rref_calls) == 1
+
+
+@pytest.mark.parametrize("name", list(HOSTS))
+def test_rmatrix_inverse_path_follows_the_host(name, rref_calls):
+    host = HOSTS[name]()
+    ctx, n = host.ctx, host.dim
+    RMatrix(host, dense(ctx, n * n, [(0, ctx.one())]))
+    assert bool(rref_calls) == (name in ELIMINATION_HOSTS)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
