@@ -42,6 +42,7 @@ from .linalg import (
     Matrix,
     SubspaceBasis,
     coords_of_terms,
+    dense,
     kernel_basis,
     lincomb,
     nonzero,
@@ -149,7 +150,7 @@ def condition_system(p: AdjointProblem) -> Matrix:
     NH, NK = p.hopf.dim, K.dim
     NP = NK  # coefficients in K itself
     halg, kalg = p.hopf.algebra, K.algebra
-    unit_terms = nonzero(kalg.unit)
+    unit_terms = kalg.unit
 
     def u(x: int, k: int, pp: int) -> int:
         return (x * NK + k) * NP + pp
@@ -249,7 +250,9 @@ def condition_system_reduced(p: AdjointProblem) -> Matrix:
 class AdjointAlgebra:
     """Solution space in abar coordinates: `basis` is the echelon basis
     of the vectors abar = alpha(-, 1) in k^(NH*NK), at index x*NK + pp,
-    with product, unit, action and coaction expressed in that basis.
+    with product, unit, action and coaction expressed in that basis:
+    product[i][j] and unit_coords are coordinate term lists, ascending
+    and zero-free, laid out densely only by `to_jsonable`.
 
     Every solution is right-K-linear (ad3), alpha(x, k) = abar(x) k, so
     abar fixes it: the structure maps, the JSON basis and the sparse
@@ -261,8 +264,8 @@ class AdjointAlgebra:
         self.basis = basis
         self.NH, self.NK = problem.hopf.dim, problem.comod_alg.dim
         self.dim = basis.dim
-        self.product: list[list[list[Scalar]]] | None = None
-        self.unit_coords: list[Scalar] | None = None
+        self.product: list[list[list[tuple[int, Scalar]]]] | None = None
+        self.unit_coords: list[tuple[int, Scalar]] | None = None
         self.action: list[Matrix] | None = None
         self.coaction: list[list[tuple[int, int, Scalar]]] | None = None
 
@@ -307,9 +310,9 @@ class AdjointAlgebra:
 
     # -- structure assembly ------------------------------------------------
 
-    def _coords(self, acc: dict[int, Scalar], message: str, witness: dict) -> list[Scalar]:
-        """The coordinates of the abar vector acc in the basis, or a
-        ClosureFailure when it has left the solution space."""
+    def _coords(self, acc: dict[int, Scalar], message: str, witness: dict) -> list[tuple[int, Scalar]]:
+        """The coordinate term list of the abar vector acc in the basis, or
+        a ClosureFailure when it has left the solution space."""
         c = coords_of_terms(acc, self.basis)
         if c is None:
             raise ClosureFailure(message, witness=witness)
@@ -329,11 +332,11 @@ class AdjointAlgebra:
         terms = self.bar_terms
 
         unit = {x * NK + r: e * u for x, e in nonzero(hopf.coalgebra.counit)
-                for r, u in nonzero(kalg.unit)}
+                for r, u in kalg.unit}
         self.unit_coords = self._coords(unit, "unit map is not in the solution space",
                                         {"map": "x,k -> eps(x) k"})
 
-        prod: list[list[list[Scalar]]] = [[None] * n for _ in range(n)]
+        prod: list[list[list[tuple[int, Scalar]]]] = [[None] * n for _ in range(n)]
         for i in range(n):
             for j in range(n):
                 acc: dict[int, Scalar] = {}
@@ -360,7 +363,7 @@ class AdjointAlgebra:
                             u, v = x * NK + r, m * e
                             acc[u] = acc[u] + v if u in acc else v
                 c = self._coords(acc, "action left the solution space", {"h": h, "basis": j})
-                h_terms += [(i, j, e) for i, e in nonzero(c)]
+                h_terms += [(i, j, e) for i, e in c]
             action.append(Matrix(ctx, n, n, h_terms))
         self.action = action
 
@@ -378,7 +381,7 @@ class AdjointAlgebra:
         for j in range(n):
             comps: dict[int, dict[int, Scalar]] = {}
             for x in range(NH):
-                for x1, x2, x3, c in hopf.coalgebra.delta2_terms(x):
+                for x1, x2, x3, c in hopf.coalgebra.delta2_terms[x]:
                     for (y0, p0), clam in tensor_image(K.coaction, terms[j][x2]).items():
                         for y, cy in left_terms(x1, y0, x3):
                             comp = comps.setdefault(y, {})
@@ -387,7 +390,7 @@ class AdjointAlgebra:
             cols = {y: self._coords(comp, "coaction left the solution space",
                                     {"basis": j, "hopf_component": y})
                     for y, comp in comps.items()}
-            coaction.append([(y, i, c) for y in sorted(cols) for i, c in nonzero(cols[y])])
+            coaction.append([(y, i, c) for y in sorted(cols) for i, c in cols[y]])
         self.coaction = coaction
 
     # -- views -------------------------------------------------------------
@@ -399,16 +402,16 @@ class AdjointAlgebra:
         return ComoduleRep(self.problem.hopf.coalgebra, self.dim, self.coaction)
 
     def to_jsonable(self):
-        n, NK = self.dim, self.NK
+        ctx, n, NK = self.ctx, self.dim, self.NK
         return {
             "problem": self.problem.describe(),
             "dim": n,
             # row pp, column x*NK + k: the e_pp coefficient of alpha(x, k)
-            "basis": [Matrix(self.ctx, NK, self.NH * NK,
+            "basis": [Matrix(ctx, NK, self.NH * NK,
                              [(pp, x * NK + k, c) for x, k, pp, c in self._alpha_terms(i)])
                       for i in range(n)],
-            "product": self.product,
-            "unit": self.unit_coords,
+            "product": [[dense(ctx, n, v) for v in row] for row in self.product],
+            "unit": dense(ctx, n, self.unit_coords),
             "action": self.action,
             "coaction": self.comodule_rep().matrix(),
         }
@@ -460,7 +463,7 @@ def _ad3_residuals(p: AdjointProblem, views):
     `_hom_columns` view, is not right-K-linear: alpha(x, k) != alpha(x, 1) k."""
     kalg = p.comod_alg.algebra
     NK = kalg.dim
-    unit = nonzero(kalg.unit)
+    unit = kalg.unit
     one = p.ctx.one()
     for idx, cols in enumerate(views):
         for x in range(p.hopf.dim):
@@ -481,7 +484,7 @@ def verify_conditions_direct(p: AdjointProblem, maps: list[dict[int, Scalar]],
     kalg = K.algebra
     NH, NK = p.hopf.dim, K.dim
     z = ctx.zero()
-    unit = nonzero(kalg.unit)
+    unit = kalg.unit
     views = [_hom_columns(p, alpha) for alpha in maps]
 
     def ad1_residuals():
@@ -542,10 +545,9 @@ def verify_conditions_direct(p: AdjointProblem, maps: list[dict[int, Scalar]],
 
 
 def _coordinate_algebra(a: AdjointAlgebra) -> FinDimAlgebra:
-    """The solved algebra on its own basis, with the term lists of
-    a.product and a.unit_coords as they stand when a check starts."""
-    table = [[nonzero(v) for v in row] for row in a.product]
-    return FinDimAlgebra(a.ctx, a.dim, table, a.unit_coords)
+    """The solved algebra on its own basis: a.product and a.unit_coords
+    as they stand when a check starts."""
+    return FinDimAlgebra(a.ctx, a.dim, a.product, a.unit_coords)
 
 
 def verify_yd(a: AdjointAlgebra, report: VerificationReport | None = None,
@@ -567,7 +569,7 @@ def verify_center_algebra(a: AdjointAlgebra, report: VerificationReport | None =
     rep = report if report is not None else VerificationReport()
     hopf = a.problem.hopf
     coords = _coordinate_algebra(a)
-    unit = nonzero(a.unit_coords)
+    unit = a.unit_coords
     eps = hopf.coalgebra.counit
     rep.check(f"{prefix}/associative", (
         {"triple": [i, j, k]} for i, j, k, _, _ in associativity_failures(coords)))
@@ -620,12 +622,11 @@ def invariant_coinvariant_dim(hopf: FinDimHopf, action: list[Matrix], coaction) 
     """dim of { a : h.a = eps(h) a for all h, and delta(a) = 1 x a }."""
     n = action[0].rows
     eps = hopf.coalgebra.counit
-    unit = hopf.algebra.unit
     co = hopf.dim * n  # row h*n + r of (action - eps), then co + y*n + r of (lambda - 1 x id)
     terms = [(h * n + r, c, e) for h in range(hopf.dim) for r, c, e in action[h].terms()]
     terms += [(h * n + r, r, -eps[h]) for h in range(hopf.dim) for r in range(n)]
     terms += [(co + y * n + r, c, e) for c, cterms in enumerate(coaction) for y, r, e in cterms]
-    terms += [(co + y * n + r, r, -unit[y]) for y in range(hopf.dim) for r in range(n)]
+    terms += [(co + y * n + r, r, -u) for y, u in hopf.algebra.unit for r in range(n)]
     return kernel_basis(Matrix(hopf.ctx, 2 * co, n, terms)).dim
 
 
@@ -655,7 +656,7 @@ def phi_structure_transport(a: AdjointAlgebra, report: VerificationReport | None
     NK = K.dim
     kalg = K.algebra
     one = ctx.one()
-    unit = nonzero(kalg.unit)
+    unit = kalg.unit
 
     ok = a.dim == n * n
     rep.add(f"{prefix}/dimension", ok, None if ok else {"dim": a.dim, "expected": n * n})
@@ -772,7 +773,7 @@ def phi_structure_transport(a: AdjointAlgebra, report: VerificationReport | None
     rep.check(f"{prefix}/componentwise-product", (
         {"pair": [s, t], "component": i}
         for s in range(a.dim) for t in range(a.dim) for i in range(m)
-        if component(nonzero(a.product[s][t]), i) != kalg.mult_terms(tvals[s][i], tvals[t][i])))
+        if component(a.product[s][t], i) != kalg.mult_terms(tvals[s][i], tvals[t][i])))
     return rep
 
 
@@ -851,12 +852,13 @@ def chi0_crosscheck(rel: AdjointAlgebra, report: VerificationReport | None = Non
 # dinaturality sampling
 
 
-def dinaturality_element_check(p: AdjointProblem, bars: list[list[tuple[int, Scalar]]],
-                               m_mod: ModuleRep, v: ModuleRep) -> tuple[bool, dict | None]:
-    """Both sides of the wedge identity for the map whose abar term lists
-    are bars[x] = alpha(e_x, 1), as in `AdjointAlgebra.bar_terms`,
-    evaluated on all basis tuples; values land in the module m collapsed
-    along K."""
+def dinaturality_failures(p: AdjointProblem, bars: list[list[tuple[int, Scalar]]],
+                          m_mod: ModuleRep, v: ModuleRep):
+    """Yield {"tuple": [h, jdual, vv, mm]} at each basis tuple, in the
+    order of h, jdual, vv, then mm, where the two sides of the wedge
+    identity differ for the map whose abar term lists are bars[x] =
+    alpha(e_x, 1), as in `AdjointAlgebra.bar_terms`; values land in the
+    module m collapsed along K."""
     K = p.comod_alg
     dv, dm = v.dim, m_mod.dim
     s_t = p.base.antipode
@@ -889,8 +891,7 @@ def dinaturality_element_check(p: AdjointProblem, bars: list[list[tuple[int, Sca
                     lhs = bar_act.col_terms(mm) if jdual == vv else []
                     rhs = lincomb((c, m_acts[p0][mm]) for p0, c in per.items())
                     if lhs != rhs:
-                        return False, {"tuple": [h, jdual, vv, mm]}
-    return True, None
+                        yield {"tuple": [h, jdual, vv, mm]}
 
 
 def dinaturality_sample(a: AdjointAlgebra, m_mod: ModuleRep, v: ModuleRep,
@@ -900,11 +901,7 @@ def dinaturality_sample(a: AdjointAlgebra, m_mod: ModuleRep, v: ModuleRep,
     module m over K and the base-algebra module v."""
     rep = report if report is not None else VerificationReport()
 
-    def wedge_identity():
-        for idx in range(a.dim):
-            ok, witness = dinaturality_element_check(a.problem, a.bar_terms[idx], m_mod, v)
-            if not ok:
-                yield {"basis": idx, **(witness or {})}
-
-    rep.check(f"{prefix}/wedge-identity", wedge_identity())
+    rep.check(f"{prefix}/wedge-identity", (
+        {"basis": idx, **w} for idx in range(a.dim)
+        for w in dinaturality_failures(a.problem, a.bar_terms[idx], m_mod, v)))
     return rep

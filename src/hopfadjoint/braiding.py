@@ -25,14 +25,14 @@ from .reports import VerificationReport
 
 
 class RMatrix:
-    """Invertible element of T x T written in the kron basis: `element`
-    and `inverse` are the dense vectors the JSON writes, `terms` and
-    `inverse_terms` their (i, j, c) term lists, the coefficient c of
-    e_i x e_j, ascending and without zeros.  `legs` and `inverse_legs`
-    group those terms by right index, [(j, [(i, c), ...]), ...] ascending
-    in j and i, so that R = sum_j (sum_i c e_i) x e_j is applied through
-    a module once per right index, with its summed left leg.  The inverse
-    solves R y = 1 in the tensor-square algebra: one scalar equation per
+    """Invertible element of T x T written in the kron basis: `element` is
+    the dense vector given as input, `terms` and `inverse_terms` the (i,
+    j, c) term lists of R and R^-1, the coefficient c of e_i x e_j,
+    ascending and without zeros; the JSON writes both densely.  `legs`
+    and `inverse_legs` group those terms by right index, [(j, [(i, c),
+    ...]), ...] ascending in j and i, so that R = sum_j (sum_i c e_i) x
+    e_j is applied through a module once per right index, with its summed
+    left leg.  The inverse solves R y = 1 in the tensor-square algebra: one scalar equation per
     character of C_m x C_m when the host is kC_m (`_cyclic_order`), the
     elimination of [L_R | 1] for any other host."""
 
@@ -43,10 +43,8 @@ class RMatrix:
         if len(self.element) != n * n:
             raise ValueError("R-matrix element has wrong length")
         element_terms = nonzero(self.element)
-        inverse_terms = self._invert(element_terms)
-        self.inverse = dense(host.ctx, n * n, inverse_terms)
         self.terms, self.inverse_terms = ([(u // n, u % n, c) for u, c in terms]
-                                          for terms in (element_terms, inverse_terms))
+                                          for terms in (element_terms, self._invert(element_terms)))
         self.legs, self.inverse_legs = (_legs(terms) for terms in (self.terms, self.inverse_terms))
 
     def _invert(self, element_terms) -> list[tuple[int, Scalar]]:
@@ -56,7 +54,7 @@ class RMatrix:
         way y R = 1 is checked exactly."""
         square = tensor_algebra(self.host.algebra, self.host.algebra)
         size = square.dim
-        unit = nonzero(square.unit)
+        unit = square.unit
         m = _cyclic_order(self.host.algebra)
         if m is not None:
             inverse = _inverse_by_characters(self.host.ctx, m, element_terms)
@@ -74,7 +72,9 @@ class RMatrix:
         return inverse
 
     def to_jsonable(self):
-        return {"dim": self.host.dim, "element": self.element, "inverse": self.inverse}
+        n = self.host.dim
+        return {"dim": n, "element": self.element,
+                "inverse": dense(self.host.ctx, n * n, ((i * n + j, c) for i, j, c in self.inverse_terms))}
 
 
 def _cyclic_order(alg: FinDimAlgebra) -> int | None:
@@ -188,7 +188,7 @@ def check_rmatrix(r: RMatrix, report: VerificationReport | None = None, prefix: 
     rterms = r.terms
     r_dict = {(a, b): c for a, b, c in rterms}
     rinv_dict = {(a, b): c for a, b, c in r.inverse_terms}
-    unit_terms = nonzero(alg.unit)
+    unit_terms = alg.unit
     s_cols = [h.antipode.col_terms(i) for i in range(h.dim)]
 
     def embed(unit_leg: int) -> dict:
@@ -357,7 +357,7 @@ def check_module(v: ModuleRep, report: VerificationReport | None = None, prefix:
     rep.check(f"{prefix}/action-multiplicative", action_multiplicative())
 
     def unit_acts_as_identity():
-        if v.act_terms(nonzero(alg.unit)) != Matrix.identity(ctx, v.dim):
+        if v.act_terms(alg.unit) != Matrix.identity(ctx, v.dim):
             yield {"axiom": "unit acts as identity"}
 
     rep.check(f"{prefix}/action-unit", unit_acts_as_identity())
@@ -401,7 +401,7 @@ def check_yd(hopf: FinDimHopf, module: ModuleRep, comodule: ComoduleRep,
         coaction = comodule.coaction
         sandwiches: dict[tuple[int, int, int], list[tuple[int, Scalar]]] = {}  # h1 y S(h3)
         for h in range(hopf.dim):
-            delta2, h_cols = hopf.coalgebra.delta2_terms(h), act_cols[h]
+            delta2, h_cols = hopf.coalgebra.delta2_terms[h], act_cols[h]
             for v in range(dim_v):
                 lhs: dict = {}
                 for w, wc in h_cols[v]:

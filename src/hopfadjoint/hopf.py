@@ -56,11 +56,12 @@ sum (R's terms against three module actions).
 
 from __future__ import annotations
 
+from functools import cached_property
 from heapq import merge
 from itertools import product
 
 from .cyclotomic import FieldContext, Scalar
-from .linalg import Matrix, dense, lincomb, nonzero, rref, sorted_terms, sparse_diff, zeros
+from .linalg import Matrix, dense, lincomb, rref, sorted_terms, sparse_diff, zeros
 from .reports import VerificationReport
 
 
@@ -69,8 +70,8 @@ class NoAntipodeError(Exception):
 
 
 class FinDimAlgebra:
-    """Algebra with mult[i][j] the term list [(k, c), ...] of e_i * e_j:
-    ascending in k, no zero coefficient."""
+    """Algebra with mult[i][j] the term list [(k, c), ...] of e_i * e_j
+    and unit that of 1: ascending in k, no zero coefficient."""
 
     def __init__(self, ctx: FieldContext, dim: int, mult, unit):
         self.ctx = ctx
@@ -112,31 +113,28 @@ class FinDimAlgebra:
 class FinDimCoalgebra:
     """Coalgebra with comult[i] the term list [(j, k, c), ...] of
     Delta(e_i), the coefficient c of e_j x e_k: ascending in (j, k), no
-    zero coefficient.  counit is a linear functional on the basis."""
+    zero coefficient.  counit is a linear functional on the basis, kept
+    dense: the checks read it by index."""
 
     def __init__(self, ctx: FieldContext, dim: int, comult, counit):
         self.ctx = ctx
         self.dim = dim
         self.comult = comult
         self.counit = list(counit)
-        self._delta2: dict[int, list[tuple[int, int, int, Scalar]]] = {}
 
-    def delta2_terms(self, i: int) -> list[tuple[int, int, int, Scalar]]:
-        """Terms of (Delta x id) Delta(e_i)."""
-        cached = self._delta2.get(i)
-        if cached is None:
+    @cached_property
+    def delta2_terms(self) -> list[list[tuple[int, int, int, Scalar]]]:
+        """delta2_terms[i]: the (a, b, k, c) terms of (Delta x id) Delta(e_i),
+        ascending in (a, b, k), no zero coefficient."""
+        table = []
+        for terms in self.comult:
             acc: dict[tuple[int, int, int], Scalar] = {}
-            for j, k, c in self.comult[i]:
+            for j, k, c in terms:
                 for a, b, d in self.comult[j]:
-                    key = (a, b, k)
-                    coeff = c * d
-                    if key in acc:
-                        acc[key] = acc[key] + coeff
-                    else:
-                        acc[key] = coeff
-            cached = [(a, b, k, v) for (a, b, k), v in sorted(acc.items()) if not v.is_zero()]
-            self._delta2[i] = cached
-        return cached
+                    key, add = (a, b, k), c * d
+                    acc[key] = acc[key] + add if key in acc else add
+            table.append([(a, b, k, v) for (a, b, k), v in sorted_terms(acc)])
+        return table
 
     def counit_vec(self, terms) -> Scalar:
         """The counit of the element with these (index, coefficient) terms."""
@@ -175,7 +173,7 @@ class FinDimHopf:
         return {
             "dim": dim,
             "mult": [[dense(ctx, dim, terms) for terms in row] for row in self.algebra.mult],
-            "unit": self.algebra.unit,
+            "unit": dense(ctx, dim, self.algebra.unit),
             "comult": comult,
             "counit": self.coalgebra.counit,
             "antipode": self.antipode,
@@ -258,7 +256,7 @@ def associativity_failures(a: FinDimAlgebra):
 
 def unit_failures(a: FinDimAlgebra):
     """Yield each basis index i at which 1 e_i or e_i 1 is not e_i."""
-    unit, one = nonzero(a.unit), a.ctx.one()
+    unit, one = a.unit, a.ctx.one()
     for i in range(a.dim):
         ei = [(i, one)]
         if a.mult_terms(unit, ei) != ei or a.mult_terms(ei, unit) != ei:
@@ -303,9 +301,8 @@ def coaction_unit_failures(h_alg: FinDimAlgebra, alg: FinDimAlgebra, coaction):
     """Yield the first key (y, p) at which lambda(1) and 1 x 1 differ in
     h_alg x alg, if they do; with h_alg = alg and coaction = Delta this is
     Delta(1) = 1 x 1."""
-    unit = nonzero(alg.unit)
-    expect = {(y, p): cy * cp for y, cy in nonzero(h_alg.unit) for p, cp in unit}
-    key = sparse_diff(tensor_image(coaction, unit), expect, alg.ctx)
+    expect = {(y, p): cy * cp for y, cy in h_alg.unit for p, cp in alg.unit}
+    key = sparse_diff(tensor_image(coaction, alg.unit), expect, alg.ctx)
     if key is not None:
         yield key
 
@@ -399,7 +396,7 @@ def check_bialgebra(a: FinDimAlgebra, c: FinDimCoalgebra, report: VerificationRe
             for j in range(a.dim):
                 if c.counit_vec(a.mult[i][j]) != c.counit[i] * c.counit[j]:
                     yield {"pair": [i, j]}
-        if c.counit_vec(nonzero(a.unit)) != a.ctx.one():
+        if c.counit_vec(a.unit) != a.ctx.one():
             yield {"pair": "unit"}
 
     rep.check(f"{prefix}/comult-multiplicative", (
@@ -425,7 +422,7 @@ def convolution_failures(a: FinDimAlgebra, c: FinDimCoalgebra, s: Matrix, side: 
             for l, x in term:
                 add = coeff * x
                 acc[l] = acc[l] + add if l in acc else add
-        target = {l: u * c.counit[i] for l, u in nonzero(a.unit)}
+        target = {l: u * c.counit[i] for l, u in a.unit}
         if sparse_diff(acc, target, a.ctx) is not None:
             yield {"index": i, "side": side}
 
@@ -443,8 +440,7 @@ def solve_antipode(a: FinDimAlgebra, c: FinDimCoalgebra) -> Matrix:
     terms = [(i * dim + p, l * dim + j, coeff * m)
              for i in range(dim) for j, k, coeff in c.comult[i]
              for l in range(dim) for p, m in a.mult[l][k]]
-    terms += [(i * dim + p, n_unknowns, a.unit[p] * c.counit[i])
-              for i in range(dim) for p in range(dim)]
+    terms += [(i * dim + p, n_unknowns, u * c.counit[i]) for i in range(dim) for p, u in a.unit]
     # one elimination decides all three: the system is consistent iff the
     # rhs column is no pivot, the solution unique iff every unknown is a
     # pivot, and then row u of the reduced matrix ends in unknown u
@@ -476,6 +472,5 @@ def tensor_algebra(a: FinDimAlgebra, b: FinDimAlgebra) -> FinDimAlgebra:
     mult = [[[(p * nb + q, ca * cb) for p, ca in a.mult[i][k] for q, cb in b.mult[j][l]]
              for k in range(a.dim) for l in range(nb)]
             for i in range(a.dim) for j in range(nb)]
-    unit = dense(a.ctx, a.dim * nb, [(p * nb + q, ca * cb) for p, ca in nonzero(a.unit)
-                                     for q, cb in nonzero(b.unit)])
+    unit = [(p * nb + q, ca * cb) for p, ca in a.unit for q, cb in b.unit]
     return FinDimAlgebra(a.ctx, a.dim * nb, mult, unit)

@@ -9,10 +9,13 @@ nonzero count, and stays until that count reads `terms()` too.  A
 `SubspaceBasis` keeps the zero-free echelon rows that elimination
 returns, and coordinates in it are read at its pivots.  Vectors are term
 lists, ascending (index, coefficient) pairs without zeros, everywhere
-between the model build and the JSON; a dense list is built only for a
-field that the JSON writes.  This module also holds the vector helpers
-shared by every checker.  All arithmetic is exact, all outputs
-deterministic.  The Kronecker index convention is (i tensor j) ->
+between the model build and the JSON: an algebra's unit and products,
+solved coordinates, coactions.  `dense` lays one out only in a
+`to_jsonable`, for a field that the JSON writes.  Two vectors stay dense
+on purpose: a coalgebra's counit, read by index, and the R-matrix
+`element` given as input, which `nonzero` reads once.  This module also
+holds the vector helpers shared by every checker.  All arithmetic is
+exact, all outputs deterministic.  The Kronecker index convention is (i tensor j) ->
 i * dim_b + j everywhere.
 """
 
@@ -291,18 +294,16 @@ def kernel_basis(m: Matrix) -> SubspaceBasis:
     return SubspaceBasis(ctx, m.cols, basis, basis_pivots)
 
 
-def coords_of_terms(v: dict[int, Scalar], b: SubspaceBasis) -> list[Scalar] | None:
-    """Coordinates in the echelon basis b of the sparse vector v, an
-    {index: Scalar} dict that may hold zeros, or None when v is not in
-    the span (the NotInSubspace signal).  b is reduced, so the
-    coordinates are the entries of v at the pivots; the residual
+def coords_of_terms(v: dict[int, Scalar], b: SubspaceBasis) -> list[tuple[int, Scalar]] | None:
+    """The term list of the coordinates in the echelon basis b of the
+    sparse vector v, an {index: Scalar} dict that may hold zeros, or None
+    when v is not in the span (the NotInSubspace signal).  b is reduced,
+    so coordinate i is the entry of v at pivot i; the residual
     v - sum c_i b_i is formed over the nonzeros only."""
     residual = _zero_free(v)
-    z = b.ctx.zero()
-    coords = [residual.get(pc, z) for pc in b.pivots]
-    for c, row in zip(coords, b.rows):
-        if c is not z:
-            _add_multiple(residual, -c, row)
+    coords = [(i, residual[pc]) for i, pc in enumerate(b.pivots) if pc in residual]
+    for i, c in coords:
+        _add_multiple(residual, -c, b.rows[i])
     return None if residual else coords
 
 

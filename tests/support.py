@@ -5,8 +5,9 @@ coalgebra, a perturbed Taft algebra, and matrices from dense rows.  Each is chec
 package's own checkers before a test relies on it.  It also keeps the
 slow oracles of the R-matrix consumers, which read R term by term where
 the package reads it leg by leg, the per-basis-tuple double
-braiding that `braiding.double_braiding` replaced, and the solve over
-the whole Hom-space that is the oracle of `adjoint.solve_adjoint`."""
+braiding that `braiding.double_braiding` replaced, the solve over
+the whole Hom-space that is the oracle of `adjoint.solve_adjoint`, and
+the dense coordinates that are the oracle of `linalg.coords_of_terms`."""
 
 from hopfadjoint.adjoint import AdjointProblem, ClosureFailure, _ad3_residuals, _hom_at, _hom_columns, condition_system
 from hopfadjoint.braiding import (ComoduleAlgebra, ComoduleRep, ModuleRep, RMatrix, check_comodule_algebra,
@@ -32,6 +33,24 @@ def from_spanning(ctx, ambient_dim: int, rows) -> SubspaceBasis:
     return SubspaceBasis(ctx, ambient_dim, red, pivots)
 
 
+def dense_coords_in_basis(v, b: SubspaceBasis):
+    """Oracle of `linalg.coords_of_terms`: the dense coordinates of the
+    dense vector v in the echelon basis b, read at the pivots, or None
+    when the residual v - sum c_i b_i, formed entry by entry over the
+    dense basis vectors, is not zero."""
+    coords = [v[pc] for pc in b.pivots]
+    residual = list(v)
+    for c, row in zip(coords, b.rows):
+        if c.is_zero():
+            continue
+        for i, e in enumerate(dense(b.ctx, b.ambient_dim, row.items())):
+            if not e.is_zero():
+                residual[i] = residual[i] - c * e
+    if any(not e.is_zero() for e in residual):
+        return None
+    return coords
+
+
 def full_pipeline_basis(p: AdjointProblem) -> SubspaceBasis:
     """Oracle of `solve_adjoint`'s basis: the kernel of the full system
     `condition_system` over the whole Hom-space, whose vectors must all
@@ -44,7 +63,7 @@ def full_pipeline_basis(p: AdjointProblem) -> SubspaceBasis:
     if bad is not None:
         raise ClosureFailure("a basis element is not right-K-linear", witness=bad)
     NK = p.comod_alg.dim
-    unit = nonzero(p.comod_alg.algebra.unit)
+    unit = p.comod_alg.algebra.unit
     bars = [{x * NK + r: e for x in range(p.hopf.dim) for r, e in _hom_at(cols, NK, x, unit).items()}
             for cols in views]
     return from_spanning(p.ctx, p.hopf.dim * NK, bars)
@@ -52,7 +71,7 @@ def full_pipeline_basis(p: AdjointProblem) -> SubspaceBasis:
 
 def trivial_r_matrix(t: FinDimHopf) -> RMatrix:
     """R = 1 x 1 over any Hopf algebra with grouplike-enough unit."""
-    unit = nonzero(t.algebra.unit)
+    unit = t.algebra.unit
     return RMatrix(t, dense(t.ctx, t.dim * t.dim, [(i * t.dim + j, ci * cj) for i, ci in unit for j, cj in unit]))
 
 
@@ -62,7 +81,7 @@ def dual_algebra(c: FinDimCoalgebra) -> FinDimAlgebra:
     for k, terms in enumerate(c.comult):
         for i, j, coeff in terms:
             mult[i][j].append((k, coeff))
-    return FinDimAlgebra(c.ctx, c.dim, mult, list(c.counit))
+    return FinDimAlgebra(c.ctx, c.dim, mult, nonzero(c.counit))
 
 
 def braiding_inverse(r: RMatrix, v: ModuleRep, w: ModuleRep) -> Matrix:
@@ -111,7 +130,7 @@ def r_inverse_by_inversion(host: FinDimHopf, element: list) -> list:
     inverse = invert(square.left_mult_matrix(nonzero(element)))
     if inverse is None:
         raise ValueError("R-matrix element is not invertible")
-    return [(u // n, u % n, c) for u, c in inverse.apply_terms(nonzero(square.unit))]
+    return [(u // n, u % n, c) for u, c in inverse.apply_terms(square.unit)]
 
 
 def t_restriction(model: TaftModel, x: ModuleRep) -> ModuleRep:
@@ -175,8 +194,8 @@ def trivial_comodule_algebra(n: int) -> ComoduleAlgebra:
     """K = k with lambda(1) = 1 x 1."""
     model = taft_model(n)
     ctx = model.ctx
-    alg = FinDimAlgebra(ctx, 1, [[[(0, ctx.one())]]], [ctx.one()])
-    coaction = [[(y, 0, cy) for y, cy in nonzero(model.taft.algebra.unit)]]
+    alg = FinDimAlgebra(ctx, 1, [[[(0, ctx.one())]]], [(0, ctx.one())])
+    coaction = [[(y, 0, cy) for y, cy in model.taft.algebra.unit]]
     return _verified(ComoduleAlgebra(model.taft, alg, coaction, name="k1"))
 
 
@@ -188,8 +207,7 @@ def coideal_comodule_algebra(n: int, d: int) -> ComoduleAlgebra:
     ctx = model.ctx
     m = n // d
     o = ctx.one()
-    alg = FinDimAlgebra(ctx, d, [[[((i + j) % d, o)] for j in range(d)] for i in range(d)],
-                        dense(ctx, d, [(0, o)]))
+    alg = FinDimAlgebra(ctx, d, [[[((i + j) % d, o)] for j in range(d)] for i in range(d)], [(0, o)])
     coaction = [[(model.x_index(0, (m * a) % n), a, o)] for a in range(d)]
     return _verified(ComoduleAlgebra(model.taft, alg, coaction, name=f"kC_{d}",
                                      generators=[1] if d > 1 else []))

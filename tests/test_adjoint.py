@@ -13,7 +13,7 @@ from hopfadjoint.adjoint import (
     condition_system,
     condition_system_reduced,
     connectedness,
-    dinaturality_element_check,
+    dinaturality_failures,
     dinaturality_sample,
     invariant_coinvariant_dim,
     phi_structure_transport,
@@ -25,7 +25,7 @@ from hopfadjoint.adjoint import (
     verify_relative_center,
     verify_yd,
 )
-from hopfadjoint.linalg import Matrix, SubspaceBasis, coords_of_terms, kernel_basis, nonzero
+from hopfadjoint.linalg import Matrix, SubspaceBasis, coords_of_terms, kernel_basis
 from hopfadjoint.reports import emit_json
 from support import coideal_comodule_algebra, full_pipeline_basis, trivial_comodule_algebra, trivial_r_matrix
 
@@ -167,8 +167,8 @@ def test_unit_is_invariant_under_the_action():
     alg = solve_adjoint(problem_for(m, comodule_algebra_K(2, 2, 0), {"ad1", "ad3"}))
     eps = m.taft.coalgebra.counit
     for h in range(m.taft.dim):
-        img = alg.action[h].apply_terms(nonzero(alg.unit_coords))
-        assert img == nonzero([eps[h] * c for c in alg.unit_coords])
+        img = alg.action[h].apply_terms(alg.unit_coords)
+        assert img == ([] if eps[h].is_zero() else [(i, eps[h] * c) for i, c in alg.unit_coords])
 
 
 def test_mutated_action_fails_yd():
@@ -327,9 +327,9 @@ def test_dinaturality_rejects_module_variant_element():
     k = comodule_algebra_K(3, 1, 0)
     module = solve_adjoint(problem_for(m, k, {"ad1", "ad3"}), with_structure=False)
     p = problem_for(m, k, {"ad1", "ad2", "ad3"})
-    ok, witness = dinaturality_element_check(p, module.bar_terms[0], regular_module(k.algebra),
-                                             regular_module(m.t_hopf.algebra))
-    assert not ok and witness is not None
+    witness = next(dinaturality_failures(p, module.bar_terms[0], regular_module(k.algebra),
+                                         regular_module(m.t_hopf.algebra)), None)
+    assert witness is not None
 
 
 def test_dinaturality_rejects_non_solution():
@@ -338,9 +338,9 @@ def test_dinaturality_rejects_non_solution():
     p = problem_for(m, k, {"ad1", "ad2", "ad3"})
     ctx = m.ctx
     fake = [[(0, ctx.one())] for _ in range(4)]
-    ok, witness = dinaturality_element_check(p, fake, regular_module(k.algebra),
-                                             regular_module(m.t_hopf.algebra))
-    assert not ok and witness is not None
+    witness = next(dinaturality_failures(p, fake, regular_module(k.algebra),
+                                         regular_module(m.t_hopf.algebra)), None)
+    assert witness is not None
 
 
 def test_coaction_roundtrip_through_projection():

@@ -141,7 +141,7 @@ def test_braided_commutativity_callers_report_one_late_pair():
 
     claims = verify_h_ad(bad, {}).claims
     assert [c.witness for c in claims if c.claim_id.endswith("/braided-commutative")] == [expected]
-    solved = SimpleNamespace(ctx=ctx, dim=n, product=[[dense(ctx, n, v) for v in row] for row in mult],
+    solved = SimpleNamespace(ctx=ctx, dim=n, product=mult,
                              unit_coords=line.unit, comodule_rep=lambda: had.comodule,
                              module_rep=lambda: had.ht_module)
     claims = verify_braided_commutative(solved).claims

@@ -102,7 +102,7 @@ def cyclic_group_algebra(conductor: int, m: int) -> FinDimHopf:
     """kC_m in its grouplike basis over Q(zeta_conductor), built by hand."""
     ctx = make_field(conductor)
     o = ctx.one()
-    alg = FinDimAlgebra(ctx, m, [[[((i + j) % m, o)] for j in range(m)] for i in range(m)], dense(ctx, m, [(0, o)]))
+    alg = FinDimAlgebra(ctx, m, [[[((i + j) % m, o)] for j in range(m)] for i in range(m)], [(0, o)])
     coa = FinDimCoalgebra(ctx, m, [[(i, i, o)] for i in range(m)], [o] * m)
     return FinDimHopf(alg, coa, solve_antipode(alg, coa))
 

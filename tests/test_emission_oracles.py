@@ -5,9 +5,9 @@ densely: canonical JSON emission and coordinates in a solved basis.
 matrix's nonzero terms; `dense_jsonable` is the per-entry walk over
 `Matrix.entries` that it replaced, and both must give the same bytes.
 `coords_of_terms` reads coordinates at the pivots of an echelon basis
-and forms the residual sparsely; `dense_coords_in_basis` scans dense
-basis vectors and a dense residual, and both must agree, `None`
-included.
+and forms the residual sparsely; `support.dense_coords_in_basis` scans
+dense basis vectors and a dense residual, and the term list of its
+coordinates must be the sparse one, `None` included.
 """
 
 import dataclasses
@@ -22,9 +22,10 @@ from hopfadjoint import cli, reports
 from hopfadjoint.adjoint import condition_system, condition_system_reduced, problem_for
 from hopfadjoint.constructions import comodule_algebra_K, regular_comodule_algebra, taft_model
 from hopfadjoint.cyclotomic import Scalar, make_field, rational_str, scalar_to_strings
-from hopfadjoint.linalg import Matrix, SubspaceBasis, coords_of_terms, dense, kernel_basis
+from hopfadjoint.linalg import Matrix, coords_of_terms, dense, kernel_basis, nonzero
 from hopfadjoint.reports import emit_json
 
+from support import dense_coords_in_basis
 from test_golden import CLI_DIGESTS
 
 
@@ -51,22 +52,6 @@ def dense_jsonable(obj):
 
 def dense_emit(obj) -> bytes:
     return json.dumps(dense_jsonable(obj), sort_keys=True, separators=(",", ":")).encode()
-
-
-def dense_coords_in_basis(v, b: SubspaceBasis):
-    """Coordinates at the pivots, then the residual v - sum c_i b_i
-    formed entry by entry over the dense basis vectors."""
-    coords = [v[pc] for pc in b.pivots]
-    residual = list(v)
-    for c, row in zip(coords, b.rows):
-        if c.is_zero():
-            continue
-        for i, e in enumerate(dense(b.ctx, b.ambient_dim, row.items())):
-            if not e.is_zero():
-                residual[i] = residual[i] - c * e
-    if any(not e.is_zero() for e in residual):
-        return None
-    return coords
 
 
 # -- emission --------------------------------------------------------------
@@ -186,4 +171,4 @@ def test_sparse_coords_match_dense_oracle(index):
     for v, in_span in cases:
         expected = dense_coords_in_basis(v, b)
         assert (expected is not None) == in_span
-        assert coords_of_terms(dict(enumerate(v)), b) == expected
+        assert coords_of_terms(dict(enumerate(v)), b) == (None if expected is None else nonzero(expected))

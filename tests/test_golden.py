@@ -68,7 +68,7 @@ from hopfadjoint.hopf import (
     check_bialgebra,
     check_hopf,
 )
-from hopfadjoint.linalg import Matrix, SubspaceBasis, dense, kernel_basis
+from hopfadjoint.linalg import Matrix, SubspaceBasis, kernel_basis, sorted_terms
 from hopfadjoint.reports import emit_json
 from support import perturbed_taft, trivial_r_matrix
 
@@ -327,7 +327,7 @@ def braided_adjoint_with_swapped_action():
                             "trivial": trivial_module(m.taft)})
     alg = solve_adjoint(problem_for(m, regular_comodule_algebra(2), {"ad1", "ad2", "ad3"}))
     alg.product = list(reversed(alg.product))
-    alg.unit_coords = list(reversed(alg.unit_coords))
+    alg.unit_coords = [(alg.dim - 1 - i, c) for i, c in reversed(alg.unit_coords)]
     alg.coaction = _reversed_coaction(alg.coaction, m.taft.dim)
     return regular_case_iso(alg, bad, rep)
 
@@ -372,9 +372,10 @@ def late_product_unit_and_coaction_corrupted():
     alg = solve_adjoint(problem_for(m, comodule_algebra_K(2, 2, 0), {"ad1", "ad3"}))
     one = alg.ctx.one()
     last = alg.dim - 1
-    alg.product = [[list(v) for v in row] for row in alg.product]
     for j in (last, 0):
-        alg.product[last][j][last] = alg.product[last][j][last] + one
+        acc = dict(alg.product[last][j])
+        acc[last] = acc.get(last, alg.ctx.zero()) + one
+        alg.product[last][j] = sorted_terms(acc)
     *head, (y, v, c) = alg.coaction[last]
     alg.coaction = alg.coaction[:last] + [head + [(y, v, c + c)]]
     return verify_center_algebra(alg)
@@ -431,7 +432,7 @@ def taft_with_unit_e1():
     """The Taft algebra at n = 2 with unit e_1 = 1 # g, as an algebra
     and as the host of its regular module."""
     h = taft_model(2).taft
-    alg = FinDimAlgebra(h.ctx, h.dim, h.algebra.mult, dense(h.ctx, h.dim, [(1, h.ctx.one())]))
+    alg = FinDimAlgebra(h.ctx, h.dim, h.algebra.mult, [(1, h.ctx.one())])
     rep = check_algebra(alg)
     return check_module(ModuleRep(alg, h.dim, regular_module(h.algebra).action), rep)
 
@@ -459,9 +460,10 @@ def _relabelled(h: FinDimHopf, i: int, j: int) -> FinDimHopf:
     comult = [None] * h.dim
     for a, terms in enumerate(h.coalgebra.comult):
         comult[s[a]] = sorted((s[p], s[q], c) for p, q, c in terms)
-    unit, counit = [None] * h.dim, [None] * h.dim
+    unit = sorted((s[k], c) for k, c in h.algebra.unit)
+    counit = [None] * h.dim
     for a in range(h.dim):
-        unit[s[a]], counit[s[a]] = h.algebra.unit[a], h.coalgebra.counit[a]
+        counit[s[a]] = h.coalgebra.counit[a]
     antipode = Matrix(h.ctx, h.dim, h.dim, [(s[r], s[c], x) for r, c, x in h.antipode.terms()])
     return FinDimHopf(FinDimAlgebra(h.ctx, h.dim, mult, unit),
                       FinDimCoalgebra(h.ctx, h.dim, comult, counit), antipode)

@@ -26,7 +26,7 @@ from hopfadjoint.linalg import (
     rank,
     rref,
 )
-from support import from_rows, from_spanning
+from support import dense_coords_in_basis, from_rows, from_spanning
 
 CTX = make_field(4)
 
@@ -252,9 +252,9 @@ def test_kernel_rank_nullity_on_row():
 def test_coords_of_basis_vector():
     kb = kernel_basis(mat([[1, 1, 0]]))
     c = coords_of_terms(kb.rows[0], kb)
-    assert c == [CTX.one(), CTX.zero()]
+    assert c == nonzero(dense_coords_in_basis(dense(CTX, 3, kb.rows[0].items()), kb)) == [(0, CTX.one())]
     zero = dict.fromkeys(range(3), CTX.zero())
-    assert coords_of_terms(zero, kb) == [CTX.zero(), CTX.zero()]
+    assert coords_of_terms(zero, kb) == nonzero(dense_coords_in_basis(list(zero.values()), kb)) == []
 
 
 def test_coords_outside_span_signals():
@@ -262,6 +262,7 @@ def test_coords_outside_span_signals():
     # a vector with nonzero image under the row is outside the kernel
     v = {0: CTX.one(), 1: CTX.one(), 2: CTX.zero()}
     assert coords_of_terms(v, kb) is None
+    assert dense_coords_in_basis(list(v.values()), kb) is None
 
 
 def test_kron_identities():

@@ -5,9 +5,11 @@ somewhere in the package outside its own body and outside
 `__init__.py`; a non-dunder method must be read as an attribute
 somewhere outside its own body.  Code that only the tests call belongs
 in `tests/support.py`, not in the package.  The scan is by name, so it
-finds a dead definition once nothing else spells its name.  The last
-scan checks the other direction for the benchmark: every package name
-that `perfbench/` reads must exist."""
+finds a dead definition once nothing else spells its name.  One scan
+pins the package's vector format: `dense` is called only inside a
+`to_jsonable`, so every other vector stays a term list.  The last scan
+checks the other direction for the benchmark: every package name that
+`perfbench/` reads must exist."""
 
 import ast
 import importlib
@@ -146,6 +148,36 @@ def test_scan_sees_an_unused_import_and_a_dead_local(tmp_path):
         "    def g():\n        nonlocal y\n        y = tau\n        return y\n\n    return g() + pi\n")
     (tmp_path / "__init__.py").write_text("from .a import f\n")
     assert dead_names(tmp_path) == {"a: os", "a.f: z", "a.f: w"}
+
+
+# The vector-format scan: inside the package a vector is a term list, and
+# a dense list is built only for a field that the JSON writes.
+
+def dense_calls_outside_serialisers(package: Path) -> set[str]:
+    """"module:line" for each call of `dense`, bare or as an attribute,
+    that lies outside the body of every function named `to_jsonable`."""
+    found = set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        inside = {id(sub) for node in ast.walk(tree)
+                  if isinstance(node, ast.FunctionDef) and node.name == "to_jsonable" for sub in ast.walk(node)}
+        found |= {f"{path.stem}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and id(node) not in inside
+                  and (getattr(node.func, "id", None) == "dense" or getattr(node.func, "attr", None) == "dense")}
+    return found
+
+
+def test_dense_vectors_are_built_only_in_to_jsonable():
+    assert dense_calls_outside_serialisers(PACKAGE) == set(), "keep the vector a term list; densify in to_jsonable"
+
+
+def test_scan_sees_a_dense_call_outside_to_jsonable(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "from . import linalg\nfrom .linalg import dense\n\n\n"
+        "class A:\n    def to_jsonable(self):\n        return [dense(1, 2, []), linalg.dense(1, 2, [])]\n\n"
+        "    def unit(self):\n        return dense(1, 2, [])\n\n\n"
+        "def f():\n    return linalg.dense(1, 2, [])\n")
+    assert dense_calls_outside_serialisers(tmp_path) == {"a:10", "a:14"}
 
 
 # The names the benchmark reads: perfbench/ runs the package from outside,
