@@ -111,19 +111,20 @@ class BraidedHopf:
 def _braided_square_product(h_alg: FinDimAlgebra, sigma: Matrix,
                             x: dict, y: dict) -> dict:
     """(u1 x u2)(v1 x v2) = u1 sigma(u2 x v1) v2 on sparse tensors."""
-    ctx = h_alg.ctx
     n = h_alg.dim
-    z = ctx.zero()
     out: dict = {}
     for (i, j), cx in x.items():
         for (k, l), cy in y.items():
             c0 = cx * cy
             for row, s in sigma.col_terms(j * n + k):
-                kk, jj = row // n, row % n
-                for p, m1 in h_alg.mult[i][kk]:
-                    for q, m2 in h_alg.mult[jj][l]:
-                        key = (p, q)
-                        out[key] = out.get(key, z) + c0 * s * m1 * m2
+                left, right = h_alg.mult[i][row // n], h_alg.mult[row % n][l]
+                if left and right:
+                    cs = c0 * s
+                    for p, m1 in left:
+                        c1 = cs * m1
+                        for q, m2 in right:
+                            key, add = (p, q), c1 * m2
+                            out[key] = out[key] + add if key in out else add
     return {k: v for k, v in out.items() if not v.is_zero()}
 
 
@@ -223,7 +224,7 @@ def bosonization(h: BraidedHopf, t: FinDimHopf, r: RMatrix) -> FinDimHopf:
     ctx = h.ctx
     nh, nt = h.dim, t.dim
     dim = nh * nt
-    z, one = ctx.zero(), ctx.one()
+    one = ctx.one()
 
     # each T-action column read once; x^a (t1.x^c) formed once per (a, t1, c)
     cols = [[act.col_terms(c) for c in range(nh)] for act in h.tmodule.action]
@@ -235,9 +236,13 @@ def bosonization(h: BraidedHopf, t: FinDimHopf, r: RMatrix) -> FinDimHopf:
                 for d in range(nt):
                     acc: dict[int, Scalar] = {}
                     for t1, t2, cc in t.coalgebra.comult[b]:
-                        for p, hp in moved[t1]:
-                            for qq, mq in t.algebra.mult[t2][d]:
-                                acc[p * nt + qq] = acc.get(p * nt + qq, z) + cc * hp * mq
+                        right = t.algebra.mult[t2][d]
+                        if right:
+                            for p, hp in moved[t1]:
+                                c1 = cc * hp
+                                for qq, mq in right:
+                                    key, add = p * nt + qq, c1 * mq
+                                    acc[key] = acc[key] + add if key in acc else add
                     mult[a * nt + b][c * nt + d] = sorted_terms(acc)
     unit = [(p * nt + qq, cp * cq) for p, cp in h.algebra.unit for qq, cq in t.algebra.unit]
     alg = FinDimAlgebra(ctx, dim, mult, unit)
@@ -256,11 +261,13 @@ def bosonization(h: BraidedHopf, t: FinDimHopf, r: RMatrix) -> FinDimHopf:
                 for t1, t2, c2 in t.coalgebra.comult[b]:
                     coeff = c1 * c2
                     for rj, cols in legs:
-                        right_h = cols[h2]
-                        for tt1, m1 in t.algebra.mult[rj][t1]:
-                            for hh2, m2 in right_h:
-                                key = (h1 * nt + tt1, hh2 * nt + t2)
-                                delta[key] = delta.get(key, z) + coeff * m1 * m2
+                        left_t, right_h = t.algebra.mult[rj][t1], cols[h2]
+                        if left_t and right_h:
+                            for tt1, m1 in left_t:
+                                c1 = coeff * m1
+                                for hh2, m2 in right_h:
+                                    key, add = (h1 * nt + tt1, hh2 * nt + t2), c1 * m2
+                                    delta[key] = delta[key] + add if key in delta else add
             comult.append([(row, col, c) for (row, col), c in sorted_terms(delta)])
     counit = []
     for a in range(nh):

@@ -5,8 +5,15 @@ solving.
 Structure constants are stored once, as sorted zero-free term lists;
 checkers iterate over all basis tuples and report exact pass/fail with
 witnesses.  Antipodes are never transcribed from formulas: they are
-solved from the convolution identity, which independently validates
-every construction.
+solved from the left convolution identity m(S x id)Delta = u eps, and
+the right one is checked exactly, which independently validates every
+construction.  When, in some order of the basis, each Delta(e_i) has
+exactly one term c_i e_i x w_i with left leg e_i, w_i a grouplike basis
+element with a basis inverse, and every other left leg earlier, the
+identity is triangular and S is found by substitution along that order,
+unique with no rank test; kC_n, the braided line and the Taft algebra
+qualify.  Any other host eliminates the dim^2-unknown system, which
+alone can find it inconsistent or degenerate.
 
 Each algebra axiom is scanned by one generator here, which yields the
 failing basis tuples in one loop order; every caller keeps its own claim
@@ -428,11 +435,90 @@ def convolution_failures(a: FinDimAlgebra, c: FinDimCoalgebra, s: Matrix, side: 
 
 
 def solve_antipode(a: FinDimAlgebra, c: FinDimCoalgebra) -> Matrix:
-    """Solve m(S x id)Delta = u eps for the matrix S, verify uniqueness
-    and the right-handed identity m(id x S)Delta = u eps.
+    """The antipode S with m(S x id)Delta = u eps, by substitution along a
+    triangular basis order when the host has one and otherwise by
+    elimination; either way the right identity m(id x S)Delta = u eps is
+    checked exactly.
 
-    Raises NoAntipodeError when the linear system is inconsistent or
-    leaves S undetermined."""
+    The host qualifies (`_triangular_order`) when, in some order of its
+    basis, each Delta(e_i) has exactly one term c_i e_i x w_i with left leg
+    e_i, w_i an exact grouplike basis element with a basis inverse, and
+    every other left leg of Delta(e_i) comes earlier.  The left identity at
+    e_i then reads c_i S(e_i) w_i + sum c S(e_j) e_k = eps(e_i) 1 over the
+    other terms, so each S(e_i) is the one value
+    c_i^-1 (eps(e_i) 1 - sum c S(e_j) e_k) w_i^-1 given the earlier ones:
+    right multiplication by w_i is invertible in an associative algebra,
+    so the system is triangular with invertible diagonal blocks and S is
+    unique with no rank test.  kC_n, the braided line and the Taft algebra all
+    qualify, along the x-degree.
+
+    Raises NoAntipodeError when the system is inconsistent or leaves S
+    undetermined (only the elimination can find either), or when the right
+    identity fails."""
+    order = _triangular_order(a, c)
+    s = _antipode_by_elimination(a, c) if order is None else _antipode_by_substitution(a, c, order)
+    witness = next(convolution_failures(a, c, s, "right"), None)
+    if witness is not None:
+        raise NoAntipodeError(f"solved antipode fails right convolution identity: {witness}")
+    return s
+
+
+def _triangular_order(a: FinDimAlgebra, c: FinDimCoalgebra) -> list[tuple[int, Scalar, int]] | None:
+    """(i, c_i, v_i) for every basis index i, in an order that meets the
+    rule of `solve_antipode`, with e_{v_i} = w_i^-1; None when there is
+    no such order.  c_i != 0, as term lists hold no zero."""
+    one = a.ctx.one()
+    inverses: dict[int, int | None] = {}  # grouplike w -> the index of its inverse
+    pivots, waiting, later = [], [], [[] for _ in range(a.dim)]
+    for i, terms in enumerate(c.comult):
+        diagonal = [(w, x) for j, w, x in terms if j == i]
+        if len(diagonal) != 1:
+            return None
+        w, ci = diagonal[0]
+        if w not in inverses:
+            grouplike = c.comult[w] == [(w, w, one)] and c.counit[w] == one
+            inverses[w] = next((v for v in range(a.dim) if grouplike
+                                and a.mult[w][v] == a.unit == a.mult[v][w]), None)
+        if inverses[w] is None:
+            return None
+        pivots.append((ci, inverses[w]))
+        legs = {j for j, _, _ in terms if j != i}
+        waiting.append(len(legs))
+        for j in legs:
+            later[j].append(i)
+    # place each index once every other left leg of its coproduct is placed
+    order = [i for i in range(a.dim) if not waiting[i]]
+    for j in order:
+        for i in later[j]:
+            waiting[i] -= 1
+            if not waiting[i]:
+                order.append(i)
+    if len(order) < a.dim:
+        return None
+    return [(i, *pivots[i]) for i in order]
+
+
+def _antipode_by_substitution(a: FinDimAlgebra, c: FinDimCoalgebra, order) -> Matrix:
+    """S(e_i) = c_i^-1 (eps(e_i) 1 - sum c S(e_j) e_k) w_i^-1 along the
+    order of `_triangular_order`, the sum over the terms of Delta(e_i)
+    other than c_i e_i x w_i."""
+    one = a.ctx.one()
+    cols: dict[int, list[tuple[int, Scalar]]] = {}
+    for i, ci, v in order:
+        acc = {l: u * c.counit[i] for l, u in a.unit}
+        for j, k, x in c.comult[i]:
+            if j != i:
+                neg = -x
+                a.add_product(acc, [(l, neg * s) for l, s in cols[j]], [(k, one)])
+        inv = ci.inv()
+        cols[i] = a.mult_terms([(l, inv * y) for l, y in acc.items()], [(v, one)])
+    return Matrix(a.ctx, a.dim, a.dim, ((l, i, y) for i, col in cols.items() for l, y in col))
+
+
+def _antipode_by_elimination(a: FinDimAlgebra, c: FinDimCoalgebra) -> Matrix:
+    """S from the reduced form of the dim^2 x (dim^2 + 1) left convolution
+    system; raises NoAntipodeError when it is inconsistent or leaves S
+    undetermined."""
     ctx = a.ctx
     dim = a.dim
     n_unknowns = dim * dim  # S[l][j] at column index l * dim + j; the last column is the rhs
@@ -449,11 +535,7 @@ def solve_antipode(a: FinDimAlgebra, c: FinDimCoalgebra) -> Matrix:
         raise NoAntipodeError("antipode convolution system is inconsistent")
     if len(pivots) != n_unknowns:
         raise NoAntipodeError("antipode is not unique; convolution system is degenerate")
-    s = Matrix(ctx, dim, dim, ((u // dim, u % dim, x) for u, x in red.col_terms(n_unknowns)))
-    witness = next(convolution_failures(a, c, s, "right"), None)
-    if witness is not None:
-        raise NoAntipodeError(f"solved antipode fails right convolution identity: {witness}")
-    return s
+    return Matrix(ctx, dim, dim, ((u // dim, u % dim, x) for u, x in red.col_terms(n_unknowns)))
 
 
 def check_hopf(h: FinDimHopf, report: VerificationReport | None = None, prefix: str = "hopf") -> VerificationReport:

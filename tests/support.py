@@ -1,7 +1,8 @@
 """Objects that only the tests build: extra comodule algebras, the
 trivial R-matrix, the inverse braiding, the restriction of a
 bosonization module to the group algebra, the dual algebra of a
-coalgebra, a perturbed Taft algebra, and matrices from dense rows.  Each is checked against the
+coalgebra, a perturbed Taft algebra, a Hopf algebra in another basis,
+and matrices from dense rows.  Each is checked against the
 package's own checkers before a test relies on it.  It also keeps the
 slow oracles of the R-matrix consumers, which read R term by term where
 the package reads it leg by leg, the per-basis-tuple double
@@ -13,7 +14,7 @@ from hopfadjoint.adjoint import AdjointProblem, ClosureFailure, _ad3_residuals, 
 from hopfadjoint.braiding import (ComoduleAlgebra, ComoduleRep, ModuleRep, RMatrix, check_comodule_algebra,
                                   lift_via_pi)
 from hopfadjoint.constructions import BraidedHopf, ConstructionError, TaftModel, taft_model
-from hopfadjoint.hopf import FinDimAlgebra, FinDimCoalgebra, FinDimHopf, tensor_algebra
+from hopfadjoint.hopf import FinDimAlgebra, FinDimCoalgebra, FinDimHopf, leg_map, tensor_algebra, tensor_image
 from hopfadjoint.linalg import (Matrix, SubspaceBasis, _eliminate, _zero_free, dense, flip_legs, invert,
                                 kernel_basis, kron_sum, nonzero, sorted_terms)
 
@@ -182,6 +183,22 @@ def perturbed_taft() -> FinDimHopf:
     counit[2] = ctx.one()
     return FinDimHopf(FinDimAlgebra(ctx, h.dim, mult, h.algebra.unit),
                       FinDimCoalgebra(ctx, h.dim, comult, counit), h.antipode)
+
+
+def change_basis(h: FinDimHopf, p: Matrix) -> FinDimHopf:
+    """h in the basis f_i = p e_i, the columns of the invertible matrix p:
+    every structure constant read back through p^-1, and the antipode
+    conjugated to p^-1 S p."""
+    ctx, dim = h.ctx, h.dim
+    p_inv = invert(p)
+    f = [p.col_terms(i) for i in range(dim)]
+    back = [p_inv.col_terms(j) for j in range(dim)]
+    mult = [[p_inv.apply_terms(h.algebra.mult_terms(fi, fk)) for fk in f] for fi in f]
+    comult = [[(j, k, c) for (j, k), c in sorted(leg_map((back, back), tensor_image(h.coalgebra.comult, fi)).items())]
+              for fi in f]
+    counit = [h.coalgebra.counit_vec(fi) for fi in f]
+    return FinDimHopf(FinDimAlgebra(ctx, dim, mult, p_inv.apply_terms(h.algebra.unit)),
+                      FinDimCoalgebra(ctx, dim, comult, counit), p_inv * h.antipode * p)
 
 
 def _verified(k: ComoduleAlgebra) -> ComoduleAlgebra:

@@ -1,10 +1,13 @@
 import pytest
 
+from hopfadjoint import hopf
 from hopfadjoint.cyclotomic import make_field
 from hopfadjoint.hopf import (
     FinDimAlgebra,
     FinDimCoalgebra,
     NoAntipodeError,
+    _antipode_by_elimination,
+    _triangular_order,
     check_algebra,
     check_bialgebra,
     check_coalgebra,
@@ -12,9 +15,17 @@ from hopfadjoint.hopf import (
     solve_antipode,
     tensor_algebra,
 )
-from hopfadjoint.constructions import group_algebra_cn, taft_model
-from hopfadjoint.linalg import dense, nonzero
-from support import dual_algebra
+from hopfadjoint.constructions import braided_line, group_algebra_cn, taft_model
+from hopfadjoint.linalg import Matrix, dense, nonzero
+from support import change_basis, dual_algebra
+
+
+@pytest.fixture
+def rref_calls(monkeypatch):
+    """The matrices that the hopf module eliminates, in call order."""
+    calls, rref = [], hopf.rref
+    monkeypatch.setattr(hopf, "rref", lambda m: calls.append(m) or rref(m))
+    return calls
 
 
 def test_group_algebra_c3_passes_all_axioms():
@@ -71,6 +82,7 @@ def test_primitive_element_convolution_solves():
     assert check_algebra(alg).ok and check_coalgebra(coa).ok
     rep = check_bialgebra(alg, coa)
     assert {c.claim_id for c in rep.failures()} == {"bialgebra/comult-multiplicative"}
+    assert _triangular_order(alg, coa) is not None
     s = solve_antipode(alg, coa)
     assert dense(ctx, 2, s.col_terms(1)) == [z, -o]
 
@@ -83,6 +95,7 @@ def test_no_antipode_for_idempotent_grouplike():
     mult = [[[(0, o)], [(1, o)]], [[(1, o)], [(1, o)]]]
     alg = FinDimAlgebra(ctx, 2, mult, [(0, o)])
     coa = FinDimCoalgebra(ctx, 2, [[(0, 0, o)], [(1, 1, o)]], [o, o])
+    assert _triangular_order(alg, coa) is None
     with pytest.raises(NoAntipodeError, match="inconsistent"):
         solve_antipode(alg, coa)
 
@@ -94,6 +107,7 @@ def test_degenerate_convolution_system_has_no_unique_antipode():
     mult = [[[(0, o)], [(1, o)]], [[(1, o)], []]]
     alg = FinDimAlgebra(ctx, 2, mult, [(0, o)])
     coa = FinDimCoalgebra(ctx, 2, [[(0, 0, o)], []], [o, z])
+    assert _triangular_order(alg, coa) is None
     with pytest.raises(NoAntipodeError, match="not unique"):
         solve_antipode(alg, coa)
 
@@ -143,3 +157,86 @@ def test_every_model_hopf_passes_convolution_identities():
         m = taft_model(n)
         rep = check_hopf(m.taft)
         assert rep.ok, [c.claim_id for c in rep.failures()]
+
+
+def model_hosts(n):
+    """(name, algebra, coalgebra, antipode) of the three hosts that the
+    model builds at n."""
+    t, line, taft = group_algebra_cn(n), braided_line(n), taft_model(n).taft
+    return [("kC", t.algebra, t.coalgebra, t.antipode),
+            ("braided-line", line.algebra, line.coalgebra, line.braided_antipode),
+            ("taft", taft.algebra, taft.coalgebra, taft.antipode)]
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_substituted_antipodes_match_elimination(n):
+    for name, alg, coa, s in model_hosts(n):
+        assert _triangular_order(alg, coa) is not None, name
+        assert s == _antipode_by_elimination(alg, coa), name
+
+
+def shifted(h):
+    """h in the basis e_0, e_i + e_0 (i > 0), which is not monomial: a
+    grouplike e_i gives Delta(e_i + e_0) two terms with left leg e_i + e_0."""
+    ctx, dim = h.ctx, h.dim
+    return change_basis(h, Matrix(ctx, dim, dim, [(i, i, ctx.one()) for i in range(dim)]
+                                  + [(0, i, ctx.one()) for i in range(1, dim)]))
+
+
+def reversed_basis(h):
+    """h with its basis in reverse order, where the x-degree falls with the
+    index."""
+    ctx, dim = h.ctx, h.dim
+    return change_basis(h, Matrix(ctx, dim, dim, [(dim - 1 - i, i, ctx.one()) for i in range(dim)]))
+
+
+# hosts outside the rule, and hosts that qualify only along an order that
+# is not the index order
+SHIFTED_HOSTS = {"kC2-in-1,1+g": lambda: shifted(group_algebra_cn(2)),
+                 "taft2-shifted": lambda: shifted(taft_model(2).taft),
+                 "taft3-shifted": lambda: shifted(taft_model(3).taft)}
+REVERSED_HOSTS = {f"taft{n}-reversed": (lambda n=n: reversed_basis(taft_model(n).taft)) for n in (2, 3, 4)}
+
+
+@pytest.mark.parametrize("name", list(SHIFTED_HOSTS))
+def test_host_outside_the_rule_eliminates_to_the_conjugated_antipode(name, rref_calls):
+    h = SHIFTED_HOSTS[name]()
+    assert check_hopf(h).ok
+    assert _triangular_order(h.algebra, h.coalgebra) is None
+    assert solve_antipode(h.algebra, h.coalgebra) == h.antipode
+    assert rref_calls
+
+
+@pytest.mark.parametrize("name", list(REVERSED_HOSTS))
+def test_reversed_basis_substitutes_to_the_conjugated_antipode(name, rref_calls):
+    h = REVERSED_HOSTS[name]()
+    assert check_hopf(h).ok
+    assert solve_antipode(h.algebra, h.coalgebra) == h.antipode
+    assert not rref_calls
+    order = [i for i, _, _ in _triangular_order(h.algebra, h.coalgebra)]
+    assert order != sorted(order)
+
+
+def test_substitution_divides_by_the_left_leg_coefficient():
+    # Q[t]/(t^2) with Delta(t) = 2 (1 x t + t x 1): not counital, so the
+    # term with left leg t has coefficient 2, yet the convolution system
+    # still pins S(t) = -t on both sides
+    ctx = make_field(1)
+    z, o = ctx.zero(), ctx.one()
+    two = o + o
+    alg = FinDimAlgebra(ctx, 2, [[[(0, o)], [(1, o)]], [[(1, o)], []]], [(0, o)])
+    coa = FinDimCoalgebra(ctx, 2, [[(0, 0, o)], [(0, 1, two), (1, 0, two)]], [o, z])
+    assert _triangular_order(alg, coa) == [(0, o, 0), (1, two, 0)]
+    s = solve_antipode(alg, coa)
+    assert s == _antipode_by_elimination(alg, coa)
+    assert dense(ctx, 2, s.col_terms(1)) == [z, -o]
+
+
+def test_cold_models_call_no_elimination(rref_calls):
+    """A silent fallback to elimination fails here.  Each model is built
+    afresh, past its cache."""
+    for n in range(1, 9):
+        group_algebra_cn.__wrapped__(n)
+        braided_line.__wrapped__(n)
+        taft_model.__wrapped__(n)
+    assert not rref_calls
