@@ -498,6 +498,19 @@ def transport_at_m3_with_repeated_row():
     return phi_structure_transport(alg)
 
 
+def transport_with_late_x_action():
+    """The module variant over K(1, 0) at n = 2 (m = 2) with the action
+    of x # 1 on the last basis element shifted by that element: the one
+    x-action failure is the last (basis, component) tuple, so the scan
+    must run to its end for the digest to hold."""
+    m = taft_model(2)
+    alg = solve_adjoint(problem_for(m, comodule_algebra_K(2, 1, 0), {"ad1", "ad3"}))
+    last = alg.dim - 1
+    act = alg.action[2]  # x # 1 sits at index 1*n + 0
+    alg.action[2] = act + Matrix(alg.ctx, act.rows, act.cols, [(last, last, alg.ctx.one())])
+    return phi_structure_transport(alg)
+
+
 def regular_case_with_repeated_row():
     """The relative-regular solution at n = 2 with one abar basis vector
     repeated and the actions of g and x swapped."""
@@ -572,6 +585,8 @@ REPORT_DIGESTS = {
         "bc402905ee444cb1f7e6fdbeded1d9de56404177d93312ac6de03470e882e4da",
     transport_at_m3_with_repeated_row:
         "e9e539b8d563ba448eb9bd6adb90f73f5f25af6c3980601c2995ef65c6dbf1d9",
+    transport_with_late_x_action:
+        "c8c69f914ad718dad42cf1ad95ff3bec399cca56a1df6accbedb004bd58c4c1e",
     regular_case_with_repeated_row:
         "8b08c9bcecd0303c1213758948b132810681640de786d9de738d461ade88fe7f",
     rmatrices_and_line_with_cyclic_action:
