@@ -717,22 +717,19 @@ def phi_structure_transport(a: AdjointAlgebra, report: VerificationReport | None
     if n > 1:
         w = [(K.index(0, 1), one)]
         act_x = embedded_action([(n, one)])  # x # 1 sits at index 1*n + 0
-        # one scan records the first failure of both index conventions
-        bad_shifted = None
-        bad_unshifted = None
-        for s in range(a.dim):
-            for i in range(m):
-                qi = zeta_power(ctx, i)
-                got = transported(s, act_x, i)
-                w_ti = kalg.mult_terms(w, tvals[s][i])
-                shifted = lincomb([(qi, w_ti), (-qi, kalg.mult_terms(tvals[s][i + 1], w))])
-                unshifted = lincomb([(qi, w_ti), (-qi, kalg.mult_terms(tvals[s][i], w))])
-                if bad_shifted is None and got != shifted:
-                    bad_shifted = {"basis": s, "component": i}
-                if bad_unshifted is None and got != unshifted:
-                    bad_unshifted = {"basis": s, "component": i}
-            if bad_shifted and bad_unshifted:
-                break
+
+        def x_action_failures(shift: int):
+            # x.(t)_i = q^i (w t_i - t_(i+shift) w), shift 1 or 0
+            for s in range(a.dim):
+                for i in range(m):
+                    qi = zeta_power(ctx, i)
+                    rhs = lincomb([(qi, kalg.mult_terms(w, tvals[s][i])),
+                                   (-qi, kalg.mult_terms(tvals[s][i + shift], w))])
+                    if transported(s, act_x, i) != rhs:
+                        yield {"basis": s, "component": i}
+
+        bad_shifted = next(x_action_failures(1), None)
+        bad_unshifted = next(x_action_failures(0), None)
         rep.add(f"{prefix}/x-action", bad_shifted is None, bad_shifted)
         rep.add(f"{prefix}/x-action-index-convention", True,
                 {"shifted_holds": bad_shifted is None,
