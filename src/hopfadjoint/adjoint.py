@@ -21,9 +21,9 @@ abar directly and imposes ad1 on the generators of K only.  The full
 system `condition_system`, over the whole Hom-space and every basis
 tuple, takes any set of conditions; it is the tests' oracle, which the
 reduced one must agree with bit for bit.
-Hom-space maps are derived from abar only where they are read, as term
-lists: the JSON basis and the sparse maps that the direct re-check of
-the conditions reads.
+Hom-space maps are derived from abar in one format, the column view of
+`AdjointAlgebra.hom_columns`, which both the JSON basis and the direct
+re-check of the conditions read.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from .linalg import (
     lincomb,
     nonzero,
     rank,
-    sorted_terms,
     sparse_diff,
 )
 from .reports import VerificationReport
@@ -255,9 +254,9 @@ class AdjointAlgebra:
     and zero-free, laid out densely only by `to_jsonable`.
 
     Every solution is right-K-linear (ad3), alpha(x, k) = abar(x) k, so
-    abar fixes it: the structure maps, the JSON basis and the sparse
-    Hom-space maps of `hom_maps` are all built from the term lists of
-    abar."""
+    abar fixes it: the structure maps and the Hom-space view of
+    `hom_columns`, which the JSON basis and the direct re-check read, are
+    all built from the term lists of abar."""
 
     def __init__(self, problem: AdjointProblem, basis: SubspaceBasis):
         self.problem = problem
@@ -285,28 +284,11 @@ class AdjointAlgebra:
             out.append(per_x)
         return out
 
-    def _alpha_terms(self, i: int):
-        """The (x, k, pp, coefficient) terms of alpha_i(e_x, e_k) =
-        abar_i(x) e_k, with repeated (x, k, pp) still to be summed."""
+    def hom_columns(self, i: int) -> list[list[tuple[int, Scalar]]]:
+        """Basis element i over the Hom-space, as its column view: entry
+        x*NK + k is the term list of alpha_i(e_x, e_k) = abar_i(x) e_k."""
         mult = self.problem.comod_alg.algebra.mult
-        for x, bar in enumerate(self.bar_terms[i]):
-            for r, e in bar:
-                for k, products in enumerate(mult[r]):
-                    for pp, m in products:
-                        yield x, k, pp, e * m
-
-    def hom_maps(self) -> list[dict[int, Scalar]]:
-        """The basis in Hom-space coordinates: one zero-free
-        {(x*NK + k)*NK + pp: coefficient} dict per basis element."""
-        NK = self.NK
-        maps = []
-        for i in range(self.dim):
-            acc: dict[int, Scalar] = {}
-            for x, k, pp, c in self._alpha_terms(i):
-                u = (x * NK + k) * NK + pp
-                acc[u] = acc[u] + c if u in acc else c
-            maps.append(dict(sorted_terms(acc)))
-        return maps
+        return [lincomb((e, mult[r][k]) for r, e in bar) for bar in self.bar_terms[i] for k in range(self.NK)]
 
     # -- structure assembly ------------------------------------------------
 
@@ -408,7 +390,7 @@ class AdjointAlgebra:
             "dim": n,
             # row pp, column x*NK + k: the e_pp coefficient of alpha(x, k)
             "basis": [Matrix(ctx, NK, self.NH * NK,
-                             [(pp, x * NK + k, c) for x, k, pp, c in self._alpha_terms(i)])
+                             [(pp, u, c) for u, col in enumerate(self.hom_columns(i)) for pp, c in col])
                       for i in range(n)],
             "product": [[dense(ctx, n, v) for v in row] for row in self.product],
             "unit": dense(ctx, n, self.unit_coords),
@@ -432,52 +414,33 @@ def solve_adjoint(p: AdjointProblem, with_structure: bool = True) -> AdjointAlge
 # ---------------------------------------------------------------------------
 # direct re-verification of the conditions (independent of the kernel solver)
 #
-# These read sparse Hom-space maps alpha, {(x*NK + k)*NK + pp: Scalar}
-# dicts, so that maps which are not right-K-linear can be checked as well.
-
-
-def _hom_columns(p: AdjointProblem, alpha: dict[int, Scalar]) -> list[list[tuple[int, Scalar]]]:
-    """The term lists of alpha(e_x, e_k), at x*NK + k, for the sparse
-    Hom-space map alpha; a stored zero counts as absent."""
-    NK = p.comod_alg.dim
-    cols: list[list[tuple[int, Scalar]]] = [[] for _ in range(p.hopf.dim * NK)]
-    for u, c in sorted(alpha.items()):
-        if not c.is_zero():
-            cols[u // NK].append((u % NK, c))
-    return cols
-
-
-def _hom_at(cols, NK: int, x: int, kterms) -> dict[int, Scalar]:
-    """alpha(e_x, k) for the element k of K with these (index, coefficient)
-    terms, read from the column view of `_hom_columns`."""
-    acc: dict[int, Scalar] = {}
-    for k, ck in kterms:
-        for r, e in cols[x * NK + k]:
-            add = ck * e
-            acc[r] = acc[r] + add if r in acc else add
-    return acc
+# These read Hom-space maps alpha as column views, one ascending zero-free
+# term list of alpha(e_x, e_k) at x*NK + k, the format of
+# `AdjointAlgebra.hom_columns`, so that maps which are not right-K-linear
+# can be checked as well.
 
 
 def _ad3_residuals(p: AdjointProblem, views):
-    """Basis tuples (x, k) at which a Hom-space map, given by its
-    `_hom_columns` view, is not right-K-linear: alpha(x, k) != alpha(x, 1) k."""
+    """Basis tuples (x, k) at which a Hom-space map, given by its column
+    view, is not right-K-linear: alpha(x, k) != alpha(x, 1) k."""
     kalg = p.comod_alg.algebra
     NK = kalg.dim
     unit = kalg.unit
     one = p.ctx.one()
     for idx, cols in enumerate(views):
         for x in range(p.hopf.dim):
-            vbar = _hom_at(cols, NK, x, unit).items()
+            vbar = lincomb((ck, cols[x * NK + k]) for k, ck in unit)
             for k in range(NK):
                 if cols[x * NK + k] != kalg.mult_terms(vbar, [(k, one)]):
                     yield {"basis": idx, "tuple": [x, k]}
 
 
-def verify_conditions_direct(p: AdjointProblem, maps: list[dict[int, Scalar]],
+def verify_conditions_direct(p: AdjointProblem, views: list[list[list[tuple[int, Scalar]]]],
                              report: VerificationReport | None = None,
                              prefix: str = "conditions") -> VerificationReport:
-    """Substitute each sparse Hom-space map in maps into the active
-    conditions of p: ad1 over every (k, x, l), ad2 and ad3."""
+    """Substitute each Hom-space map, given by its column view in views,
+    into the active conditions of p: ad1 over every (k, x, l), ad2 and
+    ad3."""
     rep = report if report is not None else VerificationReport()
     ctx = p.ctx
     K = p.comod_alg
@@ -485,7 +448,6 @@ def verify_conditions_direct(p: AdjointProblem, maps: list[dict[int, Scalar]],
     NH, NK = p.hopf.dim, K.dim
     z = ctx.zero()
     unit = kalg.unit
-    views = [_hom_columns(p, alpha) for alpha in maps]
 
     def ad1_residuals():
         # Per (k, x) one identity of NK x NK matrices whose column l is
@@ -526,7 +488,7 @@ def verify_conditions_direct(p: AdjointProblem, maps: list[dict[int, Scalar]],
     def ad2_residuals():
         pi_cols = [p.pi.col_terms(y) for y in range(NH)]
         for idx, cols in enumerate(views):
-            bars = [_hom_at(cols, NK, x, unit).items() for x in range(NH)]  # alpha(e_x, 1)
+            bars = [lincomb((ck, cols[x * NK + k]) for k, ck in unit) for x in range(NH)]  # alpha(e_x, 1)
             for x in range(NH):
                 lhs = dict(lincomb((cm, [((t_leg, r), e) for r, e in bars[zz]]) for t_leg, zz, cm in p.ad2_terms[x]))
                 rhs = leg_map((pi_cols, None), tensor_image(K.coaction, bars[x]))

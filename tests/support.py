@@ -7,16 +7,18 @@ package's own checkers before a test relies on it.  It also keeps the
 slow oracles of the R-matrix consumers, which read R term by term where
 the package reads it leg by leg, the per-basis-tuple double
 braiding that `braiding.double_braiding` replaced, the solve over
-the whole Hom-space that is the oracle of `adjoint.solve_adjoint`, and
-the dense coordinates that are the oracle of `linalg.coords_of_terms`."""
+the whole Hom-space that is the oracle of `adjoint.solve_adjoint`, the
+sparse Hom-space maps that the tests corrupt, with their converter to the
+column views that `adjoint.verify_conditions_direct` reads, and the
+dense coordinates that are the oracle of `linalg.coords_of_terms`."""
 
-from hopfadjoint.adjoint import AdjointProblem, ClosureFailure, _ad3_residuals, _hom_at, _hom_columns, condition_system
+from hopfadjoint.adjoint import AdjointAlgebra, AdjointProblem, ClosureFailure, _ad3_residuals, condition_system
 from hopfadjoint.braiding import (ComoduleAlgebra, ComoduleRep, ModuleRep, RMatrix, check_comodule_algebra,
                                   lift_via_pi)
 from hopfadjoint.constructions import BraidedHopf, ConstructionError, TaftModel, taft_model
 from hopfadjoint.hopf import FinDimAlgebra, FinDimCoalgebra, FinDimHopf, leg_map, tensor_algebra, tensor_image
 from hopfadjoint.linalg import (Matrix, SubspaceBasis, _eliminate, _zero_free, dense, flip_legs, invert,
-                                kernel_basis, kron_sum, nonzero, sorted_terms)
+                                kernel_basis, kron_sum, lincomb, nonzero, sorted_terms)
 
 
 def from_rows(ctx, rows) -> Matrix:
@@ -52,6 +54,27 @@ def dense_coords_in_basis(v, b: SubspaceBasis):
     return coords
 
 
+def _hom_columns(p: AdjointProblem, alpha: dict) -> list:
+    """The column view of the sparse Hom-space map alpha, a
+    {(x*NK + k)*NK + pp: Scalar} dict: the term lists of alpha(e_x, e_k),
+    at x*NK + k, as `AdjointAlgebra.hom_columns` lays them out; a stored
+    zero counts as absent."""
+    NK = p.comod_alg.dim
+    cols: list = [[] for _ in range(p.hopf.dim * NK)]
+    for u, c in sorted(alpha.items()):
+        if not c.is_zero():
+            cols[u // NK].append((u % NK, c))
+    return cols
+
+
+def sparse_maps(a: AdjointAlgebra) -> list[dict]:
+    """The basis of a as sparse Hom-space maps, one
+    {(x*NK + k)*NK + pp: Scalar} dict per element, read from its column
+    views: the form the tests corrupt entry by entry."""
+    NK = a.NK
+    return [{u * NK + pp: c for u, col in enumerate(a.hom_columns(i)) for pp, c in col} for i in range(a.dim)]
+
+
 def full_pipeline_basis(p: AdjointProblem) -> SubspaceBasis:
     """Oracle of `solve_adjoint`'s basis: the kernel of the full system
     `condition_system` over the whole Hom-space, whose vectors must all
@@ -65,7 +88,7 @@ def full_pipeline_basis(p: AdjointProblem) -> SubspaceBasis:
         raise ClosureFailure("a basis element is not right-K-linear", witness=bad)
     NK = p.comod_alg.dim
     unit = p.comod_alg.algebra.unit
-    bars = [{x * NK + r: e for x in range(p.hopf.dim) for r, e in _hom_at(cols, NK, x, unit).items()}
+    bars = [{x * NK + r: e for x in range(p.hopf.dim) for r, e in lincomb((ck, cols[x * NK + k]) for k, ck in unit)}
             for cols in views]
     return from_spanning(p.ctx, p.hopf.dim * NK, bars)
 

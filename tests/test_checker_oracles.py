@@ -11,8 +11,9 @@ product on the structure constants.  Every fast checker must report the
 same first witness as its oracle (or pass with it) on the solved
 algebras at n = 2, 3 and on seeded single-entry corruptions of the
 Hom-space maps, the actions, the coactions and the product.  The
-Hom-space maps are sparse {(x*NK + k)*NK + pp: Scalar} dicts; the ad1
-oracle reads each one as a dense vector.
+Hom-space maps are corrupted as sparse {(x*NK + k)*NK + pp: Scalar}
+dicts, which `support._hom_columns` turns into the column views the
+checker reads; the ad1 oracle reads each dict as a dense vector.
 
 Three more scans have oracles of their own: associativity, checked with
 `check_algebra`'s dense residual; the multiplicativity of a coaction,
@@ -47,7 +48,7 @@ from hopfadjoint.hopf import (FinDimAlgebra, FinDimCoalgebra, check_algebra, che
                              tensor_image)
 from hopfadjoint.linalg import Matrix, dense, sorted_terms, sparse_diff
 from hopfadjoint.reports import VerificationReport
-from support import perturbed_taft
+from support import _hom_columns, perturbed_taft, sparse_maps
 
 # (n, K, conditions): module variants over K(d, xi) and the relative regular case
 CASES = {
@@ -238,7 +239,7 @@ def oracle_action_multiplicative(v):
 
 
 def corrupt_maps(alg, rng):
-    maps = alg.hom_maps()
+    maps = sparse_maps(alg)
     alpha = maps[rng.randrange(len(maps))]
     u = rng.randrange(alg.NH * alg.NK * alg.NK)
     alpha[u] = alpha.get(u, alg.ctx.zero()) + alg.ctx.one()
@@ -315,7 +316,7 @@ def with_stored_zeros(alg, rng):
 
 
 def assert_ad1_agrees(alg, maps):
-    rep = verify_conditions_direct(alg.problem, maps)
+    rep = verify_conditions_direct(alg.problem, [_hom_columns(alg.problem, alpha) for alpha in maps])
     assert first_witness(rep, "conditions/ad1-residual-zero") == next(oracle_ad1(alg.problem, maps), None)
 
 
@@ -369,7 +370,7 @@ def assert_module_agrees(v):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_checkers_match_oracles_on_solved_algebras(case):
     alg = solved(case)
-    assert_ad1_agrees(alg, alg.hom_maps())
+    assert_ad1_agrees(alg, sparse_maps(alg))
     assert_yd_agrees(alg)
     assert_center_agrees(alg)
 
@@ -442,20 +443,23 @@ def test_scans_treat_a_stored_zero_as_absent(case):
 
 @pytest.mark.parametrize("case", ["n2-K(2,1)", "n3-regular"])
 def test_condition_checker_treats_a_stored_zero_as_absent(case):
-    # a corruption that cancels an entry leaves a stored zero: the checker
-    # must report what it reports with the entry deleted, as the oracle does
+    # a corruption that cancels an entry leaves a stored zero: the converter
+    # to column views, the one place a stored zero can arise, must read it
+    # as absent, so the checker reports what it reports with the entry
+    # deleted, as the oracle does
     alg = solved(case)
-    maps = alg.hom_maps()
+    maps = sparse_maps(alg)
     u, c = max(maps[-1].items())
     maps[-1][u] = c + (-c)
     # and a zero stored where the first map has no entry
     maps[0][next(v for v in range(alg.NH * alg.NK * alg.NK) if v not in maps[0])] = alg.ctx.zero()
-    stored = verify_conditions_direct(alg.problem, maps)
+    stored = verify_conditions_direct(alg.problem, [_hom_columns(alg.problem, alpha) for alpha in maps])
     assert not stored.ok
     assert_ad1_agrees(alg, maps)
     absent = [{v: e for v, e in alpha.items() if not e.is_zero()} for alpha in maps]
     assert ([(c.claim_id, c.status, c.witness) for c in stored.claims]
-            == [(c.claim_id, c.status, c.witness) for c in verify_conditions_direct(alg.problem, absent).claims])
+            == [(c.claim_id, c.status, c.witness)
+                for c in verify_conditions_direct(alg.problem, [_hom_columns(alg.problem, a) for a in absent]).claims])
 
 
 # -- the callers of one shared scan ------------------------------------------

@@ -70,7 +70,7 @@ from hopfadjoint.hopf import (
 )
 from hopfadjoint.linalg import Matrix, SubspaceBasis, kernel_basis, sorted_terms
 from hopfadjoint.reports import emit_json
-from support import perturbed_taft, trivial_r_matrix
+from support import _hom_columns, perturbed_taft, sparse_maps, trivial_r_matrix
 
 ADJOINT_N2 = ["adjoint", "--n", "2", "--d", "2", "--xi", "0"]
 
@@ -294,9 +294,10 @@ def conditions_against_a_larger_problem():
     k = comodule_algebra_K(2, 2, 0)
     relative = problem_for(m, k, {"ad1", "ad2", "ad3"})
     module = solve_adjoint(problem_for(m, k, {"ad1", "ad3"}), with_structure=False)
-    rep = verify_conditions_direct(relative, module.hom_maps())
+    rep = verify_conditions_direct(relative, [module.hom_columns(i) for i in range(module.dim)])
     hom = kernel_basis(condition_system(dataclasses.replace(relative, conditions=frozenset())))
-    return verify_conditions_direct(relative, hom.rows, rep, prefix="hom")
+    return verify_conditions_direct(relative, [_hom_columns(relative, alpha) for alpha in hom.rows], rep,
+                                    prefix="hom")
 
 
 def transport_with_scrambled_structure():
@@ -352,10 +353,10 @@ def late_map_entry_and_action_entry_corrupted():
     m = taft_model(2)
     alg = solve_adjoint(problem_for(m, comodule_algebra_K(2, 2, 0), {"ad1", "ad3"}))
     one = alg.ctx.one()
-    maps = alg.hom_maps()
+    maps = sparse_maps(alg)
     u = (3 * 4 + 2) * 4 + 3  # alpha_3(e_3, e_2), coefficient of e_3
     maps[3][u] = maps[3].get(u, alg.ctx.zero()) + one
-    rep = verify_conditions_direct(alg.problem, maps)
+    rep = verify_conditions_direct(alg.problem, [_hom_columns(alg.problem, alpha) for alpha in maps])
     act = alg.action[3]
     alg.action[3] = act + Matrix(alg.ctx, act.rows, act.cols, [(3, 3, one)])
     verify_yd(alg, rep)
@@ -409,10 +410,10 @@ def late_tuples_at_n3_corrupted():
     acts[last] = acts[last] + Matrix(ctx, h.dim, h.dim, [(last, last, one)])
     check_module(ModuleRep(h.algebra, h.dim, acts), rep, prefix="late-action")
     alg = solve_adjoint(problem_for(m, comodule_algebra_K(3, 3, 0), {"ad1", "ad3"}))
-    maps = alg.hom_maps()
+    maps = sparse_maps(alg)
     u = alg.NH * alg.NK * alg.NK - 1  # alpha_last(e_last, e_last), coefficient of e_last
     maps[-1][u] = maps[-1].get(u, ctx.zero()) + one
-    verify_conditions_direct(alg.problem, maps, rep)
+    verify_conditions_direct(alg.problem, [_hom_columns(alg.problem, alpha) for alpha in maps], rep)
     act = alg.action[-1]
     alg.action[-1] = act + Matrix(ctx, act.rows, act.cols, [(alg.dim - 1, alg.dim - 1, one)])
     *head, (y, v, c) = alg.coaction[-1]
