@@ -248,10 +248,12 @@ def condition_system_reduced(p: AdjointProblem) -> Matrix:
 
 class AdjointAlgebra:
     """Solution space in abar coordinates: `basis` is the echelon basis
-    of the vectors abar = alpha(-, 1) in k^(NH*NK), at index x*NK + pp,
-    with product, unit, action and coaction expressed in that basis:
-    product[i][j] and unit_coords are coordinate term lists, ascending
-    and zero-free, laid out densely only by `to_jsonable`.
+    of the vectors abar = alpha(-, 1) in k^(NH*NK), at index x*NK + pp.
+    `compute_structure` sets the solved structure in that basis as three
+    package objects, each None until then: `algebra`, a FinDimAlgebra
+    whose mult[i][j] and unit are coordinate term lists, ascending and
+    zero-free, laid out densely only by `to_jsonable`; `module`, a
+    ModuleRep over H#T; and `comodule`, a ComoduleRep over H#T.
 
     Every solution is right-K-linear (ad3), alpha(x, k) = abar(x) k, so
     abar fixes it: the structure maps and the Hom-space view of
@@ -263,10 +265,9 @@ class AdjointAlgebra:
         self.basis = basis
         self.NH, self.NK = problem.hopf.dim, problem.comod_alg.dim
         self.dim = basis.dim
-        self.product: list[list[list[tuple[int, Scalar]]]] | None = None
-        self.unit_coords: list[tuple[int, Scalar]] | None = None
-        self.action: list[Matrix] | None = None
-        self.coaction: list[list[tuple[int, int, Scalar]]] | None = None
+        self.algebra: FinDimAlgebra | None = None
+        self.module: ModuleRep | None = None
+        self.comodule: ComoduleRep | None = None
 
     @property
     def ctx(self) -> FieldContext:
@@ -286,9 +287,13 @@ class AdjointAlgebra:
 
     def hom_columns(self, i: int) -> list[list[tuple[int, Scalar]]]:
         """Basis element i over the Hom-space, as its column view: entry
-        x*NK + k is the term list of alpha_i(e_x, e_k) = abar_i(x) e_k."""
-        mult = self.problem.comod_alg.algebra.mult
-        return [lincomb((e, mult[r][k]) for r, e in bar) for bar in self.bar_terms[i] for k in range(self.NK)]
+        x*NK + k is the term list of alpha_i(e_x, e_k) = abar_i(x) e_k; an
+        empty abar_i(x) gives NK empty entries with no sum formed."""
+        mult, NK = self.problem.comod_alg.algebra.mult, self.NK
+        cols: list[list[tuple[int, Scalar]]] = []
+        for bar in self.bar_terms[i]:
+            cols += [lincomb((e, mult[r][k]) for r, e in bar) for k in range(NK)] if bar else [[] for _ in range(NK)]
+        return cols
 
     # -- structure assembly ------------------------------------------------
 
@@ -315,8 +320,8 @@ class AdjointAlgebra:
 
         unit = {x * NK + r: e * u for x, e in nonzero(hopf.coalgebra.counit)
                 for r, u in kalg.unit}
-        self.unit_coords = self._coords(unit, "unit map is not in the solution space",
-                                        {"map": "x,k -> eps(x) k"})
+        unit_coords = self._coords(unit, "unit map is not in the solution space",
+                                   {"map": "x,k -> eps(x) k"})
 
         prod: list[list[list[tuple[int, Scalar]]]] = [[None] * n for _ in range(n)]
         for i in range(n):
@@ -332,7 +337,7 @@ class AdjointAlgebra:
                                     acc[u] = acc[u] + v if u in acc else v
                 prod[i][j] = self._coords(acc, "product left the solution space",
                                           {"pair": [i, j]})
-        self.product = prod
+        self.algebra = FinDimAlgebra(ctx, n, prod, unit_coords)
 
         action: list[Matrix] = []
         for h in range(NH):
@@ -347,7 +352,7 @@ class AdjointAlgebra:
                 c = self._coords(acc, "action left the solution space", {"h": h, "basis": j})
                 h_terms += [(i, j, e) for i, e in c]
             action.append(Matrix(ctx, n, n, h_terms))
-        self.action = action
+        self.module = ModuleRep(halg, n, action)
 
         s_cols = [hopf.antipode.col_terms(x1) for x1 in range(NH)]
         lefts: dict[tuple[int, int, int], list[tuple[int, Scalar]]] = {}  # S(x1) y0 x3
@@ -373,15 +378,7 @@ class AdjointAlgebra:
                                     {"basis": j, "hopf_component": y})
                     for y, comp in comps.items()}
             coaction.append([(y, i, c) for y in sorted(cols) for i, c in cols[y]])
-        self.coaction = coaction
-
-    # -- views -------------------------------------------------------------
-
-    def module_rep(self) -> ModuleRep:
-        return ModuleRep(self.problem.hopf.algebra, self.dim, self.action)
-
-    def comodule_rep(self) -> ComoduleRep:
-        return ComoduleRep(self.problem.hopf.coalgebra, self.dim, self.coaction)
+        self.comodule = ComoduleRep(hopf.coalgebra, n, coaction)
 
     def to_jsonable(self):
         ctx, n, NK = self.ctx, self.dim, self.NK
@@ -392,10 +389,10 @@ class AdjointAlgebra:
             "basis": [Matrix(ctx, NK, self.NH * NK,
                              [(pp, u, c) for u, col in enumerate(self.hom_columns(i)) for pp, c in col])
                       for i in range(n)],
-            "product": [[dense(ctx, n, v) for v in row] for row in self.product],
-            "unit": dense(ctx, n, self.unit_coords),
-            "action": self.action,
-            "coaction": self.comodule_rep().matrix(),
+            "product": [[dense(ctx, n, v) for v in row] for row in self.algebra.mult],
+            "unit": dense(ctx, n, self.algebra.unit),
+            "action": self.module.action,
+            "coaction": self.comodule.matrix(),
         }
 
 
@@ -506,21 +503,13 @@ def verify_conditions_direct(p: AdjointProblem, views: list[list[list[tuple[int,
 # structural verifications
 
 
-def _coordinate_algebra(a: AdjointAlgebra) -> FinDimAlgebra:
-    """The solved algebra on its own basis: a.product and a.unit_coords
-    as they stand when a check starts."""
-    return FinDimAlgebra(a.ctx, a.dim, a.product, a.unit_coords)
-
-
 def verify_yd(a: AdjointAlgebra, report: VerificationReport | None = None,
               prefix: str = "adjoint-yd") -> VerificationReport:
     """The computed action and coaction form a Yetter-Drinfeld module."""
     rep = report if report is not None else VerificationReport()
-    mod = a.module_rep()
-    com = a.comodule_rep()
-    check_module(mod, rep, prefix=f"{prefix}/module")
-    check_comodule(com, rep, prefix=f"{prefix}/comodule")
-    check_yd(a.problem.hopf, mod, com, rep, prefix=f"{prefix}/compat")
+    check_module(a.module, rep, prefix=f"{prefix}/module")
+    check_comodule(a.comodule, rep, prefix=f"{prefix}/comodule")
+    check_yd(a.problem.hopf, a.module, a.comodule, rep, prefix=f"{prefix}/compat")
     return rep
 
 
@@ -530,19 +519,19 @@ def verify_center_algebra(a: AdjointAlgebra, report: VerificationReport | None =
     morphism for the tensor structures."""
     rep = report if report is not None else VerificationReport()
     hopf = a.problem.hopf
-    coords = _coordinate_algebra(a)
-    unit = a.unit_coords
+    alg, action = a.algebra, a.module.action
+    unit = alg.unit
     eps = hopf.coalgebra.counit
     rep.check(f"{prefix}/associative", (
-        {"triple": [i, j, k]} for i, j, k, _, _ in associativity_failures(coords)))
-    rep.check(f"{prefix}/unit-two-sided", ({"basis": i} for i in unit_failures(coords)))
+        {"triple": [i, j, k]} for i, j, k, _, _ in associativity_failures(alg)))
+    rep.check(f"{prefix}/unit-two-sided", ({"basis": i} for i in unit_failures(alg)))
     rep.check(f"{prefix}/unit-invariant", (
         {"h": h} for h in range(hopf.dim)
-        if a.action[h].apply_terms(unit) != lincomb([(eps[h], unit)])))
+        if action[h].apply_terms(unit) != lincomb([(eps[h], unit)])))
     rep.check(f"{prefix}/product-module-morphism", (
-        {"h": h, "pair": [i, j]} for h, i, j in module_algebra_failures(hopf.coalgebra, coords, a.action)))
+        {"h": h, "pair": [i, j]} for h, i, j in module_algebra_failures(hopf.coalgebra, alg, action)))
     rep.check(f"{prefix}/product-comodule-morphism", (
-        {"pair": [i, j]} for i, j, _ in coaction_multiplicative_failures(hopf.algebra, coords, a.coaction)))
+        {"pair": [i, j]} for i, j, _ in coaction_multiplicative_failures(hopf.algebra, alg, a.comodule.coaction)))
     return rep
 
 
@@ -552,10 +541,9 @@ def verify_braided_commutative(a: AdjointAlgebra, report: VerificationReport | N
     whether plain (unbraided) commutativity happens to hold."""
     rep = report if report is not None else VerificationReport()
     n = a.dim
-    coords = _coordinate_algebra(a)
-    table = coords.mult
+    table = a.algebra.mult
     rep.check(f"{prefix}/braided-commutative", braided_commutativity_failures(
-        yd_braiding(a.comodule_rep(), a.module_rep()), coords))
+        yd_braiding(a.comodule, a.module), a.algebra))
     plain = all(table[i][j] == table[j][i] for i in range(n) for j in range(n))
     rep.add(f"{prefix}/plain-commutative-info", True, {"plain_commutative": plain})
     return rep
@@ -572,8 +560,8 @@ def verify_relative_center(a: AdjointAlgebra, v: ModuleRep,
     p = a.problem
     one = a.ctx.one()
     dv = v.dim
-    gamma = yd_braiding(a.comodule_rep(), lift_via_pi(p.hopf, p.pi, v))
-    cols = double_braiding(gamma, a.module_rep(), v, p.t_embed, p.rmatrix).transpose()
+    gamma = yd_braiding(a.comodule, lift_via_pi(p.hopf, p.pi, v))
+    cols = double_braiding(gamma, a.module, v, p.t_embed, p.rmatrix).transpose()
     rep.check(f"{prefix}/double-braiding-identity", (
         {"basis": col // dv, "module_index": col % dv} for col in range(a.dim * dv)
         if cols.row_terms(col) != [(col, one)]))
@@ -593,7 +581,7 @@ def invariant_coinvariant_dim(hopf: FinDimHopf, action: list[Matrix], coaction) 
 
 
 def connectedness(a: AdjointAlgebra) -> int:
-    return invariant_coinvariant_dim(a.problem.hopf, a.action, a.coaction)
+    return invariant_coinvariant_dim(a.problem.hopf, a.module.action, a.comodule.coaction)
 
 
 # ---------------------------------------------------------------------------
@@ -632,10 +620,10 @@ def phi_structure_transport(a: AdjointAlgebra, report: VerificationReport | None
 
     phi = Matrix(ctx, m * NK, a.dim, [(i * NK + pp, s, c) for s in range(a.dim)
                                       for i in range(m) for pp, c in tvals[s][i]])
-    ok = kernel_basis(phi).dim == 0 and phi.rows == a.dim
+    kernel = kernel_basis(phi).dim
+    ok = kernel == 0 and phi.rows == a.dim
     rep.add(f"{prefix}/phi-bijective", ok,
-            None if ok else {"rows": phi.rows, "dim": a.dim,
-                             "kernel": kernel_basis(phi).dim})
+            None if ok else {"rows": phi.rows, "dim": a.dim, "kernel": kernel})
 
     h = [(K.index(1, 0), one)] if d > 1 else unit
     h_pows = [unit]
@@ -654,7 +642,7 @@ def phi_structure_transport(a: AdjointAlgebra, report: VerificationReport | None
     def transported(s: int, act: Matrix, comp: int) -> list[tuple[int, Scalar]]:
         return component(act.col_terms(s), comp)
 
-    embedded_action = a.module_rep().act_terms
+    embedded_action = a.module.act_terms
 
     def g_shift():
         for r in range(1, m):
@@ -717,10 +705,9 @@ def phi_structure_transport(a: AdjointAlgebra, report: VerificationReport | None
         rep.add_skipped(f"{prefix}/x-power-extension", "no x generator at n = 1")
 
     def coaction_conjugated():
-        com = a.comodule_rep()
         for s in range(a.dim):
             lhs = dict(lincomb((c, [((y, i, pp), v) for i in range(m) for pp, v in tvals[l][i]])
-                               for y, l, c in com.coaction[s]))
+                               for y, l, c in a.comodule.coaction[s]))
             # component i conjugated by g^i
             rhs = {(yy, i, pp): c for i in range(m) for (yy, pp), c in
                    leg_map((p.g_conjugates[i], None), tensor_image(K.coaction, tvals[s][i])).items()}
@@ -732,7 +719,7 @@ def phi_structure_transport(a: AdjointAlgebra, report: VerificationReport | None
     rep.check(f"{prefix}/componentwise-product", (
         {"pair": [s, t], "component": i}
         for s in range(a.dim) for t in range(a.dim) for i in range(m)
-        if component(a.product[s][t], i) != kalg.mult_terms(tvals[s][i], tvals[t][i])))
+        if component(a.algebra.mult[s][t], i) != kalg.mult_terms(tvals[s][i], tvals[t][i])))
     return rep
 
 

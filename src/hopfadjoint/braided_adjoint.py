@@ -166,8 +166,8 @@ def pi_dinatural_check(had: HAdjoint, x: ModuleRep, v: ModuleRep,
     gv = lift_via_pi(taft, model.pi, v)
     vm = tensor_module(taft, gv, x)
     dvm = vm.dim
-    vm_dual, _, _ = dual_module(taft, vm)
-    v_dual_t, _, _ = dual_module(model.t_hopf, v)
+    vm_dual = dual_module(taft, vm)
+    v_dual_t = dual_module(model.t_hopf, v)
 
     pi_m = _pi_x(had, x)
     pi_vm = _pi_x(had, vm)
@@ -288,21 +288,21 @@ def regular_case_iso(adjoint: AdjointAlgebra, had: HAdjoint,
     rep.add(f"{prefix}/phi-bijective", ok,
             None if ok else {"solution_dim": adjoint.dim, "carrier_dim": n})
 
-    ok = phi.apply_terms(adjoint.unit_coords) == model.line.algebra.unit
+    ok = phi.apply_terms(adjoint.algebra.unit) == model.line.algebra.unit
     rep.add(f"{prefix}/phi-unit", ok, None if ok else {})
 
     def phi_coaction_intertwines():
-        lhs = kron(Matrix.identity(ctx, taft.dim), phi) * adjoint.comodule_rep().matrix()
+        lhs = kron(Matrix.identity(ctx, taft.dim), phi) * adjoint.comodule.matrix()
         if lhs != had.comodule.matrix() * phi:
             yield {}
 
     disp = displayed_adjoint_action(model)
     rep.check(f"{prefix}/phi-multiplicative", (
         {"pair": [i, j]} for i in range(adjoint.dim) for j in range(adjoint.dim)
-        if phi.apply_terms(adjoint.product[i][j])
+        if phi.apply_terms(adjoint.algebra.mult[i][j])
         != model.line.algebra.mult_terms(phi.col_terms(i), phi.col_terms(j))))
     rep.check(f"{prefix}/phi-action-intertwines", (
-        {"hopf_index": u} for u in range(taft.dim) if phi * adjoint.action[u] != disp[u] * phi))
+        {"hopf_index": u} for u in range(taft.dim) if phi * adjoint.module.action[u] != disp[u] * phi))
     rep.check(f"{prefix}/phi-coaction-intertwines", phi_coaction_intertwines())
     rep.check(f"{prefix}/displayed-matches-built-action", (
         {"hopf_index": u} for u in range(taft.dim) if disp[u] != had.ht_module.action[u]))

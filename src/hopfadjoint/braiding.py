@@ -313,16 +313,10 @@ def regular_module(alg: FinDimAlgebra) -> ModuleRep:
     return ModuleRep(alg, alg.dim, mats)
 
 
-def dual_module(hopf: FinDimHopf, v: ModuleRep) -> tuple[ModuleRep, Matrix, Matrix]:
-    """Left dual with action (t.f)(x) = f(S(t) x); returns (V*, ev, coev)
-    where ev: V* x V -> k and coev: k -> V x V*."""
-    ctx = hopf.ctx
-    d = v.dim
-    dual = ModuleRep(hopf.algebra, d, [v.act_terms(hopf.antipode.col_terms(i)).transpose()
-                                       for i in range(hopf.dim)])
-    ev = Matrix(ctx, 1, d * d, [(0, i * d + i, ctx.one()) for i in range(d)])
-    coev = Matrix(ctx, d * d, 1, [(i * d + i, 0, ctx.one()) for i in range(d)])
-    return dual, ev, coev
+def dual_module(hopf: FinDimHopf, v: ModuleRep) -> ModuleRep:
+    """Left dual V* with action (t.f)(x) = f(S(t) x), on the dual basis."""
+    return ModuleRep(hopf.algebra, v.dim, [v.act_terms(hopf.antipode.col_terms(i)).transpose()
+                                           for i in range(hopf.dim)])
 
 
 def check_module(v: ModuleRep, report: VerificationReport | None = None, prefix: str = "module") -> VerificationReport:
@@ -352,7 +346,6 @@ def check_module(v: ModuleRep, report: VerificationReport | None = None, prefix:
                             rhs[s] = rhs[s] + add if s in rhs else add
                     if lhs != rhs and sparse_diff(lhs, rhs, ctx) is not None:
                         yield {"pair": [i, j]}
-                        break
 
     rep.check(f"{prefix}/action-multiplicative", action_multiplicative())
 

@@ -7,6 +7,7 @@ from math import gcd
 from hopfadjoint.braiding import ComoduleAlgebra, ModuleRep, check_yd, regular_module, trivial_module
 from hopfadjoint.constructions import comodule_algebra_K, regular_comodule_algebra, taft_model
 from hopfadjoint.adjoint import (
+    VARIANTS,
     AdjointAlgebra,
     ClosureFailure,
     chi0_crosscheck,
@@ -25,7 +26,8 @@ from hopfadjoint.adjoint import (
     verify_relative_center,
     verify_yd,
 )
-from hopfadjoint.linalg import Matrix, SubspaceBasis, coords_of_terms, kernel_basis
+from hopfadjoint.hopf import FinDimAlgebra
+from hopfadjoint.linalg import Matrix, SubspaceBasis, coords_of_terms, kernel_basis, lincomb
 from hopfadjoint.reports import emit_json
 from support import (_hom_columns, coideal_comodule_algebra, full_pipeline_basis, trivial_comodule_algebra,
                      trivial_r_matrix)
@@ -164,22 +166,45 @@ def test_relative_variant_happens_to_be_plainly_commutative():
     assert info.witness == {"plain_commutative": True}
 
 
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("conditions", VARIANTS, ids=["module", "fully-constrained"])
+def test_solved_structure_is_read_where_it_is_stored(n, conditions):
+    # the solved structure is one FinDimAlgebra, ModuleRep and ComoduleRep,
+    # and the checks read those objects, not copies taken when they start
+    p = problem_for(taft_model(n), comodule_algebra_K(n, n, 0), conditions)
+    a = solve_adjoint(p)
+    assert isinstance(a.algebra, FinDimAlgebra)
+    assert a.module.host is p.hopf.algebra
+    assert a.comodule.host is p.hopf.coalgebra
+    assert verify_yd(a).ok and verify_center_algebra(a).ok
+
+    action, g, x = a.module.action, 1, n  # g = 1 # g and x = x # 1
+    action[g], action[x] = action[x], action[g]
+    assert not verify_yd(a).ok
+    action[g], action[x] = action[x], action[g]
+    assert verify_yd(a).ok
+
+    last, one = a.dim - 1, a.ctx.one()
+    a.algebra.mult[last][last] = lincomb([(one, a.algebra.mult[last][last]), (one, [(last, one)])])
+    assert not verify_center_algebra(a).ok
+
+
 def test_unit_is_invariant_under_the_action():
     m = taft_model(2)
     alg = solve_adjoint(problem_for(m, comodule_algebra_K(2, 2, 0), {"ad1", "ad3"}))
     eps = m.taft.coalgebra.counit
     for h in range(m.taft.dim):
-        img = alg.action[h].apply_terms(alg.unit_coords)
-        assert img == ([] if eps[h].is_zero() else [(i, eps[h] * c) for i, c in alg.unit_coords])
+        img = alg.module.action[h].apply_terms(alg.algebra.unit)
+        assert img == ([] if eps[h].is_zero() else [(i, eps[h] * c) for i, c in alg.algebra.unit])
 
 
 def test_mutated_action_fails_yd():
     m = taft_model(2)
     alg = solve_adjoint(problem_for(m, comodule_algebra_K(2, 2, 0), {"ad1", "ad3"}))
-    mutated = list(alg.action)
+    mutated = list(alg.module.action)
     mutated[2] = mutated[2].transpose()  # the action of x # 1 is not symmetric
     bad = ModuleRep(m.taft.algebra, alg.dim, mutated)
-    rep = check_yd(m.taft, bad, alg.comodule_rep())
+    rep = check_yd(m.taft, bad, alg.comodule)
     assert not rep.ok
     assert rep.failures()[0].witness == {"pair": [2, 2]}
 
@@ -212,11 +237,11 @@ def test_connectedness_two_on_synthetic_direct_sum():
     two = 2 * n
     action2 = []
     for h in range(hopf.dim):
-        terms = alg.action[h].terms()
+        terms = alg.module.action[h].terms()
         action2.append(Matrix(ctx, two, two,
                               terms + [(n + r, n + c, e) for r, c, e in terms]))
-    coaction2 = (alg.coaction
-                 + [[(y, n + r, e) for y, r, e in terms] for terms in alg.coaction])
+    coaction = alg.comodule.coaction
+    coaction2 = coaction + [[(y, n + r, e) for y, r, e in terms] for terms in coaction]
     assert invariant_coinvariant_dim(hopf, action2, coaction2) == 2
 
 
@@ -399,7 +424,7 @@ def test_checkers_read_each_column_once(monkeypatch):
         return col_terms(m, j)
 
     monkeypatch.setattr(Matrix, "col_terms", counted)
-    for check in (lambda: check_yd(alg.problem.hopf, alg.module_rep(), alg.comodule_rep()),
+    for check in (lambda: check_yd(alg.problem.hopf, alg.module, alg.comodule),
                   lambda: verify_center_algebra(alg)):
         reads.clear()
         assert check().ok

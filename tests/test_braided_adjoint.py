@@ -99,7 +99,7 @@ def test_double_braiding_matches_per_term_oracle(n):
     had = build_h_ad(m)
     algs = [solve_adjoint(problem_for(m, regular_comodule_algebra(n), conds))
             for conds in ({"ad1", "ad3"}, {"ad1", "ad2", "ad3"})]
-    yds = [(had.comodule, had.ht_module)] + [(a.comodule_rep(), a.module_rep()) for a in algs]
+    yds = [(had.comodule, had.ht_module)] + [(a.comodule, a.module) for a in algs]
     identities = []
     for com, mod in yds:
         for v in (trivial_module(m.t_hopf), regular_module(m.t_hopf.algebra)):
@@ -134,16 +134,15 @@ def test_braided_commutativity_callers_report_one_late_pair():
     ctx, n = m.ctx, line.dim
     mult = [list(row) for row in line.mult]
     mult[n - 1][n - 2] = lincomb([(ctx.one(), mult[n - 1][n - 2]), (ctx.one(), [(n - 1, ctx.one())])])
-    bad = HAdjoint(replace(m, line=replace(m.line, algebra=FinDimAlgebra(ctx, n, mult, line.unit))),
+    corrupted = FinDimAlgebra(ctx, n, mult, line.unit)
+    bad = HAdjoint(replace(m, line=replace(m.line, algebra=corrupted)),
                    had.rho_ad, had.ht_module)
     expected = braided_commutative_per_column(had.comodule, had.ht_module.action, mult)
     assert expected is not None
 
     claims = verify_h_ad(bad, {}).claims
     assert [c.witness for c in claims if c.claim_id.endswith("/braided-commutative")] == [expected]
-    solved = SimpleNamespace(ctx=ctx, dim=n, product=mult,
-                             unit_coords=line.unit, comodule_rep=lambda: had.comodule,
-                             module_rep=lambda: had.ht_module)
+    solved = SimpleNamespace(dim=n, algebra=corrupted, module=had.ht_module, comodule=had.comodule)
     claims = verify_braided_commutative(solved).claims
     assert [c.witness for c in claims if c.claim_id.endswith("/braided-commutative")] == [expected]
 

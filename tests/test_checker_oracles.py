@@ -37,8 +37,7 @@ import random
 
 import pytest
 
-from hopfadjoint.adjoint import (_coordinate_algebra, problem_for, solve_adjoint, verify_center_algebra,
-                                 verify_conditions_direct)
+from hopfadjoint.adjoint import problem_for, solve_adjoint, verify_center_algebra, verify_conditions_direct
 from hopfadjoint.braiding import (ComoduleAlgebra, ComoduleRep, ModuleRep, check_comodule, check_comodule_algebra,
                                   check_module, check_yd, regular_module)
 from hopfadjoint.constructions import (BraidedHopf, braided_line, check_braided_hopf, comodule_algebra_K,
@@ -247,24 +246,25 @@ def corrupt_maps(alg, rng):
 
 
 def corrupt_action(alg, rng):
-    h = rng.randrange(len(alg.action))
+    action = alg.module.action
+    h = rng.randrange(len(action))
     r, c = rng.randrange(alg.dim), rng.randrange(alg.dim)
-    alg.action[h] = alg.action[h] + Matrix(alg.ctx, alg.dim, alg.dim, [(r, c, alg.ctx.one())])
+    action[h] = action[h] + Matrix(alg.ctx, alg.dim, alg.dim, [(r, c, alg.ctx.one())])
 
 
 def corrupt_coaction(alg, rng):
     j = rng.randrange(alg.dim)
     key = (rng.randrange(alg.NH), rng.randrange(alg.dim))
-    acc = {(y, i): c for y, i, c in alg.coaction[j]}
+    acc = {(y, i): c for y, i, c in alg.comodule.coaction[j]}
     acc[key] = acc.get(key, alg.ctx.zero()) + alg.ctx.one()
-    alg.coaction[j] = [(y, i, c) for (y, i), c in sorted_terms(acc)]
+    alg.comodule.coaction[j] = [(y, i, c) for (y, i), c in sorted_terms(acc)]
 
 
 def corrupt_product(alg, rng):
     i, j, k = (rng.randrange(alg.dim) for _ in range(3))
-    acc = dict(alg.product[i][j])
+    acc = dict(alg.algebra.mult[i][j])
     acc[k] = acc.get(k, alg.ctx.zero()) + alg.ctx.one()
-    alg.product[i][j] = sorted_terms(acc)
+    alg.algebra.mult[i][j] = sorted_terms(acc)
 
 
 def shifted_product(alg, rng):
@@ -321,7 +321,7 @@ def assert_ad1_agrees(alg, maps):
 
 
 def assert_yd_agrees(alg):
-    hopf, mod, com = alg.problem.hopf, alg.module_rep(), alg.comodule_rep()
+    hopf, mod, com = alg.problem.hopf, alg.module, alg.comodule
     rep = check_yd(hopf, mod, com)
     assert first_witness(rep, "yd/compatibility") == next(oracle_yd(hopf, mod, com), None)
     assert_module_agrees(mod)
@@ -330,9 +330,10 @@ def assert_yd_agrees(alg):
 def assert_center_agrees(alg):
     rep = verify_center_algebra(alg)
     assert (scan_witness(rep, "adjoint-center/product-module-morphism", "h", "pair")
-            == next(oracle_product_module_morphism(alg.problem.hopf.coalgebra, alg.product, alg.action), None))
-    coords = _coordinate_algebra(alg)
-    expect = next(oracle_coaction_multiplicative(alg.problem.hopf.algebra, coords, alg.coaction), None)
+            == next(oracle_product_module_morphism(alg.problem.hopf.coalgebra, alg.algebra.mult, alg.module.action),
+                    None))
+    coords = alg.algebra
+    expect = next(oracle_coaction_multiplicative(alg.problem.hopf.algebra, coords, alg.comodule.coaction), None)
     assert (scan_witness(rep, "adjoint-center/product-comodule-morphism", "pair")
             == (None if expect is None else (expect[0],)))
     assert_associativity_agrees(coords)

@@ -211,9 +211,9 @@ def yd_with_transposed_action():
     """The action of x # 1 transposed: not a Yetter-Drinfeld module."""
     m = taft_model(2)
     alg = solve_adjoint(problem_for(m, comodule_algebra_K(2, 2, 0), {"ad1", "ad3"}))
-    mutated = list(alg.action)
+    mutated = list(alg.module.action)
     mutated[2] = mutated[2].transpose()
-    return check_yd(m.taft, ModuleRep(m.taft.algebra, alg.dim, mutated), alg.comodule_rep())
+    return check_yd(m.taft, ModuleRep(m.taft.algebra, alg.dim, mutated), alg.comodule)
 
 
 def comodule_algebra_with_dropped_term():
@@ -255,7 +255,7 @@ def adjoint_structure_with_swapped_action():
     x swapped: the Yetter-Drinfeld and centre-algebra suites fail."""
     m = taft_model(2)
     alg = solve_adjoint(problem_for(m, comodule_algebra_K(2, 2, 0), {"ad1", "ad3"}))
-    alg.action[1], alg.action[2] = alg.action[2], alg.action[1]
+    alg.module.action[1], alg.module.action[2] = alg.module.action[2], alg.module.action[1]
     rep = verify_yd(alg)
     verify_center_algebra(alg, rep)
     verify_braided_commutative(alg, rep)
@@ -303,16 +303,16 @@ def conditions_against_a_larger_problem():
 def transport_with_scrambled_structure():
     m = taft_model(2)
     alg = solve_adjoint(problem_for(m, comodule_algebra_K(2, 2, 0), {"ad1", "ad3"}))
-    alg.action[1], alg.action[2] = alg.action[2], alg.action[1]
-    alg.coaction = _reversed_coaction(alg.coaction, m.taft.dim)
-    alg.product = list(reversed(alg.product))
+    alg.module.action[1], alg.module.action[2] = alg.module.action[2], alg.module.action[1]
+    alg.comodule.coaction = _reversed_coaction(alg.comodule.coaction, m.taft.dim)
+    alg.algebra.mult = list(reversed(alg.algebra.mult))
     return phi_structure_transport(alg)
 
 
 def relative_center_with_reversed_coaction():
     m = taft_model(2)
     alg = solve_adjoint(problem_for(m, regular_comodule_algebra(2), {"ad1", "ad2", "ad3"}))
-    alg.coaction = _reversed_coaction(alg.coaction, m.taft.dim)
+    alg.comodule.coaction = _reversed_coaction(alg.comodule.coaction, m.taft.dim)
     return verify_relative_center(alg, regular_module(m.t_hopf.algebra))
 
 
@@ -327,9 +327,9 @@ def braided_adjoint_with_swapped_action():
     rep = verify_h_ad(bad, {"regular": regular_module(m.taft.algebra),
                             "trivial": trivial_module(m.taft)})
     alg = solve_adjoint(problem_for(m, regular_comodule_algebra(2), {"ad1", "ad2", "ad3"}))
-    alg.product = list(reversed(alg.product))
-    alg.unit_coords = [(alg.dim - 1 - i, c) for i, c in reversed(alg.unit_coords)]
-    alg.coaction = _reversed_coaction(alg.coaction, m.taft.dim)
+    alg.algebra.mult = list(reversed(alg.algebra.mult))
+    alg.algebra.unit = [(alg.dim - 1 - i, c) for i, c in reversed(alg.algebra.unit)]
+    alg.comodule.coaction = _reversed_coaction(alg.comodule.coaction, m.taft.dim)
     return regular_case_iso(alg, bad, rep)
 
 
@@ -357,8 +357,8 @@ def late_map_entry_and_action_entry_corrupted():
     u = (3 * 4 + 2) * 4 + 3  # alpha_3(e_3, e_2), coefficient of e_3
     maps[3][u] = maps[3].get(u, alg.ctx.zero()) + one
     rep = verify_conditions_direct(alg.problem, [_hom_columns(alg.problem, alpha) for alpha in maps])
-    act = alg.action[3]
-    alg.action[3] = act + Matrix(alg.ctx, act.rows, act.cols, [(3, 3, one)])
+    act = alg.module.action[3]
+    alg.module.action[3] = act + Matrix(alg.ctx, act.rows, act.cols, [(3, 3, one)])
     verify_yd(alg, rep)
     verify_center_algebra(alg, rep)
     return rep
@@ -374,11 +374,11 @@ def late_product_unit_and_coaction_corrupted():
     one = alg.ctx.one()
     last = alg.dim - 1
     for j in (last, 0):
-        acc = dict(alg.product[last][j])
+        acc = dict(alg.algebra.mult[last][j])
         acc[last] = acc.get(last, alg.ctx.zero()) + one
-        alg.product[last][j] = sorted_terms(acc)
-    *head, (y, v, c) = alg.coaction[last]
-    alg.coaction = alg.coaction[:last] + [head + [(y, v, c + c)]]
+        alg.algebra.mult[last][j] = sorted_terms(acc)
+    *head, (y, v, c) = alg.comodule.coaction[last]
+    alg.comodule.coaction = alg.comodule.coaction[:last] + [head + [(y, v, c + c)]]
     return verify_center_algebra(alg)
 
 
@@ -414,10 +414,10 @@ def late_tuples_at_n3_corrupted():
     u = alg.NH * alg.NK * alg.NK - 1  # alpha_last(e_last, e_last), coefficient of e_last
     maps[-1][u] = maps[-1].get(u, ctx.zero()) + one
     verify_conditions_direct(alg.problem, [_hom_columns(alg.problem, alpha) for alpha in maps], rep)
-    act = alg.action[-1]
-    alg.action[-1] = act + Matrix(ctx, act.rows, act.cols, [(alg.dim - 1, alg.dim - 1, one)])
-    *head, (y, v, c) = alg.coaction[-1]
-    alg.coaction = alg.coaction[:-1] + [head + [(y, v, c + c)]]
+    act = alg.module.action[-1]
+    alg.module.action[-1] = act + Matrix(ctx, act.rows, act.cols, [(alg.dim - 1, alg.dim - 1, one)])
+    *head, (y, v, c) = alg.comodule.coaction[-1]
+    alg.comodule.coaction = alg.comodule.coaction[:-1] + [head + [(y, v, c + c)]]
     verify_yd(alg, rep)
     return verify_center_algebra(alg, rep)
 
@@ -485,8 +485,8 @@ def _with_repeated_row(alg: AdjointAlgebra) -> AdjointAlgebra:
     b = alg.basis
     out = AdjointAlgebra(alg.problem, SubspaceBasis(b.ctx, b.ambient_dim,
                                                     b.rows[:-1] + [b.rows[0]], b.pivots))
-    out.product, out.unit_coords = alg.product, alg.unit_coords
-    out.action, out.coaction = list(alg.action), alg.coaction
+    out.algebra, out.comodule = alg.algebra, alg.comodule
+    out.module = ModuleRep(alg.module.host, alg.dim, list(alg.module.action))
     return out
 
 
@@ -495,7 +495,7 @@ def transport_at_m3_with_repeated_row():
     of g and x swapped and one abar basis vector repeated."""
     m = taft_model(3)
     alg = _with_repeated_row(solve_adjoint(problem_for(m, comodule_algebra_K(3, 1, 0), {"ad1", "ad3"})))
-    alg.action[1], alg.action[3] = alg.action[3], alg.action[1]
+    alg.module.action[1], alg.module.action[3] = alg.module.action[3], alg.module.action[1]
     return phi_structure_transport(alg)
 
 
@@ -507,8 +507,8 @@ def transport_with_late_x_action():
     m = taft_model(2)
     alg = solve_adjoint(problem_for(m, comodule_algebra_K(2, 1, 0), {"ad1", "ad3"}))
     last = alg.dim - 1
-    act = alg.action[2]  # x # 1 sits at index 1*n + 0
-    alg.action[2] = act + Matrix(alg.ctx, act.rows, act.cols, [(last, last, alg.ctx.one())])
+    act = alg.module.action[2]  # x # 1 sits at index 1*n + 0
+    alg.module.action[2] = act + Matrix(alg.ctx, act.rows, act.cols, [(last, last, alg.ctx.one())])
     return phi_structure_transport(alg)
 
 
@@ -518,7 +518,7 @@ def regular_case_with_repeated_row():
     m = taft_model(2)
     alg = _with_repeated_row(solve_adjoint(problem_for(m, regular_comodule_algebra(2),
                                                        {"ad1", "ad2", "ad3"})))
-    alg.action[1], alg.action[2] = alg.action[2], alg.action[1]
+    alg.module.action[1], alg.module.action[2] = alg.module.action[2], alg.module.action[1]
     return regular_case_iso(alg, build_h_ad(m))
 
 

@@ -47,13 +47,6 @@ def test_dimension_table_exits_1_on_a_formula_mismatch(monkeypatch, capsys):
     assert "4 dimensions differ from the formula" in capsys.readouterr().err
 
 
-def test_verify_all(tmp_path):
-    out = tmp_path / "r.json"
-    proc = run_script("verify_all.py", "1,2", "0", str(out))
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(out.read_text())["report"]["ok"] is True
-
-
 STUB_RUN = '''import json, pathlib, sys
 assert "--seconds" not in sys.argv  # the run length is the benchmark's own
 seed = int(sys.argv[sys.argv.index("--seed") + 1])

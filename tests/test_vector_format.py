@@ -52,5 +52,5 @@ def test_solved_products_and_unit_coordinates_are_term_lists(n, conditions):
     comodule_algebras = [comodule_algebra_K(n, d, 0) for d in range(1, n + 1) if n % d == 0]
     for k in comodule_algebras + [regular_comodule_algebra(n)]:
         alg = solve_adjoint(problem_for(model, k, conditions))
-        assert is_term_list(alg.unit_coords, alg.dim), k.name
-        assert all(is_term_list(v, alg.dim) for row in alg.product for v in row), k.name
+        assert is_term_list(alg.algebra.unit, alg.dim), k.name
+        assert all(is_term_list(v, alg.dim) for row in alg.algebra.mult for v in row), k.name
