@@ -380,15 +380,19 @@ class AdjointAlgebra:
             coaction.append([(y, i, c) for y in sorted(cols) for i, c in cols[y]])
         self.comodule = ComoduleRep(hopf.coalgebra, n, coaction)
 
-    def to_jsonable(self):
+    def to_jsonable(self, views=None):
+        """views, when the caller holds them: the Hom-space view
+        hom_columns(i) of every basis element i, in order; otherwise each
+        is built here, one at a time."""
         ctx, n, NK = self.ctx, self.dim, self.NK
+        if views is None:
+            views = map(self.hom_columns, range(n))
         return {
             "problem": self.problem.describe(),
             "dim": n,
             # row pp, column x*NK + k: the e_pp coefficient of alpha(x, k)
-            "basis": [Matrix(ctx, NK, self.NH * NK,
-                             [(pp, u, c) for u, col in enumerate(self.hom_columns(i)) for pp, c in col])
-                      for i in range(n)],
+            "basis": [Matrix(ctx, NK, self.NH * NK, [(pp, u, c) for u, col in enumerate(cols) for pp, c in col])
+                      for cols in views],
             "product": [[dense(ctx, n, v) for v in row] for row in self.algebra.mult],
             "unit": dense(ctx, n, self.algebra.unit),
             "action": self.module.action,

@@ -201,7 +201,9 @@ def cmd_adjoint(args) -> int:
         rep.add("solve/closure", False, {"error": str(exc), "witness": exc.witness})
         return _finish(args, rep, {"problem": problem.describe()}, model.ctx)
     rep.add("solve/dim", True, {"dim": alg.dim})
-    verify_conditions_direct(problem, [alg.hom_columns(i) for i in range(alg.dim)], rep)
+    # one Hom-space view per basis element, for the re-check and the JSON basis
+    views = [alg.hom_columns(i) for i in range(alg.dim)]
+    verify_conditions_direct(problem, views, rep)
     verify_yd(alg, rep)
     verify_center_algebra(alg, rep)
     verify_braided_commutative(alg, rep)
@@ -209,7 +211,7 @@ def cmd_adjoint(args) -> int:
     rep.add("solve/connected", dim_inv == 1, {"dim_invariants": dim_inv})
     if "ad2" in conditions:
         verify_relative_center(alg, regular_module(model.t_hopf.algebra), rep)
-    payload = {"dim": alg.dim, "algebra": alg}
+    payload = {"dim": alg.dim, "algebra": alg.to_jsonable(views)}
     return _finish(args, rep, payload, model.ctx)
 
 

@@ -4,14 +4,23 @@ Every checker in this package returns a VerificationReport: a list of
 claims with pass/fail status and, for failures, a witness that can be
 replayed.  Reports serialise to canonical JSON (sorted keys, rationals
 as "num/den" strings) so identical runs produce identical bytes.
+
+`emit_json` writes that text in one recursive pass, with no
+intermediate plain-data tree: each distinct scalar is encoded once per
+document, a matrix is laid out from its nonzero terms over references
+to the zero's text, and a dense list writes its padding by reference.
+The tests keep the walk it replaced, a plain tree that `json.dumps`
+encodes, as the oracle.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .cyclotomic import Scalar, rational_str, scalar_to_strings
 from .linalg import Matrix
@@ -80,49 +89,91 @@ class VerificationReport:
         return lines
 
 
-def jsonable(obj):
-    """Convert package objects to plain JSON-compatible data.
-
-    Each distinct scalar value is formatted once per call, and every
-    occurrence shares that one string list.  A Matrix is laid out densely
-    only here: its entry list starts as references to the zero's list and
-    only its nonzero terms are written into it."""
-    memo: dict[tuple[tuple[int, ...], int], list[str]] = {}
-
-    def scalar(s: Scalar) -> list[str]:
-        key = (s.num, s.den)
-        out = memo.get(key)
-        if out is None:
-            out = memo[key] = scalar_to_strings(s)
-        return out
-
-    def convert(obj):
-        if isinstance(obj, Scalar):
-            return scalar(obj)
-        if obj is None or isinstance(obj, (bool, int, str, float)):
-            return obj
-        if isinstance(obj, Fraction):
-            return rational_str(obj)
-        if isinstance(obj, Matrix):
-            cols = obj.cols
-            entries = [scalar(obj.ctx.zero())] * (obj.rows * cols)
-            for i, j, c in obj.terms():
-                entries[i * cols + j] = scalar(c)
-            return {"rows": obj.rows, "cols": cols, "entries": entries}
-        if isinstance(obj, (list, tuple)):
-            return [convert(x) for x in obj]
-        if isinstance(obj, dict):
-            return {str(k): convert(v) for k, v in obj.items()}
-        if hasattr(obj, "to_jsonable"):
-            return convert(obj.to_jsonable())
-        raise TypeError(f"cannot serialise {type(obj).__name__}")
-
-    return convert(obj)
-
-
 def emit_json(obj) -> bytes:
-    """Canonical JSON bytes: sorted keys, no whitespace, UTF-8."""
-    return json.dumps(jsonable(obj), sort_keys=True, separators=(",", ":")).encode()
+    """Canonical JSON bytes: sorted keys, no whitespace, ASCII.  A list
+    whose first item is a scalar writes the field's shared `ctx.zero()`
+    by identity; every other scalar, a computed zero included, goes
+    through the memo of encoded values."""
+    memo: dict[tuple[tuple[int, ...], int], str] = {}
+    out: list[str] = []
+    put = out.append
+
+    def scalar(s: Scalar) -> str:
+        key = (s.num, s.den)
+        encoded = memo.get(key)
+        if encoded is None:
+            encoded = memo[key] = "[" + ",".join(map(encode_basestring_ascii, scalar_to_strings(s))) + "]"
+        return encoded
+
+    def text(x) -> str:
+        if isinstance(x, Scalar):
+            return scalar(x)
+        start = len(out)
+        write(x)
+        chunk = "".join(out[start:])
+        del out[start:]
+        return chunk
+
+    def write(x) -> None:
+        # the containers first; bool before int
+        if isinstance(x, Scalar):
+            put(scalar(x))
+        elif isinstance(x, (list, tuple)):
+            if x and isinstance(x[0], Scalar):
+                zero = x[0].ctx.zero()
+                padding = scalar(zero)
+                put("[" + ",".join([padding if y is zero else text(y) for y in x]) + "]")
+                return
+            sep = "["
+            for y in x:
+                put(sep)
+                write(y)
+                sep = ","
+            put("]" if x else "[]")
+        elif isinstance(x, dict):
+            items = {str(k): v for k, v in x.items()}
+            sep = "{"
+            for key in sorted(items):
+                put(sep + encode_basestring_ascii(key) + ":")
+                write(items[key])
+                sep = ","
+            put("}" if items else "{}")
+        elif isinstance(x, str):
+            put(encode_basestring_ascii(x))
+        elif isinstance(x, Matrix):
+            cols = x.cols
+            entries = [scalar(x.ctx.zero())] * (x.rows * cols)
+            for i, j, c in x.terms():
+                entries[i * cols + j] = scalar(c)
+            put(f'{{"cols":{cols},"entries":[')
+            put(",".join(entries))
+            put(f'],"rows":{x.rows}}}')
+        elif x is None:
+            put("null")
+        elif isinstance(x, bool):
+            put("true" if x else "false")
+        elif isinstance(x, int):
+            put(int.__repr__(x))
+        elif isinstance(x, float):
+            put(json.dumps(x))
+        elif isinstance(x, Fraction):
+            put(encode_basestring_ascii(rational_str(x)))
+        elif hasattr(x, "to_jsonable"):
+            write(x.to_jsonable())
+        else:
+            raise TypeError(f"cannot serialise {type(x).__name__}")
+
+    write(obj)
+    # runs of 16 chunks are encoded from the front and each is released
+    # once in buf, whose bytes are returned without a copy: a large
+    # document is held about once, not as chunks and as bytes
+    buf = io.BytesIO()
+    out.reverse()
+    while out:
+        run = out[-16:]
+        del out[-16:]
+        buf.write("".join(reversed(run)).encode())
+    return buf.getvalue()
 
 
 def document(field_ctx, basis_convention: str, payload: dict) -> dict:

@@ -1,9 +1,11 @@
 """Slow dense oracles for the two edges where sparse data is laid out
 densely: canonical JSON emission and coordinates in a solved basis.
 
-`emit_json` formats each distinct scalar once and writes only a
-matrix's nonzero terms; `dense_jsonable` is the per-entry walk over
-`Matrix.entries` that it replaced, and both must give the same bytes.
+`emit_json` writes the text in one pass, formats each distinct scalar
+once, writes only a matrix's nonzero terms and a dense list's padding by
+reference; `dense_emit` is the per-entry walk over `Matrix.entries` into
+a plain tree that `json.dumps` encodes, and both must give the same
+bytes, for the package's documents and for plain data at its edges.
 `coords_of_terms` reads coordinates at the pivots of an echelon basis
 and forms the residual sparsely; `support.dense_coords_in_basis` scans
 dense basis vectors and a dense residual, and the term list of its
@@ -109,6 +111,63 @@ def test_emit_json_matches_dense_oracle_on_random_matrices(conductor, seed):
         "nested": {"pair": (ctx.zero(), ctx.one()), "rational": Fraction(-5, 6), "flag": True},
     }
     assert emit_json(doc) == dense_emit(doc)
+
+
+def test_emit_json_matches_dense_oracle_on_strings_and_keys():
+    awkward = ['quote " and backslash \\', "tab\tnewline\ncontrol\x00\x1f\x7f",
+               "non-ASCII \u00e9\u00df \u2202 \U0001d49c", "", "/slash"]
+    doc = {"values": awkward, "keys": {k: k for k in awkward}}
+    data = emit_json(doc)
+    assert data == dense_emit(doc)
+    assert data.isascii() and json.loads(data) == doc
+
+
+def test_emit_json_matches_dense_oracle_on_plain_data():
+    doc = {
+        # int and str keys, one pair of which writes the same key "1"
+        "keys": {3: "three", "10": "ten", -1: None, 2.5: [], "1": 0, 1: 1},
+        "constants": [True, 1, None, False, 0, -7, 10 ** 30, 0.1, -2.5e300, 1e16],
+        "nested": ((1, (2, ())), [[], {}], {"empty": {}}),
+        "rationals": [Fraction(0), Fraction(-5, 6), Fraction(12, 4), {"r": Fraction(1, 3)}],
+        "empty": [], "nothing": {}, "tuple": (),
+    }
+    assert emit_json(doc) == dense_emit(doc)
+    for value in (True, 1, None, Fraction(-3, 7), (), [], {}, "s", 2.0):
+        assert emit_json(value) == dense_emit(value)
+
+
+def test_emit_json_writes_a_computed_zero_among_shared_zeros():
+    ctx = make_field(4)
+    one = ctx.one()
+    computed = one - one
+    assert computed.is_zero() and computed is not ctx.zero()
+    padded = dense(ctx, 5, [(2, computed), (3, one)])
+    doc = {"padded": padded, "first": [computed] + padded, "all": [computed, -ctx.zero()],
+           "matrix": Matrix(ctx, 2, 2, [(0, 1, one), (1, 0, one), (1, 0, -one)])}
+    data = emit_json(doc)
+    assert data == dense_emit(doc)
+    assert json.loads(data)["padded"] == [["0", "0"]] * 3 + [["1", "0"]] + [["0", "0"]]
+
+
+def test_emit_json_matches_dense_oracle_on_two_fields_in_one_document():
+    f3, f5 = make_field(3), make_field(5)
+    half3, half5 = f3.from_rational(Fraction(1, 2)), f5.from_rational(Fraction(1, 2))
+    doc = {
+        "q3": dense(f3, 4, [(1, half3)]), "q5": dense(f5, 4, [(1, half5)]),
+        # a list that starts with one field's padding and holds the other's
+        "mixed": [f3.zero(), f5.zero(), half5, f3.zero(), half3, 1, "x", None, [f5.zero()]],
+        "matrices": [Matrix(f3, 1, 2, [(0, 0, half3)]), Matrix(f5, 2, 1, [(1, 0, half5)])],
+    }
+    assert emit_json(doc) == dense_emit(doc)
+
+
+@pytest.mark.parametrize("rows, cols", [(0, 0), (0, 3), (3, 0)])
+def test_emit_json_matches_dense_oracle_on_empty_matrices(rows, cols):
+    ctx = make_field(4)
+    m = Matrix(ctx, rows, cols)
+    data = emit_json({"m": m, "in_list": [m, m]})
+    assert data == dense_emit({"m": m, "in_list": [m, m]})
+    assert json.loads(data)["m"] == {"rows": rows, "cols": cols, "entries": []}
 
 
 def test_emit_json_formats_each_distinct_scalar_once(monkeypatch, tmp_path):

@@ -6,7 +6,7 @@ import pytest
 from hopfadjoint.constructions import comodule_algebra_K
 from hopfadjoint.cyclotomic import make_field
 from hopfadjoint.linalg import Matrix
-from hopfadjoint.reports import VerificationReport, document, emit_json, jsonable
+from hopfadjoint.reports import VerificationReport, document, emit_json
 from hopfadjoint import cli
 from hopfadjoint.cli import cli_main, field_axiom_spotcheck
 from support import from_rows
@@ -241,6 +241,8 @@ def test_cli_report_rejects_malformed_json(text, tmp_path, capsys):
     assert len(errors) == 1 and "Traceback" not in errors[0]
 
 
-def test_jsonable_rejects_unknown():
+def test_emit_json_rejects_unknown():
     with pytest.raises(TypeError):
-        jsonable(object())
+        emit_json(object())
+    with pytest.raises(TypeError):
+        emit_json({"nested": [1, object()]})
