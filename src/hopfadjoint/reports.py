@@ -106,6 +106,8 @@ def emit_json(obj) -> bytes:
         return encoded
 
     def text(x) -> str:
+        """The JSON text of x as one string, for an item of a list that
+        starts with a scalar."""
         if isinstance(x, Scalar):
             return scalar(x)
         start = len(out)
