@@ -21,9 +21,9 @@ abar directly and imposes ad1 on the generators of K only.  The full
 system `condition_system`, over the whole Hom-space and every basis
 tuple, takes any set of conditions; it is the tests' oracle, which the
 reduced one must agree with bit for bit.
-Hom-space maps are derived from abar in one format, the column view of
-`AdjointAlgebra.hom_columns`, which both the JSON basis and the direct
-re-check of the conditions read.
+The direct re-check of the conditions reads abar as well; only the JSON
+basis spreads abar over the Hom-space, through the column view of
+`AdjointAlgebra.hom_columns`.
 """
 
 from __future__ import annotations
@@ -256,9 +256,9 @@ class AdjointAlgebra:
     ModuleRep over H#T; and `comodule`, a ComoduleRep over H#T.
 
     Every solution is right-K-linear (ad3), alpha(x, k) = abar(x) k, so
-    abar fixes it: the structure maps and the Hom-space view of
-    `hom_columns`, which the JSON basis and the direct re-check read, are
-    all built from the term lists of abar."""
+    abar fixes it: the structure maps, the direct re-check of the
+    conditions and the Hom-space view of `hom_columns`, which only the
+    JSON basis reads, are all built from the term lists of abar."""
 
     def __init__(self, problem: AdjointProblem, basis: SubspaceBasis):
         self.problem = problem
@@ -380,19 +380,15 @@ class AdjointAlgebra:
             coaction.append([(y, i, c) for y in sorted(cols) for i, c in cols[y]])
         self.comodule = ComoduleRep(hopf.coalgebra, n, coaction)
 
-    def to_jsonable(self, views=None):
-        """views, when the caller holds them: the Hom-space view
-        hom_columns(i) of every basis element i, in order; otherwise each
-        is built here, one at a time."""
+    def to_jsonable(self):
         ctx, n, NK = self.ctx, self.dim, self.NK
-        if views is None:
-            views = map(self.hom_columns, range(n))
         return {
             "problem": self.problem.describe(),
             "dim": n,
-            # row pp, column x*NK + k: the e_pp coefficient of alpha(x, k)
+            # row pp, column x*NK + k: the e_pp coefficient of alpha(x, k); one
+            # view is built at a time
             "basis": [Matrix(ctx, NK, self.NH * NK, [(pp, u, c) for u, col in enumerate(cols) for pp, c in col])
-                      for cols in views],
+                      for cols in map(self.hom_columns, range(n))],
             "product": [[dense(ctx, n, v) for v in row] for row in self.algebra.mult],
             "unit": dense(ctx, n, self.algebra.unit),
             "action": self.module.action,
@@ -413,91 +409,69 @@ def solve_adjoint(p: AdjointProblem, with_structure: bool = True) -> AdjointAlge
 
 
 # ---------------------------------------------------------------------------
-# direct re-verification of the conditions (independent of the kernel solver)
-#
-# These read Hom-space maps alpha as column views, one ascending zero-free
-# term list of alpha(e_x, e_k) at x*NK + k, the format of
-# `AdjointAlgebra.hom_columns`, so that maps which are not right-K-linear
-# can be checked as well.
+# direct re-verification of the conditions (independent of the kernel solver),
+# on maps in the abar format of `AdjointAlgebra.bar_terms`
 
 
-def _ad3_residuals(p: AdjointProblem, views):
-    """Basis tuples (x, k) at which a Hom-space map, given by its column
-    view, is not right-K-linear: alpha(x, k) != alpha(x, 1) k."""
-    kalg = p.comod_alg.algebra
-    NK = kalg.dim
-    unit = kalg.unit
-    one = p.ctx.one()
-    for idx, cols in enumerate(views):
-        for x in range(p.hopf.dim):
-            vbar = lincomb((ck, cols[x * NK + k]) for k, ck in unit)
-            for k in range(NK):
-                if cols[x * NK + k] != kalg.mult_terms(vbar, [(k, one)]):
-                    yield {"basis": idx, "tuple": [x, k]}
-
-
-def verify_conditions_direct(p: AdjointProblem, views: list[list[list[tuple[int, Scalar]]]],
+def verify_conditions_direct(p: AdjointProblem, maps: list[list[list[tuple[int, Scalar]]]],
                              report: VerificationReport | None = None,
                              prefix: str = "conditions") -> VerificationReport:
-    """Substitute each Hom-space map, given by its column view in views,
-    into the active conditions of p: ad1 over every (k, x, l), ad2 and
-    ad3."""
+    """Substitute each right-K-linear map alpha(x, k) = abar(x) k, given
+    by maps[i][x], the term list of abar_i(x), into the active conditions
+    of p: ad1 over every (k, x, l), ad2 and ad3.
+
+    ad1 at (k, x, l) has the residual sum w abar(zz) (k0 l) - k (abar(x) l)
+    over the terms (zz, k0, w) of k(-1) x (x) k(0).  K is associative,
+    which `check_comodule_algebra` checks when K is built, so that residual
+    is R(k, x, 1) e_l with R(k, x, 1) = sum w abar(zz) k0 - k abar(x): R is
+    formed once per (k, x) and each l with R e_l != 0 is reported, in
+    order.  ad3 compares abar(x) e_k with (abar(x) 1) e_k."""
     rep = report if report is not None else VerificationReport()
     ctx = p.ctx
     K = p.comod_alg
     kalg = K.algebra
     NH, NK = p.hopf.dim, K.dim
-    z = ctx.zero()
+    one, minus_one = ctx.one(), -ctx.one()
     unit = kalg.unit
 
     def ad1_residuals():
-        # Per (k, x) one identity of NK x NK matrices whose column l is
-        # the condition at (k, x, l): sum w A_zz L_k0 = L_k A_x, with
-        # A_z(l) = alpha(z, l), L_k left multiplication by e_k in K and
-        # the (zz, k0, w) of spread[k][x] the terms of k(-1) x (x) k(0).
+        # the (zz, k0, w) of spread[k][x]: the terms of k(-1) x (x) k(0)
         spread = [[[(zz, k0, c * m1) for y, k0, c in K.coaction[k] for zz, m1 in p.hopf.algebra.mult[y][x]]
                    for x in range(NH)] for k in range(NK)]
-        for idx, cols in enumerate(views):
-            # (zz, k0) -> the (l, r, e) of A_zz L_k0, read from the column
-            # table; an (l, r) that comes twice is summed where it is read
-            shifted: dict[tuple[int, int], list] = {}
+        for idx, bars in enumerate(maps):
             for k in range(NK):
-                left = kalg.mult[k]
                 for x in range(NH):
-                    lhs: dict[tuple[int, int], Scalar] = {}
+                    lhs: dict[int, Scalar] = {}
                     for zz, k0, w in spread[k][x]:
-                        block = shifted.get((zz, k0))
-                        if block is None:
-                            block = shifted[zz, k0] = [(l, r, ck * e) for l, terms in enumerate(kalg.mult[k0])
-                                                       for k1, ck in terms for r, e in cols[zz * NK + k1]]
-                        for l, r, e in block:
-                            key, add = (l, r), w * e
-                            lhs[key] = lhs[key] + add if key in lhs else add
-                    rhs: dict[tuple[int, int], Scalar] = {}
-                    for l in range(NK):
-                        for r, e in cols[x * NK + l]:
-                            for pp, m in left[r]:
-                                key, add = (l, pp), e * m
-                                rhs[key] = rhs[key] + add if key in rhs else add
-                    # equal dicts agree in every column; unequal ones may still
-                    # differ in stored zeros only
+                        kalg.add_product(lhs, bars[zz], [(k0, w)])
+                    rhs: dict[int, Scalar] = {}
+                    kalg.add_product(rhs, [(k, one)], bars[x])
+                    # equal dicts give R = 0; unequal ones may still differ in
+                    # stored zeros only
                     if lhs != rhs:
-                        bad = {l for l, r in lhs.keys() | rhs.keys() if lhs.get((l, r), z) != rhs.get((l, r), z)}
-                        for l in sorted(bad):
-                            yield {"basis": idx, "tuple": [k, x, l]}
+                        residual = lincomb(((one, lhs.items()), (minus_one, rhs.items())))
+                        for l in range(NK):
+                            if kalg.mult_terms(residual, [(l, one)]):
+                                yield {"basis": idx, "tuple": [k, x, l]}
 
     def ad2_residuals():
         pi_cols = [p.pi.col_terms(y) for y in range(NH)]
-        for idx, cols in enumerate(views):
-            bars = [lincomb((ck, cols[x * NK + k]) for k, ck in unit) for x in range(NH)]  # alpha(e_x, 1)
+        for idx, bars in enumerate(maps):
             for x in range(NH):
                 lhs = dict(lincomb((cm, [((t_leg, r), e) for r, e in bars[zz]]) for t_leg, zz, cm in p.ad2_terms[x]))
                 rhs = leg_map((pi_cols, None), tensor_image(K.coaction, bars[x]))
                 if sparse_diff(lhs, rhs, ctx) is not None:
                     yield {"basis": idx, "x": x}
 
-    for name, residuals in (("ad1", ad1_residuals()), ("ad2", ad2_residuals()),
-                            ("ad3", _ad3_residuals(p, views))):
+    def ad3_residuals():
+        for idx, bars in enumerate(maps):
+            for x, bar in enumerate(bars):
+                vbar = kalg.mult_terms(bar, unit)
+                for k in range(NK):
+                    if kalg.mult_terms(bar, [(k, one)]) != kalg.mult_terms(vbar, [(k, one)]):
+                        yield {"basis": idx, "tuple": [x, k]}
+
+    for name, residuals in (("ad1", ad1_residuals()), ("ad2", ad2_residuals()), ("ad3", ad3_residuals())):
         if name in p.conditions:
             rep.check(f"{prefix}/{name}-residual-zero", residuals)
     return rep

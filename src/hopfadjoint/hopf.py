@@ -32,8 +32,9 @@ id and witness:
     `verify_center_algebra`.
 
 The scans here that sum into dicts, `braiding.check_module` and
-`check_yd`, and the ad1 scan of `adjoint.verify_conditions_direct` share
-one idiom per basis tuple.  Each
+`check_yd`, and the ad1 scan of `adjoint.verify_conditions_direct`, which
+sums both sides of its residual through `add_product` once per (k, x),
+share one idiom per basis tuple.  Each
 side is summed into a dict with `acc[k] = acc[k] + v if k in acc else v`,
 so no first term is added to a zero.  An empty structure-constant list is
 skipped before anything is multiplied for it, and a coefficient product
@@ -45,7 +46,8 @@ Equal dicts agree at every key, so the test changes no result.  Unequal
 dicts reach `sparse_diff` as they are, so the key it returns, the first
 differing one in the order of their key set, is the one it returned
 before, and a zero stored in one dict still counts as absent: dicts that
-differ only in stored zeros pass.
+differ only in stored zeros pass.  The ad1 scan forms the term list of
+its residual with `lincomb` instead, which drops a stored zero as well.
 
 Those hot scans keep that inline idiom, as does `tensor_image`, hot in
 `coaction_multiplicative_failures` and `adjoint` structure assembly.

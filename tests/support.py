@@ -8,17 +8,21 @@ slow oracles of the R-matrix consumers, which read R term by term where
 the package reads it leg by leg, the per-basis-tuple double
 braiding that `braiding.double_braiding` replaced, the solve over
 the whole Hom-space that is the oracle of `adjoint.solve_adjoint`, the
-sparse Hom-space maps that the tests corrupt, with their converter to the
-column views that `adjoint.verify_conditions_direct` reads, and the
+sparse Hom-space maps that the tests corrupt, with their converter to
+column views and the inflation of abar to one, the re-check of the conditions on those views,
+`hom_conditions_direct`, that is the oracle of
+`adjoint.verify_conditions_direct` (which reads abar, not views), and the
 dense coordinates that are the oracle of `linalg.coords_of_terms`."""
 
-from hopfadjoint.adjoint import AdjointAlgebra, AdjointProblem, ClosureFailure, _ad3_residuals, condition_system
+from hopfadjoint.adjoint import AdjointAlgebra, AdjointProblem, ClosureFailure, condition_system
 from hopfadjoint.braiding import (ComoduleAlgebra, ComoduleRep, ModuleRep, RMatrix, check_comodule_algebra,
                                   lift_via_pi)
 from hopfadjoint.constructions import BraidedHopf, ConstructionError, TaftModel, taft_model
+from hopfadjoint.cyclotomic import Scalar
 from hopfadjoint.hopf import FinDimAlgebra, FinDimCoalgebra, FinDimHopf, leg_map, tensor_algebra, tensor_image
 from hopfadjoint.linalg import (Matrix, SubspaceBasis, _eliminate, _zero_free, dense, flip_legs, invert,
-                                kernel_basis, kron_sum, lincomb, nonzero, sorted_terms)
+                                kernel_basis, kron_sum, lincomb, nonzero, sorted_terms, sparse_diff)
+from hopfadjoint.reports import VerificationReport
 
 
 def from_rows(ctx, rows) -> Matrix:
@@ -65,6 +69,99 @@ def _hom_columns(p: AdjointProblem, alpha: dict) -> list:
         if not c.is_zero():
             cols[u // NK].append((u % NK, c))
     return cols
+
+
+def bar_views(p: AdjointProblem, bars: list) -> list:
+    """The column view of the right-K-linear map alpha(x, k) = abar(x) k,
+    given by the term lists bars[x] of abar(x): entry x*NK + k is
+    abar(x) e_k, as `AdjointAlgebra.hom_columns` lays it out."""
+    kalg = p.comod_alg.algebra
+    one = p.ctx.one()
+    return [kalg.mult_terms(bar, [(k, one)]) for bar in bars for k in range(kalg.dim)]
+
+
+def _ad3_residuals(p: AdjointProblem, views):
+    """Basis tuples (x, k) at which a Hom-space map, given by its column
+    view, is not right-K-linear: alpha(x, k) != alpha(x, 1) k."""
+    kalg = p.comod_alg.algebra
+    NK = kalg.dim
+    unit = kalg.unit
+    one = p.ctx.one()
+    for idx, cols in enumerate(views):
+        for x in range(p.hopf.dim):
+            vbar = lincomb((ck, cols[x * NK + k]) for k, ck in unit)
+            for k in range(NK):
+                if cols[x * NK + k] != kalg.mult_terms(vbar, [(k, one)]):
+                    yield {"basis": idx, "tuple": [x, k]}
+
+
+def hom_conditions_direct(p: AdjointProblem, views: list[list[list[tuple[int, Scalar]]]],
+                          report: VerificationReport | None = None,
+                          prefix: str = "conditions") -> VerificationReport:
+    """Oracle of `adjoint.verify_conditions_direct`, which reads abar:
+    substitute each Hom-space map, given by its column view in views,
+    into the active conditions of p: ad1 over every (k, x, l), ad2 and
+    ad3.  It reads every alpha(e_x, e_k), so it also checks maps that are
+    not right-K-linear, such as the tests' corrupted ones."""
+    rep = report if report is not None else VerificationReport()
+    ctx = p.ctx
+    K = p.comod_alg
+    kalg = K.algebra
+    NH, NK = p.hopf.dim, K.dim
+    z = ctx.zero()
+    unit = kalg.unit
+
+    def ad1_residuals():
+        # Per (k, x) one identity of NK x NK matrices whose column l is
+        # the condition at (k, x, l): sum w A_zz L_k0 = L_k A_x, with
+        # A_z(l) = alpha(z, l), L_k left multiplication by e_k in K and
+        # the (zz, k0, w) of spread[k][x] the terms of k(-1) x (x) k(0).
+        spread = [[[(zz, k0, c * m1) for y, k0, c in K.coaction[k] for zz, m1 in p.hopf.algebra.mult[y][x]]
+                   for x in range(NH)] for k in range(NK)]
+        for idx, cols in enumerate(views):
+            # (zz, k0) -> the (l, r, e) of A_zz L_k0, read from the column
+            # table; an (l, r) that comes twice is summed where it is read
+            shifted: dict[tuple[int, int], list] = {}
+            for k in range(NK):
+                left = kalg.mult[k]
+                for x in range(NH):
+                    lhs: dict[tuple[int, int], Scalar] = {}
+                    for zz, k0, w in spread[k][x]:
+                        block = shifted.get((zz, k0))
+                        if block is None:
+                            block = shifted[zz, k0] = [(l, r, ck * e) for l, terms in enumerate(kalg.mult[k0])
+                                                       for k1, ck in terms for r, e in cols[zz * NK + k1]]
+                        for l, r, e in block:
+                            key, add = (l, r), w * e
+                            lhs[key] = lhs[key] + add if key in lhs else add
+                    rhs: dict[tuple[int, int], Scalar] = {}
+                    for l in range(NK):
+                        for r, e in cols[x * NK + l]:
+                            for pp, m in left[r]:
+                                key, add = (l, pp), e * m
+                                rhs[key] = rhs[key] + add if key in rhs else add
+                    # equal dicts agree in every column; unequal ones may still
+                    # differ in stored zeros only
+                    if lhs != rhs:
+                        bad = {l for l, r in lhs.keys() | rhs.keys() if lhs.get((l, r), z) != rhs.get((l, r), z)}
+                        for l in sorted(bad):
+                            yield {"basis": idx, "tuple": [k, x, l]}
+
+    def ad2_residuals():
+        pi_cols = [p.pi.col_terms(y) for y in range(NH)]
+        for idx, cols in enumerate(views):
+            bars = [lincomb((ck, cols[x * NK + k]) for k, ck in unit) for x in range(NH)]  # alpha(e_x, 1)
+            for x in range(NH):
+                lhs = dict(lincomb((cm, [((t_leg, r), e) for r, e in bars[zz]]) for t_leg, zz, cm in p.ad2_terms[x]))
+                rhs = leg_map((pi_cols, None), tensor_image(K.coaction, bars[x]))
+                if sparse_diff(lhs, rhs, ctx) is not None:
+                    yield {"basis": idx, "x": x}
+
+    for name, residuals in (("ad1", ad1_residuals()), ("ad2", ad2_residuals()),
+                            ("ad3", _ad3_residuals(p, views))):
+        if name in p.conditions:
+            rep.check(f"{prefix}/{name}-residual-zero", residuals)
+    return rep
 
 
 def sparse_maps(a: AdjointAlgebra) -> list[dict]:

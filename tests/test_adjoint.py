@@ -141,7 +141,7 @@ def test_direct_condition_recheck_is_independent_of_solver():
     m = taft_model(2)
     k = comodule_algebra_K(2, 2, 1)
     alg = solve_adjoint(problem_for(m, k, {"ad1", "ad2", "ad3"}))
-    assert verify_conditions_direct(alg.problem, [alg.hom_columns(i) for i in range(alg.dim)]).ok
+    assert verify_conditions_direct(alg.problem, alg.bar_terms).ok
 
 
 def test_structural_verifications_small_grid():

@@ -1,5 +1,6 @@
 """Slow oracles of the exhaustive checkers that read precomputed term
-lists: the ad1 residuals of `verify_conditions_direct`, the
+lists: the ad1 residuals of `support.hom_conditions_direct` (itself the
+oracle of `adjoint.verify_conditions_direct`), the
 Yetter-Drinfeld compatibility of `check_yd`, and the module-algebra scan
 `hopf.module_algebra_failures` that both the product-module-morphism
 claim of `verify_center_algebra` and the product-t-equivariant claim of
@@ -12,8 +13,9 @@ same first witness as its oracle (or pass with it) on the solved
 algebras at n = 2, 3 and on seeded single-entry corruptions of the
 Hom-space maps, the actions, the coactions and the product.  The
 Hom-space maps are corrupted as sparse {(x*NK + k)*NK + pp: Scalar}
-dicts, which `support._hom_columns` turns into the column views the
-checker reads; the ad1 oracle reads each dict as a dense vector.
+dicts, which `support._hom_columns` turns into the column views that
+`hom_conditions_direct` reads; the ad1 oracle reads each dict as a dense
+vector.
 
 Three more scans have oracles of their own: associativity, checked with
 `check_algebra`'s dense residual; the multiplicativity of a coaction,
@@ -31,9 +33,18 @@ report the same first index on one corrupted input: coassociativity for
 `check_coalgebra` and `check_comodule`, multiplicativity of the coaction
 for `check_bialgebra` and `check_comodule_algebra`, and associativity
 and the unit laws for `check_algebra` and `verify_center_algebra`.
+
+The re-check of the conditions on abar, `adjoint.verify_conditions_direct`,
+has the re-check over Hom-space views, `support.hom_conditions_direct`, as
+its oracle: for every K(d, xi) with xi in {0, 1} and the regular K at
+n <= 3, the two agree claim for claim, id, status and witness, on the
+inflated views of the solved maps of both variants, of the module
+variant's maps against the fully-constrained conditions, and of those
+maps with one abar entry shifted, the last one included.
 """
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -47,7 +58,7 @@ from hopfadjoint.hopf import (FinDimAlgebra, FinDimCoalgebra, check_algebra, che
                              tensor_image)
 from hopfadjoint.linalg import Matrix, dense, sorted_terms, sparse_diff
 from hopfadjoint.reports import VerificationReport
-from support import _hom_columns, perturbed_taft, sparse_maps
+from support import _hom_columns, bar_views, hom_conditions_direct, perturbed_taft, sparse_maps
 
 # (n, K, conditions): module variants over K(d, xi) and the relative regular case
 CASES = {
@@ -65,6 +76,10 @@ def solved(case):
     n, dxi, conditions = CASES[case]
     k = regular_comodule_algebra(n) if dxi is None else comodule_algebra_K(n, *dxi)
     return solve_adjoint(problem_for(taft_model(n), k, conditions))
+
+
+def claims(rep: VerificationReport) -> list:
+    return [(c.claim_id, c.status, c.witness) for c in rep.claims]
 
 
 def first_witness(rep: VerificationReport, claim_id: str):
@@ -316,7 +331,7 @@ def with_stored_zeros(alg, rng):
 
 
 def assert_ad1_agrees(alg, maps):
-    rep = verify_conditions_direct(alg.problem, [_hom_columns(alg.problem, alpha) for alpha in maps])
+    rep = hom_conditions_direct(alg.problem, [_hom_columns(alg.problem, alpha) for alpha in maps])
     assert first_witness(rep, "conditions/ad1-residual-zero") == next(oracle_ad1(alg.problem, maps), None)
 
 
@@ -454,13 +469,62 @@ def test_condition_checker_treats_a_stored_zero_as_absent(case):
     maps[-1][u] = c + (-c)
     # and a zero stored where the first map has no entry
     maps[0][next(v for v in range(alg.NH * alg.NK * alg.NK) if v not in maps[0])] = alg.ctx.zero()
-    stored = verify_conditions_direct(alg.problem, [_hom_columns(alg.problem, alpha) for alpha in maps])
+    stored = hom_conditions_direct(alg.problem, [_hom_columns(alg.problem, alpha) for alpha in maps])
     assert not stored.ok
     assert_ad1_agrees(alg, maps)
     absent = [{v: e for v, e in alpha.items() if not e.is_zero()} for alpha in maps]
-    assert ([(c.claim_id, c.status, c.witness) for c in stored.claims]
-            == [(c.claim_id, c.status, c.witness)
-                for c in verify_conditions_direct(alg.problem, [_hom_columns(alg.problem, a) for a in absent]).claims])
+    assert claims(stored) == claims(hom_conditions_direct(alg.problem, [_hom_columns(alg.problem, a) for a in absent]))
+
+
+# -- the abar re-check against the Hom-space one -----------------------------
+
+# every K(d, xi) with xi in {0, 1} and the regular K, for n <= 3
+RECHECK_CASES = [(n, (d, xi)) for n in (1, 2, 3) for d in range(1, n + 1) if n % d == 0 for xi in (0, 1)]
+RECHECK_CASES += [(n, None) for n in (1, 2, 3)]
+
+
+def assert_recheck_agrees(p, bars) -> list:
+    """verify_conditions_direct on the abar term lists bars[i][x] and
+    hom_conditions_direct on their inflated views agree claim for claim;
+    the claims are returned."""
+    got = claims(verify_conditions_direct(p, bars))
+    assert got == claims(hom_conditions_direct(p, [bar_views(p, b) for b in bars]))
+    return got
+
+
+def shifted_bar(bars, i, x, pp, one):
+    """bars with one added to the e_pp coefficient of abar_i(x)."""
+    acc = dict(bars[i][x])
+    acc[pp] = acc[pp] + one if pp in acc else one
+    row = list(bars[i])
+    row[x] = sorted_terms(acc)
+    return bars[:i] + [row] + bars[i + 1:]
+
+
+@pytest.mark.parametrize("n, dxi", RECHECK_CASES, ids=[f"n{n}-{'regular' if dxi is None else 'K(%d,%d)' % dxi}"
+                                                      for n, dxi in RECHECK_CASES])
+def test_abar_recheck_agrees_with_the_hom_space_recheck(n, dxi):
+    model = taft_model(n)
+    k = regular_comodule_algebra(n) if dxi is None else comodule_algebra_K(n, *dxi)
+    module_p, full_p = (problem_for(model, k, conds) for conds in ({"ad1", "ad3"}, {"ad1", "ad2", "ad3"}))
+    module, full = (solve_adjoint(p, with_structure=False) for p in (module_p, full_p))
+    # the inflation is the package's own view
+    assert [bar_views(module_p, b) for b in module.bar_terms] == [module.hom_columns(i) for i in range(module.dim)]
+    # solved maps of both variants pass, and the module variant's maps are
+    # checked against the fully-constrained conditions too
+    assert all(status == "pass" for _, status, _ in assert_recheck_agrees(module_p, module.bar_terms))
+    assert all(status == "pass" for _, status, _ in assert_recheck_agrees(full_p, full.bar_terms))
+    assert_recheck_agrees(full_p, module.bar_terms)
+    # one abar entry shifted: eight seeded ones and the last one
+    rng = random.Random(f"{n}-{dxi}")
+    spots = [(rng.randrange(module.dim), rng.randrange(module.NH), rng.randrange(module.NK)) for _ in range(8)]
+    failing = Counter()
+    for i, x, pp in spots + [(module.dim - 1, module.NH - 1, module.NK - 1)]:
+        bars = shifted_bar(module.bar_terms, i, x, pp, model.ctx.one())
+        for p in (module_p, full_p):
+            failing.update(claim_id for claim_id, status, _ in assert_recheck_agrees(p, bars) if status == "fail")
+    if n > 1:  # at n = 1 every map passes: H and K are the field
+        assert failing["conditions/ad1-residual-zero"] and failing["conditions/ad2-residual-zero"]
 
 
 # -- the callers of one shared scan ------------------------------------------

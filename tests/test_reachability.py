@@ -7,7 +7,9 @@ somewhere outside its own body.  Code that only the tests call belongs
 in `tests/support.py`, not in the package.  The scan is by name, so it
 finds a dead definition once nothing else spells its name.  One scan
 pins the package's vector format: `dense` is called only inside a
-`to_jsonable`, so every other vector stays a term list.  The last scan
+`to_jsonable`, so every other vector stays a term list; another pins
+the format of the solved maps: `hom_columns`, which spreads abar over the
+Hom-space, is read only inside a `to_jsonable`.  The last scan
 checks the other direction for the benchmark: every package name that
 `perfbench/` reads must exist."""
 
@@ -150,25 +152,33 @@ def test_scan_sees_an_unused_import_and_a_dead_local(tmp_path):
     assert dead_names(tmp_path) == {"a: os", "a.f: z", "a.f: w"}
 
 
-# The vector-format scan: inside the package a vector is a term list, and
-# a dense list is built only for a field that the JSON writes.
+# The format scans: inside the package a vector is a term list, and a
+# dense list is built only for a field that the JSON writes; a map of the
+# solved algebra is abar, and it is spread over the Hom-space only for the
+# JSON basis.
 
-def dense_calls_outside_serialisers(package: Path) -> set[str]:
-    """"module:line" for each call of `dense`, bare or as an attribute,
-    that lies outside the body of every function named `to_jsonable`."""
+def reads_outside_serialisers(package: Path, name: str) -> set[str]:
+    """"module:line" for each read of name, bare or as an attribute, that
+    lies outside the body of every function named `to_jsonable`."""
     found = set()
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text())
         inside = {id(sub) for node in ast.walk(tree)
                   if isinstance(node, ast.FunctionDef) and node.name == "to_jsonable" for sub in ast.walk(node)}
         found |= {f"{path.stem}:{node.lineno}" for node in ast.walk(tree)
-                  if isinstance(node, ast.Call) and id(node) not in inside
-                  and (getattr(node.func, "id", None) == "dense" or getattr(node.func, "attr", None) == "dense")}
+                  if id(node) not in inside
+                  and (isinstance(node, ast.Name) and node.id == name
+                       or isinstance(node, ast.Attribute) and node.attr == name)}
     return found
 
 
 def test_dense_vectors_are_built_only_in_to_jsonable():
-    assert dense_calls_outside_serialisers(PACKAGE) == set(), "keep the vector a term list; densify in to_jsonable"
+    assert reads_outside_serialisers(PACKAGE, "dense") == set(), "keep the vector a term list; densify in to_jsonable"
+
+
+def test_hom_space_views_are_built_only_in_to_jsonable():
+    assert reads_outside_serialisers(PACKAGE, "hom_columns") == set(), \
+        "re-check and compute on abar (bar_terms); spread it over the Hom-space only in to_jsonable"
 
 
 def test_scan_sees_a_dense_call_outside_to_jsonable(tmp_path):
@@ -177,7 +187,16 @@ def test_scan_sees_a_dense_call_outside_to_jsonable(tmp_path):
         "class A:\n    def to_jsonable(self):\n        return [dense(1, 2, []), linalg.dense(1, 2, [])]\n\n"
         "    def unit(self):\n        return dense(1, 2, [])\n\n\n"
         "def f():\n    return linalg.dense(1, 2, [])\n")
-    assert dense_calls_outside_serialisers(tmp_path) == {"a:10", "a:14"}
+    assert reads_outside_serialisers(tmp_path, "dense") == {"a:10", "a:14"}
+
+
+def test_scan_sees_a_hom_columns_read_outside_to_jsonable(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "class A:\n    def hom_columns(self, i):\n        return []\n\n"
+        "    def to_jsonable(self):\n        return list(map(self.hom_columns, range(2)))\n\n\n"
+        "def f(alg):\n    views = [alg.hom_columns(i) for i in range(alg.dim)]\n"
+        "    return views, map(alg.hom_columns, range(2))\n")
+    assert reads_outside_serialisers(tmp_path, "hom_columns") == {"a:10", "a:11"}
 
 
 # The names the benchmark reads: perfbench/ runs the package from outside,

@@ -227,10 +227,11 @@ def test_cli_usage_error_exit_two(argv, capsys):
 @pytest.mark.parametrize("text", ["{not json", "[1,2]", '{"report": 5}', '{"claims": [1]}', '{"claims": 3}',
                                   '{"claims": [{"status": 5}]}', '{"claims": [{"status": null}]}',
                                   '{"report": {"claims": [{"status": ["x"]}]}}',
-                                  '{"claims": [{"claim_id": "a"}]}', '{"claims": [{"status": "PASS"}]}'],
+                                  '{"claims": [{"claim_id": "a"}]}', '{"claims": [{"status": "PASS"}]}',
+                                  '{"foo": 1}', '{}', '{"report": {}}'],
                          ids=["not-json", "list", "report-not-object", "claim-not-object", "claims-not-list",
                               "status-number", "status-null", "status-list", "status-missing",
-                              "status-unknown"])
+                              "status-unknown", "claims-missing", "empty-object", "report-without-claims"])
 def test_cli_report_rejects_malformed_json(text, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(text)
