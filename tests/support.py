@@ -9,8 +9,8 @@ the package reads it leg by leg, the per-basis-tuple double
 braiding that `braiding.double_braiding` replaced, the solve over
 the whole Hom-space that is the oracle of `adjoint.solve_adjoint`, the
 sparse Hom-space maps that the tests corrupt, with their converter to
-column views and the inflation of abar to one, the re-check of the conditions on those views,
-`hom_conditions_direct`, that is the oracle of
+column views and the inflation of abar to one, the re-check of the
+conditions on those views, `hom_conditions_direct`, that is the oracle of
 `adjoint.verify_conditions_direct` (which reads abar, not views), and the
 dense coordinates that are the oracle of `linalg.coords_of_terms`."""
 

@@ -40,7 +40,8 @@ its oracle: for every K(d, xi) with xi in {0, 1} and the regular K at
 n <= 3, the two agree claim for claim, id, status and witness, on the
 inflated views of the solved maps of both variants, of the module
 variant's maps against the fully-constrained conditions, and of those
-maps with one abar entry shifted, the last one included.
+maps with one abar entry shifted, the last one included, or with one
+term cancelled to a stored zero.
 """
 
 import random
@@ -525,6 +526,14 @@ def test_abar_recheck_agrees_with_the_hom_space_recheck(n, dxi):
             failing.update(claim_id for claim_id, status, _ in assert_recheck_agrees(p, bars) if status == "fail")
     if n > 1:  # at n = 1 every map passes: H and K are the field
         assert failing["conditions/ad1-residual-zero"] and failing["conditions/ad2-residual-zero"]
+    # the last term of the last abar entry cancelled to a stored zero, which
+    # both read as absent; ad3 then compares at every k
+    i, x = max((i, x) for i in range(module.dim) for x in range(module.NH) if module.bar_terms[i][x])
+    cut = [list(row) for row in module.bar_terms]
+    *head, (r, c) = cut[i][x]
+    cut[i][x] = head + [(r, c - c)]
+    for p in (module_p, full_p):
+        assert_recheck_agrees(p, cut)
 
 
 # -- the callers of one shared scan ------------------------------------------
