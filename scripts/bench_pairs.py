@@ -76,6 +76,13 @@ def run_once(tree: Path, workload: str, seed: int) -> dict:
                          f"{proc.returncode}:\n{proc.stderr}") from None
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def quartiles(values: list[float]) -> tuple[float, float, float]:
     if len(values) < 2:
         return values[0], values[0], values[0]
@@ -127,7 +134,7 @@ def main(argv=None) -> int:
     parser.add_argument("change", type=Path, help="source tree of the change")
     parser.add_argument("--workload", action="append", required=True,
                         help="benchmark workload (repeat for several)")
-    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--pairs", type=positive_int, default=10)
     parser.add_argument("--label", required=True)
     parser.add_argument("--out", type=Path, default=None)
     args = parser.parse_args(argv)

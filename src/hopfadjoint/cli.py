@@ -147,15 +147,15 @@ def _suite_adjoint(n: int, rep: VerificationReport) -> None:
 
 
 def _emit(args, payload: dict, ctx: FieldContext) -> None:
-    data = emit_json(document(ctx, BASIS_CONVENTION, payload))
+    doc = document(ctx, BASIS_CONVENTION, payload)
     if args.out:
         try:
             with open(args.out, "wb") as fh:
-                fh.write(data)
+                emit_json(doc, fh)
         except OSError as exc:
             raise UsageError(f"cannot write {args.out}: {exc}") from None
     else:
-        sys.stdout.buffer.write(data)
+        emit_json(doc, sys.stdout.buffer)
         sys.stdout.buffer.write(b"\n")
 
 

@@ -5,17 +5,17 @@ claims with pass/fail status and, for failures, a witness that can be
 replayed.  Reports serialise to canonical JSON (sorted keys, rationals
 as "num/den" strings) so identical runs produce identical bytes.
 
-`emit_json` writes that text in one recursive pass, with no
-intermediate plain-data tree: each distinct scalar is encoded once per
-document, a matrix is laid out from its nonzero terms over references
-to the zero's text, and a dense list writes its padding by reference.
-The tests keep the walk it replaced, a plain tree that `json.dumps`
-encodes, as the oracle.
+`emit_json` streams that text into a binary file in one recursive
+pass, with no intermediate plain-data tree and no copy of the whole
+document: each chunk is written as it is made, each distinct scalar is
+encoded once per document, a matrix is laid out from its nonzero terms
+over references to the zero's text, and a dense list writes its padding
+by reference.  The tests keep the walk it replaced, a plain tree that
+`json.dumps` encodes, as the oracle.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import time
 from dataclasses import dataclass, field
@@ -89,14 +89,14 @@ class VerificationReport:
         return lines
 
 
-def emit_json(obj) -> bytes:
-    """Canonical JSON bytes: sorted keys, no whitespace, ASCII.  A list
-    whose first item is a scalar writes the field's shared `ctx.zero()`
-    by identity; every other scalar, a computed zero included, goes
-    through the memo of encoded values."""
+def emit_json(obj, fh) -> None:
+    """Write the canonical JSON of obj to the binary file fh: sorted
+    keys, no whitespace, ASCII.  Each chunk is written as soon as it is
+    made, so the largest text held at once is one matrix's entries or
+    one list that starts with a scalar.  Such a list writes the field's
+    shared `ctx.zero()` by identity; every other scalar, a computed zero
+    included, goes through the memo of encoded values."""
     memo: dict[tuple[tuple[int, ...], int], str] = {}
-    out: list[str] = []
-    put = out.append
 
     def scalar(s: Scalar) -> str:
         key = (s.num, s.den)
@@ -110,13 +110,11 @@ def emit_json(obj) -> bytes:
         starts with a scalar."""
         if isinstance(x, Scalar):
             return scalar(x)
-        start = len(out)
-        write(x)
-        chunk = "".join(out[start:])
-        del out[start:]
-        return chunk
+        parts: list[str] = []
+        write(x, parts.append)
+        return "".join(parts)
 
-    def write(x) -> None:
+    def write(x, put) -> None:
         # the containers first; bool before int
         if isinstance(x, Scalar):
             put(scalar(x))
@@ -129,7 +127,7 @@ def emit_json(obj) -> bytes:
             sep = "["
             for y in x:
                 put(sep)
-                write(y)
+                write(y, put)
                 sep = ","
             put("]" if x else "[]")
         elif isinstance(x, dict):
@@ -137,7 +135,7 @@ def emit_json(obj) -> bytes:
             sep = "{"
             for key in sorted(items):
                 put(sep + encode_basestring_ascii(key) + ":")
-                write(items[key])
+                write(items[key], put)
                 sep = ","
             put("}" if items else "{}")
         elif isinstance(x, str):
@@ -161,21 +159,11 @@ def emit_json(obj) -> bytes:
         elif isinstance(x, Fraction):
             put(encode_basestring_ascii(rational_str(x)))
         elif hasattr(x, "to_jsonable"):
-            write(x.to_jsonable())
+            write(x.to_jsonable(), put)
         else:
             raise TypeError(f"cannot serialise {type(x).__name__}")
 
-    write(obj)
-    # runs of 16 chunks are encoded from the front and each is released
-    # once in buf, whose bytes are returned without a copy: a large
-    # document is held about once, not as chunks and as bytes
-    buf = io.BytesIO()
-    out.reverse()
-    while out:
-        run = out[-16:]
-        del out[-16:]
-        buf.write("".join(reversed(run)).encode())
-    return buf.getvalue()
+    write(obj, lambda chunk: fh.write(chunk.encode()))
 
 
 def document(field_ctx, basis_convention: str, payload: dict) -> dict:

@@ -11,8 +11,11 @@ the whole Hom-space that is the oracle of `adjoint.solve_adjoint`, the
 sparse Hom-space maps that the tests corrupt, with their converter to
 column views and the inflation of abar to one, the re-check of the
 conditions on those views, `hom_conditions_direct`, that is the oracle of
-`adjoint.verify_conditions_direct` (which reads abar, not views), and the
-dense coordinates that are the oracle of `linalg.coords_of_terms`."""
+`adjoint.verify_conditions_direct` (which reads abar, not views), the
+dense coordinates that are the oracle of `linalg.coords_of_terms`, and
+`emit_bytes`, the canonical JSON as one bytes object."""
+
+import io
 
 from hopfadjoint.adjoint import AdjointAlgebra, AdjointProblem, ClosureFailure, condition_system
 from hopfadjoint.braiding import (ComoduleAlgebra, ComoduleRep, ModuleRep, RMatrix, check_comodule_algebra,
@@ -22,7 +25,14 @@ from hopfadjoint.cyclotomic import Scalar
 from hopfadjoint.hopf import FinDimAlgebra, FinDimCoalgebra, FinDimHopf, leg_map, tensor_algebra, tensor_image
 from hopfadjoint.linalg import (Matrix, SubspaceBasis, _eliminate, _zero_free, dense, flip_legs, invert,
                                 kernel_basis, kron_sum, lincomb, nonzero, sorted_terms, sparse_diff)
-from hopfadjoint.reports import VerificationReport
+from hopfadjoint.reports import VerificationReport, emit_json
+
+
+def emit_bytes(obj) -> bytes:
+    """The bytes that `emit_json` writes for obj."""
+    fh = io.BytesIO()
+    emit_json(obj, fh)
+    return fh.getvalue()
 
 
 def from_rows(ctx, rows) -> Matrix:

@@ -1,11 +1,12 @@
 """Slow dense oracles for the two edges where sparse data is laid out
 densely: canonical JSON emission and coordinates in a solved basis.
 
-`emit_json` writes the text in one pass, formats each distinct scalar
-once, writes only a matrix's nonzero terms and a dense list's padding by
-reference; `dense_emit` is the per-entry walk over `Matrix.entries` into
-a plain tree that `json.dumps` encodes, and both must give the same
-bytes, for the package's documents and for plain data at its edges.
+`emit_json` streams the text into its file in one pass, formats each
+distinct scalar once, writes only a matrix's nonzero terms and a dense
+list's padding by reference; `dense_emit` is the per-entry walk over
+`Matrix.entries` into a plain tree that `json.dumps` encodes, and both
+must give the same bytes, for the package's documents and for plain data
+at its edges.
 `coords_of_terms` reads coordinates at the pivots of an echelon basis
 and forms the residual sparsely; `support.dense_coords_in_basis` scans
 dense basis vectors and a dense residual, and the term list of its
@@ -27,7 +28,7 @@ from hopfadjoint.cyclotomic import Scalar, make_field, rational_str, scalar_to_s
 from hopfadjoint.linalg import Matrix, coords_of_terms, dense, kernel_basis, nonzero
 from hopfadjoint.reports import emit_json
 
-from support import dense_coords_in_basis
+from support import dense_coords_in_basis, emit_bytes
 from test_golden import CLI_DIGESTS
 
 
@@ -63,9 +64,9 @@ def captured_documents(monkeypatch, argv) -> tuple[int, list]:
     """Run the CLI; its exit code and every document it hands to emit_json."""
     docs = []
 
-    def capture(obj):
+    def capture(obj, fh):
         docs.append(obj)
-        return emit_json(obj)
+        emit_json(obj, fh)
 
     monkeypatch.setattr(cli, "emit_json", capture)
     return cli.cli_main(argv), docs
@@ -110,14 +111,14 @@ def test_emit_json_matches_dense_oracle_on_random_matrices(conductor, seed):
         "vector": [random_scalar(rng, ctx) for _ in range(7)],
         "nested": {"pair": (ctx.zero(), ctx.one()), "rational": Fraction(-5, 6), "flag": True},
     }
-    assert emit_json(doc) == dense_emit(doc)
+    assert emit_bytes(doc) == dense_emit(doc)
 
 
 def test_emit_json_matches_dense_oracle_on_strings_and_keys():
     awkward = ['quote " and backslash \\', "tab\tnewline\ncontrol\x00\x1f\x7f",
                "non-ASCII \u00e9\u00df \u2202 \U0001d49c", "", "/slash"]
     doc = {"values": awkward, "keys": {k: k for k in awkward}}
-    data = emit_json(doc)
+    data = emit_bytes(doc)
     assert data == dense_emit(doc)
     assert data.isascii() and json.loads(data) == doc
 
@@ -131,9 +132,9 @@ def test_emit_json_matches_dense_oracle_on_plain_data():
         "rationals": [Fraction(0), Fraction(-5, 6), Fraction(12, 4), {"r": Fraction(1, 3)}],
         "empty": [], "nothing": {}, "tuple": (),
     }
-    assert emit_json(doc) == dense_emit(doc)
+    assert emit_bytes(doc) == dense_emit(doc)
     for value in (True, 1, None, Fraction(-3, 7), (), [], {}, "s", 2.0):
-        assert emit_json(value) == dense_emit(value)
+        assert emit_bytes(value) == dense_emit(value)
 
 
 def test_emit_json_writes_a_computed_zero_among_shared_zeros():
@@ -144,7 +145,7 @@ def test_emit_json_writes_a_computed_zero_among_shared_zeros():
     padded = dense(ctx, 5, [(2, computed), (3, one)])
     doc = {"padded": padded, "first": [computed] + padded, "all": [computed, -ctx.zero()],
            "matrix": Matrix(ctx, 2, 2, [(0, 1, one), (1, 0, one), (1, 0, -one)])}
-    data = emit_json(doc)
+    data = emit_bytes(doc)
     assert data == dense_emit(doc)
     assert json.loads(data)["padded"] == [["0", "0"]] * 3 + [["1", "0"]] + [["0", "0"]]
 
@@ -158,14 +159,14 @@ def test_emit_json_matches_dense_oracle_on_two_fields_in_one_document():
         "mixed": [f3.zero(), f5.zero(), half5, f3.zero(), half3, 1, "x", None, [f5.zero()]],
         "matrices": [Matrix(f3, 1, 2, [(0, 0, half3)]), Matrix(f5, 2, 1, [(1, 0, half5)])],
     }
-    assert emit_json(doc) == dense_emit(doc)
+    assert emit_bytes(doc) == dense_emit(doc)
 
 
 @pytest.mark.parametrize("rows, cols", [(0, 0), (0, 3), (3, 0)])
 def test_emit_json_matches_dense_oracle_on_empty_matrices(rows, cols):
     ctx = make_field(4)
     m = Matrix(ctx, rows, cols)
-    data = emit_json({"m": m, "in_list": [m, m]})
+    data = emit_bytes({"m": m, "in_list": [m, m]})
     assert data == dense_emit({"m": m, "in_list": [m, m]})
     assert json.loads(data)["m"] == {"rows": rows, "cols": cols, "entries": []}
 
@@ -183,9 +184,36 @@ def test_emit_json_formats_each_distinct_scalar_once(monkeypatch, tmp_path):
         return scalar_to_strings(s)
 
     monkeypatch.setattr(reports, "scalar_to_strings", counted)
-    data = emit_json(docs[0])
+    data = emit_bytes(docs[0])
     assert data == dense_emit(docs[0])
     assert calls and max(calls.values()) == 1
+
+
+class RecordingFile:
+    """A binary file that keeps every write."""
+
+    def __init__(self):
+        self.writes: list[bytes] = []
+
+    def write(self, data: bytes) -> int:
+        self.writes.append(bytes(data))
+        return len(data)
+
+
+def test_emit_json_streams_the_document_chunk_by_chunk(monkeypatch, tmp_path):
+    # the solved (4, 1, 0) module-variant document reaches its file in
+    # pieces, none longer than the text of its largest matrix; here that
+    # is the 16 x 256 coaction, not a 4 x 64 basis matrix
+    _, docs = captured_documents(monkeypatch, ["adjoint", "--n", "4", "--d", "1", "--xi", "0",
+                                               "--conditions", "ad1,ad3",
+                                               "--out", str(tmp_path / "out.json")])
+    fh = RecordingFile()
+    emit_json(docs[0], fh)
+    assert b"".join(fh.writes) == dense_emit(docs[0])
+    assert len(fh.writes) > 1
+    alg = docs[0]["algebra"]
+    largest = max(len(dense_emit(m)) for m in [*alg["basis"], *alg["action"], alg["coaction"]])
+    assert max(map(len, fh.writes)) <= largest
 
 
 # -- coordinates -----------------------------------------------------------

@@ -69,8 +69,8 @@ from hopfadjoint.hopf import (
     check_hopf,
 )
 from hopfadjoint.linalg import Matrix, SubspaceBasis, kernel_basis, sorted_terms
-from hopfadjoint.reports import emit_json
-from support import _hom_columns, hom_conditions_direct, perturbed_taft, sparse_maps, trivial_r_matrix
+from support import (_hom_columns, emit_bytes, hom_conditions_direct, perturbed_taft, sparse_maps,
+                     trivial_r_matrix)
 
 ADJOINT_N2 = ["adjoint", "--n", "2", "--d", "2", "--xi", "0"]
 
@@ -599,4 +599,4 @@ REPORT_DIGESTS = {
 def test_corrupted_input_report_digest(build):
     rep = build()
     assert not rep.ok
-    assert _digest(emit_json(rep)) == REPORT_DIGESTS[build]
+    assert _digest(emit_bytes(rep)) == REPORT_DIGESTS[build]

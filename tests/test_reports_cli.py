@@ -1,4 +1,9 @@
+import hashlib
 import json
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -6,10 +11,13 @@ import pytest
 from hopfadjoint.constructions import comodule_algebra_K
 from hopfadjoint.cyclotomic import make_field
 from hopfadjoint.linalg import Matrix
-from hopfadjoint.reports import VerificationReport, document, emit_json
+from hopfadjoint.reports import VerificationReport, document
 from hopfadjoint import cli
 from hopfadjoint.cli import cli_main, field_axiom_spotcheck
-from support import from_rows
+from support import emit_bytes, from_rows
+from test_golden import CLI_DIGESTS
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
 def test_field_document_fragment():
@@ -22,12 +30,12 @@ def test_field_document_fragment():
 def test_scalar_and_matrix_round_trip():
     ctx = make_field(4)
     s = ctx.scalar([Fraction(3, 2), Fraction(-1)])
-    blob = json.loads(emit_json(s))
+    blob = json.loads(emit_bytes(s))
     assert blob == ["3/2", "-1"]
     assert ctx.scalar(blob) == s
 
     m = from_rows(ctx, [[ctx.one(), s], [ctx.zero(), ctx.from_rational(7)]])
-    blob = json.loads(emit_json(m))
+    blob = json.loads(emit_bytes(m))
     assert blob["rows"] == 2 and blob["cols"] == 2
     rebuilt = Matrix(ctx, 2, 2, [(u // 2, u % 2, ctx.scalar(e))
                                  for u, e in enumerate(blob["entries"])])
@@ -35,7 +43,7 @@ def test_scalar_and_matrix_round_trip():
 
 
 def test_emit_json_sorted_and_compact():
-    data = emit_json({"b": 1, "a": [Fraction(1, 3)]})
+    data = emit_bytes({"b": 1, "a": [Fraction(1, 3)]})
     assert data == b'{"a":["1/3"],"b":1}'
 
 
@@ -90,7 +98,7 @@ def test_field_spotcheck_deterministic():
     ctx = make_field(3)
     a = field_axiom_spotcheck(ctx, seed=7)
     b = field_axiom_spotcheck(ctx, seed=7)
-    assert emit_json(a) == emit_json(b)
+    assert emit_bytes(a) == emit_bytes(b)
     assert a.ok
 
 
@@ -99,6 +107,25 @@ def test_cli_verify_exit_zero(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert '"status":"pass"' in out
+
+
+def test_module_entry_point_writes_the_document_to_stdout(tmp_path):
+    # python -m hopfadjoint, through __main__ and cli.main: standard output
+    # is the --out file's bytes and one newline, and those bytes are pinned
+    argv, exit_code, expected = CLI_DIGESTS["taft-n3"]
+    assert argv == ["taft", "--n", "3"] and exit_code == 0
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = tmp_path / "out.json"
+
+    def run(*extra):
+        return subprocess.run([sys.executable, "-m", "hopfadjoint", *argv, *extra],
+                              env=env, capture_output=True, timeout=300)
+
+    to_stdout, to_file = run(), run("--out", str(out))
+    assert (to_stdout.returncode, to_file.returncode) == (0, 0), to_stdout.stderr + to_file.stderr
+    data = out.read_bytes()
+    assert to_stdout.stdout == data + b"\n"
+    assert hashlib.sha256(data).hexdigest() == expected
 
 
 def test_cli_runs_are_byte_identical(tmp_path):
@@ -244,6 +271,6 @@ def test_cli_report_rejects_malformed_json(text, tmp_path, capsys):
 
 def test_emit_json_rejects_unknown():
     with pytest.raises(TypeError):
-        emit_json(object())
+        emit_bytes(object())
     with pytest.raises(TypeError):
-        emit_json({"nested": [1, object()]})
+        emit_bytes({"nested": [1, object()]})

@@ -137,3 +137,14 @@ def test_bench_pairs_reports_a_crashed_run(tmp_path):
     assert "module-n4" in proc.stderr and "exit code 1" in proc.stderr
     assert "RuntimeError: stub crash" in proc.stderr
     assert not (tmp_path / "BENCH_stub.json").exists()
+
+
+@pytest.mark.parametrize("pairs", ["0", "-3"])
+def test_bench_pairs_rejects_a_pair_count_below_one(tmp_path, pairs):
+    proc = run_script("bench_pairs.py", str(tmp_path / "parent"), str(tmp_path / "change"),
+                      "--workload", "module-n4", "--pairs", pairs, "--label", "stub",
+                      "--out", str(tmp_path / "BENCH_stub.json"))
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines()[-1].endswith(f"error: argument --pairs: expected a positive integer, "
+                                                 f"got {pairs!r}")
+    assert "Traceback" not in proc.stderr and not (tmp_path / "BENCH_stub.json").exists()
