@@ -785,14 +785,15 @@ def dinaturality_failures(p: AdjointProblem, bars: list[list[tuple[int, Scalar]]
     order of h, jdual, vv, then mm, where the two sides of the wedge
     identity differ for the map whose abar term lists are bars[x] =
     alpha(e_x, 1), as in `AdjointAlgebra.bar_terms`; values land in the
-    module m collapsed along K."""
+    module m collapsed along K.  Per (h, jdual, vv) the right side is one
+    action matrix of m, and its columns are read only when it differs
+    from the left one."""
     K = p.comod_alg
     dv, dm = v.dim, m_mod.dim
     s_t = p.base.antipode
     gv = lift_via_pi(p.hopf, p.pi, v)
     s_acts = [v.act_terms(s_t.col_terms(t)) for t in range(p.base.dim)]
-    # m_acts[p0][mm]: e_p0 acting on e_mm
-    m_acts = [[act.col_terms(mm) for mm in range(dm)] for act in m_mod.action]
+    zero = Matrix(p.ctx, dm, dm)
     legs: dict[tuple[int, int], list] = {}  # (t_leg, y) -> the terms of S(t_leg) G(v)_y
     images: dict[int, dict] = {}  # zz -> lambda(alpha(e_zz, 1))
 
@@ -813,12 +814,15 @@ def dinaturality_failures(p: AdjointProblem, bars: list[list[tuple[int, Scalar]]
         bar_act = m_mod.act_terms(bars[h])
         for jdual in range(dv):
             for vv in range(dv):
-                per = rhs_coeffs.get((jdual, vv), {})
-                for mm in range(dm):
-                    lhs = bar_act.col_terms(mm) if jdual == vv else []
-                    rhs = lincomb((c, m_acts[p0][mm]) for p0, c in per.items())
-                    if lhs != rhs:
-                        yield {"tuple": [h, jdual, vv, mm]}
+                lhs = bar_act if jdual == vv else zero
+                per = rhs_coeffs.get((jdual, vv))
+                rhs = m_mod.act_terms(per.items()) if per else zero
+                if lhs != rhs:
+                    # both sides are zero-free: the columns that differ are the failing mm
+                    lhs_t, rhs_t = lhs.transpose(), rhs.transpose()
+                    for mm in range(dm):
+                        if lhs_t.row_terms(mm) != rhs_t.row_terms(mm):
+                            yield {"tuple": [h, jdual, vv, mm]}
 
 
 def dinaturality_sample(a: AdjointAlgebra, m_mod: ModuleRep, v: ModuleRep,

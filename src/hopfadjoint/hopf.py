@@ -54,13 +54,16 @@ Those hot scans keep that inline idiom, as does `tensor_image`, hot in
 Every other sum of a sparse tensor, a {(i_1, ..., i_k): c} dict, goes
 through one of four helpers, each returning no zero: `linalg.lincomb`
 (tuple keys allowed), `tensor_image` (Delta or a coaction), `tensor_mult`
-(the product leg by leg) and `leg_map` ((f_1 x ... x f_k)(t)).  Four
+(the product leg by leg) and `leg_map` ((f_1 x ... x f_k)(t)).  Five
 bespoke products remain, each interleaving more than one helper could
 without an intermediate tensor: `tensor_mult`'s own loop,
 `constructions._braided_square_product` (the braiding between two
 products), `constructions.bosonization` (the T-action, R's legs and T's
-product at kron indices) and `braided_adjoint.pi_dinatural_check`'s wedge
-sum (R's terms against three module actions).
+product at kron indices), `braided_adjoint.pi_dinatural_check`'s wedge
+sum (R's terms against three module actions) and
+`braided_adjoint.gamma_tensor_hexagon`'s column sum (Delta of the
+coaction's left leg against two module actions, and the columns of one
+half-braiding composed with those of another).
 """
 
 from __future__ import annotations

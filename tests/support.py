@@ -12,19 +12,24 @@ sparse Hom-space maps that the tests corrupt, with their converter to
 column views and the inflation of abar to one, the re-check of the
 conditions on those views, `hom_conditions_direct`, that is the oracle of
 `adjoint.verify_conditions_direct` (which reads abar, not views), the
-dense coordinates that are the oracle of `linalg.coords_of_terms`, and
-`emit_bytes`, the canonical JSON as one bytes object."""
+dense coordinates that are the oracle of `linalg.coords_of_terms`, the
+Kronecker form of the half-braiding hexagon, `hexagon_by_kron`, and the
+`lincomb` form of the wedge identity, `dinaturality_by_lincomb`, that are
+the oracles of `braided_adjoint.gamma_tensor_hexagon` and
+`adjoint.dinaturality_failures`, and `emit_bytes`, the canonical JSON as
+one bytes object."""
 
 import io
 
 from hopfadjoint.adjoint import AdjointAlgebra, AdjointProblem, ClosureFailure, condition_system
+from hopfadjoint.braided_adjoint import HAdjoint
 from hopfadjoint.braiding import (ComoduleAlgebra, ComoduleRep, ModuleRep, RMatrix, check_comodule_algebra,
-                                  lift_via_pi)
+                                  lift_via_pi, tensor_module, yd_braiding)
 from hopfadjoint.constructions import BraidedHopf, ConstructionError, TaftModel, taft_model
 from hopfadjoint.cyclotomic import Scalar
 from hopfadjoint.hopf import FinDimAlgebra, FinDimCoalgebra, FinDimHopf, leg_map, tensor_algebra, tensor_image
 from hopfadjoint.linalg import (Matrix, SubspaceBasis, _eliminate, _zero_free, dense, flip_legs, invert,
-                                kernel_basis, kron_sum, lincomb, nonzero, sorted_terms, sparse_diff)
+                                kernel_basis, kron, kron_sum, lincomb, nonzero, sorted_terms, sparse_diff)
 from hopfadjoint.reports import VerificationReport, emit_json
 
 
@@ -296,6 +301,64 @@ def double_braiding_per_term(model: TaftModel, com: ComoduleRep, mod: ModuleRep,
                             out[(r1, r2)] = out.get((r1, r2), z) + c * cr * e1 * e2
             terms += [(r1 * dv + r2, i * dv + vv, c) for (r1, r2), c in out.items()]
     return Matrix(ctx, n * dv, n * dv, terms)
+
+
+def hexagon_by_kron(had: HAdjoint, modules: dict[str, ModuleRep], gammas: dict[str, Matrix]):
+    """Oracle of `braided_adjoint.gamma_tensor_hexagon`: per pair of
+    module names, the half-braiding of the tensor module X x Y against
+    (id x gamma_Y)(gamma_X x id), formed as Kronecker products with
+    identities."""
+    taft = had.model.taft
+    ctx = had.ctx
+    names = sorted(modules)
+    for nx in names:
+        for ny in names:
+            x, y = modules[nx], modules[ny]
+            lhs = yd_braiding(had.comodule, tensor_module(taft, x, y))
+            rhs = (kron(Matrix.identity(ctx, x.dim), gammas[ny])
+                   * kron(gammas[nx], Matrix.identity(ctx, y.dim)))
+            if lhs != rhs:
+                yield {"pair": [nx, ny]}
+
+
+def dinaturality_by_lincomb(p: AdjointProblem, bars: list[list[tuple[int, Scalar]]],
+                            m_mod: ModuleRep, v: ModuleRep):
+    """Oracle of `adjoint.dinaturality_failures`: both sides of the wedge
+    identity per basis tuple (h, jdual, vv, mm), the right one as one
+    `lincomb` of the columns of m's actions."""
+    K = p.comod_alg
+    dv, dm = v.dim, m_mod.dim
+    s_t = p.base.antipode
+    gv = lift_via_pi(p.hopf, p.pi, v)
+    s_acts = [v.act_terms(s_t.col_terms(t)) for t in range(p.base.dim)]
+    # m_acts[p0][mm]: e_p0 acting on e_mm
+    m_acts = [[act.col_terms(mm) for mm in range(dm)] for act in m_mod.action]
+    legs: dict[tuple[int, int], list] = {}  # (t_leg, y) -> the terms of S(t_leg) G(v)_y
+    images: dict[int, dict] = {}  # zz -> lambda(alpha(e_zz, 1))
+
+    for h in range(p.hopf.dim):
+        # (jdual, vv) -> p0 -> the summed coefficient of e_p0 acting on m
+        rhs_coeffs: dict[tuple[int, int], dict[int, Scalar]] = {}
+        for t_leg, zz, cm in p.ad2_terms[h]:
+            if zz not in images:
+                images[zz] = tensor_image(K.coaction, bars[zz])
+            for (y, p0), lc in images[zz].items():
+                if (t_leg, y) not in legs:
+                    legs[t_leg, y] = (s_acts[t_leg] * gv.action[y]).terms()
+                c = cm * lc
+                for i, j, e in legs[t_leg, y]:
+                    per = rhs_coeffs.setdefault((i, j), {})
+                    add = c * e
+                    per[p0] = per[p0] + add if p0 in per else add
+        bar_act = m_mod.act_terms(bars[h])
+        for jdual in range(dv):
+            for vv in range(dv):
+                per = rhs_coeffs.get((jdual, vv), {})
+                for mm in range(dm):
+                    lhs = bar_act.col_terms(mm) if jdual == vv else []
+                    rhs = lincomb((c, m_acts[p0][mm]) for p0, c in per.items())
+                    if lhs != rhs:
+                        yield {"tuple": [h, jdual, vv, mm]}
 
 
 def perturbed_taft() -> FinDimHopf:

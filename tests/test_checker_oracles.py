@@ -42,6 +42,18 @@ inflated views of the solved maps of both variants, of the module
 variant's maps against the fully-constrained conditions, and of those
 maps with one abar entry shifted, the last one included, or with one
 term cancelled to a stored zero.
+
+The half-braiding hexagon of `braided_adjoint.gamma_tensor_hexagon`,
+summed column by column, has its Kronecker form `support.hexagon_by_kron`
+as its oracle, at n = 2, 3 and 4, on the true half-braidings, on each with
+one entry shifted, on one with an entry cancelled to a stored zero and
+on one with a zero stored where it holds none.
+The wedge identity of `adjoint.dinaturality_failures`, which forms each
+right side as one action matrix, has its per-column `lincomb` form
+`support.dinaturality_by_lincomb` as its oracle, for the cases of the
+re-check above, on the solved maps of both variants and on
+fully-constrained maps with one abar entry shifted.  Both pairs must
+yield the same witnesses in the same order.
 """
 
 import random
@@ -49,9 +61,11 @@ from collections import Counter
 
 import pytest
 
-from hopfadjoint.adjoint import problem_for, solve_adjoint, verify_center_algebra, verify_conditions_direct
+from hopfadjoint.adjoint import (dinaturality_failures, problem_for, solve_adjoint, verify_center_algebra,
+                                 verify_conditions_direct)
+from hopfadjoint.braided_adjoint import build_h_ad, gamma_tensor_hexagon
 from hopfadjoint.braiding import (ComoduleAlgebra, ComoduleRep, ModuleRep, check_comodule, check_comodule_algebra,
-                                  check_module, check_yd, regular_module)
+                                  check_module, check_yd, regular_module, trivial_module, yd_braiding)
 from hopfadjoint.constructions import (BraidedHopf, braided_line, check_braided_hopf, comodule_algebra_K,
                                        regular_comodule_algebra, taft_model)
 from hopfadjoint.cyclotomic import zeta_power
@@ -59,7 +73,8 @@ from hopfadjoint.hopf import (FinDimAlgebra, FinDimCoalgebra, check_algebra, che
                              tensor_image)
 from hopfadjoint.linalg import Matrix, dense, sorted_terms, sparse_diff
 from hopfadjoint.reports import VerificationReport
-from support import _hom_columns, bar_views, hom_conditions_direct, perturbed_taft, sparse_maps
+from support import (_hom_columns, bar_views, dinaturality_by_lincomb, hexagon_by_kron, hom_conditions_direct,
+                     perturbed_taft, sparse_maps)
 
 # (n, K, conditions): module variants over K(d, xi) and the relative regular case
 CASES = {
@@ -534,6 +549,66 @@ def test_abar_recheck_agrees_with_the_hom_space_recheck(n, dxi):
     cut[i][x] = head + [(r, c - c)]
     for p in (module_p, full_p):
         assert_recheck_agrees(p, cut)
+
+
+# -- the hexagon and the wedge identity against their old forms -------------
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_hexagon_agrees_with_the_kronecker_form(n):
+    m = taft_model(n)
+    had = build_h_ad(m)
+    ctx, one = m.ctx, m.ctx.one()
+    mods = {"regular": regular_module(m.taft.algebra), "trivial": trivial_module(m.taft)}
+    gammas = {name: yd_braiding(had.comodule, x) for name, x in mods.items()}
+    rng = random.Random(n)
+    cases = [gammas]
+    for name, g in gammas.items():
+        spot = (rng.randrange(g.rows), rng.randrange(g.cols), one)
+        cases.append({**gammas, name: g + Matrix(ctx, g.rows, g.cols, [spot])})
+    # gamma_regular with its last entry cancelled to a zero that it
+    # stores, a different map, and with a zero stored where it holds none,
+    # the same map
+    g = gammas["regular"]
+    rows = [dict(g.row_terms(i)) for i in range(g.rows)]
+    r = max(i for i, row in enumerate(rows) if row)
+    c = max(rows[r])
+    padded = [dict(row) for row in rows]
+    padded[r][next(j for j in range(g.cols) if j not in rows[r])] = ctx.zero()
+    rows[r][c] = rows[r][c] - rows[r][c]
+    cases += [{**gammas, "regular": Matrix._of_rows(ctx, g.cols, rows)},
+              {**gammas, "regular": Matrix._of_rows(ctx, g.cols, padded)}]
+    got = [list(gamma_tensor_hexagon(had, mods, gs)) for gs in cases]
+    assert got == [list(hexagon_by_kron(had, mods, gs)) for gs in cases]
+    with_regular = [{"pair": ["regular", "regular"]}, {"pair": ["regular", "trivial"]},
+                    {"pair": ["trivial", "regular"]}]
+    assert got[0] == got[4] == [] and got[1] == got[3] == with_regular
+    assert got[2] == [{"pair": ["regular", "trivial"]}, {"pair": ["trivial", "regular"]},
+                      {"pair": ["trivial", "trivial"]}]
+
+
+@pytest.mark.parametrize("n, dxi", RECHECK_CASES, ids=[f"n{n}-{'regular' if dxi is None else 'K(%d,%d)' % dxi}"
+                                                      for n, dxi in RECHECK_CASES])
+def test_wedge_identity_agrees_with_the_lincomb_form(n, dxi):
+    model = taft_model(n)
+    k = regular_comodule_algebra(n) if dxi is None else comodule_algebra_K(n, *dxi)
+    full_p = problem_for(model, k, {"ad1", "ad2", "ad3"})
+    full = solve_adjoint(full_p, with_structure=False)
+    module = solve_adjoint(problem_for(model, k, {"ad1", "ad3"}), with_structure=False)
+    rng = random.Random(f"wedge-{n}-{dxi}")
+    spots = [(rng.randrange(full.dim), rng.randrange(full.NH), rng.randrange(full.NK)) for _ in range(4)]
+    shifted = [shifted_bar(full.bar_terms, i, x, pp, model.ctx.one())[i] for i, x, pp in spots]
+    mreg = regular_module(k.algebra)
+    for v in (regular_module(model.t_hopf.algebra), trivial_module(model.t_hopf)):
+        failing = []
+        for bars in full.bar_terms + module.bar_terms + shifted:
+            got = list(dinaturality_failures(full_p, bars, mreg, v))
+            assert got == list(dinaturality_by_lincomb(full_p, bars, mreg, v))
+            failing.append(bool(got))
+        # the solved fully-constrained maps pass; against the regular kC_n
+        # module a shifted one fails when n > 1, and against the trivial
+        # module, the unit object, every map passes
+        assert not any(failing[:full.dim]) and any(failing[-len(shifted):]) == (n > 1 and v.dim > 1)
 
 
 # -- the callers of one shared scan ------------------------------------------
