@@ -92,9 +92,10 @@ class VerificationReport:
 def emit_json(obj, fh) -> None:
     """Write the canonical JSON of obj to the binary file fh: sorted
     keys, no whitespace, ASCII.  Each chunk is written as soon as it is
-    made, so the largest text held at once is one matrix's entries or
-    one list that starts with a scalar.  Such a list writes the field's
-    shared `ctx.zero()` by identity; every other scalar, a computed zero
+    made, together with the separator, bracket or key before it, so the
+    largest text held at once is one matrix's entries or one list that
+    starts with a scalar.  Such a list writes the field's shared
+    `ctx.zero()` by identity; every other scalar, a computed zero
     included, goes through the memo of encoded values."""
     memo: dict[tuple[tuple[int, ...], int], str] = {}
 
@@ -114,52 +115,52 @@ def emit_json(obj, fh) -> None:
         write(x, parts.append)
         return "".join(parts)
 
-    def write(x, put) -> None:
+    def write(x, put, lead: str = "") -> None:
+        """Write x through put, its first chunk prefixed by lead: the
+        separator, bracket or key that comes before it."""
         # the containers first; bool before int
         if isinstance(x, Scalar):
-            put(scalar(x))
+            put(lead + scalar(x))
         elif isinstance(x, (list, tuple)):
             if x and isinstance(x[0], Scalar):
                 zero = x[0].ctx.zero()
                 padding = scalar(zero)
-                put("[" + ",".join([padding if y is zero else text(y) for y in x]) + "]")
+                put(lead + "[" + ",".join([padding if y is zero else text(y) for y in x]) + "]")
                 return
-            sep = "["
+            sep = lead + "["
             for y in x:
-                put(sep)
-                write(y, put)
+                write(y, put, sep)
                 sep = ","
-            put("]" if x else "[]")
+            put("]" if x else lead + "[]")
         elif isinstance(x, dict):
             items = {str(k): v for k, v in x.items()}
-            sep = "{"
+            sep = lead + "{"
             for key in sorted(items):
-                put(sep + encode_basestring_ascii(key) + ":")
-                write(items[key], put)
+                write(items[key], put, sep + encode_basestring_ascii(key) + ":")
                 sep = ","
-            put("}" if items else "{}")
+            put("}" if items else lead + "{}")
         elif isinstance(x, str):
-            put(encode_basestring_ascii(x))
+            put(lead + encode_basestring_ascii(x))
         elif isinstance(x, Matrix):
             cols = x.cols
             entries = [scalar(x.ctx.zero())] * (x.rows * cols)
             for i, j, c in x.terms():
                 entries[i * cols + j] = scalar(c)
-            put(f'{{"cols":{cols},"entries":[')
+            put(f'{lead}{{"cols":{cols},"entries":[')
             put(",".join(entries))
             put(f'],"rows":{x.rows}}}')
         elif x is None:
-            put("null")
+            put(lead + "null")
         elif isinstance(x, bool):
-            put("true" if x else "false")
+            put(lead + ("true" if x else "false"))
         elif isinstance(x, int):
-            put(int.__repr__(x))
+            put(lead + int.__repr__(x))
         elif isinstance(x, float):
-            put(json.dumps(x))
+            put(lead + json.dumps(x))
         elif isinstance(x, Fraction):
-            put(encode_basestring_ascii(rational_str(x)))
+            put(lead + encode_basestring_ascii(rational_str(x)))
         elif hasattr(x, "to_jsonable"):
-            write(x.to_jsonable(), put)
+            write(x.to_jsonable(), put, lead)
         else:
             raise TypeError(f"cannot serialise {type(x).__name__}")
 

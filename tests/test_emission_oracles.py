@@ -216,6 +216,17 @@ def test_emit_json_streams_the_document_chunk_by_chunk(monkeypatch, tmp_path):
     assert max(map(len, fh.writes)) <= largest
 
 
+def test_emit_json_writes_each_separator_with_the_chunk_after_it(monkeypatch, tmp_path):
+    # the taft --n 5 document took 2,813 writes when every "," and "["
+    # was a write of its own, 1,331 of them
+    _, docs = captured_documents(monkeypatch, ["taft", "--n", "5", "--out", str(tmp_path / "out.json")])
+    fh = RecordingFile()
+    emit_json(docs[0], fh)
+    assert b"".join(fh.writes) == dense_emit(docs[0])
+    assert not {b",", b"["} & set(fh.writes)
+    assert len(fh.writes) <= 1500
+
+
 # -- coordinates -----------------------------------------------------------
 
 
