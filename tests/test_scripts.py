@@ -10,6 +10,8 @@ from math import gcd
 
 import pytest
 
+from test_golden import CLI_DIGESTS
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
@@ -148,3 +150,43 @@ def test_bench_pairs_rejects_a_pair_count_below_one(tmp_path, pairs):
     assert proc.stderr.splitlines()[-1].endswith(f"error: argument --pairs: expected a positive integer, "
                                                  f"got {pairs!r}")
     assert "Traceback" not in proc.stderr and not (tmp_path / "BENCH_stub.json").exists()
+
+
+def test_whole_runs_alternates_and_checks_the_digest():
+    argv, exit_code, expected = CLI_DIGESTS["taft-n3"]
+    proc = run_script("whole_runs.py", str(ROOT), str(ROOT), "--runs", "2", "--", *argv)
+    assert proc.returncode == 0, proc.stderr
+    runs = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert [(r["run"], r["side"]) for r in runs] == [(0, "parent"), (0, "change"), (1, "change"), (1, "parent")]
+    for r in runs:
+        assert r["exit_code"] == exit_code and r["sha256"] == expected and r["bytes"] > 0
+        assert r["wall_s"] > 0 and r["peak_rss_mb"] > 0
+
+
+STUB_MAIN = '''import pathlib, sys
+out = sys.argv[sys.argv.index("--out") + 1]
+pathlib.Path(out).write_text(pathlib.Path(__file__).parents[2].name)
+'''
+
+
+def test_whole_runs_exits_1_when_the_outputs_differ(tmp_path):
+    for name in ("parent", "change"):
+        package = tmp_path / name / "src" / "hopfadjoint"
+        package.mkdir(parents=True)
+        (package / "__init__.py").write_text("")
+        (package / "__main__.py").write_text(STUB_MAIN)
+    proc = run_script("whole_runs.py", str(tmp_path / "parent"), str(tmp_path / "change"), "--runs", "1",
+                      "--", "taft", "--n", "3")
+    assert proc.returncode == 1
+    assert "sha256 differs" in proc.stderr
+    runs = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert [r["bytes"] for r in runs] == [len("parent"), len("change")]
+    assert runs[0]["sha256"] != runs[1]["sha256"]
+
+
+@pytest.mark.parametrize("args", [["--runs", "1"], ["--runs", "1", "--", "taft", "--n", "3", "--out", "x"],
+                                  ["--runs", "0", "--", "taft", "--n", "3"]])
+def test_whole_runs_rejects_bad_arguments(tmp_path, args):
+    proc = run_script("whole_runs.py", str(tmp_path), str(tmp_path), *args)
+    assert proc.returncode == 2 and "Traceback" not in proc.stderr
+    assert proc.stdout == ""
