@@ -25,17 +25,13 @@ import argparse
 import hashlib
 import json
 import os
-import shutil
 import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
 
-
-def clear_bytecode(tree: Path) -> None:
-    for cache in list(tree.rglob("__pycache__")):
-        shutil.rmtree(cache, ignore_errors=True)
+from bench_pairs import clear_bytecode, positive_int
 
 
 def file_digest(path: Path) -> tuple[str | None, int | None]:
@@ -65,13 +61,6 @@ def run_once(tree: Path, cli_args: list[str], out: Path) -> dict:
     # ru_maxrss is in KiB on Linux
     return {"wall_s": round(wall, 3), "peak_rss_mb": round(usage.ru_maxrss / 1024, 1),
             "exit_code": proc.returncode, "sha256": sha256, "bytes": size}
-
-
-def positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
 
 
 def main(argv=None) -> int:
