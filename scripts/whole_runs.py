@@ -55,12 +55,11 @@ def run_once(tree: Path, cli_args: list[str], out: Path) -> dict:
                             cwd=tree, env=env, stdout=subprocess.DEVNULL)
     _, status, usage = os.wait4(proc.pid, 0)
     wall = time.perf_counter() - t0
-    proc.returncode = os.waitstatus_to_exitcode(status)
     sha256, size = file_digest(out)
     out.unlink(missing_ok=True)
     # ru_maxrss is in KiB on Linux
     return {"wall_s": round(wall, 3), "peak_rss_mb": round(usage.ru_maxrss / 1024, 1),
-            "exit_code": proc.returncode, "sha256": sha256, "bytes": size}
+            "exit_code": os.waitstatus_to_exitcode(status), "sha256": sha256, "bytes": size}
 
 
 def main(argv=None) -> int:
@@ -86,7 +85,8 @@ def main(argv=None) -> int:
                 got = run_once(trees[side], cli_args, Path(tmp) / f"{side}.json")
                 digests[side].add(got["sha256"])
                 print(json.dumps({"run": run, "side": side, "tree": str(trees[side]), **got}), flush=True)
-    if len(digests["parent"] | digests["change"]) > 1 or None in digests["parent"] | digests["change"]:
+    seen = digests["parent"] | digests["change"]
+    if len(seen) > 1 or None in seen:
         print(f"sha256 differs or a run wrote no output: parent {sorted(map(str, digests['parent']))}, "
               f"change {sorted(map(str, digests['change']))}", file=sys.stderr)
         return 1
